@@ -37,6 +37,7 @@ from .forecast import (
     MomentForecast,
     ShiftOperator,
     estimate_shift_operator,
+    forecast_ladder,
     forecast_moments,
     gaussian_density_values,
     project_density,
@@ -89,6 +90,7 @@ __all__ = [
     "estimate_shift_operator",
     "euler_maruyama",
     "fit_forecaster",
+    "forecast_ladder",
     "forecast_moments",
     "gaussian_density_values",
     "iterated_local_linear_forecast",

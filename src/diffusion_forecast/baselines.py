@@ -108,7 +108,7 @@ def local_linear_forecast(
     if lead_steps == 0:
         return replace(init)
     model = fit_local_affine(train, init.mean, lead_steps, k)
-    return GaussianState(mean=model(init.mean), cov=model.linear @ init.cov @ model.linear.T)
+    return GaussianState(mean=model(init.mean), cov=_conjugate(model.linear, init.cov))
 
 
 def iterated_local_linear_forecast(
@@ -122,7 +122,15 @@ def iterated_local_linear_forecast(
         model = fit_local_affine(train, mean, 1, k)
         mean = model(mean)
         total = model.linear @ total
-    return GaussianState(mean=mean, cov=total @ init.cov @ total.T)
+    return GaussianState(mean=mean, cov=_conjugate(total, init.cov))
+
+
+def _conjugate(linear: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """linear @ cov @ linear.T, made exactly symmetric: the product alone is
+    asymmetric in its last bits, which GaussianState rejects once the
+    covariance is large."""
+    out = linear @ cov @ linear.T
+    return 0.5 * (out + out.T)
 
 
 def sample_gaussian(state: GaussianState, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,8 +14,8 @@ import numpy as np
 from . import __version__
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_forecast, local_linear_forecast
 from .basis import load_basis, save_basis
-from .dataset import delay_embed, load_series, read_series_csv, write_series_csv
-from .evaluation import ExperimentConfig, load_config, rmse_and_correlation
+from .dataset import delay_embed, load_series, read_series_csv, write_csv, write_series_csv
+from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
     lorenz_config,
     nino_config,
@@ -27,13 +27,13 @@ from .experiments import (
 from .forecast import (
     DensityCoefficients,
     estimate_shift_operator,
-    forecast_moments,
+    evolve_ladder,
+    forecast_ladder,
+    gaussian_density_values,
     load_operator,
     project_density,
     reconstruct_density,
     save_operator,
-    evolve_coefficients,
-    gaussian_density_values,
 )
 from .pipeline import fit_forecaster
 from .simulators import lorenz_model, simulate_lorenz63, simulate_torus, torus_model
@@ -189,10 +189,7 @@ def _cmd_build_basis(args) -> int:
     if args.dump_tuning:
         for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning)):
             curve_path = prefix.parent / f"{prefix.name}_tuning_{name}.csv"
-            with curve_path.open("w") as fh:
-                fh.write("log_eps,log_t\n")
-                for log_eps, log_t in tuning.curve:
-                    fh.write(f"{log_eps!r},{log_t!r}\n")
+            write_csv(curve_path, ["log_eps", "log_t"], tuning.curve)
     print(f"wrote {bin_path} and {json_path}")
     return 0
 
@@ -230,35 +227,23 @@ def _cmd_forecast(args) -> int:
         raise ValueError("training-points file does not match the basis size")
     if observables.shape[1] != mean.size:
         raise ValueError("initial mean dimension does not match the training points")
-    p0 = gaussian_density_values(observables, mean, var)
-    coeffs = project_density(p0, basis)
-    rows = []
-    vec = coeffs.c
-    density_cols = []
-    for lead in range(args.steps + 1):
-        if lead > 0:
-            vec = evolve_coefficients(vec, op, 1)
-        m, v = forecast_moments(vec, basis, observables)
-        row = [lead * op.tau, *m.tolist(), *np.sqrt(v).tolist()]
-        rows.append(row)
-        if args.dump_density:
-            density_cols.append(reconstruct_density(DensityCoefficients(vec), basis))
+    coeffs = project_density(gaussian_density_values(observables, mean, var), basis)
+    fc = forecast_ladder(coeffs, op, basis, observables, args.steps)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dim = mean.size
-    header = ["lead_time"] + [f"mean_x{j}" for j in range(dim)] + [f"stdev_x{j}" for j in range(dim)]
-    with out.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    write_csv(out, _moment_header(mean.size),
+              np.column_stack([fc.lead_times, fc.mean, np.sqrt(fc.variance)]))
     if args.dump_density:
-        dens_path = out.with_suffix(".density.csv")
-        with dens_path.open("w") as fh:
-            fh.write(",".join(f"lead{j}" for j in range(len(density_cols))) + "\n")
-            for i in range(density_cols[0].shape[0]):
-                fh.write(",".join(repr(float(col[i])) for col in density_cols) + "\n")
+        density = np.column_stack([reconstruct_density(DensityCoefficients(vec), basis)
+                                   for vec in evolve_ladder(coeffs, op, args.steps)])
+        write_csv(out.with_suffix(".density.csv"),
+                  [f"lead{j}" for j in range(args.steps + 1)], density)
     print(f"wrote {out}")
     return 0
+
+
+def _moment_header(dim: int) -> list[str]:
+    return ["lead_time"] + [f"mean_x{j}" for j in range(dim)] + [f"stdev_x{j}" for j in range(dim)]
 
 
 def _cmd_baseline(args) -> int:
@@ -270,27 +255,19 @@ def _cmd_baseline(args) -> int:
     init = GaussianState(mean=mean, cov=np.diag(var))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    header = ["lead_time"] + [f"mean_x{j}" for j in range(mean.size)] \
-        + [f"stdev_x{j}" for j in range(mean.size)]
-    rows = []
     if args.method == "ensemble":
         if not args.system:
             raise ValueError("--system is required for the ensemble method")
         model = torus_model() if args.system == "torus" else lorenz_model()
         mf = ensemble_forecast(model, init, args.n_ens, args.steps, args.seed,
                                dt_sample=args.tau, substeps=args.substeps)
-        for i, t in enumerate(mf.lead_times):
-            rows.append([t, *mf.mean[i].tolist(), *np.sqrt(mf.variance[i]).tolist()])
+        rows = np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)])
     else:
         fn = local_linear_forecast if args.method == "local-linear" else iterated_local_linear_forecast
-        for lead in range(args.steps + 1):
-            state = fn(ts, init, lead, k=args.k)
-            rows.append([lead * args.tau, *state.mean.tolist(),
-                         *np.sqrt(np.diag(state.cov)).tolist()])
-    with out.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        states = [fn(ts, init, lead, k=args.k) for lead in range(args.steps + 1)]
+        rows = [[lead * args.tau, *state.mean, *np.sqrt(np.diag(state.cov))]
+                for lead, state in enumerate(states)]
+    write_csv(out, _moment_header(mean.size), rows)
     print(f"wrote {out}")
     return 0
 
@@ -319,14 +296,11 @@ def _cmd_evaluate(args) -> int:
     report = rmse_and_correlation(truth, fc, np.array(leads), forecast_stdevs_per_lead=stdev)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as fh:
-        fh.write("lead,rmse,correlation,mean_forecast_stdev,climatological_stdev,degenerate\n")
-        for i, ld in enumerate(leads):
-            fh.write(",".join([
-                repr(float(ld)), repr(float(report.rmse[i])), repr(float(report.correlation[i])),
-                repr(float(report.mean_forecast_stdev[i])), repr(report.climatological_stdev),
-                str(int(report.degenerate[i])),
-            ]) + "\n")
+    write_csv(out, ["lead", "rmse", "correlation", "mean_forecast_stdev",
+                    "climatological_stdev", "degenerate"],
+              [[ld, report.rmse[i], report.correlation[i], report.mean_forecast_stdev[i],
+                report.climatological_stdev, int(report.degenerate[i])]
+               for i, ld in enumerate(leads)])
     print(f"wrote {out}")
     return 0
 

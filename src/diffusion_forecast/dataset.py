@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -294,14 +294,27 @@ def split(ts: TimeSeries, n_train: int) -> tuple[TimeSeries, TimeSeries]:
     return head, tail
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row and one line per row as CSV.
+
+    Integer cells are written as integers; every other cell as
+    ``repr(float(v))``, which reads back bit for bit.
+    """
+    with Path(path).open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
 def write_series_csv(ts: TimeSeries, path) -> None:
     """Write points as CSV with an x0,...,x{n-1} header row."""
-    path = Path(path)
-    header = ",".join(f"x{j}" for j in range(ts.dim))
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for row in ts.points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, [f"x{j}" for j in range(ts.dim)], ts.points)
 
 
 def read_series_csv(path, tau: float, origin_label: str = "") -> TimeSeries:

@@ -12,15 +12,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .baselines import GaussianState, _affine_least_squares, ensemble_forecast
-from .dataset import TimeSeries, delay_embed, load_monthly_series, split, _smallest_k
+from .dataset import TimeSeries, delay_embed, load_monthly_series, split, write_csv, _smallest_k
 from .evaluation import ExperimentConfig, SkillReport, rmse_and_correlation
-from .forecast import (
-    MomentForecast,
-    evolve_coefficients,
-    forecast_moments,
-    gaussian_density_values,
-    project_density,
-)
+from .forecast import MomentForecast, forecast_ladder, gaussian_density_values, project_density
 from .pipeline import FitResult, fit_forecaster
 from .simulators import TWO_PI, lorenz_model, simulate_lorenz63, simulate_torus, torus_embed, torus_model
 
@@ -119,16 +113,9 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
     coeffs = project_density(p0_vals, fit.basis)
 
     observables = embedded.points[:, [0, 2]]
-    n_leads = config.lead_steps + 1
-    diff_mean = np.empty((n_leads, 2))
-    diff_var = np.empty((n_leads, 2))
-    vec = coeffs.c
-    for lead in range(n_leads):
-        if lead > 0:
-            vec = evolve_coefficients(vec, fit.operator, 1)
-        diff_mean[lead], diff_var[lead] = forecast_moments(vec, fit.basis, observables)
-    lead_times = np.arange(n_leads) * config.dt
-    diffusion = MomentForecast(mean=diff_mean, variance=diff_var, lead_times=lead_times)
+    diffusion = forecast_ladder(coeffs, fit.operator, fit.basis, observables, config.lead_steps)
+    diff_mean, diff_var = diffusion.mean, diffusion.variance
+    lead_times = diffusion.lead_times
 
     ens = ensemble_forecast(
         torus_model(),
@@ -148,7 +135,7 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
         diff_mean[:, 0], np.sqrt(diff_var[:, 0]), diff_mean[:, 1], np.sqrt(diff_var[:, 1]),
         ens.mean[:, 0], np.sqrt(ens.variance[:, 0]), ens.mean[:, 1], np.sqrt(ens.variance[:, 1]),
     ])
-    _write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, rows)
     manifest_path = _write_manifest(out, config, {
         "p0_mean": list(p0_mean),
         "clim_stdev": list(clim),
@@ -197,9 +184,12 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
 
     truth = np.stack([verify.points[v_idx + lead] for lead in range(n_lead + 1)])
 
-    diff_mean, diff_var = _diffusion_moment_forecasts(
-        fit, x_hat, config.init_variance, n_lead, train.points
-    )
+    p0 = np.column_stack([gaussian_density_values(train.points, x, config.init_variance)
+                          for x in x_hat])
+    diffusion = forecast_ladder(project_density(p0, fit.basis), fit.operator, fit.basis,
+                                train.points, n_lead)
+    diff_mean = diffusion.mean.transpose(0, 2, 1)
+    diff_var = diffusion.variance.transpose(0, 2, 1)
     rmse = {"diffusion": _agg_rmse(diff_mean - truth)}
     spread = {"diffusion": np.sqrt(np.mean(diff_var, axis=(1, 2)))}
 
@@ -219,54 +209,16 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
         spread["ensemble"] = np.sqrt(ens_sq)
 
     clim = float(np.sqrt(np.mean(verify.points.var(axis=0))))
-    lead_times = np.arange(n_lead + 1) * config.dt
+    lead_times = diffusion.lead_times
     csv_path = out / f"lorenz_skill_dt{config.dt:g}.csv"
     header = ["lead_time"]
     cols = [lead_times]
     for name in rmse:
         header += [f"rmse_{name}", f"stdev_{name}"]
         cols += [rmse[name], spread[name]]
-    _write_csv(csv_path, header, np.column_stack(cols))
+    write_csv(csv_path, header, np.column_stack(cols))
     return LorenzRun(dt=config.dt, lead_times=lead_times, rmse=rmse, spread=spread,
                      clim_stdev=clim, fit=fit, csv_path=csv_path)
-
-
-def _diffusion_moment_forecasts(fit: FitResult, centers: np.ndarray, variance: float,
-                                n_lead: int, train_pts: np.ndarray):
-    """Per-lead first two moments of the state coordinates for a batch of
-    Gaussian initial densities centered at ``centers``."""
-    coeffs = _project_gaussian_batch(fit, train_pts, centers, variance)
-    v_count = centers.shape[0]
-    dim = train_pts.shape[1]
-    mean = np.empty((n_lead + 1, v_count, dim))
-    var = np.empty((n_lead + 1, v_count, dim))
-    vec = coeffs
-    for lead in range(n_lead + 1):
-        if lead > 0:
-            vec = evolve_coefficients(vec, fit.operator, 1)
-        m, v = forecast_moments(vec, fit.basis, train_pts)
-        mean[lead] = m.T
-        var[lead] = v.T
-    return mean, var
-
-
-def _project_gaussian_batch(fit: FitResult, train_pts: np.ndarray,
-                            centers: np.ndarray, variance: float) -> np.ndarray:
-    """Coefficients of isotropic Gaussians at each center, evaluated at the
-    training points. Densities are scaled per column before projecting (the
-    scale cancels in the mass pinning), so narrow bumps far from the data
-    cannot underflow to an all-zero column."""
-    d2 = cdist(train_pts, centers, metric="sqeuclidean")
-    log_p = -d2 / (2.0 * variance)
-    log_p -= log_p.max(axis=0, keepdims=True)
-    p0 = np.exp(log_p)
-    ratio = p0 / fit.basis.peq[:, None]
-    c = fit.basis.phi.T @ ratio / fit.basis.n_points
-    mass = c[0]
-    if np.any(mass <= 0):
-        bad = int(np.nonzero(mass <= 0)[0][0])
-        raise ValueError(f"initial density {bad} is not representable on the basis")
-    return c / mass
 
 
 def _agg_rmse(err: np.ndarray) -> np.ndarray:
@@ -395,20 +347,14 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     x_hat = states + rng.normal(0.0, np.sqrt(config.perturbation_variance), size=states.shape)
 
-    coeffs = _project_gaussian_batch(fit, train_embedded.points, x_hat,
-                                     config.init_variance)
+    p0 = np.column_stack([gaussian_density_values(train_embedded.points, x, config.init_variance)
+                          for x in x_hat])
     observable = train_embedded.points[:, 0]  # newest raw value at each training row
-
+    diffusion = forecast_ladder(project_density(p0, fit.basis), fit.operator, fit.basis,
+                                observable, n_lead)
+    means = diffusion.mean[:, 0]
+    stdevs = np.sqrt(diffusion.variance[:, 0])
     v_count = init_times.size
-    means = np.empty((n_lead + 1, v_count))
-    stdevs = np.empty((n_lead + 1, v_count))
-    vec = coeffs
-    for lead in range(n_lead + 1):
-        if lead > 0:
-            vec = evolve_coefficients(vec, fit.operator, 1)
-        m, v = forecast_moments(vec, fit.basis, observable)
-        means[lead] = m[0]
-        stdevs[lead] = np.sqrt(v[0])
 
     leads = np.arange(1, n_lead + 1)
     truth_per_lead = [values[init_times + lead] for lead in leads]
@@ -421,7 +367,7 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
     )
 
     skill_csv = out / "nino_skill.csv"
-    _write_csv(
+    write_csv(
         skill_csv,
         ["lead_months", "rmse", "correlation", "mean_forecast_stdev", "climatological_stdev"],
         np.column_stack([
@@ -431,7 +377,7 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
     )
     lead14 = 14 if n_lead >= 14 else n_lead
     lead14_csv = out / "nino_lead14.csv"
-    _write_csv(
+    write_csv(
         lead14_csv,
         ["target_month_index", "truth", "forecast_mean", "forecast_stdev"],
         np.column_stack([
@@ -465,13 +411,6 @@ def _prepare_out_dir(base, name: str) -> Path:
     out = Path(base) / name
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(rows):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _write_manifest(out: Path, config: ExperimentConfig, extra: dict) -> Path:

@@ -47,7 +47,8 @@ class ShiftOperator:
 
 @dataclass(frozen=True)
 class DensityCoefficients:
-    """Basis coefficients of a density p = peq * sum_j c_j phi_j at time t."""
+    """Basis coefficients of a density p = peq * sum_j c_j phi_j at time t;
+    ``c`` is (M,) for one density or (M, B) for a batch of columns."""
 
     c: np.ndarray
     t: float = 0.0
@@ -121,18 +122,21 @@ def project_density(p0_values: np.ndarray, basis: DiffusionBasis) -> DensityCoef
     """Project pointwise density values onto the basis and pin unit mass.
 
     c_j = (1/N) sum_i p0(x_i) phi_j(x_i) / peq(x_i), then rescaled so that
-    c_0 = 1 (the constant-function coefficient carries the total mass).
+    c_0 = 1 (the constant-function coefficient carries the total mass). An
+    (N, B) array projects each column as a separate density and gives (M, B)
+    coefficients; every check applies to each column.
     """
     p0 = np.asarray(p0_values, dtype=float)
-    if p0.shape != (basis.n_points,):
+    if p0.ndim not in (1, 2) or p0.shape[0] != basis.n_points:
         raise ValueError("p0 values must be given at every training point")
-    if np.any(p0 < 0):
+    if (p0 < 0).any():
         raise ValueError("density values must be nonnegative")
-    if not np.any(p0 > 0):
+    if not (p0 > 0).any(axis=0).all():
         raise ValueError("density is identically zero")
-    ratio = p0 / basis.peq
+    peq = basis.peq if p0.ndim == 1 else basis.peq[:, None]
+    ratio = p0 / peq
     c = basis.phi.T @ ratio / basis.n_points
-    if c[0] <= 0:
+    if (c[0] <= 0).any():
         raise ValueError(
             "density has nonpositive mass coefficient; it is not representable "
             "on this basis (supported away from the sampled manifold?)"
@@ -168,6 +172,38 @@ def evolve_coefficients(coeffs: np.ndarray, op: ShiftOperator, n_steps: int = 1)
             raise ValueError("mass coefficient became nonpositive during evolution")
         out = out / mass
     return out
+
+
+def evolve_ladder(coeffs: DensityCoefficients | np.ndarray, op: ShiftOperator, n_leads: int):
+    """Yield the coefficients at leads 0, 1, ..., n_leads, one operator
+    application apart; a (M, B) array evolves each column."""
+    vec = coeffs.c if isinstance(coeffs, DensityCoefficients) else np.asarray(coeffs, dtype=float)
+    yield vec
+    for _ in range(n_leads):
+        vec = evolve_coefficients(vec, op, 1)
+        yield vec
+
+
+def forecast_ladder(
+    coeffs: DensityCoefficients | np.ndarray,
+    op: ShiftOperator,
+    basis: DiffusionBasis,
+    observables: np.ndarray,
+    n_leads: int,
+) -> MomentForecast:
+    """Moments of the observables at leads 0..n_leads of the density forecast.
+
+    The moments have shape (n_leads + 1, G) for one density and
+    (n_leads + 1, G, B) for a (M, B) batch; lead times are multiples of
+    ``op.tau``. See :func:`forecast_moments` for the readout.
+    """
+    if n_leads < 0:
+        raise ValueError("n_leads must be nonnegative")
+    moments = [forecast_moments(vec, basis, observables)
+               for vec in evolve_ladder(coeffs, op, n_leads)]
+    mean, variance = (np.stack(m) for m in zip(*moments))
+    return MomentForecast(mean=mean, variance=variance,
+                          lead_times=np.arange(n_leads + 1) * op.tau)
 
 
 def reconstruct_density(c: DensityCoefficients, basis: DiffusionBasis) -> np.ndarray:

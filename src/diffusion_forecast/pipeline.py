@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .basis import DiffusionBasis, NormalizationLedger, build_basis, build_vb_kernel
 from .dataset import TimeSeries, knn
 from .forecast import ShiftOperator, estimate_shift_operator
@@ -43,8 +41,6 @@ def fit_forecaster(
     k0: int = 8,
     neighbor_cap: int | None = None,
     stride: int = 1,
-    spectral_clamp: bool = False,
-    retain_conjugation: bool = False,
 ) -> FitResult:
     """Fit the full nonparametric forecaster to a training series.
 
@@ -79,11 +75,9 @@ def fit_forecaster(
     kernel = build_vb_kernel(ts, density, vb_tuning.eps_star, beta=BETA,
                              neighbor_cap=neighbor_cap, neighbors=nl)
     basis, ledger = build_basis(
-        kernel, ts, density, vb_tuning.eps_star, vb_tuning.d_est, n_basis,
-        beta=BETA, retain_conjugation=retain_conjugation,
+        kernel, ts, density, vb_tuning.eps_star, vb_tuning.d_est, n_basis, beta=BETA,
     )
-    operator = estimate_shift_operator(basis, ts.tau, stride=stride,
-                                       spectral_clamp=spectral_clamp)
+    operator = estimate_shift_operator(basis, ts.tau, stride=stride)
     return FitResult(
         basis=basis,
         operator=operator,
@@ -93,8 +87,3 @@ def fit_forecaster(
         vb_tuning=vb_tuning,
         ledger=ledger,
     )
-
-
-def tuning_curve_rows(result: TuningResult) -> np.ndarray:
-    """(log eps, log T) rows for CSV dumping."""
-    return result.curve

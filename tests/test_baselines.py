@@ -127,6 +127,18 @@ class TestLocalLinear:
         assert traces[0] < traces[1] < traces[2]
         assert traces[2] > clim_var  # chained linearizations overshoot climatology
 
+    @pytest.mark.parametrize("forecast", [local_linear_forecast, iterated_local_linear_forecast])
+    @pytest.mark.parametrize("lead", [1, 2, 5])
+    def test_conjugated_covariance_is_symmetric(self, forecast, lead):
+        # at this covariance scale the rounding asymmetry of lin @ cov @ lin.T
+        # exceeds GaussianState's absolute 1e-12 symmetry tolerance
+        lin = np.array([[0.6, -0.7, 0.2], [0.7, 0.5, -0.3], [0.1, 0.3, 0.8]])
+        train = affine_trajectory(lin, np.array([0.3, -0.1, 0.2]), [4.0, 0.0, 1.0], 200)
+        root = np.array([[1.0, 0.3, -0.2], [0.0, 2.0, 0.5], [0.0, 0.0, 3.0]])
+        init = GaussianState(mean=train.points[50], cov=1e6 * root @ root.T)
+        out = forecast(train, init, lead)
+        assert np.array_equal(out.cov, out.cov.T)
+
 
 class TestGaussianState:
     def test_symmetry_enforced(self):

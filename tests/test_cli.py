@@ -1,0 +1,121 @@
+"""Round trip through the command line: simulate -> build-basis -> train ->
+forecast -> baseline -> evaluate, on a small torus series."""
+
+import numpy as np
+import pytest
+
+from diffusion_forecast.basis import load_basis
+from diffusion_forecast.cli import main
+from diffusion_forecast.dataset import read_series_csv
+from diffusion_forecast.forecast import (
+    evolve_ladder,
+    forecast_ladder,
+    gaussian_density_values,
+    load_operator,
+    project_density,
+)
+
+N_SAMPLES = 1500
+STEPS = 5
+VAR = 0.1
+
+
+def _read_csv(path):
+    """Header and float rows of a CSV; fails on any cell that is not a float."""
+    lines = path.read_text().splitlines()
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.array(rows)
+
+
+def _vector(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    series = d / "sim" / "torus_embedded.csv"
+    prefix = d / "model" / "basis"
+    op_prefix = d / "model" / "op"
+    assert main(["simulate", "torus", "--n-samples", str(N_SAMPLES),
+                 "--out-dir", str(d / "sim")]) == 0
+    mean = read_series_csv(series, tau=0.1).points[0]
+    assert main(["build-basis", "--series", str(series), "--tau", "0.1", "--m", "40",
+                 "--out-prefix", str(prefix), "--dump-tuning"]) == 0
+    assert main(["train", "--basis-prefix", str(prefix), "--out-prefix", str(op_prefix)]) == 0
+    assert main(["forecast", "--basis-prefix", str(prefix), "--operator-prefix", str(op_prefix),
+                 "--mean=" + _vector(mean), "--var", repr(VAR), "--steps", str(STEPS),
+                 "--out", str(d / "forecast.csv"), "--dump-density"]) == 0
+    assert main(["baseline", "--series", str(series), "--tau", "0.1",
+                 "--method", "local-linear", "--mean=" + _vector(mean), "--var", "0.01",
+                 "--steps", str(STEPS), "--out", str(d / "baseline.csv")]) == 0
+    # two verification points per lead: the diffusion and local-linear means
+    # of x0 and x1 against each other
+    _, fc = _read_csv(d / "forecast.csv")
+    _, bl = _read_csv(d / "baseline.csv")
+    lines = ["lead,truth,forecast,stdev"]
+    for i in range(STEPS + 1):
+        for j in (1, 2):
+            lines.append(",".join([str(i), _vector([bl[i, j], fc[i, j], fc[i, j + 3]])]))
+    (d / "pairs.csv").write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--input", str(d / "pairs.csv"), "--out", str(d / "skill.csv")]) == 0
+    return {"dir": d, "prefix": prefix, "op_prefix": op_prefix, "mean": mean}
+
+
+def test_simulate_writes_both_series(run):
+    for name, dim in (("torus_intrinsic.csv", 2), ("torus_embedded.csv", 3)):
+        header, rows = _read_csv(run["dir"] / "sim" / name)
+        assert header == [f"x{j}" for j in range(dim)]
+        assert rows.shape == (N_SAMPLES, dim)
+
+
+def test_tuning_dump_holds_plain_floats(run):
+    for name in ("kde", "vb"):
+        header, rows = _read_csv(run["dir"] / "model" / f"basis_tuning_{name}.csv")
+        assert header == ["log_eps", "log_t"]
+        assert rows.ndim == 2 and rows.shape[1] == 2 and rows.shape[0] > 10
+
+
+def _ladder_inputs(run):
+    basis = load_basis(run["prefix"])
+    op = load_operator(run["op_prefix"])
+    points = read_series_csv(f"{run['prefix']}_points.csv", tau=op.tau).points
+    coeffs = project_density(gaussian_density_values(points, run["mean"], np.full(3, VAR)), basis)
+    return basis, op, points, coeffs
+
+
+def test_forecast_matches_lead_ladder(run):
+    header, rows = _read_csv(run["dir"] / "forecast.csv")
+    assert header == ["lead_time", "mean_x0", "mean_x1", "mean_x2",
+                      "stdev_x0", "stdev_x1", "stdev_x2"]
+    basis, op, points, coeffs = _ladder_inputs(run)
+    fc = forecast_ladder(coeffs, op, basis, points, STEPS)
+    assert np.array_equal(rows, np.column_stack([fc.lead_times, fc.mean, np.sqrt(fc.variance)]))
+
+
+def test_density_dump_matches_lead_ladder(run):
+    header, rows = _read_csv(run["dir"] / "forecast.density.csv")
+    assert header == [f"lead{j}" for j in range(STEPS + 1)]
+    basis, op, _, coeffs = _ladder_inputs(run)
+    expected = np.column_stack([basis.peq * (basis.phi @ v) for v in evolve_ladder(coeffs, op, STEPS)])
+    assert np.array_equal(rows, expected)
+
+
+def test_baseline_rows(run):
+    header, rows = _read_csv(run["dir"] / "baseline.csv")
+    assert header == ["lead_time", "mean_x0", "mean_x1", "mean_x2",
+                      "stdev_x0", "stdev_x1", "stdev_x2"]
+    assert rows.shape == (STEPS + 1, 7)
+    assert np.array_equal(rows[0, 1:4], run["mean"])
+    assert np.allclose(rows[0, 4:], 0.1)
+
+
+def test_evaluate_rows(run):
+    text = (run["dir"] / "skill.csv").read_text()
+    header, rows = _read_csv(run["dir"] / "skill.csv")
+    assert header == ["lead", "rmse", "correlation", "mean_forecast_stdev",
+                      "climatological_stdev", "degenerate"]
+    assert rows.shape == (STEPS + 1, 6)
+    assert np.array_equal(rows[:, 0], np.arange(STEPS + 1))
+    # the degenerate flag is written as an integer
+    assert all(line.rsplit(",", 1)[1] in ("0", "1") for line in text.splitlines()[1:])

@@ -9,6 +9,8 @@ from diffusion_forecast.forecast import (
     ShiftOperator,
     estimate_shift_operator,
     evolve_coefficients,
+    evolve_ladder,
+    forecast_ladder,
     forecast_moments,
     gaussian_density_values,
     load_operator,
@@ -127,6 +129,25 @@ class TestProjectDensity:
         with pytest.raises(ValueError, match="identically zero"):
             project_density(np.zeros(basis.n_points), basis)
 
+    def test_batch_matches_columns(self, circle_fit_3000, circle_points_3000):
+        basis = circle_fit_3000.basis
+        cols = np.column_stack([gaussian_density_values(circle_points_3000, mu, 0.3)
+                                for mu in ([1.0, 0.0], [0.0, -1.0], [-0.6, 0.8])])
+        batch = project_density(cols, basis)
+        assert batch.c.shape == (basis.n_basis, 3)
+        for b in range(3):
+            assert np.allclose(batch.c[:, b], project_density(cols[:, b], basis).c,
+                               rtol=1e-12, atol=1e-14)
+
+    def test_batch_checks_every_column(self, circle_fit_3000):
+        basis = circle_fit_3000.basis
+        cols = np.column_stack([basis.peq, np.zeros(basis.n_points)])
+        with pytest.raises(ValueError, match="identically zero"):
+            project_density(cols, basis)
+        cols[:, 1] = -basis.peq
+        with pytest.raises(ValueError, match="nonnegative"):
+            project_density(cols, basis)
+
 
 class TestStep:
     def test_zero_steps_is_identity(self):
@@ -201,6 +222,25 @@ class TestReconstructAndMoments:
         cols = np.tile(np.eye(basis.n_basis)[0][:, None], (1, 4))
         mean, var = forecast_moments(cols, basis, circle_points_3000)
         assert mean.shape == (2, 4) and var.shape == (2, 4)
+
+    def test_ladder_matches_per_lead_loop(self, circle_fit_3000, circle_points_3000):
+        basis, op = circle_fit_3000.basis, circle_fit_3000.operator
+        c0 = project_density(gaussian_density_values(circle_points_3000, [1.0, 0.0], 0.3), basis)
+        fc = forecast_ladder(c0, op, basis, circle_points_3000, 4)
+        assert fc.mean.shape == fc.variance.shape == (5, 2)
+        assert np.array_equal(fc.lead_times, np.arange(5) * op.tau)
+        vec = c0.c
+        for lead in range(5):
+            mean, var = forecast_moments(vec, basis, circle_points_3000)
+            assert np.array_equal(fc.mean[lead], mean) and np.array_equal(fc.variance[lead], var)
+            vec = evolve_coefficients(vec, op, 1)
+
+    def test_ladder_batch_shape(self, circle_fit_3000, circle_points_3000):
+        basis, op = circle_fit_3000.basis, circle_fit_3000.operator
+        cols = np.tile(np.eye(basis.n_basis)[0][:, None], (1, 4))
+        fc = forecast_ladder(cols, op, basis, circle_points_3000, 3)
+        assert fc.mean.shape == fc.variance.shape == (4, 2, 4)
+        assert len(list(evolve_ladder(cols, op, 3))) == 4
 
     def test_moment_forecast_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
