@@ -20,8 +20,6 @@ from .basis import (
     NormalizationLedger,
     build_basis,
     build_vb_kernel,
-    load_basis,
-    save_basis,
 )
 from .dataset import (
     NeighborList,
@@ -44,7 +42,7 @@ from .forecast import (
     reconstruct_density,
     step,
 )
-from .pipeline import FitResult, fit_forecaster
+from .pipeline import FitResult, fit_forecaster, load_model, save_model
 from .simulators import (
     ODEModel,
     SDEModel,
@@ -96,14 +94,14 @@ __all__ = [
     "iterated_local_linear_forecast",
     "kde",
     "knn",
-    "load_basis",
     "load_config",
+    "load_model",
     "load_series",
     "local_linear_forecast",
     "project_density",
     "reconstruct_density",
     "rmse_and_correlation",
-    "save_basis",
+    "save_model",
     "simulate_lorenz63",
     "simulate_torus",
     "split",

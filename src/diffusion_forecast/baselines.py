@@ -49,7 +49,10 @@ class GaussianState:
             raise ValueError("covariance shape does not match the mean")
         if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12:
             raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-10:
+        # the floor scales with the spectrum, so that rounding in a covariance
+        # with large eigenvalues is not taken for indefiniteness
+        eig = np.linalg.eigvalsh(cov)
+        if eig.min() < -1e-10 * max(1.0, eig.max()):
             raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

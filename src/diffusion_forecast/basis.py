@@ -10,10 +10,7 @@ gradient flow adapted to the invariant measure.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,10 +25,10 @@ from .tuning import KERNEL_FLOOR, DensityEstimate
 DENSE_EIG_THRESHOLD = 4000
 
 # Kernel moment constant in Dhat = m * eps * q^(2 beta); equals 1 for the
-# Gaussian kernel written with the 4*eps denominator.
+# Gaussian kernel written with the 4*eps denominator, whose second moment
+# gives m = 1. This is what makes the recovered eigenvalues land on the
+# physical generator spectrum (checked against the analytic circle Laplacian).
 M_CONST = 1.0
-
-_MAGIC = b"DMB1"
 
 
 @dataclass(frozen=True)
@@ -81,19 +78,11 @@ class DiffusionBasis:
 @dataclass(frozen=True)
 class NormalizationLedger:
     """Diagonal factors produced along the normalization chain, kept for
-    diagnostics and for the optional conjugation-retaining eigenvector map.
-
-    ``m_const`` is the kernel moment constant in the final rescaling
-    Dhat = m * eps * q^(2 beta). For the Gaussian kernel with the 4*eps
-    denominator the second moment gives m = 1; this is what makes the
-    recovered eigenvalues land on the physical generator spectrum (checked
-    against the analytic circle Laplacian).
-    """
+    diagnostics and for the optional conjugation-retaining eigenvector map."""
 
     qS: np.ndarray
     qSalpha: np.ndarray
     Dhat_scale: np.ndarray
-    m_const: float = 1.0
 
     def __post_init__(self):
         for name in ("qS", "qSalpha", "Dhat_scale"):
@@ -204,7 +193,7 @@ def build_basis(
     scale_alpha = q_s ** (-alpha)
     k_alpha = sp.diags(scale_alpha) @ k @ sp.diags(scale_alpha)
     q_s_alpha = np.asarray(k_alpha.sum(axis=1)).ravel()
-    # second-moment scale of the 4*eps Gaussian kernel (m_const = 1); the
+    # second-moment scale of the 4*eps Gaussian kernel (M_CONST = 1); the
     # empirical generator then carries physical units
     dhat = M_CONST * eps * qv ** (2.0 * beta)
 
@@ -280,64 +269,3 @@ def _top_eigenpairs(l_sym: sp.spmatrix, m: int) -> tuple[np.ndarray, np.ndarray]
 def _orthonormality_deviation(phi: np.ndarray) -> float:
     gram = phi.T @ phi / phi.shape[0]
     return float(np.max(np.abs(gram - np.eye(phi.shape[1]))))
-
-
-def save_basis(basis: DiffusionBasis, prefix, metadata: dict | None = None) -> tuple[Path, Path]:
-    """Serialize to ``<prefix>.dmb`` (flat binary) plus a JSON sidecar.
-
-    Binary layout, little-endian: magic "DMB1", uint64 N, uint64 M,
-    float64 d, float64 eps, then peq (N), lambda (M), and phi (N*M,
-    row-major) as float64.
-    """
-    prefix = Path(prefix)
-    bin_path = prefix.with_suffix(".dmb")
-    json_path = prefix.with_suffix(".json")
-    n, m = basis.phi.shape
-    with bin_path.open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQdd", n, m, basis.d, basis.eps))
-        fh.write(basis.peq.astype("<f8").tobytes())
-        fh.write(basis.lam.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.phi, dtype="<f8").tobytes())
-    sidecar = {
-        "n_points": n,
-        "n_basis": m,
-        "eps": basis.eps,
-        "d": basis.d,
-        "alpha": basis.alpha,
-        "beta": basis.beta,
-    }
-    if metadata:
-        sidecar["tuning"] = metadata
-    json_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    return bin_path, json_path
-
-
-def load_basis(prefix) -> DiffusionBasis:
-    """Read a basis serialized by :func:`save_basis`."""
-    prefix = Path(prefix)
-    bin_path = prefix.with_suffix(".dmb")
-    json_path = prefix.with_suffix(".json")
-    raw = bin_path.read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{bin_path.name}: bad magic bytes; not a basis container")
-    n, m, d, eps = struct.unpack_from("<QQdd", raw, 4)
-    offset = 4 + 8 * 4
-    expected = offset + 8 * (n + m + n * m)
-    if len(raw) != expected:
-        raise ValueError(f"{bin_path.name}: truncated container ({len(raw)} != {expected} bytes)")
-    peq = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
-    offset += 8 * n
-    lam = np.frombuffer(raw, dtype="<f8", count=m, offset=offset).copy()
-    offset += 8 * m
-    phi = np.frombuffer(raw, dtype="<f8", count=n * m, offset=offset).reshape(n, m).copy()
-    sidecar = json.loads(json_path.read_text())
-    return DiffusionBasis(
-        phi=phi,
-        lam=lam,
-        peq=peq,
-        eps=float(eps),
-        d=float(d),
-        alpha=float(sidecar["alpha"]),
-        beta=float(sidecar["beta"]),
-    )

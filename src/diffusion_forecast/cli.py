@@ -1,10 +1,11 @@
-"""Command-line surface: simulate, build-basis, train, forecast, baseline,
-evaluate, and the three packaged experiments."""
+"""Command-line surface: simulate, build-basis, forecast, baseline, evaluate,
+and the three packaged experiments."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,6 @@ import numpy as np
 
 from . import __version__
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_forecast, local_linear_forecast
-from .basis import load_basis, save_basis
 from .dataset import delay_embed, load_series, read_series_csv, write_csv, write_series_csv
 from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
@@ -26,20 +26,22 @@ from .experiments import (
 )
 from .forecast import (
     DensityCoefficients,
-    estimate_shift_operator,
     evolve_ladder,
     forecast_ladder,
     gaussian_density_values,
-    load_operator,
     project_density,
     reconstruct_density,
-    save_operator,
 )
-from .pipeline import fit_forecaster
+from .pipeline import fit_forecaster, load_model, save_model
 from .simulators import lorenz_model, simulate_lorenz63, simulate_torus, torus_model
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads the value of `--mean -0.5,1.0` as an option; attach it
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--mean", "--var") and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -66,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="runs/simulate")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("build-basis", help="tune kernels and build the diffusion basis")
+    p = sub.add_parser("build-basis",
+                       help="fit the forecaster (basis and shift operator) to a series "
+                            "and save it as one model file")
     p.add_argument("--series", required=True, help="series CSV (written by simulate) or text file")
     p.add_argument("--format", default="csv",
                    choices=["csv", "single-column", "two-column-dated", "noaa-monthly-grid"])
@@ -75,25 +79,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of basis functions")
     p.add_argument("--k0", type=int, default=8)
     p.add_argument("--neighbor-cap", type=int, default=1024)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--stride", type=int, default=1,
+                   help="use every stride-th consecutive pair for the shift operator")
+    p.add_argument("--out", required=True,
+                   help="model file (npz) holding the basis, the shift operator "
+                        "and the training points; written to exactly this path")
     p.add_argument("--dump-tuning", action="store_true",
-                   help="also write the (log eps, log T) sweep curves as CSV")
+                   help="also write the (log eps, log T) sweep curves as "
+                        "<stem>_tuning_{kde,vb}.csv next to the model file")
     p.set_defaults(handler=_cmd_build_basis)
 
-    p = sub.add_parser("train", help="estimate the shift operator from a saved basis")
-    p.add_argument("--basis-prefix", required=True)
-    p.add_argument("--tau", type=float, default=None,
-                   help="override the sampling interval stored with the basis")
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out-prefix", required=True)
-    p.set_defaults(handler=_cmd_train)
-
     p = sub.add_parser("forecast", help="evolve a Gaussian initial density and report moments")
-    p.add_argument("--basis-prefix", required=True)
-    p.add_argument("--operator-prefix", required=True)
-    p.add_argument("--points", default=None,
-                   help="training-points CSV (defaults to <basis-prefix>_points.csv)")
+    p.add_argument("--model", required=True, help="model file written by build-basis")
     p.add_argument("--mean", required=True, help="comma-separated initial mean")
     p.add_argument("--var", required=True,
                    help="initial variance (scalar or comma-separated diagonal)")
@@ -170,10 +167,9 @@ def _cmd_build_basis(args) -> int:
         ts = delay_embed(ts, args.lags)
     fit = fit_forecaster(ts, args.m, k0=args.k0, neighbor_cap=args.neighbor_cap,
                          stride=args.stride)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     metadata = {
-        "tau": ts.tau,
         "source": str(args.series),
         "lags": args.lags,
         "kde": {"eps": fit.kde_tuning.eps_star, "d": fit.kde_tuning.d_est,
@@ -181,30 +177,12 @@ def _cmd_build_basis(args) -> int:
         "vb": {"eps": fit.vb_tuning.eps_star, "d": fit.vb_tuning.d_est,
                "boundary_warning": fit.vb_tuning.boundary_warning},
     }
-    bin_path, json_path = save_basis(fit.basis, prefix, metadata=metadata)
-    # the binary container holds only basis data; keep the (possibly embedded)
-    # training points next to it so `forecast` can evaluate initial densities
-    points_path = prefix.parent / f"{prefix.name}_points.csv"
-    write_series_csv(ts, points_path)
+    save_model(out, fit.basis, fit.operator, ts.points, metadata)
     if args.dump_tuning:
         for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning)):
-            curve_path = prefix.parent / f"{prefix.name}_tuning_{name}.csv"
-            write_csv(curve_path, ["log_eps", "log_t"], tuning.curve)
-    print(f"wrote {bin_path} and {json_path}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    basis = load_basis(args.basis_prefix)
-    tau = args.tau
-    if tau is None:
-        sidecar = json.loads(Path(args.basis_prefix).with_suffix(".json").read_text())
-        tau = float(sidecar.get("tuning", {}).get("tau", 1.0))
-    op = estimate_shift_operator(basis, tau, stride=args.stride)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    mat_path, meta_path = save_operator(op, prefix)
-    print(f"wrote {mat_path} and {meta_path}")
+            write_csv(out.parent / f"{out.stem}_tuning_{name}.csv", ["log_eps", "log_t"],
+                      tuning.curve)
+    print(f"wrote {out}")
     return 0
 
 
@@ -213,18 +191,11 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _cmd_forecast(args) -> int:
-    basis = load_basis(args.basis_prefix)
-    op = load_operator(args.operator_prefix)
+    basis, op, observables, _ = load_model(args.model)
     mean = _parse_vector(args.mean)
     var = _parse_vector(args.var)
     if var.size == 1:
         var = np.full(mean.size, var[0])
-    points_path = args.points or (
-        Path(args.basis_prefix).parent / f"{Path(args.basis_prefix).name}_points.csv"
-    )
-    observables = read_series_csv(points_path, tau=op.tau).points
-    if observables.shape[0] != basis.n_points:
-        raise ValueError("training-points file does not match the basis size")
     if observables.shape[1] != mean.size:
         raise ValueError("initial mean dimension does not match the training points")
     coeffs = project_density(gaussian_density_values(observables, mean, var), basis)

@@ -8,10 +8,8 @@ read out as pointwise densities or moments of observables.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -292,22 +290,3 @@ def gaussian_density_values(
                 delta[:, j] = (delta[:, j] + p / 2.0) % p - p / 2.0
     log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * var))
     return np.exp(log_norm - 0.5 * np.sum(delta * delta / var, axis=1))
-
-
-def save_operator(op: ShiftOperator, prefix) -> tuple[Path, Path]:
-    """Write the operator matrix (.npy) and its metadata (.json)."""
-    prefix = Path(prefix)
-    mat_path = prefix.with_suffix(".npy")
-    meta_path = prefix.with_suffix(".op.json")
-    np.save(mat_path, op.a)
-    meta_path.write_text(
-        json.dumps({"tau": op.tau, "n_pairs": op.n_pairs}, indent=2, sort_keys=True) + "\n"
-    )
-    return mat_path, meta_path
-
-
-def load_operator(prefix) -> ShiftOperator:
-    prefix = Path(prefix)
-    a = np.load(prefix.with_suffix(".npy"))
-    meta = json.loads(prefix.with_suffix(".op.json").read_text())
-    return ShiftOperator(a=a, tau=float(meta["tau"]), n_pairs=int(meta["n_pairs"]))

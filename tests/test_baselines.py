@@ -149,6 +149,17 @@ class TestGaussianState:
         with pytest.raises(ValueError, match="semidefinite"):
             GaussianState(mean=np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_rounding_level_negative_eigenvalue_accepted(self):
+        # eigenvalue ratio -8e-17: rounding of a chained local-linear
+        # covariance, below the absolute 1e-10 but far inside the scaled floor
+        cov = np.diag([6.1e8, -5e-8])
+        assert np.array_equal(GaussianState(mean=np.zeros(2), cov=cov).cov, cov)
+
+    @pytest.mark.parametrize("eigs", [(1.0, -1e-3), (6.1e8, -1e3), (1e-6, -1e-9)])
+    def test_indefinite_rejected_at_any_scale(self, eigs):
+        with pytest.raises(ValueError, match="semidefinite"):
+            GaussianState(mean=np.zeros(2), cov=np.diag(eigs))
+
     def test_isotropic_builder(self):
         g = GaussianState.isotropic(np.array([1.0, 2.0]), 0.25)
         assert np.array_equal(g.cov, 0.25 * np.eye(2))

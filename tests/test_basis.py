@@ -8,8 +8,6 @@ from diffusion_forecast.basis import (
     NormalizationLedger,
     build_basis,
     build_vb_kernel,
-    load_basis,
-    save_basis,
     _top_eigenpairs,
 )
 from diffusion_forecast.dataset import TimeSeries
@@ -171,32 +169,6 @@ class TestEigenpairs:
         # eigenvectors agree up to sign
         dots = np.abs(np.sum(vecs_dense * vecs_iter, axis=0))
         assert np.allclose(dots, 1.0, atol=1e-8)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path, circle_fit_3000):
-        basis = circle_fit_3000.basis
-        prefix = tmp_path / "basis"
-        save_basis(basis, prefix, metadata={"tau": 1.0})
-        back = load_basis(prefix)
-        assert np.array_equal(back.phi, basis.phi)
-        assert np.array_equal(back.lam, basis.lam)
-        assert np.array_equal(back.peq, basis.peq)
-        assert back.eps == basis.eps and back.d == basis.d
-        assert back.alpha == basis.alpha and back.beta == basis.beta
-
-    def test_serialization_deterministic(self, tmp_path, circle_fit_3000):
-        basis = circle_fit_3000.basis
-        p1, _ = save_basis(basis, tmp_path / "a")
-        p2, _ = save_basis(basis, tmp_path / "b")
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        bad = tmp_path / "x.dmb"
-        bad.write_bytes(b"NOPE" + b"\x00" * 64)
-        (tmp_path / "x.json").write_text('{"alpha": -0.25, "beta": -0.5}')
-        with pytest.raises(ValueError, match="magic"):
-            load_basis(tmp_path / "x")
 
 
 def test_normalization_ledger_positivity():

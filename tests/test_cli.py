@@ -1,19 +1,18 @@
-"""Round trip through the command line: simulate -> build-basis -> train ->
-forecast -> baseline -> evaluate, on a small torus series."""
+"""Round trip through the command line: simulate -> build-basis -> forecast ->
+baseline -> evaluate, on a small torus series."""
 
 import numpy as np
 import pytest
 
-from diffusion_forecast.basis import load_basis
 from diffusion_forecast.cli import main
 from diffusion_forecast.dataset import read_series_csv
 from diffusion_forecast.forecast import (
     evolve_ladder,
     forecast_ladder,
     gaussian_density_values,
-    load_operator,
     project_density,
 )
+from diffusion_forecast.pipeline import load_model
 
 N_SAMPLES = 1500
 STEPS = 5
@@ -35,19 +34,20 @@ def _vector(values):
 def run(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
     series = d / "sim" / "torus_embedded.csv"
-    prefix = d / "model" / "basis"
-    op_prefix = d / "model" / "op"
+    model = d / "model" / "basis.npz"
     assert main(["simulate", "torus", "--n-samples", str(N_SAMPLES),
                  "--out-dir", str(d / "sim")]) == 0
     mean = read_series_csv(series, tau=0.1).points[0]
+    # the mean has negative coordinates and goes in as `--mean -0.08,...`,
+    # a value that argparse alone would take for an option
+    assert mean[0] < 0
     assert main(["build-basis", "--series", str(series), "--tau", "0.1", "--m", "40",
-                 "--out-prefix", str(prefix), "--dump-tuning"]) == 0
-    assert main(["train", "--basis-prefix", str(prefix), "--out-prefix", str(op_prefix)]) == 0
-    assert main(["forecast", "--basis-prefix", str(prefix), "--operator-prefix", str(op_prefix),
-                 "--mean=" + _vector(mean), "--var", repr(VAR), "--steps", str(STEPS),
+                 "--out", str(model), "--dump-tuning"]) == 0
+    assert main(["forecast", "--model", str(model),
+                 "--mean", _vector(mean), "--var", repr(VAR), "--steps", str(STEPS),
                  "--out", str(d / "forecast.csv"), "--dump-density"]) == 0
     assert main(["baseline", "--series", str(series), "--tau", "0.1",
-                 "--method", "local-linear", "--mean=" + _vector(mean), "--var", "0.01",
+                 "--method", "local-linear", "--mean", _vector(mean), "--var", "0.01",
                  "--steps", str(STEPS), "--out", str(d / "baseline.csv")]) == 0
     # two verification points per lead: the diffusion and local-linear means
     # of x0 and x1 against each other
@@ -59,7 +59,7 @@ def run(tmp_path_factory):
             lines.append(",".join([str(i), _vector([bl[i, j], fc[i, j], fc[i, j + 3]])]))
     (d / "pairs.csv").write_text("\n".join(lines) + "\n")
     assert main(["evaluate", "--input", str(d / "pairs.csv"), "--out", str(d / "skill.csv")]) == 0
-    return {"dir": d, "prefix": prefix, "op_prefix": op_prefix, "mean": mean}
+    return {"dir": d, "model": model, "mean": mean}
 
 
 def test_simulate_writes_both_series(run):
@@ -76,10 +76,26 @@ def test_tuning_dump_holds_plain_floats(run):
         assert rows.ndim == 2 and rows.shape[1] == 2 and rows.shape[0] > 10
 
 
+def test_model_is_one_file(run):
+    assert sorted(p.name for p in (run["dir"] / "model").iterdir()) == [
+        "basis.npz", "basis_tuning_kde.csv", "basis_tuning_vb.csv"]
+    basis, op, points, metadata = load_model(run["model"])
+    series = read_series_csv(run["dir"] / "sim" / "torus_embedded.csv", tau=0.1)
+    assert np.array_equal(points, series.points)
+    assert op.tau == 0.1 and op.n_pairs == N_SAMPLES - 1 and basis.n_basis == 40
+    assert metadata["lags"] == 1 and set(metadata["vb"]) == {"eps", "d", "boundary_warning"}
+
+
+def test_build_basis_stride_reaches_the_operator(run, tmp_path):
+    model = tmp_path / "strided.m10.npz"
+    assert main(["build-basis", "--series", str(run["dir"] / "sim" / "torus_embedded.csv"),
+                 "--tau", "0.1", "--m", "10", "--stride", "3", "--out", str(model)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["strided.m10.npz"]
+    assert load_model(model)[1].n_pairs == len(range(0, N_SAMPLES - 1, 3))
+
+
 def _ladder_inputs(run):
-    basis = load_basis(run["prefix"])
-    op = load_operator(run["op_prefix"])
-    points = read_series_csv(f"{run['prefix']}_points.csv", tau=op.tau).points
+    basis, op, points, _ = load_model(run["model"])
     coeffs = project_density(gaussian_density_values(points, run["mean"], np.full(3, VAR)), basis)
     return basis, op, points, coeffs
 

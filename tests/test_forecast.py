@@ -13,10 +13,8 @@ from diffusion_forecast.forecast import (
     forecast_ladder,
     forecast_moments,
     gaussian_density_values,
-    load_operator,
     project_density,
     reconstruct_density,
-    save_operator,
     step,
 )
 from diffusion_forecast.simulators import SDEModel, euler_maruyama
@@ -267,15 +265,6 @@ class TestGaussianDensityValues:
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError, match="positive"):
             gaussian_density_values(np.zeros((3, 1)), np.zeros(1), 0.0)
-
-
-class TestOperatorSerialization:
-    def test_round_trip(self, tmp_path, circle_fit_3000):
-        op = circle_fit_3000.operator
-        save_operator(op, tmp_path / "op")
-        back = load_operator(tmp_path / "op")
-        assert np.array_equal(back.a, op.a)
-        assert back.tau == op.tau and back.n_pairs == op.n_pairs
 
 
 class TestUnbiasednessSurrogate:

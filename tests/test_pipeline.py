@@ -1,0 +1,135 @@
+import io
+import json
+import zipfile
+
+import numpy as np
+import pytest
+
+from diffusion_forecast.basis import DiffusionBasis
+from diffusion_forecast.forecast import estimate_shift_operator
+from diffusion_forecast.pipeline import MODEL_FORMAT_VERSION, load_model, save_model
+
+KEYS = {"format_version", "points", "peq", "lam", "phi", "eps", "d", "alpha", "beta",
+        "tau", "a", "n_pairs", "metadata"}
+
+
+def small_model(n=200, m=4, seed=0):
+    """Basis, operator and points of a synthetic model: orthonormal columns
+    with (1/N) sum phi^2 = 1 and a constant first column."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 2))
+    a = rng.normal(size=(n, m))
+    a[:, 0] = 1.0
+    q, _ = np.linalg.qr(a)
+    basis = DiffusionBasis(phi=q * np.sqrt(n), lam=np.arange(m, dtype=float),
+                           peq=rng.uniform(0.5, 1.5, n), eps=0.01, d=2.0, alpha=-0.5, beta=-0.5)
+    return basis, estimate_shift_operator(basis, tau=0.1), points
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def rewrite(path, drop=(), **changes):
+    """Rewrite a saved bundle with some entries replaced or dropped."""
+    with np.load(path, allow_pickle=False) as npz:
+        entries = {key: npz[key] for key in npz.files if key not in drop}
+    entries.update(changes)
+    np.savez(path, **entries)
+
+
+class TestModelBundle:
+    def test_round_trip_bitwise(self, tmp_path, circle_fit_3000, circle_series_3000):
+        fit = circle_fit_3000
+        metadata = {"source": "circle", "lags": 1, "vb": {"eps": 0.5, "boundary_warning": False}}
+        path = save_model(tmp_path / "circle.npz", fit.basis, fit.operator,
+                          circle_series_3000.points, metadata)
+        with np.load(path, allow_pickle=False) as npz:
+            assert set(npz.files) == KEYS
+            assert npz["format_version"] == MODEL_FORMAT_VERSION
+        basis, op, points, meta = load_model(path)
+        for name in ("phi", "lam", "peq"):
+            assert np.array_equal(getattr(basis, name), getattr(fit.basis, name))
+        for name in ("eps", "d", "alpha", "beta"):
+            assert getattr(basis, name) == getattr(fit.basis, name)
+        assert np.array_equal(op.a, fit.operator.a)
+        assert op.tau == fit.operator.tau and op.n_pairs == fit.operator.n_pairs
+        assert np.array_equal(points, circle_series_3000.points)
+        assert meta == metadata
+
+    def test_bytes_are_deterministic(self, tmp_path):
+        model = small_model()
+        first = save_model(tmp_path / "a.npz", *model, {"lags": 2})
+        second = save_model(tmp_path / "b.npz", *model, {"lags": 2})
+        assert first.read_bytes() == second.read_bytes()
+        with zipfile.ZipFile(first) as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_written_to_exactly_the_given_path(self, tmp_path):
+        # two models whose names differ only after a dot stay apart
+        save_model(tmp_path / "model.m3.npz", *small_model(m=3))
+        save_model(tmp_path / "model.m5.npz", *small_model(m=5))
+        save_model(tmp_path / "plain", *small_model(m=2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.m3.npz", "model.m5.npz", "plain"]
+        assert load_model(tmp_path / "model.m3.npz")[0].n_basis == 3
+        assert load_model(tmp_path / "model.m5.npz")[0].n_basis == 5
+        assert load_model(tmp_path / "plain")[0].n_basis == 2
+
+    @pytest.mark.parametrize("change, match", [
+        pytest.param(lambda e: {"points": e["points"][:-1]}, "points has shape", id="N-points"),
+        pytest.param(lambda e: {"peq": e["peq"][:-1]}, "peq has shape", id="N-peq"),
+        pytest.param(lambda e: {"lam": np.append(e["lam"], 9.0)}, "lam has shape", id="M-lam"),
+        pytest.param(lambda e: {"a": e["a"][:-1, :-1]}, "a has shape", id="M-a"),
+        pytest.param(lambda e: {"tau": np.array([0.1])}, "tau has shape", id="tau-vector"),
+        pytest.param(lambda e: {"tau": np.float64(0.0)}, "tau must be positive", id="tau-zero"),
+        pytest.param(lambda e: {"tau": np.float64(-0.1)}, "tau must be positive", id="tau-negative"),
+        pytest.param(lambda e: {"format_version": np.int64(MODEL_FORMAT_VERSION + 1)},
+                     "format_version", id="version"),
+        pytest.param(lambda e: {"phi": np.where(np.eye(*e["phi"].shape) > 0, np.nan, e["phi"])},
+                     "finite", id="phi-nan"),
+        pytest.param(lambda e: {"eps": np.float64(np.inf)}, "finite", id="eps-inf"),
+        pytest.param(lambda e: {"peq": -e["peq"]}, "must be positive", id="peq-negative"),
+        pytest.param(lambda e: {"metadata": np.array(json.dumps([1]))}, "JSON object",
+                     id="metadata-list"),
+    ])
+    def test_corrupted_entry_rejected(self, tmp_path, change, match):
+        path = save_model(tmp_path / "m.npz", *small_model())
+        with np.load(path, allow_pickle=False) as npz:
+            entries = {key: npz[key] for key in npz.files}
+        rewrite(path, **change(entries))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, match", [
+        ("a", "missing a"), ("tau", "missing tau"), ("metadata", "missing metadata"),
+        ("format_version", "format_version"),
+    ])
+    def test_missing_key_rejected(self, tmp_path, key, match):
+        path = save_model(tmp_path / "m.npz", *small_model())
+        rewrite(path, drop=(key,))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda tmp: b"", id="empty"),
+        pytest.param(lambda tmp: b"lead,truth\n0,1\n", id="csv"),
+        pytest.param(lambda tmp: b"PK\x03\x04" + b"\x00" * 40, id="zip-magic-only"),
+        pytest.param(lambda tmp: npy_bytes(np.ones(3)), id="npy"),
+        pytest.param(lambda tmp: save_model(tmp / "whole.npz", *small_model()).read_bytes()[:4000],
+                     id="truncated-bundle"),
+    ])
+    def test_non_bundle_file_rejected(self, tmp_path, make):
+        path = tmp_path / "m.npz"
+        path.write_bytes(make(tmp_path))
+        with pytest.raises(ValueError, match="not a model bundle"):
+            load_model(path)
+
+    def test_save_refuses_inconsistent_model(self, tmp_path):
+        basis, op, points = small_model()
+        with pytest.raises(ValueError, match="points has shape"):
+            save_model(tmp_path / "m.npz", basis, op, points[:-1])
+        assert not (tmp_path / "m.npz").exists()
