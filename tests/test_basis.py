@@ -11,7 +11,7 @@ from diffusion_forecast.basis import (
     _top_eigenpairs,
 )
 from diffusion_forecast.dataset import TimeSeries
-from diffusion_forecast.pipeline import fit_forecaster
+from diffusion_forecast.pipeline import fit_forecaster, load_model, save_model
 from diffusion_forecast.tuning import DensityEstimate
 
 
@@ -169,6 +169,20 @@ class TestEigenpairs:
         # eigenvectors agree up to sign
         dots = np.abs(np.sum(vecs_dense * vecs_iter, axis=0))
         assert np.allclose(dots, 1.0, atol=1e-8)
+
+
+class TestSerialization:
+    def test_round_trip_exact(self, tmp_path, circle_fit_3000, circle_series_3000):
+        fit = circle_fit_3000
+        path = save_model(tmp_path / "model.npz", fit.basis, fit.operator,
+                          circle_series_3000.points, {"tau": 1.0})
+        back = load_model(path)[0]
+        basis = fit.basis
+        assert np.array_equal(back.phi, basis.phi)
+        assert np.array_equal(back.lam, basis.lam)
+        assert np.array_equal(back.peq, basis.peq)
+        assert back.eps == basis.eps and back.d == basis.d
+        assert back.alpha == basis.alpha and back.beta == basis.beta
 
 
 def test_normalization_ledger_positivity():

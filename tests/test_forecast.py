@@ -17,6 +17,7 @@ from diffusion_forecast.forecast import (
     reconstruct_density,
     step,
 )
+from diffusion_forecast.pipeline import load_model, save_model
 from diffusion_forecast.simulators import SDEModel, euler_maruyama
 
 from _oracles import (
@@ -265,6 +266,16 @@ class TestGaussianDensityValues:
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError, match="positive"):
             gaussian_density_values(np.zeros((3, 1)), np.zeros(1), 0.0)
+
+
+class TestOperatorSerialization:
+    def test_round_trip(self, tmp_path, circle_fit_3000, circle_series_3000):
+        fit = circle_fit_3000
+        op = fit.operator
+        path = save_model(tmp_path / "model.npz", fit.basis, op, circle_series_3000.points)
+        back = load_model(path)[1]
+        assert np.array_equal(back.a, op.a)
+        assert back.tau == op.tau and back.n_pairs == op.n_pairs
 
 
 class TestUnbiasednessSurrogate:
