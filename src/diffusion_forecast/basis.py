@@ -6,6 +6,20 @@ kernel whose per-point length scale is a negative power of the sampling
 density, two diagonal normalizations, and a final rescaling by 2*eps*q^(2*beta)
 so that the eigenvalues come out in physical units of the generator of the
 gradient flow adapted to the invariant measure.
+
+The eigensolver is chosen by estimated cost, from the matrix size n, its
+nonzero count nnz and the basis size m, never from a clock. The dense path,
+``eigh(subset_by_index)`` on the n x n matrix, costs about (4/3) n^3 flops at
+DENSE_FLOPS_PER_S. A Lanczos step of ARPACK ``eigsh`` with k = 2m Ritz pairs
+(m guard vectors) and ARPACK's default ncv = max(2k + 1, 20) Lanczos
+vectors costs a CSR matvec, 2 nnz flops, plus ARPACK's reorthogonalisation,
+about 4 n ncv flops, both at SPARSE_FLOPS_PER_S. Lanczos is tried when
+LANCZOS_BUDGET times the dense cost buys its first factorisation and at
+least one restart, and it stops at that budget; if it has not converged by
+then, the dense solve runs and the solver record says so. When the matrix and eigh's copy of it would exceed
+DENSE_MEMORY_BYTES, Lanczos runs unbudgeted and there is no dense fallback.
+Both paths end in one Rayleigh-Ritz ``eigh``: over the Lanczos subspace on
+the Lanczos path, over the whole space on the dense one.
 """
 
 from __future__ import annotations
@@ -20,9 +34,21 @@ from scipy.linalg import eigh
 from .dataset import TimeSeries, knn
 from .tuning import KERNEL_FLOOR, DensityEstimate
 
-# Dense symmetric solves stay cheap up to here; above it use Lanczos unless
-# the requested basis crowds the spectrum (ARPACK needs k well below N).
-DENSE_EIG_THRESHOLD = 4000
+# Constants of the eigensolver rule (module docstring). The two throughputs
+# were measured with one OpenBLAS thread on a 2-core x86-64 VM: dense eigh
+# 13.0 GFlop/s at n=2000-3000, a CSR matvec 1.8 GFlop/s; ARPACK's BLAS-2
+# reorthogonalisation ran at 2-8 GFlop/s and is charged at the sparse rate.
+DENSE_FLOPS_PER_S = 13e9
+SPARSE_FLOPS_PER_S = 1.7e9
+# Share of the dense cost a Lanczos attempt may spend: an attempt that does
+# not converge makes the solve cost at most 1.5 times the dense one.
+LANCZOS_BUDGET = 0.5
+# The dense matrix and eigh's copy of it, 16 n^2 bytes, must fit here: half
+# of a 7 GB machine, the rest left to the kernel, the kNN table and the fit.
+DENSE_MEMORY_BYTES = 3.5e9
+# Largest accepted Lanczos residual max_j ||L phi_j - lambda_j phi_j|| (unit
+# phi_j), in the units of lambda, like the negative-eigenvalue tolerance.
+EIG_RESIDUAL_TOL = 1e-8
 
 # Kernel moment constant in Dhat = m * eps * q^(2 beta); equals 1 for the
 # Gaussian kernel written with the 4*eps denominator, whose second moment
@@ -76,13 +102,39 @@ class DiffusionBasis:
 
 
 @dataclass(frozen=True)
+class EigensolveRecord:
+    """Which eigensolver produced the basis, and how it went.
+
+    Attributes
+    ----------
+    path : str
+        ``"lanczos"`` or ``"dense"``, the solver whose eigenpairs were kept.
+    matvecs : int
+        Products with the operator that ARPACK took, 0 if it did not run.
+    fallback : bool
+        A budgeted Lanczos attempt did not converge and the dense solve ran.
+    max_residual : float
+        max_j ||L phi_j - lambda_j phi_j|| over the unit eigenvectors on the
+        Lanczos path; NaN on the dense path, where it would cost m products
+        with L.
+    """
+
+    path: str
+    matvecs: int
+    fallback: bool
+    max_residual: float
+
+
+@dataclass(frozen=True)
 class NormalizationLedger:
     """Diagonal factors produced along the normalization chain, kept for
-    diagnostics and for the optional conjugation-retaining eigenvector map."""
+    diagnostics and for the optional conjugation-retaining eigenvector map,
+    and the record of the eigensolve (None when not made by build_basis)."""
 
     qS: np.ndarray
     qSalpha: np.ndarray
     Dhat_scale: np.ndarray
+    solver: EigensolveRecord | None = None
 
     def __post_init__(self):
         for name in ("qS", "qSalpha", "Dhat_scale"):
@@ -202,7 +254,7 @@ def build_basis(
     u = 1.0 / np.sqrt(q_s_alpha * dhat)
     l_sym = sp.diags(u) @ k_alpha @ sp.diags(u) - sp.diags(1.0 / dhat)
 
-    eigvals, eigvecs = _top_eigenpairs(l_sym, m)
+    eigvals, eigvecs, solver = _top_eigenpairs(l_sym, m, _choose_eigensolver(n, l_sym.nnz, m))
 
     lam = -eigvals
     if np.any(lam < -1e-8):
@@ -234,7 +286,9 @@ def build_basis(
             )
 
     basis = DiffusionBasis(
-        phi=phi,
+        # row-major on both solver paths, as a loaded model bundle is, so that
+        # products with phi round alike on a fit and on its saved bundle
+        phi=np.ascontiguousarray(phi),
         lam=lam,
         peq=qv.copy(),
         eps=float(eps),
@@ -242,26 +296,98 @@ def build_basis(
         alpha=float(alpha),
         beta=float(beta),
     )
-    ledger = NormalizationLedger(qS=q_s, qSalpha=q_s_alpha, Dhat_scale=dhat)
+    ledger = NormalizationLedger(qS=q_s, qSalpha=q_s_alpha, Dhat_scale=dhat, solver=solver)
     return basis, ledger
 
 
-def _top_eigenpairs(l_sym: sp.spmatrix, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """M algebraically largest eigenpairs, eigenvalues descending."""
+def _choose_eigensolver(n: int, nnz: int, m: int) -> tuple[str, int | None]:
+    """The eigensolver rule of the module docstring, from the size alone.
+
+    Returns ``("dense", None)``; ``("lanczos", maxiter)``, an attempt held to
+    ``maxiter`` ARPACK restarts, with the dense solve as its fallback; or
+    ``("lanczos", None)`` when the dense matrix does not fit in memory.
+    """
+    k = 2 * m
+    if k >= n:
+        return "dense", None  # no room for the guard vectors
+    if 16.0 * n * n > DENSE_MEMORY_BYTES:
+        return "lanczos", None
+    ncv = min(n, max(2 * k + 1, 20))
+    dense_s = (4.0 / 3.0) * n**3 / DENSE_FLOPS_PER_S
+    step_s = (2.0 * nnz + 4.0 * n * ncv) / SPARSE_FLOPS_PER_S
+    steps = int(LANCZOS_BUDGET * dense_s / step_s)
+    # ARPACK's first factorisation takes ncv + 1 products, each restart at
+    # most ncv - k more
+    maxiter = (steps - ncv - 1) // (ncv - k)
+    return ("lanczos", maxiter) if maxiter >= 1 else ("dense", None)
+
+
+class _CountingOperator(spla.LinearOperator):
+    """A sparse matrix as a LinearOperator that counts its products; ``nnz``
+    is the matrix's, so that a cost model can charge 2 nnz flops a product."""
+
+    def __init__(self, a: sp.spmatrix):
+        super().__init__(a.dtype, a.shape)
+        self.a = a
+        self.nnz = a.nnz
+        self.matvecs = 0
+
+    def _matvec(self, x):
+        self.matvecs += 1
+        return self.a @ x
+
+
+def _top_eigenpairs(
+    l_sym: sp.spmatrix, m: int, route: tuple[str, int | None]
+) -> tuple[np.ndarray, np.ndarray, EigensolveRecord]:
+    """M algebraically largest eigenpairs, eigenvalues descending, by the
+    solver ``route`` that :func:`_choose_eigensolver` picked.
+
+    The rule: dense unless LANCZOS_BUDGET (0.5) of the dense cost, (4/3) n^3
+    flops at 13 GFlop/s, pays for ARPACK's first factorisation and one
+    restart, a step costing 2 nnz + 4 n ncv flops at 1.7 GFlop/s; Lanczos,
+    unbudgeted, when 16 n^2 bytes exceed DENSE_MEMORY_BYTES (3.5 GB).
+
+    Dense: ``eigh(subset_by_index)`` of the whole matrix. Lanczos: ARPACK
+    ``eigsh`` for k = 2m pairs from a fixed start vector, then the
+    Rayleigh-Ritz ``eigh`` of Z^T (L Z) (k x k) keeps the top m, whose
+    residuals come from L Z at no further product with L. A budgeted attempt
+    that raises ``ArpackNoConvergence`` falls back to dense; an unbudgeted one
+    raises RuntimeError, and so does a residual above EIG_RESIDUAL_TOL.
+    """
+    path, maxiter = route
+    if path == "dense":
+        vals, vecs = _rayleigh_ritz(l_sym.toarray(), m)
+        return vals, vecs, EigensolveRecord("dense", 0, False, float("nan"))
     n = l_sym.shape[0]
-    if n <= DENSE_EIG_THRESHOLD or m > n // 3:
-        dense = l_sym.toarray()
-        vals, vecs = eigh(dense, subset_by_index=[n - m, n - 1])
-        order = np.argsort(vals)[::-1]
-        return vals[order], vecs[:, order]
+    op = _CountingOperator(l_sym.tocsr())
     v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start vector for reproducibility
     try:
-        vals, vecs = spla.eigsh(l_sym.tocsc(), k=m, which="LA", v0=v0)
+        _, z = spla.eigsh(op, k=2 * m, which="LA", v0=v0, maxiter=maxiter)
     except spla.ArpackNoConvergence as err:
+        if maxiter is None:
+            raise RuntimeError(
+                f"Lanczos eigensolver did not converge: {len(err.eigenvalues)}/{2 * m} "
+                f"eigenpairs converged, and the dense matrix does not fit in memory"
+            ) from err
+        vals, vecs = _rayleigh_ritz(l_sym.toarray(), m)
+        return vals, vecs, EigensolveRecord("dense", op.matvecs, True, float("nan"))
+    lz = op.a @ z
+    vals, w = _rayleigh_ritz(z.T @ lz, m)
+    vecs = z @ w
+    residual = float(np.max(np.linalg.norm(lz @ w - vecs * vals, axis=0)))
+    if residual > EIG_RESIDUAL_TOL:
         raise RuntimeError(
-            f"Lanczos eigensolver did not converge: {len(err.eigenvalues)}/{m} "
-            f"eigenpairs converged"
-        ) from err
+            f"Lanczos eigenpairs have residual {residual:.2e} > {EIG_RESIDUAL_TOL:.0e}"
+        )
+    return vals, vecs, EigensolveRecord("lanczos", op.matvecs, False, residual)
+
+
+def _rayleigh_ritz(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top m eigenpairs of the symmetric ``h``, eigenvalues descending: the
+    finish both solver paths share."""
+    k = h.shape[0]
+    vals, vecs = eigh(h, subset_by_index=[k - m, k - 1])
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 

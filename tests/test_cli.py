@@ -135,3 +135,24 @@ def test_evaluate_rows(run):
     assert np.array_equal(rows[:, 0], np.arange(STEPS + 1))
     # the degenerate flag is written as an integer
     assert all(line.rsplit(",", 1)[1] in ("0", "1") for line in text.splitlines()[1:])
+
+
+def test_sidecars_of_outputs_named_apart_after_a_dot_stay_apart(run, tmp_path):
+    series = str(run["dir"] / "sim" / "torus_embedded.csv")
+    for tag, m in (("m3", 3), ("m5", 5)):
+        assert main(["build-basis", "--series", series, "--tau", "0.1", "--m", str(m),
+                     "--out", str(tmp_path / f"run.{tag}"), "--dump-tuning"]) == 0
+        assert main(["forecast", "--model", str(tmp_path / f"run.{tag}"),
+                     "--mean", _vector(run["mean"]), "--var", repr(VAR), "--steps", "2",
+                     "--out", str(tmp_path / f"fc.{tag}"), "--dump-density"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"run.{t}{tail}" for t in ("m3", "m5") for tail in ("", "_tuning_kde.csv", "_tuning_vb.csv")]
+        + [f"fc.{t}{tail}" for t in ("m3", "m5") for tail in ("", ".density.csv")])
+
+
+def test_build_basis_reports_the_eigensolver(run, tmp_path, capsys):
+    assert main(["build-basis", "--series", str(run["dir"] / "sim" / "torus_embedded.csv"),
+                 "--tau", "0.1", "--m", "40", "--out", str(tmp_path / "m.npz")]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {tmp_path / 'm.npz'} (eigensolver dense, 0 ARPACK matvecs, fallback False, "
+        "max residual nan)\n")

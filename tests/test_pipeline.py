@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from diffusion_forecast.basis import DiffusionBasis
-from diffusion_forecast.forecast import estimate_shift_operator
-from diffusion_forecast.pipeline import MODEL_FORMAT_VERSION, load_model, save_model
+from diffusion_forecast.dataset import TimeSeries
+from diffusion_forecast.forecast import (
+    estimate_shift_operator,
+    forecast_ladder,
+    gaussian_density_values,
+    project_density,
+)
+from diffusion_forecast.pipeline import MODEL_FORMAT_VERSION, fit_forecaster, load_model, save_model
+from diffusion_forecast.simulators import simulate_lorenz63
 
 KEYS = {"format_version", "points", "peq", "lam", "phi", "eps", "d", "alpha", "beta",
         "tau", "a", "n_pairs", "metadata"}
@@ -58,6 +65,25 @@ class TestModelBundle:
         assert op.tau == fit.operator.tau and op.n_pairs == fit.operator.n_pairs
         assert np.array_equal(points, circle_series_3000.points)
         assert meta == metadata
+
+    @pytest.mark.parametrize("case", ["circle", "lorenz"])
+    def test_forecast_from_fit_equals_forecast_from_bundle(self, tmp_path, case, circle_fit_3000,
+                                                           circle_series_3000):
+        if case == "circle":
+            fit, points, var = circle_fit_3000, circle_series_3000.points, 0.1
+        else:
+            points, var = simulate_lorenz63(1200, seed=5).points, 0.5
+            fit = fit_forecaster(TimeSeries(points, tau=0.1), 60)
+        # the circle fit takes the Lanczos path and the Lorenz fit the dense one
+        assert fit.ledger.solver.path == {"circle": "lanczos", "lorenz": "dense"}[case]
+        assert fit.basis.phi.flags.c_contiguous
+        path = save_model(tmp_path / "model.npz", fit.basis, fit.operator, points)
+        basis, op, _, _ = load_model(path)
+        values = gaussian_density_values(points, points[3], var)
+        want = forecast_ladder(project_density(values, fit.basis), fit.operator, fit.basis,
+                               points, 20)
+        got = forecast_ladder(project_density(values, basis), op, basis, points, 20)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.variance, want.variance)
 
     def test_bytes_are_deterministic(self, tmp_path):
         model = small_model()
