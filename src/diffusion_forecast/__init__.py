@@ -40,7 +40,6 @@ from .forecast import (
     gaussian_density_values,
     project_density,
     reconstruct_density,
-    step,
 )
 from .pipeline import FitResult, fit_forecaster, load_model, save_model
 from .simulators import (
@@ -105,7 +104,6 @@ __all__ = [
     "simulate_lorenz63",
     "simulate_torus",
     "split",
-    "step",
     "torus_embed",
     "tune",
 ]

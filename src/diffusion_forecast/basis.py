@@ -128,8 +128,8 @@ class EigensolveRecord:
 @dataclass(frozen=True)
 class NormalizationLedger:
     """Diagonal factors produced along the normalization chain, kept for
-    diagnostics and for the optional conjugation-retaining eigenvector map,
-    and the record of the eigensolve (None when not made by build_basis)."""
+    diagnostics, and the record of the eigensolve (None when not made by
+    build_basis)."""
 
     qS: np.ndarray
     qSalpha: np.ndarray
@@ -204,7 +204,6 @@ def build_basis(
     m: int,
     alpha: float | None = None,
     beta: float = -0.5,
-    retain_conjugation: bool = False,
 ) -> tuple[DiffusionBasis, NormalizationLedger]:
     """Normalize the kernel matrix and solve for the top of its spectrum.
 
@@ -226,10 +225,6 @@ def build_basis(
         First-normalization exponent; defaults to -d/4, which together with
         beta = -1/2 targets the gradient-flow generator of the sampling
         measure.
-    retain_conjugation : bool
-        Keep the diagonal conjugation when mapping symmetric eigenvectors
-        back (off by default; the conjugation is identity to O(eps) and
-        dropping it keeps the columns exactly orthonormal).
     """
     n = ts.n_points
     if kernel.shape != (n, n):
@@ -264,9 +259,9 @@ def build_basis(
         )
     lam = np.maximum(lam, 0.0)
 
+    # the diagonal conjugation back to L's eigenvectors is the identity to
+    # O(eps) and is dropped, which keeps the columns exactly orthonormal
     phi = eigvecs
-    if retain_conjugation:
-        phi = phi * u[:, None]
     col_norms = np.linalg.norm(phi, axis=0)
     if np.any(col_norms == 0):
         raise ValueError("eigensolver returned a zero eigenvector")
@@ -278,12 +273,9 @@ def build_basis(
     signs[signs == 0] = 1.0
     phi = phi * signs
 
-    if not retain_conjugation:
-        gram_dev = _orthonormality_deviation(phi)
-        if gram_dev > 1e-8:
-            raise ValueError(
-                f"eigenvectors lost orthonormality (max deviation {gram_dev:.2e})"
-            )
+    gram_dev = _orthonormality_deviation(phi)
+    if gram_dev > 1e-8:
+        raise ValueError(f"eigenvectors lost orthonormality (max deviation {gram_dev:.2e})")
 
     basis = DiffusionBasis(
         # row-major on both solver paths, as a loaded model bundle is, so that

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_forecast, local_linear_forecast
+from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_forecast
 from .dataset import delay_embed, load_series, read_series_csv, write_csv, write_series_csv
 from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
@@ -243,8 +243,13 @@ def _cmd_baseline(args) -> int:
                                dt_sample=args.tau, substeps=args.substeps)
         rows = np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)])
     else:
-        fn = local_linear_forecast if args.method == "local-linear" else iterated_local_linear_forecast
-        states = [fn(ts, init, lead, k=args.k) for lead in range(args.steps + 1)]
+        if args.method == "local-linear":
+            states = [local_linear_forecast(ts, init, lead, k=args.k) for lead in range(args.steps + 1)]
+        else:
+            # one walk over the leads; a restart at each lead builds the same
+            # chained product
+            states = [init.propagate(m, linear) for m, linear
+                      in iterated_local_linear_ladder(ts, init.mean, args.steps, k=args.k)]
         rows = [[lead * args.tau, *state.mean, *np.sqrt(np.diag(state.cov))]
                 for lead, state in enumerate(states)]
     write_csv(out, _moment_header(mean.size), rows)

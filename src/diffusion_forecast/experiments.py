@@ -9,10 +9,14 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .baselines import GaussianState, _affine_least_squares, ensemble_forecast
-from .dataset import TimeSeries, delay_embed, load_monthly_series, split, write_csv, _smallest_k
+from .baselines import (
+    GaussianState,
+    ensemble_forecast,
+    iterated_local_linear_ladder,
+    local_linear_forecast,
+)
+from .dataset import TimeSeries, delay_embed, load_monthly_series, split, write_csv
 from .evaluation import ExperimentConfig, SkillReport, rmse_and_correlation
 from .forecast import MomentForecast, forecast_ladder, gaussian_density_values, project_density
 from .pipeline import FitResult, fit_forecaster
@@ -193,20 +197,25 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
     rmse = {"diffusion": _agg_rmse(diff_mean - truth)}
     spread = {"diffusion": np.sqrt(np.mean(diff_var, axis=(1, 2)))}
 
-    ll_mean, ll_sq = _direct_local_linear(train.points, x_hat, n_lead,
-                                          config.init_variance, k=15)
-    rmse["local_linear"] = _agg_rmse(ll_mean - truth)
-    spread["local_linear"] = np.sqrt(ll_sq)
-
-    it_mean, it_sq = _iterated_local_linear(train.points, x_hat, n_lead,
-                                            config.init_variance, k=15)
-    rmse["iterated"] = _agg_rmse(it_mean - truth)
-    spread["iterated"] = np.sqrt(it_sq)
+    init = GaussianState.isotropic(x_hat, config.init_variance)
+    baselines = {
+        "local_linear": [local_linear_forecast(train, init, lead, k=15)
+                         for lead in range(n_lead + 1)],
+        "iterated": [init.propagate(mean, linear) for mean, linear
+                     in iterated_local_linear_ladder(train, x_hat, n_lead, k=15)],
+    }
+    for name, states in baselines.items():
+        rmse[name] = _agg_rmse(np.stack([state.mean for state in states]) - truth)
+        spread[name] = np.sqrt([np.mean(np.diagonal(state.cov, axis1=-2, axis2=-1))
+                                for state in states])
 
     if config.with_ensemble:
-        ens_mean, ens_sq = _lorenz_ensemble(x_hat, config, seeds[2], n_lead)
-        rmse["ensemble"] = _agg_rmse(ens_mean - truth)
-        spread["ensemble"] = np.sqrt(ens_sq)
+        # the true model is integrated at an RK4 step of at most 0.01
+        ens = ensemble_forecast(lorenz_model(), init, config.n_ens, n_lead,
+                                rng_seed=seeds[2], dt_sample=config.dt,
+                                substeps=max(1, int(np.ceil(config.dt / 0.01))))
+        rmse["ensemble"] = _agg_rmse(ens.mean.transpose(0, 2, 1) - truth)
+        spread["ensemble"] = np.sqrt(np.mean(ens.variance, axis=(1, 2)))
 
     clim = float(np.sqrt(np.mean(verify.points.var(axis=0))))
     lead_times = diffusion.lead_times
@@ -223,82 +232,6 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
 
 def _agg_rmse(err: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(err * err, axis=(1, 2)))
-
-
-def _direct_local_linear(train_pts: np.ndarray, x_hat: np.ndarray, n_lead: int,
-                         init_variance: float, k: int):
-    """Direct local-linear forecasts for every verification point and lead.
-
-    Returns per-lead means and the per-lead average of the conjugated
-    covariance's mean diagonal (aggregated forecast variance).
-    """
-    v_count, dim = x_hat.shape
-    mean = np.empty((n_lead + 1, v_count, dim))
-    var_agg = np.empty(n_lead + 1)
-    mean[0] = x_hat
-    var_agg[0] = init_variance
-    n = train_pts.shape[0]
-    for lead in range(1, n_lead + 1):
-        eligible = train_pts[: n - lead]
-        d2 = cdist(x_hat, eligible, metric="sqeuclidean")
-        idx, _ = _smallest_k(d2, k)
-        frob = np.empty(v_count)
-        for v in range(v_count):
-            model = _affine_least_squares(train_pts[idx[v]], train_pts[idx[v] + lead])
-            mean[lead, v] = model(x_hat[v])
-            frob[v] = np.sum(model.linear * model.linear)
-        # cov = V L L^T with V = init_variance * I, so mean diagonal is
-        # V * ||L||_F^2 / dim
-        var_agg[lead] = init_variance * np.mean(frob) / dim
-    return mean, var_agg
-
-
-def _iterated_local_linear(train_pts: np.ndarray, x_hat: np.ndarray, n_lead: int,
-                           init_variance: float, k: int):
-    """Iterated 1-step local-linear forecasts with chained linear parts."""
-    v_count, dim = x_hat.shape
-    mean = np.empty((n_lead + 1, v_count, dim))
-    var_agg = np.empty(n_lead + 1)
-    mean[0] = x_hat
-    var_agg[0] = init_variance
-    current = x_hat.copy()
-    totals = np.broadcast_to(np.eye(dim), (v_count, dim, dim)).copy()
-    eligible = train_pts[:-1]
-    for lead in range(1, n_lead + 1):
-        d2 = cdist(current, eligible, metric="sqeuclidean")
-        idx, _ = _smallest_k(d2, k)
-        for v in range(v_count):
-            model = _affine_least_squares(train_pts[idx[v]], train_pts[idx[v] + 1])
-            current[v] = model(current[v])
-            totals[v] = model.linear @ totals[v]
-        mean[lead] = current
-        var_agg[lead] = init_variance * np.mean(np.sum(totals * totals, axis=(1, 2))) / dim
-    return mean, var_agg
-
-
-def _lorenz_ensemble(x_hat: np.ndarray, config: ExperimentConfig, seed, n_lead: int):
-    """True-model ensemble around every verification point, batched across
-    points and members (deterministic dynamics, so members only differ in
-    their initial draw)."""
-    v_count, dim = x_hat.shape
-    n_ens = config.n_ens
-    rng = np.random.default_rng(seed)
-    ics = (x_hat[:, None, :]
-           + np.sqrt(config.init_variance) * rng.standard_normal((v_count, n_ens, dim)))
-    states = ics.reshape(v_count * n_ens, dim)
-    model = lorenz_model()
-    substeps = max(1, int(np.ceil(config.dt / 0.01)))
-    mean = np.empty((n_lead + 1, v_count, dim))
-    var_agg = np.empty(n_lead + 1)
-    from .simulators import rk4_step_batch
-
-    for lead in range(n_lead + 1):
-        if lead > 0:
-            states = rk4_step_batch(model, states, config.dt, substeps)
-        grid = states.reshape(v_count, n_ens, dim)
-        mean[lead] = grid.mean(axis=1)
-        var_agg[lead] = float(np.mean(grid.var(axis=1)))
-    return mean, var_agg
 
 
 def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimentResult:

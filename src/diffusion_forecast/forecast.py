@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .basis import DiffusionBasis
 
@@ -45,11 +44,10 @@ class ShiftOperator:
 
 @dataclass(frozen=True)
 class DensityCoefficients:
-    """Basis coefficients of a density p = peq * sum_j c_j phi_j at time t;
-    ``c`` is (M,) for one density or (M, B) for a batch of columns."""
+    """Basis coefficients of a density p = peq * sum_j c_j phi_j; ``c`` is
+    (M,) for one density or (M, B) for a batch of columns."""
 
     c: np.ndarray
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,6 @@ def estimate_shift_operator(
     basis: DiffusionBasis,
     tau: float,
     stride: int = 1,
-    spectral_clamp: bool = False,
 ) -> ShiftOperator:
     """Monte-Carlo estimate of the semigroup matrix from consecutive rows.
 
@@ -89,9 +86,6 @@ def estimate_shift_operator(
     stride : int
         Subsample the (i, i+1) pairs with this stride; a knob for strongly
         autocorrelated series, default uses every pair.
-    spectral_clamp : bool
-        Rescale by the largest singular value when it exceeds 1 + 1e-6, to
-        guarantee long-horizon boundedness. Off by default.
     """
     phi = basis.phi
     n = phi.shape[0]
@@ -101,19 +95,7 @@ def estimate_shift_operator(
         raise ValueError("stride must be >= 1")
     starts = np.arange(0, n - 1, stride)
     a = phi[starts + 1].T @ phi[starts] / len(starts)
-    if spectral_clamp:
-        sigma_max = _largest_singular_value(a)
-        if sigma_max > 1.0 + 1e-6:
-            logger.info("spectral clamp engaged: sigma_max=%.6f", sigma_max)
-            a = a / sigma_max
     return ShiftOperator(a=a, tau=float(tau), n_pairs=len(starts))
-
-
-def _largest_singular_value(a: np.ndarray) -> float:
-    if a.shape[0] <= 64:
-        return float(np.linalg.norm(a, 2))
-    v0 = np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1]))
-    return float(spla.svds(a, k=1, return_singular_vectors=False, v0=v0)[0])
 
 
 def project_density(p0_values: np.ndarray, basis: DiffusionBasis) -> DensityCoefficients:
@@ -139,24 +121,18 @@ def project_density(p0_values: np.ndarray, basis: DiffusionBasis) -> DensityCoef
             "density has nonpositive mass coefficient; it is not representable "
             "on this basis (supported away from the sampled manifold?)"
         )
-    return DensityCoefficients(c=c / c[0], t=0.0)
+    return DensityCoefficients(c=c / c[0])
 
 
-def step(c: DensityCoefficients, op: ShiftOperator, n_steps: int) -> DensityCoefficients:
-    """Advance coefficients by ``n_steps`` sampling intervals.
+def evolve_coefficients(coeffs: np.ndarray, op: ShiftOperator, n_steps: int = 1) -> np.ndarray:
+    """Advance coefficients by ``n_steps`` sampling intervals; accepts a
+    single coefficient vector or a (M, B) batch of columns.
 
     Applies the operator matrix once per step, re-pinning c_0 = 1 after each
     application so Monte-Carlo mass drift cannot accumulate.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    vec = evolve_coefficients(c.c, op, n_steps)
-    return DensityCoefficients(c=vec, t=c.t + n_steps * op.tau)
-
-
-def evolve_coefficients(coeffs: np.ndarray, op: ShiftOperator, n_steps: int = 1) -> np.ndarray:
-    """One or more operator applications with mass re-pinning; accepts a
-    single coefficient vector or a (M, B) batch of columns."""
     vec = np.asarray(coeffs, dtype=float)
     if vec.shape[0] != op.n_basis:
         raise ValueError("coefficient length does not match the operator")

@@ -8,6 +8,7 @@ from diffusion_forecast.baselines import (
     ensemble_forecast,
     fit_local_affine,
     iterated_local_linear_forecast,
+    iterated_local_linear_ladder,
     local_linear_forecast,
 )
 from diffusion_forecast.dataset import TimeSeries
@@ -140,6 +141,100 @@ class TestLocalLinear:
         assert np.array_equal(out.cov, out.cov.T)
 
 
+def lorenz_train_and_states(n_states=6):
+    ts = simulate_lorenz63(n_samples=900, dt_sample=0.1, seed=11)
+    rng = np.random.default_rng(12)
+    states = ts.points[::150][:n_states] + rng.normal(0.0, 0.1, (n_states, 3))
+    return ts, states
+
+
+class TestBatches:
+    @pytest.mark.parametrize("forecast", [local_linear_forecast, iterated_local_linear_forecast])
+    @pytest.mark.parametrize("per_state_cov", [False, True], ids=["shared", "per-state"])
+    def test_batch_equals_single_state_calls(self, forecast, per_state_cov):
+        train, states = lorenz_train_and_states()
+        if per_state_cov:
+            roots = np.random.default_rng(13).normal(0.0, 0.1, (len(states), 3, 3))
+            covs = roots @ np.swapaxes(roots, -1, -2)
+        else:
+            covs = np.broadcast_to(0.01 * np.eye(3), (len(states), 3, 3))
+        batch_init = GaussianState(mean=states, cov=covs if per_state_cov else covs[0])
+        for lead in (0, 1, 4, 9):
+            batch = forecast(train, batch_init, lead)
+            assert batch.mean.shape == states.shape
+            for b, (mean, cov) in enumerate(zip(states, covs)):
+                single = forecast(train, GaussianState(mean=mean, cov=cov), lead)
+                assert np.array_equal(batch.mean[b], single.mean)
+                assert np.array_equal(batch.cov if batch.cov.ndim == 2 else batch.cov[b],
+                                      single.cov)
+
+    def test_ladder_step_equals_restart(self):
+        train, states = lorenz_train_and_states(3)
+        for init in (GaussianState.isotropic(states[0], 0.01),
+                     GaussianState.isotropic(states, 0.01)):
+            ladder = iterated_local_linear_ladder(train, init.mean, 6)
+            for lead, (mean, linear) in enumerate(ladder):
+                restart = iterated_local_linear_forecast(train, init, lead)
+                walked = init.propagate(mean, linear)
+                assert np.array_equal(walked.mean, restart.mean)
+                assert np.array_equal(walked.cov, restart.cov)
+
+    def test_batch_fit_is_one_neighbour_search(self, monkeypatch):
+        from diffusion_forecast import baselines
+
+        train, states = lorenz_train_and_states()
+        calls = []
+        real = baselines.knn_points
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["query"].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "knn_points", counting)
+        model = fit_local_affine(train, states, 3)
+        assert calls == [states.shape]
+        assert model.linear.shape == (len(states), 3, 3)
+        assert model.offset.shape == states.shape
+        assert model.fit_residual.shape == model.degenerate.shape == (len(states),)
+
+    @pytest.mark.parametrize("cov, match", [
+        (np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
+                   [[1.0, 0.0], [0.0, -1.0]]]), "state 2 must be positive semidefinite"),
+        (np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]],
+                   [[1.0, 0.0], [0.0, 1.0]]]), "state 1 must be symmetric"),
+    ], ids=["indefinite", "asymmetric"])
+    def test_bad_state_in_batch_is_named(self, cov, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianState(mean=np.zeros((3, 2)), cov=cov)
+
+    def test_non_finite_affine_state_is_named(self):
+        linear = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
+        with pytest.raises(ValueError, match="state 2 has non-finite"):
+            AffineModel(linear=linear, offset=np.zeros((3, 2)), fit_residual=np.zeros(3))
+
+    def test_blown_up_ensemble_member_names_its_state(self):
+        model = ODEModel(dim=1, rhs=lambda x: x * x)
+        init = GaussianState.isotropic(np.array([[0.0], [0.0], [50.0]]), 1e-4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="member of state 2"):
+                ensemble_forecast(model, init, 10, 6, rng_seed=0, dt_sample=1.0,
+                                  chunk_size=4)
+
+    @pytest.mark.parametrize("model, mean, observable", [
+        (torus_model(), np.array([1.0, 2.0]), lambda s: torus_embed(s)[:, [0, 2]]),
+        (lorenz_model(), np.array([1.0, 1.0, 25.0]), None),
+    ], ids=["torus", "lorenz"])
+    def test_one_state_batch_equals_single_state(self, model, mean, observable):
+        runs = [
+            ensemble_forecast(model, GaussianState.isotropic(m, 0.05), 60, 3, rng_seed=8,
+                              dt_sample=0.1, substeps=5, observable=observable, chunk_size=25)
+            for m in (mean, mean[None, :])
+        ]
+        assert runs[1].mean.shape == runs[0].mean.shape + (1,)
+        assert np.array_equal(runs[1].mean[..., 0], runs[0].mean)
+        assert np.array_equal(runs[1].variance[..., 0], runs[0].variance)
+
+
 class TestGaussianState:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -214,7 +309,11 @@ class TestEnsembleForecast:
          lambda s: torus_embed(s)[:, [0, 2]], 5),
         (lorenz_model(), GaussianState.isotropic(np.array([1.0, 1.0, 25.0]), 0.01),
          None, 10),
-    ], ids=["torus", "lorenz"])
+        # 2 states of 120 members: the chunks straddle the state boundary
+        (torus_model(), GaussianState(mean=np.array([[1.0, 2.0], [4.0, 0.5]]),
+                                      cov=np.array([np.diag([0.1, 0.2]), np.diag([0.05, 0.1])])),
+         lambda s: torus_embed(s)[:, [0, 2]], 5),
+    ], ids=["torus", "lorenz", "torus-batch"])
     def test_chunk_size_invariance_on_experiment_models(self, model, init, observable,
                                                         substeps):
         runs = [

@@ -140,16 +140,6 @@ class TestBuildBasis:
         err_big = np.mean(np.abs(circle_fit_3000.basis.lam[1:7] - expected) / expected)
         assert err_big < err_small
 
-    def test_retain_conjugation_gives_exact_constant(self, circle_series_3000, circle_fit_3000):
-        fit = circle_fit_3000
-        kernel = build_vb_kernel(circle_series_3000, fit.density,
-                                 fit.vb_tuning.eps_star, neighbor_cap=1024)
-        basis, _ = build_basis(kernel, circle_series_3000, fit.density,
-                               fit.vb_tuning.eps_star, fit.vb_tuning.d_est, 5,
-                               retain_conjugation=True)
-        phi0 = basis.phi[:, 0]
-        assert np.abs(phi0 - phi0.mean()).max() / abs(phi0.mean()) < 1e-10
-
     def test_m_out_of_range(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
         kernel = build_vb_kernel(circle_series_3000, fit.density,

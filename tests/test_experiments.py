@@ -6,6 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from diffusion_forecast.baselines import (
+    GaussianState,
+    iterated_local_linear_forecast,
+    local_linear_forecast,
+)
+from diffusion_forecast.dataset import split
 from diffusion_forecast.experiments import (
     lorenz_config,
     nino_config,
@@ -14,6 +20,7 @@ from diffusion_forecast.experiments import (
     run_torus_experiment,
     torus_config,
 )
+from diffusion_forecast.simulators import simulate_lorenz63
 
 
 def _read_csv(path):
@@ -53,6 +60,32 @@ def test_lorenz_experiment(tmp_path):
     assert rows.shape == (21, 9)
     assert np.all(np.isfinite(rows))
     assert _manifest_keys(result.manifest_path) == {"config", "dts", "clim_stdev"}
+
+
+def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
+    config = replace(lorenz_config(), n_samples=1000, n_basis=30, n_verify=40,
+                     lead_steps=8, with_ensemble=False)
+    (run,) = run_lorenz_experiment(config, out_dir=tmp_path).runs.values()
+    header, rows = _read_csv(run.csv_path)
+    # the driver's verification states, rebuilt as it builds them
+    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    ts = simulate_lorenz63(n_samples=config.n_samples, dt_sample=config.dt, seed=seeds[0])
+    train, verify = split(ts, config.n_samples - config.n_verify)
+    n_states = config.n_verify - config.lead_steps
+    x0 = verify.points[:n_states]
+    rng = np.random.default_rng(seeds[1])
+    x_hat = x0 + rng.normal(0.0, np.sqrt(config.perturbation_variance), size=x0.shape)
+    truth = np.stack([verify.points[lead:lead + n_states]
+                      for lead in range(config.lead_steps + 1)])
+    for name, forecast in (("local_linear", local_linear_forecast),
+                           ("iterated", iterated_local_linear_forecast)):
+        states = [[forecast(train, GaussianState.isotropic(x, config.init_variance), lead)
+                   for x in x_hat] for lead in range(config.lead_steps + 1)]
+        err = np.array([[s.mean for s in row] for row in states]) - truth
+        assert np.array_equal(rows[:, header.index(f"rmse_{name}")],
+                              np.sqrt(np.mean(err * err, axis=(1, 2))))
+        spread = np.sqrt([np.mean([np.diag(s.cov) for s in row]) for row in states])
+        assert np.allclose(rows[:, header.index(f"stdev_{name}")], spread, rtol=1e-12, atol=0)
 
 
 def _write_noaa_grid(path, rng):

@@ -15,7 +15,6 @@ from diffusion_forecast.forecast import (
     gaussian_density_values,
     project_density,
     reconstruct_density,
-    step,
 )
 from diffusion_forecast.pipeline import load_model, save_model
 from diffusion_forecast.simulators import SDEModel, euler_maruyama
@@ -66,17 +65,6 @@ class TestEstimateShiftOperator:
         op4 = estimate_shift_operator(basis, tau=0.5, stride=4)
         assert op1.n_pairs == 100
         assert op4.n_pairs == 25
-
-    def test_spectral_clamp(self):
-        # duplicated columns make the raw correlation estimate expand
-        n = 50
-        phi = np.ones((n, 2))
-        basis = DiffusionBasis(phi=phi, lam=np.zeros(2), peq=np.ones(n),
-                               eps=0.1, d=1.0, alpha=-0.25, beta=-0.5)
-        raw = estimate_shift_operator(basis, tau=1.0)
-        clamped = estimate_shift_operator(basis, tau=1.0, spectral_clamp=True)
-        assert np.linalg.norm(raw.a, 2) > 1.0 + 1e-6
-        assert np.linalg.norm(clamped.a, 2) <= 1.0 + 1e-6
 
     def test_wrong_stride(self, circle_fit_3000):
         with pytest.raises(ValueError, match="stride"):
@@ -149,37 +137,37 @@ class TestProjectDensity:
 
 
 class TestStep:
+    """Operator steps through ``evolve_coefficients``."""
+
     def test_zero_steps_is_identity(self):
         op = ShiftOperator(a=np.eye(3) * 0.5 + 0.5, tau=0.1, n_pairs=10)
-        c = DensityCoefficients(np.array([1.0, 0.2, -0.1]), t=1.0)
-        out = step(c, op, 0)
-        assert np.array_equal(out.c, c.c)
-        assert out.t == c.t
+        c = np.array([1.0, 0.2, -0.1])
+        out = evolve_coefficients(c, op, 0)
+        assert np.array_equal(out, c)
 
-    def test_time_advances(self):
-        op = ShiftOperator(a=np.eye(2), tau=0.25, n_pairs=10)
-        c = DensityCoefficients(np.array([1.0, 0.0]))
-        out = step(c, op, 4)
-        assert out.t == pytest.approx(1.0)
+    def test_negative_steps_rejected(self):
+        op = ShiftOperator(a=np.diag([1.0, 0.8]), tau=1.0, n_pairs=10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            evolve_coefficients(np.array([1.0, 0.8]), op, -3)
 
     def test_mass_repinned_each_step(self):
         a = np.array([[2.0, 0.0], [0.0, 1.0]])
         op = ShiftOperator(a=a, tau=1.0, n_pairs=10)
-        out = step(DensityCoefficients(np.array([1.0, 0.8])), op, 3)
-        assert out.c[0] == 1.0
-        assert out.c[1] == pytest.approx(0.8 / 8.0)
+        out = evolve_coefficients(np.array([1.0, 0.8]), op, 3)
+        assert out[0] == 1.0
+        assert out[1] == pytest.approx(0.8 / 8.0)
 
     def test_overflow_detected(self):
         a = np.diag([1.0, 3.0])
         op = ShiftOperator(a=a, tau=1.0, n_pairs=10)
         with pytest.raises(FloatingPointError):
-            step(DensityCoefficients(np.array([1.0, 1.0])), op, 40)
+            evolve_coefficients(np.array([1.0, 1.0]), op, 40)
 
     def test_nonpositive_mass_detected(self):
         a = np.diag([-1.0, 1.0])
         op = ShiftOperator(a=a, tau=1.0, n_pairs=10)
         with pytest.raises(ValueError, match="mass"):
-            step(DensityCoefficients(np.array([1.0, 1.0])), op, 1)
+            evolve_coefficients(np.array([1.0, 1.0]), op, 1)
 
     def test_batch_matches_loop(self, circle_fit_3000):
         basis = circle_fit_3000.basis

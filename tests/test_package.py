@@ -1,0 +1,35 @@
+"""Package hygiene: the public names resolve, and no module reaches into a
+sibling's private names (a private import is how duplicate copies of a job
+start)."""
+
+import ast
+from pathlib import Path
+
+import diffusion_forecast
+
+SRC = Path(diffusion_forecast.__file__).parent
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in diffusion_forecast.__all__
+               if not hasattr(diffusion_forecast, name)]
+    assert missing == []
+
+
+def _private_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        sibling = node.level > 0 or (node.module or "").startswith("diffusion_forecast")
+        if sibling:
+            for alias in node.names:
+                dunder = alias.name.startswith("__") and alias.name.endswith("__")
+                if alias.name.startswith("_") and not dunder:
+                    yield f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    found = [line for path in modules for line in _private_imports(path)]
+    assert found == []
