@@ -21,15 +21,14 @@ class AffineModel:
     """Least-squares affine fit x_{i+lead} ~ linear @ x_i + offset.
 
     A model fitted at one state has a (dim, dim) ``linear``, a (dim,)
-    ``offset`` and scalar ``fit_residual`` and ``degenerate``; one fitted at
-    a batch of B states has (B, dim, dim), (B, dim) and (B,) arrays, and maps
-    a (B, dim) batch state by state.
+    ``offset`` and a scalar ``fit_residual``; one fitted at a batch of B
+    states has (B, dim, dim), (B, dim) and (B,) arrays, and maps a (B, dim)
+    batch state by state.
     """
 
     linear: np.ndarray
     offset: np.ndarray
     fit_residual: float | np.ndarray
-    degenerate: bool | np.ndarray = False
 
     def __post_init__(self):
         finite = np.isfinite(self.linear).all(axis=(-2, -1)) & np.isfinite(self.offset).all(axis=-1)
@@ -114,8 +113,7 @@ def fit_local_affine(
     if lead_steps == 0:
         batch = query.shape[:-1]
         return AffineModel(linear=np.tile(np.eye(dim), batch + (1, 1)),
-                           offset=np.zeros(batch + (dim,)), fit_residual=np.zeros(batch)[()],
-                           degenerate=np.zeros(batch, dtype=bool)[()])
+                           offset=np.zeros(batch + (dim,)), fit_residual=np.zeros(batch)[()])
     eligible = n - lead_steps
     if eligible < k:
         raise ValueError(f"need at least k={k} usable points, have {eligible}")
@@ -130,7 +128,6 @@ def _affine_least_squares(x: np.ndarray, y: np.ndarray) -> AffineModel:
     dim = x.shape[-1]
     design = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
     design_t = design.swapaxes(-1, -2)
-    degenerate = np.linalg.matrix_rank(design) < dim + 1
     gram = design_t @ design + RIDGE * np.eye(dim + 1)
     theta = np.linalg.solve(gram, design_t @ y)
     resid = y - design @ theta
@@ -138,7 +135,6 @@ def _affine_least_squares(x: np.ndarray, y: np.ndarray) -> AffineModel:
         linear=theta[..., :dim, :].swapaxes(-1, -2),
         offset=theta[..., dim, :],
         fit_residual=np.sqrt(np.mean(resid * resid, axis=(-2, -1))),
-        degenerate=degenerate,
     )
 
 

@@ -56,6 +56,10 @@ EIG_RESIDUAL_TOL = 1e-8
 # physical generator spectrum (checked against the analytic circle Laplacian).
 M_CONST = 1.0
 
+# Default number of nearest neighbours each kernel row keeps; build_vb_kernel
+# clamps it to the number of points.
+NEIGHBOR_CAP = 1024
+
 
 @dataclass(frozen=True)
 class DiffusionBasis:
@@ -147,7 +151,7 @@ def build_vb_kernel(
     q: DensityEstimate,
     eps: float,
     beta: float = -0.5,
-    neighbor_cap: int | None = None,
+    neighbor_cap: int = NEIGHBOR_CAP,
     neighbors=None,
 ) -> sp.csr_matrix:
     """Sparse symmetric variable-bandwidth kernel matrix.
@@ -164,8 +168,6 @@ def build_vb_kernel(
     qv = q.q
     if qv.shape[0] != n:
         raise ValueError("density estimate does not match the series length")
-    if neighbor_cap is None:
-        neighbor_cap = min(n, 1024)
     neighbor_cap = int(min(neighbor_cap, n))
     if neighbor_cap < 2:
         raise ValueError("neighbor_cap must be at least 2")
@@ -202,7 +204,6 @@ def build_basis(
     eps: float,
     d: float,
     m: int,
-    alpha: float | None = None,
     beta: float = -0.5,
 ) -> tuple[DiffusionBasis, NormalizationLedger]:
     """Normalize the kernel matrix and solve for the top of its spectrum.
@@ -221,18 +222,16 @@ def build_basis(
     m : int
         Number of basis functions (eigenpairs with least-negative
         eigenvalues).
-    alpha : float, optional
-        First-normalization exponent; defaults to -d/4, which together with
-        beta = -1/2 targets the gradient-flow generator of the sampling
-        measure.
+
+    The first-normalization exponent is alpha = -d/4, which together with
+    beta = -1/2 targets the gradient-flow generator of the sampling measure.
     """
     n = ts.n_points
     if kernel.shape != (n, n):
         raise ValueError("kernel shape does not match the series")
     if not 1 <= m <= n:
         raise ValueError(f"basis size m={m} out of range [1, {n}]")
-    if alpha is None:
-        alpha = -d / 4.0
+    alpha = -d / 4.0
     qv = q.q
 
     k = kernel.tocsr()

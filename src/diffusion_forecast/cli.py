@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_forecast
+from .basis import NEIGHBOR_CAP
 from .dataset import delay_embed, load_series, read_series_csv, write_csv, write_series_csv
 from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lags", type=int, default=1)
     p.add_argument("--m", type=int, required=True, help="number of basis functions")
     p.add_argument("--k0", type=int, default=8)
-    p.add_argument("--neighbor-cap", type=int, default=1024)
+    p.add_argument("--neighbor-cap", type=int, default=NEIGHBOR_CAP)
     p.add_argument("--stride", type=int, default=1,
                    help="use every stride-th consecutive pair for the shift operator")
     p.add_argument("--out", required=True,
@@ -195,16 +196,18 @@ def _sidecar(out: Path, tail: str) -> Path:
     return out.with_name(name + tail)
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",")])
+def _parse_gaussian(args) -> tuple[np.ndarray, np.ndarray]:
+    """The initial mean and diagonal variance from ``--mean`` and ``--var``;
+    a single variance applies to every coordinate."""
+    mean, var = (np.array([float(tok) for tok in text.split(",")]) for text in (args.mean, args.var))
+    if var.size == 1:
+        var = np.full(mean.size, var[0])
+    return mean, var
 
 
 def _cmd_forecast(args) -> int:
     basis, op, observables, _ = load_model(args.model)
-    mean = _parse_vector(args.mean)
-    var = _parse_vector(args.var)
-    if var.size == 1:
-        var = np.full(mean.size, var[0])
+    mean, var = _parse_gaussian(args)
     if observables.shape[1] != mean.size:
         raise ValueError("initial mean dimension does not match the training points")
     coeffs = project_density(gaussian_density_values(observables, mean, var), basis)
@@ -228,10 +231,7 @@ def _moment_header(dim: int) -> list[str]:
 
 def _cmd_baseline(args) -> int:
     ts = read_series_csv(args.series, tau=args.tau)
-    mean = _parse_vector(args.mean)
-    var = _parse_vector(args.var)
-    if var.size == 1:
-        var = np.full(mean.size, var[0])
+    mean, var = _parse_gaussian(args)
     init = GaussianState(mean=mean, cov=np.diag(var))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -259,16 +259,23 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     data = {}
-    with Path(args.input).open() as fh:
+    path = Path(args.input)
+    with path.open() as fh:
         header = fh.readline().strip().split(",")
         if header[:3] != ["lead", "truth", "forecast"]:
             raise ValueError("expected header lead,truth,forecast[,stdev]")
         has_stdev = len(header) > 3 and header[3] == "stdev"
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            parts = [float(tok) for tok in line.split(",")]
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{line_no}: {len(cells)} cells, the header has {len(header)}")
+            try:
+                parts = [float(tok) for tok in cells]
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: unparseable number in {line!r}") from None
             entry = data.setdefault(parts[0], ([], [], []))
             entry[0].append(parts[1])
             entry[1].append(parts[2])

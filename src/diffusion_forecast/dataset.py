@@ -242,10 +242,7 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     m = q.shape[0]
     out_idx = np.empty((m, k), dtype=np.int64)
     out_d2 = np.empty((m, k))
-    chunk = max(1, 4_000_000 // n)
-    for s in range(0, m, chunk):
-        e = min(s + chunk, m)
-        d2 = cdist(q[s:e], pts, metric="sqeuclidean")
+    for s, e, d2 in sq_distance_blocks(q, pts):
         if self_query:
             rows = np.arange(e - s)
             d2[rows, np.arange(s, e)] = -1.0  # pin self strictly first
@@ -255,6 +252,22 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     if self_query:
         out_d2[:, 0] = 0.0
     return NeighborList(indices=out_idx, distances=np.sqrt(out_d2))
+
+
+def sq_distance_blocks(query: np.ndarray, points: np.ndarray):
+    """Squared Euclidean distances from ``query`` rows to ``points``, in
+    blocks of about 4e6 entries: yields ``(start, stop, d2)`` with ``d2`` the
+    fresh (stop - start, N) matrix for query rows start..stop-1.
+
+    The one all-pairs sweep of the package; the kNN search, the kernel-sum
+    histograms and the density estimate all iterate over it.
+    """
+    n = points.shape[0]
+    m = query.shape[0]
+    chunk = max(1, 4_000_000 // n)
+    for s in range(0, m, chunk):
+        e = min(s + chunk, m)
+        yield s, e, cdist(query[s:e], points, metric="sqeuclidean")
 
 
 def _smallest_k(d2: np.ndarray, k: int):

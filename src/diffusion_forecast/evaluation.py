@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import NEIGHBOR_CAP
+
 
 @dataclass(frozen=True)
 class SkillReport:
@@ -108,7 +110,7 @@ class ExperimentConfig:
     dt: float = 0.1
     n_basis: int = 400
     k0: int = 8
-    neighbor_cap: int = 1024
+    neighbor_cap: int = NEIGHBOR_CAP
     stride: int = 1
     lags: int = 5
     n_ens: int = 10000
@@ -161,19 +163,20 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
         value = value.strip()
         if key not in valid:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        overrides[key] = _coerce(key, value, base)
+        current = getattr(base, key)
+        try:
+            overrides[key] = _coerce(value, current)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:{line_no}: config key {key}: expected "
+                             f"{type(current).__name__}, got {value!r}") from None
     return replace(base, **overrides)
 
 
-def _coerce(key: str, value: str, base: ExperimentConfig):
-    current = getattr(base, key)
+def _coerce(value: str, current):
+    """``value`` as the type of ``current``; KeyError or ValueError if it is
+    not one."""
     if isinstance(current, bool):
-        try:
-            return _BOOL_STRINGS[value.lower()]
-        except KeyError:
-            raise ValueError(f"config key {key}: expected a boolean, got {value!r}") from None
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
+        return _BOOL_STRINGS[value.lower()]
+    if isinstance(current, (int, float)):
+        return type(current)(value)
     return value

@@ -268,7 +268,7 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
                                 origin_label=f"{series.origin_label}|train-embedded")
 
     fit = fit_forecaster(train_embedded, config.n_basis, k0=config.k0,
-                         neighbor_cap=min(config.neighbor_cap, train_rows),
+                         neighbor_cap=config.neighbor_cap,
                          stride=config.stride)
 
     n_lead = config.lead_steps

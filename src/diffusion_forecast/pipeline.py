@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DiffusionBasis, NormalizationLedger, build_basis, build_vb_kernel
+from .basis import NEIGHBOR_CAP, DiffusionBasis, NormalizationLedger, build_basis, build_vb_kernel
 from .dataset import TimeSeries, knn
 from .forecast import ShiftOperator, estimate_shift_operator
 from .tuning import (
@@ -20,7 +20,6 @@ from .tuning import (
     TuningResult,
     adhoc_bandwidth,
     kde,
-    sq_bounds_from_neighbors,
     tune,
 )
 
@@ -51,7 +50,7 @@ def fit_forecaster(
     ts: TimeSeries,
     n_basis: int,
     k0: int = 8,
-    neighbor_cap: int | None = None,
+    neighbor_cap: int = NEIGHBOR_CAP,
     stride: int = 1,
 ) -> FitResult:
     """Fit the full nonparametric forecaster to a training series.
@@ -62,27 +61,15 @@ def fit_forecaster(
     (eps, d) pair.
     """
     pts = ts.points
-    if neighbor_cap is None:
-        neighbor_cap = min(ts.n_points, 1024)
-    neighbor_cap = int(min(neighbor_cap, ts.n_points))
     # one neighbor table serves the ad-hoc bandwidths, the histogram bounds,
     # and the sparse kernel assembly
     nl = knn(ts, min(ts.n_points, max(k0, neighbor_cap, 2)))
     profile = adhoc_bandwidth(ts, k0, neighbors=nl)
 
-    kde_sum = PairwiseKernelSum(
-        pts, profile.rho0, c=2.0,
-        sq_bounds=sq_bounds_from_neighbors(nl, pts, profile.rho0),
-    )
-    kde_tuning = tune(kde_sum)
+    kde_tuning = tune(PairwiseKernelSum(pts, profile.rho0, 2.0, nl))
     density = kde(ts, profile, kde_tuning.eps_star, kde_tuning.d_est)
 
-    vb_scales = density.q**BETA
-    vb_sum = PairwiseKernelSum(
-        pts, vb_scales, c=4.0,
-        sq_bounds=sq_bounds_from_neighbors(nl, pts, vb_scales),
-    )
-    vb_tuning = tune(vb_sum)
+    vb_tuning = tune(PairwiseKernelSum(pts, density.q**BETA, 4.0, nl))
 
     kernel = build_vb_kernel(ts, density, vb_tuning.eps_star, beta=BETA,
                              neighbor_cap=neighbor_cap, neighbors=nl)

@@ -6,6 +6,22 @@ sum T(eps) = (1/N^2) sum_ij K_eps(x_i, x_j). T runs from 1/N (kernel numerically
 diagonal) to 1 (kernel saturated); the steepest slope of log T against log eps
 marks the best-resolved bandwidth, and twice that slope estimates the intrinsic
 dimension of the sampled manifold.
+
+T is read off a histogram of the scaled squared distances
+w_ij = |x_i - x_j|^2 / (v_i v_j) over all pairs, with log-spaced bins of width
+LOG_BIN_WIDTH between two bounds taken from the kNN table and the bounding box:
+
+- lower: the smallest positive distance in each row of the table (the
+  nearest point not equal to x_i), minimised over rows, squared, over max(v)^2;
+- upper: the squared diagonal of the bounding box over min(v)^2.
+
+Every positive w_ij lies between them, to rounding, so no pair is clipped into
+an end bin far from its value, whether or not the data hold duplicates. A point whose whole table row
+is zero (a point repeated as often as the table is wide) is rejected, because
+its nearest distinct point is not in the table.
+
+The tuner smooths the slope curve over SMOOTH_WINDOW grid intervals and takes
+its maximum only where T stays below SATURATION_CAP.
 """
 
 from __future__ import annotations
@@ -13,13 +29,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .dataset import NeighborList, TimeSeries, knn
+from .dataset import NeighborList, TimeSeries, knn, sq_distance_blocks
 
 # Kernel values below this are indistinguishable from zero in double precision
 # and may be dropped from sparse storage.
 KERNEL_FLOOR = 1e-15
+
+# Histogram bin width in log w: 0.1% relative in w, far below the tolerance of
+# the slope estimates consuming T.
+LOG_BIN_WIDTH = 1e-3
+# Width of the moving average applied to the slope curve before taking its
+# maximum, to suppress Monte-Carlo jitter.
+SMOOTH_WINDOW = 3
+# The argmax is restricted to grid points where T stays below this fraction of
+# full saturation. Near saturation the slope of log T is inflated by manifold
+# curvature (on a circle it peaks 21% above the d/2 plateau), which would both
+# bias the dimension estimate and hand back a bandwidth too coarse to resolve
+# the operator.
+SATURATION_CAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -117,43 +145,32 @@ class PairwiseKernelSum:
     """Callable eps -> T(eps) for kernels exp(-|x_i - x_j|^2 / (c * eps * v_i * v_j)).
 
     The full pairwise sum is folded once into a fine log-spaced histogram of
-    the scaled squared distances w_ij = |x_i - x_j|^2 / (v_i v_j); evaluating
-    T on a bandwidth grid then costs one exp per histogram bin instead of one
-    per point pair. Bin resolution is 0.1% relative in w, far below the
-    tolerance of the slope estimates consuming T.
+    the scaled squared distances w_ij = |x_i - x_j|^2 / (v_i v_j), between the
+    bounds of the module docstring taken from ``neighbors``, a kNN table of
+    the points; evaluating T on a bandwidth grid then costs one exp per
+    histogram bin instead of one per point pair.
     """
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        point_scales: np.ndarray,
-        c: float,
-        sq_bounds: tuple[float, float] | None = None,
-        log_bin_width: float = 1e-3,
-    ):
+    def __init__(self, points: np.ndarray, point_scales: np.ndarray, c: float,
+                 neighbors: NeighborList):
         points = np.asarray(points, dtype=float)
         v = np.asarray(point_scales, dtype=float)
         n = points.shape[0]
         if v.shape != (n,) or np.any(v <= 0):
             raise ValueError("point_scales must be positive, one per point")
+        if neighbors.distances.shape[0] != n:
+            raise ValueError("neighbor table does not match the points")
         self.n = n
         self.c = float(c)
-        if sq_bounds is None:
-            sq_bounds = _scaled_sq_distance_bounds(points, v)
-        w_lo, w_hi = sq_bounds
-        if not (0 < w_lo <= w_hi):
-            raise ValueError("degenerate distance bounds (duplicate-only data?)")
-        n_bins = int(np.ceil(np.log(w_hi / w_lo) / log_bin_width)) + 1
+        w_lo, w_hi = _histogram_bounds(neighbors, points, v)
+        n_bins = int(np.ceil(np.log(w_hi / w_lo) / LOG_BIN_WIDTH)) + 1
         n_bins = min(max(n_bins, 1), 2_000_000)
         log_lo = np.log(w_lo)
         bin_width = (np.log(w_hi) - log_lo) / n_bins if w_hi > w_lo else 1.0
         log_centers = log_lo + (np.arange(n_bins) + 0.5) * bin_width
         counts = np.zeros(n_bins, dtype=np.int64)
         zero_count = 0
-        chunk = max(1, 4_000_000 // n)
-        for s in range(0, n, chunk):
-            e = min(s + chunk, n)
-            d2 = cdist(points[s:e], points, metric="sqeuclidean")
+        for s, e, d2 in sq_distance_blocks(points, points):
             w = d2 / np.outer(v[s:e], v)
             w = w.ravel()
             zero = w == 0.0
@@ -175,49 +192,25 @@ class PairwiseKernelSum:
         return out / (self.n * self.n)
 
 
-def _scaled_sq_distance_bounds(points: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Conservative [min positive, max] bounds for |x_i-x_j|^2/(v_i v_j)."""
-    n = points.shape[0]
-    lo = np.inf
-    hi = 0.0
-    chunk = max(1, 4_000_000 // n)
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
-        d2 = cdist(points[s:e], points, metric="sqeuclidean")
-        w = d2 / np.outer(v[s:e], v)
-        pos = w[w > 0]
-        if pos.size:
-            lo = min(lo, float(pos.min()))
-            hi = max(hi, float(w.max()))
-    if not np.isfinite(lo):
-        raise ValueError("all pairwise distances are zero; data is a single repeated point")
-    return lo, hi
-
-
-def sq_bounds_from_neighbors(neighbors: NeighborList, points: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Cheap histogram bounds from an existing kNN table plus the bounding box.
-
-    The lower bound may undershoot and the upper bound overshoot the true
-    extremes; both directions only widen the histogram, never truncate it.
-    """
-    nn = neighbors.distances[:, 1]
-    nn_pos = nn[nn > 0]
-    if nn_pos.size == 0:
-        raise ValueError("all nearest-neighbor distances are zero")
-    v = np.asarray(v, dtype=float)
-    lo = float(nn_pos.min()) ** 2 / float(v.max()) ** 2
+def _histogram_bounds(neighbors: NeighborList, points: np.ndarray,
+                      v: np.ndarray) -> tuple[float, float]:
+    """Histogram bounds enclosing every positive |x_i-x_j|^2/(v_i v_j), by the
+    rule of the module docstring."""
+    d = neighbors.distances
+    nearest = np.where(d > 0, d, np.inf).min(axis=1)
+    if np.isinf(nearest).any():
+        bad = int(np.flatnonzero(np.isinf(nearest))[0])
+        raise ValueError(
+            f"point {bad} and its {d.shape[1] - 1} nearest neighbors are one repeated "
+            "point; deduplicate the data first"
+        )
+    lo = float(nearest.min()) ** 2 / float(v.max()) ** 2
     span = points.max(axis=0) - points.min(axis=0)
     hi = float(span @ span) / float(v.min()) ** 2
-    hi = max(hi, lo)
-    return lo, hi
+    return lo, max(hi, lo)
 
 
-def tune(
-    kernel_sum,
-    grid: np.ndarray | None = None,
-    smooth_window: int = 3,
-    saturation_cap: float = 0.05,
-) -> TuningResult:
+def tune(kernel_sum, grid: np.ndarray | None = None) -> TuningResult:
     """Sweep T(eps) over a log-spaced grid and locate the max-slope bandwidth.
 
     Parameters
@@ -226,18 +219,10 @@ def tune(
         Vectorized map from an array of bandwidths to T values.
     grid : ndarray, optional
         Bandwidth grid; defaults to :func:`default_bandwidth_grid`.
-    smooth_window : int
-        Width of the moving average applied to the slope curve before taking
-        its maximum, to suppress Monte-Carlo jitter.
-    saturation_cap : float
-        The argmax is restricted to grid points where T stays below this
-        fraction of full saturation. Near saturation the slope of log T is
-        inflated by manifold curvature (on a circle it peaks 21% above the
-        d/2 plateau), which would both bias the dimension estimate and hand
-        back a bandwidth too coarse to resolve the operator.
 
-    Returns the bandwidth at the steepest (smoothed) slope of log T against
-    log eps within the unsaturated region, and d = 2 * that slope.
+    Returns the bandwidth at the steepest slope of log T against log eps,
+    smoothed over SMOOTH_WINDOW intervals, where T <= SATURATION_CAP, and
+    d = 2 * that slope.
     """
     auto_extend = grid is None
     if grid is None:
@@ -252,7 +237,7 @@ def tune(
         raise ValueError("kernel_sum must return one T value per grid point")
     # locally scaled kernels can push the informative region beyond the stock
     # sweep; keep extending upward until the sum approaches saturation
-    while auto_extend and t[-1] < 2.0 * saturation_cap and grid[-1] < 2.0**60:
+    while auto_extend and t[-1] < 2.0 * SATURATION_CAP and grid[-1] < 2.0**60:
         ext = grid[-1] * np.exp2(np.arange(1, 101) / 10.0)
         grid = np.concatenate([grid, ext])
         t = np.concatenate([t, np.asarray(kernel_sum(ext), dtype=float)])
@@ -261,8 +246,8 @@ def tune(
     log_eps = np.log(grid)
     log_t = np.log(t)
     slopes = np.diff(log_t) / np.diff(log_eps)
-    smoothed = _moving_average(slopes, smooth_window)
-    eligible = np.nonzero(t[1:] <= saturation_cap)[0]
+    smoothed = _moving_average(slopes, SMOOTH_WINDOW)
+    eligible = np.nonzero(t[1:] <= SATURATION_CAP)[0]
     if eligible.size == 0:
         raise ValueError(
             "kernel sum is saturated over the whole grid; data may be "
@@ -283,8 +268,6 @@ def tune(
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    if window <= 1:
-        return x.copy()
     kernel = np.ones(window)
     sums = np.convolve(x, kernel, mode="same")
     norm = np.convolve(np.ones_like(x), kernel, mode="same")
@@ -313,10 +296,7 @@ def kde(ts: TimeSeries, profile: BandwidthProfile, eps: float, d: float) -> Dens
     if rho.shape[0] != n:
         raise ValueError("bandwidth profile does not match the series length")
     sums = np.empty(n)
-    chunk = max(1, 4_000_000 // n)
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
-        d2 = cdist(pts[s:e], pts, metric="sqeuclidean")
+    for s, e, d2 in sq_distance_blocks(pts, pts):
         ss = np.outer(rho[s:e], rho)
         k = np.exp(-d2 / (2.0 * eps * ss)) / (2.0 * np.pi * eps * ss) ** (d / 2.0)
         sums[s:e] = k.sum(axis=1)

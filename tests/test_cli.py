@@ -137,6 +137,15 @@ def test_evaluate_rows(run):
     assert all(line.rsplit(",", 1)[1] in ("0", "1") for line in text.splitlines()[1:])
 
 
+@pytest.mark.parametrize("row", ["1,0.5,0.4", "1,0.5,0.4,0.1,7"], ids=["short", "long"])
+def test_evaluate_rejects_a_row_unlike_the_header(tmp_path, capsys, row):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"lead,truth,forecast,stdev\n0,1.0,1.1,0.2\n{row}\n")
+    assert main(["evaluate", "--input", str(pairs), "--out", str(tmp_path / "skill.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {pairs}:3: ")
+    assert not (tmp_path / "skill.csv").exists()
+
+
 def test_sidecars_of_outputs_named_apart_after_a_dot_stay_apart(run, tmp_path):
     series = str(run["dir"] / "sim" / "torus_embedded.csv")
     for tag, m in (("m3", 3), ("m5", 5)):

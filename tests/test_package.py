@@ -3,6 +3,7 @@ sibling's private names (a private import is how duplicate copies of a job
 start)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import diffusion_forecast
@@ -33,3 +34,22 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert len(modules) > 5
     found = [line for path in modules for line in _private_imports(path)]
     assert found == []
+
+
+def _bench_wrapped_names(path):
+    """(module, name) of every ``tracer.wrap`` and ``tracer.replace`` call."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("wrap", "replace")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "tracer"):
+            module, name = node.args[:2]
+            yield module.id, name.value
+
+
+def test_every_name_the_benchmark_wraps_exists():
+    layers = SRC.parents[1] / "bench" / "layers.py"
+    wrapped = sorted(set(_bench_wrapped_names(layers)))
+    assert len(wrapped) > 20
+    missing = [f"{module}.{name}" for module, name in wrapped
+               if not hasattr(importlib.import_module(f"diffusion_forecast.{module}"), name)]
+    assert missing == []

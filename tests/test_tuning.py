@@ -9,7 +9,6 @@ from diffusion_forecast.tuning import (
     adhoc_bandwidth,
     default_bandwidth_grid,
     kde,
-    sq_bounds_from_neighbors,
     tune,
 )
 
@@ -20,9 +19,12 @@ def tuned(points, k0=8, c=2.0):
     ts = TimeSeries(points, tau=1.0)
     nl = knn(ts, k0)
     prof = adhoc_bandwidth(ts, k0, neighbors=nl)
-    ks = PairwiseKernelSum(points, prof.rho0, c=c,
-                           sq_bounds=sq_bounds_from_neighbors(nl, points, prof.rho0))
+    ks = PairwiseKernelSum(points, prof.rho0, c, nl)
     return ts, prof, tune(ks)
+
+
+def neighbors(points, k=8):
+    return knn(TimeSeries(points, tau=1.0), k)
 
 
 class TestAdhocBandwidth:
@@ -68,7 +70,7 @@ class TestPairwiseKernelSum:
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(300, 2))
         scales = 0.5 + rng.uniform(size=300)
-        ks = PairwiseKernelSum(pts, scales, c=2.0)
+        ks = PairwiseKernelSum(pts, scales, 2.0, neighbors(pts))
         eps_grid = np.logspace(-3, 2, 11)
         approx = ks(eps_grid)
         exact = brute_force_kernel_sum(pts, scales, 2.0, eps_grid)
@@ -77,7 +79,7 @@ class TestPairwiseKernelSum:
     def test_range_and_monotonicity(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(150, 3))
-        ks = PairwiseKernelSum(pts, np.ones(150), c=4.0)
+        ks = PairwiseKernelSum(pts, np.ones(150), 4.0, neighbors(pts))
         grid = np.logspace(-8, 6, 120)
         t = ks(grid)
         n = 150
@@ -87,12 +89,31 @@ class TestPairwiseKernelSum:
 
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError, match="positive"):
-            PairwiseKernelSum(np.zeros((3, 1)), np.array([1.0, -1.0, 1.0]), c=2.0)
+            PairwiseKernelSum(np.zeros((3, 1)), np.array([1.0, -1.0, 1.0]), 2.0,
+                              neighbors(np.zeros((3, 1)), 3))
 
     def test_single_repeated_point_degenerate(self):
         pts = np.zeros((5, 2))
         with pytest.raises(ValueError, match="repeated point"):
-            PairwiseKernelSum(pts, np.ones(5), c=2.0)
+            PairwiseKernelSum(pts, np.ones(5), 2.0, neighbors(pts, 5))
+
+    def test_duplicate_pairs_binned_at_their_distance(self):
+        # two duplicated points 1e-4 apart: their four table rows start with
+        # a zero, and their 8 cross pairs are the closest of the data. The
+        # lower bound must come from the first positive entry of each row, not
+        # from column 1, or these pairs are binned too far out and T comes out
+        # 3.7% low at these eps
+        rng = np.random.default_rng(3)
+        base = rng.uniform(0.0, 1000.0, size=(200, 2))
+        x, y = base[:1], base[:1] + [1e-4, 0.0]
+        pts = np.vstack([base, x, y, y])
+        ts = TimeSeries(pts, tau=1.0)
+        nl = knn(ts, 8)
+        prof = adhoc_bandwidth(ts, 8, neighbors=nl)
+        ks = PairwiseKernelSum(pts, prof.rho0, 2.0, nl)
+        eps_grid = np.array([1e-9, 1e-8, 1e-7])
+        exact = brute_force_kernel_sum(pts, prof.rho0, 2.0, eps_grid)
+        assert np.max(np.abs(ks(eps_grid) / exact - 1.0)) < 2e-3
 
 
 class TestTune:
