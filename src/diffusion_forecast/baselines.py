@@ -214,7 +214,6 @@ def ensemble_forecast(
     dt_sample: float,
     substeps: int = 1,
     observable=None,
-    chunk_size: int = 2048,
 ) -> MomentForecast:
     """Monte-Carlo moments from integrating the true model over an ensemble.
 
@@ -222,18 +221,17 @@ def ensemble_forecast(
     moments have shape (n_leads, G) for one state and (n_leads, G, B) for a
     batch, as in ``forecast_ladder``, with ``n_leads = lead_steps + 1``.
 
-    The initial conditions are one (B, n_ens, dim) normal block drawn from
-    the first stream spawned from ``rng_seed``. Member m of state b is
-    member ``b * n_ens + m`` of the flat (state, member) layout and gets the
-    noise stream of that index spawned from the second, so one state
-    (B = 1) reproduces the single-state streams, and a member's path depends
-    only on its index, not on chunking. Each member's observables are stored
-    at its index and reduced once per state, so the moments are bitwise
-    independent of ``chunk_size``, which only bounds the working memory of
-    states and generators. The per-member buffer costs
-    ``n_leads * B * n_ens * n_obs`` doubles: 163 MB for 420 Lorenz states of
-    200 members at 81 leads. ``observable`` optionally maps a (members, dim)
-    state block to the quantities whose moments are wanted.
+    Every member of every state advances as one (B * n_ens, dim) batch, in
+    which member m of state b is row ``b * n_ens + m``. Of the two streams
+    spawned from ``rng_seed``, the first draws the initial conditions as one
+    (B, n_ens, dim) normal block and the second seeds one generator that
+    draws each lead's SDE noise as one (substeps, B * n_ens, dim) block, so
+    one state and a batch of that state alone draw the same numbers. Memory:
+    the values buffer of ``n_leads * B * n_ens * n_obs`` doubles (163 MB for
+    420 Lorenz states of 200 members at 81 leads) plus one noise block per
+    SDE lead (40 MB for the paper-scale torus: 50k members, 50 substeps).
+    ``observable`` optionally maps a (members, dim) state block to the
+    quantities whose moments are wanted.
 
     Lead 0 reports the moments of the sampled initial conditions. The
     variance is the two-pass population variance (divided by ``n_ens``).
@@ -242,44 +240,29 @@ def ensemble_forecast(
         raise ValueError("need at least 2 ensemble members")
     if dt_sample <= 0 or substeps < 1:
         raise ValueError("bad time stepping parameters")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
-    if isinstance(rng_seed, np.random.SeedSequence):
-        root = rng_seed
-    else:
-        root = np.random.SeedSequence(rng_seed)
-    ic_seq, path_seq = root.spawn(2)
+    if not isinstance(rng_seed, np.random.SeedSequence):
+        rng_seed = np.random.SeedSequence(rng_seed)
+    ic_seq, path_seq = rng_seed.spawn(2)
     ics = sample_gaussian(init, n_ens, np.random.default_rng(ic_seq))
     batched = ics.ndim == 3
-    ics = ics.reshape(-1, ics.shape[-1])
-    n_members = ics.shape[0]
-    member_seqs = path_seq.spawn(n_members) if isinstance(model, SDEModel) else None
+    states = ics.reshape(-1, ics.shape[-1])
+    paths = np.random.default_rng(path_seq)
 
     n_leads = lead_steps + 1
-    values = None
-    for start in range(0, n_members, chunk_size):
-        stop = min(start + chunk_size, n_members)
-        states = ics[start:stop].copy()
+    obs = _observe(states, observable)
+    values = np.empty((n_leads,) + obs.shape)
+    values[0] = obs
+    for lead in range(1, n_leads):
         if isinstance(model, SDEModel):
-            gens = [np.random.default_rng(member_seqs[m]) for m in range(start, stop)]
-        obs = _observe(states, model, observable)
-        if values is None:
-            values = np.empty((n_leads, n_members, obs.shape[1]))
-        values[0, start:stop] = obs
-        for lead in range(1, n_leads):
-            if isinstance(model, SDEModel):
-                noise = np.empty((substeps, stop - start, model.dim))
-                for j, gen in enumerate(gens):
-                    noise[:, j, :] = gen.standard_normal((substeps, model.dim))
-                states = sde_step_batch(model, states, dt_sample, substeps, noise)
-            else:
-                states = rk4_step_batch(model, states, dt_sample, substeps)
-            finite = np.isfinite(states).all(axis=1)
-            if not finite.all():
-                who = (f"member of state {(start + np.flatnonzero(~finite)[0]) // n_ens}"
-                       if batched else "state")
-                raise FloatingPointError(f"non-finite ensemble {who} at lead {lead}")
-            values[lead, start:stop] = _observe(states, model, observable)
+            noise = paths.standard_normal((substeps,) + states.shape)
+            states = sde_step_batch(model, states, dt_sample, substeps, noise)
+        else:
+            states = rk4_step_batch(model, states, dt_sample, substeps)
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            who = f"member of state {np.flatnonzero(~finite)[0] // n_ens}" if batched else "state"
+            raise FloatingPointError(f"non-finite ensemble {who} at lead {lead}")
+        values[lead] = _observe(states, observable)
     values = values.reshape(n_leads, -1, n_ens, values.shape[-1])
     mean = values.sum(axis=2) / n_ens
     values -= mean[:, :, None, :]
@@ -293,7 +276,7 @@ def ensemble_forecast(
     )
 
 
-def _observe(states: np.ndarray, model, observable) -> np.ndarray:
+def _observe(states: np.ndarray, observable) -> np.ndarray:
     if observable is None:
         return states
     out = np.asarray(observable(states), dtype=float)

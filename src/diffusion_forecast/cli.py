@@ -34,7 +34,7 @@ from .forecast import (
     reconstruct_density,
 )
 from .pipeline import fit_forecaster, load_model, save_model
-from .simulators import lorenz_model, simulate_lorenz63, simulate_torus, torus_model
+from .simulators import lorenz_model, lorenz_substeps, simulate_lorenz63, simulate_torus, torus_model
 
 
 def main(argv=None) -> int:
@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", choices=["torus", "lorenz63"])
     p.add_argument("--n-samples", type=int, default=8000)
     p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--substeps", type=int, default=50)
+    p.add_argument("--substeps", type=int, default=50,
+                   help="steps per sample for the torus; Lorenz-63 steps at most 0.01")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="runs/simulate")
     p.set_defaults(handler=_cmd_simulate)
@@ -139,12 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    substeps = args.substeps if args.system == "torus" else lorenz_substeps(args.dt)
     manifest = {
         "system": args.system, "n_samples": args.n_samples, "dt": args.dt,
-        "substeps": args.substeps, "seed": args.seed, "tau": args.dt,
+        "substeps": substeps, "seed": args.seed, "tau": args.dt,
     }
     if args.system == "torus":
-        intrinsic, embedded = simulate_torus(args.n_samples, args.dt, args.substeps, args.seed)
+        intrinsic, embedded = simulate_torus(args.n_samples, args.dt, substeps, args.seed)
         write_series_csv(intrinsic, out / "torus_intrinsic.csv")
         write_series_csv(embedded, out / "torus_embedded.csv")
         manifest["files"] = ["torus_intrinsic.csv", "torus_embedded.csv"]
@@ -299,21 +301,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     factories = {"torus": torus_config, "lorenz63": lorenz_config, "nino34": nino_config}
-    if args.name == "nino34":
-        config = nino_config(data_path=args.data or "", paper_scale=args.paper_scale)
-    else:
-        config = factories[args.name](paper_scale=args.paper_scale)
+    config = factories[args.name](paper_scale=args.paper_scale)
     if args.config:
         config = load_config(args.config, base=config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.data is not None:
-        overrides["data_path"] = args.data
-    if overrides:
-        config = replace(config, **overrides)
+    flags = {"seed": args.seed, "out_dir": args.out_dir, "data_path": args.data}
+    config = replace(config, **{key: value for key, value in flags.items() if value is not None})
     if args.name == "torus":
         result = run_torus_experiment(config)
         print(f"wrote {result.csv_path}")

@@ -337,13 +337,17 @@ def read_series_csv(path, tau: float, origin_label: str = "") -> TimeSeries:
         header = fh.readline()
         if not header:
             raise ValueError(f"{path.name}: empty file")
+        width = len(header.split(","))
         rows = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ValueError(f"{path.name}:{line_no}: {len(cells)} cells, the header has {width}")
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                rows.append([float(tok) for tok in cells])
             except ValueError:
                 raise ValueError(f"{path.name}:{line_no}: unparseable row") from None
     return TimeSeries(np.asarray(rows), tau=tau, origin_label=origin_label or str(path))

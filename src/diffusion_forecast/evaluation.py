@@ -127,27 +127,34 @@ class ExperimentConfig:
     with_ensemble: bool = True
 
     def __post_init__(self):
-        if self.experiment not in ("torus", "lorenz63", "nino34", "custom"):
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name, lo in [
-            ("n_samples", 16), ("n_basis", 1), ("k0", 2), ("neighbor_cap", 2),
-            ("stride", 1), ("lags", 1), ("n_ens", 2), ("n_verify", 2),
-            ("lead_steps", 1), ("substeps", 1),
-        ]:
-            if getattr(self, name) < lo:
-                raise ValueError(f"{name} must be >= {lo}")
-        for name in ("dt", "init_variance", "perturbation_variance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
         if self.n_basis > self.n_samples:
             raise ValueError("n_basis cannot exceed n_samples")
+
+
+_MINIMUMS = dict(n_samples=16, n_basis=1, k0=2, neighbor_cap=2, stride=1, lags=1, n_ens=2,
+                 n_verify=2, lead_steps=1, substeps=1)
+_POSITIVE = ("dt", "init_variance", "perturbation_variance")
+
+
+def _check_field(name: str, value) -> None:
+    """ValueError if ``value`` is not allowed for the config key ``name`` on
+    its own; checks that tie keys together stay in ``__post_init__``."""
+    if name == "experiment" and value not in ("torus", "lorenz63", "nino34", "custom"):
+        raise ValueError(f"unknown experiment {value!r}")
+    if name in _MINIMUMS and value < _MINIMUMS[name]:
+        raise ValueError(f"{name} must be >= {_MINIMUMS[name]}")
+    if name in _POSITIVE and value <= 0:
+        raise ValueError(f"{name} must be positive")
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file over a base configuration."""
+    """Read a flat ``key = value`` config file over a base configuration.
+    Errors name ``path:line``, or only ``path`` for a check across keys."""
     base = base or ExperimentConfig()
     text = Path(path).read_text()
     overrides = {}
@@ -169,7 +176,14 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
         except (KeyError, ValueError):
             raise ValueError(f"{path}:{line_no}: config key {key}: expected "
                              f"{type(current).__name__}, got {value!r}") from None
-    return replace(base, **overrides)
+        try:
+            _check_field(key, overrides[key])
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from None
+    try:
+        return replace(base, **overrides)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _coerce(value: str, current):

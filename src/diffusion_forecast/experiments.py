@@ -20,7 +20,8 @@ from .dataset import TimeSeries, delay_embed, load_monthly_series, split, write_
 from .evaluation import ExperimentConfig, SkillReport, rmse_and_correlation
 from .forecast import MomentForecast, forecast_ladder, gaussian_density_values, project_density
 from .pipeline import FitResult, fit_forecaster
-from .simulators import TWO_PI, lorenz_model, simulate_lorenz63, simulate_torus, torus_embed, torus_model
+from .simulators import (TWO_PI, lorenz_model, lorenz_substeps, simulate_lorenz63, simulate_torus,
+                         torus_embed, torus_model)
 
 
 def torus_config(paper_scale: bool = False, seed: int = 0) -> ExperimentConfig:
@@ -47,8 +48,7 @@ def nino_config(data_path: str = "", paper_scale: bool = False, seed: int = 0) -
     return ExperimentConfig(
         experiment="nino34", seed=seed, paper_scale=paper_scale,
         n_samples=600, n_basis=80, n_verify=2, lead_steps=24, lags=5,
-        init_variance=0.01, neighbor_cap=600, data_path=data_path,
-        with_ensemble=False,
+        init_variance=0.01, data_path=data_path,
     )
 
 
@@ -210,10 +210,9 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
                                 for state in states])
 
     if config.with_ensemble:
-        # the true model is integrated at an RK4 step of at most 0.01
         ens = ensemble_forecast(lorenz_model(), init, config.n_ens, n_lead,
                                 rng_seed=seeds[2], dt_sample=config.dt,
-                                substeps=max(1, int(np.ceil(config.dt / 0.01))))
+                                substeps=lorenz_substeps(config.dt))
         rmse["ensemble"] = _agg_rmse(ens.mean.transpose(0, 2, 1) - truth)
         spread["ensemble"] = np.sqrt(np.mean(ens.variance, axis=(1, 2)))
 

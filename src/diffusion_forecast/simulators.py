@@ -180,6 +180,12 @@ def lorenz_model(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
     return ODEModel(dim=3, rhs=rhs)
 
 
+def lorenz_substeps(dt_sample: float) -> int:
+    """RK4 steps per sampling interval that keep the Lorenz-63 step at or
+    below 0.01."""
+    return max(1, int(np.ceil(dt_sample / 0.01)))
+
+
 def simulate_lorenz63(
     n_samples: int = 10000,
     dt_sample: float = 0.1,
@@ -198,7 +204,7 @@ def simulate_lorenz63(
     if x0 is None:
         rng = np.random.default_rng(seed)
         x0 = np.array([1.0, 1.0, 1.05]) + 1e-3 * rng.standard_normal(3)
-    substeps = max(1, int(np.ceil(dt_sample / 0.01)))
+    substeps = lorenz_substeps(dt_sample)
     h_internal = dt_sample / substeps
     x = np.asarray(x0, dtype=float).reshape(1, 3)
     if transient_steps > 0:

@@ -217,8 +217,7 @@ class TestBatches:
         init = GaussianState.isotropic(np.array([[0.0], [0.0], [50.0]]), 1e-4)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="member of state 2"):
-                ensemble_forecast(model, init, 10, 6, rng_seed=0, dt_sample=1.0,
-                                  chunk_size=4)
+                ensemble_forecast(model, init, 10, 6, rng_seed=0, dt_sample=1.0)
 
     @pytest.mark.parametrize("model, mean, observable", [
         (torus_model(), np.array([1.0, 2.0]), lambda s: torus_embed(s)[:, [0, 2]]),
@@ -227,7 +226,7 @@ class TestBatches:
     def test_one_state_batch_equals_single_state(self, model, mean, observable):
         runs = [
             ensemble_forecast(model, GaussianState.isotropic(m, 0.05), 60, 3, rng_seed=8,
-                              dt_sample=0.1, substeps=5, observable=observable, chunk_size=25)
+                              dt_sample=0.1, substeps=5, observable=observable)
             for m in (mean, mean[None, :])
         ]
         assert runs[1].mean.shape == runs[0].mean.shape + (1,)
@@ -290,48 +289,35 @@ class TestEnsembleForecast:
             se = expected * np.sqrt(2.0 / (n_ens - 1))
             assert abs(mf.variance[lead, 0] - expected) < 3 * se
 
-    def test_chunk_size_invariance(self):
-        model = SDEModel(
-            dim=1,
-            drift=lambda x: -x,
-            diffusion=lambda x: np.ones(x.shape[:-1] + (1, 1)),
-        )
-        init = GaussianState.isotropic(np.array([1.0]), 0.01)
-        a = ensemble_forecast(model, init, 300, 3, rng_seed=5, dt_sample=0.2,
-                              substeps=2, chunk_size=37)
-        b = ensemble_forecast(model, init, 300, 3, rng_seed=5, dt_sample=0.2,
-                              substeps=2, chunk_size=300)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.variance, b.variance)
-
-    @pytest.mark.parametrize("model, init, observable, substeps", [
-        (torus_model(), GaussianState.isotropic(np.array([1.0, 2.0]), 0.1),
-         lambda s: torus_embed(s)[:, [0, 2]], 5),
-        (lorenz_model(), GaussianState.isotropic(np.array([1.0, 1.0, 25.0]), 0.01),
-         None, 10),
-        # 2 states of 120 members: the chunks straddle the state boundary
+    @pytest.mark.parametrize("model, init, observable, substeps, shape", [
+        # 2 states with their own covariances, as the batch SDE case
         (torus_model(), GaussianState(mean=np.array([[1.0, 2.0], [4.0, 0.5]]),
                                       cov=np.array([np.diag([0.1, 0.2]), np.diag([0.05, 0.1])])),
-         lambda s: torus_embed(s)[:, [0, 2]], 5),
-    ], ids=["torus", "lorenz", "torus-batch"])
-    def test_chunk_size_invariance_on_experiment_models(self, model, init, observable,
-                                                        substeps):
-        runs = [
-            ensemble_forecast(model, init, 120, 4, rng_seed=7, dt_sample=0.1,
-                              substeps=substeps, observable=observable, chunk_size=c)
-            for c in (7, 50, 121)
-        ]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].mean, other.mean)
-            assert np.array_equal(runs[0].variance, other.variance)
-        assert np.all(runs[0].variance > 0)
+         lambda s: torus_embed(s)[:, [0, 2]], 5, (4, 2, 2)),
+        (lorenz_model(), GaussianState.isotropic(np.array([1.0, 1.0, 25.0]), 0.01), None, 10,
+         (4, 3)),
+    ], ids=["torus-batch", "lorenz"])
+    def test_one_step_call_per_lead(self, monkeypatch, model, init, observable, substeps, shape):
+        # the traced benchmark wraps baselines.sde_step_batch, so every step
+        # goes through the module-level names: one call per lead, all members
+        from diffusion_forecast import baselines
 
-    @pytest.mark.parametrize("chunk_size", [0, -3])
-    def test_rejects_chunk_size_below_one(self, chunk_size):
-        init = GaussianState.isotropic(np.array([1.0, 1.0, 25.0]), 0.01)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ensemble_forecast(lorenz_model(), init, 10, 1, rng_seed=0, dt_sample=0.1,
-                              chunk_size=chunk_size)
+        calls = {"sde_step_batch": 0, "rk4_step_batch": 0}
+        for name in calls:
+            real = getattr(baselines, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(baselines, name, counting)
+        lead_steps = 3
+        mf = ensemble_forecast(model, init, 3000, lead_steps, rng_seed=7, dt_sample=0.1,
+                               substeps=substeps, observable=observable)
+        stepper = "sde_step_batch" if isinstance(model, SDEModel) else "rk4_step_batch"
+        assert calls == {name: lead_steps if name == stepper else 0 for name in calls}
+        assert mf.mean.shape == mf.variance.shape == shape
+        assert np.all(mf.variance > 0)
 
     def test_monte_carlo_error_shrinks_with_members(self):
         model = SDEModel(

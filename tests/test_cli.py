@@ -1,6 +1,8 @@
 """Round trip through the command line: simulate -> build-basis -> forecast ->
 baseline -> evaluate, on a small torus series."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from diffusion_forecast.forecast import (
     project_density,
 )
 from diffusion_forecast.pipeline import load_model
+from diffusion_forecast.simulators import simulate_lorenz63
 
 N_SAMPLES = 1500
 STEPS = 5
@@ -67,6 +70,24 @@ def test_simulate_writes_both_series(run):
         header, rows = _read_csv(run["dir"] / "sim" / name)
         assert header == [f"x{j}" for j in range(dim)]
         assert rows.shape == (N_SAMPLES, dim)
+
+
+def test_simulate_lorenz_manifest_records_the_step_it_ran(tmp_path):
+    # Lorenz-63 steps at most 0.01 whatever --substeps asks: 25 steps at dt 0.25
+    assert main(["simulate", "lorenz63", "--n-samples", "30", "--dt", "0.25",
+                 "--substeps", "3", "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["substeps"] == 25
+    _, rows = _read_csv(tmp_path / "lorenz63.csv")
+    assert np.array_equal(rows, simulate_lorenz63(30, 0.25, 0).points)
+
+
+def test_build_basis_names_a_ragged_series_row(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("x0,x1\n0.1,0.2\n0.3\n0.5,0.6\n")
+    assert main(["build-basis", "--series", str(series), "--m", "2",
+                 "--out", str(tmp_path / "m.npz")]) == 1
+    assert capsys.readouterr().err == "error: series.csv:3: 1 cells, the header has 2\n"
+    assert not (tmp_path / "m.npz").exists()
 
 
 def test_tuning_dump_holds_plain_floats(run):

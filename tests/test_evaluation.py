@@ -38,3 +38,23 @@ def test_a_bad_line_is_named(tmp_path, text, line, match):
     with pytest.raises(ValueError, match=match) as err:
         load_config(path)
     assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+@pytest.mark.parametrize("text, where, match", [
+    ("dt = 0.1\nn_basis = 0\n", ":2: ", "n_basis must be >= 1"),
+    ("# run\nexperiment = circle\n", ":2: ", "unknown experiment 'circle'"),
+    ("init_variance = -0.5\n", ":1: ", "init_variance must be positive"),
+    # a check that ties two keys together names the file only
+    ("n_samples = 100\nn_basis = 200\n", ": ", "n_basis cannot exceed n_samples"),
+], ids=["below-minimum", "unknown-experiment", "not-positive", "cross-field"])
+def test_a_rejected_value_is_located(tmp_path, text, where, match):
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError, match=match) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}{where}")
+
+
+def test_keys_are_checked_together_after_the_last_line(tmp_path):
+    # n_samples = 100 alone would put the base's n_basis = 400 above it
+    config = load_config(write(tmp_path, "n_samples = 100\nn_basis = 50\n"))
+    assert (config.n_samples, config.n_basis) == (100, 50)
