@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_forecast)
 
     p = sub.add_parser("baseline", help="reference forecasts from the training series")
-    p.add_argument("--series", required=True)
+    p.add_argument("--series", help="training series CSV for the local-linear and iterated methods")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--method", required=True, choices=["local-linear", "iterated", "ensemble"])
     p.add_argument("--mean", required=True)
@@ -232,14 +232,18 @@ def _moment_header(dim: int) -> list[str]:
 
 
 def _cmd_baseline(args) -> int:
-    ts = read_series_csv(args.series, tau=args.tau)
+    if args.method == "ensemble":
+        if not args.system:
+            raise ValueError("--system is required for the ensemble method")
+    elif not args.series:
+        raise ValueError(f"--series is required for the {args.method} method")
+    else:
+        ts = read_series_csv(args.series, tau=args.tau)
     mean, var = _parse_gaussian(args)
     init = GaussianState(mean=mean, cov=np.diag(var))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.method == "ensemble":
-        if not args.system:
-            raise ValueError("--system is required for the ensemble method")
         model = torus_model() if args.system == "torus" else lorenz_model()
         mf = ensemble_forecast(model, init, args.n_ens, args.steps, args.seed,
                                dt_sample=args.tau, substeps=args.substeps)

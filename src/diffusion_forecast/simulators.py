@@ -31,19 +31,16 @@ class SDEModel:
 
 @dataclass(frozen=True)
 class ODEModel:
-    """Deterministic system dx/dt = rhs(x), batch-aware like SDEModel."""
+    """Deterministic system dx/dt = rhs(x), written on the state's components.
+
+    ``rhs(*components)`` takes the ``dim`` components of the state and returns
+    a tuple of their time derivatives. A component is a Python float when one
+    trajectory is stepped and a (B,) array when a batch is, so one formula
+    serves both (see ``rk4_step_batch``).
+    """
 
     dim: int
-    rhs: Callable[[np.ndarray], np.ndarray]
-
-
-def _apply_wrap(x: np.ndarray, wrap: np.ndarray | None) -> np.ndarray:
-    if wrap is None:
-        return x
-    for j, period in enumerate(np.atleast_1d(wrap)):
-        if np.isfinite(period) and period > 0:
-            x[..., j] %= period
-    return x
+    rhs: Callable[..., tuple]
 
 
 def sde_step_batch(
@@ -60,11 +57,14 @@ def sde_step_batch(
     """
     h = dt / substeps
     sqrt_h = np.sqrt(h)
+    wrap = [] if model.wrap is None else np.atleast_1d(model.wrap)
+    periodic = [(j, period) for j, period in enumerate(wrap) if np.isfinite(period) and period > 0]
     x = np.array(state, dtype=float)
     for s in range(substeps):
         b = model.diffusion(x)
         x = x + model.drift(x) * h + np.einsum("bij,bj->bi", b, noise[s]) * sqrt_h
-        x = _apply_wrap(x, model.wrap)
+        for j, period in periodic:
+            x[..., j] %= period
     return x
 
 
@@ -101,16 +101,27 @@ def euler_maruyama(
 
 
 def rk4_step_batch(model: ODEModel, state: np.ndarray, dt: float, substeps: int) -> np.ndarray:
-    """Classic fourth-order Runge-Kutta over one sampling interval."""
-    h = dt / substeps
-    x = np.array(state, dtype=float)
+    """Classic fourth-order Runge-Kutta over one sampling interval.
+
+    ``state`` is a (B, dim) batch; the result is a new (B, dim) array. The
+    loop runs on the state's components: Python floats for a single row,
+    where numpy's per-call overhead would be nearly all of the cost, and
+    (B,) columns otherwise. Both round the same operations in the same
+    order, so a row steps to the same bits alone or inside any batch.
+    """
+    h = float(dt) / substeps
+    half, sixth = 0.5 * h, h / 6.0
+    x = np.asarray(state, dtype=float)
+    single = x.shape[0] == 1
+    c = x[0].tolist() if single else list(x.T)
+    rhs = model.rhs
     for _ in range(substeps):
-        k1 = model.rhs(x)
-        k2 = model.rhs(x + 0.5 * h * k1)
-        k3 = model.rhs(x + 0.5 * h * k2)
-        k4 = model.rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+        k1 = rhs(*c)
+        k2 = rhs(*[a + half * k for a, k in zip(c, k1)])
+        k3 = rhs(*[a + half * k for a, k in zip(c, k2)])
+        k4 = rhs(*[a + h * k for a, k in zip(c, k3)])
+        c = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(c, k1, k2, k3, k4)]
+    return np.array([c]) if single else np.column_stack(c)
 
 
 def torus_drift(x: np.ndarray) -> np.ndarray:
@@ -158,6 +169,8 @@ def simulate_torus(
     ``burn_in`` leading samples are discarded so recording starts near the
     invariant measure.
     """
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, TWO_PI, size=2)
     intrinsic = euler_maruyama(
@@ -171,11 +184,8 @@ def simulate_torus(
 
 
 def lorenz_model(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> ODEModel:
-    def rhs(x: np.ndarray) -> np.ndarray:
-        dx = sigma * (x[..., 1] - x[..., 0])
-        dy = x[..., 0] * (rho - x[..., 2]) - x[..., 1]
-        dz = x[..., 0] * x[..., 1] - beta * x[..., 2]
-        return np.stack([dx, dy, dz], axis=-1)
+    def rhs(x, y, z):
+        return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
 
     return ODEModel(dim=3, rhs=rhs)
 
@@ -200,19 +210,31 @@ def simulate_lorenz63(
     trajectory starts on the attractor. ``x0`` defaults to a seeded
     perturbation of (1, 1, 1.05).
     """
-    model = lorenz_model()
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not (np.isfinite(dt_sample) and dt_sample > 0):
+        raise ValueError(f"dt_sample must be positive and finite, got {dt_sample}")
+    if transient_steps < 0:
+        raise ValueError(f"transient_steps must be >= 0, got {transient_steps}")
     if x0 is None:
         rng = np.random.default_rng(seed)
         x0 = np.array([1.0, 1.0, 1.05]) + 1e-3 * rng.standard_normal(3)
+    x = np.asarray(x0, dtype=float)
+    if x.size != 3 or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must hold 3 finite components, got {x0!r}")
+    x = x.reshape(1, 3)
+    model = lorenz_model()
     substeps = lorenz_substeps(dt_sample)
     h_internal = dt_sample / substeps
-    x = np.asarray(x0, dtype=float).reshape(1, 3)
     if transient_steps > 0:
         x = rk4_step_batch(model, x, transient_steps * h_internal, transient_steps)
     out = np.empty((n_samples, 3))
     for i in range(n_samples):
         x = rk4_step_batch(model, x, dt_sample, substeps)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite state at sample {i}")
         out[i] = x[0]
+    # a non-finite state stays non-finite and raises nothing on floats, so
+    # one check after the loop finds the first bad sample
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise FloatingPointError(f"non-finite state at sample {np.argmax(bad)}")
     return TimeSeries(out, tau=dt_sample, origin_label=f"lorenz63(seed={seed})")

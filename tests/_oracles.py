@@ -134,3 +134,39 @@ def gradient_flow_eigenfunctions(n_cells, log_density_grid, diff_like=1.0, n_mod
     norms = np.sqrt((funcs**2 * p_eq[:, None]).sum(axis=0) * h)
     funcs = funcs / norms
     return centers, np.maximum(lam, 0.0), funcs
+
+
+def lorenz63_rk4_series(x0, dt_sample, n_samples, transient_steps,
+                        sigma=10.0, rho=28.0, beta=8.0 / 3.0):
+    """Lorenz-63 samples from classic RK4 on a (1, 3) numpy array.
+
+    The array arithmetic is that of the original whole-state stepper:
+    internal step dt_sample / substeps with substeps = ceil(dt_sample / 0.01),
+    and ``transient_steps`` internal steps discarded first, taken as one
+    interval of length transient_steps * (dt_sample / substeps).
+    """
+    def rhs(x):
+        dx = sigma * (x[..., 1] - x[..., 0])
+        dy = x[..., 0] * (rho - x[..., 2]) - x[..., 1]
+        dz = x[..., 0] * x[..., 1] - beta * x[..., 2]
+        return np.stack([dx, dy, dz], axis=-1)
+
+    def advance(x, dt, substeps):
+        h = dt / substeps
+        for _ in range(substeps):
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * h * k1)
+            k3 = rhs(x + 0.5 * h * k2)
+            k4 = rhs(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x
+
+    substeps = max(1, int(np.ceil(dt_sample / 0.01)))
+    x = np.asarray(x0, dtype=float).reshape(1, 3)
+    if transient_steps > 0:
+        x = advance(x, transient_steps * (dt_sample / substeps), transient_steps)
+    out = np.empty((n_samples, 3))
+    for i in range(n_samples):
+        x = advance(x, dt_sample, substeps)
+        out[i] = x[0]
+    return out

@@ -213,7 +213,7 @@ class TestBatches:
             AffineModel(linear=linear, offset=np.zeros((3, 2)), fit_residual=np.zeros(3))
 
     def test_blown_up_ensemble_member_names_its_state(self):
-        model = ODEModel(dim=1, rhs=lambda x: x * x)
+        model = ODEModel(dim=1, rhs=lambda x: (x * x,))
         init = GaussianState.isotropic(np.array([[0.0], [0.0], [50.0]]), 1e-4)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="member of state 2"):
@@ -339,7 +339,7 @@ class TestEnsembleForecast:
         assert ratio < 0.8  # quadrupling members roughly halves the error
 
     def test_observable_mapping(self):
-        model = ODEModel(dim=3, rhs=lambda x: np.zeros_like(x))
+        model = ODEModel(dim=3, rhs=lambda x, y, z: (0.0, 0.0, 0.0))
         init = GaussianState.isotropic(np.array([1.0, 2.0, 3.0]), 0.01)
         mf = ensemble_forecast(model, init, 500, 2, rng_seed=2, dt_sample=0.1,
                                observable=lambda s: s[:, [2]])

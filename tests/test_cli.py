@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from diffusion_forecast.baselines import GaussianState, ensemble_forecast
 from diffusion_forecast.cli import main
 from diffusion_forecast.dataset import read_series_csv
 from diffusion_forecast.forecast import (
@@ -15,7 +16,7 @@ from diffusion_forecast.forecast import (
     project_density,
 )
 from diffusion_forecast.pipeline import load_model
-from diffusion_forecast.simulators import simulate_lorenz63
+from diffusion_forecast.simulators import lorenz_model, simulate_lorenz63
 
 N_SAMPLES = 1500
 STEPS = 5
@@ -145,6 +146,29 @@ def test_baseline_rows(run):
     assert rows.shape == (STEPS + 1, 7)
     assert np.array_equal(rows[0, 1:4], run["mean"])
     assert np.allclose(rows[0, 4:], 0.1)
+
+
+def test_ensemble_baseline_needs_no_series(tmp_path):
+    out = tmp_path / "ensemble.csv"
+    assert main(["baseline", "--method", "ensemble", "--system", "lorenz63", "--tau", "0.1",
+                 "--mean", "1,1,25", "--var", "0.01", "--steps", "3", "--n-ens", "50",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    mf = ensemble_forecast(lorenz_model(), GaussianState(mean=np.array([1.0, 1.0, 25.0]),
+                                                         cov=np.diag(np.full(3, 0.01))),
+                           50, 3, 0, dt_sample=0.1, substeps=10)
+    assert np.array_equal(rows, np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)]))
+
+
+@pytest.mark.parametrize("method, missing", [
+    ("local-linear", "--series"), ("iterated", "--series"), ("ensemble", "--system"),
+])
+def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, method, missing):
+    out = tmp_path / "out" / "baseline.csv"
+    assert main(["baseline", "--method", method, "--mean", "1,1,25", "--var", "0.01",
+                 "--steps", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {missing} is required for the {method} method\n"
+    assert not out.parent.exists()
 
 
 def test_evaluate_rows(run):

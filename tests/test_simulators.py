@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from _oracles import lorenz63_rk4_series
+from diffusion_forecast import simulators
 from diffusion_forecast.simulators import (
     ODEModel,
     SDEModel,
@@ -124,6 +126,11 @@ class TestTorus:
         d = (d + np.pi) % TWO_PI - np.pi  # unwrap single-step increments
         assert np.mean(np.abs(d[:, 1])) > np.mean(np.abs(d[:, 0]))
 
+    def test_negative_burn_in_rejected(self):
+        # points[-5:] would silently keep only the last 5 samples
+        with pytest.raises(ValueError, match="burn_in"):
+            simulate_torus(n_samples=100, substeps=5, burn_in=-5)
+
     def test_wrap_then_embed_equals_embed(self):
         rng = np.random.default_rng(5)
         angles = rng.uniform(-50, 50, size=(200, 2))
@@ -161,3 +168,44 @@ class TestLorenz:
         for dt in (0.1, 0.5):
             ts = simulate_lorenz63(n_samples=20, dt_sample=dt, seed=0)
             assert ts.tau == dt
+
+    @pytest.mark.parametrize("transient_steps", [0, 1000])
+    @pytest.mark.parametrize("dt_sample", [0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_series_equals_array_rk4_bitwise(self, seed, dt_sample, transient_steps):
+        ts = simulate_lorenz63(n_samples=50, dt_sample=dt_sample, seed=seed,
+                               transient_steps=transient_steps)
+        x0 = np.array([1.0, 1.0, 1.05]) + 1e-3 * np.random.default_rng(seed).standard_normal(3)
+        expected = lorenz63_rk4_series(x0, dt_sample, 50, transient_steps)
+        assert ts.points.tobytes() == expected.tobytes()
+
+    def test_one_row_steps_as_inside_a_batch(self):
+        # one row runs on Python floats, a batch on (B,) columns: same bits
+        model = lorenz_model()
+        batch = simulate_lorenz63(n_samples=500, dt_sample=0.1, seed=4).points
+        stepped = rk4_step_batch(model, batch, 0.1, 10)
+        alone = np.vstack([rk4_step_batch(model, row[None, :], 0.1, 10) for row in batch])
+        assert stepped.shape == alone.shape == (500, 3)
+        assert alone.tobytes() == stepped.tobytes()
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(dt_sample=-0.1), "dt_sample"),
+        (dict(dt_sample=-0.1, transient_steps=0), "dt_sample"),
+        (dict(dt_sample=float("nan")), "dt_sample"),
+        (dict(transient_steps=-5), "transient_steps"),
+        (dict(x0=np.array([1.0, 1.0])), "x0"),
+        (dict(x0=np.array([1.0, np.inf, 1.0])), "x0"),
+        (dict(n_samples=0), "n_samples"),
+    ], ids=["negative-dt", "negative-dt-no-transient", "nan-dt", "negative-transient",
+            "two-component-x0", "infinite-x0", "no-samples"])
+    def test_bad_parameters_rejected_before_integrating(self, monkeypatch, kwargs, match):
+        def no_integration(*args, **kw):
+            raise AssertionError("integrated before validating")
+
+        monkeypatch.setattr(simulators, "rk4_step_batch", no_integration)
+        with pytest.raises(ValueError, match=match):
+            simulate_lorenz63(**{"n_samples": 10, **kwargs})
+
+    def test_nonfinite_state_reports_sample(self):
+        with pytest.raises(FloatingPointError, match="non-finite state at sample 0"):
+            simulate_lorenz63(n_samples=5, x0=np.array([1e200, -1e200, 1e200]), transient_steps=0)
