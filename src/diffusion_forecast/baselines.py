@@ -31,10 +31,10 @@ class AffineModel:
     fit_residual: float | np.ndarray
 
     def __post_init__(self):
-        finite = np.isfinite(self.linear).all(axis=(-2, -1)) & np.isfinite(self.offset).all(axis=-1)
-        if not finite.all():
+        if not (np.isfinite(self.linear).all() and np.isfinite(self.offset).all()):
+            finite = np.isfinite(self.linear).all(axis=(-2, -1)) & np.isfinite(self.offset).all(axis=-1)
             raise ValueError(f"affine model{_state_of(finite)} has non-finite entries")
-        if np.any(np.asarray(self.fit_residual) < 0):
+        if (np.asarray(self.fit_residual) < 0).any():
             raise ValueError("fit residual must be nonnegative")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -66,11 +66,12 @@ class GaussianState:
             raise ValueError(f"covariance{_state_of(symmetric)} must be symmetric")
         # eigvalsh sorts ascending. The floor scales with the spectrum, so
         # that rounding in a covariance with large eigenvalues is not taken
-        # for indefiniteness
+        # for indefiniteness; only a negative eigenvalue can fall below it
         eig = np.linalg.eigvalsh(cov)
-        psd = eig[..., 0] >= -1e-10 * np.maximum(1.0, eig[..., -1])
-        if not psd.all():
-            raise ValueError(f"covariance{_state_of(psd)} must be positive semidefinite")
+        if not eig.min() >= 0.0:
+            psd = eig[..., 0] >= -1e-10 * np.maximum(1.0, eig[..., -1])
+            if not psd.all():
+                raise ValueError(f"covariance{_state_of(psd)} must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -125,8 +126,9 @@ def fit_local_affine(
 def _affine_least_squares(x: np.ndarray, y: np.ndarray) -> AffineModel:
     """Affine fit of (k, dim) targets ``y`` on (k, dim) inputs ``x``, or of
     each (B, k, dim) pair at once."""
-    dim = x.shape[-1]
-    design = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    k, dim = x.shape[-2:]
+    design = np.ones(x.shape[:-1] + (dim + 1,))
+    design[..., :dim] = x
     design_t = design.swapaxes(-1, -2)
     gram = design_t @ design + RIDGE * np.eye(dim + 1)
     theta = np.linalg.solve(gram, design_t @ y)
@@ -134,7 +136,7 @@ def _affine_least_squares(x: np.ndarray, y: np.ndarray) -> AffineModel:
     return AffineModel(
         linear=theta[..., :dim, :].swapaxes(-1, -2),
         offset=theta[..., dim, :],
-        fit_residual=np.sqrt(np.mean(resid * resid, axis=(-2, -1))),
+        fit_residual=np.sqrt(np.add.reduce(resid * resid, axis=(-2, -1)) / (k * dim)),
     )
 
 

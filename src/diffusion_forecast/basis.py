@@ -24,6 +24,7 @@ the Lanczos path, over the whole space on the dense one.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ from scipy.linalg import eigh
 
 from .dataset import TimeSeries, knn
 from .tuning import KERNEL_FLOOR, DensityEstimate
+
+logger = logging.getLogger(__name__)
 
 # Constants of the eigensolver rule (module docstring). The two throughputs
 # were measured with one OpenBLAS thread on a 2-core x86-64 VM: dense eigh
@@ -144,6 +147,18 @@ class NormalizationLedger:
         for name in ("qS", "qSalpha", "Dhat_scale"):
             if np.any(getattr(self, name) <= 0):
                 raise ValueError(f"normalization factor {name} must be strictly positive")
+
+    @property
+    def lambda_edge(self) -> float:
+        """Spectral edge min_i 1/Dhat_i. A unit vector on sample i has a
+        Rayleigh quotient near -1/Dhat_i, so the matrix cannot resolve
+        generator eigenvalues past this edge: the eigenvectors there each
+        sit on one low-density sample rather than spanning a Galerkin basis."""
+        return float((1.0 / self.Dhat_scale).min())
+
+    def galerkin_size(self, lam: np.ndarray) -> int:
+        """M_eff, the number of the eigenvalues ``lam`` below the spectral edge."""
+        return int(np.count_nonzero(lam < self.lambda_edge))
 
 
 def build_vb_kernel(
@@ -288,6 +303,11 @@ def build_basis(
         beta=float(beta),
     )
     ledger = NormalizationLedger(qS=q_s, qSalpha=q_s_alpha, Dhat_scale=dhat, solver=solver)
+    m_eff = ledger.galerkin_size(lam)
+    if m > m_eff:
+        logger.warning("basis size M=%d exceeds M_eff=%d, the number of eigenvalues below the "
+                       "spectral edge %.3g; the eigenvectors past it are not a Galerkin basis",
+                       m, m_eff, ledger.lambda_edge)
     return basis, ledger
 
 

@@ -185,9 +185,11 @@ def _cmd_build_basis(args) -> int:
     if args.dump_tuning:
         for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning)):
             write_csv(_sidecar(out, f"_tuning_{name}.csv"), ["log_eps", "log_t"], tuning.curve)
-    solver = fit.ledger.solver
+    ledger = fit.ledger
+    solver = ledger.solver
     print(f"wrote {out} (eigensolver {solver.path}, {solver.matvecs} ARPACK matvecs, "
-          f"fallback {solver.fallback}, max residual {solver.max_residual:.1e})")
+          f"fallback {solver.fallback}, max residual {solver.max_residual:.1e}, "
+          f"lambda_edge {ledger.lambda_edge:.3g}, M_eff {ledger.galerkin_size(fit.basis.lam)})")
     return 0
 
 

@@ -273,24 +273,17 @@ def sq_distance_blocks(query: np.ndarray, points: np.ndarray):
 def _smallest_k(d2: np.ndarray, k: int):
     """Per-row k smallest entries of d2, ordered by (value, column index)."""
     n = d2.shape[1]
-    if k >= n:
-        cand_idx = np.broadcast_to(np.arange(n), d2.shape).copy()
-        cand_d = d2.copy()
-    else:
-        cand_idx = np.argpartition(d2, k, axis=1)[:, : k + 1]
-        cand_d = np.take_along_axis(d2, cand_idx, axis=1)
-    # index-sort first so the stable distance sort breaks ties by lower index
-    order = np.argsort(cand_idx, axis=1, kind="stable")
-    cand_idx = np.take_along_axis(cand_idx, order, axis=1)
-    cand_d = np.take_along_axis(cand_d, order, axis=1)
-    order = np.argsort(cand_d, axis=1, kind="stable")
-    cand_idx = np.take_along_axis(cand_idx, order, axis=1)
-    cand_d = np.take_along_axis(cand_d, order, axis=1)
+    rows = np.arange(d2.shape[0])[:, None]
+    # the k + 1 smallest entries of each row, or all n when k = n
+    cand_idx = d2.argpartition(min(k, n - 1), axis=1)[:, : k + 1]
+    cand_d = d2[rows, cand_idx]
+    order = np.lexsort((cand_idx, cand_d), axis=-1)
+    cand_idx = cand_idx[rows, order]
+    cand_d = cand_d[rows, order]
     if k < n:
         # a tie straddling the cut means argpartition may have dropped a
         # lower-index candidate; redo those rows exactly
-        tie_rows = np.nonzero(cand_d[:, k - 1] == cand_d[:, k])[0]
-        for r in tie_rows:
+        for r in np.nonzero(cand_d[:, k - 1] == cand_d[:, k])[0]:
             full = np.lexsort((np.arange(n), d2[r]))[:k]
             cand_idx[r, :k] = full
             cand_d[r, :k] = d2[r, full]

@@ -87,6 +87,8 @@ def euler_maruyama(
         raise ValueError("substeps must be >= 1")
     if dt_sample <= 0:
         raise ValueError("dt_sample must be positive")
+    if np.size(x0) != model.dim:
+        raise ValueError(f"x0 has {np.size(x0)} components, the model has dim {model.dim}")
     if rng is None:
         rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float).reshape(1, model.dim)

@@ -27,6 +27,25 @@ def brute_force_knn(points, k):
     return indices, distances
 
 
+def lexsort_knn(points, k, query=None):
+    """k nearest points to each query row, ordered by (squared distance,
+    index) with one lexsort per row; with no ``query`` every point queries
+    the set and is pinned first in its own row."""
+    rows = points if query is None else query
+    n = points.shape[0]
+    indices = np.empty((rows.shape[0], k), dtype=np.int64)
+    distances = np.empty((rows.shape[0], k))
+    for i, row in enumerate(rows):
+        d2 = np.sum((points - row) ** 2, axis=1)
+        key = d2.copy()
+        if query is None:
+            key[i] = -1.0
+        order = np.lexsort((np.arange(n), key))[:k]
+        indices[i] = order
+        distances[i] = np.sqrt(d2[order])
+    return indices, distances
+
+
 def brute_force_kernel_sum(points, scales, c, eps_grid):
     """Direct double sum T(eps) without any histogram shortcut."""
     diff = points[:, None, :] - points[None, :, :]

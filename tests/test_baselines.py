@@ -196,6 +196,15 @@ class TestBatches:
         assert model.linear.shape == (len(states), 3, 3)
         assert model.offset.shape == states.shape
         assert model.fit_residual.shape == (len(states),)
+        # a single state makes one one-row search per direct forecast and
+        # per step of the iterated ladder
+        init = GaussianState.isotropic(states[0], 0.01)
+        calls.clear()
+        local_linear_forecast(train, init, 5)
+        assert calls == [(1, 3)]
+        calls.clear()
+        for step, _ in enumerate(iterated_local_linear_ladder(train, init.mean, 4)):
+            assert calls == [(1, 3)] * step
 
     @pytest.mark.parametrize("cov, match", [
         (np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -147,6 +149,25 @@ class TestBuildBasis:
         with pytest.raises(ValueError, match="out of range"):
             build_basis(kernel, circle_series_3000, fit.density,
                         fit.vb_tuning.eps_star, 1.0, 999999)
+
+
+class TestSpectralEdge:
+    def test_circle_basis_is_below_the_edge(self, circle_fit_3000):
+        ledger = circle_fit_3000.ledger
+        assert ledger.lambda_edge == (1.0 / ledger.Dhat_scale).min()
+        assert ledger.lambda_edge == pytest.approx(114, rel=0.01)
+        assert ledger.galerkin_size(circle_fit_3000.basis.lam) == 10
+
+    @pytest.mark.parametrize("n, m, m_eff", [(3000, 10, 10), (300, 40, 24)])
+    def test_basis_past_the_edge_warns_once(self, caplog, circle_points_3000, n, m, m_eff):
+        with caplog.at_level(logging.WARNING, logger="diffusion_forecast.basis"):
+            fit = fit_forecaster(TimeSeries(circle_points_3000[:n], tau=1.0), n_basis=m)
+        edge = fit.ledger.lambda_edge
+        assert fit.ledger.galerkin_size(fit.basis.lam) == m_eff
+        expected = [] if m == m_eff else [
+            f"basis size M={m} exceeds M_eff={m_eff}, the number of eigenvalues below the "
+            f"spectral edge {edge:.3g}; the eigenvectors past it are not a Galerkin basis"]
+        assert [r.getMessage() for r in caplog.records] == expected
 
 
 def count_calls(monkeypatch, owner, name):

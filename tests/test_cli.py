@@ -15,7 +15,7 @@ from diffusion_forecast.forecast import (
     gaussian_density_values,
     project_density,
 )
-from diffusion_forecast.pipeline import load_model
+from diffusion_forecast.pipeline import fit_forecaster, load_model
 from diffusion_forecast.simulators import lorenz_model, simulate_lorenz63
 
 N_SAMPLES = 1500
@@ -205,8 +205,12 @@ def test_sidecars_of_outputs_named_apart_after_a_dot_stay_apart(run, tmp_path):
 
 
 def test_build_basis_reports_the_eigensolver(run, tmp_path, capsys):
-    assert main(["build-basis", "--series", str(run["dir"] / "sim" / "torus_embedded.csv"),
+    series = run["dir"] / "sim" / "torus_embedded.csv"
+    assert main(["build-basis", "--series", str(series),
                  "--tau", "0.1", "--m", "40", "--out", str(tmp_path / "m.npz")]) == 0
+    fit = fit_forecaster(read_series_csv(series, tau=0.1), 40)
+    m_eff = fit.ledger.galerkin_size(fit.basis.lam)
+    assert 0 < m_eff < 40
     assert capsys.readouterr().out == (
         f"wrote {tmp_path / 'm.npz'} (eigensolver dense, 0 ARPACK matvecs, fallback False, "
-        "max residual nan)\n")
+        f"max residual nan, lambda_edge {fit.ledger.lambda_edge:.3g}, M_eff {m_eff})\n")

@@ -8,6 +8,7 @@ from diffusion_forecast.dataset import (
     TimeSeries,
     delay_embed,
     knn,
+    knn_points,
     load_monthly_series,
     load_series,
     read_series_csv,
@@ -15,7 +16,7 @@ from diffusion_forecast.dataset import (
     write_series_csv,
 )
 
-from _oracles import brute_force_knn
+from _oracles import brute_force_knn, lexsort_knn
 
 
 def make_series(values, tau=1.0):
@@ -194,6 +195,29 @@ class TestKnn:
         # exact ties could reorder, but generic data has none
         assert np.allclose(nl_p.distances, nl.distances[perm])
         assert np.array_equal(perm[nl_p.indices], nl.indices[perm])
+
+
+    @pytest.mark.parametrize("n_query", [None, 1, 6], ids=["self", "one-row", "many-row"])
+    @pytest.mark.parametrize("k_is_n", [False, True], ids=["k<n", "k=n"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_grid_ties_match_the_lexsort_oracle(self, n_query, k_is_n, data):
+        # on a small integer grid squared distances are exact and ties at
+        # the k-th neighbour are common, so the (distance, index) order is
+        # checked exactly where argpartition alone would pick arbitrarily
+        dim = data.draw(st.integers(1, 3))
+        coords = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        pts = np.array(data.draw(st.lists(coords, min_size=2, max_size=20)), dtype=float)
+        n = pts.shape[0]
+        k = n if k_is_n else data.draw(st.integers(1, n - 1))
+        query = None
+        if n_query is not None:
+            query = np.array(data.draw(st.lists(coords, min_size=n_query, max_size=n_query)),
+                             dtype=float)
+        nl = knn_points(pts, k, query=query)
+        idx, dist = lexsort_knn(pts, k, query)
+        assert np.array_equal(nl.indices, idx)
+        assert np.array_equal(nl.distances, dist)
 
 
 class TestSplit:

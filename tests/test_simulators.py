@@ -13,6 +13,7 @@ from diffusion_forecast.simulators import (
     simulate_lorenz63,
     simulate_torus,
     torus_embed,
+    torus_model,
 )
 
 
@@ -96,6 +97,10 @@ class TestEulerMaruyama:
             euler_maruyama(constant_sde(), np.array([0.0]), 0.1, 0, 5, seed=0)
         with pytest.raises(ValueError):
             euler_maruyama(constant_sde(), np.array([0.0]), -0.1, 2, 5, seed=0)
+
+    def test_x0_of_the_wrong_size_is_named(self):
+        with pytest.raises(ValueError, match="x0 has 1 components, the model has dim 2"):
+            euler_maruyama(torus_model(), np.array([0.5]), 0.1, 2, 5, seed=0)
 
 
 class TestTorus:
