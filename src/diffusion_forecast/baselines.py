@@ -3,6 +3,7 @@ iterated) and true-model ensemble forecasts."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,8 +35,8 @@ class AffineModel:
         if not (np.isfinite(self.linear).all() and np.isfinite(self.offset).all()):
             finite = np.isfinite(self.linear).all(axis=(-2, -1)) & np.isfinite(self.offset).all(axis=-1)
             raise ValueError(f"affine model{_state_of(finite)} has non-finite entries")
-        if (np.asarray(self.fit_residual) < 0).any():
-            raise ValueError("fit residual must be nonnegative")
+        if not (np.asarray(self.fit_residual) >= 0).all():
+            raise ValueError("fit residual must be nonnegative, not NaN")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return (self.linear @ x[..., None])[..., 0] + self.offset
@@ -53,15 +54,25 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = np.array(self.mean, dtype=float, ndmin=1, copy=None)
+        cov = np.array(self.cov, dtype=float, ndmin=2, copy=None)
         if mean.ndim > 2:
             raise ValueError("mean must be one (dim,) state or a (B, dim) batch")
         dim = mean.shape[-1]
         if cov.shape not in ((dim, dim), mean.shape + (dim,)):
             raise ValueError("covariance shape does not match the mean")
-        asym = np.abs(cov - cov.swapaxes(-1, -2))
-        if asym.max() > 1e-12:
+        # a finite sum of squares means every entry is finite; only a sum
+        # that is not (a non-finite entry, or overflow) needs the full test
+        if not math.isfinite(np.vdot(mean, mean)) and not np.isfinite(mean).all():
+            finite = np.isfinite(mean).all(axis=-1)
+            raise ValueError(f"mean{_state_of(finite)} has non-finite entries")
+        # cov - cov.T is antisymmetric bit for bit, so its largest entry is
+        # its largest magnitude; a non-finite entry of cov makes it NaN
+        asym = cov - cov.swapaxes(-1, -2)
+        if not asym.max() <= 1e-12:
+            finite = np.isfinite(cov).all(axis=(-2, -1))
+            if not finite.all():
+                raise ValueError(f"covariance{_state_of(finite)} has non-finite entries")
             symmetric = asym.max(axis=(-2, -1)) <= 1e-12
             raise ValueError(f"covariance{_state_of(symmetric)} must be symmetric")
         # eigvalsh sorts ascending. The floor scales with the spectrum, so

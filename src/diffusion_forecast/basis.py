@@ -176,6 +176,13 @@ def build_vb_kernel(
     result symmetrized by the entrywise maximum. Entries below the double
     precision noise floor are dropped. ``neighbors`` may carry a precomputed
     kNN table with at least ``neighbor_cap`` columns.
+
+    The CSR matrix is built straight from the (N, neighbor_cap) table: each
+    row's neighbour indices are put in ascending order with ``argsort``, the
+    distances gathered in the same order, and the kept entries of each row
+    become its CSR row, sorted and without duplicates. It is bitwise the
+    matrix a COO assembly and ``tocsr`` give, without their N * neighbor_cap
+    row-index array.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -192,13 +199,18 @@ def build_vb_kernel(
     else:
         nl = knn(ts, neighbor_cap)
     qb = qv**beta
-    idx = nl.indices[:, :neighbor_cap]
-    rows = np.repeat(np.arange(n), neighbor_cap)
-    cols = idx.ravel()
-    d2 = (nl.distances[:, :neighbor_cap].ravel()) ** 2
-    vals = np.exp(-d2 / (4.0 * eps * qb[rows] * qb[cols]))
+    # each row's neighbours in column order, so the table is the CSR directly
+    order = nl.indices[:, :neighbor_cap].argsort(axis=1)
+    cols = np.take_along_axis(nl.indices, order, axis=1)
+    d2 = np.take_along_axis(nl.distances, order, axis=1) ** 2
+    del order  # each N * cap array held here adds to the fit's peak memory
+    vals = np.exp(-d2 / (4.0 * eps * qb[:, None] * qb[cols]))
+    del d2
     keep = vals >= KERNEL_FLOOR
-    k = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    k = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    k.has_canonical_format = True
     k = k.maximum(k.T)
     k.eliminate_zeros()
 

@@ -12,6 +12,9 @@ from scipy.spatial.distance import cdist
 # Values at or below this are treated as missing-data sentinels (-99.9, -999, ...).
 SENTINEL_THRESHOLD = -99.0
 
+# Entries of one distance block in sq_distance_blocks; 4e6 doubles is 32 MB.
+BLOCK_ENTRIES = 4_000_000
+
 _DATE_RE = re.compile(r"^\s*(\d{4})-(\d{1,2})\s*$")
 
 
@@ -254,39 +257,63 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     return NeighborList(indices=out_idx, distances=np.sqrt(out_d2))
 
 
-def sq_distance_blocks(query: np.ndarray, points: np.ndarray):
+def sq_distance_blocks(query: np.ndarray, points: np.ndarray, upper: bool = False):
     """Squared Euclidean distances from ``query`` rows to ``points``, in
-    blocks of about 4e6 entries: yields ``(start, stop, d2)`` with ``d2`` the
-    fresh (stop - start, N) matrix for query rows start..stop-1.
+    blocks of about BLOCK_ENTRIES entries: yields ``(start, stop, d2)`` with
+    ``d2`` the fresh (stop - start, N) matrix for query rows start..stop-1.
+
+    With ``upper`` the query is ``points`` itself and each row block is
+    taken against ``points[start:]`` only: ``d2`` is (stop - start, N - start)
+    and its entry (r, c) is the distance from point start + r to point
+    start + c, so the entries with c > r are the block's share of the strict
+    upper triangle, every unordered pair once. Rows per block grow as the
+    triangle narrows. Each entry is bitwise the one the full sweep gives.
 
     The one all-pairs sweep of the package; the kNN search, the kernel-sum
     histograms and the density estimate all iterate over it.
     """
     n = points.shape[0]
     m = query.shape[0]
-    chunk = max(1, 4_000_000 // n)
-    for s in range(0, m, chunk):
-        e = min(s + chunk, m)
-        yield s, e, cdist(query[s:e], points, metric="sqeuclidean")
+    s = 0
+    while s < m:
+        width = n - s if upper else n
+        e = min(s + max(1, BLOCK_ENTRIES // width), m)
+        yield s, e, cdist(query[s:e], points[s:] if upper else points, metric="sqeuclidean")
+        s = e
 
 
 def _smallest_k(d2: np.ndarray, k: int):
-    """Per-row k smallest entries of d2, ordered by (value, column index)."""
+    """Per-row k smallest entries of d2, ordered by (value, column index).
+
+    The k + 1 ``argpartition`` candidates of each row are ordered by value
+    with one ``argsort``; that is already the (value, index) order unless
+    two candidates are exactly equal. One equality mask between neighbours
+    in that order finds such rows: their candidates are put in (value,
+    index) order again by one ``lexsort`` over those rows together, and a
+    row whose tie straddles the cut, where ``argpartition`` may have left
+    out a lower-index equal entry, is ordered again over its whole row.
+    """
     n = d2.shape[1]
     rows = np.arange(d2.shape[0])[:, None]
     # the k + 1 smallest entries of each row, or all n when k = n
     cand_idx = d2.argpartition(min(k, n - 1), axis=1)[:, : k + 1]
     cand_d = d2[rows, cand_idx]
-    order = np.lexsort((cand_idx, cand_d), axis=-1)
+    order = cand_d.argsort(axis=1)
     cand_idx = cand_idx[rows, order]
     cand_d = cand_d[rows, order]
-    if k < n:
-        # a tie straddling the cut means argpartition may have dropped a
-        # lower-index candidate; redo those rows exactly
-        for r in np.nonzero(cand_d[:, k - 1] == cand_d[:, k])[0]:
-            full = np.lexsort((np.arange(n), d2[r]))[:k]
-            cand_idx[r, :k] = full
-            cand_d[r, :k] = d2[r, full]
+    tie = cand_d[:, 1:] == cand_d[:, :-1]
+    if tie.any():
+        tied = np.flatnonzero(tie.any(axis=1))
+        tied_idx, tied_d = cand_idx[tied], cand_d[tied]
+        sub = np.lexsort((tied_idx, tied_d), axis=-1)
+        cand_idx[tied] = np.take_along_axis(tied_idx, sub, axis=1)
+        cand_d[tied] = np.take_along_axis(tied_d, sub, axis=1)
+        if k < n:
+            cut = tied[tie[tied, k - 1]]
+            cut_d2 = d2[cut]
+            full = cut_d2.argsort(axis=1, kind="stable")[:, :k]
+            cand_idx[cut, :k] = full
+            cand_d[cut, :k] = np.take_along_axis(cut_d2, full, axis=1)
     return cand_idx[:, :k], cand_d[:, :k]
 
 

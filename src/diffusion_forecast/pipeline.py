@@ -73,6 +73,7 @@ def fit_forecaster(
 
     kernel = build_vb_kernel(ts, density, vb_tuning.eps_star, beta=BETA,
                              neighbor_cap=neighbor_cap, neighbors=nl)
+    del nl  # the table is not needed past the kernel; free it before the eigensolve
     basis, ledger = build_basis(
         kernel, ts, density, vb_tuning.eps_star, vb_tuning.d_est, n_basis, beta=BETA,
     )

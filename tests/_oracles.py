@@ -7,6 +7,8 @@ library implementations it checks.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,6 +55,50 @@ def brute_force_kernel_sum(points, scales, c, eps_grid):
     w = d2 / np.outer(scales, scales)
     n = points.shape[0]
     return np.array([np.sum(np.exp(-w / (c * eps))) / (n * n) for eps in np.atleast_1d(eps_grid)])
+
+
+def full_square_histogram(points, scales, table_distances, log_bin_width):
+    """The kernel-sum histogram binned over every ordered pair (i, j) of the
+    full N x N distance matrix, diagonal included, with the bounds rule of
+    the tuning module: lower bound the smallest positive kNN-table distance
+    squared over max(scales)^2, upper bound the squared bounding-box
+    diagonal over min(scales)^2.
+
+    Returns the nonzero bins' counts (float), their representative w (the
+    exp of the bin centre) and the number of pairs with w == 0.
+    """
+    d = table_distances
+    lo = np.min(d[d > 0]) ** 2 / np.max(scales) ** 2
+    span = points.max(axis=0) - points.min(axis=0)
+    hi = max(float(span @ span) / np.min(scales) ** 2, lo)
+    n_bins = min(max(int(np.ceil(np.log(hi / lo) / log_bin_width)) + 1, 1), 2_000_000)
+    bin_width = (np.log(hi) - np.log(lo)) / n_bins if hi > lo else 1.0
+    w = (cdist(points, points, metric="sqeuclidean") / np.outer(scales, scales)).ravel()
+    zero = w == 0.0
+    idx = np.clip(((np.log(w[~zero]) - np.log(lo)) / bin_width).astype(np.int64), 0, n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    keep = counts > 0
+    centers = np.log(lo) + (np.arange(n_bins) + 0.5) * bin_width
+    return counts[keep].astype(float), np.exp(centers[keep]), float(np.count_nonzero(zero))
+
+
+def coo_vb_kernel(q, eps, beta, neighbor_cap, indices, distances, floor):
+    """The variable-bandwidth kernel assembled as COO triplets, one per table
+    entry (row i repeated for each of its neighbours), entries below
+    ``floor`` dropped, converted with ``tocsr`` and symmetrised by the
+    entrywise maximum. Returns the CSR matrix and the number of entries the
+    floor dropped."""
+    n = q.shape[0]
+    qb = q**beta
+    rows = np.repeat(np.arange(n), neighbor_cap)
+    cols = indices[:, :neighbor_cap].ravel()
+    d2 = distances[:, :neighbor_cap].ravel() ** 2
+    vals = np.exp(-d2 / (4.0 * eps * qb[rows] * qb[cols]))
+    keep = vals >= floor
+    k = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    k = k.maximum(k.T)
+    k.eliminate_zeros()
+    return k, int(np.count_nonzero(~keep))
 
 
 def fokker_planck_generator(n_cells, drift_fn, diff_coef):

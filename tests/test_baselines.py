@@ -267,6 +267,39 @@ class TestGaussianState:
         g = GaussianState.isotropic(np.array([1.0, 2.0]), 0.25)
         assert np.array_equal(g.cov, 0.25 * np.eye(2))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, entry, bad):
+        # LAPACK's eigvalsh returns [0, -0] for [[nan, 0], [0, 1]], so only the
+        # symmetry test can catch it
+        cov = np.eye(2)
+        cov[entry] = cov[entry[::-1]] = bad
+        with pytest.raises(ValueError, match="covariance has non-finite"):
+            GaussianState(mean=np.zeros(2), cov=cov)
+
+    def test_non_finite_covariance_of_a_batch_state_is_named(self):
+        cov = np.stack([np.eye(2)] * 3)
+        cov[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="covariance of state 1 has non-finite"):
+            GaussianState(mean=np.zeros((3, 2)), cov=cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="mean has non-finite"):
+            GaussianState(mean=np.array([0.0, bad]), cov=np.eye(2))
+
+    def test_non_finite_mean_of_a_batch_state_is_named(self):
+        mean = np.zeros((3, 2))
+        mean[2, 1] = np.nan
+        with pytest.raises(ValueError, match="mean of state 2 has non-finite"):
+            GaussianState(mean=mean, cov=np.eye(2))
+
+    def test_huge_finite_mean_accepted(self):
+        # its sum of squares overflows; the exact finiteness test must decide
+        mean = np.array([1e200, -1e200])
+        assert np.array_equal(GaussianState(mean=mean, cov=np.eye(2)).mean, mean)
+
 
 class TestEnsembleForecast:
     def test_frozen_dynamics_keeps_moments(self):
@@ -367,3 +400,11 @@ def test_affine_model_validation():
         AffineModel(linear=np.array([[np.inf]]), offset=np.zeros(1), fit_residual=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         AffineModel(linear=np.eye(1), offset=np.zeros(1), fit_residual=-1.0)
+
+
+@pytest.mark.parametrize("residual", [np.nan, np.array([0.0, np.nan])], ids=["one", "batch"])
+def test_affine_model_rejects_nan_residual(residual):
+    batch = np.shape(residual)
+    with pytest.raises(ValueError, match="nonnegative, not NaN"):
+        AffineModel(linear=np.tile(np.eye(1), batch + (1, 1)), offset=np.zeros(batch + (1,)),
+                    fit_residual=residual)

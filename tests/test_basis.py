@@ -15,9 +15,11 @@ from diffusion_forecast.basis import (
     _choose_eigensolver,
     _top_eigenpairs,
 )
-from diffusion_forecast.dataset import TimeSeries
+from diffusion_forecast.dataset import TimeSeries, knn
 from diffusion_forecast.pipeline import fit_forecaster, load_model, save_model
-from diffusion_forecast.tuning import DensityEstimate
+from diffusion_forecast.tuning import KERNEL_FLOOR, DensityEstimate
+
+from _oracles import coo_vb_kernel
 
 
 def uniform_density(n, value=1.0):
@@ -66,6 +68,22 @@ class TestBuildVbKernel:
         q = DensityEstimate(q=0.5 + rng.uniform(size=120), eps_used=1.0, d_used=2.0)
         k = build_vb_kernel(ts, q, eps=0.2, neighbor_cap=10)
         assert (abs(k - k.T)).max() == 0.0
+
+    def test_direct_csr_equals_the_coo_assembly(self):
+        # a table wider than the cap, and a bandwidth at which the floor drops
+        # 160 far entries while every point keeps a neighbour
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(200, 2))
+        ts = TimeSeries(pts, tau=1.0)
+        q = DensityEstimate(q=0.5 + rng.uniform(size=200), eps_used=1.0, d_used=2.0)
+        nl = knn(ts, 30)
+        k = build_vb_kernel(ts, q, eps=1e-2, neighbor_cap=20, neighbors=nl)
+        ref, dropped = coo_vb_kernel(q.q, 1e-2, -0.5, 20, nl.indices, nl.distances, KERNEL_FLOOR)
+        assert dropped > 0
+        assert k.has_canonical_format
+        assert np.array_equal(k.indptr, ref.indptr)
+        assert np.array_equal(k.indices, ref.indices)
+        assert np.array_equal(k.data, ref.data)
 
     def test_disconnected_point_raises(self):
         pts = np.vstack([np.zeros((5, 2)) + np.arange(5)[:, None] * 0.01,

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+import diffusion_forecast.dataset as dataset_mod
 from diffusion_forecast.dataset import (
     NeighborList,
     TimeSeries,
@@ -13,6 +15,7 @@ from diffusion_forecast.dataset import (
     load_series,
     read_series_csv,
     split,
+    sq_distance_blocks,
     write_series_csv,
 )
 
@@ -218,6 +221,41 @@ class TestKnn:
         idx, dist = lexsort_knn(pts, k, query)
         assert np.array_equal(nl.indices, idx)
         assert np.array_equal(nl.distances, dist)
+
+    @pytest.mark.parametrize("self_query", [False, True], ids=["query", "self"])
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_symmetric_ties_match_the_lexsort_oracle(self, self_query, k, seed):
+        # the origin and rings of four points (+-r, 0), (0, +-r), in a
+        # shuffled index order: seen from the origin, the candidates are tied
+        # in fours, and the cut falls between two rings for k = 5, 9 and
+        # inside one for k = 3, 7, where the k + 1 candidates cannot hold the
+        # whole ring; the other rows see ties of their own. In these two
+        # orders argpartition leaves a lower-index ring point out of the
+        # candidates (seed 4 at k = 3, seed 0 at k = 7)
+        rng = np.random.default_rng(seed)
+        r = np.arange(1.0, 6.0)[:, None]
+        zero = np.zeros_like(r)
+        rings = np.vstack([np.hstack(c) for c in ((r, zero), (-r, zero), (zero, r), (zero, -r))])
+        pts = rng.permutation(np.vstack([[[0.0, 0.0]], rings]))
+        query = None if self_query else np.zeros((1, 2))
+        nl = knn_points(pts, k, query=query)
+        idx, dist = lexsort_knn(pts, k, query)
+        assert np.array_equal(nl.indices, idx)
+        assert np.array_equal(nl.distances, dist)
+
+    def test_upper_blocks_are_the_full_sweeps_triangle(self, monkeypatch):
+        monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", 50)
+        pts = np.random.default_rng(4).normal(size=(23, 3))
+        full = cdist(pts, pts, metric="sqeuclidean")
+        stop, sizes = 0, []
+        for s, e, d2 in sq_distance_blocks(pts, pts, upper=True):
+            assert s == stop
+            assert np.array_equal(d2, full[s:e, s:])  # bitwise
+            stop = e
+            sizes.append(e - s)
+        assert stop == 23
+        assert len(set(sizes)) > 2  # rows per block grow as the triangle narrows
 
 
 class TestSplit:

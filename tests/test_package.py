@@ -53,3 +53,21 @@ def test_every_name_the_benchmark_wraps_exists():
     missing = [f"{module}.{name}" for module, name in wrapped
                if not hasattr(importlib.import_module(f"diffusion_forecast.{module}"), name)]
     assert missing == []
+
+
+def _names(path):
+    """Every identifier the module's code uses: imported, read or an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_cdist_is_referenced_only_in_dataset():
+    # one pairwise sweep, dataset.sq_distance_blocks, serves every all-pairs
+    # computation; a cdist call anywhere else would be a second one
+    users = sorted(path.name for path in SRC.glob("*.py") if "cdist" in set(_names(path)))
+    assert users == ["dataset.py"]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import diffusion_forecast.dataset as dataset_mod
 from diffusion_forecast.dataset import TimeSeries, knn
 from diffusion_forecast.simulators import torus_embed
 from diffusion_forecast.tuning import (
+    LOG_BIN_WIDTH,
     BandwidthProfile,
     PairwiseKernelSum,
     adhoc_bandwidth,
@@ -12,7 +14,7 @@ from diffusion_forecast.tuning import (
     tune,
 )
 
-from _oracles import brute_force_kernel_sum
+from _oracles import brute_force_kernel_sum, full_square_histogram
 
 
 def tuned(points, k0=8, c=2.0):
@@ -114,6 +116,25 @@ class TestPairwiseKernelSum:
         eps_grid = np.array([1e-9, 1e-8, 1e-7])
         exact = brute_force_kernel_sum(pts, prof.rho0, 2.0, eps_grid)
         assert np.max(np.abs(ks(eps_grid) / exact - 1.0)) < 2e-3
+
+    @pytest.mark.parametrize("block_entries", [4_000_000, 700], ids=["one-block", "uneven-blocks"])
+    def test_half_sweep_equals_the_full_square_histogram(self, monkeypatch, block_entries):
+        # the counts of i < j, doubled, plus N diagonal zeros must be the
+        # full sweep's bit for bit; duplicated points add off-diagonal zeros,
+        # and a small block size spreads the triangle over uneven row blocks
+        monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(70, 2))
+        pts = np.vstack([base, base[[3, 3, 10, 41]]])
+        scales = 0.5 + rng.uniform(size=pts.shape[0])
+        nl = neighbors(pts)
+        ks = PairwiseKernelSum(pts, scales, 2.0, nl)
+        counts, w_rep, zeros = full_square_histogram(pts, scales, nl.distances, LOG_BIN_WIDTH)
+        assert zeros == pts.shape[0] + 2 * (3 + 1 + 1)  # diagonal, a triple, two pairs
+        assert ks.n == pts.shape[0]
+        assert np.array_equal(ks._counts, counts)
+        assert np.array_equal(ks._w_rep, w_rep)
+        assert ks._zero_count == zeros
 
 
 class TestTune:
