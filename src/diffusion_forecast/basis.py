@@ -16,10 +16,25 @@ vectors costs a CSR matvec, 2 nnz flops, plus ARPACK's reorthogonalisation,
 about 4 n ncv flops, both at SPARSE_FLOPS_PER_S. Lanczos is tried when
 LANCZOS_BUDGET times the dense cost buys its first factorisation and at
 least one restart, and it stops at that budget; if it has not converged by
-then, the dense solve runs and the solver record says so. When the matrix and eigh's copy of it would exceed
-DENSE_MEMORY_BYTES, Lanczos runs unbudgeted and there is no dense fallback.
-Both paths end in one Rayleigh-Ritz ``eigh``: over the Lanczos subspace on
-the Lanczos path, over the whole space on the dense one.
+then, the dense solve runs and the solver record says so. When 16 n^2 bytes
+would exceed DENSE_MEMORY_BYTES, Lanczos runs unbudgeted and there is no
+dense fallback. Both paths end in one Rayleigh-Ritz ``eigh``: over the
+Lanczos subspace on the Lanczos path, over the whole space on the dense one.
+
+Memory held per stage, for N points, a neighbour cap c and a kernel with z
+stored entries (8-byte values, 4-byte indices while they fit in int32):
+
+- ``build_vb_kernel``: the (N, c) neighbour table (16 N c bytes, usually the
+  caller's), the one-sided kernel written once into arrays of N c slots, and
+  working arrays of a few blocks of BLOCK_ENTRIES entries
+  (:func:`~diffusion_forecast.dataset.rows_per_block`). The symmetrization
+  ``maximum(k.T)`` then holds the one-sided kernel, its transpose in CSR and
+  its own result, sized for twice the one-sided entries: the stage's peak.
+  The returned kernel keeps that allocation.
+- ``build_basis``: the caller's kernel and one private copy of it, which the
+  normalization turns into L in place (12 z bytes), then on the dense path
+  one n x n Fortran-ordered matrix that ``eigh`` factorises in place, or on
+  the Lanczos path ARPACK's n x ncv vectors and the n x 2m Ritz block.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .dataset import TimeSeries, knn
+from .dataset import TimeSeries, knn, rows_per_block
 from .tuning import KERNEL_FLOOR, DensityEstimate
 
 logger = logging.getLogger(__name__)
@@ -46,8 +61,11 @@ SPARSE_FLOPS_PER_S = 1.7e9
 # Share of the dense cost a Lanczos attempt may spend: an attempt that does
 # not converge makes the solve cost at most 1.5 times the dense one.
 LANCZOS_BUDGET = 0.5
-# The dense matrix and eigh's copy of it, 16 n^2 bytes, must fit here: half
-# of a 7 GB machine, the rest left to the kernel, the kNN table and the fit.
+# The dense path is charged 16 n^2 bytes, which must fit here: half of a
+# 7 GB machine, the rest left to the kernel, the kNN table and the fit. It
+# holds one n x n matrix, 8 n^2 bytes, which eigh factorises in place; the
+# other half of the charge covers what sits beside it: the kernel and L in
+# sparse form, and eigh's eigenvectors and workspace.
 DENSE_MEMORY_BYTES = 3.5e9
 # Largest accepted Lanczos residual max_j ||L phi_j - lambda_j phi_j|| (unit
 # phi_j), in the units of lambda, like the negative-eigenvalue tolerance.
@@ -177,12 +195,14 @@ def build_vb_kernel(
     precision noise floor are dropped. ``neighbors`` may carry a precomputed
     kNN table with at least ``neighbor_cap`` columns.
 
-    The CSR matrix is built straight from the (N, neighbor_cap) table: each
-    row's neighbour indices are put in ascending order with ``argsort``, the
-    distances gathered in the same order, and the kept entries of each row
-    become its CSR row, sorted and without duplicates. It is bitwise the
-    matrix a COO assembly and ``tocsr`` give, without their N * neighbor_cap
-    row-index array.
+    The CSR matrix is built straight from the (N, neighbor_cap) table, in
+    row blocks of :func:`~diffusion_forecast.dataset.rows_per_block` rows:
+    each row's neighbour indices are put in ascending order with ``argsort``,
+    the distances gathered in the same order, and the kept entries of each
+    row written once into the CSR arrays as its row, sorted and without
+    duplicates. It is bitwise the matrix a COO assembly and ``tocsr`` give,
+    while the working arrays stay the size of one block. The neighbour table
+    is released (when this function made it) before the symmetrization.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -190,26 +210,40 @@ def build_vb_kernel(
     qv = q.q
     if qv.shape[0] != n:
         raise ValueError("density estimate does not match the series length")
-    neighbor_cap = int(min(neighbor_cap, n))
-    if neighbor_cap < 2:
+    cap = int(min(neighbor_cap, n))
+    if cap < 2:
         raise ValueError("neighbor_cap must be at least 2")
 
-    if neighbors is not None and neighbors.indices.shape[1] >= neighbor_cap:
+    if neighbors is not None and neighbors.indices.shape[1] >= cap:
         nl = neighbors
     else:
-        nl = knn(ts, neighbor_cap)
+        nl = knn(ts, cap)
     qb = qv**beta
-    # each row's neighbours in column order, so the table is the CSR directly
-    order = nl.indices[:, :neighbor_cap].argsort(axis=1)
-    cols = np.take_along_axis(nl.indices, order, axis=1)
-    d2 = np.take_along_axis(nl.distances, order, axis=1) ** 2
-    del order  # each N * cap array held here adds to the fit's peak memory
-    vals = np.exp(-d2 / (4.0 * eps * qb[:, None] * qb[cols]))
-    del d2
-    keep = vals >= KERNEL_FLOOR
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    k = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    c = 4.0 * eps
+    # at most cap entries a row; the one-sided matrix lives only until the
+    # symmetrization, so its unused tail is not worth a trimming copy
+    idx_dtype = np.int32 if n * cap <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(n * cap, dtype=idx_dtype)
+    data = np.empty(n * cap)
+    indptr = np.zeros(n + 1, dtype=idx_dtype)
+    nnz = 0
+    step = rows_per_block(cap)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        # each row's neighbours in column order, so the table is the CSR directly
+        order = nl.indices[s:e, :cap].argsort(axis=1)
+        cols = np.take_along_axis(nl.indices[s:e], order, axis=1)
+        d2 = np.take_along_axis(nl.distances[s:e], order, axis=1) ** 2
+        vals = np.exp(-d2 / (c * qb[s:e, None] * qb[cols]))
+        keep = vals >= KERNEL_FLOOR
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[s + 1:e + 1])
+        indptr[s + 1:e + 1] += nnz
+        kept = int(indptr[e]) - nnz
+        indices[nnz:nnz + kept] = cols[keep]
+        data[nnz:nnz + kept] = vals[keep]
+        nnz += kept
+    del nl
+    k = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
     k.has_canonical_format = True
     k = k.maximum(k.T)
     k.eliminate_zeros()
@@ -238,7 +272,8 @@ def build_basis(
     Parameters
     ----------
     kernel : sparse matrix
-        Symmetric variable-bandwidth kernel from :func:`build_vb_kernel`.
+        Symmetric variable-bandwidth kernel from :func:`build_vb_kernel`;
+        left unchanged. One private copy of it is normalized into L in place.
     ts : TimeSeries
         Training series the kernel was built on (for size validation).
     q : DensityEstimate
@@ -261,11 +296,13 @@ def build_basis(
     alpha = -d / 4.0
     qv = q.q
 
-    k = kernel.tocsr()
-    q_s = np.asarray(k.sum(axis=1)).ravel() / qv ** (d * beta)
+    # one private copy of the kernel becomes L in place; the scalings keep the
+    # operation order of the diagonal products diag(s) @ K @ diag(s)
+    l_sym = kernel.tocsr(copy=True)
+    q_s = np.asarray(l_sym.sum(axis=1)).ravel() / qv ** (d * beta)
     scale_alpha = q_s ** (-alpha)
-    k_alpha = sp.diags(scale_alpha) @ k @ sp.diags(scale_alpha)
-    q_s_alpha = np.asarray(k_alpha.sum(axis=1)).ravel()
+    _scale_in_place(l_sym, scale_alpha)  # now K_alpha
+    q_s_alpha = np.asarray(l_sym.sum(axis=1)).ravel()
     # second-moment scale of the 4*eps Gaussian kernel (M_CONST = 1); the
     # empirical generator then carries physical units
     dhat = M_CONST * eps * qv ** (2.0 * beta)
@@ -273,9 +310,12 @@ def build_basis(
     # L = P^-1 K_alpha P^-1 - Dhat^-1 with P = (Dhat D_alpha)^(1/2); assemble
     # the symmetric matrix directly through its diagonal conjugations.
     u = 1.0 / np.sqrt(q_s_alpha * dhat)
-    l_sym = sp.diags(u) @ k_alpha @ sp.diags(u) - sp.diags(1.0 / dhat)
+    _scale_in_place(l_sym, u)
+    l_sym.setdiag(l_sym.diagonal() - 1.0 / dhat)
+    l_sym.eliminate_zeros()
 
     eigvals, eigvecs, solver = _top_eigenpairs(l_sym, m, _choose_eigensolver(n, l_sym.nnz, m))
+    del l_sym
 
     lam = -eigvals
     if np.any(lam < -1e-8):
@@ -321,6 +361,20 @@ def build_basis(
                        "spectral edge %.3g; the eigenvectors past it are not a Galerkin basis",
                        m, m_eff, ledger.lambda_edge)
     return basis, ledger
+
+
+def _scale_in_place(a: sp.csr_matrix, s: np.ndarray) -> None:
+    """a <- diag(s) a diag(s) on the stored entries, each as (s_i a_ij) s_j,
+    in row blocks of :func:`~diffusion_forecast.dataset.rows_per_block` rows."""
+    indptr, indices, data = a.indptr, a.indices, a.data
+    n = a.shape[0]
+    step = rows_per_block(int(np.diff(indptr).max(initial=0)))
+    for r in range(0, n, step):
+        e = min(r + step, n)
+        lo, hi = indptr[r], indptr[e]
+        block = data[lo:hi]
+        block *= np.repeat(s[r:e], np.diff(indptr[r:e + 1]))
+        block *= s[indices[lo:hi]]
 
 
 def _choose_eigensolver(n: int, nnz: int, m: int) -> tuple[str, int | None]:
@@ -380,7 +434,7 @@ def _top_eigenpairs(
     """
     path, maxiter = route
     if path == "dense":
-        vals, vecs = _rayleigh_ritz(l_sym.toarray(), m)
+        vals, vecs = _rayleigh_ritz(l_sym.toarray(order="F"), m)
         return vals, vecs, EigensolveRecord("dense", 0, False, float("nan"))
     n = l_sym.shape[0]
     op = _CountingOperator(l_sym.tocsr())
@@ -393,7 +447,7 @@ def _top_eigenpairs(
                 f"Lanczos eigensolver did not converge: {len(err.eigenvalues)}/{2 * m} "
                 f"eigenpairs converged, and the dense matrix does not fit in memory"
             ) from err
-        vals, vecs = _rayleigh_ritz(l_sym.toarray(), m)
+        vals, vecs = _rayleigh_ritz(l_sym.toarray(order="F"), m)
         return vals, vecs, EigensolveRecord("dense", op.matvecs, True, float("nan"))
     lz = op.a @ z
     vals, w = _rayleigh_ritz(z.T @ lz, m)
@@ -408,9 +462,10 @@ def _top_eigenpairs(
 
 def _rayleigh_ritz(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Top m eigenpairs of the symmetric ``h``, eigenvalues descending: the
-    finish both solver paths share."""
+    finish both solver paths share. ``h`` is overwritten; a Fortran-ordered
+    ``h`` is factorised where it lies, with no copy."""
     k = h.shape[0]
-    vals, vecs = eigh(h, subset_by_index=[k - m, k - 1])
+    vals, vecs = eigh(h, subset_by_index=[k - m, k - 1], overwrite_a=True)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 

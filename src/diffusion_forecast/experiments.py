@@ -145,6 +145,7 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
         "clim_stdev": list(clim),
         "kde_eps": fit.kde_tuning.eps_star, "kde_d": fit.kde_tuning.d_est,
         "vb_eps": fit.vb_tuning.eps_star, "vb_d": fit.vb_tuning.d_est,
+        "basis": _basis_record(fit),
     })
     return TorusExperimentResult(
         lead_times=lead_times, diffusion=diffusion, ensemble=ens,
@@ -165,6 +166,7 @@ def run_lorenz_experiment(config: ExperimentConfig, out_dir=None) -> LorenzExper
     manifest_path = _write_manifest(out, config, {
         "dts": list(dts),
         "clim_stdev": {repr(dt): runs[dt].clim_stdev for dt in dts},
+        "basis": {repr(dt): _basis_record(runs[dt].fit) for dt in dts},
     })
     return LorenzExperimentResult(runs=runs, manifest_path=manifest_path)
 
@@ -326,6 +328,7 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
         "verification_count": int(v_count),
         "kde_eps": fit.kde_tuning.eps_star, "kde_d": fit.kde_tuning.d_est,
         "vb_eps": fit.vb_tuning.eps_star, "vb_d": fit.vb_tuning.d_est,
+        "basis": _basis_record(fit),
     })
     return NinoExperimentResult(
         skill=skill,
@@ -343,6 +346,22 @@ def _prepare_out_dir(base, name: str) -> Path:
     out = Path(base) / name
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _basis_record(fit: FitResult) -> dict:
+    """The eigensolver record, the spectral edge and M_eff of a fit, for a
+    manifest; the residual is null on the dense path, which does not
+    compute it."""
+    ledger = fit.ledger
+    solver = ledger.solver
+    residual = solver.max_residual
+    return {
+        "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
+                        "fallback": solver.fallback,
+                        "max_residual": None if np.isnan(residual) else residual},
+        "lambda_edge": ledger.lambda_edge,
+        "m_eff": ledger.galerkin_size(fit.basis.lam),
+    }
 
 
 def _write_manifest(out: Path, config: ExperimentConfig, extra: dict) -> Path:

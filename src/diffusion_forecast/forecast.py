@@ -104,18 +104,22 @@ def project_density(p0_values: np.ndarray, basis: DiffusionBasis) -> DensityCoef
     c_j = (1/N) sum_i p0(x_i) phi_j(x_i) / peq(x_i), then rescaled so that
     c_0 = 1 (the constant-function coefficient carries the total mass). An
     (N, B) array projects each column as a separate density and gives (M, B)
-    coefficients; every check applies to each column.
+    coefficients; every check applies to each column. A NaN value fails the
+    sign check, and an infinite one (or a sum that overflows) the finiteness
+    check on the coefficients.
     """
     p0 = np.asarray(p0_values, dtype=float)
     if p0.ndim not in (1, 2) or p0.shape[0] != basis.n_points:
         raise ValueError("p0 values must be given at every training point")
-    if (p0 < 0).any():
-        raise ValueError("density values must be nonnegative")
+    if not (p0 >= 0).all():
+        raise ValueError("density values must be nonnegative, not NaN")
     if not (p0 > 0).any(axis=0).all():
         raise ValueError("density is identically zero")
     peq = basis.peq if p0.ndim == 1 else basis.peq[:, None]
     ratio = p0 / peq
     c = basis.phi.T @ ratio / basis.n_points
+    if not np.isfinite(c).all():
+        raise ValueError("density has non-finite basis coefficients; its values must be finite")
     if (c[0] <= 0).any():
         raise ValueError(
             "density has nonpositive mass coefficient; it is not representable "
@@ -258,8 +262,8 @@ def gaussian_density_values(
     pts = np.asarray(points, dtype=float)
     mu = np.asarray(mean, dtype=float)
     var = np.broadcast_to(np.asarray(variance, dtype=float), mu.shape)
-    if np.any(var <= 0):
-        raise ValueError("variance must be positive")
+    if not (var > 0).all():
+        raise ValueError("variance must be positive, not NaN")
     delta = pts - mu
     if wrap is not None:
         period = np.asarray(wrap, dtype=float)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import NeighborList, TimeSeries, knn, sq_distance_blocks
+from .dataset import NeighborList, TimeSeries, knn, rows_per_block, sq_distance_blocks
 
 # Kernel values below this are indistinguishable from zero in double precision
 # and may be dropped from sparse storage.
@@ -208,9 +208,13 @@ class PairwiseKernelSum:
 def _histogram_bounds(neighbors: NeighborList, points: np.ndarray,
                       v: np.ndarray) -> tuple[float, float]:
     """Histogram bounds enclosing every positive |x_i-x_j|^2/(v_i v_j), by the
-    rule of the module docstring."""
+    rule of the module docstring. The table is read in row blocks."""
     d = neighbors.distances
-    nearest = np.where(d > 0, d, np.inf).min(axis=1)
+    nearest = np.empty(d.shape[0])
+    step = rows_per_block(d.shape[1])
+    for s in range(0, d.shape[0], step):
+        block = d[s:s + step]
+        nearest[s:s + step] = np.where(block > 0, block, np.inf).min(axis=1)
     if np.isinf(nearest).any():
         bad = int(np.flatnonzero(np.isinf(nearest))[0])
         raise ValueError(

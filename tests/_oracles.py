@@ -101,6 +101,19 @@ def coo_vb_kernel(q, eps, beta, neighbor_cap, indices, distances, floor):
     return k, int(np.count_nonzero(~keep))
 
 
+def sparse_product_operator(kernel, q, eps, d, beta):
+    """The symmetric operator L = diag(u) K_alpha diag(u) - diag(1/Dhat) of
+    the normalization chain, K_alpha = diag(s) K diag(s), written with sparse
+    diagonal matrix products."""
+    qv = q.q
+    q_s = np.asarray(kernel.sum(axis=1)).ravel() / qv ** (d * beta)
+    s = q_s ** (d / 4.0)
+    k_alpha = sp.diags(s) @ kernel @ sp.diags(s)
+    dhat = eps * qv ** (2.0 * beta)
+    u = 1.0 / np.sqrt(np.asarray(k_alpha.sum(axis=1)).ravel() * dhat)
+    return sp.diags(u) @ k_alpha @ sp.diags(u) - sp.diags(1.0 / dhat)
+
+
 def fokker_planck_generator(n_cells, drift_fn, diff_coef):
     """Conservative central-difference generator of the density evolution on
     a periodic [0, 2pi) grid: dp/dt = -(a p)' + D p''."""

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import diffusion_forecast.basis as basis_mod
+import diffusion_forecast.dataset as dataset_mod
 from diffusion_forecast.basis import (
     EIG_RESIDUAL_TOL,
     DiffusionBasis,
@@ -19,7 +20,7 @@ from diffusion_forecast.dataset import TimeSeries, knn
 from diffusion_forecast.pipeline import fit_forecaster, load_model, save_model
 from diffusion_forecast.tuning import KERNEL_FLOOR, DensityEstimate
 
-from _oracles import coo_vb_kernel
+from _oracles import coo_vb_kernel, sparse_product_operator
 
 
 def uniform_density(n, value=1.0):
@@ -69,21 +70,25 @@ class TestBuildVbKernel:
         k = build_vb_kernel(ts, q, eps=0.2, neighbor_cap=10)
         assert (abs(k - k.T)).max() == 0.0
 
-    def test_direct_csr_equals_the_coo_assembly(self):
+    def test_direct_csr_equals_the_coo_assembly(self, monkeypatch):
         # a table wider than the cap, and a bandwidth at which the floor drops
-        # 160 far entries while every point keeps a neighbour
+        # 160 far entries while every point keeps a neighbour; at 150 block
+        # entries the table is assembled in row blocks of 7, the last of 4
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(200, 2))
         ts = TimeSeries(pts, tau=1.0)
         q = DensityEstimate(q=0.5 + rng.uniform(size=200), eps_used=1.0, d_used=2.0)
         nl = knn(ts, 30)
-        k = build_vb_kernel(ts, q, eps=1e-2, neighbor_cap=20, neighbors=nl)
         ref, dropped = coo_vb_kernel(q.q, 1e-2, -0.5, 20, nl.indices, nl.distances, KERNEL_FLOOR)
         assert dropped > 0
-        assert k.has_canonical_format
-        assert np.array_equal(k.indptr, ref.indptr)
-        assert np.array_equal(k.indices, ref.indices)
-        assert np.array_equal(k.data, ref.data)
+        for block_entries in (dataset_mod.BLOCK_ENTRIES, 150):
+            monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
+            k = build_vb_kernel(ts, q, eps=1e-2, neighbor_cap=20, neighbors=nl)
+            assert k.has_canonical_format
+            assert k.indptr.dtype == ref.indptr.dtype and k.indices.dtype == ref.indices.dtype
+            assert np.array_equal(k.indptr, ref.indptr)
+            assert np.array_equal(k.indices, ref.indices)
+            assert np.array_equal(k.data, ref.data)
 
     def test_disconnected_point_raises(self):
         pts = np.vstack([np.zeros((5, 2)) + np.arange(5)[:, None] * 0.01,
@@ -159,6 +164,38 @@ class TestBuildBasis:
         err_small = np.mean(np.abs(fit_small.basis.lam[1:7] - expected) / expected)
         err_big = np.mean(np.abs(circle_fit_3000.basis.lam[1:7] - expected) / expected)
         assert err_big < err_small
+
+    def test_in_place_normalization_equals_the_sparse_products(self, monkeypatch,
+                                                               circle_series_3000, circle_fit_3000):
+        fit = circle_fit_3000
+        eps, d = fit.vb_tuning.eps_star, fit.vb_tuning.d_est
+        kernel = build_vb_kernel(circle_series_3000, fit.density, eps, neighbor_cap=64)
+        seen = []
+        real = basis_mod._top_eigenpairs
+
+        def solve(l_sym, m, route):
+            seen.append(l_sym.copy())
+            return real(l_sym, m, route)
+
+        monkeypatch.setattr(basis_mod, "_top_eigenpairs", solve)
+        build_basis(kernel, circle_series_3000, fit.density, eps, d, 4)
+        (got,) = seen
+        want = sparse_product_operator(kernel, fit.density, eps, d, -0.5)
+        assert got.has_sorted_indices and want.has_sorted_indices
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)  # bitwise: the same operation order
+
+    def test_leaves_the_callers_kernel_unchanged(self, circle_series_3000, circle_fit_3000):
+        fit = circle_fit_3000
+        kernel = build_vb_kernel(circle_series_3000, fit.density,
+                                 fit.vb_tuning.eps_star, neighbor_cap=64)
+        before = [a.copy() for a in (kernel.indptr, kernel.indices, kernel.data)]
+        build_basis(kernel, circle_series_3000, fit.density, fit.vb_tuning.eps_star,
+                    fit.vb_tuning.d_est, 4)
+        for was, now in zip(before, (kernel.indptr, kernel.indices, kernel.data)):
+            assert was.dtype == now.dtype
+            assert np.array_equal(was, now)
 
     def test_m_out_of_range(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000

@@ -116,6 +116,20 @@ class TestProjectDensity:
         with pytest.raises(ValueError, match="identically zero"):
             project_density(np.zeros(basis.n_points), basis)
 
+    @pytest.mark.parametrize("value, match", [(np.nan, "not NaN"), (np.inf, "non-finite"),
+                                              (-np.inf, "nonnegative")],
+                             ids=["nan", "inf", "-inf"])
+    # inf times the basis entries of opposite signs: the expected NaN coefficients
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_rejects_a_non_finite_value(self, circle_fit_3000, value, match):
+        basis = circle_fit_3000.basis
+        p = basis.peq.copy()
+        p[3] = value
+        with pytest.raises(ValueError, match=match):
+            project_density(p, basis)
+        with pytest.raises(ValueError, match=match):
+            project_density(np.column_stack([basis.peq, p]), basis)
+
     def test_batch_matches_columns(self, circle_fit_3000, circle_points_3000):
         basis = circle_fit_3000.basis
         cols = np.column_stack([gaussian_density_values(circle_points_3000, mu, 0.3)
@@ -254,6 +268,11 @@ class TestGaussianDensityValues:
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError, match="positive"):
             gaussian_density_values(np.zeros((3, 1)), np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("variance", [np.nan, [0.5, np.nan]], ids=["scalar", "one-coordinate"])
+    def test_rejects_nan_variance(self, variance):
+        with pytest.raises(ValueError, match="not NaN"):
+            gaussian_density_values(np.zeros((3, 2)), np.zeros(2), variance)
 
 
 class TestOperatorSerialization:
