@@ -22,19 +22,26 @@ dense fallback. Both paths end in one Rayleigh-Ritz ``eigh``: over the
 Lanczos subspace on the Lanczos path, over the whole space on the dense one.
 
 Memory held per stage, for N points, a neighbour cap c and a kernel with z
-stored entries (8-byte values, 4-byte indices while they fit in int32):
+stored entries (8-byte values, 4-byte indices while they fit in int32).
+``fit_forecaster`` hands each stage the only reference to its input, so
+that the stage can free it as soon as it is done with it:
 
-- ``build_vb_kernel``: the (N, c) neighbour table (16 N c bytes, usually the
-  caller's), the one-sided kernel written once into arrays of N c slots, and
+- ``build_vb_kernel``: the (N, c) neighbour table (16 N c bytes), the
+  one-sided kernel written once into arrays of N c slots (12 N c bytes) and
   working arrays of a few blocks of BLOCK_ENTRIES entries
-  (:func:`~diffusion_forecast.dataset.rows_per_block`). The symmetrization
-  ``maximum(k.T)`` then holds the one-sided kernel, its transpose in CSR and
-  its own result, sized for twice the one-sided entries: the stage's peak.
-  The returned kernel keeps that allocation.
-- ``build_basis``: the caller's kernel and one private copy of it, which the
-  normalization turns into L in place (12 z bytes), then on the dense path
-  one n x n Fortran-ordered matrix that ``eigh`` factorises in place, or on
-  the Lanczos path ARPACK's n x ncv vectors and the n x 2m Ritz block.
+  (:func:`~diffusion_forecast.dataset.rows_per_block`): the stage's peak.
+  The table is then freed, and the symmetrization holds the one-sided
+  arrays beside its result (12 z bytes) and the entries that have no stored
+  transpose. The returned kernel's arrays hold exactly z entries.
+- ``build_basis``: the kernel and its private copy while it is copied, then
+  the copy alone, which the normalization turns into L in place (12 z
+  bytes). On the dense path L is freed once densified, which leaves one
+  n x n Fortran-ordered matrix that ``eigh`` factorises in place; on the
+  Lanczos path L stays beside ARPACK's n x ncv vectors and the n x 2m Ritz
+  block.
+
+A caller that keeps its own reference to the table or to the kernel keeps
+it alive through these peaks.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .dataset import TimeSeries, knn, rows_per_block
+from .dataset import NeighborList, TimeSeries, knn, rows_per_block
 from .tuning import KERNEL_FLOOR, DensityEstimate
 
 logger = logging.getLogger(__name__)
@@ -62,10 +69,10 @@ SPARSE_FLOPS_PER_S = 1.7e9
 # not converge makes the solve cost at most 1.5 times the dense one.
 LANCZOS_BUDGET = 0.5
 # The dense path is charged 16 n^2 bytes, which must fit here: half of a
-# 7 GB machine, the rest left to the kernel, the kNN table and the fit. It
-# holds one n x n matrix, 8 n^2 bytes, which eigh factorises in place; the
-# other half of the charge covers what sits beside it: the kernel and L in
-# sparse form, and eigh's eigenvectors and workspace.
+# 7 GB machine, the rest left to the fit's earlier stages. It holds one
+# n x n matrix, 8 n^2 bytes, which eigh factorises in place, and L is freed
+# before eigh runs; the other half of the charge covers eigh's eigenvectors
+# and workspace, and the kernel when a caller of build_basis keeps it.
 DENSE_MEMORY_BYTES = 3.5e9
 # Largest accepted Lanczos residual max_j ||L phi_j - lambda_j phi_j|| (unit
 # phi_j), in the units of lambda, like the negative-eigenvalue tolerance.
@@ -195,14 +202,26 @@ def build_vb_kernel(
     precision noise floor are dropped. ``neighbors`` may carry a precomputed
     kNN table with at least ``neighbor_cap`` columns.
 
-    The CSR matrix is built straight from the (N, neighbor_cap) table, in
-    row blocks of :func:`~diffusion_forecast.dataset.rows_per_block` rows:
-    each row's neighbour indices are put in ascending order with ``argsort``,
-    the distances gathered in the same order, and the kept entries of each
-    row written once into the CSR arrays as its row, sorted and without
-    duplicates. It is bitwise the matrix a COO assembly and ``tocsr`` give,
-    while the working arrays stay the size of one block. The neighbour table
-    is released (when this function made it) before the symmetrization.
+    The one-sided CSR matrix is built straight from the (N, neighbor_cap)
+    table, in row blocks of :func:`~diffusion_forecast.dataset.rows_per_block`
+    rows: each row's neighbour indices are put in ascending order with
+    ``argsort``, the distances gathered in the same order, and the kept
+    entries of each row written once into the CSR arrays as its row, sorted
+    and without duplicates. It is bitwise the matrix a COO assembly and
+    ``tocsr`` give, while the working arrays stay the size of one block.
+
+    The symmetrization max(K, K^T) needs no transpose. It relies on the order
+    of :class:`~diffusion_forecast.dataset.NeighborList` that :func:`knn`
+    gives: each row holds the point's nearest points in ascending distance,
+    and the distance of j in row i is bitwise that of i in row j. So i is in
+    row j's first ``neighbor_cap`` columns when d_ij is below the last of
+    them, and is not when it is above; at equal distance it is when it is
+    row j's last neighbour, and otherwise row j is searched.
+    Where it is, and K(x_j, x_i), recomputed in row j's operation order,
+    clears the floor, the entry takes the maximum in place; every other entry
+    is added at (j, i) by :func:`_symmetrize`, which writes the result into
+    arrays of its final size. The table is freed before that, unless the
+    caller still holds it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -218,35 +237,12 @@ def build_vb_kernel(
         nl = neighbors
     else:
         nl = knn(ts, cap)
-    qb = qv**beta
-    c = 4.0 * eps
-    # at most cap entries a row; the one-sided matrix lives only until the
-    # symmetrization, so its unused tail is not worth a trimming copy
-    idx_dtype = np.int32 if n * cap <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty(n * cap, dtype=idx_dtype)
-    data = np.empty(n * cap)
-    indptr = np.zeros(n + 1, dtype=idx_dtype)
-    nnz = 0
-    step = rows_per_block(cap)
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        # each row's neighbours in column order, so the table is the CSR directly
-        order = nl.indices[s:e, :cap].argsort(axis=1)
-        cols = np.take_along_axis(nl.indices[s:e], order, axis=1)
-        d2 = np.take_along_axis(nl.distances[s:e], order, axis=1) ** 2
-        vals = np.exp(-d2 / (c * qb[s:e, None] * qb[cols]))
-        keep = vals >= KERNEL_FLOOR
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[s + 1:e + 1])
-        indptr[s + 1:e + 1] += nnz
-        kept = int(indptr[e]) - nnz
-        indices[nnz:nnz + kept] = cols[keep]
-        data[nnz:nnz + kept] = vals[keep]
-        nnz += kept
+    # with no reference left in the caller, the table is freed before the
+    # symmetrization allocates the result
+    del neighbors
+    indptr, indices, data = _one_sided_kernel(nl, cap, qv**beta, 4.0 * eps)
     del nl
-    k = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
-    k.has_canonical_format = True
-    k = k.maximum(k.T)
-    k.eliminate_zeros()
+    k = _symmetrize(indptr, indices, data)
 
     off_diag_counts = k.getnnz(axis=1) - 1
     if np.any(off_diag_counts <= 0):
@@ -255,6 +251,122 @@ def build_vb_kernel(
             f"point {bad} is disconnected (no off-diagonal kernel entries); "
             "increase eps or neighbor_cap"
         )
+    return k
+
+
+def _one_sided_kernel(nl: NeighborList, cap: int, qb: np.ndarray, c: float):
+    """The one-sided kernel of :func:`build_vb_kernel` as CSR arrays
+    ``(indptr, indices, data)``, ``indices`` and ``data`` with N cap slots of
+    which the first ``indptr[-1]`` are used. An entry (i, j) whose transpose
+    (j, i) is stored takes max(k_ij, k_ji); one whose transpose is not stored
+    is written negated, which marks it for :func:`_symmetrize` (kernel values
+    are positive)."""
+    n = nl.indices.shape[0]
+    idx_dtype = np.int32 if n * cap <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(n * cap, dtype=idx_dtype)
+    data = np.empty(n * cap)
+    indptr = np.zeros(n + 1, dtype=idx_dtype)
+    # row j's last column: row j holds i when d_ij < last_d[j]
+    last_d = nl.distances[:, cap - 1].copy()
+    last_i = nl.indices[:, cap - 1].copy()
+    nnz = 0
+    step = rows_per_block(cap)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        # each row's neighbours in column order, so the table is the CSR directly
+        order = nl.indices[s:e, :cap].argsort(axis=1)
+        cols = np.take_along_axis(nl.indices[s:e], order, axis=1)
+        dist = np.take_along_axis(nl.distances[s:e], order, axis=1)
+        del order
+        last_j = last_d[cols]
+        mutual = dist < last_j
+        tied = np.nonzero(dist == last_j)
+        del last_j
+        if tied[0].size:
+            # i is row j's last neighbour, or row j is searched for it
+            rows, js = tied[0] + s, cols[tied]
+            held = last_i[js] == rows
+            held[~held] = _in_table_rows(nl.indices, cap, js[~held], rows[~held])
+            mutual[tied] = held
+        neg_d2 = np.negative(np.square(dist, out=dist), out=dist)
+        qb_j = qb[cols]
+        vals = np.exp(neg_d2 / (c * qb[s:e, None] * qb_j))
+        # k_ji in row j's operation order; the distances are symmetric bit for bit
+        k_ji = np.exp(neg_d2 / (c * qb_j * qb[s:e, None]))
+        del dist, neg_d2, qb_j
+        keep = vals >= KERNEL_FLOOR
+        mutual &= k_ji >= KERNEL_FLOOR
+        np.maximum(vals, np.multiply(k_ji, mutual, out=k_ji), out=vals)
+        del k_ji
+        lone = np.nonzero(keep & ~mutual)
+        vals[lone] = -vals[lone]
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[s + 1:e + 1])
+        indptr[s + 1:e + 1] += nnz
+        kept = int(indptr[e]) - nnz
+        indices[nnz:nnz + kept] = cols[keep]
+        data[nnz:nnz + kept] = vals[keep]
+        nnz += kept
+    return indptr, indices, data
+
+
+def _in_table_rows(table: np.ndarray, cap: int, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Whether each ``points[t]`` is among the first ``cap`` columns of
+    ``table`` row ``rows[t]``, in chunks of one block."""
+    out = np.empty(rows.shape[0], dtype=bool)
+    step = rows_per_block(cap)
+    for s in range(0, rows.shape[0], step):
+        e = s + step
+        out[s:e] = (table[rows[s:e], :cap] == points[s:e, None]).any(axis=1)
+    return out
+
+
+def _symmetrize(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
+    """max(K, K^T) from :func:`_one_sided_kernel`'s arrays, which are left
+    with the marks removed: each negated entry (i, j) is also added at (j, i),
+    merged into row j in column order, in row blocks. The result's arrays
+    have exactly its nnz entries and the index dtype of scipy's
+    ``maximum``, which sizes for nnz(K) + nnz(K^T)."""
+    n = indptr.shape[0] - 1
+    nnz = int(indptr[-1])
+    step = rows_per_block(int(np.diff(indptr).max(initial=0)))
+    # the marked entries, transposed: t_rows[t] = j, t_cols[t] = i
+    t_rows, t_cols, t_vals = [], [], []
+    for s in range(0, n, step):
+        lo, hi = indptr[s], indptr[min(s + step, n)]
+        at = lo + np.flatnonzero(data[lo:hi] < 0)
+        vals = -data[at]
+        data[at] = vals
+        t_rows.append(indices[at])
+        t_cols.append(np.searchsorted(indptr, at, side="right") - 1)
+        t_vals.append(vals)
+    t_rows, t_cols, t_vals = (np.concatenate(a) for a in (t_rows, t_cols, t_vals))
+    order = np.argsort(t_rows, kind="stable")  # by (j, i): i ascends already
+    t_rows, t_cols, t_vals = t_rows[order], t_cols[order], t_vals[order]
+    del order
+    t_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(t_rows, minlength=n), out=t_ptr[1:])
+
+    idx_dtype = indices.dtype if 2 * nnz <= np.iinfo(np.int32).max else np.int64
+    out_ptr = (indptr + t_ptr).astype(idx_dtype)
+    out_indices = np.empty(int(out_ptr[-1]), dtype=idx_dtype)
+    out_data = np.empty(int(out_ptr[-1]))
+    step = rows_per_block(int(np.diff(out_ptr).max(initial=0)))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        lo, hi, tlo, thi = indptr[s], indptr[e], t_ptr[s], t_ptr[e]
+        dest = slice(out_ptr[s], out_ptr[e])
+        key = np.repeat(np.arange(s, e, dtype=np.int64) * n, np.diff(indptr[s:e + 1]))
+        key += indices[lo:hi]
+        at = np.searchsorted(key, t_rows[tlo:thi].astype(np.int64) * n + t_cols[tlo:thi])
+        at += np.arange(thi - tlo)
+        own = np.ones(out_ptr[e] - out_ptr[s], dtype=bool)
+        own[at] = False
+        out_indices[dest][own] = indices[lo:hi]
+        out_indices[dest][at] = t_cols[tlo:thi]
+        out_data[dest][own] = data[lo:hi]
+        out_data[dest][at] = t_vals[tlo:thi]
+    k = sp.csr_matrix((out_data, out_indices, out_ptr), shape=(n, n))
+    k.has_canonical_format = True
     return k
 
 
@@ -299,6 +411,7 @@ def build_basis(
     # one private copy of the kernel becomes L in place; the scalings keep the
     # operation order of the diagonal products diag(s) @ K @ diag(s)
     l_sym = kernel.tocsr(copy=True)
+    del kernel  # freed here when the caller handed over its only reference
     q_s = np.asarray(l_sym.sum(axis=1)).ravel() / qv ** (d * beta)
     scale_alpha = q_s ** (-alpha)
     _scale_in_place(l_sym, scale_alpha)  # now K_alpha
@@ -314,8 +427,12 @@ def build_basis(
     l_sym.setdiag(l_sym.diagonal() - 1.0 / dhat)
     l_sym.eliminate_zeros()
 
-    eigvals, eigvecs, solver = _top_eigenpairs(l_sym, m, _choose_eigensolver(n, l_sym.nnz, m))
+    route = _choose_eigensolver(n, l_sym.nnz, m)
+    # the solver gets the only reference to L, so the dense path frees it
+    # once densified
+    handoff = [l_sym]
     del l_sym
+    eigvals, eigvecs, solver = _top_eigenpairs(handoff.pop(), m, route)
 
     lam = -eigvals
     if np.any(lam < -1e-8):
@@ -434,7 +551,9 @@ def _top_eigenpairs(
     """
     path, maxiter = route
     if path == "dense":
-        vals, vecs = _rayleigh_ritz(l_sym.toarray(order="F"), m)
+        h = l_sym.toarray(order="F")
+        del l_sym  # freed here when the caller handed over its only reference
+        vals, vecs = _rayleigh_ritz(h, m)
         return vals, vecs, EigensolveRecord("dense", 0, False, float("nan"))
     n = l_sym.shape[0]
     op = _CountingOperator(l_sym.tocsr())
@@ -447,8 +566,13 @@ def _top_eigenpairs(
                 f"Lanczos eigensolver did not converge: {len(err.eigenvalues)}/{2 * m} "
                 f"eigenpairs converged, and the dense matrix does not fit in memory"
             ) from err
-        vals, vecs = _rayleigh_ritz(l_sym.toarray(order="F"), m)
-        return vals, vecs, EigensolveRecord("dense", op.matvecs, True, float("nan"))
+        z = None  # the dense solve runs past the handler, whose traceback holds L
+    if z is None:
+        matvecs = op.matvecs
+        h = l_sym.toarray(order="F")
+        del l_sym, op
+        vals, vecs = _rayleigh_ritz(h, m)
+        return vals, vecs, EigensolveRecord("dense", matvecs, True, float("nan"))
     lz = op.a @ z
     vals, w = _rayleigh_ritz(z.T @ lz, m)
     vecs = z @ w

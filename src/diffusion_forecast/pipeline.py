@@ -71,11 +71,15 @@ def fit_forecaster(
 
     vb_tuning = tune(PairwiseKernelSum(pts, density.q**BETA, 4.0, nl))
 
-    kernel = build_vb_kernel(ts, density, vb_tuning.eps_star, beta=BETA,
-                             neighbor_cap=neighbor_cap, neighbors=nl)
-    del nl  # the table is not needed past the kernel; free it before the eigensolve
+    # build_vb_kernel gets the only reference to the table and build_basis
+    # the only one to the kernel, so each frees its input before its own
+    # peak: the table before the symmetrization, the kernel once copied
+    handoff = [nl]
+    del nl
     basis, ledger = build_basis(
-        kernel, ts, density, vb_tuning.eps_star, vb_tuning.d_est, n_basis, beta=BETA,
+        build_vb_kernel(ts, density, vb_tuning.eps_star, beta=BETA,
+                        neighbor_cap=neighbor_cap, neighbors=handoff.pop()),
+        ts, density, vb_tuning.eps_star, vb_tuning.d_est, n_basis, beta=BETA,
     )
     operator = estimate_shift_operator(basis, ts.tau, stride=stride)
     return FitResult(

@@ -174,6 +174,11 @@ class PairwiseKernelSum:
         self.n = n
         self.c = float(c)
         w_lo, w_hi = _histogram_bounds(neighbors, points, v)
+        if not (w_lo > 0.0 and w_hi / w_lo < np.inf):
+            raise ValueError(
+                f"scaled squared distances span {w_lo:.3g} to {w_hi:.3g}, a ratio beyond "
+                "the double range: the points' scales are too far apart to bin"
+            )
         n_bins = int(np.ceil(np.log(w_hi / w_lo) / LOG_BIN_WIDTH)) + 1
         n_bins = min(max(n_bins, 1), 2_000_000)
         log_lo = np.log(w_lo)

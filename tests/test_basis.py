@@ -86,9 +86,74 @@ class TestBuildVbKernel:
             k = build_vb_kernel(ts, q, eps=1e-2, neighbor_cap=20, neighbors=nl)
             assert k.has_canonical_format
             assert k.indptr.dtype == ref.indptr.dtype and k.indices.dtype == ref.indices.dtype
+            assert k.indices.size == k.data.size == k.nnz  # arrays of the final size
             assert np.array_equal(k.indptr, ref.indptr)
             assert np.array_equal(k.indices, ref.indices)
             assert np.array_equal(k.data, ref.data)
+
+    @pytest.mark.parametrize("block_entries", [None, 90], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("case", ["non-mutual", "ties-at-the-cap"])
+    def test_symmetrization_equals_the_maximum_with_the_transpose(self, monkeypatch, case,
+                                                                    block_entries):
+        # non-mutual: a cloud with a sparse outer shell, where many of a
+        # row's neighbours do not hold it; ties: a 5 x 5 integer grid with
+        # about 12 copies of each point, so rows end inside a run of equal
+        # distances and the table rows are searched. The floor's case is
+        # test_direct_csr_equals_the_coo_assembly
+        rng = np.random.default_rng(9)
+        if case == "ties-at-the-cap":
+            pts = rng.integers(0, 5, size=(300, 2)).astype(float)
+        else:
+            pts = rng.normal(size=(300, 2)) * rng.choice([1.0, 4.0], size=(300, 1), p=[0.8, 0.2])
+        eps = 1.0
+        cap = 20
+        ts = TimeSeries(pts, tau=1.0)
+        q = DensityEstimate(q=0.5 + rng.uniform(size=300), eps_used=1.0, d_used=2.0)
+        nl = knn(ts, cap + 1)
+        ref, dropped = coo_vb_kernel(q.q, eps, -0.5, cap, nl.indices, nl.distances, KERNEL_FLOOR)
+        one_sided = {(i, int(j)) for i, row in enumerate(nl.indices[:, :cap]) for j in row}
+        lone = sum((j, i) not in one_sided for i, j in one_sided)
+        searched = []
+        real_search = basis_mod._in_table_rows
+
+        def search(table, cap_, rows, points):
+            searched.append(rows.size)
+            return real_search(table, cap_, rows, points)
+
+        monkeypatch.setattr(basis_mod, "_in_table_rows", search)
+        if block_entries is not None:
+            monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
+        k = build_vb_kernel(ts, q, eps=eps, neighbor_cap=cap, neighbors=nl)
+        assert lone > 0.1 * len(one_sided) if case == "non-mutual" else lone > 0
+        assert (sum(searched) > 0) == (case == "ties-at-the-cap")
+        assert dropped == 0
+        assert k.has_canonical_format
+        assert k.indptr.dtype == ref.indptr.dtype and k.indices.dtype == ref.indices.dtype
+        assert k.indices.size == k.data.size == k.nnz == ref.nnz  # arrays of the final size
+        assert np.array_equal(k.indptr, ref.indptr)
+        assert np.array_equal(k.indices, ref.indices)
+        assert k.data.tobytes() == ref.data.tobytes()
+
+    def test_an_entry_whose_transpose_falls_under_the_floor(self):
+        # points 0 and 1 are 1 apart, and at this eps k_01 rounds to just
+        # above KERNEL_FLOOR while k_10, its denominator rounded in the other
+        # order, falls just below: the result holds k_01 at both (0, 1) and (1, 0)
+        pts = np.array([[0.0], [1.0], [0.01], [0.99]])
+        q = DensityEstimate(q=np.array([1.0943000301996968, 0.8379112255071333, 1.0, 1.0]),
+                            eps_used=1.0, d_used=1.0)
+        eps = 0.006931069774490162
+        qb, c = q.q**-0.5, 4.0 * eps
+        k_01 = np.exp(np.array([-1.0]) / (c * qb[0] * qb[1]))[0]
+        k_10 = np.exp(np.array([-1.0]) / (c * qb[1] * qb[0]))[0]
+        assert k_01 >= KERNEL_FLOOR > k_10
+        ts = TimeSeries(pts, tau=1.0)
+        nl = knn(ts, 4)
+        ref, _ = coo_vb_kernel(q.q, eps, -0.5, 4, nl.indices, nl.distances, KERNEL_FLOOR)
+        k = build_vb_kernel(ts, q, eps=eps, neighbor_cap=4, neighbors=nl)
+        assert k[0, 1] == k[1, 0] == k_01
+        assert np.array_equal(k.indptr, ref.indptr)
+        assert np.array_equal(k.indices, ref.indices)
+        assert k.data.tobytes() == ref.data.tobytes()
 
     def test_disconnected_point_raises(self):
         pts = np.vstack([np.zeros((5, 2)) + np.arange(5)[:, None] * 0.01,

@@ -3,11 +3,11 @@
 kernel assembly is bounded by a few blocks, not by N^2 or N * cap."""
 
 import tracemalloc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import diffusion_forecast.basis as basis_mod
 import diffusion_forecast.dataset as dataset_mod
@@ -173,13 +173,13 @@ class TestBoundedMemory:
         nl = knn(series, cap)
         q = kde(series, adhoc_bandwidth(series, 8, neighbors=nl), 0.05, 3.0)
         before_symmetrization = []
-        real_maximum = sp.csr_matrix.maximum
+        real_symmetrize = basis_mod._symmetrize
 
-        def maximum(self, other):
+        def symmetrize(*args):
             before_symmetrization.append(tracemalloc.get_traced_memory()[1])
-            return real_maximum(self, other)
+            return real_symmetrize(*args)
 
-        monkeypatch.setattr(sp.csr_matrix, "maximum", maximum)
+        monkeypatch.setattr(basis_mod, "_symmetrize", symmetrize)
         tracemalloc.start()
         try:
             live, _ = tracemalloc.get_traced_memory()
@@ -190,3 +190,79 @@ class TestBoundedMemory:
         assert k.nnz > 0.9 * self.N * cap  # the floor drops few entries here
         (peak,) = before_symmetrization
         assert peak - live <= self.bound(self.N * cap * 12 + 8 * (self.N + 1))
+
+
+class TestLifetimes:
+    """The fit hands each large array on as its only reference, so that it is
+    freed before the next stage's peak."""
+
+    @staticmethod
+    def watch(monkeypatch, owner, name, refs, first_arg=False):
+        """Keep weak references to what owner.name returns (or to its first
+        argument) and to its arrays, without holding any of them."""
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            obj = args[0] if first_arg else out
+            refs.append(weakref.ref(obj))
+            refs.extend(weakref.ref(getattr(obj, a)) for a in ("indices", "distances", "indptr", "data")
+                        if hasattr(obj, a))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    @staticmethod
+    def check_at(monkeypatch, owner, name, refs, seen, when=lambda *args: True):
+        """Record, at each call of owner.name that ``when`` accepts, whether
+        every object in ``refs`` is already freed."""
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if when(*args):
+                seen.append([ref() is None for ref in refs])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def test_the_table_is_freed_before_the_symmetrization(self, monkeypatch):
+        table, seen = [], []
+        self.watch(monkeypatch, pipeline_mod, "knn", table)
+        self.check_at(monkeypatch, basis_mod, "_symmetrize", table, seen)
+        fit_forecaster(circle_series(400), 5)
+        assert len(table) == 3  # the NeighborList and its two arrays
+        assert seen == [[True] * 3]
+
+    # lorenz routes dense; the circle tries ARPACK, which runs out of its
+    # budget, and falls back to the dense solve
+    @pytest.mark.parametrize("series, m, fallback",
+                             [(lambda: simulate_lorenz63(400, seed=3), 40, False),
+                              (lambda: circle_series(610), 5, True)], ids=["dense", "fallback"])
+    def test_the_kernel_and_L_are_freed_before_the_dense_eigh(self, monkeypatch, series, m,
+                                                              fallback):
+        ts = series()
+        refs, seen = [], []
+        self.watch(monkeypatch, pipeline_mod, "build_vb_kernel", refs)
+        # _scale_in_place scales build_basis's copy of the kernel, L, twice
+        self.watch(monkeypatch, basis_mod, "_scale_in_place", refs, first_arg=True)
+        self.check_at(monkeypatch, basis_mod, "eigh", refs, seen,
+                      when=lambda h, *args: h.shape[0] == ts.n_points)
+        fit = fit_forecaster(ts, m)
+        assert fit.ledger.solver.path == "dense" and fit.ledger.solver.fallback == fallback
+        assert len(refs) == 12  # three matrices and their three arrays each
+        assert seen == [[True] * 12]
+
+    def test_a_kernel_the_caller_holds_is_left_unchanged(self, monkeypatch):
+        ts = simulate_lorenz63(400, seed=3)
+        fit = fit_forecaster(ts, 40)
+        kernel = build_vb_kernel(ts, fit.density, fit.vb_tuning.eps_star)
+        before = [a.copy() for a in (kernel.indptr, kernel.indices, kernel.data)]
+        operator, seen = [], []
+        self.watch(monkeypatch, basis_mod, "_scale_in_place", operator, first_arg=True)
+        self.check_at(monkeypatch, basis_mod, "eigh", operator, seen,
+                      when=lambda h, *args: h.shape[0] == ts.n_points)
+        basis_mod.build_basis(kernel, ts, fit.density, fit.vb_tuning.eps_star,
+                              fit.vb_tuning.d_est, 40)
+        assert seen == [[True] * 8]  # L is freed all the same
+        for was, now in zip(before, (kernel.indptr, kernel.indices, kernel.data)):
+            assert was.dtype == now.dtype and np.array_equal(was, now)

@@ -117,6 +117,20 @@ class TestPairwiseKernelSum:
         exact = brute_force_kernel_sum(pts, prof.rho0, 2.0, eps_grid)
         assert np.max(np.abs(ks(eps_grid) / exact - 1.0)) < 2e-3
 
+    @pytest.mark.parametrize("far, scale", [(1e100, 1.0), (1.0, 1e5)],
+                             ids=["ratio-overflows", "lower-bound-underflows"])
+    def test_unbinnable_span_is_named(self, far, scale):
+        # points 1e-117 apart beside one 1e100 away put the bound ratio past
+        # 1.8e308; points 1e-160 apart with a scale of 1e5 put the lower
+        # bound under the smallest double
+        pts = np.random.default_rng(4).normal(size=(300, 2))
+        near = 1e-117 if far > 1.0 else 1e-160
+        pts[:3] = [[0.0, 0.0], [near, 0.0], [far, 0.0]]
+        scales = np.ones(300)
+        scales[5] = scale
+        with pytest.raises(ValueError, match="ratio beyond the double range"):
+            PairwiseKernelSum(pts, scales, 2.0, neighbors(pts))
+
     @pytest.mark.parametrize("block_entries", [4_000_000, 700], ids=["one-block", "uneven-blocks"])
     def test_half_sweep_equals_the_full_square_histogram(self, monkeypatch, block_entries):
         # the counts of i < j, doubled, plus N diagonal zeros must be the
