@@ -31,8 +31,9 @@ that the stage can free it as soon as it is done with it:
   working arrays of a few blocks of BLOCK_ENTRIES entries
   (:func:`~diffusion_forecast.dataset.rows_per_block`): the stage's peak.
   The table is then freed, and the symmetrization holds the one-sided
-  arrays beside its result (12 z bytes) and the entries that have no stored
-  transpose. The returned kernel's arrays hold exactly z entries.
+  arrays beside the entries whose transposes it adds and its result, about
+  12 z bytes, which scipy's ``maximum`` allocates for the one-sided entries
+  plus the added ones.
 - ``build_basis``: the kernel and its private copy while it is copied, then
   the copy alone, which the normalization turns into L in place (12 z
   bytes). On the dense path L is freed once densified, which leaves one
@@ -210,18 +211,13 @@ def build_vb_kernel(
     and without duplicates. It is bitwise the matrix a COO assembly and
     ``tocsr`` give, while the working arrays stay the size of one block.
 
-    The symmetrization max(K, K^T) needs no transpose. It relies on the order
-    of :class:`~diffusion_forecast.dataset.NeighborList` that :func:`knn`
-    gives: each row holds the point's nearest points in ascending distance,
-    and the distance of j in row i is bitwise that of i in row j. So i is in
-    row j's first ``neighbor_cap`` columns when d_ij is below the last of
-    them, and is not when it is above; at equal distance it is when it is
-    row j's last neighbour, and otherwise row j is searched.
-    Where it is, and K(x_j, x_i), recomputed in row j's operation order,
-    clears the floor, the entry takes the maximum in place; every other entry
-    is added at (j, i) by :func:`_symmetrize`, which writes the result into
-    arrays of its final size. The table is freed before that, unless the
-    caller still holds it.
+    Each entry's denominator is 4 eps (q_i^beta q_j^beta), symmetric bit for
+    bit, and so are the distances of :func:`knn`, so k_ij == k_ji wherever
+    both are computed and max(K, K^T) is the union of the two one-sided
+    patterns. Row j holds i when d_ij is below row j's last distance; every
+    other kept entry may lack its transpose and is added at (j, i) by
+    :func:`_symmetrize`, after the table is freed unless the caller still
+    holds it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -238,7 +234,7 @@ def build_vb_kernel(
     else:
         nl = knn(ts, cap)
     # with no reference left in the caller, the table is freed before the
-    # symmetrization allocates the result
+    # symmetrization adds the missing transposes
     del neighbors
     indptr, indices, data = _one_sided_kernel(nl, cap, qv**beta, 4.0 * eps)
     del nl
@@ -258,17 +254,15 @@ def _one_sided_kernel(nl: NeighborList, cap: int, qb: np.ndarray, c: float):
     """The one-sided kernel of :func:`build_vb_kernel` as CSR arrays
     ``(indptr, indices, data)``, ``indices`` and ``data`` with N cap slots of
     which the first ``indptr[-1]`` are used. An entry (i, j) whose transpose
-    (j, i) is stored takes max(k_ij, k_ji); one whose transpose is not stored
-    is written negated, which marks it for :func:`_symmetrize` (kernel values
-    are positive)."""
+    (j, i) may not be stored is written negated, which marks it for
+    :func:`_symmetrize` (kernel values are positive)."""
     n = nl.indices.shape[0]
     idx_dtype = np.int32 if n * cap <= np.iinfo(np.int32).max else np.int64
     indices = np.empty(n * cap, dtype=idx_dtype)
     data = np.empty(n * cap)
     indptr = np.zeros(n + 1, dtype=idx_dtype)
-    # row j's last column: row j holds i when d_ij < last_d[j]
+    # row j's last distance: row j holds i when d_ij < last_d[j]
     last_d = nl.distances[:, cap - 1].copy()
-    last_i = nl.indices[:, cap - 1].copy()
     nnz = 0
     step = rows_per_block(cap)
     for s in range(0, n, step):
@@ -278,28 +272,14 @@ def _one_sided_kernel(nl: NeighborList, cap: int, qb: np.ndarray, c: float):
         cols = np.take_along_axis(nl.indices[s:e], order, axis=1)
         dist = np.take_along_axis(nl.distances[s:e], order, axis=1)
         del order
-        last_j = last_d[cols]
-        mutual = dist < last_j
-        tied = np.nonzero(dist == last_j)
-        del last_j
-        if tied[0].size:
-            # i is row j's last neighbour, or row j is searched for it
-            rows, js = tied[0] + s, cols[tied]
-            held = last_i[js] == rows
-            held[~held] = _in_table_rows(nl.indices, cap, js[~held], rows[~held])
-            mutual[tied] = held
+        mutual = dist < last_d[cols]
         neg_d2 = np.negative(np.square(dist, out=dist), out=dist)
-        qb_j = qb[cols]
-        vals = np.exp(neg_d2 / (c * qb[s:e, None] * qb_j))
-        # k_ji in row j's operation order; the distances are symmetric bit for bit
-        k_ji = np.exp(neg_d2 / (c * qb_j * qb[s:e, None]))
-        del dist, neg_d2, qb_j
+        # c (qb_i qb_j) is symmetric bit for bit, and so is the kernel
+        vals = np.exp(neg_d2 / (c * (qb[s:e, None] * qb[cols])))
+        del dist, neg_d2
         keep = vals >= KERNEL_FLOOR
-        mutual &= k_ji >= KERNEL_FLOOR
-        np.maximum(vals, np.multiply(k_ji, mutual, out=k_ji), out=vals)
-        del k_ji
-        lone = np.nonzero(keep & ~mutual)
-        vals[lone] = -vals[lone]
+        marked = np.nonzero(keep & ~mutual)
+        vals[marked] = -vals[marked]
         np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[s + 1:e + 1])
         indptr[s + 1:e + 1] += nnz
         kept = int(indptr[e]) - nnz
@@ -309,65 +289,19 @@ def _one_sided_kernel(nl: NeighborList, cap: int, qb: np.ndarray, c: float):
     return indptr, indices, data
 
 
-def _in_table_rows(table: np.ndarray, cap: int, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Whether each ``points[t]`` is among the first ``cap`` columns of
-    ``table`` row ``rows[t]``, in chunks of one block."""
-    out = np.empty(rows.shape[0], dtype=bool)
-    step = rows_per_block(cap)
-    for s in range(0, rows.shape[0], step):
-        e = s + step
-        out[s:e] = (table[rows[s:e], :cap] == points[s:e, None]).any(axis=1)
-    return out
-
-
 def _symmetrize(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
     """max(K, K^T) from :func:`_one_sided_kernel`'s arrays, which are left
-    with the marks removed: each negated entry (i, j) is also added at (j, i),
-    merged into row j in column order, in row blocks. The result's arrays
-    have exactly its nnz entries and the index dtype of scipy's
-    ``maximum``, which sizes for nnz(K) + nnz(K^T)."""
+    with the marks removed. Since k_ij == k_ji, the maximum only adds the
+    transposes of the marked entries where they are missing."""
     n = indptr.shape[0] - 1
     nnz = int(indptr[-1])
-    step = rows_per_block(int(np.diff(indptr).max(initial=0)))
-    # the marked entries, transposed: t_rows[t] = j, t_cols[t] = i
-    t_rows, t_cols, t_vals = [], [], []
-    for s in range(0, n, step):
-        lo, hi = indptr[s], indptr[min(s + step, n)]
-        at = lo + np.flatnonzero(data[lo:hi] < 0)
-        vals = -data[at]
-        data[at] = vals
-        t_rows.append(indices[at])
-        t_cols.append(np.searchsorted(indptr, at, side="right") - 1)
-        t_vals.append(vals)
-    t_rows, t_cols, t_vals = (np.concatenate(a) for a in (t_rows, t_cols, t_vals))
-    order = np.argsort(t_rows, kind="stable")  # by (j, i): i ascends already
-    t_rows, t_cols, t_vals = t_rows[order], t_cols[order], t_vals[order]
-    del order
-    t_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(t_rows, minlength=n), out=t_ptr[1:])
-
-    idx_dtype = indices.dtype if 2 * nnz <= np.iinfo(np.int32).max else np.int64
-    out_ptr = (indptr + t_ptr).astype(idx_dtype)
-    out_indices = np.empty(int(out_ptr[-1]), dtype=idx_dtype)
-    out_data = np.empty(int(out_ptr[-1]))
-    step = rows_per_block(int(np.diff(out_ptr).max(initial=0)))
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        lo, hi, tlo, thi = indptr[s], indptr[e], t_ptr[s], t_ptr[e]
-        dest = slice(out_ptr[s], out_ptr[e])
-        key = np.repeat(np.arange(s, e, dtype=np.int64) * n, np.diff(indptr[s:e + 1]))
-        key += indices[lo:hi]
-        at = np.searchsorted(key, t_rows[tlo:thi].astype(np.int64) * n + t_cols[tlo:thi])
-        at += np.arange(thi - tlo)
-        own = np.ones(out_ptr[e] - out_ptr[s], dtype=bool)
-        own[at] = False
-        out_indices[dest][own] = indices[lo:hi]
-        out_indices[dest][at] = t_cols[tlo:thi]
-        out_data[dest][own] = data[lo:hi]
-        out_data[dest][at] = t_vals[tlo:thi]
-    k = sp.csr_matrix((out_data, out_indices, out_ptr), shape=(n, n))
-    k.has_canonical_format = True
-    return k
+    k = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
+    at = np.flatnonzero(k.data < 0)
+    k.data[at] *= -1.0
+    rows = np.searchsorted(indptr, at, side="right") - 1
+    extra = sp.csr_matrix((k.data[at], (k.indices[at], rows)), shape=(n, n))
+    del at, rows  # freed before the maximum allocates its result
+    return k.maximum(extra)
 
 
 def build_basis(
@@ -535,12 +469,8 @@ def _top_eigenpairs(
     l_sym: sp.spmatrix, m: int, route: tuple[str, int | None]
 ) -> tuple[np.ndarray, np.ndarray, EigensolveRecord]:
     """M algebraically largest eigenpairs, eigenvalues descending, by the
-    solver ``route`` that :func:`_choose_eigensolver` picked.
-
-    The rule: dense unless LANCZOS_BUDGET (0.5) of the dense cost, (4/3) n^3
-    flops at 13 GFlop/s, pays for ARPACK's first factorisation and one
-    restart, a step costing 2 nnz + 4 n ncv flops at 1.7 GFlop/s; Lanczos,
-    unbudgeted, when 16 n^2 bytes exceed DENSE_MEMORY_BYTES (3.5 GB).
+    solver ``route`` that :func:`_choose_eigensolver` picked by the rule of
+    the module docstring.
 
     Dense: ``eigh(subset_by_index)`` of the whole matrix. Lanczos: ARPACK
     ``eigsh`` for k = 2m pairs from a fixed start vector, then the

@@ -188,20 +188,10 @@ def reconstruct_density(c: DensityCoefficients, basis: DiffusionBasis) -> np.nda
     """Pointwise density values peq * (phi @ c) at the training points.
 
     Raw reconstruction; basis truncation can leave small negative values,
-    which are kept for moment consistency. Use :func:`clamp_density` when
-    exporting for display.
+    which are kept so that the values agree with the moments of
+    :func:`forecast_moments`, read from the same coefficients.
     """
     return basis.peq * (basis.phi @ c.c)
-
-
-def clamp_density(values: np.ndarray, basis: DiffusionBasis) -> np.ndarray:
-    """Clip negative reconstructed values and renormalize to unit mass under
-    the empirical quadrature (1/N) sum p/peq."""
-    clipped = np.maximum(values, 0.0)
-    mass = np.mean(clipped / basis.peq)
-    if mass <= 0:
-        raise ValueError("density vanished after clamping")
-    return clipped / mass
 
 
 def forecast_moments(

@@ -74,14 +74,14 @@ def euler_maruyama(
     dt_sample: float,
     substeps: int,
     n_samples: int,
-    seed: int,
-    rng: np.random.Generator | None = None,
+    seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> TimeSeries:
     """Integrate a single trajectory, recording every ``dt_sample``.
 
     The internal step is dt_sample / substeps. Periodic coordinates are
     wrapped into [0, period) at every substep. The first recorded point is
-    the state one sampling interval after ``x0``.
+    the state one sampling interval after ``x0``. The noise comes from
+    ``np.random.default_rng(seed)``, so a Generator is drawn from as is.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -89,8 +89,7 @@ def euler_maruyama(
         raise ValueError("dt_sample must be positive")
     if np.size(x0) != model.dim:
         raise ValueError(f"x0 has {np.size(x0)} components, the model has dim {model.dim}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float).reshape(1, model.dim)
     out = np.empty((n_samples, model.dim))
     for i in range(n_samples):
@@ -176,7 +175,7 @@ def simulate_torus(
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, TWO_PI, size=2)
     intrinsic = euler_maruyama(
-        torus_model(), x0, dt_sample, substeps, n_samples + burn_in, seed, rng=rng
+        torus_model(), x0, dt_sample, substeps, n_samples + burn_in, rng
     )
     angles = intrinsic.points[burn_in:]
     label = f"torus(seed={seed})"

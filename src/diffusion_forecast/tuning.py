@@ -226,10 +226,13 @@ def _histogram_bounds(neighbors: NeighborList, points: np.ndarray,
             f"point {bad} and its {d.shape[1] - 1} nearest neighbors are one repeated "
             "point; deduplicate the data first"
         )
-    lo = float(nearest.min()) ** 2 / float(v.max()) ** 2
-    span = points.max(axis=0) - points.min(axis=0)
-    hi = float(span @ span) / float(v.min()) ** 2
-    return lo, max(hi, lo)
+    # float64 scalars overflow to inf and divide by 0 to inf, where Python
+    # floats would raise; the caller names a ratio that leaves the double range
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        lo = nearest.min() ** 2 / v.max() ** 2
+        span = points.max(axis=0) - points.min(axis=0)
+        hi = (span @ span) / v.min() ** 2
+    return float(lo), float(max(hi, lo))
 
 
 def tune(kernel_sum, grid: np.ndarray | None = None) -> TuningResult:

@@ -84,16 +84,16 @@ def full_square_histogram(points, scales, table_distances, log_bin_width):
 
 def coo_vb_kernel(q, eps, beta, neighbor_cap, indices, distances, floor):
     """The variable-bandwidth kernel assembled as COO triplets, one per table
-    entry (row i repeated for each of its neighbours), entries below
-    ``floor`` dropped, converted with ``tocsr`` and symmetrised by the
-    entrywise maximum. Returns the CSR matrix and the number of entries the
-    floor dropped."""
+    entry (row i repeated for each of its neighbours), each with the
+    denominator 4 eps (qb_i qb_j), entries below ``floor`` dropped, converted
+    with ``tocsr`` and symmetrised by the entrywise maximum. Returns the CSR
+    matrix and the number of entries the floor dropped."""
     n = q.shape[0]
     qb = q**beta
     rows = np.repeat(np.arange(n), neighbor_cap)
     cols = indices[:, :neighbor_cap].ravel()
     d2 = distances[:, :neighbor_cap].ravel() ** 2
-    vals = np.exp(-d2 / (4.0 * eps * qb[rows] * qb[cols]))
+    vals = np.exp(-d2 / (4.0 * eps * (qb[rows] * qb[cols])))
     keep = vals >= floor
     k = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
     k = k.maximum(k.T)

@@ -117,12 +117,14 @@ class TestPairwiseKernelSum:
         exact = brute_force_kernel_sum(pts, prof.rho0, 2.0, eps_grid)
         assert np.max(np.abs(ks(eps_grid) / exact - 1.0)) < 2e-3
 
-    @pytest.mark.parametrize("far, scale", [(1e100, 1.0), (1.0, 1e5)],
-                             ids=["ratio-overflows", "lower-bound-underflows"])
+    @pytest.mark.parametrize("far, scale", [(1e100, 1.0), (1.0, 1e5), (1.0, 1e200), (1.0, 1e-200)],
+                             ids=["ratio-overflows", "lower-bound-underflows",
+                                  "scale-squared-overflows", "scale-squared-underflows"])
     def test_unbinnable_span_is_named(self, far, scale):
         # points 1e-117 apart beside one 1e100 away put the bound ratio past
         # 1.8e308; points 1e-160 apart with a scale of 1e5 put the lower
-        # bound under the smallest double
+        # bound under the smallest double; a scale whose square overflows or
+        # underflows divides a bound by inf or by 0
         pts = np.random.default_rng(4).normal(size=(300, 2))
         near = 1e-117 if far > 1.0 else 1e-160
         pts[:3] = [[0.0, 0.0], [near, 0.0], [far, 0.0]]
