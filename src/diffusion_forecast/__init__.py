@@ -41,7 +41,7 @@ from .forecast import (
     project_density,
     reconstruct_density,
 )
-from .pipeline import FitResult, fit_forecaster, load_model, save_model
+from .pipeline import FitResult, fit_forecaster, fit_record, load_model, save_model
 from .simulators import (
     ODEModel,
     SDEModel,
@@ -87,6 +87,7 @@ __all__ = [
     "estimate_shift_operator",
     "euler_maruyama",
     "fit_forecaster",
+    "fit_record",
     "forecast_ladder",
     "forecast_moments",
     "gaussian_density_values",

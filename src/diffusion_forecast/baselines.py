@@ -120,6 +120,9 @@ def fit_local_affine(
     pts = train.points
     n, dim = pts.shape
     query = np.asarray(point, dtype=float)
+    if query.shape[-1:] != (dim,):
+        raise ValueError(f"state of shape {query.shape} does not match the "
+                         f"training series of dim {dim}")
     if lead_steps < 0:
         raise ValueError("lead_steps must be nonnegative")
     if lead_steps == 0:
@@ -249,6 +252,9 @@ def ensemble_forecast(
     Lead 0 reports the moments of the sampled initial conditions. The
     variance is the two-pass population variance (divided by ``n_ens``).
     """
+    if init.mean.shape[-1] != model.dim:
+        raise ValueError(f"initial mean has {init.mean.shape[-1]} components, "
+                         f"the model has dim {model.dim}")
     if n_ens < 2:
         raise ValueError("need at least 2 ensemble members")
     if dt_sample <= 0 or substeps < 1:

@@ -160,19 +160,16 @@ class EigensolveRecord:
 
 @dataclass(frozen=True)
 class NormalizationLedger:
-    """Diagonal factors produced along the normalization chain, kept for
-    diagnostics, and the record of the eigensolve (None when not made by
+    """The diagonal Dhat of the normalization chain, the source of the
+    spectral edge, and the record of the eigensolve (None when not made by
     build_basis)."""
 
-    qS: np.ndarray
-    qSalpha: np.ndarray
     Dhat_scale: np.ndarray
     solver: EigensolveRecord | None = None
 
     def __post_init__(self):
-        for name in ("qS", "qSalpha", "Dhat_scale"):
-            if np.any(getattr(self, name) <= 0):
-                raise ValueError(f"normalization factor {name} must be strictly positive")
+        if np.any(self.Dhat_scale <= 0):
+            raise ValueError("normalization factor Dhat_scale must be strictly positive")
 
     @property
     def lambda_edge(self) -> float:
@@ -405,7 +402,7 @@ def build_basis(
         alpha=float(alpha),
         beta=float(beta),
     )
-    ledger = NormalizationLedger(qS=q_s, qSalpha=q_s_alpha, Dhat_scale=dhat, solver=solver)
+    ledger = NormalizationLedger(Dhat_scale=dhat, solver=solver)
     m_eff = ledger.galerkin_size(lam)
     if m > m_eff:
         logger.warning("basis size M=%d exceeds M_eff=%d, the number of eigenvalues below the "

@@ -33,7 +33,7 @@ from .forecast import (
     project_density,
     reconstruct_density,
 )
-from .pipeline import fit_forecaster, load_model, save_model
+from .pipeline import fit_forecaster, fit_record, load_model, save_model
 from .simulators import lorenz_model, lorenz_substeps, simulate_lorenz63, simulate_torus, torus_model
 
 
@@ -84,8 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1,
                    help="use every stride-th consecutive pair for the shift operator")
     p.add_argument("--out", required=True,
-                   help="model file (npz) holding the basis, the shift operator "
-                        "and the training points; written to exactly this path")
+                   help="model file (npz) holding the basis, the shift operator, the "
+                        "training points and, in its metadata entry fit, the fit "
+                        "diagnostics; written to exactly this path")
     p.add_argument("--dump-tuning", action="store_true",
                    help="also write the (log eps, log T) sweep curves next to the "
                         "model file, as <out>_tuning_{kde,vb}.csv without a .npz suffix")
@@ -173,23 +174,18 @@ def _cmd_build_basis(args) -> int:
                          stride=args.stride)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    metadata = {
-        "source": str(args.series),
-        "lags": args.lags,
-        "kde": {"eps": fit.kde_tuning.eps_star, "d": fit.kde_tuning.d_est,
-                "boundary_warning": fit.kde_tuning.boundary_warning},
-        "vb": {"eps": fit.vb_tuning.eps_star, "d": fit.vb_tuning.d_est,
-               "boundary_warning": fit.vb_tuning.boundary_warning},
-    }
-    save_model(out, fit.basis, fit.operator, ts.points, metadata)
+    record = fit_record(fit)
+    save_model(out, fit.basis, fit.operator, ts.points,
+               {"source": str(args.series), "lags": args.lags, "fit": record})
     if args.dump_tuning:
         for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning)):
             write_csv(_sidecar(out, f"_tuning_{name}.csv"), ["log_eps", "log_t"], tuning.curve)
-    ledger = fit.ledger
-    solver = ledger.solver
-    print(f"wrote {out} (eigensolver {solver.path}, {solver.matvecs} ARPACK matvecs, "
-          f"fallback {solver.fallback}, max residual {solver.max_residual:.1e}, "
-          f"lambda_edge {ledger.lambda_edge:.3g}, M_eff {ledger.galerkin_size(fit.basis.lam)})")
+    solver = record["eigensolver"]
+    # the dense path computes no residual; the line keeps printing it as nan
+    residual = float("nan") if solver["max_residual"] is None else solver["max_residual"]
+    print(f"wrote {out} (eigensolver {solver['path']}, {solver['matvecs']} ARPACK matvecs, "
+          f"fallback {solver['fallback']}, max residual {residual:.1e}, "
+          f"lambda_edge {record['lambda_edge']:.3g}, M_eff {record['m_eff']})")
     return 0
 
 
@@ -202,11 +198,13 @@ def _sidecar(out: Path, tail: str) -> Path:
 
 def _parse_gaussian(args) -> tuple[np.ndarray, np.ndarray]:
     """The initial mean and diagonal variance from ``--mean`` and ``--var``;
-    a single variance applies to every coordinate."""
+    a single variance applies to every coordinate, and any other count than
+    one or the mean's dimension is a ValueError."""
     mean, var = (np.array([float(tok) for tok in text.split(",")]) for text in (args.mean, args.var))
-    if var.size == 1:
-        var = np.full(mean.size, var[0])
-    return mean, var
+    if var.size not in (1, mean.size):
+        raise ValueError(f"--var has {var.size} entries; give one, or one per coordinate "
+                         f"of --mean ({mean.size})")
+    return mean, np.resize(var, mean.size)
 
 
 def _cmd_forecast(args) -> int:

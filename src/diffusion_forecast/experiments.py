@@ -19,7 +19,7 @@ from .baselines import (
 from .dataset import TimeSeries, delay_embed, load_monthly_series, split, write_csv
 from .evaluation import ExperimentConfig, SkillReport, rmse_and_correlation
 from .forecast import MomentForecast, forecast_ladder, gaussian_density_values, project_density
-from .pipeline import FitResult, fit_forecaster
+from .pipeline import FitResult, fit_forecaster, fit_record
 from .simulators import (TWO_PI, lorenz_model, lorenz_substeps, simulate_lorenz63, simulate_torus,
                          torus_embed, torus_model)
 
@@ -143,9 +143,7 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
     manifest_path = _write_manifest(out, config, {
         "p0_mean": list(p0_mean),
         "clim_stdev": list(clim),
-        "kde_eps": fit.kde_tuning.eps_star, "kde_d": fit.kde_tuning.d_est,
-        "vb_eps": fit.vb_tuning.eps_star, "vb_d": fit.vb_tuning.d_est,
-        "basis": _basis_record(fit),
+        "fit": fit_record(fit),
     })
     return TorusExperimentResult(
         lead_times=lead_times, diffusion=diffusion, ensemble=ens,
@@ -166,7 +164,7 @@ def run_lorenz_experiment(config: ExperimentConfig, out_dir=None) -> LorenzExper
     manifest_path = _write_manifest(out, config, {
         "dts": list(dts),
         "clim_stdev": {repr(dt): runs[dt].clim_stdev for dt in dts},
-        "basis": {repr(dt): _basis_record(runs[dt].fit) for dt in dts},
+        "fit": {repr(dt): fit_record(runs[dt].fit) for dt in dts},
     })
     return LorenzExperimentResult(runs=runs, manifest_path=manifest_path)
 
@@ -326,9 +324,7 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
         "n_points_used": int(t),
         "train_rows": int(train_rows),
         "verification_count": int(v_count),
-        "kde_eps": fit.kde_tuning.eps_star, "kde_d": fit.kde_tuning.d_est,
-        "vb_eps": fit.vb_tuning.eps_star, "vb_d": fit.vb_tuning.d_est,
-        "basis": _basis_record(fit),
+        "fit": fit_record(fit),
     })
     return NinoExperimentResult(
         skill=skill,
@@ -348,24 +344,8 @@ def _prepare_out_dir(base, name: str) -> Path:
     return out
 
 
-def _basis_record(fit: FitResult) -> dict:
-    """The eigensolver record, the spectral edge and M_eff of a fit, for a
-    manifest; the residual is null on the dense path, which does not
-    compute it."""
-    ledger = fit.ledger
-    solver = ledger.solver
-    residual = solver.max_residual
-    return {
-        "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
-                        "fallback": solver.fallback,
-                        "max_residual": None if np.isnan(residual) else residual},
-        "lambda_edge": ledger.lambda_edge,
-        "m_eff": ledger.galerkin_size(fit.basis.lam),
-    }
-
-
 def _write_manifest(out: Path, config: ExperimentConfig, extra: dict) -> Path:
     manifest = {"config": asdict(config), **extra}
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path

@@ -5,6 +5,7 @@ fitted model as one bundle file."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from .basis import NEIGHBOR_CAP, DiffusionBasis, NormalizationLedger, build_basi
 from .dataset import TimeSeries, knn
 from .forecast import ShiftOperator, estimate_shift_operator
 from .tuning import (
-    BandwidthProfile,
     DensityEstimate,
     PairwiseKernelSum,
     TuningResult,
@@ -40,7 +40,6 @@ class FitResult:
     basis: DiffusionBasis
     operator: ShiftOperator
     density: DensityEstimate
-    profile: BandwidthProfile
     kde_tuning: TuningResult
     vb_tuning: TuningResult
     ledger: NormalizationLedger
@@ -86,11 +85,35 @@ def fit_forecaster(
         basis=basis,
         operator=operator,
         density=density,
-        profile=profile,
         kde_tuning=kde_tuning,
         vb_tuning=vb_tuning,
         ledger=ledger,
     )
+
+
+def fit_record(fit: FitResult) -> dict:
+    """The facts that say whether ``fit`` is a Galerkin projection, as one
+    JSON-ready dict; every manifest, the model bundle's metadata and the
+    ``build-basis`` line render this record, and a new diagnostic goes here.
+
+    ``kde`` and ``vb`` hold ``{eps, d, boundary_warning}`` of the two
+    bandwidth tunings; ``eigensolver`` holds ``{path, matvecs, fallback,
+    max_residual}``, with ``max_residual`` null on the dense path, which
+    does not compute it; ``lambda_edge`` is the spectral edge and ``m_eff``
+    the number of basis eigenvalues below it.
+    """
+    ledger, solver = fit.ledger, fit.ledger.solver
+    return {
+        **{name: {"eps": tuning.eps_star, "d": tuning.d_est,
+                  "boundary_warning": tuning.boundary_warning}
+           for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning))},
+        "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
+                        "fallback": solver.fallback,
+                        "max_residual": None if math.isnan(solver.max_residual)
+                        else solver.max_residual},
+        "lambda_edge": ledger.lambda_edge,
+        "m_eff": ledger.galerkin_size(fit.basis.lam),
+    }
 
 
 def save_model(path, basis: DiffusionBasis, operator: ShiftOperator,
@@ -101,11 +124,14 @@ def save_model(path, basis: DiffusionBasis, operator: ShiftOperator,
     (N, D), the training points after any delay embedding, in time order;
     ``peq`` (N,), ``lam`` (M,), ``phi`` (N, M) and the scalars ``eps``,
     ``d``, ``alpha``, ``beta`` of the basis; ``a`` (M, M), ``tau`` and
-    ``n_pairs`` of the shift operator; ``metadata``, a JSON object string.
-    Every entry is a plain array, so ``np.load(path, allow_pickle=False)``
-    reads the file. A change to the keys or their meaning takes a new
-    version; :func:`load_model` rejects any other version. The zip entries
-    carry a fixed date, so the bytes depend only on the model.
+    ``n_pairs`` of the shift operator; ``metadata``, a JSON object string
+    written as strict JSON, so a NaN in it raises ValueError
+    (``build-basis`` writes ``source``, ``lags`` and ``fit``, the
+    :func:`fit_record` of the fit). Every entry is a plain array, so
+    ``np.load(path, allow_pickle=False)`` reads the file. A change to the
+    keys or their meaning takes a new version; :func:`load_model` rejects
+    any other version. The zip entries carry a fixed date, so the bytes
+    depend only on the model.
     """
     import zipfile
 
@@ -115,7 +141,7 @@ def save_model(path, basis: DiffusionBasis, operator: ShiftOperator,
         "peq": basis.peq, "lam": basis.lam, "phi": basis.phi,
         "eps": basis.eps, "d": basis.d, "alpha": basis.alpha, "beta": basis.beta,
         "tau": operator.tau, "a": operator.a, "n_pairs": np.int64(operator.n_pairs),
-        "metadata": json.dumps(metadata or {}, sort_keys=True),
+        "metadata": json.dumps(metadata or {}, sort_keys=True, allow_nan=False),
     }
     # row-major, so products on a loaded model do not depend on the solver's layout
     entries = {key: np.asarray(value, order="C") for key, value in entries.items()}

@@ -117,6 +117,17 @@ class TestLocalLinear:
         with pytest.raises(ValueError, match="usable"):
             fit_local_affine(train, np.array([last]), 2, k=15)
 
+    @pytest.mark.parametrize("forecast", [local_linear_forecast, iterated_local_linear_forecast])
+    @pytest.mark.parametrize("mean", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]] * 2], ids=["one", "batch"])
+    def test_a_state_of_another_dimension_is_named(self, forecast, mean):
+        # a 3-d state on the 2-d spiral; scipy's own error named neither
+        train, _, _ = spiral_series()
+        init = GaussianState.isotropic(np.array(mean), 0.01)
+        with pytest.raises(ValueError) as err:
+            forecast(train, init, 2)
+        assert str(err.value) == (f"state of shape {np.shape(mean)} does not match "
+                                  "the training series of dim 2")
+
     def test_lorenz_iterated_covariance_inflates(self):
         ts = simulate_lorenz63(n_samples=3000, dt_sample=0.1, seed=2)
         clim_var = ts.points.var(axis=0).mean()

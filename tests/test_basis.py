@@ -219,12 +219,7 @@ class TestBuildBasis:
         basis = fit.basis
         kernel = build_vb_kernel(circle_series_3000, fit.density,
                                  fit.vb_tuning.eps_star, neighbor_cap=1024)
-        ledger = fit.ledger
-        alpha = basis.alpha
-        scale = ledger.qS ** (-alpha)
-        k_alpha = sp.diags(scale) @ kernel @ sp.diags(scale)
-        u = 1.0 / np.sqrt(ledger.qSalpha * ledger.Dhat_scale)
-        l_sym = sp.diags(u) @ k_alpha @ sp.diags(u) - sp.diags(1.0 / ledger.Dhat_scale)
+        l_sym = sparse_product_operator(kernel, fit.density, basis.eps, basis.d, basis.beta)
         n = basis.n_points
         energy = -np.sum(basis.phi * (l_sym @ basis.phi), axis=0) / n
         lam = basis.lam
@@ -431,8 +426,7 @@ class TestSerialization:
 
 def test_normalization_ledger_positivity():
     with pytest.raises(ValueError, match="positive"):
-        NormalizationLedger(qS=np.array([1.0, -1.0]), qSalpha=np.ones(2),
-                            Dhat_scale=np.ones(2))
+        NormalizationLedger(Dhat_scale=np.array([1.0, -1.0]))
 
 
 def test_diffusion_basis_shape_validation():

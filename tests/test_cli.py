@@ -15,7 +15,7 @@ from diffusion_forecast.forecast import (
     gaussian_density_values,
     project_density,
 )
-from diffusion_forecast.pipeline import fit_forecaster, load_model
+from diffusion_forecast.pipeline import fit_forecaster, fit_record, load_model
 from diffusion_forecast.simulators import lorenz_model, simulate_lorenz63
 
 N_SAMPLES = 1500
@@ -66,6 +66,12 @@ def run(tmp_path_factory):
     return {"dir": d, "model": model, "mean": mean}
 
 
+@pytest.fixture(scope="module")
+def refit(run):
+    """The fit that build-basis made in ``run``, made again in process."""
+    return fit_forecaster(read_series_csv(run["dir"] / "sim" / "torus_embedded.csv", tau=0.1), 40)
+
+
 def test_simulate_writes_both_series(run):
     for name, dim in (("torus_intrinsic.csv", 2), ("torus_embedded.csv", 3)):
         header, rows = _read_csv(run["dir"] / "sim" / name)
@@ -98,14 +104,15 @@ def test_tuning_dump_holds_plain_floats(run):
         assert rows.ndim == 2 and rows.shape[1] == 2 and rows.shape[0] > 10
 
 
-def test_model_is_one_file(run):
+def test_model_is_one_file(run, refit):
     assert sorted(p.name for p in (run["dir"] / "model").iterdir()) == [
         "basis.npz", "basis_tuning_kde.csv", "basis_tuning_vb.csv"]
     basis, op, points, metadata = load_model(run["model"])
     series = read_series_csv(run["dir"] / "sim" / "torus_embedded.csv", tau=0.1)
     assert np.array_equal(points, series.points)
     assert op.tau == 0.1 and op.n_pairs == N_SAMPLES - 1 and basis.n_basis == 40
-    assert metadata["lags"] == 1 and set(metadata["vb"]) == {"eps", "d", "boundary_warning"}
+    assert metadata == {"source": str(run["dir"] / "sim" / "torus_embedded.csv"), "lags": 1,
+                        "fit": fit_record(refit)}
 
 
 def test_build_basis_stride_reaches_the_operator(run, tmp_path):
@@ -171,6 +178,27 @@ def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, method, miss
     assert not out.parent.exists()
 
 
+def test_ensemble_baseline_rejects_a_mean_of_another_dimension(tmp_path, capsys):
+    out = tmp_path / "ensemble.csv"
+    assert main(["baseline", "--method", "ensemble", "--system", "lorenz63", "--tau", "0.1",
+                 "--mean", "1,2", "--var", "0.1", "--steps", "3", "--n-ens", "10",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: initial mean has 2 components, the model has dim 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "baseline"])
+def test_a_var_of_another_length_names_both_flags(run, tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    source = (["--model", str(run["model"])] if command == "forecast"
+              else ["--method", "ensemble", "--system", "lorenz63"])
+    assert main([command, *source, "--mean", "1,2,3", "--var", "0.1,0.2", "--steps", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --var has 2 entries; give one, or one per coordinate of --mean (3)\n")
+    assert not out.exists()
+
+
 def test_evaluate_rows(run):
     text = (run["dir"] / "skill.csv").read_text()
     header, rows = _read_csv(run["dir"] / "skill.csv")
@@ -204,11 +232,11 @@ def test_sidecars_of_outputs_named_apart_after_a_dot_stay_apart(run, tmp_path):
         + [f"fc.{t}{tail}" for t in ("m3", "m5") for tail in ("", ".density.csv")])
 
 
-def test_build_basis_reports_the_eigensolver(run, tmp_path, capsys):
+def test_build_basis_reports_the_eigensolver(run, refit, tmp_path, capsys):
     series = run["dir"] / "sim" / "torus_embedded.csv"
     assert main(["build-basis", "--series", str(series),
                  "--tau", "0.1", "--m", "40", "--out", str(tmp_path / "m.npz")]) == 0
-    fit = fit_forecaster(read_series_csv(series, tau=0.1), 40)
+    fit = refit
     m_eff = fit.ledger.galerkin_size(fit.basis.lam)
     assert 0 < m_eff < 40
     assert capsys.readouterr().out == (

@@ -1,8 +1,55 @@
-"""Reading experiment configuration files."""
+"""Skill metrics, and reading experiment configuration files."""
 
+import numpy as np
 import pytest
 
-from diffusion_forecast.evaluation import ExperimentConfig, load_config
+from diffusion_forecast.evaluation import ExperimentConfig, load_config, rmse_and_correlation
+
+
+def test_a_degenerate_lead_is_flagged_and_reads_zero():
+    truth = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 4.0])]
+    forecast = [np.array([1.5, 2.5, 2.0]), np.full(3, 2.0)]  # a constant forecast at lead 2
+    report = rmse_and_correlation(truth, forecast, [1, 2])
+    assert report.degenerate.tolist() == [False, True]
+    assert report.correlation[0] == np.corrcoef(truth[0], forecast[0])[0, 1]
+    assert report.correlation[1] == 0.0
+    assert report.rmse.tolist() == [np.sqrt(1.5 / 3), np.sqrt(5.0 / 3)]
+    assert report.lead_times.tolist() == [1.0, 2.0]
+    # no forecast spread given
+    assert np.isnan(report.mean_forecast_stdev).all()
+
+
+def test_climatology_overrides_the_pooled_truth():
+    truth = [np.array([0.0, 2.0]), np.array([1.0, 3.0])]
+    forecast = [np.array([0.5, 1.5]), np.array([1.0, 2.0])]
+    assert rmse_and_correlation(truth, forecast, [1, 2]).climatological_stdev == np.std(
+        [0.0, 2.0, 1.0, 3.0])
+    report = rmse_and_correlation(truth, forecast, [1, 2], climatology=np.array([[0.0], [4.0]]))
+    assert report.climatological_stdev == 2.0
+
+
+def test_state_vectors_aggregate_over_coordinates():
+    rng = np.random.default_rng(0)
+    truth = [rng.normal(size=(5, 3)) for _ in range(2)]
+    forecast = [t + rng.normal(0.0, 0.3, t.shape) for t in truth]
+    stdev = [rng.uniform(0.1, 1.0, t.shape) for t in truth]
+    report = rmse_and_correlation(truth, forecast, [0.5, 1.0], forecast_stdevs_per_lead=stdev)
+    for i, (t, f, s) in enumerate(zip(truth, forecast, stdev)):
+        assert report.rmse[i] == np.sqrt(np.mean((f - t) ** 2))
+        assert report.correlation[i] == np.corrcoef(t.ravel(), f.ravel())[0, 1]
+        assert report.mean_forecast_stdev[i] == np.sqrt(np.mean(s * s))
+    assert not report.degenerate.any()
+
+
+@pytest.mark.parametrize("truth, forecast, leads, match", [
+    ([np.zeros(3), np.zeros(3)], [np.zeros(3), np.zeros(4)], [1, 2],
+     "lead 1: truth and forecast shapes disagree"),
+    ([np.zeros(3)], [np.zeros(3)], [1, 2], "one truth/forecast pair required per lead"),
+    ([np.zeros(1)], [np.zeros(1)], [1], "lead 0: need at least 2 verification points"),
+], ids=["shapes", "lead-count", "one-point"])
+def test_bad_skill_inputs_are_rejected(truth, forecast, leads, match):
+    with pytest.raises(ValueError, match=match):
+        rmse_and_correlation(truth, forecast, leads)
 
 
 def write(tmp_path, text):

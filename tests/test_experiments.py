@@ -20,6 +20,7 @@ from diffusion_forecast.experiments import (
     run_torus_experiment,
     torus_config,
 )
+from diffusion_forecast.pipeline import fit_record
 from diffusion_forecast.simulators import simulate_lorenz63
 
 
@@ -33,16 +34,9 @@ def _manifest_keys(path):
     return set(json.loads(path.read_text()))
 
 
-def _check_basis_record(record, fit):
-    """The manifest's eigensolver record, spectral edge and M_eff of ``fit``."""
-    solver, ledger = fit.ledger.solver, fit.ledger
-    assert set(record) == {"eigensolver", "lambda_edge", "m_eff"}
-    assert record["eigensolver"] == {
-        "path": solver.path, "matvecs": solver.matvecs, "fallback": solver.fallback,
-        # JSON has no NaN: the dense path, which computes no residual, writes null
-        "max_residual": None if solver.path == "dense" else solver.max_residual}
-    assert record["lambda_edge"] == ledger.lambda_edge
-    assert record["m_eff"] == ledger.galerkin_size(fit.basis.lam)
+def _check_fit_record(record, fit):
+    """The manifest's fit entry is the fit's record, through a JSON round trip."""
+    assert record == fit_record(fit)
     assert 1 <= record["m_eff"] <= fit.basis.n_basis
 
 
@@ -58,8 +52,8 @@ def test_torus_experiment(tmp_path):
     assert np.all(np.isfinite(rows))
     assert np.allclose(rows[:, 0], np.arange(11) * config.dt)
     assert _manifest_keys(result.manifest_path) == {
-        "config", "p0_mean", "clim_stdev", "kde_eps", "kde_d", "vb_eps", "vb_d", "basis"}
-    _check_basis_record(json.loads(result.manifest_path.read_text())["basis"], result.fit)
+        "config", "p0_mean", "clim_stdev", "fit"}
+    _check_fit_record(json.loads(result.manifest_path.read_text())["fit"], result.fit)
 
 
 def test_lorenz_experiment(tmp_path):
@@ -73,10 +67,10 @@ def test_lorenz_experiment(tmp_path):
                                       for stat in ("rmse", "stdev")]
     assert rows.shape == (21, 9)
     assert np.all(np.isfinite(rows))
-    assert _manifest_keys(result.manifest_path) == {"config", "dts", "clim_stdev", "basis"}
-    records = json.loads(result.manifest_path.read_text())["basis"]
+    assert _manifest_keys(result.manifest_path) == {"config", "dts", "clim_stdev", "fit"}
+    records = json.loads(result.manifest_path.read_text())["fit"]
     assert list(records) == [repr(config.dt)]
-    _check_basis_record(records[repr(config.dt)], run.fit)
+    _check_fit_record(records[repr(config.dt)], run.fit)
 
 
 def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
@@ -129,5 +123,5 @@ def test_nino_experiment(tmp_path):
     assert rows.shape == (165 - 24, 4)
     assert _manifest_keys(result.manifest_path) == {
         "config", "start", "n_points_used", "train_rows", "verification_count",
-        "kde_eps", "kde_d", "vb_eps", "vb_d", "basis"}
-    _check_basis_record(json.loads(result.manifest_path.read_text())["basis"], result.fit)
+        "fit"}
+    _check_fit_record(json.loads(result.manifest_path.read_text())["fit"], result.fit)

@@ -71,3 +71,13 @@ def test_cdist_is_referenced_only_in_dataset():
     # computation; a cdist call anywhere else would be a second one
     users = sorted(path.name for path in SRC.glob("*.py") if "cdist" in set(_names(path)))
     assert users == ["dataset.py"]
+
+
+def test_fit_diagnostics_reach_output_only_through_fit_record():
+    # pipeline.fit_record is the one renderer of the tunings, the solver
+    # record, the spectral edge and M_eff; a driver reading them itself
+    # would start a second manifest layout
+    fields = {"eps_star", "d_est", "boundary_warning", "lambda_edge", "galerkin_size",
+              "max_residual"}
+    found = {name: sorted(fields & set(_names(SRC / name))) for name in ("experiments.py", "cli.py")}
+    assert found == {"experiments.py": [], "cli.py": []}

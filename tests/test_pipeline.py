@@ -13,7 +13,13 @@ from diffusion_forecast.forecast import (
     gaussian_density_values,
     project_density,
 )
-from diffusion_forecast.pipeline import MODEL_FORMAT_VERSION, fit_forecaster, load_model, save_model
+from diffusion_forecast.pipeline import (
+    MODEL_FORMAT_VERSION,
+    fit_forecaster,
+    fit_record,
+    load_model,
+    save_model,
+)
 from diffusion_forecast.simulators import simulate_lorenz63
 
 KEYS = {"format_version", "points", "peq", "lam", "phi", "eps", "d", "alpha", "beta",
@@ -47,10 +53,43 @@ def rewrite(path, drop=(), **changes):
     np.savez(path, **entries)
 
 
+@pytest.fixture(scope="module")
+def lorenz_fit():
+    """A Lorenz-63 fit on the dense eigensolver path, and its points."""
+    points = simulate_lorenz63(1200, seed=5).points
+    return fit_forecaster(TimeSeries(points, tau=0.1), 60), points
+
+
+class TestFitRecord:
+    @pytest.mark.parametrize("case", ["circle", "lorenz"])
+    def test_strict_json(self, case, circle_fit_3000, lorenz_fit):
+        fit = circle_fit_3000 if case == "circle" else lorenz_fit[0]
+        record = fit_record(fit)
+        assert json.loads(json.dumps(record, allow_nan=False)) == record
+        solver, ledger = fit.ledger.solver, fit.ledger
+        residual = record["eigensolver"]["max_residual"]
+        if case == "circle":
+            assert solver.path == "lanczos" and np.isfinite(residual)
+        else:
+            # the dense path computes no residual: null, not NaN
+            assert solver.path == "dense" and residual is None
+        assert record == {
+            "kde": {"eps": fit.kde_tuning.eps_star, "d": fit.kde_tuning.d_est,
+                    "boundary_warning": fit.kde_tuning.boundary_warning},
+            "vb": {"eps": fit.vb_tuning.eps_star, "d": fit.vb_tuning.d_est,
+                   "boundary_warning": fit.vb_tuning.boundary_warning},
+            "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
+                            "fallback": solver.fallback, "max_residual": residual},
+            "lambda_edge": ledger.lambda_edge,
+            "m_eff": ledger.galerkin_size(fit.basis.lam),
+        }
+        assert 1 <= record["m_eff"] <= fit.basis.n_basis
+
+
 class TestModelBundle:
     def test_round_trip_bitwise(self, tmp_path, circle_fit_3000, circle_series_3000):
         fit = circle_fit_3000
-        metadata = {"source": "circle", "lags": 1, "vb": {"eps": 0.5, "boundary_warning": False}}
+        metadata = {"source": "circle", "lags": 1, "fit": fit_record(fit)}
         path = save_model(tmp_path / "circle.npz", fit.basis, fit.operator,
                           circle_series_3000.points, metadata)
         with np.load(path, allow_pickle=False) as npz:
@@ -68,12 +107,11 @@ class TestModelBundle:
 
     @pytest.mark.parametrize("case", ["circle", "lorenz"])
     def test_forecast_from_fit_equals_forecast_from_bundle(self, tmp_path, case, circle_fit_3000,
-                                                           circle_series_3000):
+                                                           circle_series_3000, lorenz_fit):
         if case == "circle":
             fit, points, var = circle_fit_3000, circle_series_3000.points, 0.1
         else:
-            points, var = simulate_lorenz63(1200, seed=5).points, 0.5
-            fit = fit_forecaster(TimeSeries(points, tau=0.1), 60)
+            (fit, points), var = lorenz_fit, 0.5
         # the circle fit takes the Lanczos path and the Lorenz fit the dense one
         assert fit.ledger.solver.path == {"circle": "lanczos", "lorenz": "dense"}[case]
         assert fit.basis.phi.flags.c_contiguous
@@ -153,6 +191,12 @@ class TestModelBundle:
         path.write_bytes(make(tmp_path))
         with pytest.raises(ValueError, match="not a model bundle"):
             load_model(path)
+
+    def test_save_refuses_nan_metadata(self, tmp_path):
+        # strict JSON: a NaN would be written as the non-standard token NaN
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(tmp_path / "m.npz", *small_model(), {"residual": float("nan")})
+        assert not (tmp_path / "m.npz").exists()
 
     def test_save_refuses_inconsistent_model(self, tmp_path):
         basis, op, points = small_model()
