@@ -257,8 +257,10 @@ def ensemble_forecast(
                          f"the model has dim {model.dim}")
     if n_ens < 2:
         raise ValueError("need at least 2 ensemble members")
-    if dt_sample <= 0 or substeps < 1:
-        raise ValueError("bad time stepping parameters")
+    if not (math.isfinite(dt_sample) and dt_sample > 0):
+        raise ValueError(f"dt_sample must be positive and finite, got {dt_sample}")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
     ic_seq, path_seq = rng_seed.spawn(2)

@@ -55,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .dataset import NeighborList, TimeSeries, knn, rows_per_block
+from .dataset import NeighborList, TimeSeries, rows_per_block
 from .tuning import KERNEL_FLOOR, DensityEstimate
 
 logger = logging.getLogger(__name__)
@@ -85,9 +85,14 @@ EIG_RESIDUAL_TOL = 1e-8
 # physical generator spectrum (checked against the analytic circle Laplacian).
 M_CONST = 1.0
 
-# Default number of nearest neighbours each kernel row keeps; build_vb_kernel
-# clamps it to the number of points.
+# Nearest neighbours each kernel row keeps: fit_forecaster's one kNN search
+# is min(N, NEIGHBOR_CAP) wide, and every stage of the fit reads that table.
 NEIGHBOR_CAP = 1024
+
+# Kernel exponent: the bandwidth of point i scales as q_i^BETA. With
+# alpha = -d/4 this targets the gradient-flow generator of the sampling
+# measure (Berry & Harlim, Variable bandwidth diffusion kernels, ACHA 40, 2016).
+BETA = -0.5
 
 
 @dataclass(frozen=True)
@@ -184,57 +189,44 @@ class NormalizationLedger:
         return int(np.count_nonzero(lam < self.lambda_edge))
 
 
-def build_vb_kernel(
-    ts: TimeSeries,
-    q: DensityEstimate,
-    eps: float,
-    beta: float = -0.5,
-    neighbor_cap: int = NEIGHBOR_CAP,
-    neighbors=None,
-) -> sp.csr_matrix:
-    """Sparse symmetric variable-bandwidth kernel matrix.
+def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> sp.csr_matrix:
+    """Sparse symmetric variable-bandwidth kernel matrix over a kNN table.
 
-    K(x_i, x_j) = exp(-|x_i - x_j|^2 / (4 eps (q_i q_j)^beta)), with entries
-    kept only for each point's ``neighbor_cap`` nearest neighbors and the
-    result symmetrized by the entrywise maximum. Entries below the double
-    precision noise floor are dropped. ``neighbors`` may carry a precomputed
-    kNN table with at least ``neighbor_cap`` columns.
+    K(x_i, x_j) = exp(-|x_i - x_j|^2 / (4 eps (q_i q_j)^BETA)), with entries
+    kept only for each point's nearest neighbours in ``neighbors``, whose
+    width c is the cap (``fit_forecaster`` passes min(N, NEIGHBOR_CAP)), and
+    the result symmetrized by the entrywise maximum. Entries below the
+    double precision noise floor are dropped.
 
-    The one-sided CSR matrix is built straight from the (N, neighbor_cap)
-    table, in row blocks of :func:`~diffusion_forecast.dataset.rows_per_block`
-    rows: each row's neighbour indices are put in ascending order with
-    ``argsort``, the distances gathered in the same order, and the kept
-    entries of each row written once into the CSR arrays as its row, sorted
-    and without duplicates. It is bitwise the matrix a COO assembly and
-    ``tocsr`` give, while the working arrays stay the size of one block.
+    The one-sided CSR matrix is built straight from the (N, c) table, in row
+    blocks of :func:`~diffusion_forecast.dataset.rows_per_block` rows: each
+    row's neighbour indices are put in ascending order with ``argsort``, the
+    distances gathered in the same order, and the kept entries of each row
+    written once into the CSR arrays as its row, sorted and without
+    duplicates. It is bitwise the matrix a COO assembly and ``tocsr`` give,
+    while the working arrays stay the size of one block.
 
-    Each entry's denominator is 4 eps (q_i^beta q_j^beta), symmetric bit for
-    bit, and so are the distances of :func:`knn`, so k_ij == k_ji wherever
-    both are computed and max(K, K^T) is the union of the two one-sided
-    patterns. Row j holds i when d_ij is below row j's last distance; every
-    other kept entry may lack its transpose and is added at (j, i) by
-    :func:`_symmetrize`, after the table is freed unless the caller still
-    holds it.
+    Each entry's denominator is 4 eps (q_i^BETA q_j^BETA), symmetric bit for
+    bit, and so are the distances of :func:`~diffusion_forecast.dataset.knn`,
+    so k_ij == k_ji wherever both are computed and max(K, K^T) is the union
+    of the two one-sided patterns. Row j holds i when d_ij is below row j's
+    last distance; every other kept entry may lack its transpose and is added
+    at (j, i) by :func:`_symmetrize`, after the table is freed unless the
+    caller still holds it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = ts.n_points
+    n, cap = neighbors.indices.shape
     qv = q.q
     if qv.shape[0] != n:
-        raise ValueError("density estimate does not match the series length")
-    cap = int(min(neighbor_cap, n))
+        raise ValueError("density estimate does not match the neighbor table")
     if cap < 2:
-        raise ValueError("neighbor_cap must be at least 2")
+        raise ValueError("neighbor table must have at least 2 columns")
 
-    if neighbors is not None and neighbors.indices.shape[1] >= cap:
-        nl = neighbors
-    else:
-        nl = knn(ts, cap)
+    indptr, indices, data = _one_sided_kernel(neighbors, qv**BETA, 4.0 * eps)
     # with no reference left in the caller, the table is freed before the
     # symmetrization adds the missing transposes
     del neighbors
-    indptr, indices, data = _one_sided_kernel(nl, cap, qv**beta, 4.0 * eps)
-    del nl
     k = _symmetrize(indptr, indices, data)
 
     off_diag_counts = k.getnnz(axis=1) - 1
@@ -242,18 +234,18 @@ def build_vb_kernel(
         bad = int(np.nonzero(off_diag_counts <= 0)[0][0])
         raise ValueError(
             f"point {bad} is disconnected (no off-diagonal kernel entries); "
-            "increase eps or neighbor_cap"
+            "increase eps"
         )
     return k
 
 
-def _one_sided_kernel(nl: NeighborList, cap: int, qb: np.ndarray, c: float):
+def _one_sided_kernel(nl: NeighborList, qb: np.ndarray, c: float):
     """The one-sided kernel of :func:`build_vb_kernel` as CSR arrays
     ``(indptr, indices, data)``, ``indices`` and ``data`` with N cap slots of
     which the first ``indptr[-1]`` are used. An entry (i, j) whose transpose
     (j, i) may not be stored is written negated, which marks it for
     :func:`_symmetrize` (kernel values are positive)."""
-    n = nl.indices.shape[0]
+    n, cap = nl.indices.shape
     idx_dtype = np.int32 if n * cap <= np.iinfo(np.int32).max else np.int64
     indices = np.empty(n * cap, dtype=idx_dtype)
     data = np.empty(n * cap)
@@ -265,7 +257,7 @@ def _one_sided_kernel(nl: NeighborList, cap: int, qb: np.ndarray, c: float):
     for s in range(0, n, step):
         e = min(s + step, n)
         # each row's neighbours in column order, so the table is the CSR directly
-        order = nl.indices[s:e, :cap].argsort(axis=1)
+        order = nl.indices[s:e].argsort(axis=1)
         cols = np.take_along_axis(nl.indices[s:e], order, axis=1)
         dist = np.take_along_axis(nl.distances[s:e], order, axis=1)
         del order
@@ -308,7 +300,6 @@ def build_basis(
     eps: float,
     d: float,
     m: int,
-    beta: float = -0.5,
 ) -> tuple[DiffusionBasis, NormalizationLedger]:
     """Normalize the kernel matrix and solve for the top of its spectrum.
 
@@ -329,7 +320,8 @@ def build_basis(
         eigenvalues).
 
     The first-normalization exponent is alpha = -d/4, which together with
-    beta = -1/2 targets the gradient-flow generator of the sampling measure.
+    the kernel exponent BETA = -1/2 targets the gradient-flow generator of
+    the sampling measure; the basis records both.
     """
     n = ts.n_points
     if kernel.shape != (n, n):
@@ -343,13 +335,13 @@ def build_basis(
     # operation order of the diagonal products diag(s) @ K @ diag(s)
     l_sym = kernel.tocsr(copy=True)
     del kernel  # freed here when the caller handed over its only reference
-    q_s = np.asarray(l_sym.sum(axis=1)).ravel() / qv ** (d * beta)
+    q_s = np.asarray(l_sym.sum(axis=1)).ravel() / qv ** (d * BETA)
     scale_alpha = q_s ** (-alpha)
     _scale_in_place(l_sym, scale_alpha)  # now K_alpha
     q_s_alpha = np.asarray(l_sym.sum(axis=1)).ravel()
     # second-moment scale of the 4*eps Gaussian kernel (M_CONST = 1); the
     # empirical generator then carries physical units
-    dhat = M_CONST * eps * qv ** (2.0 * beta)
+    dhat = M_CONST * eps * qv ** (2.0 * BETA)
 
     # L = P^-1 K_alpha P^-1 - Dhat^-1 with P = (Dhat D_alpha)^(1/2); assemble
     # the symmetric matrix directly through its diagonal conjugations.
@@ -400,7 +392,7 @@ def build_basis(
         eps=float(eps),
         d=float(d),
         alpha=float(alpha),
-        beta=float(beta),
+        beta=BETA,
     )
     ledger = NormalizationLedger(Dhat_scale=dhat, solver=solver)
     m_eff = ledger.galerkin_size(lam)

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_forecast
-from .basis import NEIGHBOR_CAP
-from .dataset import delay_embed, load_series, read_series_csv, write_csv, write_series_csv
+from .dataset import delay_embed, load_series, read_csv, read_series_csv, write_csv, write_series_csv
 from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
     lorenz_config,
@@ -79,10 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--lags", type=int, default=1)
     p.add_argument("--m", type=int, required=True, help="number of basis functions")
-    p.add_argument("--k0", type=int, default=8)
-    p.add_argument("--neighbor-cap", type=int, default=NEIGHBOR_CAP)
-    p.add_argument("--stride", type=int, default=1,
-                   help="use every stride-th consecutive pair for the shift operator")
     p.add_argument("--out", required=True,
                    help="model file (npz) holding the basis, the shift operator, the "
                         "training points and, in its metadata entry fit, the fit "
@@ -170,8 +165,7 @@ def _cmd_build_basis(args) -> int:
     ts = _load_series_arg(args.series, args.format, args.tau)
     if args.lags > 1:
         ts = delay_embed(ts, args.lags)
-    fit = fit_forecaster(ts, args.m, k0=args.k0, neighbor_cap=args.neighbor_cap,
-                         stride=args.stride)
+    fit = fit_forecaster(ts, args.m)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     record = fit_record(fit)
@@ -264,29 +258,17 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    header, rows = read_csv(args.input)
+    if header[:3] != ["lead", "truth", "forecast"]:
+        raise ValueError("expected header lead,truth,forecast[,stdev]")
+    has_stdev = len(header) > 3 and header[3] == "stdev"
     data = {}
-    path = Path(args.input)
-    with path.open() as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["lead", "truth", "forecast"]:
-            raise ValueError("expected header lead,truth,forecast[,stdev]")
-        has_stdev = len(header) > 3 and header[3] == "stdev"
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}:{line_no}: {len(cells)} cells, the header has {len(header)}")
-            try:
-                parts = [float(tok) for tok in cells]
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: unparseable number in {line!r}") from None
-            entry = data.setdefault(parts[0], ([], [], []))
-            entry[0].append(parts[1])
-            entry[1].append(parts[2])
-            if has_stdev:
-                entry[2].append(parts[3])
+    for parts in rows.tolist():
+        entry = data.setdefault(parts[0], ([], [], []))
+        entry[0].append(parts[1])
+        entry[1].append(parts[2])
+        if has_stdev:
+            entry[2].append(parts[3])
     leads = sorted(data)
     truth = [np.array(data[ld][0]) for ld in leads]
     fc = [np.array(data[ld][1]) for ld in leads]

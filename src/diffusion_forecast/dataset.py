@@ -362,24 +362,31 @@ def write_series_csv(ts: TimeSeries, path) -> None:
     write_csv(path, [f"x{j}" for j in range(ts.dim)], ts.points)
 
 
-def read_series_csv(path, tau: float, origin_label: str = "") -> TimeSeries:
-    """Read a CSV written by :func:`write_series_csv`."""
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"{path.name}: empty file")
-        width = len(header.split(","))
+def read_csv(path) -> tuple[list[str], np.ndarray]:
+    """The header cells and the (rows, columns) float array of a CSV file
+    such as :func:`write_csv` writes; blank lines are skipped. A row whose
+    cell count differs from the header's, or a cell that is not a number, is
+    a ValueError naming ``path:line``."""
+    with Path(path).open() as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        header = first.strip().split(",")
         rows = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            if len(cells) != width:
-                raise ValueError(f"{path.name}:{line_no}: {len(cells)} cells, the header has {width}")
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{line_no}: {len(cells)} cells, the header has {len(header)}")
             try:
                 rows.append([float(tok) for tok in cells])
             except ValueError:
-                raise ValueError(f"{path.name}:{line_no}: unparseable row") from None
-    return TimeSeries(np.asarray(rows), tau=tau, origin_label=origin_label or str(path))
+                raise ValueError(f"{path}:{line_no}: unparseable number in {line!r}") from None
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
+def read_series_csv(path, tau: float, origin_label: str = "") -> TimeSeries:
+    """Read a CSV written by :func:`write_series_csv`."""
+    return TimeSeries(read_csv(path)[1], tau=tau, origin_label=origin_label or str(path))

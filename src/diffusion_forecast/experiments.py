@@ -104,8 +104,7 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
         n_samples=config.n_samples, dt_sample=config.dt,
         substeps=config.substeps, seed=seeds[0],
     )
-    fit = fit_forecaster(embedded, config.n_basis, k0=config.k0,
-                         neighbor_cap=config.neighbor_cap, stride=config.stride)
+    fit = fit_forecaster(embedded, config.n_basis)
 
     p0_mean = np.random.default_rng(seeds[1]).uniform(0.0, TWO_PI, size=2)
     wrap = np.array([TWO_PI, TWO_PI])
@@ -174,8 +173,7 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
     ts = simulate_lorenz63(n_samples=config.n_samples, dt_sample=config.dt, seed=seeds[0])
     n_train = config.n_samples - config.n_verify
     train, verify = split(ts, n_train)
-    fit = fit_forecaster(train, config.n_basis, k0=config.k0,
-                         neighbor_cap=config.neighbor_cap, stride=config.stride)
+    fit = fit_forecaster(train, config.n_basis)
 
     n_lead = config.lead_steps
     v_count = config.n_verify - n_lead
@@ -266,9 +264,7 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
     train_embedded = TimeSeries(embedded.points[:train_rows].copy(), series.tau,
                                 origin_label=f"{series.origin_label}|train-embedded")
 
-    fit = fit_forecaster(train_embedded, config.n_basis, k0=config.k0,
-                         neighbor_cap=config.neighbor_cap,
-                         stride=config.stride)
+    fit = fit_forecaster(train_embedded, config.n_basis)
 
     n_lead = config.lead_steps
     t = values.shape[0]

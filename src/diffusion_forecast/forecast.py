@@ -67,35 +67,19 @@ class MomentForecast:
             raise ValueError("variance must be nonnegative")
 
 
-def estimate_shift_operator(
-    basis: DiffusionBasis,
-    tau: float,
-    stride: int = 1,
-) -> ShiftOperator:
+def estimate_shift_operator(basis: DiffusionBasis, tau: float) -> ShiftOperator:
     """Monte-Carlo estimate of the semigroup matrix from consecutive rows.
 
-    a[l, j] = (1 / n_pairs) * sum_i phi_j(x_i) phi_l(x_{i+1}) over the
-    consecutive pairs of the training ordering.
-
-    Parameters
-    ----------
-    basis : DiffusionBasis
-        Basis whose rows are in training-time order.
-    tau : float
-        Sampling interval of the training series.
-    stride : int
-        Subsample the (i, i+1) pairs with this stride; a knob for strongly
-        autocorrelated series, default uses every pair.
+    a[l, j] = (1 / (N - 1)) * sum_i phi_j(x_i) phi_l(x_{i+1}) over every
+    consecutive pair (i, i + 1) of the training ordering: the basis rows must
+    be in training-time order, ``tau`` apart.
     """
     phi = basis.phi
     n = phi.shape[0]
     if n < 2:
         raise ValueError("need at least 2 rows to form shift pairs")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    starts = np.arange(0, n - 1, stride)
-    a = phi[starts + 1].T @ phi[starts] / len(starts)
-    return ShiftOperator(a=a, tau=float(tau), n_pairs=len(starts))
+    a = phi[1:].T @ phi[:-1] / (n - 1)
+    return ShiftOperator(a=a, tau=float(tau), n_pairs=n - 1)
 
 
 def project_density(p0_values: np.ndarray, basis: DiffusionBasis) -> DensityCoefficients:

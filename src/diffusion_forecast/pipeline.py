@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import NEIGHBOR_CAP, DiffusionBasis, NormalizationLedger, build_basis, build_vb_kernel
+from .basis import BETA, NEIGHBOR_CAP, DiffusionBasis, NormalizationLedger, build_basis, build_vb_kernel
 from .dataset import TimeSeries, knn
 from .forecast import ShiftOperator, estimate_shift_operator
 from .tuning import (
@@ -22,8 +22,6 @@ from .tuning import (
     kde,
     tune,
 )
-
-BETA = -0.5
 
 # Layout version of the model bundle; load_model reads only this version.
 MODEL_FORMAT_VERSION = 1
@@ -45,25 +43,22 @@ class FitResult:
     ledger: NormalizationLedger
 
 
-def fit_forecaster(
-    ts: TimeSeries,
-    n_basis: int,
-    k0: int = 8,
-    neighbor_cap: int = NEIGHBOR_CAP,
-    stride: int = 1,
-) -> FitResult:
+def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
     """Fit the full nonparametric forecaster to a training series.
 
     Runs the bandwidth sweep twice, once per kernel family: first for the
     ad-hoc kernel behind the density estimate, then for the
     variable-bandwidth kernel behind the basis, each yielding its own
-    (eps, d) pair.
+    (eps, d) pair. Everything else is fixed: one kNN search of
+    min(N, NEIGHBOR_CAP) neighbours serves every stage, the ad-hoc
+    bandwidths use k0 = 8, the kernel exponent is BETA = -1/2, and the shift
+    operator averages over every consecutive pair.
     """
     pts = ts.points
     # one neighbor table serves the ad-hoc bandwidths, the histogram bounds,
     # and the sparse kernel assembly
-    nl = knn(ts, min(ts.n_points, max(k0, neighbor_cap, 2)))
-    profile = adhoc_bandwidth(ts, k0, neighbors=nl)
+    nl = knn(ts, min(ts.n_points, NEIGHBOR_CAP))
+    profile = adhoc_bandwidth(nl)
 
     kde_tuning = tune(PairwiseKernelSum(pts, profile.rho0, 2.0, nl))
     density = kde(ts, profile, kde_tuning.eps_star, kde_tuning.d_est)
@@ -76,11 +71,10 @@ def fit_forecaster(
     handoff = [nl]
     del nl
     basis, ledger = build_basis(
-        build_vb_kernel(ts, density, vb_tuning.eps_star, beta=BETA,
-                        neighbor_cap=neighbor_cap, neighbors=handoff.pop()),
-        ts, density, vb_tuning.eps_star, vb_tuning.d_est, n_basis, beta=BETA,
+        build_vb_kernel(handoff.pop(), density, vb_tuning.eps_star),
+        ts, density, vb_tuning.eps_star, vb_tuning.d_est, n_basis,
     )
-    operator = estimate_shift_operator(basis, ts.tau, stride=stride)
+    operator = estimate_shift_operator(basis, ts.tau)
     return FitResult(
         basis=basis,
         operator=operator,

@@ -85,8 +85,8 @@ def euler_maruyama(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    if dt_sample <= 0:
-        raise ValueError("dt_sample must be positive")
+    if not (np.isfinite(dt_sample) and dt_sample > 0):
+        raise ValueError(f"dt_sample must be positive and finite, got {dt_sample}")
     if np.size(x0) != model.dim:
         raise ValueError(f"x0 has {np.size(x0)} components, the model has dim {model.dim}")
     rng = np.random.default_rng(seed)
@@ -184,16 +184,19 @@ def simulate_torus(
     return intrinsic, embedded
 
 
-def lorenz_model(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> ODEModel:
+def lorenz_model() -> ODEModel:
+    """Lorenz-63 at the canonical parameters sigma = 10, rho = 28, beta = 8/3."""
     def rhs(x, y, z):
-        return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+        return 10.0 * (y - x), x * (28.0 - z) - y, x * y - (8.0 / 3.0) * z
 
     return ODEModel(dim=3, rhs=rhs)
 
 
 def lorenz_substeps(dt_sample: float) -> int:
     """RK4 steps per sampling interval that keep the Lorenz-63 step at or
-    below 0.01."""
+    below 0.01; ValueError unless ``dt_sample`` is positive and finite."""
+    if not (np.isfinite(dt_sample) and dt_sample > 0):
+        raise ValueError(f"dt_sample must be positive and finite, got {dt_sample}")
     return max(1, int(np.ceil(dt_sample / 0.01)))
 
 
@@ -213,8 +216,7 @@ def simulate_lorenz63(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not (np.isfinite(dt_sample) and dt_sample > 0):
-        raise ValueError(f"dt_sample must be positive and finite, got {dt_sample}")
+    substeps = lorenz_substeps(dt_sample)
     if transient_steps < 0:
         raise ValueError(f"transient_steps must be >= 0, got {transient_steps}")
     if x0 is None:
@@ -225,7 +227,6 @@ def simulate_lorenz63(
         raise ValueError(f"x0 must hold 3 finite components, got {x0!r}")
     x = x.reshape(1, 3)
     model = lorenz_model()
-    substeps = lorenz_substeps(dt_sample)
     h_internal = dt_sample / substeps
     if transient_steps > 0:
         x = rk4_step_batch(model, x, transient_steps * h_internal, transient_steps)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import NeighborList, TimeSeries, knn, rows_per_block, sq_distance_blocks
+from .dataset import NeighborList, TimeSeries, rows_per_block, sq_distance_blocks
 
 # Kernel values below this are indistinguishable from zero in double precision
 # and may be dropped from sparse storage.
@@ -59,7 +59,6 @@ class BandwidthProfile:
     ``k0 - 1`` non-self neighbors)."""
 
     rho0: np.ndarray
-    k0: int
 
     def __post_init__(self):
         if np.any(self.rho0 <= 0) or not np.all(np.isfinite(self.rho0)):
@@ -75,11 +74,10 @@ class TuningResult:
     eps_star : float
         Bandwidth at the maximum slope of log T vs log eps.
     d_est : float
-        Estimated intrinsic dimension, 2 * max_slope.
+        Estimated intrinsic dimension, twice the largest (smoothed)
+        forward-difference slope.
     curve : ndarray, shape (G, 2)
         (log eps, log T) pairs over the sweep grid, for diagnostics.
-    max_slope : float
-        Largest (smoothed) forward-difference slope.
     boundary_warning : bool
         True when the maximum sat on the grid boundary; tuning unreliable.
     """
@@ -87,7 +85,6 @@ class TuningResult:
     eps_star: float
     d_est: float
     curve: np.ndarray
-    max_slope: float
     boundary_warning: bool = False
 
 
@@ -97,8 +94,6 @@ class DensityEstimate:
     volume form. Doubles as the invariant-measure estimate for ergodic data."""
 
     q: np.ndarray
-    eps_used: float
-    d_used: float
 
     def __post_init__(self):
         if np.any(self.q <= 0) or not np.all(np.isfinite(self.q)):
@@ -111,27 +106,24 @@ def default_bandwidth_grid() -> np.ndarray:
     return np.exp2(exponents)
 
 
-def adhoc_bandwidth(ts: TimeSeries, k0: int = 8, neighbors: NeighborList | None = None) -> BandwidthProfile:
+def adhoc_bandwidth(neighbors: NeighborList, k0: int = 8) -> BandwidthProfile:
     """Root-mean-square distance to each point's k0-1 nearest non-self neighbors.
 
     Parameters
     ----------
-    ts : TimeSeries
+    neighbors : NeighborList
+        kNN table of the points with at least k0 columns; ``fit_forecaster``
+        passes its one table.
     k0 : int
         Neighborhood size; the sum runs over neighbor ranks 2..k0 (self is
         rank 1), i.e. k0 - 1 actual neighbors.
-    neighbors : NeighborList, optional
-        Precomputed kNN table with at least k0 columns, to avoid a repeat
-        neighbor search.
     """
-    n = ts.n_points
+    n, width = neighbors.distances.shape
     if k0 < 2:
         raise ValueError(f"k0 must be >= 2, got {k0}")
     if n <= k0:
         raise ValueError(f"need more than k0={k0} points, got {n}")
-    if neighbors is None:
-        neighbors = knn(ts, k0)
-    elif neighbors.distances.shape[1] < k0:
+    if width < k0:
         raise ValueError("neighbor table has fewer than k0 columns")
     d = neighbors.distances[:, 1:k0]
     rho0 = np.sqrt(np.mean(d * d, axis=1))
@@ -141,7 +133,7 @@ def adhoc_bandwidth(ts: TimeSeries, k0: int = 8, neighbors: NeighborList | None 
             f"ad-hoc bandwidth is zero at point {bad}: the {k0 - 1} nearest "
             "neighbors coincide with it; deduplicate the data first"
         )
-    return BandwidthProfile(rho0=rho0, k0=k0)
+    return BandwidthProfile(rho0=rho0)
 
 
 class PairwiseKernelSum:
@@ -235,34 +227,26 @@ def _histogram_bounds(neighbors: NeighborList, points: np.ndarray,
     return float(lo), float(max(hi, lo))
 
 
-def tune(kernel_sum, grid: np.ndarray | None = None) -> TuningResult:
+def tune(kernel_sum) -> TuningResult:
     """Sweep T(eps) over a log-spaced grid and locate the max-slope bandwidth.
 
     Parameters
     ----------
     kernel_sum : callable
         Vectorized map from an array of bandwidths to T values.
-    grid : ndarray, optional
-        Bandwidth grid; defaults to :func:`default_bandwidth_grid`.
 
-    Returns the bandwidth at the steepest slope of log T against log eps,
-    smoothed over SMOOTH_WINDOW intervals, where T <= SATURATION_CAP, and
-    d = 2 * that slope.
+    The sweep starts on :func:`default_bandwidth_grid` and extends upward
+    while T stays below 2 * SATURATION_CAP. Returns the bandwidth at the
+    steepest slope of log T against log eps, smoothed over SMOOTH_WINDOW
+    intervals, where T <= SATURATION_CAP, and d = 2 * that slope.
     """
-    auto_extend = grid is None
-    if grid is None:
-        grid = default_bandwidth_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError("bandwidth grid needs at least 2 points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("bandwidth grid must be strictly increasing")
+    grid = default_bandwidth_grid()
     t = np.asarray(kernel_sum(grid), dtype=float)
     if t.shape != grid.shape:
         raise ValueError("kernel_sum must return one T value per grid point")
     # locally scaled kernels can push the informative region beyond the stock
     # sweep; keep extending upward until the sum approaches saturation
-    while auto_extend and t[-1] < 2.0 * SATURATION_CAP and grid[-1] < 2.0**60:
+    while t[-1] < 2.0 * SATURATION_CAP and grid[-1] < 2.0**60:
         ext = grid[-1] * np.exp2(np.arange(1, 101) / 10.0)
         grid = np.concatenate([grid, ext])
         t = np.concatenate([t, np.asarray(kernel_sum(ext), dtype=float)])
@@ -287,7 +271,6 @@ def tune(kernel_sum, grid: np.ndarray | None = None) -> TuningResult:
         eps_star=float(grid[i_max]),
         d_est=2.0 * max_slope,
         curve=np.column_stack([log_eps, log_t]),
-        max_slope=max_slope,
         boundary_warning=boundary,
     )
 
@@ -330,4 +313,4 @@ def kde(ts: TimeSeries, profile: BandwidthProfile, eps: float, d: float) -> Dens
         raise ValueError(
             "density underflowed to zero or overflowed at isolated points; try a larger eps"
         )
-    return DensityEstimate(q=q, eps_used=float(eps), d_used=float(d))
+    return DensityEstimate(q=q)

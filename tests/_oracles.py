@@ -82,7 +82,7 @@ def full_square_histogram(points, scales, table_distances, log_bin_width):
     return counts[keep].astype(float), np.exp(centers[keep]), float(np.count_nonzero(zero))
 
 
-def coo_vb_kernel(q, eps, beta, neighbor_cap, indices, distances, floor):
+def coo_vb_kernel(q, eps, beta, indices, distances, floor):
     """The variable-bandwidth kernel assembled as COO triplets, one per table
     entry (row i repeated for each of its neighbours), each with the
     denominator 4 eps (qb_i qb_j), entries below ``floor`` dropped, converted
@@ -90,9 +90,9 @@ def coo_vb_kernel(q, eps, beta, neighbor_cap, indices, distances, floor):
     matrix and the number of entries the floor dropped."""
     n = q.shape[0]
     qb = q**beta
-    rows = np.repeat(np.arange(n), neighbor_cap)
-    cols = indices[:, :neighbor_cap].ravel()
-    d2 = distances[:, :neighbor_cap].ravel() ** 2
+    rows = np.repeat(np.arange(n), indices.shape[1])
+    cols = indices.ravel()
+    d2 = distances.ravel() ** 2
     vals = np.exp(-d2 / (4.0 * eps * (qb[rows] * qb[cols])))
     keep = vals >= floor
     k = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()

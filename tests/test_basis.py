@@ -9,6 +9,7 @@ import diffusion_forecast.basis as basis_mod
 import diffusion_forecast.dataset as dataset_mod
 from diffusion_forecast.basis import (
     EIG_RESIDUAL_TOL,
+    NEIGHBOR_CAP,
     DiffusionBasis,
     NormalizationLedger,
     build_basis,
@@ -25,7 +26,7 @@ from _oracles import coo_vb_kernel, sparse_product_operator
 
 
 def uniform_density(n, value=1.0):
-    return DensityEstimate(q=np.full(n, value), eps_used=1.0, d_used=1.0)
+    return DensityEstimate(q=np.full(n, value))
 
 
 def benchmark_tiny_input(workload):
@@ -48,7 +49,7 @@ class TestBuildVbKernel:
     def test_coincident_points_give_unit_entry(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         ts = TimeSeries(pts, tau=1.0)
-        k = build_vb_kernel(ts, uniform_density(3), eps=0.5, neighbor_cap=3)
+        k = build_vb_kernel(knn(ts, 3), uniform_density(3), eps=0.5)
         assert k[0, 1] == pytest.approx(1.0)
         assert k[1, 0] == pytest.approx(1.0)
 
@@ -59,7 +60,7 @@ class TestBuildVbKernel:
         const = 2.0
         eps = 0.7
         beta = -0.5
-        k = build_vb_kernel(ts, uniform_density(40, const), eps=eps, neighbor_cap=40)
+        k = build_vb_kernel(knn(ts, 40), uniform_density(40, const), eps=eps)
         diff = pts[:, None, :] - pts[None, :, :]
         d2 = np.sum(diff * diff, axis=-1)
         expected = np.exp(-d2 / (4.0 * eps * const ** (2 * beta)))
@@ -70,8 +71,8 @@ class TestBuildVbKernel:
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(200, 3))
         ts = TimeSeries(pts, tau=1.0)
-        q = DensityEstimate(q=0.5 + rng.uniform(size=200), eps_used=1.0, d_used=3.0)
-        k = build_vb_kernel(ts, q, eps=0.4, neighbor_cap=200)
+        q = DensityEstimate(q=0.5 + rng.uniform(size=200))
+        k = build_vb_kernel(knn(ts, 200), q, eps=0.4)
         qb = q.q**-0.5
         diff = pts[:, None, :] - pts[None, :, :]
         d2 = np.sum(diff * diff, axis=-1)
@@ -83,24 +84,24 @@ class TestBuildVbKernel:
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(120, 2))
         ts = TimeSeries(pts, tau=1.0)
-        q = DensityEstimate(q=0.5 + rng.uniform(size=120), eps_used=1.0, d_used=2.0)
-        k = build_vb_kernel(ts, q, eps=0.2, neighbor_cap=10)
+        q = DensityEstimate(q=0.5 + rng.uniform(size=120))
+        k = build_vb_kernel(knn(ts, 10), q, eps=0.2)
         assert (abs(k - k.T)).max() == 0.0
 
     def test_direct_csr_equals_the_coo_assembly(self, monkeypatch):
-        # a table wider than the cap, and a bandwidth at which the floor drops
-        # 160 far entries while every point keeps a neighbour; at 150 block
-        # entries the table is assembled in row blocks of 7, the last of 4
+        # a bandwidth at which the floor drops 160 far entries while every
+        # point keeps a neighbour; at 150 block entries the table is
+        # assembled in row blocks of 7, the last of 4
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(200, 2))
         ts = TimeSeries(pts, tau=1.0)
-        q = DensityEstimate(q=0.5 + rng.uniform(size=200), eps_used=1.0, d_used=2.0)
-        nl = knn(ts, 30)
-        ref, dropped = coo_vb_kernel(q.q, 1e-2, -0.5, 20, nl.indices, nl.distances, KERNEL_FLOOR)
+        q = DensityEstimate(q=0.5 + rng.uniform(size=200))
+        nl = knn(ts, 20)
+        ref, dropped = coo_vb_kernel(q.q, 1e-2, -0.5, nl.indices, nl.distances, KERNEL_FLOOR)
         assert dropped > 0
         for block_entries in (dataset_mod.BLOCK_ENTRIES, 150):
             monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
-            k = build_vb_kernel(ts, q, eps=1e-2, neighbor_cap=20, neighbors=nl)
+            k = build_vb_kernel(nl, q, eps=1e-2)
             assert k.has_canonical_format
             assert k.indptr.dtype == ref.indptr.dtype and k.indices.dtype == ref.indices.dtype
             assert k.indices.size == k.data.size == k.nnz  # arrays of the final size
@@ -125,14 +126,14 @@ class TestBuildVbKernel:
         eps = 1.0
         cap = 20
         ts = TimeSeries(pts, tau=1.0)
-        q = DensityEstimate(q=0.5 + rng.uniform(size=300), eps_used=1.0, d_used=2.0)
-        nl = knn(ts, cap + 1)
-        ref, dropped = coo_vb_kernel(q.q, eps, -0.5, cap, nl.indices, nl.distances, KERNEL_FLOOR)
-        one_sided = {(i, int(j)) for i, row in enumerate(nl.indices[:, :cap]) for j in row}
+        q = DensityEstimate(q=0.5 + rng.uniform(size=300))
+        nl = knn(ts, cap)
+        ref, dropped = coo_vb_kernel(q.q, eps, -0.5, nl.indices, nl.distances, KERNEL_FLOOR)
+        one_sided = {(i, int(j)) for i, row in enumerate(nl.indices) for j in row}
         lone = sum((j, i) not in one_sided for i, j in one_sided)
         if block_entries is not None:
             monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
-        k = build_vb_kernel(ts, q, eps=eps, neighbor_cap=cap, neighbors=nl)
+        k = build_vb_kernel(nl, q, eps=eps)
         assert lone > 0.1 * len(one_sided) if case == "non-mutual" else lone > 0
         assert dropped == 0
         assert k.has_canonical_format
@@ -148,8 +149,7 @@ class TestBuildVbKernel:
         # it and (c qb_1) qb_0 drops it, while c (qb_0 qb_1) gives both sides
         # the same bits, here just below the floor
         pts = np.array([[0.0], [1.0], [0.01], [0.99]])
-        q = DensityEstimate(q=np.array([1.0943000301996968, 0.8379112255071333, 1.0, 1.0]),
-                            eps_used=1.0, d_used=1.0)
+        q = DensityEstimate(q=np.array([1.0943000301996968, 0.8379112255071333, 1.0, 1.0]))
         eps = 0.006931069774490162
         qb, c = q.q**-0.5, 4.0 * eps
         neg = np.array([-1.0])
@@ -157,8 +157,8 @@ class TestBuildVbKernel:
         k_01 = np.exp(neg / (c * (qb[0] * qb[1])))[0]
         ts = TimeSeries(pts, tau=1.0)
         nl = knn(ts, 4)
-        ref, _ = coo_vb_kernel(q.q, eps, -0.5, 4, nl.indices, nl.distances, KERNEL_FLOOR)
-        k = build_vb_kernel(ts, q, eps=eps, neighbor_cap=4, neighbors=nl)
+        ref, _ = coo_vb_kernel(q.q, eps, -0.5, nl.indices, nl.distances, KERNEL_FLOOR)
+        k = build_vb_kernel(nl, q, eps=eps)
         assert k_01 < KERNEL_FLOOR
         assert np.float64(k[0, 1]).tobytes() == np.float64(k[1, 0]).tobytes() == np.float64(0.0).tobytes()
         assert np.array_equal(k.indptr, ref.indptr)
@@ -169,7 +169,8 @@ class TestBuildVbKernel:
     def test_the_fit_kernel_is_symmetric_bit_for_bit(self, workload):
         ts, m = benchmark_tiny_input(workload)
         fit = fit_forecaster(ts, m)
-        k = build_vb_kernel(ts, fit.density, fit.vb_tuning.eps_star)
+        k = build_vb_kernel(knn(ts, min(ts.n_points, NEIGHBOR_CAP)), fit.density,
+                            fit.vb_tuning.eps_star)
         kt = k.T.tocsr()
         assert np.array_equal(k.indptr, kt.indptr) and np.array_equal(k.indices, kt.indices)
         assert k.data.tobytes() == kt.data.tobytes()
@@ -179,7 +180,7 @@ class TestBuildVbKernel:
                          [[100.0, 100.0]]])
         ts = TimeSeries(pts, tau=1.0)
         with pytest.raises(ValueError, match="disconnected"):
-            build_vb_kernel(ts, uniform_density(6), eps=1e-4, neighbor_cap=6)
+            build_vb_kernel(knn(ts, 6), uniform_density(6), eps=1e-4)
 
 
 class TestBuildBasis:
@@ -217,8 +218,8 @@ class TestBuildBasis:
     def test_dirichlet_energy_consistency(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
         basis = fit.basis
-        kernel = build_vb_kernel(circle_series_3000, fit.density,
-                                 fit.vb_tuning.eps_star, neighbor_cap=1024)
+        kernel = build_vb_kernel(knn(circle_series_3000, 1024), fit.density,
+                                 fit.vb_tuning.eps_star)
         l_sym = sparse_product_operator(kernel, fit.density, basis.eps, basis.d, basis.beta)
         n = basis.n_points
         energy = -np.sum(basis.phi * (l_sym @ basis.phi), axis=0) / n
@@ -248,7 +249,7 @@ class TestBuildBasis:
                                                                circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
         eps, d = fit.vb_tuning.eps_star, fit.vb_tuning.d_est
-        kernel = build_vb_kernel(circle_series_3000, fit.density, eps, neighbor_cap=64)
+        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit.density, eps)
         seen = []
         real = basis_mod._top_eigenpairs
 
@@ -267,8 +268,8 @@ class TestBuildBasis:
 
     def test_leaves_the_callers_kernel_unchanged(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
-        kernel = build_vb_kernel(circle_series_3000, fit.density,
-                                 fit.vb_tuning.eps_star, neighbor_cap=64)
+        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit.density,
+                                 fit.vb_tuning.eps_star)
         before = [a.copy() for a in (kernel.indptr, kernel.indices, kernel.data)]
         build_basis(kernel, circle_series_3000, fit.density, fit.vb_tuning.eps_star,
                     fit.vb_tuning.d_est, 4)
@@ -278,8 +279,8 @@ class TestBuildBasis:
 
     def test_m_out_of_range(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
-        kernel = build_vb_kernel(circle_series_3000, fit.density,
-                                 fit.vb_tuning.eps_star, neighbor_cap=64)
+        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit.density,
+                                 fit.vb_tuning.eps_star)
         with pytest.raises(ValueError, match="out of range"):
             build_basis(kernel, circle_series_3000, fit.density,
                         fit.vb_tuning.eps_star, 1.0, 999999)

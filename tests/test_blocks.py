@@ -152,7 +152,7 @@ class TestBoundedMemory:
     def test_kernel_sum_histogram(self, series):
         # the bounds read the whole (N, 200) table, as the fit's do
         nl = knn(series, 200)
-        scales = adhoc_bandwidth(series, 8, neighbors=nl).rho0
+        scales = adhoc_bandwidth(nl).rho0
         _, peak = traced_peak(PairwiseKernelSum, series.points, scales, 2.0, nl)
         # the bin arrays: counts, centres, a block's bincount and the kept bins
         w_lo, w_hi = _histogram_bounds(nl, series.points, scales)
@@ -161,7 +161,7 @@ class TestBoundedMemory:
 
     def test_kde(self, series):
         nl = knn(series, 8)
-        profile = adhoc_bandwidth(series, 8, neighbors=nl)
+        profile = adhoc_bandwidth(nl)
         tuning = tune(PairwiseKernelSum(series.points, profile.rho0, 2.0, nl))
         q, peak = traced_peak(kde, series, profile, tuning.eps_star, tuning.d_est)
         assert peak <= self.bound(2 * q.q.nbytes)
@@ -171,7 +171,7 @@ class TestBoundedMemory:
         # of an 8-byte value and a 4-byte index, and the blocks
         cap = 200
         nl = knn(series, cap)
-        q = kde(series, adhoc_bandwidth(series, 8, neighbors=nl), 0.05, 3.0)
+        q = kde(series, adhoc_bandwidth(nl), 0.05, 3.0)
         before_symmetrization = []
         real_symmetrize = basis_mod._symmetrize
 
@@ -184,7 +184,7 @@ class TestBoundedMemory:
         try:
             live, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            k = build_vb_kernel(series, q, 0.05, neighbor_cap=cap, neighbors=nl)
+            k = build_vb_kernel(nl, q, 0.05)
         finally:
             tracemalloc.stop()
         assert k.nnz > 0.9 * self.N * cap  # the floor drops few entries here
@@ -255,7 +255,7 @@ class TestLifetimes:
     def test_a_kernel_the_caller_holds_is_left_unchanged(self, monkeypatch):
         ts = simulate_lorenz63(400, seed=3)
         fit = fit_forecaster(ts, 40)
-        kernel = build_vb_kernel(ts, fit.density, fit.vb_tuning.eps_star)
+        kernel = build_vb_kernel(knn(ts, 400), fit.density, fit.vb_tuning.eps_star)
         before = [a.copy() for a in (kernel.indptr, kernel.indices, kernel.data)]
         operator, seen = [], []
         self.watch(monkeypatch, basis_mod, "_scale_in_place", operator, first_arg=True)

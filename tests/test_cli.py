@@ -93,7 +93,7 @@ def test_build_basis_names_a_ragged_series_row(tmp_path, capsys):
     series.write_text("x0,x1\n0.1,0.2\n0.3\n0.5,0.6\n")
     assert main(["build-basis", "--series", str(series), "--m", "2",
                  "--out", str(tmp_path / "m.npz")]) == 1
-    assert capsys.readouterr().err == "error: series.csv:3: 1 cells, the header has 2\n"
+    assert capsys.readouterr().err == f"error: {series}:3: 1 cells, the header has 2\n"
     assert not (tmp_path / "m.npz").exists()
 
 
@@ -113,14 +113,6 @@ def test_model_is_one_file(run, refit):
     assert op.tau == 0.1 and op.n_pairs == N_SAMPLES - 1 and basis.n_basis == 40
     assert metadata == {"source": str(run["dir"] / "sim" / "torus_embedded.csv"), "lags": 1,
                         "fit": fit_record(refit)}
-
-
-def test_build_basis_stride_reaches_the_operator(run, tmp_path):
-    model = tmp_path / "strided.m10.npz"
-    assert main(["build-basis", "--series", str(run["dir"] / "sim" / "torus_embedded.csv"),
-                 "--tau", "0.1", "--m", "10", "--stride", "3", "--out", str(model)]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["strided.m10.npz"]
-    assert load_model(model)[1].n_pairs == len(range(0, N_SAMPLES - 1, 3))
 
 
 def _ladder_inputs(run):
@@ -185,6 +177,18 @@ def test_ensemble_baseline_rejects_a_mean_of_another_dimension(tmp_path, capsys)
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: initial mean has 2 components, the model has dim 3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, value", [
+    (["simulate", "torus", "--n-samples", "10", "--dt", "nan"], "nan"),
+    (["simulate", "lorenz63", "--n-samples", "10", "--dt", "inf"], "inf"),
+    (["baseline", "--method", "ensemble", "--system", "torus", "--mean", "1,2", "--var", "0.1",
+      "--steps", "2", "--n-ens", "10", "--tau", "nan"], "nan"),
+], ids=["simulate-torus-nan", "simulate-lorenz-inf", "ensemble-nan"])
+def test_a_non_finite_time_step_is_an_error_line(tmp_path, capsys, args, value):
+    out = ["--out-dir", str(tmp_path)] if args[0] == "simulate" else ["--out", str(tmp_path / "e.csv")]
+    assert main(args + out) == 1
+    assert capsys.readouterr().err == f"error: dt_sample must be positive and finite, got {value}\n"
 
 
 @pytest.mark.parametrize("command", ["forecast", "baseline"])

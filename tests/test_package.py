@@ -6,6 +6,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import diffusion_forecast
 
 SRC = Path(diffusion_forecast.__file__).parent
@@ -81,3 +83,31 @@ def test_fit_diagnostics_reach_output_only_through_fit_record():
               "max_residual"}
     found = {name: sorted(fields & set(_names(SRC / name))) for name in ("experiments.py", "cli.py")}
     assert found == {"experiments.py": [], "cli.py": []}
+
+
+def test_the_fit_has_one_neighbour_search_in_pipeline():
+    # fit_forecaster makes one kNN table and hands it to every stage; a knn
+    # in the stages themselves would be a second search over the same points
+    users = sorted(name for name in ("basis.py", "tuning.py") if "knn" in set(_names(SRC / name)))
+    assert users == []
+
+
+def _fit_forecaster_calls(path):
+    """(positional count, keyword names) of every fit_forecaster call."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "fit_forecaster":
+            yield len(node.args), [kw.arg for kw in node.keywords]
+
+
+def test_the_drivers_fit_a_series_and_a_basis_size_only():
+    calls = {name: list(_fit_forecaster_calls(SRC / name)) for name in ("experiments.py", "cli.py")}
+    assert calls == {"experiments.py": [(2, [])] * 3, "cli.py": [(2, [])]}
+
+
+def test_a_config_naming_a_fit_constant_is_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("n_basis = 30\nstride = 2\n")
+    with pytest.raises(ValueError, match="unknown config key 'stride'") as err:
+        diffusion_forecast.load_config(path)
+    assert str(err.value).startswith(f"{path}:2: ")

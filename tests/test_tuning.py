@@ -20,7 +20,7 @@ from _oracles import brute_force_kernel_sum, full_square_histogram
 def tuned(points, k0=8, c=2.0):
     ts = TimeSeries(points, tau=1.0)
     nl = knn(ts, k0)
-    prof = adhoc_bandwidth(ts, k0, neighbors=nl)
+    prof = adhoc_bandwidth(nl, k0)
     ks = PairwiseKernelSum(points, prof.rho0, c, nl)
     return ts, prof, tune(ks)
 
@@ -31,8 +31,7 @@ def neighbors(points, k=8):
 
 class TestAdhocBandwidth:
     def test_collinear_hand_case(self):
-        ts = TimeSeries(np.array([[0.0], [1.0], [3.0]]), tau=1.0)
-        prof = adhoc_bandwidth(ts, k0=2)
+        prof = adhoc_bandwidth(neighbors(np.array([[0.0], [1.0], [3.0]]), 2), k0=2)
         assert np.allclose(prof.rho0, [1.0, 1.0, 2.0])
 
     def test_regular_simplex_symmetry(self):
@@ -45,26 +44,26 @@ class TestAdhocBandwidth:
         ])
         r = np.linalg.norm(pts[0] - pts[1])
         for k0 in (2, 3):
-            prof = adhoc_bandwidth(TimeSeries(pts, tau=1.0), k0=k0)
+            prof = adhoc_bandwidth(neighbors(pts, k0), k0=k0)
             assert np.allclose(prof.rho0, r)
 
     def test_circle_roughly_constant(self):
         rng = np.random.default_rng(5)
         theta = rng.uniform(0, 2 * np.pi, 1000)
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        prof = adhoc_bandwidth(TimeSeries(pts, tau=1.0), k0=8)
+        prof = adhoc_bandwidth(neighbors(pts, 8), k0=8)
         cv = prof.rho0.std() / prof.rho0.mean()
         assert cv < 0.5
 
     def test_duplicates_raise(self):
         pts = np.array([[0.0], [0.0], [0.0], [5.0]])
         with pytest.raises(ValueError, match="deduplicate"):
-            adhoc_bandwidth(TimeSeries(pts, tau=1.0), k0=3)
+            adhoc_bandwidth(neighbors(pts, 3), k0=3)
 
     def test_needs_more_points_than_k0(self):
         pts = np.arange(5, dtype=float)[:, None]
         with pytest.raises(ValueError, match="more than"):
-            adhoc_bandwidth(TimeSeries(pts, tau=1.0), k0=5)
+            adhoc_bandwidth(neighbors(pts, 5), k0=5)
 
 
 class TestPairwiseKernelSum:
@@ -111,7 +110,7 @@ class TestPairwiseKernelSum:
         pts = np.vstack([base, x, y, y])
         ts = TimeSeries(pts, tau=1.0)
         nl = knn(ts, 8)
-        prof = adhoc_bandwidth(ts, 8, neighbors=nl)
+        prof = adhoc_bandwidth(nl)
         ks = PairwiseKernelSum(pts, prof.rho0, 2.0, nl)
         eps_grid = np.array([1e-9, 1e-8, 1e-7])
         exact = brute_force_kernel_sum(pts, prof.rho0, 2.0, eps_grid)
@@ -160,7 +159,7 @@ class TestTune:
             log_t = np.clip(1.3 * (np.log(eps) - 1.0), np.log(1e-4), np.log(0.04))
             return np.exp(log_t)
 
-        res = tune(kernel_sum, grid=np.logspace(-4, 4, 200))
+        res = tune(kernel_sum)
         assert res.d_est == pytest.approx(2.6, rel=0.02)
         assert not res.boundary_warning
         # eps_star sits inside the ramp
@@ -173,7 +172,7 @@ class TestTune:
 
     def test_saturated_sum_raises(self):
         with pytest.raises(ValueError, match="saturated"):
-            tune(lambda eps: np.ones_like(eps), grid=np.logspace(-3, 3, 50))
+            tune(lambda eps: np.ones_like(eps))
 
     def test_non_finite_raises(self):
         def kernel_sum(eps):
@@ -182,14 +181,15 @@ class TestTune:
             return out
 
         with pytest.raises(ValueError, match="non-finite"):
-            tune(kernel_sum, grid=np.logspace(-3, 3, 50))
+            tune(kernel_sum)
 
     def test_boundary_warning_at_grid_start(self):
-        # steepest rise sits on the first grid interval
+        # the slope of log T falls from 1 at the grid's first interval on, so
+        # the steepest rise sits there
         def kernel_sum(eps):
-            return np.minimum(1e-3 * (eps / 1e-3) ** 2.0, 0.04)
+            return 0.04 * eps / (eps + 1e-3)
 
-        res = tune(kernel_sum, grid=np.logspace(-3, 3, 60))
+        res = tune(kernel_sum)
         assert res.boundary_warning
 
     def test_dimension_circle(self):
@@ -238,7 +238,7 @@ class TestKde:
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(400, 2))
         ts = TimeSeries(pts, tau=1.0)
-        prof = adhoc_bandwidth(ts, 8)
+        prof = adhoc_bandwidth(knn(ts, 8))
         eps, d = 2.0, 2.0
         base = kde(ts, prof, eps, d)
         s = 3.0
@@ -250,21 +250,21 @@ class TestKde:
         pts = rng.normal(size=(200, 2))
         perm = rng.permutation(200)
         ts = TimeSeries(pts, tau=1.0)
-        prof = adhoc_bandwidth(ts, 8)
+        prof = adhoc_bandwidth(knn(ts, 8))
         base = kde(ts, prof, 1.5, 2.0)
         ts_p = TimeSeries(pts[perm], tau=1.0)
-        prof_p = adhoc_bandwidth(ts_p, 8)
+        prof_p = adhoc_bandwidth(knn(ts_p, 8))
         assert np.allclose(prof_p.rho0, prof.rho0[perm])
         permuted = kde(ts_p, prof_p, 1.5, 2.0)
         assert np.allclose(permuted.q, base.q[perm])
 
     def test_positive_output_enforced(self):
         with pytest.raises(ValueError):
-            BandwidthProfile(rho0=np.array([1.0, 0.0]), k0=2)
+            BandwidthProfile(rho0=np.array([1.0, 0.0]))
 
     def test_bad_eps(self, circle_points_3000):
         ts = TimeSeries(circle_points_3000[:100], tau=1.0)
-        prof = adhoc_bandwidth(ts, 8)
+        prof = adhoc_bandwidth(knn(ts, 8))
         with pytest.raises(ValueError, match="positive"):
             kde(ts, prof, -1.0, 1.0)
 
