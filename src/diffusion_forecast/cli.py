@@ -134,22 +134,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    substeps = args.substeps if args.system == "torus" else lorenz_substeps(args.dt)
+    if args.system == "torus":
+        series = dict(zip(("torus_intrinsic.csv", "torus_embedded.csv"),
+                          simulate_torus(args.n_samples, args.dt, substeps, args.seed)))
+    else:
+        series = {"lorenz63.csv": simulate_lorenz63(args.n_samples, args.dt, args.seed)}
+    # created only once the run has succeeded, so a rejected run writes nothing
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    substeps = args.substeps if args.system == "torus" else lorenz_substeps(args.dt)
+    for name, ts in series.items():
+        write_series_csv(ts, out / name)
     manifest = {
         "system": args.system, "n_samples": args.n_samples, "dt": args.dt,
-        "substeps": substeps, "seed": args.seed, "tau": args.dt,
+        "substeps": substeps, "seed": args.seed, "tau": args.dt, "files": list(series),
     }
-    if args.system == "torus":
-        intrinsic, embedded = simulate_torus(args.n_samples, args.dt, substeps, args.seed)
-        write_series_csv(intrinsic, out / "torus_intrinsic.csv")
-        write_series_csv(embedded, out / "torus_embedded.csv")
-        manifest["files"] = ["torus_intrinsic.csv", "torus_embedded.csv"]
-    else:
-        ts = simulate_lorenz63(args.n_samples, args.dt, args.seed)
-        write_series_csv(ts, out / "lorenz63.csv")
-        manifest["files"] = ["lorenz63.csv"]
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {', '.join(manifest['files'])} to {out}")
     return 0

@@ -12,14 +12,16 @@ from scipy.spatial.distance import cdist
 # Values at or below this are treated as missing-data sentinels (-99.9, -999, ...).
 SENTINEL_THRESHOLD = -99.0
 
-# Entries of one working block (rows_per_block): 5e5 doubles is 4 MB. Every
-# N^2 sweep and every pass over an N x cap array of the fit works in blocks
-# of this size, so its working memory is a few such blocks whatever N is, and
-# no result depends on it. The size is measured: on a 2-core x86-64 VM with
-# one BLAS thread, the kNN search, one kernel-sum histogram, the density
-# estimate and the kernel assembly took together 925, 612, 530 and 535 ms at
-# 4e6, 1e6, 5e5 and 2.5e5 entries on a 3000-point circle, and 428, 339, 316
-# and 376 ms on 2000 Lorenz-63 points (best of 5).
+# Entries of one working block (rows_per_block): 5e5 doubles is 4 MB. The
+# kNN search, the package's one all-pairs sweep, and every pass over the
+# N x cap neighbour table work in blocks of this size, so their working
+# memory is a few such blocks whatever N is, and no result depends on it.
+# The size was measured when the kernel sums and the density estimate still
+# swept all pairs: on a 2-core x86-64 VM with one BLAS thread, the kNN
+# search, one kernel-sum histogram, the density estimate and the kernel
+# assembly took together 925, 612, 530 and 535 ms at 4e6, 1e6, 5e5 and
+# 2.5e5 entries on a 3000-point circle, and 428, 339, 316 and 376 ms on 2000
+# Lorenz-63 points (best of 5).
 BLOCK_ENTRIES = 500_000
 
 _DATE_RE = re.compile(r"^\s*(\d{4})-(\d{1,2})\s*$")
@@ -113,7 +115,7 @@ def load_series(path, format: str, tau: float = 1.0) -> TimeSeries:
         try:
             v = float(line)
         except ValueError:
-            raise ValueError(f"{path.name}:{line_no}: unparseable value {line!r}") from None
+            raise ValueError(f"{path}:{line_no}: unparseable value {line!r}") from None
         if v <= SENTINEL_THRESHOLD:
             break
         values.append(v)
@@ -161,18 +163,18 @@ def _parse_two_column(path: Path) -> tuple[list[float], tuple[int, int]]:
         if m is None:
             if line_no == 1:
                 continue  # header row
-            raise ValueError(f"{path.name}:{line_no}: expected 'YYYY-MM,value', got {line!r}")
+            raise ValueError(f"{path}:{line_no}: expected 'YYYY-MM,value', got {line!r}")
         try:
             v = float(parts[1])
         except ValueError:
-            raise ValueError(f"{path.name}:{line_no}: unparseable value {parts[1]!r}") from None
+            raise ValueError(f"{path}:{line_no}: unparseable value {parts[1]!r}") from None
         if v <= SENTINEL_THRESHOLD:
             break
         if start is None:
             start = (int(m.group(1)), int(m.group(2)))
         values.append(v)
     if start is None:
-        raise ValueError(f"{path.name}: no data rows found")
+        raise ValueError(f"{path}: no data rows found")
     return values, start
 
 
@@ -189,13 +191,13 @@ def _parse_noaa_grid(path: Path) -> tuple[list[float], tuple[int, int]]:
         tokens = line.split()
         if len(tokens) != 13:
             raise ValueError(
-                f"{path.name}:{line_no}: expected 'year v1 ... v12' (13 fields), got {len(tokens)}"
+                f"{path}:{line_no}: expected 'year v1 ... v12' (13 fields), got {len(tokens)}"
             )
         try:
             year = int(tokens[0])
             row = [float(t) for t in tokens[1:]]
         except ValueError:
-            raise ValueError(f"{path.name}:{line_no}: unparseable numeric field") from None
+            raise ValueError(f"{path}:{line_no}: unparseable numeric field") from None
         if start is None:
             start = (year, 1)
         for v in row:
@@ -204,7 +206,7 @@ def _parse_noaa_grid(path: Path) -> tuple[list[float], tuple[int, int]]:
                 break
             values.append(v)
     if start is None:
-        raise ValueError(f"{path.name}: no data rows found")
+        raise ValueError(f"{path}: no data rows found")
     return values, start
 
 
@@ -242,6 +244,10 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     """kNN over a raw point array; ``query`` defaults to the points themselves.
 
     When ``query`` is the dataset itself, self-matches are forced to rank 0.
+    The squared distances from the query rows to every point are taken with
+    ``cdist`` in blocks of :func:`rows_per_block` rows: the package's one
+    all-pairs sweep, which every later stage of the fit reads through the
+    table it returns.
     """
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[0]
@@ -252,7 +258,10 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     m = q.shape[0]
     out_idx = np.empty((m, k), dtype=np.int64)
     out_d2 = np.empty((m, k))
-    for s, e, d2 in sq_distance_blocks(q, pts):
+    step = rows_per_block(n)
+    for s in range(0, m, step):
+        e = min(s + step, m)
+        d2 = cdist(q[s:e], pts, metric="sqeuclidean")
         if self_query:
             rows = np.arange(e - s)
             d2[rows, np.arange(s, e)] = -1.0  # pin self strictly first
@@ -268,30 +277,6 @@ def rows_per_block(width: int) -> int:
     """Rows of a ``width``-wide array in one working block of about
     BLOCK_ENTRIES entries (at least one row): the package's one block rule."""
     return max(1, BLOCK_ENTRIES // max(1, width))
-
-
-def sq_distance_blocks(query: np.ndarray, points: np.ndarray, upper: bool = False):
-    """Squared Euclidean distances from ``query`` rows to ``points``, in
-    blocks of about BLOCK_ENTRIES entries: yields ``(start, stop, d2)`` with
-    ``d2`` the fresh (stop - start, N) matrix for query rows start..stop-1.
-
-    With ``upper`` the query is ``points`` itself and each row block is
-    taken against ``points[start:]`` only: ``d2`` is (stop - start, N - start)
-    and its entry (r, c) is the distance from point start + r to point
-    start + c, so the entries with c > r are the block's share of the strict
-    upper triangle, every unordered pair once. Rows per block grow as the
-    triangle narrows. Each entry is bitwise the one the full sweep gives.
-
-    The one all-pairs sweep of the package; the kNN search, the kernel-sum
-    histograms and the density estimate all iterate over it.
-    """
-    n = points.shape[0]
-    m = query.shape[0]
-    s = 0
-    while s < m:
-        e = min(s + rows_per_block(n - s if upper else n), m)
-        yield s, e, cdist(query[s:e], points[s:] if upper else points, metric="sqeuclidean")
-        s = e
 
 
 def _smallest_k(d2: np.ndarray, k: int):

@@ -15,6 +15,7 @@ from .basis import BETA, NEIGHBOR_CAP, DiffusionBasis, NormalizationLedger, buil
 from .dataset import TimeSeries, knn
 from .forecast import ShiftOperator, estimate_shift_operator
 from .tuning import (
+    KERNEL_FLOOR,
     DensityEstimate,
     PairwiseKernelSum,
     TuningResult,
@@ -41,6 +42,7 @@ class FitResult:
     kde_tuning: TuningResult
     vb_tuning: TuningResult
     ledger: NormalizationLedger
+    rows_at_cap: int
 
 
 def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
@@ -54,16 +56,22 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
     bandwidths use k0 = 8, the kernel exponent is BETA = -1/2, and the shift
     operator averages over every consecutive pair.
     """
-    pts = ts.points
-    # one neighbor table serves the ad-hoc bandwidths, the histogram bounds,
-    # and the sparse kernel assembly
-    nl = knn(ts, min(ts.n_points, NEIGHBOR_CAP))
+    # one neighbor table is the only source of point pairs: the ad-hoc
+    # bandwidths, both kernel sums, the density estimate and the kernel
+    n = ts.n_points
+    nl = knn(ts, min(n, NEIGHBOR_CAP))
     profile = adhoc_bandwidth(nl)
 
-    kde_tuning = tune(PairwiseKernelSum(pts, profile.rho0, 2.0, nl))
-    density = kde(ts, profile, kde_tuning.eps_star, kde_tuning.d_est)
+    kde_tuning = tune(PairwiseKernelSum(nl, profile.rho0, 2.0))
+    density = kde(nl, profile, kde_tuning.eps_star, kde_tuning.d_est)
 
-    vb_tuning = tune(PairwiseKernelSum(pts, density.q**BETA, 4.0, nl))
+    qb = density.q**BETA
+    vb_tuning = tune(PairwiseKernelSum(nl, qb, 4.0))
+    # rows whose last neighbour the kernel still keeps, as build_vb_kernel
+    # computes its entries: their kernel row is cut at the cap
+    rows_at_cap = 0 if nl.indices.shape[1] == n else int(np.count_nonzero(
+        np.exp(-np.square(nl.distances[:, -1])
+               / (4.0 * vb_tuning.eps_star * (qb * qb[nl.indices[:, -1]]))) >= KERNEL_FLOOR))
 
     # build_vb_kernel gets the only reference to the table and build_basis
     # the only one to the kernel, so each frees its input before its own
@@ -82,6 +90,7 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
         kde_tuning=kde_tuning,
         vb_tuning=vb_tuning,
         ledger=ledger,
+        rows_at_cap=rows_at_cap,
     )
 
 
@@ -94,7 +103,9 @@ def fit_record(fit: FitResult) -> dict:
     bandwidth tunings; ``eigensolver`` holds ``{path, matvecs, fallback,
     max_residual}``, with ``max_residual`` null on the dense path, which
     does not compute it; ``lambda_edge`` is the spectral edge and ``m_eff``
-    the number of basis eigenvalues below it.
+    the number of basis eigenvalues below it; ``rows_at_cap`` counts the
+    kernel rows cut at the neighbour cap, whose last table neighbour still
+    has kernel weight >= KERNEL_FLOOR (0 when the table holds every point).
     """
     ledger, solver = fit.ledger, fit.ledger.solver
     return {
@@ -107,6 +118,7 @@ def fit_record(fit: FitResult) -> dict:
                         else solver.max_residual},
         "lambda_edge": ledger.lambda_edge,
         "m_eff": ledger.galerkin_size(fit.basis.lam),
+        "rows_at_cap": fit.rows_at_cap,
     }
 
 

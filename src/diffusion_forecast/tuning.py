@@ -1,30 +1,38 @@
 """Bandwidth machinery: per-point ad-hoc scales, kernel density estimation,
 and automatic selection of the global kernel bandwidth and intrinsic dimension.
 
+Every stage reads point pairs from one kNN table, the (N, c) table with
+c = min(N, NEIGHBOR_CAP) that ``fit_forecaster`` builds once, self included
+at rank 0: the sums below run over the pairs (i, j) with j in row i, the
+pairs the variable-bandwidth kernel keeps. When the table holds every point
+they are the all-pairs sums.
+
 The bandwidth/dimension tuner works on the log-log curve of the mean kernel
-sum T(eps) = (1/N^2) sum_ij K_eps(x_i, x_j). T runs from 1/N (kernel numerically
-diagonal) to 1 (kernel saturated); the steepest slope of log T against log eps
-marks the best-resolved bandwidth, and twice that slope estimates the intrinsic
-dimension of the sampled manifold.
+sum T(eps) = (1/N^2) sum_i sum_{j in row i} K_eps(x_i, x_j). T runs from 1/N
+(kernel numerically diagonal) to its saturation c/N; the steepest slope of
+log T against log eps marks the best-resolved bandwidth, and twice that
+slope estimates the intrinsic dimension of the sampled manifold.
 
 T is read off a histogram of the scaled squared distances
-w_ij = |x_i - x_j|^2 / (v_i v_j) over all pairs, with log-spaced bins of width
-LOG_BIN_WIDTH between two bounds taken from the kNN table and the bounding box.
-w is symmetric bit for bit, so the histogram sweeps only the pairs i < j,
-doubles their counts and adds the N zeros of the diagonal, which gives exactly
-the counts of the full sweep. The bounds:
+w_ij = |x_i - x_j|^2 / (v_i v_j) of the table entries, with log-spaced bins of
+width LOG_BIN_WIDTH between two bounds taken from the table:
 
-- lower: the smallest positive distance in each row of the table (the
-  nearest point not equal to x_i), minimised over rows, squared, over max(v)^2;
-- upper: the squared diagonal of the bounding box over min(v)^2.
+- lower: the smallest positive distance of the table (in each row the
+  nearest point not equal to x_i), squared, over max(v)^2;
+- upper: the largest distance of the table (its last column), squared,
+  over min(v)^2.
 
-Every positive w_ij lies between them, to rounding, so no pair is clipped into
-an end bin far from its value, whether or not the data hold duplicates. A point whose whole table row
-is zero (a point repeated as often as the table is wide) is rejected, because
-its nearest distinct point is not in the table.
+Every positive w_ij of the table lies between them, to rounding, so no entry
+is clipped into an end bin far from its value, whether or not the data hold
+duplicates. A point whose whole table row is zero (a point repeated as often
+as the table is wide) is rejected, because its nearest distinct point is not
+in the table.
 
 The tuner smooths the slope curve over SMOOTH_WINDOW grid intervals and takes
-its maximum only where T stays below SATURATION_CAP.
+its maximum only where T stays below SATURATION_CAP, a fraction of N^2 pairs
+like T itself. The sweep extends upward until T reaches 2 * SATURATION_CAP or
+eps reaches 2^60; a table that saturates below that, as at N = 20000 where
+c/N = 0.051, runs the extension to 2^60.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import NeighborList, TimeSeries, rows_per_block, sq_distance_blocks
+from .dataset import NeighborList, rows_per_block
 
 # Kernel values below this are indistinguishable from zero in double precision
 # and may be dropped from sparse storage.
@@ -46,10 +54,11 @@ LOG_BIN_WIDTH = 1e-3
 # maximum, to suppress Monte-Carlo jitter.
 SMOOTH_WINDOW = 3
 # The argmax is restricted to grid points where T stays below this fraction of
-# full saturation. Near saturation the slope of log T is inflated by manifold
-# curvature (on a circle it peaks 21% above the d/2 plateau), which would both
-# bias the dimension estimate and hand back a bandwidth too coarse to resolve
-# the operator.
+# N^2 pairs, the all-pairs saturation; the table's own saturation,
+# min(N, NEIGHBOR_CAP)/N, lies above it up to N = 20480. Near saturation the
+# slope of log T is inflated by manifold curvature (on a circle the all-pairs
+# slope peaks 21% above the d/2 plateau), which would both bias the dimension
+# estimate and hand back a bandwidth too coarse to resolve the operator.
 SATURATION_CAP = 0.05
 
 
@@ -137,35 +146,25 @@ def adhoc_bandwidth(neighbors: NeighborList, k0: int = 8) -> BandwidthProfile:
 
 
 class PairwiseKernelSum:
-    """Callable eps -> T(eps) for kernels exp(-|x_i - x_j|^2 / (c * eps * v_i * v_j)).
+    """Callable eps -> T(eps) for kernels exp(-|x_i - x_j|^2 / (c * eps * v_i * v_j))
+    summed over the entries of ``neighbors``, a kNN table of the points.
 
-    The full pairwise sum is folded once into a fine log-spaced histogram of
-    the scaled squared distances w_ij = |x_i - x_j|^2 / (v_i v_j), between the
-    bounds of the module docstring taken from ``neighbors``, a kNN table of
-    the points; evaluating T on a bandwidth grid then costs one exp per
-    histogram bin instead of one per point pair.
-
-    Only the strict upper triangle i < j is swept and binned (the half sweep
-    of :func:`~diffusion_forecast.dataset.sq_distance_blocks`); the counts are
-    then doubled and the N diagonal pairs, w_ii = 0, added to the zero count.
-    That is exact, not an approximation: ``cdist`` gives the same squared
-    distance for (i, j) and (j, i), and v_i v_j == v_j v_i in floating point,
-    so w_ji == w_ij bit for bit and falls in the same bin. The counts, and so
-    T, are bitwise those of the full N x N sweep at half its cost.
+    The sum is folded once into a fine log-spaced histogram of the scaled
+    squared distances w_ij = |x_i - x_j|^2 / (v_i v_j) of the table entries,
+    self included, between the bounds of the module docstring; evaluating T
+    on a bandwidth grid then costs one exp per histogram bin instead of one
+    per entry. The table is read in row blocks of
+    :func:`~diffusion_forecast.dataset.rows_per_block` rows.
     """
 
-    def __init__(self, points: np.ndarray, point_scales: np.ndarray, c: float,
-                 neighbors: NeighborList):
-        points = np.asarray(points, dtype=float)
+    def __init__(self, neighbors: NeighborList, point_scales: np.ndarray, c: float):
         v = np.asarray(point_scales, dtype=float)
-        n = points.shape[0]
+        n, width = neighbors.distances.shape
         if v.shape != (n,) or np.any(v <= 0):
             raise ValueError("point_scales must be positive, one per point")
-        if neighbors.distances.shape[0] != n:
-            raise ValueError("neighbor table does not match the points")
         self.n = n
         self.c = float(c)
-        w_lo, w_hi = _histogram_bounds(neighbors, points, v)
+        w_lo, w_hi = _histogram_bounds(neighbors, v)
         if not (w_lo > 0.0 and w_hi / w_lo < np.inf):
             raise ValueError(
                 f"scaled squared distances span {w_lo:.3g} to {w_hi:.3g}, a ratio beyond "
@@ -178,17 +177,15 @@ class PairwiseKernelSum:
         log_centers = log_lo + (np.arange(n_bins) + 0.5) * bin_width
         counts = np.zeros(n_bins, dtype=np.int64)
         zero_count = 0
-        for s, e, d2 in sq_distance_blocks(points, points, upper=True):
-            w = (d2 / np.outer(v[s:e], v[s:]))[np.arange(n - s) > np.arange(e - s)[:, None]]
+        step = rows_per_block(width)
+        for s in range(0, n, step):
+            rows = slice(s, s + step)
+            w = np.square(neighbors.distances[rows]) / (v[neighbors.indices[rows]] * v[rows, None])
             zero = w == 0.0
             zero_count += int(np.count_nonzero(zero))
-            w = w[~zero]
-            idx = ((np.log(w) - log_lo) / bin_width).astype(np.int64)
+            idx = ((np.log(w[~zero]) - log_lo) / bin_width).astype(np.int64)
             np.clip(idx, 0, n_bins - 1, out=idx)
             counts += np.bincount(idx, minlength=n_bins)
-        # w_ji == w_ij bit for bit, and each of the n diagonal terms is 0
-        counts *= 2
-        zero_count = 2 * zero_count + n
         keep = counts > 0
         self._counts = counts[keep].astype(float)
         self._w_rep = np.exp(log_centers[keep])
@@ -202,10 +199,11 @@ class PairwiseKernelSum:
         return out / (self.n * self.n)
 
 
-def _histogram_bounds(neighbors: NeighborList, points: np.ndarray,
-                      v: np.ndarray) -> tuple[float, float]:
-    """Histogram bounds enclosing every positive |x_i-x_j|^2/(v_i v_j), by the
-    rule of the module docstring. The table is read in row blocks."""
+def _histogram_bounds(neighbors: NeighborList, v: np.ndarray) -> tuple[float, float]:
+    """Histogram bounds enclosing every positive |x_i-x_j|^2/(v_i v_j) of the
+    table, by the rule of the module docstring. The table is read in row
+    blocks; each row is in ascending order, so its last column holds the
+    largest distances."""
     d = neighbors.distances
     nearest = np.empty(d.shape[0])
     step = rows_per_block(d.shape[1])
@@ -222,8 +220,7 @@ def _histogram_bounds(neighbors: NeighborList, points: np.ndarray,
     # floats would raise; the caller names a ratio that leaves the double range
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         lo = nearest.min() ** 2 / v.max() ** 2
-        span = points.max(axis=0) - points.min(axis=0)
-        hi = (span @ span) / v.min() ** 2
+        hi = d[:, -1].max() ** 2 / v.min() ** 2
     return float(lo), float(max(hi, lo))
 
 
@@ -282,32 +279,37 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
     return sums / norm
 
 
-def kde(ts: TimeSeries, profile: BandwidthProfile, eps: float, d: float) -> DensityEstimate:
-    """Kernel density estimate with the ad-hoc bandwidth kernel.
+def kde(neighbors: NeighborList, profile: BandwidthProfile, eps: float,
+        d: float) -> DensityEstimate:
+    """Kernel density estimate with the ad-hoc bandwidth kernel, summed over
+    each row of ``neighbors``, the kNN table of the points:
 
-    q(x_i) = (1/N) sum_j exp(-|x_i-x_j|^2 / (2 eps rho_i rho_j))
-                      / (2 pi eps rho_i rho_j)^{d/2}
+    q(x_i) = (1/N) sum_{j in row i} exp(-|x_i-x_j|^2 / (2 eps rho_i rho_j))
+                                  / (2 pi eps rho_i rho_j)^{d/2}
 
     Each pair term is normalized by its own bandwidth, so the finite-sample
     jitter of the ad-hoc bandwidths stays out of the density estimate (the
     common single-factor (2 pi eps rho_i^2)^{d/2} form inherits that jitter
     at full strength). Agrees with it to the estimator's O(eps) accuracy.
+    The table is read in row blocks of
+    :func:`~diffusion_forecast.dataset.rows_per_block` rows.
 
     ``eps`` and ``d`` should come from a prior :func:`tune` on this kernel
     family.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts = ts.points
-    n = ts.n_points
+    n, width = neighbors.distances.shape
     rho = profile.rho0
     if rho.shape[0] != n:
-        raise ValueError("bandwidth profile does not match the series length")
+        raise ValueError("bandwidth profile does not match the neighbor table")
     sums = np.empty(n)
-    for s, e, d2 in sq_distance_blocks(pts, pts):
-        ss = np.outer(rho[s:e], rho)
-        k = np.exp(-d2 / (2.0 * eps * ss)) / (2.0 * np.pi * eps * ss) ** (d / 2.0)
-        sums[s:e] = k.sum(axis=1)
+    step = rows_per_block(width)
+    for s in range(0, n, step):
+        rows = slice(s, s + step)
+        ss = 2.0 * eps * (rho[rows, None] * rho[neighbors.indices[rows]])
+        k = np.exp(-np.square(neighbors.distances[rows]) / ss) / (np.pi * ss) ** (d / 2.0)
+        sums[rows] = k.sum(axis=1)
     q = sums / n
     if np.any(q <= 0) or np.any(~np.isfinite(q)):
         raise ValueError(

@@ -5,10 +5,11 @@ finite differences, dense linear algebra) so it shares no code path with the
 library implementations it checks.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
 TWO_PI = 2.0 * np.pi
 
@@ -57,29 +58,54 @@ def brute_force_kernel_sum(points, scales, c, eps_grid):
     return np.array([np.sum(np.exp(-w / (c * eps))) / (n * n) for eps in np.atleast_1d(eps_grid)])
 
 
-def full_square_histogram(points, scales, table_distances, log_bin_width):
-    """The kernel-sum histogram binned over every ordered pair (i, j) of the
-    full N x N distance matrix, diagonal included, with the bounds rule of
-    the tuning module: lower bound the smallest positive kNN-table distance
-    squared over max(scales)^2, upper bound the squared bounding-box
-    diagonal over min(scales)^2.
+def table_histogram(indices, distances, scales, log_bin_width):
+    """The kernel-sum histogram binned over every entry (i, j) of a kNN table,
+    self included, with w_ij = d_ij^2 / (v_j v_i) and the bounds rule of the
+    tuning module: lower bound the smallest positive table distance squared
+    over max(scales)^2, upper bound the largest table distance squared over
+    min(scales)^2.
 
     Returns the nonzero bins' counts (float), their representative w (the
-    exp of the bin centre) and the number of pairs with w == 0.
+    exp of the bin centre) and the number of entries with w == 0.
     """
-    d = table_distances
-    lo = np.min(d[d > 0]) ** 2 / np.max(scales) ** 2
-    span = points.max(axis=0) - points.min(axis=0)
-    hi = max(float(span @ span) / np.min(scales) ** 2, lo)
+    lo = np.min(distances[distances > 0]) ** 2 / np.max(scales) ** 2
+    hi = max(np.max(distances) ** 2 / np.min(scales) ** 2, lo)
     n_bins = min(max(int(np.ceil(np.log(hi / lo) / log_bin_width)) + 1, 1), 2_000_000)
     bin_width = (np.log(hi) - np.log(lo)) / n_bins if hi > lo else 1.0
-    w = (cdist(points, points, metric="sqeuclidean") / np.outer(scales, scales)).ravel()
+    rows = np.repeat(np.arange(indices.shape[0]), indices.shape[1])
+    w = distances.ravel() ** 2 / (scales[indices.ravel()] * scales[rows])
     zero = w == 0.0
     idx = np.clip(((np.log(w[~zero]) - np.log(lo)) / bin_width).astype(np.int64), 0, n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     keep = counts > 0
     centers = np.log(lo) + (np.arange(n_bins) + 0.5) * bin_width
     return counts[keep].astype(float), np.exp(centers[keep]), float(np.count_nonzero(zero))
+
+
+def table_kernel_sum(indices, distances, scales, c, eps_grid):
+    """T(eps) = (1/N^2) sum over the table entries (i, j) of
+    exp(-d_ij^2 / (c eps v_i v_j)), one entry at a time, no histogram."""
+    eps_grid = np.atleast_1d(eps_grid)
+    n, k = indices.shape
+    total = np.zeros(eps_grid.shape)
+    for i in range(n):
+        for r in range(k):
+            w = distances[i, r] ** 2 / (scales[i] * scales[indices[i, r]])
+            total += np.exp(-w / (c * eps_grid))
+    return total / (n * n)
+
+
+def table_kde(indices, distances, rho, eps, d):
+    """q_i = (1/N) sum over row i of the table of
+    exp(-d_ij^2 / (2 eps rho_i rho_j)) / (2 pi eps rho_i rho_j)^(d/2),
+    one entry at a time."""
+    n, k = indices.shape
+    q = np.zeros(n)
+    for i in range(n):
+        for r in range(k):
+            ss = rho[i] * rho[indices[i, r]]
+            q[i] += math.exp(-distances[i, r] ** 2 / (2 * eps * ss)) / (TWO_PI * eps * ss) ** (d / 2)
+    return q / n
 
 
 def coo_vb_kernel(q, eps, beta, indices, distances, floor):

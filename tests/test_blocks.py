@@ -99,8 +99,8 @@ class TestBlockInvariance:
         default = dataset_mod.BLOCK_ENTRIES
         runs = {}
         # the default; 2000 entries, uneven blocks of 3 rows (610 = 203 * 3 + 1)
-        # in the square sweeps, the kernel assembly and the normalization, and
-        # growing ones in the triangle; one block holding everything
+        # in the kNN search and in every pass over the 610-wide table; one
+        # block holding everything
         for block_entries in (default, 2000, n * n):
             monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
             runs[block_entries] = fit_arrays(monkeypatch, ts, m)
@@ -150,20 +150,19 @@ class TestBoundedMemory:
         assert peak <= self.bound(nl.indices.nbytes + nl.distances.nbytes)
 
     def test_kernel_sum_histogram(self, series):
-        # the bounds read the whole (N, 200) table, as the fit's do
         nl = knn(series, 200)
         scales = adhoc_bandwidth(nl).rho0
-        _, peak = traced_peak(PairwiseKernelSum, series.points, scales, 2.0, nl)
+        _, peak = traced_peak(PairwiseKernelSum, nl, scales, 2.0)
         # the bin arrays: counts, centres, a block's bincount and the kept bins
-        w_lo, w_hi = _histogram_bounds(nl, series.points, scales)
+        w_lo, w_hi = _histogram_bounds(nl, scales)
         n_bins = int(np.ceil(np.log(w_hi / w_lo) / LOG_BIN_WIDTH)) + 1
         assert peak <= self.bound(6 * 8 * n_bins)
 
     def test_kde(self, series):
-        nl = knn(series, 8)
+        nl = knn(series, 200)
         profile = adhoc_bandwidth(nl)
-        tuning = tune(PairwiseKernelSum(series.points, profile.rho0, 2.0, nl))
-        q, peak = traced_peak(kde, series, profile, tuning.eps_star, tuning.d_est)
+        tuning = tune(PairwiseKernelSum(nl, profile.rho0, 2.0))
+        q, peak = traced_peak(kde, nl, profile, tuning.eps_star, tuning.d_est)
         assert peak <= self.bound(2 * q.q.nbytes)
 
     def test_kernel_assembly(self, monkeypatch, series):
@@ -171,7 +170,7 @@ class TestBoundedMemory:
         # of an 8-byte value and a 4-byte index, and the blocks
         cap = 200
         nl = knn(series, cap)
-        q = kde(series, adhoc_bandwidth(nl), 0.05, 3.0)
+        q = kde(nl, adhoc_bandwidth(nl), 0.05, 3.0)
         before_symmetrization = []
         real_symmetrize = basis_mod._symmetrize
 

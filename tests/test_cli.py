@@ -186,9 +186,10 @@ def test_ensemble_baseline_rejects_a_mean_of_another_dimension(tmp_path, capsys)
       "--steps", "2", "--n-ens", "10", "--tau", "nan"], "nan"),
 ], ids=["simulate-torus-nan", "simulate-lorenz-inf", "ensemble-nan"])
 def test_a_non_finite_time_step_is_an_error_line(tmp_path, capsys, args, value):
-    out = ["--out-dir", str(tmp_path)] if args[0] == "simulate" else ["--out", str(tmp_path / "e.csv")]
-    assert main(args + out) == 1
+    out = tmp_path / ("d" if args[0] == "simulate" else "e.csv")
+    assert main(args + ["--out-dir" if args[0] == "simulate" else "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: dt_sample must be positive and finite, got {value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["forecast", "baseline"])

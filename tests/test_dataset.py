@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
-import diffusion_forecast.dataset as dataset_mod
 from diffusion_forecast.dataset import (
     NeighborList,
     TimeSeries,
@@ -15,7 +13,6 @@ from diffusion_forecast.dataset import (
     load_series,
     read_series_csv,
     split,
-    sq_distance_blocks,
     write_series_csv,
 )
 
@@ -105,6 +102,19 @@ class TestLoadSeries:
         f.write_text("1\n2\n")
         with pytest.raises(ValueError, match="format"):
             load_series(f, "fancy")
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("single-column", "1.0\nnope\n"),
+        ("two-column-dated", "date,value\n1950-01,x\n"),
+        ("noaa-monthly-grid", "1950 1 2 3\n"),
+    ])
+    def test_errors_name_the_path_as_given(self, tmp_path, fmt, text):
+        f = tmp_path / "data" / "nino" / "series.txt"
+        f.parent.mkdir(parents=True)
+        f.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_series(f, fmt)
+        assert str(err.value).startswith(f"{f}:")
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -243,19 +253,6 @@ class TestKnn:
         idx, dist = lexsort_knn(pts, k, query)
         assert np.array_equal(nl.indices, idx)
         assert np.array_equal(nl.distances, dist)
-
-    def test_upper_blocks_are_the_full_sweeps_triangle(self, monkeypatch):
-        monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", 50)
-        pts = np.random.default_rng(4).normal(size=(23, 3))
-        full = cdist(pts, pts, metric="sqeuclidean")
-        stop, sizes = 0, []
-        for s, e, d2 in sq_distance_blocks(pts, pts, upper=True):
-            assert s == stop
-            assert np.array_equal(d2, full[s:e, s:])  # bitwise
-            stop = e
-            sizes.append(e - s)
-        assert stop == 23
-        assert len(set(sizes)) > 2  # rows per block grow as the triangle narrows
 
 
 class TestSplit:

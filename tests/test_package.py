@@ -69,10 +69,18 @@ def _names(path):
 
 
 def test_cdist_is_referenced_only_in_dataset():
-    # one pairwise sweep, dataset.sq_distance_blocks, serves every all-pairs
-    # computation; a cdist call anywhere else would be a second one
+    # one pairwise sweep, the kNN search of dataset.knn_points, serves every
+    # all-pairs computation; a cdist call anywhere else would be a second one
     users = sorted(path.name for path in SRC.glob("*.py") if "cdist" in set(_names(path)))
     assert users == ["dataset.py"]
+
+
+def test_the_fit_stages_read_pairs_only_from_the_neighbour_table():
+    # the kernel sums, the density estimate and the kernel read the kNN
+    # table; a distance sweep of their own would go back to all pairs
+    found = {name: sorted({"sq_distance_blocks", "cdist"} & set(_names(SRC / name)))
+             for name in ("tuning.py", "basis.py", "pipeline.py")}
+    assert found == {"tuning.py": [], "basis.py": [], "pipeline.py": []}
 
 
 def test_fit_diagnostics_reach_output_only_through_fit_record():

@@ -82,8 +82,16 @@ class TestFitRecord:
                             "fallback": solver.fallback, "max_residual": residual},
             "lambda_edge": ledger.lambda_edge,
             "m_eff": ledger.galerkin_size(fit.basis.lam),
+            "rows_at_cap": fit.rows_at_cap,
         }
         assert 1 <= record["m_eff"] <= fit.basis.n_basis
+
+    def test_rows_cut_at_the_neighbour_cap(self, circle_fit_3000):
+        # 3000 circle points: the 1024-wide table cuts rows whose last
+        # neighbour the kernel still keeps; 1000 points: the table holds all
+        assert 0 < fit_record(circle_fit_3000)["rows_at_cap"] < 3000
+        fit = fit_forecaster(TimeSeries(simulate_lorenz63(1000, seed=5).points, tau=0.1), 10)
+        assert fit_record(fit)["rows_at_cap"] == 0
 
 
 class TestModelBundle:

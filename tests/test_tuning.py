@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import diffusion_forecast.dataset as dataset_mod
+from diffusion_forecast.basis import NEIGHBOR_CAP
 from diffusion_forecast.dataset import TimeSeries, knn
 from diffusion_forecast.simulators import torus_embed
 from diffusion_forecast.tuning import (
@@ -14,15 +15,15 @@ from diffusion_forecast.tuning import (
     tune,
 )
 
-from _oracles import brute_force_kernel_sum, full_square_histogram
+from _oracles import brute_force_kernel_sum, table_histogram, table_kde, table_kernel_sum
 
 
 def tuned(points, k0=8, c=2.0):
-    ts = TimeSeries(points, tau=1.0)
-    nl = knn(ts, k0)
+    """The fit's table, min(N, NEIGHBOR_CAP) wide, the ad-hoc bandwidths and
+    the tuning of their kernel on that table."""
+    nl = neighbors(points, min(points.shape[0], NEIGHBOR_CAP))
     prof = adhoc_bandwidth(nl, k0)
-    ks = PairwiseKernelSum(points, prof.rho0, c, nl)
-    return ts, prof, tune(ks)
+    return nl, prof, tune(PairwiseKernelSum(nl, prof.rho0, c))
 
 
 def neighbors(points, k=8):
@@ -68,35 +69,48 @@ class TestAdhocBandwidth:
 
 class TestPairwiseKernelSum:
     def test_matches_brute_force(self):
+        # a full-width table holds every pair: the all-pairs sum
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(300, 2))
         scales = 0.5 + rng.uniform(size=300)
-        ks = PairwiseKernelSum(pts, scales, 2.0, neighbors(pts))
+        ks = PairwiseKernelSum(neighbors(pts, 300), scales, 2.0)
         eps_grid = np.logspace(-3, 2, 11)
         approx = ks(eps_grid)
         exact = brute_force_kernel_sum(pts, scales, 2.0, eps_grid)
         assert np.max(np.abs(approx / exact - 1.0)) < 2e-3
 
+    def test_matches_the_table_sum(self):
+        # a narrow table: the sum over its entries only
+        rng = np.random.default_rng(2)
+        pts = rng.normal(size=(300, 2))
+        scales = 0.5 + rng.uniform(size=300)
+        nl = neighbors(pts, 30)
+        eps_grid = np.logspace(-3, 2, 11)
+        approx = PairwiseKernelSum(nl, scales, 2.0)(eps_grid)
+        exact = table_kernel_sum(nl.indices, nl.distances, scales, 2.0, eps_grid)
+        assert np.max(np.abs(approx / exact - 1.0)) < 2e-3
+
     def test_range_and_monotonicity(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(150, 3))
-        ks = PairwiseKernelSum(pts, np.ones(150), 4.0, neighbors(pts))
+        ks = PairwiseKernelSum(neighbors(pts), np.ones(150), 4.0)
         grid = np.logspace(-8, 6, 120)
         t = ks(grid)
         n = 150
         assert np.all(t >= 1.0 / n - 1e-12)
-        assert np.all(t <= 1.0 + 1e-12)
+        # the 8-wide table saturates at 8 / N
+        assert np.all(t <= 8.0 / n + 1e-12)
+        assert t[-1] == pytest.approx(8.0 / n, rel=1e-4)
         assert np.all(np.diff(t) >= -1e-15)
 
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError, match="positive"):
-            PairwiseKernelSum(np.zeros((3, 1)), np.array([1.0, -1.0, 1.0]), 2.0,
-                              neighbors(np.zeros((3, 1)), 3))
+            PairwiseKernelSum(neighbors(np.zeros((3, 1)), 3), np.array([1.0, -1.0, 1.0]), 2.0)
 
     def test_single_repeated_point_degenerate(self):
         pts = np.zeros((5, 2))
         with pytest.raises(ValueError, match="repeated point"):
-            PairwiseKernelSum(pts, np.ones(5), 2.0, neighbors(pts, 5))
+            PairwiseKernelSum(neighbors(pts, 5), np.ones(5), 2.0)
 
     def test_duplicate_pairs_binned_at_their_distance(self):
         # two duplicated points 1e-4 apart: their four table rows start with
@@ -108,10 +122,9 @@ class TestPairwiseKernelSum:
         base = rng.uniform(0.0, 1000.0, size=(200, 2))
         x, y = base[:1], base[:1] + [1e-4, 0.0]
         pts = np.vstack([base, x, y, y])
-        ts = TimeSeries(pts, tau=1.0)
-        nl = knn(ts, 8)
+        nl = neighbors(pts, pts.shape[0])
         prof = adhoc_bandwidth(nl)
-        ks = PairwiseKernelSum(pts, prof.rho0, 2.0, nl)
+        ks = PairwiseKernelSum(nl, prof.rho0, 2.0)
         eps_grid = np.array([1e-9, 1e-8, 1e-7])
         exact = brute_force_kernel_sum(pts, prof.rho0, 2.0, eps_grid)
         assert np.max(np.abs(ks(eps_grid) / exact - 1.0)) < 2e-3
@@ -130,22 +143,22 @@ class TestPairwiseKernelSum:
         scales = np.ones(300)
         scales[5] = scale
         with pytest.raises(ValueError, match="ratio beyond the double range"):
-            PairwiseKernelSum(pts, scales, 2.0, neighbors(pts))
+            PairwiseKernelSum(neighbors(pts), scales, 2.0)
 
     @pytest.mark.parametrize("block_entries", [4_000_000, 700], ids=["one-block", "uneven-blocks"])
-    def test_half_sweep_equals_the_full_square_histogram(self, monkeypatch, block_entries):
-        # the counts of i < j, doubled, plus N diagonal zeros must be the
-        # full sweep's bit for bit; duplicated points add off-diagonal zeros,
-        # and a small block size spreads the triangle over uneven row blocks
+    def test_table_histogram_equals_the_oracle(self, monkeypatch, block_entries):
+        # the blocked counts must be the oracle's bit for bit; duplicated
+        # points add zeros beside the N of self, and 700 entries spread the
+        # 30-wide table over uneven blocks of 23 rows (74 = 3 * 23 + 5)
         monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
         rng = np.random.default_rng(7)
         base = rng.normal(size=(70, 2))
         pts = np.vstack([base, base[[3, 3, 10, 41]]])
         scales = 0.5 + rng.uniform(size=pts.shape[0])
-        nl = neighbors(pts)
-        ks = PairwiseKernelSum(pts, scales, 2.0, nl)
-        counts, w_rep, zeros = full_square_histogram(pts, scales, nl.distances, LOG_BIN_WIDTH)
-        assert zeros == pts.shape[0] + 2 * (3 + 1 + 1)  # diagonal, a triple, two pairs
+        nl = neighbors(pts, 30)
+        ks = PairwiseKernelSum(nl, scales, 2.0)
+        counts, w_rep, zeros = table_histogram(nl.indices, nl.distances, scales, LOG_BIN_WIDTH)
+        assert zeros == pts.shape[0] + 2 * (3 + 1 + 1)  # self, a triple, two pairs
         assert ks.n == pts.shape[0]
         assert np.array_equal(ks._counts, counts)
         assert np.array_equal(ks._w_rep, w_rep)
@@ -216,8 +229,8 @@ class TestKde:
         rng = np.random.default_rng(4)
         theta = rng.uniform(0, 2 * np.pi, 5000)
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        ts, prof, res = tuned(pts)
-        dens = kde(ts, prof, res.eps_star, 1.0)
+        nl, prof, res = tuned(pts)
+        dens = kde(nl, prof, res.eps_star, 1.0)
         truth = 1.0 / (2 * np.pi)
         rel = np.abs(dens.q - truth) / truth
         assert np.mean(rel <= 0.15) >= 0.90
@@ -225,8 +238,8 @@ class TestKde:
     def test_standard_normal_density(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(5000)[:, None]
-        ts, prof, res = tuned(x)
-        dens = kde(ts, prof, res.eps_star, 1.0)
+        nl, prof, res = tuned(x)
+        dens = kde(nl, prof, res.eps_star, 1.0)
         pdf = np.exp(-x[:, 0] ** 2 / 2) / np.sqrt(2 * np.pi)
         mask = np.abs(x[:, 0]) <= 2
         rel = np.abs(dens.q - pdf)[mask] / pdf[mask]
@@ -234,28 +247,38 @@ class TestKde:
         # bulk to the stated 20%
         assert np.mean(rel <= 0.20) >= 0.90
 
+    @pytest.mark.parametrize("width", [30, 300], ids=["narrow", "full-width"])
+    def test_matches_the_table_oracle(self, width):
+        rng = np.random.default_rng(6)
+        pts = rng.normal(size=(300, 2))
+        nl = neighbors(pts, width)
+        prof = adhoc_bandwidth(nl)
+        dens = kde(nl, prof, 0.3, 2.0)
+        assert np.allclose(dens.q, table_kde(nl.indices, nl.distances, prof.rho0, 0.3, 2.0),
+                           rtol=1e-12, atol=0.0)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(400, 2))
-        ts = TimeSeries(pts, tau=1.0)
-        prof = adhoc_bandwidth(knn(ts, 8))
+        nl = neighbors(pts, 400)
+        prof = adhoc_bandwidth(nl)
         eps, d = 2.0, 2.0
-        base = kde(ts, prof, eps, d)
+        base = kde(nl, prof, eps, d)
         s = 3.0
-        scaled = kde(TimeSeries(pts * s, tau=1.0), prof, eps * s * s, d)
+        scaled = kde(neighbors(pts * s, 400), prof, eps * s * s, d)
         assert np.allclose(scaled.q, base.q / s**d, rtol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(200, 2))
         perm = rng.permutation(200)
-        ts = TimeSeries(pts, tau=1.0)
-        prof = adhoc_bandwidth(knn(ts, 8))
-        base = kde(ts, prof, 1.5, 2.0)
-        ts_p = TimeSeries(pts[perm], tau=1.0)
-        prof_p = adhoc_bandwidth(knn(ts_p, 8))
+        nl = neighbors(pts, 200)
+        prof = adhoc_bandwidth(nl)
+        base = kde(nl, prof, 1.5, 2.0)
+        nl_p = neighbors(pts[perm], 200)
+        prof_p = adhoc_bandwidth(nl_p)
         assert np.allclose(prof_p.rho0, prof.rho0[perm])
-        permuted = kde(ts_p, prof_p, 1.5, 2.0)
+        permuted = kde(nl_p, prof_p, 1.5, 2.0)
         assert np.allclose(permuted.q, base.q[perm])
 
     def test_positive_output_enforced(self):
@@ -263,10 +286,10 @@ class TestKde:
             BandwidthProfile(rho0=np.array([1.0, 0.0]))
 
     def test_bad_eps(self, circle_points_3000):
-        ts = TimeSeries(circle_points_3000[:100], tau=1.0)
-        prof = adhoc_bandwidth(knn(ts, 8))
+        nl = neighbors(circle_points_3000[:100])
+        prof = adhoc_bandwidth(nl)
         with pytest.raises(ValueError, match="positive"):
-            kde(ts, prof, -1.0, 1.0)
+            kde(nl, prof, -1.0, 1.0)
 
 
 def test_default_grid_matches_prescription():
