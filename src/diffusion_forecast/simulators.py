@@ -1,14 +1,23 @@
 """Training-data generators: a torus SDE with non-gradient drift and
-anisotropic diffusion, the Lorenz-63 system, and generic SDE/ODE steppers."""
+anisotropic diffusion, the Lorenz-63 system, and generic SDE/ODE steppers.
+
+Both steppers take a (B, dim) batch. A single trajectory is one row, and
+there numpy's per-call overhead on 1 x dim arrays would be nearly all of the
+cost, so each stepper runs a lone row's update on Python floats (for the
+SDE, a row of at most two coordinates) and a batch on arrays. Both paths
+round the same operations in the same order, so a row steps to the same bits
+alone or inside any batch.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dataset import TimeSeries
+from .dataset import TimeSeries, rows_per_block
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,13 +62,44 @@ def sde_step_batch(
     """Advance a (B, dim) batch by one sampling interval with Euler-Maruyama.
 
     ``noise`` must hold the standard-normal increments, shape
-    (substeps, B, dim); scaling by sqrt(h) happens here.
+    (substeps, B, dim); scaling by sqrt(h) happens here. Each substep calls
+    ``model.diffusion`` and then ``model.drift`` on the (B, dim) state and
+    takes x + a h + (sum_j b_ij n_j) sqrt(h), then wraps the periodic
+    coordinates. A single row of dim <= 2 does that update on Python floats,
+    summing j in ascending order from 0.0 as ``einsum`` does for one or two
+    terms; a batch, and a row of higher dim, for which ``einsum`` reorders the
+    sum, go through ``einsum``. So a row stepped alone equals, bit for bit,
+    the same row stepped inside a batch with its own noise column.
     """
-    h = dt / substeps
-    sqrt_h = np.sqrt(h)
-    wrap = [] if model.wrap is None else np.atleast_1d(model.wrap)
-    periodic = [(j, period) for j, period in enumerate(wrap) if np.isfinite(period) and period > 0]
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     x = np.array(state, dtype=float)
+    noise = np.asarray(noise)
+    if x.ndim != 2:
+        raise ValueError(f"state must be a (B, dim) batch, got shape {x.shape}")
+    if noise.shape != (substeps,) + x.shape:
+        raise ValueError(f"noise has shape {noise.shape}, expected "
+                         f"(substeps, B, dim) = {(substeps,) + x.shape}")
+    h = float(dt) / substeps
+    wrap = [] if model.wrap is None else np.atleast_1d(model.wrap)
+    periodic = [(j, float(period)) for j, period in enumerate(wrap)
+                if np.isfinite(period) and period > 0]
+    if x.shape[0] == 1 and x.shape[1] <= 2:
+        sqrt_h = math.sqrt(h)
+        c = x[0].tolist()
+        for n in noise[:, 0].tolist():
+            b = model.diffusion(x).tolist()[0]
+            a = model.drift(x).tolist()[0]
+            for i, row in enumerate(b):
+                e = 0.0
+                for bij, nj in zip(row, n):
+                    e += bij * nj
+                c[i] = c[i] + a[i] * h + e * sqrt_h
+            for j, period in periodic:
+                c[j] %= period
+            x = np.array([c])
+        return x
+    sqrt_h = np.sqrt(h)
     for s in range(substeps):
         b = model.diffusion(x)
         x = x + model.drift(x) * h + np.einsum("bij,bj->bi", b, noise[s]) * sqrt_h
@@ -82,6 +122,12 @@ def euler_maruyama(
     wrapped into [0, period) at every substep. The first recorded point is
     the state one sampling interval after ``x0``. The noise comes from
     ``np.random.default_rng(seed)``, so a Generator is drawn from as is.
+    It is drawn a block of samples at a time (``rows_per_block`` rows of
+    substeps x dim), one ``standard_normal`` call a block: the same numbers
+    in the same order as one (substeps, 1, dim) draw a sample, and the
+    generator is left where those draws would leave it. Each sample is one
+    ``sde_step_batch`` call on the (1, dim) state, which runs on Python
+    floats for dim <= 2.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -92,13 +138,26 @@ def euler_maruyama(
     rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float).reshape(1, model.dim)
     out = np.empty((n_samples, model.dim))
-    for i in range(n_samples):
-        noise = rng.standard_normal((substeps, 1, model.dim))
-        x = sde_step_batch(model, x, dt_sample, substeps, noise)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite state at sample {i}")
-        out[i] = x[0]
-    return TimeSeries(out, tau=dt_sample, origin_label=f"sde(seed={seed})")
+    step = rows_per_block(substeps * model.dim)
+    for start in range(0, n_samples, step):
+        block = rng.standard_normal((min(step, n_samples - start), substeps, 1, model.dim))
+        for i, noise in enumerate(block, start):
+            x = sde_step_batch(model, x, dt_sample, substeps, noise)
+            if not np.isfinite(x).all():
+                raise FloatingPointError(f"non-finite state at sample {i}")
+            out[i] = x[0]
+    return TimeSeries(out, tau=dt_sample, origin_label=f"sde(seed={_seed_label(seed)})")
+
+
+def _seed_label(seed) -> str:
+    """One line naming ``seed`` that depends on its value only: a
+    SeedSequence by its entropy and spawn key, a Generator by its
+    bit generator's type (its state would be long)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return f"SeedSequence(entropy={seed.entropy}, spawn_key={seed.spawn_key})"
+    if isinstance(seed, np.random.Generator):
+        return type(seed.bit_generator).__name__
+    return str(seed)
 
 
 def rk4_step_batch(model: ODEModel, state: np.ndarray, dt: float, substeps: int) -> np.ndarray:

@@ -274,3 +274,24 @@ def lorenz63_rk4_series(x0, dt_sample, n_samples, transient_steps,
         x = advance(x, dt_sample, substeps)
         out[i] = x[0]
     return out
+
+
+def euler_maruyama_series(model, x0, dt_sample, substeps, n_samples, rng):
+    """An SDE trajectory stepped on a (1, dim) numpy array throughout:
+    one (substeps, 1, dim) standard-normal draw from ``rng`` per sample, then
+    per substep x + a h + einsum(b, n) sqrt(h), and each periodic coordinate
+    taken modulo its period."""
+    h = dt_sample / substeps
+    wrap = [] if model.wrap is None else list(np.atleast_1d(model.wrap))
+    x = np.asarray(x0, dtype=float).reshape(1, model.dim)
+    out = np.empty((n_samples, model.dim))
+    for i in range(n_samples):
+        noise = rng.standard_normal((substeps, 1, model.dim))
+        for s in range(substeps):
+            b = model.diffusion(x)
+            x = x + model.drift(x) * h + np.einsum("bij,bj->bi", b, noise[s]) * np.sqrt(h)
+            for j, period in enumerate(wrap):
+                if np.isfinite(period) and period > 0:
+                    x[:, j] %= period
+        out[i] = x[0]
+    return out

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from _oracles import lorenz63_rk4_series
+from _oracles import euler_maruyama_series, lorenz63_rk4_series
 from diffusion_forecast import simulators
 from diffusion_forecast.simulators import (
     ODEModel,
@@ -10,6 +12,7 @@ from diffusion_forecast.simulators import (
     euler_maruyama,
     lorenz_model,
     rk4_step_batch,
+    sde_step_batch,
     simulate_lorenz63,
     simulate_torus,
     torus_embed,
@@ -39,6 +42,22 @@ def ou_sde():
         drift=lambda x: -x,
         diffusion=lambda x: np.ones(x.shape[:-1] + (1, 1)),
     )
+
+
+def circle_sde():
+    return SDEModel(
+        dim=1,
+        drift=lambda x: np.zeros_like(x),
+        diffusion=lambda x: np.full(x.shape[:-1] + (1, 1), np.sqrt(2.0)),
+        wrap=np.array([TWO_PI]),
+    )
+
+
+SDE_CASES = {
+    "circle": (circle_sde, np.array([0.5]), 1.0, 10),
+    "ou": (ou_sde, np.array([0.3]), 0.2, 4),
+    "torus": (torus_model, np.array([1.0, 5.5]), 0.1, 10),
+}
 
 
 class TestEulerMaruyama:
@@ -101,6 +120,109 @@ class TestEulerMaruyama:
     def test_x0_of_the_wrong_size_is_named(self):
         with pytest.raises(ValueError, match="x0 has 1 components, the model has dim 2"):
             euler_maruyama(torus_model(), np.array([0.5]), 0.1, 2, 5, seed=0)
+
+    @pytest.mark.parametrize("case", sorted(SDE_CASES))
+    def test_series_equals_per_sample_array_steps_bitwise(self, case):
+        make, x0, dt, substeps = SDE_CASES[case]
+        ts = euler_maruyama(make(), x0, dt, substeps, 300, seed=11)
+        expected = euler_maruyama_series(make(), x0, dt, substeps, 300,
+                                         np.random.default_rng(11))
+        assert ts.points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(SDE_CASES))
+    def test_generator_is_left_where_per_sample_draws_leave_it(self, case, monkeypatch):
+        # blocks of 7 samples: 40 samples end on a partial block
+        monkeypatch.setattr(simulators, "rows_per_block", lambda width: 7)
+        make, x0, dt, substeps = SDE_CASES[case]
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        ts = euler_maruyama(make(), x0, dt, substeps, 40, rng)
+        expected = euler_maruyama_series(make(), x0, dt, substeps, 40, oracle_rng)
+        assert ts.points.tobytes() == expected.tobytes()
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    def test_one_step_call_per_sample_through_the_module(self, monkeypatch):
+        # the traced benchmark counts simulators.sde_step_batch calls
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return sde_step_batch(*args)
+
+        monkeypatch.setattr(simulators, "sde_step_batch", counted)
+        euler_maruyama(torus_model(), np.array([1.0, 2.0]), 0.1, 3, 25, seed=0)
+        assert calls == [(1, 2)] * 25
+
+    def test_seed_sequence_label_is_one_deterministic_line(self):
+        labels = [euler_maruyama(ou_sde(), np.array([0.0]), 0.1, 2, 3,
+                                 np.random.SeedSequence(42).spawn(3)[1]).origin_label
+                  for _ in range(2)]
+        assert labels[0] == labels[1]
+        assert "\n" not in labels[0]
+        assert labels[0] == "sde(seed=SeedSequence(entropy=42, spawn_key=(1,)))"
+
+    def test_generator_label_names_no_address(self):
+        label = euler_maruyama(ou_sde(), np.array([0.0]), 0.1, 2, 3,
+                               np.random.default_rng(1)).origin_label
+        assert label == "sde(seed=PCG64)"
+        assert euler_maruyama(ou_sde(), np.array([0.0]), 0.1, 2, 3, 7).origin_label == "sde(seed=7)"
+
+
+def dense_sde():
+    # three coordinates: einsum does not sum three products in order, so a
+    # lone row keeps the einsum path
+    mix = np.arange(1.0, 10.0).reshape(3, 3) / 10.0
+    return SDEModel(
+        dim=3,
+        drift=lambda x: -0.3 * x + np.sin(x),
+        diffusion=lambda x: mix * (1.0 + 0.1 * np.cos(x[..., :1, None])),
+    )
+
+
+class TestSdeStep:
+    @pytest.mark.parametrize("make", [circle_sde, torus_model, dense_sde],
+                             ids=["dim1", "dim2", "dim3"])
+    def test_one_row_steps_as_inside_a_batch(self, make):
+        # one row of dim <= 2 runs on Python floats, a batch through einsum:
+        # same bits
+        model = make()
+        rng = np.random.default_rng(8)
+        batch = rng.uniform(0.0, TWO_PI, size=(400, model.dim))
+        noise = rng.standard_normal((10, 400, model.dim))
+        stepped = sde_step_batch(model, batch, 0.5, 10, noise)
+        alone = np.vstack([sde_step_batch(model, batch[r:r + 1], 0.5, 10, noise[:, r:r + 1])
+                           for r in range(400)])
+        assert stepped.shape == alone.shape == (400, model.dim)
+        assert alone.tobytes() == stepped.tobytes()
+
+    def test_zero_substeps_rejected(self):
+        with pytest.raises(ValueError, match="substeps must be >= 1"):
+            sde_step_batch(ou_sde(), np.zeros((1, 1)), 0.1, 0, np.zeros((0, 1, 1)))
+
+    @pytest.mark.parametrize("state_shape, noise_shape", [
+        ((5, 2), (3, 1, 2)),
+        ((1, 2), (4, 1, 2)),
+        ((1, 2), (2, 1, 2)),
+        ((5, 2), (3, 5, 1)),
+        ((5, 2), (3, 10)),
+    ], ids=["one-path-for-a-batch", "extra-substeps", "missing-substeps",
+            "wrong-dim", "flat"])
+    def test_noise_of_the_wrong_shape_rejected(self, state_shape, noise_shape):
+        with pytest.raises(ValueError, match="noise has shape"):
+            sde_step_batch(torus_model(), np.ones(state_shape), 0.1, 3, np.zeros(noise_shape))
+
+    def test_state_must_be_a_batch(self):
+        with pytest.raises(ValueError, match="state must be a"):
+            sde_step_batch(torus_model(), np.ones(2), 0.1, 3, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("low, high", [(-20.0, 20.0), (0.0, TWO_PI)])
+def test_numpy_and_math_sin_cos_agree_bitwise(low, high):
+    # a float path for a model written with np.sin / np.cos would call
+    # math.sin / math.cos; on this numpy build they round alike
+    x = np.random.default_rng(2).uniform(low, high, size=100_000)
+    values = x.tolist()
+    assert np.sin(x).tobytes() == np.array([math.sin(v) for v in values]).tobytes()
+    assert np.cos(x).tobytes() == np.array([math.cos(v) for v in values]).tobytes()
 
 
 class TestTorus:
