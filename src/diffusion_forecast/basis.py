@@ -112,6 +112,11 @@ class DiffusionBasis:
     eps, d, alpha, beta : float
         Kernel bandwidth, intrinsic dimension, and normalization exponents
         used in the construction.
+
+    ``phi``, ``lam`` and ``peq`` are read-only, and so becomes each array
+    given for them (its writeable flag is cleared, not a copy taken): the
+    forecast keeps readouts computed from ``phi`` on the basis, and a write
+    would leave them stale.
     """
 
     phi: np.ndarray
@@ -129,6 +134,8 @@ class DiffusionBasis:
             raise ValueError("phi and lam disagree on the basis size")
         if np.any(self.peq <= 0):
             raise ValueError("invariant-measure estimate must be positive")
+        for values in (self.phi, self.lam, self.peq):
+            values.flags.writeable = False
 
     @property
     def n_points(self) -> int:

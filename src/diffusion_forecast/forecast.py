@@ -36,6 +36,8 @@ class ShiftOperator:
     def __post_init__(self):
         if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
             raise ValueError("shift operator must be a square matrix")
+        if not np.isfinite(self.a).all():
+            raise ValueError("shift operator entries must be finite")
 
     @property
     def n_basis(self) -> int:
@@ -117,7 +119,10 @@ def evolve_coefficients(coeffs: np.ndarray, op: ShiftOperator, n_steps: int = 1)
     single coefficient vector or a (M, B) batch of columns.
 
     Applies the operator matrix once per step, re-pinning c_0 = 1 after each
-    application so Monte-Carlo mass drift cannot accumulate.
+    application so Monte-Carlo mass drift cannot accumulate. A step that
+    leaves a coefficient NaN, infinite or past ``OVERFLOW_LIMIT`` raises
+    ``FloatingPointError``; one that leaves a mass coefficient nonpositive
+    raises ``ValueError``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -128,9 +133,10 @@ def evolve_coefficients(coeffs: np.ndarray, op: ShiftOperator, n_steps: int = 1)
     for _ in range(n_steps):
         out = op.a @ out
         mass = out[0]
-        if np.any(np.abs(out) > OVERFLOW_LIMIT):
-            raise FloatingPointError("coefficient overflow during evolution")
-        if np.any(mass <= 0):
+        # written so that a NaN fails both tests
+        if not (np.abs(out) <= OVERFLOW_LIMIT).all():
+            raise FloatingPointError("non-finite or overflowing coefficient during evolution")
+        if not (mass > 0).all():
             raise ValueError("mass coefficient became nonpositive during evolution")
         out = out / mass
     return out
@@ -185,6 +191,14 @@ def forecast_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of observables under the forecast density.
 
+    E[g] = sum_j c_j <g, phi_j> and E[g^2] = sum_j c_j <g^2, phi_j>. Only c
+    changes with the lead, so the readout <g, phi_j>, <g^2, phi_j> is kept on
+    the basis with a copy of the observables, and a later call with equal
+    observables (same shape, ``np.array_equal``) reuses it; other
+    observables replace it. A NaN never compares equal, so observables that
+    hold one are read out afresh on every call. The kept readout is N*G +
+    2*M*G doubles; checking it costs O(N*G) against O(N*M*G) to recompute.
+
     Parameters
     ----------
     c : DensityCoefficients or ndarray
@@ -198,7 +212,7 @@ def forecast_moments(
     mean, variance : ndarray
         Shape (G,) for a single density, (G, B) for a batch. Variances are
         clamped at zero (truncation can produce tiny negatives; clamping is
-        logged).
+        logged with the number of entries clamped and the most negative).
     """
     vec = c.c if isinstance(c, DensityCoefficients) else np.asarray(c, dtype=float)
     g = np.asarray(observables, dtype=float)
@@ -206,11 +220,7 @@ def forecast_moments(
         g = g[:, None]
     if g.shape[0] != basis.n_points:
         raise ValueError("observables must be evaluated at every training point")
-    n = basis.n_points
-    # g^T phi reads the row-major phi in storage order: at N=2000, M=500 it
-    # takes about half the time of phi^T g
-    ghat = (g.T @ basis.phi).T / n
-    g2hat = ((g * g).T @ basis.phi).T / n
+    ghat, g2hat = _observable_readout(basis, g)
     mean = ghat.T @ vec
     second = g2hat.T @ vec
     var = second - mean * mean
@@ -218,8 +228,28 @@ def forecast_moments(
     if worst < 0:
         # basis truncation of a sharply peaked density can push the implied
         # variance below zero; clamping keeps moments usable and is logged
-        logger.info("clamping negative forecast variance (%.3e)", worst)
+        logger.info("clamping %d negative forecast variances (worst %.3e)",
+                    np.count_nonzero(var < 0), worst)
     return mean, np.maximum(var, 0.0)
+
+
+def _observable_readout(basis: DiffusionBasis, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, G) coefficients <g, phi_j> and <g^2, phi_j> of (N, G) observables.
+
+    One entry is kept on the basis, outside its dataclass fields, and reused
+    while ``g`` equals the copy it was computed from; the basis arrays are
+    read-only, so it cannot go stale.
+    """
+    memo = getattr(basis, "_readout", None)
+    if memo is not None and np.array_equal(memo[0], g):
+        return memo[1], memo[2]
+    n = basis.n_points
+    # g^T phi reads the row-major phi in storage order: at N=2000, M=500 it
+    # takes about half the time of phi^T g
+    ghat = (g.T @ basis.phi).T / n
+    g2hat = ((g * g).T @ basis.phi).T / n
+    object.__setattr__(basis, "_readout", (g.copy(), ghat, g2hat))
+    return ghat, g2hat
 
 
 def gaussian_density_values(

@@ -131,6 +131,8 @@ def euler_maruyama(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not (np.isfinite(dt_sample) and dt_sample > 0):
         raise ValueError(f"dt_sample must be positive and finite, got {dt_sample}")
     if np.size(x0) != model.dim:

@@ -295,3 +295,11 @@ def euler_maruyama_series(model, x0, dt_sample, substeps, n_samples, rng):
                     x[:, j] %= period
         out[i] = x[0]
     return out
+
+
+def observable_readout(g, phi):
+    """The moment readout <g, phi_j> = (1/N) sum_i g(x_i) phi_j(x_i) and the
+    same for g^2, of (N, G) observables, computed afresh on every call as
+    the products g^T phi and (g*g)^T phi."""
+    n = phi.shape[0]
+    return (g.T @ phi).T / n, ((g * g).T @ phi).T / n

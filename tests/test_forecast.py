@@ -1,6 +1,10 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+from diffusion_forecast import forecast
 from diffusion_forecast.basis import DiffusionBasis
 from diffusion_forecast.dataset import TimeSeries
 from diffusion_forecast.forecast import (
@@ -23,6 +27,7 @@ from _oracles import (
     TWO_PI,
     backward_generator,
     gradient_flow_eigenfunctions,
+    observable_readout,
     periodic_interp,
     propagator,
 )
@@ -173,6 +178,19 @@ class TestStep:
         with pytest.raises(ValueError, match="mass"):
             evolve_coefficients(np.array([1.0, 1.0]), op, 1)
 
+    @pytest.mark.parametrize("coeffs", [[1.0, np.nan], [np.nan, 0.5],
+                                        [[1.0, 1.0], [0.5, np.nan]]],
+                             ids=["coefficient", "mass-coefficient", "batch-column"])
+    def test_nan_coefficient_fails_loudly(self, coeffs):
+        op = ShiftOperator(a=np.diag([1.0, 0.8]), tau=1.0, n_pairs=10)
+        with pytest.raises(FloatingPointError, match="non-finite or overflowing coefficient"):
+            evolve_coefficients(np.array(coeffs), op, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ShiftOperator(a=np.array([[1.0, 0.0], [bad, 0.8]]), tau=1.0, n_pairs=10)
+
     def test_batch_matches_loop(self, circle_fit_3000):
         basis = circle_fit_3000.basis
         op = circle_fit_3000.operator
@@ -222,7 +240,9 @@ class TestReconstructAndMoments:
         assert np.array_equal(fc.lead_times, np.arange(5) * op.tau)
         vec = c0.c
         for lead in range(5):
-            mean, var = forecast_moments(vec, basis, circle_points_3000)
+            # a fresh copy of the basis holds no readout, so each lead's
+            # moments here are read out afresh
+            mean, var = forecast_moments(vec, dataclasses.replace(basis), circle_points_3000)
             assert np.array_equal(fc.mean[lead], mean) and np.array_equal(fc.variance[lead], var)
             vec = evolve_coefficients(vec, op, 1)
 
@@ -237,6 +257,96 @@ class TestReconstructAndMoments:
         with pytest.raises(ValueError, match="nonnegative"):
             MomentForecast(mean=np.zeros((2, 1)), variance=np.array([[1.0], [-0.5]]),
                            lead_times=np.array([0.0, 1.0]))
+
+
+class TestObservableReadout:
+    """The readout <g, phi_j>, <g^2, phi_j> kept on the basis between leads."""
+
+    @staticmethod
+    def counting_basis():
+        """A synthetic basis whose phi counts the products g^T phi that read
+        it, and the list those products are appended to."""
+        calls = []
+
+        class CountingPhi(np.ndarray):
+            def __rmatmul__(self, other):
+                calls.append(np.shape(other))
+                return np.asarray(other) @ self.view(np.ndarray)
+
+        basis = synthetic_basis(n=300, m=5, seed=2)
+        return dataclasses.replace(basis, phi=basis.phi.view(CountingPhi)), calls
+
+    @staticmethod
+    def assert_matches_oracle(basis, g):
+        ghat, g2hat = forecast._observable_readout(basis, g)
+        want, want2 = observable_readout(g, np.asarray(basis.phi))
+        assert ghat.tobytes() == want.tobytes() and g2hat.tobytes() == want2.tobytes()
+
+    def test_equals_the_oracle_whether_reused_or_recomputed(self):
+        basis = synthetic_basis(n=300, m=5, seed=2)
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(300, 3))
+        self.assert_matches_oracle(basis, g)  # first call
+        first = forecast._observable_readout(basis, g)
+        self.assert_matches_oracle(basis, g)  # repeated call
+        assert forecast._observable_readout(basis, g)[0] is first[0]
+        self.assert_matches_oracle(basis, rng.normal(size=(300, 3)))  # other content
+        g[7, 1] += 1.0  # the same array, written between calls
+        self.assert_matches_oracle(basis, g)
+
+    def test_equal_observables_are_read_out_once(self):
+        basis, calls = self.counting_basis()
+        g = np.random.default_rng(1).normal(size=(300, 2))
+        c = np.eye(5)[0]
+        forecast_moments(c, basis, g)
+        forecast_moments(c, basis, g.copy())
+        assert len(calls) == 2  # g and g*g, once
+        forecast_moments(c, basis, g[:, :1])
+        assert len(calls) == 4  # another shape replaces the readout
+
+    def test_nan_observables_are_read_out_on_every_call(self):
+        basis, calls = self.counting_basis()
+        g = np.random.default_rng(1).normal(size=(300, 2))
+        g[4, 0] = np.nan
+        want = observable_readout(g, np.asarray(basis.phi))
+        for n_calls in (1, 2):
+            got = forecast._observable_readout(basis, g)
+            assert len(calls) == 2 * n_calls
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_twenty_lead_ladder_reads_out_once(self):
+        basis, calls = self.counting_basis()
+        op = ShiftOperator(a=np.diag([1.0, 0.9, 0.8, 0.7, 0.6]), tau=0.5, n_pairs=299)
+        cols = np.tile(np.eye(5)[0][:, None], (1, 3))
+        cols[1] = [0.1, -0.2, 0.3]
+        fc = forecast_ladder(cols, op, basis, basis.phi[:, 1:3] + 0.5, 20)
+        assert fc.mean.shape == (21, 2, 3)
+        assert calls == [(2, 300), (2, 300)]
+
+    @pytest.mark.parametrize("name", ["phi", "lam", "peq"])
+    def test_basis_arrays_are_read_only(self, name):
+        given = synthetic_basis(n=50, m=3).phi.copy()
+        basis = DiffusionBasis(phi=given, lam=np.arange(3.0), peq=np.full(50, 0.2),
+                               eps=0.1, d=1.0, alpha=-0.25, beta=-0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(basis, name)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            given[0, 0] = 1.0
+
+    def test_clamp_log_counts_the_clamped_entries(self, caplog):
+        basis = synthetic_basis(n=300, m=5, seed=2)
+        g = basis.phi[:, 1:3]
+        c = np.eye(5)[0] + 10.0 * np.eye(5)[1]
+        ghat, g2hat = observable_readout(g, np.asarray(basis.phi))
+        raw = g2hat.T @ c - (ghat.T @ c) ** 2
+        n_negative = np.count_nonzero(raw < 0)
+        assert n_negative >= 1
+        with caplog.at_level(logging.INFO, logger="diffusion_forecast.forecast"):
+            _, var = forecast_moments(c, basis, g)
+        assert np.count_nonzero(var == 0.0) == n_negative
+        assert [r.getMessage() for r in caplog.records] == [
+            f"clamping {n_negative} negative forecast variances (worst {raw.min():.3e})"]
 
 
 class TestGaussianDensityValues:

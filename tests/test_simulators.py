@@ -117,6 +117,13 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError):
             euler_maruyama(constant_sde(), np.array([0.0]), -0.1, 2, 5, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_samples_rejected_before_any_draw(self, n_samples):
+        rng, untouched = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
+            euler_maruyama(ou_sde(), np.array([0.0]), 0.1, 2, n_samples, rng)
+        assert rng.standard_normal() == untouched.standard_normal()
+
     def test_x0_of_the_wrong_size_is_named(self):
         with pytest.raises(ValueError, match="x0 has 1 components, the model has dim 2"):
             euler_maruyama(torus_model(), np.array([0.5]), 0.1, 2, 5, seed=0)
