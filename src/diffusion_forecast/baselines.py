@@ -21,22 +21,18 @@ RIDGE = 1e-10
 class AffineModel:
     """Least-squares affine fit x_{i+lead} ~ linear @ x_i + offset.
 
-    A model fitted at one state has a (dim, dim) ``linear``, a (dim,)
-    ``offset`` and a scalar ``fit_residual``; one fitted at a batch of B
-    states has (B, dim, dim), (B, dim) and (B,) arrays, and maps a (B, dim)
-    batch state by state.
+    A model fitted at one state has a (dim, dim) ``linear`` and a (dim,)
+    ``offset``; one fitted at a batch of B states has (B, dim, dim) and
+    (B, dim) arrays, and maps a (B, dim) batch state by state.
     """
 
     linear: np.ndarray
     offset: np.ndarray
-    fit_residual: float | np.ndarray
 
     def __post_init__(self):
         if not (np.isfinite(self.linear).all() and np.isfinite(self.offset).all()):
             finite = np.isfinite(self.linear).all(axis=(-2, -1)) & np.isfinite(self.offset).all(axis=-1)
             raise ValueError(f"affine model{_state_of(finite)} has non-finite entries")
-        if not (np.asarray(self.fit_residual) >= 0).all():
-            raise ValueError("fit residual must be nonnegative, not NaN")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return (self.linear @ x[..., None])[..., 0] + self.offset
@@ -128,7 +124,7 @@ def fit_local_affine(
     if lead_steps == 0:
         batch = query.shape[:-1]
         return AffineModel(linear=np.tile(np.eye(dim), batch + (1, 1)),
-                           offset=np.zeros(batch + (dim,)), fit_residual=np.zeros(batch)[()])
+                           offset=np.zeros(batch + (dim,)))
     eligible = n - lead_steps
     if eligible < k:
         raise ValueError(f"need at least k={k} usable points, have {eligible}")
@@ -140,17 +136,15 @@ def fit_local_affine(
 def _affine_least_squares(x: np.ndarray, y: np.ndarray) -> AffineModel:
     """Affine fit of (k, dim) targets ``y`` on (k, dim) inputs ``x``, or of
     each (B, k, dim) pair at once."""
-    k, dim = x.shape[-2:]
+    dim = x.shape[-1]
     design = np.ones(x.shape[:-1] + (dim + 1,))
     design[..., :dim] = x
     design_t = design.swapaxes(-1, -2)
     gram = design_t @ design + RIDGE * np.eye(dim + 1)
     theta = np.linalg.solve(gram, design_t @ y)
-    resid = y - design @ theta
     return AffineModel(
         linear=theta[..., :dim, :].swapaxes(-1, -2),
         offset=theta[..., dim, :],
-        fit_residual=np.sqrt(np.add.reduce(resid * resid, axis=(-2, -1)) / (k * dim)),
     )
 
 

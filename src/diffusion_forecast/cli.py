@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_forecast
-from .dataset import delay_embed, load_series, read_csv, read_series_csv, write_csv, write_series_csv
+from .dataset import delay_embed, load_series, read_csv, write_csv, write_series_csv
 from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
     lorenz_config,
@@ -74,7 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "and save it as one model file")
     p.add_argument("--series", required=True, help="series CSV (written by simulate) or text file")
     p.add_argument("--format", default="csv",
-                   choices=["csv", "single-column", "two-column-dated", "noaa-monthly-grid"])
+                   choices=["csv", "single-column", "two-column-dated", "noaa-monthly-grid"],
+                   help="layout of --series: csv (a header row, then one column per "
+                        "coordinate, as simulate writes), single-column (one value a line), "
+                        "two-column-dated (YYYY-MM,value lines) or noaa-monthly-grid "
+                        "(rows of year v1 ... v12); in the three text layouts a value at "
+                        "or below -99 ends the series")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--lags", type=int, default=1)
     p.add_argument("--m", type=int, required=True, help="number of basis functions")
@@ -154,14 +159,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_series_arg(path: str, fmt: str, tau: float):
-    if fmt == "csv":
-        return read_series_csv(path, tau=tau)
-    return load_series(path, fmt, tau=tau)
-
-
 def _cmd_build_basis(args) -> int:
-    ts = _load_series_arg(args.series, args.format, args.tau)
+    ts, _ = load_series(args.series, args.format, tau=args.tau)
     if args.lags > 1:
         ts = delay_embed(ts, args.lags)
     fit = fit_forecaster(ts, args.m)
@@ -231,7 +230,7 @@ def _cmd_baseline(args) -> int:
     elif not args.series:
         raise ValueError(f"--series is required for the {args.method} method")
     else:
-        ts = read_series_csv(args.series, tau=args.tau)
+        ts, _ = load_series(args.series, "csv", tau=args.tau)
     mean, var = _parse_gaussian(args)
     init = GaussianState(mean=mean, cov=np.diag(var))
     out = Path(args.out)

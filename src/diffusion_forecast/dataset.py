@@ -83,131 +83,87 @@ class NeighborList:
             raise ValueError("indices and distances must have the same shape")
 
 
-def load_series(path, format: str, tau: float = 1.0) -> TimeSeries:
-    """Read a scalar time series from one of the supported text formats.
+def load_series(path, format: str, tau: float = 1.0) -> tuple[TimeSeries, tuple[int, int] | None]:
+    """Read a series file: the package's one series reader.
 
-    Parameters
-    ----------
-    path : str or Path
-        Input file.
-    format : {"single-column", "two-column-dated", "noaa-monthly-grid"}
-        Layout of the file. ``single-column`` is one value per line,
-        ``two-column-dated`` is "YYYY-MM,value" CSV, ``noaa-monthly-grid``
-        is whitespace-separated rows of "year v1 ... v12".
-    tau : float
-        Sampling interval to attach (monthly data uses 1.0 month units).
+    ``format`` is one of:
 
-    Values at or below -99 are missing-data sentinels and truncate the
-    series at their first occurrence.
+    - ``csv``: a header row, then one row of comma-separated values per
+      sample, as :func:`write_series_csv` writes;
+    - ``single-column``: one value per line;
+    - ``two-column-dated``: "YYYY-MM,value" lines, after an optional header
+      row on the first line;
+    - ``noaa-monthly-grid``: "year v1 ... v12" rows, one per calendar year.
+
+    Returns ``(series, start)``, the series sampled every ``tau`` (monthly
+    data uses 1.0 month units) and the (year, month) of its first sample in
+    the two dated formats, or None in the others. The three text formats skip
+    blank lines and read a value at or below -99 as a missing-data sentinel:
+    the series ends before it, also partway through a grid row. A ``csv``
+    file has no sentinel, and every value in it is kept. A line that does not
+    parse is a ValueError naming ``path:line``.
     """
-    if format in ("two-column-dated", "noaa-monthly-grid"):
-        ts, _ = load_monthly_series(path, format, tau=tau)
-        return ts
-    if format != "single-column":
+    if format == "csv":
+        return TimeSeries(read_csv(path)[1], tau=tau, origin_label=str(path)), None
+    if format not in _ROW_PARSERS:
         raise ValueError(f"unknown series format: {format!r}")
-
-    path = Path(path)
-    values = []
-    for line_no, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            v = float(line)
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: unparseable value {line!r}") from None
-        if v <= SENTINEL_THRESHOLD:
-            break
-        values.append(v)
-    return _finish_scalar_series(values, tau, str(path))
-
-
-def load_monthly_series(path, format: str, tau: float = 1.0) -> tuple[TimeSeries, tuple[int, int]]:
-    """Read a dated monthly series; also return its (year, month) start.
-
-    The start date lets experiment drivers slice calendar windows without
-    re-parsing. Only the dated formats are supported here.
-    """
-    path = Path(path)
-    if format == "two-column-dated":
-        values, start = _parse_two_column(path)
-    elif format == "noaa-monthly-grid":
-        values, start = _parse_noaa_grid(path)
-    else:
-        raise ValueError(f"unknown dated series format: {format!r}")
-    return _finish_scalar_series(values, tau, str(path)), start
-
-
-def _read_lines(path: Path) -> list[str]:
+    parse_row = _ROW_PARSERS[format]
     try:
-        return path.read_text().splitlines()
+        lines = Path(path).read_text().splitlines()
     except FileNotFoundError:
         raise FileNotFoundError(f"series file not found: {path}") from None
-
-
-def _finish_scalar_series(values: list[float], tau: float, label: str) -> TimeSeries:
+    values: list[float] = []
+    start = None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            row = parse_row(line, line_no)
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from None
+        if row is None:
+            continue
+        date, row_values = row
+        start = start or date
+        kept = next((i for i, v in enumerate(row_values) if v <= SENTINEL_THRESHOLD), None)
+        values.extend(row_values[:kept])
+        if kept is not None:
+            break
     if len(values) < 2:
-        raise ValueError(f"{label}: empty or single-point series after parsing")
-    return TimeSeries(np.asarray(values, dtype=float)[:, None], tau=tau, origin_label=label)
+        raise ValueError(f"{path}: empty or single-point series after parsing")
+    return TimeSeries(np.asarray(values, dtype=float)[:, None], tau=tau, origin_label=str(path)), start
 
 
-def _parse_two_column(path: Path) -> tuple[list[float], tuple[int, int]]:
-    values: list[float] = []
-    start = None
-    for line_no, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        m = _DATE_RE.match(parts[0]) if len(parts) == 2 else None
-        if m is None:
-            if line_no == 1:
-                continue  # header row
-            raise ValueError(f"{path}:{line_no}: expected 'YYYY-MM,value', got {line!r}")
-        try:
-            v = float(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: unparseable value {parts[1]!r}") from None
-        if v <= SENTINEL_THRESHOLD:
-            break
-        if start is None:
-            start = (int(m.group(1)), int(m.group(2)))
-        values.append(v)
-    if start is None:
-        raise ValueError(f"{path}: no data rows found")
-    return values, start
+# A row parser takes one stripped, non-blank line and its line number, and
+# returns the row's (year, month) date, or None in an undated format, and
+# its values in time order; or None for a header row, which it skips.
+def _single_column(line: str, line_no: int):
+    return None, [float(line)]
 
 
-def _parse_noaa_grid(path: Path) -> tuple[list[float], tuple[int, int]]:
-    values: list[float] = []
-    start = None
-    stop = False
-    for line_no, raw in enumerate(_read_lines(path), start=1):
-        if stop:
-            break
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 13:
-            raise ValueError(
-                f"{path}:{line_no}: expected 'year v1 ... v12' (13 fields), got {len(tokens)}"
-            )
-        try:
-            year = int(tokens[0])
-            row = [float(t) for t in tokens[1:]]
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: unparseable numeric field") from None
-        if start is None:
-            start = (year, 1)
-        for v in row:
-            if v <= SENTINEL_THRESHOLD:
-                stop = True
-                break
-            values.append(v)
-    if start is None:
-        raise ValueError(f"{path}: no data rows found")
-    return values, start
+def _two_column_dated(line: str, line_no: int):
+    parts = line.split(",")
+    m = _DATE_RE.match(parts[0]) if len(parts) == 2 else None
+    if m is None:
+        if line_no == 1:
+            return None
+        raise ValueError(f"expected 'YYYY-MM,value', got {line!r}")
+    return (int(m.group(1)), int(m.group(2))), [float(parts[1])]
+
+
+def _noaa_monthly_grid(line: str, line_no: int):
+    tokens = line.split()
+    if len(tokens) != 13:
+        raise ValueError(f"expected 'year v1 ... v12' (13 fields), got {len(tokens)}")
+    return (int(tokens[0]), 1), [float(tok) for tok in tokens[1:]]
+
+
+_ROW_PARSERS = {
+    "single-column": _single_column,
+    "two-column-dated": _two_column_dated,
+    "noaa-monthly-grid": _noaa_monthly_grid,
+}
 
 
 def delay_embed(ts: TimeSeries, lags: int) -> TimeSeries:
@@ -371,7 +327,3 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
                 raise ValueError(f"{path}:{line_no}: unparseable number in {line!r}") from None
     return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
-
-def read_series_csv(path, tau: float, origin_label: str = "") -> TimeSeries:
-    """Read a CSV written by :func:`write_series_csv`."""
-    return TimeSeries(read_csv(path)[1], tau=tau, origin_label=origin_label or str(path))

@@ -105,6 +105,8 @@ class ExperimentConfig:
     Of the fit, only ``n_basis`` is a key: the neighbour cap NEIGHBOR_CAP,
     the kernel exponent BETA, the ad-hoc bandwidth's k0 = 8 and the shift
     map's use of every consecutive pair are constants of ``fit_forecaster``.
+    ``data_format``, the layout of the Nino-3.4 file, is one of the dated
+    formats of ``load_series``: ``two-column-dated`` or ``noaa-monthly-grid``.
     """
 
     experiment: str = "custom"
@@ -142,6 +144,9 @@ def _check_field(name: str, value) -> None:
     its own; checks that tie keys together stay in ``__post_init__``."""
     if name == "experiment" and value not in ("torus", "lorenz63", "nino34", "custom"):
         raise ValueError(f"unknown experiment {value!r}")
+    if name == "data_format" and value not in ("two-column-dated", "noaa-monthly-grid"):
+        raise ValueError(f"data_format must be a dated format, two-column-dated or "
+                         f"noaa-monthly-grid, got {value!r}")
     if name in _MINIMUMS and value < _MINIMUMS[name]:
         raise ValueError(f"{name} must be >= {_MINIMUMS[name]}")
     if name in _POSITIVE and not (math.isfinite(value) and value > 0):

@@ -16,7 +16,7 @@ from .baselines import (
     iterated_local_linear_ladder,
     local_linear_forecast,
 )
-from .dataset import TimeSeries, delay_embed, load_monthly_series, split, write_csv
+from .dataset import TimeSeries, delay_embed, load_series, split, write_csv
 from .evaluation import ExperimentConfig, SkillReport, rmse_and_correlation
 from .forecast import MomentForecast, forecast_ladder, gaussian_density_values, project_density
 from .pipeline import FitResult, fit_forecaster, fit_record
@@ -245,7 +245,7 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
             "No automatic download is attempted."
         )
     out = _prepare_out_dir(out_dir or config.out_dir, "nino34")
-    raw, start = load_monthly_series(config.data_path, config.data_format)
+    raw, start = load_series(config.data_path, config.data_format)
 
     offset = (1950 - start[0]) * 12 + (1 - start[1])
     if offset < 0:

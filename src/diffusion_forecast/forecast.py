@@ -65,8 +65,8 @@ class MomentForecast:
             raise ValueError("mean and variance shapes disagree")
         if self.mean.shape[0] != self.lead_times.shape[0]:
             raise ValueError("one row of moments per lead time required")
-        if np.any(self.variance < 0):
-            raise ValueError("variance must be nonnegative")
+        if not (self.variance >= 0).all():
+            raise ValueError("variance must be nonnegative, not NaN")
 
 
 def estimate_shift_operator(basis: DiffusionBasis, tau: float) -> ShiftOperator:
@@ -203,7 +203,7 @@ def forecast_moments(
     ----------
     c : DensityCoefficients or ndarray
         Coefficients; an (M, B) array treats each column as a separate
-        density.
+        density. A NaN or infinite coefficient is a ValueError.
     observables : ndarray, shape (N, G)
         Observable values g(x_i) at the training points, one column each.
 
@@ -215,6 +215,8 @@ def forecast_moments(
         logged with the number of entries clamped and the most negative).
     """
     vec = c.c if isinstance(c, DensityCoefficients) else np.asarray(c, dtype=float)
+    if not np.isfinite(vec).all():
+        raise ValueError("density coefficients must be finite")
     g = np.asarray(observables, dtype=float)
     if g.ndim == 1:
         g = g[:, None]

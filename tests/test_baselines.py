@@ -206,7 +206,6 @@ class TestBatches:
         assert calls == [states.shape]
         assert model.linear.shape == (len(states), 3, 3)
         assert model.offset.shape == states.shape
-        assert model.fit_residual.shape == (len(states),)
         # a single state makes one one-row search per direct forecast and
         # per step of the iterated ladder
         init = GaussianState.isotropic(states[0], 0.01)
@@ -230,7 +229,7 @@ class TestBatches:
     def test_non_finite_affine_state_is_named(self):
         linear = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
         with pytest.raises(ValueError, match="state 2 has non-finite"):
-            AffineModel(linear=linear, offset=np.zeros((3, 2)), fit_residual=np.zeros(3))
+            AffineModel(linear=linear, offset=np.zeros((3, 2)))
 
     def test_blown_up_ensemble_member_names_its_state(self):
         model = ODEModel(dim=1, rhs=lambda x: (x * x,))
@@ -408,14 +407,4 @@ class TestEnsembleForecast:
 
 def test_affine_model_validation():
     with pytest.raises(ValueError, match="finite"):
-        AffineModel(linear=np.array([[np.inf]]), offset=np.zeros(1), fit_residual=0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        AffineModel(linear=np.eye(1), offset=np.zeros(1), fit_residual=-1.0)
-
-
-@pytest.mark.parametrize("residual", [np.nan, np.array([0.0, np.nan])], ids=["one", "batch"])
-def test_affine_model_rejects_nan_residual(residual):
-    batch = np.shape(residual)
-    with pytest.raises(ValueError, match="nonnegative, not NaN"):
-        AffineModel(linear=np.tile(np.eye(1), batch + (1, 1)), offset=np.zeros(batch + (1,)),
-                    fit_residual=residual)
+        AffineModel(linear=np.array([[np.inf]]), offset=np.zeros(1))

@@ -8,7 +8,7 @@ import pytest
 
 from diffusion_forecast.baselines import GaussianState, ensemble_forecast
 from diffusion_forecast.cli import main
-from diffusion_forecast.dataset import read_series_csv
+from diffusion_forecast.dataset import load_series
 from diffusion_forecast.forecast import (
     evolve_ladder,
     forecast_ladder,
@@ -41,7 +41,7 @@ def run(tmp_path_factory):
     model = d / "model" / "basis.npz"
     assert main(["simulate", "torus", "--n-samples", str(N_SAMPLES),
                  "--out-dir", str(d / "sim")]) == 0
-    mean = read_series_csv(series, tau=0.1).points[0]
+    mean = load_series(series, "csv", tau=0.1)[0].points[0]
     # the mean has negative coordinates and goes in as `--mean -0.08,...`,
     # a value that argparse alone would take for an option
     assert mean[0] < 0
@@ -69,7 +69,8 @@ def run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def refit(run):
     """The fit that build-basis made in ``run``, made again in process."""
-    return fit_forecaster(read_series_csv(run["dir"] / "sim" / "torus_embedded.csv", tau=0.1), 40)
+    ts, _ = load_series(run["dir"] / "sim" / "torus_embedded.csv", "csv", tau=0.1)
+    return fit_forecaster(ts, 40)
 
 
 def test_simulate_writes_both_series(run):
@@ -108,7 +109,7 @@ def test_model_is_one_file(run, refit):
     assert sorted(p.name for p in (run["dir"] / "model").iterdir()) == [
         "basis.npz", "basis_tuning_kde.csv", "basis_tuning_vb.csv"]
     basis, op, points, metadata = load_model(run["model"])
-    series = read_series_csv(run["dir"] / "sim" / "torus_embedded.csv", tau=0.1)
+    series = load_series(run["dir"] / "sim" / "torus_embedded.csv", "csv", tau=0.1)[0]
     assert np.array_equal(points, series.points)
     assert op.tau == 0.1 and op.n_pairs == N_SAMPLES - 1 and basis.n_basis == 40
     assert metadata == {"source": str(run["dir"] / "sim" / "torus_embedded.csv"), "lags": 1,

@@ -9,9 +9,7 @@ from diffusion_forecast.dataset import (
     delay_embed,
     knn,
     knn_points,
-    load_monthly_series,
     load_series,
-    read_series_csv,
     split,
     write_series_csv,
 )
@@ -46,7 +44,7 @@ class TestLoadSeries:
     def test_single_column(self, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1.0\n2.0\n3.0\n")
-        ts = load_series(f, "single-column")
+        ts, _ = load_series(f, "single-column")
         assert np.array_equal(ts.points, [[1.0], [2.0], [3.0]])
 
     def test_single_column_bad_line_names_line_number(self, tmp_path):
@@ -58,13 +56,13 @@ class TestLoadSeries:
     def test_sentinel_truncates(self, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1.0\n2.0\n-99.9\n4.0\n")
-        ts = load_series(f, "single-column")
+        ts, _ = load_series(f, "single-column")
         assert ts.n_points == 2
 
     def test_two_column_dated(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("date,value\n1950-01,0.5\n1950-02,-0.25\n")
-        ts, start = load_monthly_series(f, "two-column-dated")
+        ts, start = load_series(f, "two-column-dated")
         assert start == (1950, 1)
         assert np.allclose(ts.points[:, 0], [0.5, -0.25])
 
@@ -73,7 +71,7 @@ class TestLoadSeries:
         row1 = "1950 " + " ".join(str(-1.5 + 0.1 * i) for i in range(12))
         row2 = "1951 " + " ".join(str(0.2 * i) for i in range(12))
         f.write_text(row1 + "\n" + row2 + "\n")
-        ts, start = load_monthly_series(f, "noaa-monthly-grid")
+        ts, start = load_series(f, "noaa-monthly-grid")
         assert start == (1950, 1)
         assert ts.n_points == 24
         assert ts.points[0, 0] == pytest.approx(-1.5)
@@ -82,7 +80,7 @@ class TestLoadSeries:
     def test_noaa_grid_sentinel_stops_midrow(self, tmp_path):
         f = tmp_path / "n.txt"
         f.write_text("2013 0.1 0.2 0.3 -99.9 0.5 0.6 0.7 0.8 0.9 1.0 1.1 1.2\n")
-        ts, _ = load_monthly_series(f, "noaa-monthly-grid")
+        ts, _ = load_series(f, "noaa-monthly-grid")
         assert ts.n_points == 3
 
     def test_noaa_grid_wrong_field_count(self, tmp_path):
@@ -119,6 +117,44 @@ class TestLoadSeries:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_series("/nonexistent/file.txt", "single-column")
+
+    @pytest.mark.parametrize("fmt, start", [
+        ("csv", None),
+        ("single-column", None),
+        ("two-column-dated", (1987, 1)),
+        ("noaa-monthly-grid", (1987, 1)),
+    ])
+    def test_every_format_reads_the_same_values(self, tmp_path, fmt, start):
+        values = np.random.default_rng(4).normal(size=24).tolist()
+        lines = {
+            "csv": ["x0"] + [repr(v) for v in values],
+            "single-column": [repr(v) for v in values],
+            "two-column-dated": ["date,value"] + [f"{1987 + i // 12}-{i % 12 + 1:02d},{v!r}"
+                                                  for i, v in enumerate(values)],
+            "noaa-monthly-grid": [f"{1987 + r} " + " ".join(repr(v) for v in row)
+                                  for r, row in enumerate((values[:12], values[12:]))],
+        }[fmt]
+        f = tmp_path / "series.txt"
+        f.write_text("\n".join(lines) + "\n")
+        ts, got_start = load_series(f, fmt, tau=0.5)
+        assert ts.points.shape == (24, 1) and ts.tau == 0.5
+        assert np.array_equal(ts.points[:, 0], values)
+        assert got_start == start
+
+    @pytest.mark.parametrize("fmt, text, kept", [
+        ("two-column-dated", "date,value\n1950-01,0.5\n1950-02,0.25\n1950-03,-99.9\n1950-04,1.0\n",
+         [0.5, 0.25]),
+        ("noaa-monthly-grid", "1950 " + " ".join(["0.5"] * 12) + "\n"
+         "1951 0.25 -999 0.75 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n1952 nope\n",
+         [0.5] * 12 + [0.25]),
+        # a csv file has no sentinel
+        ("csv", "x0\n0.5\n-150\n0.25\n", [0.5, -150.0, 0.25]),
+    ], ids=["two-column-stops", "noaa-stops-midrow", "csv-keeps"])
+    def test_sentinel_rule(self, tmp_path, fmt, text, kept):
+        f = tmp_path / "series.txt"
+        f.write_text(text)
+        ts, _ = load_series(f, fmt)
+        assert np.array_equal(ts.points[:, 0], kept)
 
 
 class TestDelayEmbed:
@@ -292,7 +328,7 @@ class TestCsvRoundTrip:
         ts = TimeSeries(rng.normal(size=(17, 3)), tau=0.1)
         path = tmp_path / "series.csv"
         write_series_csv(ts, path)
-        back = read_series_csv(path, tau=0.1)
+        back, _ = load_series(path, "csv", tau=0.1)
         assert np.array_equal(back.points, ts.points)
 
     def test_header_present(self, tmp_path):

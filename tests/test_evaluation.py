@@ -93,10 +93,12 @@ def test_a_bad_line_is_named(tmp_path, text, line, match):
     ("init_variance = -0.5\n", ":1: ", "init_variance must be positive"),
     ("n_basis = 30\ndt = nan\n", ":2: ", "dt must be positive and finite, got nan"),
     ("perturbation_variance = inf\n", ":1: ", "perturbation_variance must be positive and finite"),
+    ("n_basis = 30\ndata_format = fancy\n", ":2: ",
+     "data_format must be a dated format, two-column-dated or noaa-monthly-grid, got 'fancy'"),
     # a check that ties two keys together names the file only
     ("n_samples = 100\nn_basis = 200\n", ": ", "n_basis cannot exceed n_samples"),
 ], ids=["below-minimum", "unknown-experiment", "not-positive", "nan-step", "inf-variance",
-        "cross-field"])
+        "unknown-data-format", "cross-field"])
 def test_a_rejected_value_is_located(tmp_path, text, where, match):
     path = write(tmp_path, text)
     with pytest.raises(ValueError, match=match) as err:

@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from diffusion_forecast.baselines import (
     GaussianState,
@@ -125,3 +126,14 @@ def test_nino_experiment(tmp_path):
         "config", "start", "n_points_used", "train_rows", "verification_count",
         "fit"}
     _check_fit_record(json.loads(result.manifest_path.read_text())["fit"], result.fit)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "single-column"])
+def test_nino_experiment_needs_a_dated_format(tmp_path, fmt):
+    # the experiment slices calendar windows from the file's start date
+    data = tmp_path / "nino34.txt"
+    _write_noaa_grid(data, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="two-column-dated or noaa-monthly-grid"):
+        run_nino_experiment(replace(nino_config(data_path=str(data)), data_format=fmt),
+                            out_dir=tmp_path)
+    assert not (tmp_path / "nino34").exists()

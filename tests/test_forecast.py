@@ -257,6 +257,23 @@ class TestReconstructAndMoments:
         with pytest.raises(ValueError, match="nonnegative"):
             MomentForecast(mean=np.zeros((2, 1)), variance=np.array([[1.0], [-0.5]]),
                            lead_times=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="nonnegative, not NaN"):
+            MomentForecast(mean=np.zeros((1, 1)), variance=np.array([[np.nan]]),
+                           lead_times=np.array([0.0]))
+
+    @pytest.mark.parametrize("coeffs", [[1.0, np.nan, 0.1], [1.0, np.inf, 0.1],
+                                        [[1.0, 1.0], [0.2, np.nan], [0.1, 0.1]]],
+                             ids=["nan", "inf", "batch-column"])
+    def test_non_finite_coefficients_fail_loudly(self, coeffs):
+        # a zero-lead ladder makes no operator step, so only the readout
+        # itself can catch them
+        basis = synthetic_basis(n=100, m=3)
+        op = ShiftOperator(a=np.eye(3), tau=1.0, n_pairs=99)
+        g = basis.phi[:, 1:3]
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            forecast_moments(np.array(coeffs), basis, g)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            forecast_ladder(np.array(coeffs), op, basis, g, n_leads=0)
 
 
 class TestObservableReadout:

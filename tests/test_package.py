@@ -119,3 +119,16 @@ def test_a_config_naming_a_fit_constant_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key 'stride'") as err:
         diffusion_forecast.load_config(path)
     assert str(err.value).startswith(f"{path}:2: ")
+
+
+def test_series_files_are_read_only_through_load_series():
+    # dataset.load_series reads every format, and one line loop in it holds
+    # the sentinel rule; a second reader would start a second copy of both
+    dataset = importlib.import_module("diffusion_forecast.dataset")
+    assert [name for name in ("load_monthly_series", "read_series_csv")
+            if hasattr(dataset, name)] == []
+    readers = {"load_series", "load_monthly_series", "read_series_csv", "_load_series_arg"}
+    found = {name: sorted(readers & set(_names(SRC / name))) for name in ("cli.py", "experiments.py")}
+    assert found == {"cli.py": ["load_series"], "experiments.py": ["load_series"]}
+    # the constant's definition and its one use
+    assert list(_names(SRC / "dataset.py")).count("SENTINEL_THRESHOLD") == 2
