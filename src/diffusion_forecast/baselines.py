@@ -3,6 +3,7 @@ iterated) and true-model ensemble forecasts."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -112,6 +113,20 @@ def fit_local_affine(
     ``point`` is one (dim,) state or a (B, dim) batch; a batch makes one
     neighbour search for all its states and gives a batch model (see
     :class:`AffineModel`) whose state b equals the fit at ``point[b]``.
+
+    One entry is kept on ``train``, outside its dataclass fields, for the
+    last ``point`` asked about: a copy of it, its training points ranked in
+    (distance, index) order over the whole series to some depth r, and the
+    normal equations of the last neighbour set. The k nearest of the
+    ``n - lead_steps`` eligible points are the first k eligible entries of
+    that ranking, so a fit at the same point and another lead reads them
+    from it; only when fewer than k of the r are eligible is the point
+    ranked again, to at least twice the depth. A lead whose neighbour set
+    equals the last one's only solves its normal equations for the new
+    targets. A different point ranks afresh, to depth k + lead_steps.
+    ``train.points`` is read-only, so the entry cannot go stale, and every
+    fit equals, bitwise, a search over the eligible points alone followed by
+    a fresh least-squares fit.
     """
     pts = train.points
     n, dim = pts.shape
@@ -128,19 +143,87 @@ def fit_local_affine(
     eligible = n - lead_steps
     if eligible < k:
         raise ValueError(f"need at least k={k} usable points, have {eligible}")
-    nl = knn_points(pts[:eligible], k, query=np.atleast_2d(query))
-    idx = nl.indices.reshape(query.shape[:-1] + (k,))
-    return _affine_least_squares(pts[idx], pts[idx + lead_steps])
+    memo = getattr(train, "_ranking", None)
+    if memo is None or not _same(query, memo.query):
+        memo = _Ranking(pts, query, k + lead_steps)
+        object.__setattr__(train, "_ranking", memo)
+    idx, normal = memo.fit(pts, eligible, k)
+    return _affine_solve(*normal, pts[idx + lead_steps])
 
 
-def _affine_least_squares(x: np.ndarray, y: np.ndarray) -> AffineModel:
-    """Affine fit of (k, dim) targets ``y`` on (k, dim) inputs ``x``, or of
-    each (B, k, dim) pair at once."""
+class _Ranking:
+    """The training points in (distance, index) order from one query, to a
+    depth, and the last neighbour set read from them with its normal
+    equations."""
+
+    def __init__(self, pts: np.ndarray, query: np.ndarray, depth: int):
+        self.query = query.copy()
+        self.ranked = knn_points(pts, depth, query=np.atleast_2d(query)).indices
+        self.fit_idx = None
+        self.normal = None
+        self.valid = range(0)
+
+    def fit(self, pts: np.ndarray, eligible: int, k: int):
+        """The k nearest points with index below ``eligible``, shaped like
+        the query's states, and their normal equations."""
+        if eligible not in self.valid or self.fit_idx.shape[-1] != k:
+            idx = self.ranked[:, :k]
+            top = int(idx.max())
+            if top >= eligible or idx.shape[1] < k:
+                idx = self._first_eligible(pts, eligible, k)
+                top = int(idx.max())
+            idx = idx.reshape(self.query.shape[:-1] + (k,))
+            if not _same(idx, self.fit_idx):
+                self.fit_idx, self.normal = idx, _normal_equations(pts[idx])
+            # the same points are the first k eligible for every count from
+            # one past their largest index up to this one
+            self.valid = range(top + 1, eligible + 1)
+        return self.fit_idx, self.normal
+
+    def _first_eligible(self, pts: np.ndarray, eligible: int, k: int) -> np.ndarray:
+        """(rows, k): the first k entries below ``eligible`` of each ranked
+        row. At most n - eligible entries are dropped, so a depth of
+        k + n - eligible always holds them; a shallower ranking that does
+        not is ranked again, to at least twice its depth."""
+        keep = self.ranked < eligible
+        if not (keep.sum(axis=1) >= k).all():
+            n, depth = pts.shape[0], self.ranked.shape[1]
+            depth = min(n, max(2 * depth, k + n - eligible))
+            self.ranked = knn_points(pts, depth, query=np.atleast_2d(self.query)).indices
+            keep = self.ranked < eligible
+        keep &= np.cumsum(keep, axis=1) <= k
+        return self.ranked[keep]
+
+
+def _same(a: np.ndarray, b: np.ndarray | None) -> bool:
+    """Whether ``b`` is an array of ``a``'s shape and bytes: what was
+    computed from one is what would be computed from the other."""
+    return b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _normal_equations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed design [x, 1] and its ridged Gram matrix for the affine
+    least-squares fit on (k, dim) inputs ``x``, or on each (B, k, dim) block
+    at once."""
     dim = x.shape[-1]
     design = np.ones(x.shape[:-1] + (dim + 1,))
     design[..., :dim] = x
     design_t = design.swapaxes(-1, -2)
-    gram = design_t @ design + RIDGE * np.eye(dim + 1)
+    return design_t, design_t @ design + _ridge(dim + 1)
+
+
+@functools.cache
+def _ridge(size: int) -> np.ndarray:
+    """RIDGE times the (size, size) identity, made once per size."""
+    out = RIDGE * np.eye(size)
+    out.flags.writeable = False
+    return out
+
+
+def _affine_solve(design_t: np.ndarray, gram: np.ndarray, y: np.ndarray) -> AffineModel:
+    """The affine model whose coefficients solve the normal equations
+    (``design_t``, ``gram``) of :func:`_normal_equations` for targets ``y``."""
+    dim = y.shape[-1]
     theta = np.linalg.solve(gram, design_t @ y)
     return AffineModel(
         linear=theta[..., :dim, :].swapaxes(-1, -2),
@@ -159,6 +242,13 @@ def local_linear_forecast(
     and (B, dim, dim) covariances, from one :func:`fit_local_affine` call for
     all states; state b equals, bitwise, the forecast from state b alone.
     Lead 0 returns ``init`` unchanged.
+
+    Asked lead by lead from one ``init``, as the lead ladders of the drivers
+    ask, the forecasts share one neighbour ranking of the initial mean: the
+    entry :func:`fit_local_affine` keeps on ``train`` holds the mean's
+    copy, its ranked training points and the last neighbour set's normal
+    equations. It cannot go stale, because ``train.points`` is read-only,
+    and each forecast equals, bitwise, one made without it.
     """
     if lead_steps == 0:
         return replace(init)

@@ -39,6 +39,11 @@ class TimeSeries:
         Sampling interval, in time units.
     origin_label : str
         Provenance tag (file name, simulator name, ...).
+
+    ``points`` is a read-only copy of the array given for it: the caller's
+    array stays writable, and a write into ``points`` raises. The
+    local-linear baselines keep a neighbour ranking on the series, which a
+    write would leave stale.
     """
 
     points: np.ndarray
@@ -46,7 +51,7 @@ class TimeSeries:
     origin_label: str = ""
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         # a single point is allowed so a split can leave a one-point
@@ -57,6 +62,7 @@ class TimeSeries:
             raise ValueError("time series contains non-finite entries")
         if not self.tau > 0:
             raise ValueError(f"sampling interval must be positive, got {self.tau}")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -89,7 +95,8 @@ def load_series(path, format: str, tau: float = 1.0) -> tuple[TimeSeries, tuple[
     ``format`` is one of:
 
     - ``csv``: a header row, then one row of comma-separated values per
-      sample, as :func:`write_series_csv` writes;
+      sample, as :func:`write_series_csv` writes; a first line of numbers
+      alone is no header and is rejected;
     - ``single-column``: one value per line;
     - ``two-column-dated``: "YYYY-MM,value" lines, after an optional header
       row on the first line;
@@ -179,7 +186,7 @@ def delay_embed(ts: TimeSeries, lags: int) -> TimeSeries:
     if lags > n:
         raise ValueError(f"lags={lags} exceeds series length {n}")
     if lags == 1:
-        return TimeSeries(ts.points.copy(), ts.tau, ts.origin_label)
+        return TimeSeries(ts.points, ts.tau, ts.origin_label)
     pts = ts.points
     blocks = [pts[lags - 1 - j : n - j] for j in range(lags)]
     emb = np.hstack(blocks)
@@ -275,8 +282,8 @@ def split(ts: TimeSeries, n_train: int) -> tuple[TimeSeries, TimeSeries]:
     n = ts.n_points
     if not 1 <= n_train < n:
         raise ValueError(f"n_train={n_train} out of range [1, {n - 1}]")
-    head = TimeSeries(ts.points[:n_train].copy(), ts.tau, f"{ts.origin_label}|train")
-    tail = TimeSeries(ts.points[n_train:].copy(), ts.tau, f"{ts.origin_label}|verify")
+    head = TimeSeries(ts.points[:n_train], ts.tau, f"{ts.origin_label}|train")
+    tail = TimeSeries(ts.points[n_train:], ts.tau, f"{ts.origin_label}|verify")
     return head, tail
 
 
@@ -305,14 +312,17 @@ def write_series_csv(ts: TimeSeries, path) -> None:
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """The header cells and the (rows, columns) float array of a CSV file
-    such as :func:`write_csv` writes; blank lines are skipped. A row whose
-    cell count differs from the header's, or a cell that is not a number, is
-    a ValueError naming ``path:line``."""
+    such as :func:`write_csv` writes; blank lines are skipped. A first line
+    whose cells are all numbers is no header, and would lose a sample if read
+    as one; it, a row whose cell count differs from the header's, and a cell
+    that is not a number are each a ValueError naming ``path:line``."""
     with Path(path).open() as fh:
         first = fh.readline()
         if not first:
             raise ValueError(f"{path}: empty file")
         header = first.strip().split(",")
+        if all(_is_number(cell) for cell in header):
+            raise ValueError(f"{path}:1: expected a header row, got the numbers {first.strip()!r}")
         rows = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
@@ -327,3 +337,10 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
                 raise ValueError(f"{path}:{line_no}: unparseable number in {line!r}") from None
     return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

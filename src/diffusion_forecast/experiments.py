@@ -244,7 +244,6 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
             "and pass its path via --data / config data_path. "
             "No automatic download is attempted."
         )
-    out = _prepare_out_dir(out_dir or config.out_dir, "nino34")
     raw, start = load_series(config.data_path, config.data_format)
 
     offset = (1950 - start[0]) * 12 + (1 - start[1])
@@ -261,16 +260,18 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
     embedded = delay_embed(series, lags)
     n_train_raw = 600
     train_rows = n_train_raw - lags + 1  # newest coordinate stays inside the training window
-    train_embedded = TimeSeries(embedded.points[:train_rows].copy(), series.tau,
+    train_embedded = TimeSeries(embedded.points[:train_rows], series.tau,
                                 origin_label=f"{series.origin_label}|train-embedded")
-
-    fit = fit_forecaster(train_embedded, config.n_basis)
 
     n_lead = config.lead_steps
     t = values.shape[0]
     init_times = np.arange(n_train_raw, t - n_lead)  # raw index of the newest coordinate
     if init_times.size < 2:
         raise ValueError("verification window is too short for the lead ladder")
+    # the data are read and checked: a rejected file leaves no directory
+    out = _prepare_out_dir(out_dir or config.out_dir, "nino34")
+
+    fit = fit_forecaster(train_embedded, config.n_basis)
     states = embedded.points[init_times - (lags - 1)]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     x_hat = states + rng.normal(0.0, np.sqrt(config.perturbation_variance), size=states.shape)

@@ -99,8 +99,8 @@ def fit_record(fit: FitResult) -> dict:
     JSON-ready dict; every manifest, the model bundle's metadata and the
     ``build-basis`` line render this record, and a new diagnostic goes here.
 
-    ``kde`` and ``vb`` hold ``{eps, d, boundary_warning}`` of the two
-    bandwidth tunings; ``eigensolver`` holds ``{path, matvecs, fallback,
+    ``kde`` and ``vb`` hold ``{eps, d, boundary_warning, plateau}`` of the
+    two bandwidth tunings; ``eigensolver`` holds ``{path, matvecs, fallback,
     max_residual}``, with ``max_residual`` null on the dense path, which
     does not compute it; ``lambda_edge`` is the spectral edge and ``m_eff``
     the number of basis eigenvalues below it; ``rows_at_cap`` counts the
@@ -110,7 +110,7 @@ def fit_record(fit: FitResult) -> dict:
     ledger, solver = fit.ledger, fit.ledger.solver
     return {
         **{name: {"eps": tuning.eps_star, "d": tuning.d_est,
-                  "boundary_warning": tuning.boundary_warning}
+                  "boundary_warning": tuning.boundary_warning, "plateau": tuning.plateau}
            for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning))},
         "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
                         "fallback": solver.fallback,

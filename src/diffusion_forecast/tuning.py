@@ -60,6 +60,13 @@ SMOOTH_WINDOW = 3
 # slope peaks 21% above the d/2 plateau), which would both bias the dimension
 # estimate and hand back a bandwidth too coarse to resolve the operator.
 SATURATION_CAP = 0.05
+# Eligible smoothed slopes within this relative distance of the maximum tie
+# with it, and a tie sets the plateau flag: the argmax among them is decided
+# by rounding. Rounding moves the slopes by about 1e-14 relative (the 225
+# intervals of a ramp of constant slope 2 spread 3.5e-14), while the two
+# steepest intervals of fitted data differed by 2.4e-5 to 1.1e-3 relative
+# (circles of 1000 and 3000 points, 2000 Lorenz-63 points).
+PLATEAU_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,17 @@ class TuningResult:
         (log eps, log T) pairs over the sweep grid, for diagnostics.
     boundary_warning : bool
         True when the maximum sat on the grid boundary; tuning unreliable.
+    plateau : bool
+        True when more than one eligible interval's smoothed slope lies
+        within PLATEAU_RTOL of the maximum, so that rounding chose
+        ``eps_star`` among them; tuning unreliable.
     """
 
     eps_star: float
     d_est: float
     curve: np.ndarray
     boundary_warning: bool = False
+    plateau: bool = False
 
 
 @dataclass(frozen=True)
@@ -235,7 +247,9 @@ def tune(kernel_sum) -> TuningResult:
     The sweep starts on :func:`default_bandwidth_grid` and extends upward
     while T stays below 2 * SATURATION_CAP. Returns the bandwidth at the
     steepest slope of log T against log eps, smoothed over SMOOTH_WINDOW
-    intervals, where T <= SATURATION_CAP, and d = 2 * that slope.
+    intervals, where T <= SATURATION_CAP, and d = 2 * that slope. It flags
+    a maximum on the grid boundary, and a maximum tied within PLATEAU_RTOL
+    by another interval.
     """
     grid = default_bandwidth_grid()
     t = np.asarray(kernel_sum(grid), dtype=float)
@@ -264,11 +278,13 @@ def tune(kernel_sum) -> TuningResult:
     if max_slope <= 0:
         raise ValueError("log T slope is nowhere positive; kernel sum is degenerate")
     boundary = i_max == 0 or i_max == len(smoothed) - 1
+    ties = np.count_nonzero(smoothed[eligible] >= max_slope * (1.0 - PLATEAU_RTOL))
     return TuningResult(
         eps_star=float(grid[i_max]),
         d_est=2.0 * max_slope,
         curve=np.column_stack([log_eps, log_t]),
         boundary_warning=boundary,
+        plateau=bool(ties > 1),
     )
 
 

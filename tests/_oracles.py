@@ -2,7 +2,9 @@
 
 Everything here is deliberately built from first principles (brute force,
 finite differences, dense linear algebra) so it shares no code path with the
-library implementations it checks.
+library implementations it checks. The one exception is
+:func:`direct_local_affine`, which pins a bitwise contract and so must make
+the library's own neighbour search.
 """
 
 import math
@@ -303,3 +305,24 @@ def observable_readout(g, phi):
     the products g^T phi and (g*g)^T phi."""
     n = phi.shape[0]
     return (g.T @ phi).T / n, ((g * g).T @ phi).T / n
+
+
+def direct_local_affine(points, query, lead, k, ridge):
+    """The direct local-linear fit made afresh: the k nearest of the points
+    whose ``lead``-step partner stays in the series, from the library's
+    ``knn_points`` over those points alone, then the ridged least-squares
+    affine fit on them, written out. Returns (linear, offset), of shapes
+    (dim, dim) and (dim,) for one (dim,) query, with a leading B for a
+    (B, dim) batch."""
+    from diffusion_forecast.dataset import knn_points
+
+    n, dim = points.shape
+    nl = knn_points(points[:n - lead], k, query=np.atleast_2d(query))
+    idx = nl.indices.reshape(np.shape(query)[:-1] + (k,))
+    x, y = points[idx], points[idx + lead]
+    design = np.ones(x.shape[:-1] + (dim + 1,))
+    design[..., :dim] = x
+    design_t = design.swapaxes(-1, -2)
+    gram = design_t @ design + ridge * np.eye(dim + 1)
+    theta = np.linalg.solve(gram, design_t @ y)
+    return theta[..., :dim, :].swapaxes(-1, -2), theta[..., dim, :]

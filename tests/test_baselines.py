@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from _oracles import direct_local_affine
+from diffusion_forecast import baselines
 from diffusion_forecast.baselines import (
+    RIDGE,
     AffineModel,
     GaussianState,
-    _affine_least_squares,
+    _affine_solve,
+    _normal_equations,
     ensemble_forecast,
     fit_local_affine,
     iterated_local_linear_forecast,
@@ -95,9 +99,9 @@ class TestLocalLinear:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(15, 3))
         y = rng.normal(size=(15, 3))
-        base = _affine_least_squares(x, y)
+        base = _affine_solve(*_normal_equations(x), y)
         perm = rng.permutation(15)
-        shuffled = _affine_least_squares(x[perm], y[perm])
+        shuffled = _affine_solve(*_normal_equations(x[perm]), y[perm])
         assert np.allclose(base.linear, shuffled.linear)
         assert np.allclose(base.offset, shuffled.offset)
 
@@ -105,7 +109,7 @@ class TestLocalLinear:
         x = np.ones((10, 2))
         y = np.ones((10, 2))
         # RIDGE keeps the coincident-neighbour system solvable
-        model = _affine_least_squares(x, y)
+        model = _affine_solve(*_normal_equations(x), y)
         assert np.all(np.isfinite(model.linear))
 
     def test_no_lookahead_leakage(self):
@@ -206,15 +210,16 @@ class TestBatches:
         assert calls == [states.shape]
         assert model.linear.shape == (len(states), 3, 3)
         assert model.offset.shape == states.shape
-        # a single state makes one one-row search per direct forecast and
-        # per step of the iterated ladder
+        # a single state makes one one-row search for a direct forecast and
+        # one per step of the iterated ladder, except its first step, which
+        # reads the ranking the direct forecast left at the same state
         init = GaussianState.isotropic(states[0], 0.01)
         calls.clear()
         local_linear_forecast(train, init, 5)
         assert calls == [(1, 3)]
         calls.clear()
         for step, _ in enumerate(iterated_local_linear_ladder(train, init.mean, 4)):
-            assert calls == [(1, 3)] * step
+            assert calls == [(1, 3)] * max(step - 1, 0)
 
     @pytest.mark.parametrize("cov, match", [
         (np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
@@ -251,6 +256,106 @@ class TestBatches:
         assert runs[1].mean.shape == runs[0].mean.shape + (1,)
         assert np.array_equal(runs[1].mean[..., 0], runs[0].mean)
         assert np.array_equal(runs[1].variance[..., 0], runs[0].variance)
+
+
+def lattice_series(n=90, seed=3):
+    """A walk on the 3 x 3 integer lattice: every point repeats many times and
+    equal distances abound, so ties straddle both the k-th neighbour and the
+    cut between eligible and ineligible points."""
+    rng = np.random.default_rng(seed)
+    return TimeSeries(rng.integers(0, 3, (n, 2)).astype(float), tau=1.0)
+
+
+class TestSharedRanking:
+    """fit_local_affine keeps one query's neighbour ranking on the series;
+    every fit and forecast must equal, bitwise, the fresh search over the
+    eligible points and the fresh least-squares fit."""
+
+    @staticmethod
+    def assert_fresh(train, mean, lead, k=15):
+        model = fit_local_affine(train, mean, lead, k)
+        init = GaussianState.isotropic(mean, 0.01)
+        out = local_linear_forecast(train, init, lead, k)
+        if lead == 0:
+            want = AffineModel(linear=np.tile(np.eye(train.dim), np.shape(mean)[:-1] + (1, 1)),
+                               offset=np.zeros(np.shape(mean)))
+        else:
+            want = AffineModel(*direct_local_affine(train.points, mean, lead, k, RIDGE))
+        expect = init.propagate(want(init.mean), want.linear) if lead else init
+        assert model.linear.tobytes() == want.linear.tobytes()
+        assert model.offset.tobytes() == want.offset.tobytes()
+        assert out.mean.tobytes() == expect.mean.tobytes()
+        assert out.cov.tobytes() == expect.cov.tobytes()
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        real = getattr(baselines, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, name, counted)
+        return calls
+
+    def test_one_state_in_shuffled_lead_order(self):
+        train, states = lorenz_train_and_states()
+        largest = train.n_points - 15
+        leads = np.random.default_rng(0).permutation(largest + 1)
+        for lead in leads:
+            self.assert_fresh(train, states[2], int(lead))
+
+    def test_batch_in_shuffled_lead_order(self):
+        train, states = lorenz_train_and_states()
+        largest = train.n_points - 15
+        leads = [40, 0, 1, largest, 3, 2, 299, 17, largest - 1, 80, 1]
+        for lead in leads:
+            self.assert_fresh(train, states, lead)
+
+    def test_two_queries_interleaved(self, monkeypatch):
+        train, states = lorenz_train_and_states()
+        searches = self.counting(monkeypatch, "knn_points")
+        a, b = states[0], states[1]
+        asks = [(a, 1, 15), (a, 5, 15), (b, 1, 15), (a, 2, 4), (a, 2, 15), (a, 9, 15), (a, 9, 10),
+                (b, 700, 15), (b, 3, 15), (states[:2], 4, 15), (states[:2], 1, 15),
+                (a, 4, 15), (b, 4, 15)]
+        for mean, lead, k in asks:
+            self.assert_fresh(train, mean, lead, k)
+        # each ask fits twice (the model and the forecast); the second of
+        # the pair, and some of the next asks, read the kept ranking
+        assert 0 < len(searches) < len(asks)
+
+    @pytest.mark.parametrize("k", [5, 15])
+    @pytest.mark.parametrize("mean", [[1.0, 1.0], [0.5, 2.0], [[1.0, 1.0], [0.0, 2.0], [0.5, 0.5]]],
+                             ids=["lattice", "midpoint", "batch"])
+    def test_ties_straddle_the_cut(self, k, mean):
+        train = lattice_series()
+        mean = np.array(mean)
+        n = train.n_points
+        # at some lead a point past the eligibility cut is exactly as far as
+        # the k-th eligible neighbour, and so is the (k+1)-th
+        dist = np.linalg.norm(train.points - np.atleast_2d(mean)[:, None], axis=-1)
+        kth = np.stack([np.sort(dist[:, :n - lead], axis=1)[:, k - 1:k + 1]
+                        for lead in range(1, n - k)])
+        assert (kth[..., 0] == kth[..., 1]).any()
+        assert any((dist[:, n - lead:] == kth[lead - 1, :, :1]).any() for lead in range(1, n - k))
+        for lead in np.random.default_rng(k).permutation(n - k + 1):
+            self.assert_fresh(train, mean, int(lead), k)
+
+    def test_leads_in_order_share_one_ranking(self, monkeypatch):
+        train, states = lorenz_train_and_states()
+        searches = self.counting(monkeypatch, "knn_points")
+        systems = self.counting(monkeypatch, "_normal_equations")
+        for mean in (states[3], states):
+            init = GaussianState.isotropic(mean, 0.01)
+            searches.clear()
+            systems.clear()
+            for lead in range(1, 81):
+                local_linear_forecast(train, init, lead)
+            # ranked to depths 16, 32, 64 and 128 at most, against 80 searches
+            assert 1 <= len(searches) <= 4
+            assert len(systems) < 80
 
 
 class TestGaussianState:

@@ -39,6 +39,15 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="positive"):
             TimeSeries(np.zeros((3, 1)), tau=0.0)
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 2)])
+    def test_points_are_a_read_only_copy(self, shape):
+        given = np.arange(float(np.prod(shape))).reshape(shape)
+        ts = TimeSeries(given, tau=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            ts.points[0, 0] = 7.0
+        given[0] = 7.0  # the caller's array stays writable and apart
+        assert ts.points[0, 0] == 0.0
+
 
 class TestLoadSeries:
     def test_single_column(self, tmp_path):
@@ -330,6 +339,16 @@ class TestCsvRoundTrip:
         write_series_csv(ts, path)
         back, _ = load_series(path, "csv", tau=0.1)
         assert np.array_equal(back.points, ts.points)
+
+    @pytest.mark.parametrize("text, first", [("1.5\n2.5\n3.5\n", "1.5"),
+                                             ("1,2\n3,4\n", "1,2")], ids=["one-column", "two-column"])
+    def test_headerless_file_is_rejected(self, tmp_path, text, first):
+        # read with its first line as the header, the file lost a sample
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_series(path, "csv")
+        assert str(err.value) == f"{path}:1: expected a header row, got the numbers {first!r}"
 
     def test_header_present(self, tmp_path):
         ts = make_series([1.0, 2.0])

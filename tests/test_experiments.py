@@ -137,3 +137,15 @@ def test_nino_experiment_needs_a_dated_format(tmp_path, fmt):
         run_nino_experiment(replace(nino_config(data_path=str(data)), data_format=fmt),
                             out_dir=tmp_path)
     assert not (tmp_path / "nino34").exists()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1950 1.0 2.0 3.0\n", r"nino34.txt:1: expected 'year v1 \.\.\. v12' \(13 fields\), got 4"),
+    ("1950 " + " ".join(["0.5"] * 12) + "\n", "does not cover"),
+], ids=["malformed", "short"])
+def test_nino_experiment_rejects_data_before_making_its_directory(tmp_path, text, match):
+    data = tmp_path / "nino34.txt"
+    data.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        run_nino_experiment(nino_config(data_path=str(data)), out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()

@@ -75,9 +75,11 @@ class TestFitRecord:
             assert solver.path == "dense" and residual is None
         assert record == {
             "kde": {"eps": fit.kde_tuning.eps_star, "d": fit.kde_tuning.d_est,
-                    "boundary_warning": fit.kde_tuning.boundary_warning},
+                    "boundary_warning": fit.kde_tuning.boundary_warning,
+                    "plateau": fit.kde_tuning.plateau},
             "vb": {"eps": fit.vb_tuning.eps_star, "d": fit.vb_tuning.d_est,
-                   "boundary_warning": fit.vb_tuning.boundary_warning},
+                   "boundary_warning": fit.vb_tuning.boundary_warning,
+                   "plateau": fit.vb_tuning.plateau},
             "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
                             "fallback": solver.fallback, "max_residual": residual},
             "lambda_edge": ledger.lambda_edge,
@@ -85,6 +87,12 @@ class TestFitRecord:
             "rows_at_cap": fit.rows_at_cap,
         }
         assert 1 <= record["m_eff"] <= fit.basis.n_basis
+
+    @pytest.mark.parametrize("case", ["circle", "lorenz"])
+    def test_fitted_tunings_have_no_plateau(self, case, circle_fit_3000, lorenz_fit):
+        fit = circle_fit_3000 if case == "circle" else lorenz_fit[0]
+        record = fit_record(fit)
+        assert record["kde"]["plateau"] is False and record["vb"]["plateau"] is False
 
     def test_rows_cut_at_the_neighbour_cap(self, circle_fit_3000):
         # 3000 circle points: the 1024-wide table cuts rows whose last

@@ -196,6 +196,17 @@ class TestTune:
         with pytest.raises(ValueError, match="non-finite"):
             tune(kernel_sum)
 
+    def test_flat_slope_is_a_plateau(self):
+        # slope 2 over the 225 intervals of the ramp: which one the argmax
+        # takes is decided by rounding, and the result says so
+        def kernel_sum(eps):
+            return np.minimum(1e-3 * (eps / 1e-3) ** 2, 0.04)
+
+        res = tune(kernel_sum)
+        assert res.plateau
+        assert res.d_est == pytest.approx(4.0)
+        assert not res.boundary_warning
+
     def test_boundary_warning_at_grid_start(self):
         # the slope of log T falls from 1 at the grid's first interval on, so
         # the steepest rise sits there
