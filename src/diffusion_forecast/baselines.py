@@ -108,7 +108,8 @@ def fit_local_affine(
 ) -> AffineModel:
     """Affine fit of the ``lead_steps``-step shift map on the k nearest
     neighbors of ``point``, restricted to indices whose shifted partner stays
-    inside the training block.
+    inside the training block. An affine map has dim + 1 coefficients per
+    coordinate, so a ``k`` below dim + 1 is a ValueError.
 
     ``point`` is one (dim,) state or a (B, dim) batch; a batch makes one
     neighbour search for all its states and gives a batch model (see
@@ -134,6 +135,9 @@ def fit_local_affine(
     if query.shape[-1:] != (dim,):
         raise ValueError(f"state of shape {query.shape} does not match the "
                          f"training series of dim {dim}")
+    if k < dim + 1:
+        raise ValueError(f"k={k} neighbours cannot determine an affine fit in dim {dim}; "
+                         f"need k >= {dim + 1}")
     if lead_steps < 0:
         raise ValueError("lead_steps must be nonnegative")
     if lead_steps == 0:
@@ -266,6 +270,8 @@ def iterated_local_linear_ladder(train: TimeSeries, mean: np.ndarray, n_steps: i
     :func:`fit_local_affine` call per step for all states and yields
     (B, dim, dim) linear parts.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     mean = np.asarray(mean, dtype=float)
     dim = mean.shape[-1]
     linear = np.broadcast_to(np.eye(dim), mean.shape[:-1] + (dim, dim))
@@ -289,6 +295,8 @@ def iterated_local_linear_forecast(
     is conjugated into a covariance; :func:`iterated_local_linear_ladder`
     gives every step.
     """
+    if lead_steps < 0:
+        raise ValueError(f"lead_steps must be >= 0, got {lead_steps}")
     for mean, linear in iterated_local_linear_ladder(train, init.mean, lead_steps, k):
         pass
     return init.propagate(mean, linear)
@@ -341,6 +349,8 @@ def ensemble_forecast(
                          f"the model has dim {model.dim}")
     if n_ens < 2:
         raise ValueError("need at least 2 ensemble members")
+    if lead_steps < 0:
+        raise ValueError(f"lead_steps must be >= 0, got {lead_steps}")
     if not (math.isfinite(dt_sample) and dt_sample > 0):
         raise ValueError(f"dt_sample must be positive and finite, got {dt_sample}")
     if substeps < 1:

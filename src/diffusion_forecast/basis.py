@@ -7,19 +7,19 @@ density, two diagonal normalizations, and a final rescaling by 2*eps*q^(2*beta)
 so that the eigenvalues come out in physical units of the generator of the
 gradient flow adapted to the invariant measure.
 
-The eigensolver is chosen by estimated cost, from the matrix size n, its
-nonzero count nnz and the basis size m, never from a clock. The dense path,
-``eigh(subset_by_index)`` on the n x n matrix, costs about (4/3) n^3 flops at
-DENSE_FLOPS_PER_S. A Lanczos step of ARPACK ``eigsh`` with k = 2m Ritz pairs
-(m guard vectors) and ARPACK's default ncv = max(2k + 1, 20) Lanczos
-vectors costs a CSR matvec, 2 nnz flops, plus ARPACK's reorthogonalisation,
-about 4 n ncv flops, both at SPARSE_FLOPS_PER_S. Lanczos is tried when
-LANCZOS_BUDGET times the dense cost buys its first factorisation and at
-least one restart, and it stops at that budget; if it has not converged by
-then, the dense solve runs and the solver record says so. When 16 n^2 bytes
-would exceed DENSE_MEMORY_BYTES, Lanczos runs unbudgeted and there is no
-dense fallback. Both paths end in one Rayleigh-Ritz ``eigh``: over the
-Lanczos subspace on the Lanczos path, over the whole space on the dense one.
+The eigensolver is chosen once, before any solve, from the matrix size n,
+its nonzero count nnz and the basis size m, never from a clock. The dense
+path, ``eigh(subset_by_index)`` on the n x n matrix, costs about (4/3) n^3
+flops at DENSE_FLOPS_PER_S. The Lanczos path, ARPACK ``eigsh`` with k = 2m
+Ritz pairs (m guard vectors) and ARPACK's default ncv = max(2k + 1, 20)
+Lanczos vectors, is charged LANCZOS_MATVECS_PER_PAIR products per requested
+pair, each a CSR matvec, 2 nnz flops, plus ARPACK's reorthogonalisation,
+about 4 n ncv flops, both at SPARSE_FLOPS_PER_S. The cheaper path runs, and
+Lanczos runs whenever 16 n^2 bytes would exceed DENSE_MEMORY_BYTES. A
+Lanczos solve has no limit but ARPACK's default iteration cap and raises
+RuntimeError if it does not converge; it never falls back to dense. Both paths end in one Rayleigh-Ritz
+``eigh``: over the Lanczos subspace on the Lanczos path, over the whole
+space on the dense one.
 
 Memory held per stage, for N points, a neighbour cap c and a kernel with z
 stored entries (8-byte values, 4-byte indices while they fit in int32).
@@ -66,9 +66,13 @@ logger = logging.getLogger(__name__)
 # reorthogonalisation ran at 2-8 GFlop/s and is charged at the sparse rate.
 DENSE_FLOPS_PER_S = 13e9
 SPARSE_FLOPS_PER_S = 1.7e9
-# Share of the dense cost a Lanczos attempt may spend: an attempt that does
-# not converge makes the solve cost at most 1.5 times the dense one.
-LANCZOS_BUDGET = 0.5
+# Products with L charged to a Lanczos solve per requested Ritz pair. On L
+# from real fits, Lanczos beat dense where the break-even charge
+# P* = dense_s / (k step_s) was 29.1 or more (circle N=3000 M=10: 36.9; desk
+# torus N=8000 M=60: 29.1), and dense won where it was 18.3 or less (Lorenz
+# N=2000 M=10: 18.3 and 15.2; desk torus M=100: 14.5; circle N=610 M=5: 13.6;
+# circle N=3000 M=30: 10.7). 23 is about the geometric middle of that gap.
+LANCZOS_MATVECS_PER_PAIR = 23
 # The dense path is charged 16 n^2 bytes, which must fit here: half of a
 # 7 GB machine, the rest left to the fit's earlier stages. It holds one
 # n x n matrix, 8 n^2 bytes, which eigh factorises in place, and L is freed
@@ -153,11 +157,10 @@ class EigensolveRecord:
     Attributes
     ----------
     path : str
-        ``"lanczos"`` or ``"dense"``, the solver whose eigenpairs were kept.
+        ``"lanczos"`` or ``"dense"``, the route :func:`_choose_eigensolver`
+        picked before the solve.
     matvecs : int
-        Products with the operator that ARPACK took, 0 if it did not run.
-    fallback : bool
-        A budgeted Lanczos attempt did not converge and the dense solve ran.
+        Products with the operator that ARPACK took, 0 on the dense path.
     max_residual : float
         max_j ||L phi_j - lambda_j phi_j|| over the unit eigenvectors on the
         Lanczos path; NaN on the dense path, where it would cost m products
@@ -166,7 +169,6 @@ class EigensolveRecord:
 
     path: str
     matvecs: int
-    fallback: bool
     max_residual: float
 
 
@@ -357,12 +359,12 @@ def build_basis(
     l_sym.setdiag(l_sym.diagonal() - 1.0 / dhat)
     l_sym.eliminate_zeros()
 
-    route = _choose_eigensolver(n, l_sym.nnz, m)
+    path = _choose_eigensolver(n, l_sym.nnz, m)
     # the solver gets the only reference to L, so the dense path frees it
     # once densified
     handoff = [l_sym]
     del l_sym
-    eigvals, eigvecs, solver = _top_eigenpairs(handoff.pop(), m, route)
+    eigvals, eigvecs, solver = _top_eigenpairs(handoff.pop(), m, path)
 
     lam = -eigvals
     if np.any(lam < -1e-8):
@@ -424,26 +426,18 @@ def _scale_in_place(a: sp.csr_matrix, s: np.ndarray) -> None:
         block *= s[indices[lo:hi]]
 
 
-def _choose_eigensolver(n: int, nnz: int, m: int) -> tuple[str, int | None]:
-    """The eigensolver rule of the module docstring, from the size alone.
-
-    Returns ``("dense", None)``; ``("lanczos", maxiter)``, an attempt held to
-    ``maxiter`` ARPACK restarts, with the dense solve as its fallback; or
-    ``("lanczos", None)`` when the dense matrix does not fit in memory.
-    """
+def _choose_eigensolver(n: int, nnz: int, m: int) -> str:
+    """The eigensolver rule of the module docstring, from the size alone:
+    ``"dense"`` or ``"lanczos"``."""
     k = 2 * m
     if k >= n:
-        return "dense", None  # no room for the guard vectors
+        return "dense"  # no room for the guard vectors
     if 16.0 * n * n > DENSE_MEMORY_BYTES:
-        return "lanczos", None
+        return "lanczos"
     ncv = min(n, max(2 * k + 1, 20))
     dense_s = (4.0 / 3.0) * n**3 / DENSE_FLOPS_PER_S
     step_s = (2.0 * nnz + 4.0 * n * ncv) / SPARSE_FLOPS_PER_S
-    steps = int(LANCZOS_BUDGET * dense_s / step_s)
-    # ARPACK's first factorisation takes ncv + 1 products, each restart at
-    # most ncv - k more
-    maxiter = (steps - ncv - 1) // (ncv - k)
-    return ("lanczos", maxiter) if maxiter >= 1 else ("dense", None)
+    return "lanczos" if LANCZOS_MATVECS_PER_PAIR * k * step_s < dense_s else "dense"
 
 
 class _CountingOperator(spla.LinearOperator):
@@ -462,43 +456,34 @@ class _CountingOperator(spla.LinearOperator):
 
 
 def _top_eigenpairs(
-    l_sym: sp.spmatrix, m: int, route: tuple[str, int | None]
+    l_sym: sp.spmatrix, m: int, path: str
 ) -> tuple[np.ndarray, np.ndarray, EigensolveRecord]:
     """M algebraically largest eigenpairs, eigenvalues descending, by the
-    solver ``route`` that :func:`_choose_eigensolver` picked by the rule of
+    solver ``path`` that :func:`_choose_eigensolver` picked by the rule of
     the module docstring.
 
     Dense: ``eigh(subset_by_index)`` of the whole matrix. Lanczos: ARPACK
-    ``eigsh`` for k = 2m pairs from a fixed start vector, then the
-    Rayleigh-Ritz ``eigh`` of Z^T (L Z) (k x k) keeps the top m, whose
-    residuals come from L Z at no further product with L. A budgeted attempt
-    that raises ``ArpackNoConvergence`` falls back to dense; an unbudgeted one
-    raises RuntimeError, and so does a residual above EIG_RESIDUAL_TOL.
+    ``eigsh`` for k = 2m pairs from a fixed start vector, at ARPACK's
+    default iteration cap, then the Rayleigh-Ritz ``eigh`` of Z^T (L Z)
+    (k x k) keeps the top m, whose residuals come from L Z at no further
+    product with L. An ``ArpackNoConvergence`` raises RuntimeError, with no
+    dense solve after it, and so does a residual above EIG_RESIDUAL_TOL.
     """
-    path, maxiter = route
     if path == "dense":
         h = l_sym.toarray(order="F")
         del l_sym  # freed here when the caller handed over its only reference
         vals, vecs = _rayleigh_ritz(h, m)
-        return vals, vecs, EigensolveRecord("dense", 0, False, float("nan"))
+        return vals, vecs, EigensolveRecord("dense", 0, float("nan"))
     n = l_sym.shape[0]
     op = _CountingOperator(l_sym.tocsr())
     v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start vector for reproducibility
     try:
-        _, z = spla.eigsh(op, k=2 * m, which="LA", v0=v0, maxiter=maxiter)
+        _, z = spla.eigsh(op, k=2 * m, which="LA", v0=v0)
     except spla.ArpackNoConvergence as err:
-        if maxiter is None:
-            raise RuntimeError(
-                f"Lanczos eigensolver did not converge: {len(err.eigenvalues)}/{2 * m} "
-                f"eigenpairs converged, and the dense matrix does not fit in memory"
-            ) from err
-        z = None  # the dense solve runs past the handler, whose traceback holds L
-    if z is None:
-        matvecs = op.matvecs
-        h = l_sym.toarray(order="F")
-        del l_sym, op
-        vals, vecs = _rayleigh_ritz(h, m)
-        return vals, vecs, EigensolveRecord("dense", matvecs, True, float("nan"))
+        raise RuntimeError(
+            f"Lanczos eigensolver did not converge: {len(err.eigenvalues)}/{2 * m} "
+            f"eigenpairs converged after {op.matvecs} matvecs"
+        ) from err
     lz = op.a @ z
     vals, w = _rayleigh_ritz(z.T @ lz, m)
     vecs = z @ w
@@ -507,7 +492,7 @@ def _top_eigenpairs(
         raise RuntimeError(
             f"Lanczos eigenpairs have residual {residual:.2e} > {EIG_RESIDUAL_TOL:.0e}"
         )
-    return vals, vecs, EigensolveRecord("lanczos", op.matvecs, False, residual)
+    return vals, vecs, EigensolveRecord("lanczos", op.matvecs, residual)
 
 
 def _rayleigh_ritz(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

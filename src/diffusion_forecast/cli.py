@@ -161,8 +161,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_build_basis(args) -> int:
     ts, _ = load_series(args.series, args.format, tau=args.tau)
-    if args.lags > 1:
-        ts = delay_embed(ts, args.lags)
+    ts = delay_embed(ts, args.lags)  # rejects lags < 1; the same points at 1
     fit = fit_forecaster(ts, args.m)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -176,8 +175,8 @@ def _cmd_build_basis(args) -> int:
     # the dense path computes no residual; the line keeps printing it as nan
     residual = float("nan") if solver["max_residual"] is None else solver["max_residual"]
     print(f"wrote {out} (eigensolver {solver['path']}, {solver['matvecs']} ARPACK matvecs, "
-          f"fallback {solver['fallback']}, max residual {residual:.1e}, "
-          f"lambda_edge {record['lambda_edge']:.3g}, M_eff {record['m_eff']})")
+          f"max residual {residual:.1e}, lambda_edge {record['lambda_edge']:.3g}, "
+          f"M_eff {record['m_eff']})")
     return 0
 
 
@@ -224,6 +223,8 @@ def _moment_header(dim: int) -> list[str]:
 
 
 def _cmd_baseline(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     if args.method == "ensemble":
         if not args.system:
             raise ValueError("--system is required for the ensemble method")
@@ -233,8 +234,6 @@ def _cmd_baseline(args) -> int:
         ts, _ = load_series(args.series, "csv", tau=args.tau)
     mean, var = _parse_gaussian(args)
     init = GaussianState(mean=mean, cov=np.diag(var))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.method == "ensemble":
         model = torus_model() if args.system == "torus" else lorenz_model()
         mf = ensemble_forecast(model, init, args.n_ens, args.steps, args.seed,
@@ -250,6 +249,9 @@ def _cmd_baseline(args) -> int:
                       in iterated_local_linear_ladder(ts, init.mean, args.steps, k=args.k)]
         rows = [[lead * args.tau, *state.mean, *np.sqrt(np.diag(state.cov))]
                 for lead, state in enumerate(states)]
+    # created only once the forecast has succeeded, so a rejected run writes nothing
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, _moment_header(mean.size), rows)
     print(f"wrote {out}")
     return 0

@@ -155,6 +155,9 @@ def run_lorenz_experiment(config: ExperimentConfig, out_dir=None) -> LorenzExper
     true-model ensemble forecasts on Lorenz-63 over a ladder of leads."""
     if config.experiment != "lorenz63":
         raise ValueError("config.experiment must be 'lorenz63'")
+    if config.n_verify - config.lead_steps < 2:
+        raise ValueError("verification block is shorter than the forecast horizon")
+    # the config is checked: a rejected one leaves no directory
     out = _prepare_out_dir(out_dir or config.out_dir, "lorenz63")
     dts = (0.1, 0.5) if config.paper_scale else (config.dt,)
     runs = {}
@@ -176,10 +179,7 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
     fit = fit_forecaster(train, config.n_basis)
 
     n_lead = config.lead_steps
-    v_count = config.n_verify - n_lead
-    if v_count < 2:
-        raise ValueError("verification block is shorter than the forecast horizon")
-    v_idx = np.arange(v_count)
+    v_idx = np.arange(config.n_verify - n_lead)
     rng = np.random.default_rng(seeds[1])
     x0_true = verify.points[v_idx]
     x_hat = x0_true + rng.normal(0.0, np.sqrt(config.perturbation_variance), size=x0_true.shape)

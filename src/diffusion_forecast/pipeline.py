@@ -100,9 +100,10 @@ def fit_record(fit: FitResult) -> dict:
     ``build-basis`` line render this record, and a new diagnostic goes here.
 
     ``kde`` and ``vb`` hold ``{eps, d, boundary_warning, plateau}`` of the
-    two bandwidth tunings; ``eigensolver`` holds ``{path, matvecs, fallback,
-    max_residual}``, with ``max_residual`` null on the dense path, which
-    does not compute it; ``lambda_edge`` is the spectral edge and ``m_eff``
+    two bandwidth tunings; ``eigensolver`` holds ``{path, matvecs,
+    max_residual}``, the route picked before the solve, ARPACK's product
+    count and ``max_residual`` null on the dense path, which does not
+    compute it; ``lambda_edge`` is the spectral edge and ``m_eff``
     the number of basis eigenvalues below it; ``rows_at_cap`` counts the
     kernel rows cut at the neighbour cap, whose last table neighbour still
     has kernel weight >= KERNEL_FLOOR (0 when the table holds every point).
@@ -113,7 +114,6 @@ def fit_record(fit: FitResult) -> dict:
                   "boundary_warning": tuning.boundary_warning, "plateau": tuning.plateau}
            for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning))},
         "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
-                        "fallback": solver.fallback,
                         "max_residual": None if math.isnan(solver.max_residual)
                         else solver.max_residual},
         "lambda_edge": ledger.lambda_edge,

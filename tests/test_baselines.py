@@ -163,6 +163,32 @@ def lorenz_train_and_states(n_states=6):
     return ts, states
 
 
+class TestArguments:
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("n_states", [None, 4], ids=["one", "batch"])
+    def test_too_few_neighbours_for_an_affine_fit(self, k, n_states):
+        # an affine map in dim 3 has 4 coefficients per coordinate
+        train, states = lorenz_train_and_states(n_states or 1)
+        point = states if n_states else states[0]
+        with pytest.raises(ValueError, match=f"k={k} neighbours cannot determine an affine "
+                                             "fit in dim 3; need k >= 4"):
+            fit_local_affine(train, point, 2, k=k)
+        assert fit_local_affine(train, point, 2, k=4).linear.shape == point.shape + (3,)
+
+    @pytest.mark.parametrize("lead", [-1, -2])
+    def test_ensemble_rejects_a_negative_lead_count(self, lead):
+        init = GaussianState.isotropic(np.array([1.0, 1.0, 25.0]), 0.01)
+        with pytest.raises(ValueError, match=f"lead_steps must be >= 0, got {lead}"):
+            ensemble_forecast(lorenz_model(), init, 10, lead, rng_seed=0, dt_sample=0.1)
+
+    def test_iterated_rejects_a_negative_lead_count(self):
+        train, states = lorenz_train_and_states(1)
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -3"):
+            list(iterated_local_linear_ladder(train, states[0], -3))
+        with pytest.raises(ValueError, match="lead_steps must be >= 0, got -3"):
+            iterated_local_linear_forecast(train, GaussianState.isotropic(states[0], 0.01), -3)
+
+
 class TestBatches:
     @pytest.mark.parametrize("forecast", [local_linear_forecast, iterated_local_linear_forecast])
     @pytest.mark.parametrize("per_state_cov", [False, True], ids=["shared", "per-state"])

@@ -88,9 +88,9 @@ def assert_bitwise_equal(a, b, where=""):
 
 
 class TestBlockInvariance:
-    # circle: ARPACK runs on L (its matvec count is compared) and falls back to
-    # dense; lorenz: the dense path with a larger M
-    @pytest.mark.parametrize("series, m, arpack", [(lambda: circle_series(610), 5, True),
+    # circle: the Lanczos path (its matvec count is compared); lorenz: the
+    # dense path with a larger M
+    @pytest.mark.parametrize("series, m, arpack", [(lambda: circle_series(610), 2, True),
                                                    (lambda: simulate_lorenz63(610, seed=3), 40, False)],
                              ids=["circle", "lorenz"])
     def test_fit_is_bitwise_independent_of_the_block_size(self, monkeypatch, series, m, arpack):
@@ -232,13 +232,12 @@ class TestLifetimes:
         assert len(table) == 3  # the NeighborList and its two arrays
         assert seen == [[True] * 3]
 
-    # lorenz routes dense; the circle tries ARPACK, which runs out of its
-    # budget, and falls back to the dense solve
-    @pytest.mark.parametrize("series, m, fallback",
-                             [(lambda: simulate_lorenz63(400, seed=3), 40, False),
-                              (lambda: circle_series(610), 5, True)], ids=["dense", "fallback"])
-    def test_the_kernel_and_L_are_freed_before_the_dense_eigh(self, monkeypatch, series, m,
-                                                              fallback):
+    # both route dense: lorenz at a larger M, and the small circle, where the
+    # dense solve beats Lanczos
+    @pytest.mark.parametrize("series, m",
+                             [(lambda: simulate_lorenz63(400, seed=3), 40),
+                              (lambda: circle_series(610), 5)], ids=["dense", "dense-circle"])
+    def test_the_kernel_and_L_are_freed_before_the_dense_eigh(self, monkeypatch, series, m):
         ts = series()
         refs, seen = [], []
         self.watch(monkeypatch, pipeline_mod, "build_vb_kernel", refs)
@@ -247,7 +246,7 @@ class TestLifetimes:
         self.check_at(monkeypatch, basis_mod, "eigh", refs, seen,
                       when=lambda h, *args: h.shape[0] == ts.n_points)
         fit = fit_forecaster(ts, m)
-        assert fit.ledger.solver.path == "dense" and fit.ledger.solver.fallback == fallback
+        assert fit.ledger.solver.path == "dense"
         assert len(refs) == 12  # three matrices and their three arrays each
         assert seen == [[True] * 12]
 

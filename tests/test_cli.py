@@ -15,7 +15,7 @@ from diffusion_forecast.forecast import (
     gaussian_density_values,
     project_density,
 )
-from diffusion_forecast.pipeline import fit_forecaster, fit_record, load_model
+from diffusion_forecast.pipeline import fit_forecaster, fit_record, load_model, save_model
 from diffusion_forecast.simulators import lorenz_model, simulate_lorenz63
 
 N_SAMPLES = 1500
@@ -98,6 +98,27 @@ def test_build_basis_names_a_ragged_series_row(tmp_path, capsys):
     assert not (tmp_path / "m.npz").exists()
 
 
+@pytest.mark.parametrize("lags", ["0", "-4"])
+def test_build_basis_rejects_fewer_than_one_lag(run, tmp_path, capsys, lags):
+    series = run["dir"] / "sim" / "torus_embedded.csv"
+    assert main(["build-basis", "--series", str(series), "--lags", lags, "--m", "5",
+                 "--out", str(tmp_path / "m.npz")]) == 1
+    assert capsys.readouterr().err == f"error: lags must be >= 1, got {lags}\n"
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_build_basis_at_one_lag_saves_the_unembedded_fit(run, refit, tmp_path):
+    series = run["dir"] / "sim" / "torus_embedded.csv"
+    out = tmp_path / "m.npz"
+    assert main(["build-basis", "--series", str(series), "--tau", "0.1", "--lags", "1",
+                 "--m", "40", "--out", str(out)]) == 0
+    points = load_series(series, "csv", tau=0.1)[0].points
+    want = save_model(tmp_path / "want.npz", refit.basis, refit.operator, points,
+                      {"source": str(series), "lags": 1, "fit": fit_record(refit)})
+    assert out.read_bytes() == want.read_bytes()
+    assert out.read_bytes() == run["model"].read_bytes()
+
+
 def test_tuning_dump_holds_plain_floats(run):
     for name in ("kde", "vb"):
         header, rows = _read_csv(run["dir"] / "model" / f"basis_tuning_{name}.csv")
@@ -168,6 +189,26 @@ def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, method, miss
     assert main(["baseline", "--method", method, "--mean", "1,1,25", "--var", "0.01",
                  "--steps", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {missing} is required for the {method} method\n"
+    assert not out.parent.exists()
+
+
+_STEPS = ("--steps", "-1", "--steps must be >= 0, got -1")
+_K = ("--k", "3", "k=3 neighbours cannot determine an affine fit in dim 3; need k >= 4")
+
+
+@pytest.mark.parametrize("method, flag, value, message", [
+    ("local-linear", *_STEPS), ("iterated", *_STEPS), ("ensemble", *_STEPS),
+    ("local-linear", *_K), ("iterated", *_K),
+], ids=["local-linear-steps", "iterated-steps", "ensemble-steps", "local-linear-k", "iterated-k"])
+def test_baseline_rejects_a_bad_count(run, tmp_path, capsys, method, flag, value, message):
+    out = tmp_path / "out" / "baseline.csv"
+    args = {"--steps": "3", "--k": "15", flag: value}
+    source = (["--system", "lorenz63", "--n-ens", "10"] if method == "ensemble"
+              else ["--series", str(run["dir"] / "sim" / "torus_embedded.csv")])
+    assert main(["baseline", "--method", method, *source, "--mean", _vector(run["mean"]),
+                 "--var", "0.01", "--steps", args["--steps"], "--k", args["--k"],
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.parent.exists()
 
 
@@ -246,5 +287,5 @@ def test_build_basis_reports_the_eigensolver(run, refit, tmp_path, capsys):
     m_eff = fit.ledger.galerkin_size(fit.basis.lam)
     assert 0 < m_eff < 40
     assert capsys.readouterr().out == (
-        f"wrote {tmp_path / 'm.npz'} (eigensolver dense, 0 ARPACK matvecs, fallback False, "
+        f"wrote {tmp_path / 'm.npz'} (eigensolver dense, 0 ARPACK matvecs, "
         f"max residual nan, lambda_edge {fit.ledger.lambda_edge:.3g}, M_eff {m_eff})\n")

@@ -74,6 +74,20 @@ def test_lorenz_experiment(tmp_path):
     _check_fit_record(records[repr(config.dt)], run.fit)
 
 
+def test_lorenz_experiment_rejects_a_short_verification_block_before_fitting(tmp_path,
+                                                                             monkeypatch):
+    from diffusion_forecast import experiments
+
+    fits = []
+    monkeypatch.setattr(experiments, "fit_forecaster", lambda *args: fits.append(args))
+    config = replace(lorenz_config(), n_samples=700, n_basis=30, n_verify=50, lead_steps=80)
+    with pytest.raises(ValueError, match="verification block is shorter than the forecast "
+                                         "horizon"):
+        run_lorenz_experiment(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    assert fits == []
+
+
 def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
     config = replace(lorenz_config(), n_samples=1000, n_basis=30, n_verify=40,
                      lead_steps=8, with_ensemble=False)

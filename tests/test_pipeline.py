@@ -81,7 +81,7 @@ class TestFitRecord:
                    "boundary_warning": fit.vb_tuning.boundary_warning,
                    "plateau": fit.vb_tuning.plateau},
             "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
-                            "fallback": solver.fallback, "max_residual": residual},
+                            "max_residual": residual},
             "lambda_edge": ledger.lambda_edge,
             "m_eff": ledger.galerkin_size(fit.basis.lam),
             "rows_at_cap": fit.rows_at_cap,
