@@ -13,7 +13,9 @@ from .baselines import (
     GaussianState,
     ensemble_forecast,
     iterated_local_linear_forecast,
+    iterated_local_linear_ladder,
     local_linear_forecast,
+    local_linear_ladder,
 )
 from .basis import (
     DiffusionBasis,
@@ -92,12 +94,14 @@ __all__ = [
     "forecast_moments",
     "gaussian_density_values",
     "iterated_local_linear_forecast",
+    "iterated_local_linear_ladder",
     "kde",
     "knn",
     "load_config",
     "load_model",
     "load_series",
     "local_linear_forecast",
+    "local_linear_ladder",
     "project_density",
     "reconstruct_density",
     "rmse_and_correlation",

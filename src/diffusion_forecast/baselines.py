@@ -247,8 +247,8 @@ def local_linear_forecast(
     all states; state b equals, bitwise, the forecast from state b alone.
     Lead 0 returns ``init`` unchanged.
 
-    Asked lead by lead from one ``init``, as the lead ladders of the drivers
-    ask, the forecasts share one neighbour ranking of the initial mean: the
+    Asked lead by lead from one ``init``, as :func:`local_linear_ladder`
+    asks, the forecasts share one neighbour ranking of the initial mean: the
     entry :func:`fit_local_affine` keeps on ``train`` holds the mean's
     copy, its ranked training points and the last neighbour set's normal
     equations. It cannot go stale, because ``train.points`` is read-only,
@@ -260,7 +260,47 @@ def local_linear_forecast(
     return init.propagate(model(init.mean), model.linear)
 
 
-def iterated_local_linear_ladder(train: TimeSeries, mean: np.ndarray, n_steps: int, k: int = 15):
+def local_linear_ladder(
+    train: TimeSeries, init: GaussianState, n_leads: int, k: int = 15
+) -> MomentForecast:
+    """Direct local-linear forecasts at leads 0, 1, ..., n_leads, as one
+    :class:`MomentForecast` (see there for the layout); lead l is
+    :func:`local_linear_forecast` at l, whose variance is the diagonal of
+    its covariance. The leads share one neighbour ranking of the mean."""
+    _check_n_leads(n_leads)
+    return _moment_ladder([local_linear_forecast(train, init, lead, k)
+                           for lead in range(n_leads + 1)], train.tau)
+
+
+def iterated_local_linear_ladder(
+    train: TimeSeries, init: GaussianState, n_leads: int, k: int = 15
+) -> MomentForecast:
+    """Iterated local-linear forecasts at leads 0, 1, ..., n_leads, from one
+    walk over the steps, as one :class:`MomentForecast` (see there for the
+    layout); lead l equals :func:`iterated_local_linear_forecast` at l."""
+    _check_n_leads(n_leads)
+    return _moment_ladder([init.propagate(mean, linear) for mean, linear
+                           in _iterated_steps(train, init.mean, n_leads, k)], train.tau)
+
+
+def _check_n_leads(n_leads: int) -> None:
+    if n_leads < 0:
+        raise ValueError(f"n_leads must be >= 0, got {n_leads}")
+
+
+def _moment_ladder(states: list[GaussianState], tau: float) -> MomentForecast:
+    """The means and covariance diagonals of one state per lead, in the
+    layout of :class:`MomentForecast`. A batch's shared covariance (lead 0)
+    gives every state its diagonal."""
+    mean = np.stack([state.mean for state in states])
+    var = np.stack([np.broadcast_to(np.diagonal(state.cov, axis1=-2, axis2=-1), state.mean.shape)
+                    for state in states])
+    if mean.ndim == 3:
+        mean, var = np.moveaxis(mean, 1, -1), np.moveaxis(var, 1, -1)
+    return MomentForecast(mean=mean, variance=var, lead_times=np.arange(len(states)) * tau)
+
+
+def _iterated_steps(train: TimeSeries, mean: np.ndarray, n_steps: int, k: int):
     """Yield ``(mean, linear)`` at steps 0, 1, ..., n_steps of the iterated
     local-linear forecast: each step refits the 1-step map at the current
     means and applies it, and ``linear`` is the product of the linear parts
@@ -270,9 +310,6 @@ def iterated_local_linear_ladder(train: TimeSeries, mean: np.ndarray, n_steps: i
     :func:`fit_local_affine` call per step for all states and yields
     (B, dim, dim) linear parts.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    mean = np.asarray(mean, dtype=float)
     dim = mean.shape[-1]
     linear = np.broadcast_to(np.eye(dim), mean.shape[:-1] + (dim, dim))
     yield mean, linear
@@ -297,7 +334,7 @@ def iterated_local_linear_forecast(
     """
     if lead_steps < 0:
         raise ValueError(f"lead_steps must be >= 0, got {lead_steps}")
-    for mean, linear in iterated_local_linear_ladder(train, init.mean, lead_steps, k):
+    for mean, linear in _iterated_steps(train, init.mean, lead_steps, k):
         pass
     return init.propagate(mean, linear)
 
@@ -326,8 +363,8 @@ def ensemble_forecast(
     """Monte-Carlo moments from integrating the true model over an ensemble.
 
     ``init`` is one state or a batch of B states (see GaussianState). The
-    moments have shape (n_leads, G) for one state and (n_leads, G, B) for a
-    batch, as in ``forecast_ladder``, with ``n_leads = lead_steps + 1``.
+    moments of the G observables at leads 0..lead_steps, ``dt_sample``
+    apart, are in the layout of :class:`MomentForecast`.
 
     Every member of every state advances as one (B * n_ens, dim) batch, in
     which member m of state b is row ``b * n_ens + m``. Of the two streams

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_forecast
+from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_ladder
 from .dataset import delay_embed, load_series, read_csv, write_csv, write_series_csv
 from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
@@ -26,6 +26,7 @@ from .experiments import (
 )
 from .forecast import (
     DensityCoefficients,
+    MomentForecast,
     evolve_ladder,
     forecast_ladder,
     gaussian_density_values,
@@ -204,11 +205,7 @@ def _cmd_forecast(args) -> int:
     if observables.shape[1] != mean.size:
         raise ValueError("initial mean dimension does not match the training points")
     coeffs = project_density(gaussian_density_values(observables, mean, var), basis)
-    fc = forecast_ladder(coeffs, op, basis, observables, args.steps)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, _moment_header(mean.size),
-              np.column_stack([fc.lead_times, fc.mean, np.sqrt(fc.variance)]))
+    out = _write_moments(Path(args.out), forecast_ladder(coeffs, op, basis, observables, args.steps))
     if args.dump_density:
         density = np.column_stack([reconstruct_density(DensityCoefficients(vec), basis)
                                    for vec in evolve_ladder(coeffs, op, args.steps)])
@@ -218,8 +215,16 @@ def _cmd_forecast(args) -> int:
     return 0
 
 
-def _moment_header(dim: int) -> list[str]:
-    return ["lead_time"] + [f"mean_x{j}" for j in range(dim)] + [f"stdev_x{j}" for j in range(dim)]
+def _write_moments(out: Path, fc: MomentForecast) -> Path:
+    """Write a one-state forecast of the state's coordinates to ``out``, as
+    lead_time, mean_x0..mean_x{dim-1} and stdev_x0..stdev_x{dim-1} columns.
+    The directory is made here, once the forecast has succeeded, so a
+    rejected run writes nothing."""
+    dim = fc.mean.shape[1]
+    header = ["lead_time"] + [f"mean_x{j}" for j in range(dim)] + [f"stdev_x{j}" for j in range(dim)]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(out, header, np.column_stack([fc.lead_times, fc.mean, np.sqrt(fc.variance)]))
+    return out
 
 
 def _cmd_baseline(args) -> int:
@@ -236,23 +241,13 @@ def _cmd_baseline(args) -> int:
     init = GaussianState(mean=mean, cov=np.diag(var))
     if args.method == "ensemble":
         model = torus_model() if args.system == "torus" else lorenz_model()
-        mf = ensemble_forecast(model, init, args.n_ens, args.steps, args.seed,
+        fc = ensemble_forecast(model, init, args.n_ens, args.steps, args.seed,
                                dt_sample=args.tau, substeps=args.substeps)
-        rows = np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)])
+    elif args.method == "local-linear":
+        fc = local_linear_ladder(ts, init, args.steps, k=args.k)
     else:
-        if args.method == "local-linear":
-            states = [local_linear_forecast(ts, init, lead, k=args.k) for lead in range(args.steps + 1)]
-        else:
-            # one walk over the leads; a restart at each lead builds the same
-            # chained product
-            states = [init.propagate(m, linear) for m, linear
-                      in iterated_local_linear_ladder(ts, init.mean, args.steps, k=args.k)]
-        rows = [[lead * args.tau, *state.mean, *np.sqrt(np.diag(state.cov))]
-                for lead, state in enumerate(states)]
-    # created only once the forecast has succeeded, so a rejected run writes nothing
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, _moment_header(mean.size), rows)
+        fc = iterated_local_linear_ladder(ts, init, args.steps, k=args.k)
+    out = _write_moments(Path(args.out), fc)
     print(f"wrote {out}")
     return 0
 

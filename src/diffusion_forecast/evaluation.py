@@ -53,11 +53,17 @@ def rmse_and_correlation(
     climatology : ndarray, optional
         Series whose population standard deviation defines the skill floor;
         defaults to the pooled truth values.
+
+    A non-finite lead time, truth or forecast entry, or a negative or
+    non-finite stdev, is a ValueError that names its lead.
     """
     lead_times = np.asarray(lead_times, dtype=float)
     n_leads = len(lead_times)
     if len(truth_per_lead) != n_leads or len(forecast_means_per_lead) != n_leads:
         raise ValueError("one truth/forecast pair required per lead")
+    if not np.isfinite(lead_times).all():
+        i = np.flatnonzero(~np.isfinite(lead_times))[0]
+        raise ValueError(f"lead {i}: lead time must be finite, got {lead_times[i]}")
     rmse = np.empty(n_leads)
     corr = np.zeros(n_leads)
     degenerate = np.zeros(n_leads, dtype=bool)
@@ -70,6 +76,9 @@ def rmse_and_correlation(
             raise ValueError(f"lead {i}: truth and forecast shapes disagree")
         if t.shape[0] < 2:
             raise ValueError(f"lead {i}: need at least 2 verification points")
+        for name, values in (("truth", t), ("forecast", f)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"lead {i}: {name} has non-finite entries")
         err = f - t
         rmse[i] = float(np.sqrt(np.mean(err * err)))
         tf, ff = t.ravel(), f.ravel()
@@ -81,6 +90,8 @@ def rmse_and_correlation(
         pooled.append(tf)
         if forecast_stdevs_per_lead is not None:
             s = np.asarray(forecast_stdevs_per_lead[i], dtype=float)
+            if not (np.isfinite(s) & (s >= 0)).all():
+                raise ValueError(f"lead {i}: forecast stdev must be nonnegative and finite")
             spread[i] = float(np.sqrt(np.mean(s * s)))
     if climatology is None:
         clim = float(np.concatenate(pooled).std())

@@ -10,12 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    GaussianState,
-    ensemble_forecast,
-    iterated_local_linear_ladder,
-    local_linear_forecast,
-)
+from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_ladder
 from .dataset import TimeSeries, delay_embed, load_series, split, write_csv
 from .evaluation import ExperimentConfig, SkillReport, rmse_and_correlation
 from .forecast import MomentForecast, forecast_ladder, gaussian_density_values, project_density
@@ -97,7 +92,6 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
     slow (z) coordinates against a true-model ensemble."""
     if config.experiment != "torus":
         raise ValueError("config.experiment must be 'torus'")
-    out = _prepare_out_dir(out_dir or config.out_dir, "torus")
     seeds = np.random.SeedSequence(config.seed).spawn(3)  # sim, p0 mean, ensemble
 
     intrinsic, embedded = simulate_torus(
@@ -117,7 +111,6 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
 
     observables = embedded.points[:, [0, 2]]
     diffusion = forecast_ladder(coeffs, fit.operator, fit.basis, observables, config.lead_steps)
-    diff_mean, diff_var = diffusion.mean, diffusion.variance
     lead_times = diffusion.lead_times
 
     ens = ensemble_forecast(
@@ -129,16 +122,16 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
     )
 
     clim = observables.std(axis=0)
+    header, cols = ["lead_time"], [lead_times]
+    for prefix, fc in (("diff", diffusion), ("ens", ens)):
+        for j, name in enumerate("xz"):
+            header += [f"{prefix}_mean_{name}", f"{prefix}_stdev_{name}"]
+            cols += [fc.mean[:, j], np.sqrt(fc.variance[:, j])]
+    # made only once the run has succeeded, so a rejected run leaves nothing
+    out = Path(out_dir or config.out_dir) / "torus"
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "torus_moments.csv"
-    header = ["lead_time",
-              "diff_mean_x", "diff_stdev_x", "diff_mean_z", "diff_stdev_z",
-              "ens_mean_x", "ens_stdev_x", "ens_mean_z", "ens_stdev_z"]
-    rows = np.column_stack([
-        lead_times,
-        diff_mean[:, 0], np.sqrt(diff_var[:, 0]), diff_mean[:, 1], np.sqrt(diff_var[:, 1]),
-        ens.mean[:, 0], np.sqrt(ens.variance[:, 0]), ens.mean[:, 1], np.sqrt(ens.variance[:, 1]),
-    ])
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, np.column_stack(cols))
     manifest_path = _write_manifest(out, config, {
         "p0_mean": list(p0_mean),
         "clim_stdev": list(clim),
@@ -157,8 +150,7 @@ def run_lorenz_experiment(config: ExperimentConfig, out_dir=None) -> LorenzExper
         raise ValueError("config.experiment must be 'lorenz63'")
     if config.n_verify - config.lead_steps < 2:
         raise ValueError("verification block is shorter than the forecast horizon")
-    # the config is checked: a rejected one leaves no directory
-    out = _prepare_out_dir(out_dir or config.out_dir, "lorenz63")
+    out = Path(out_dir or config.out_dir) / "lorenz63"
     dts = (0.1, 0.5) if config.paper_scale else (config.dt,)
     runs = {}
     for dt in dts:
@@ -184,38 +176,28 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
     x0_true = verify.points[v_idx]
     x_hat = x0_true + rng.normal(0.0, np.sqrt(config.perturbation_variance), size=x0_true.shape)
 
+    # (lead, state, coordinate), as each forecast's mean.transpose(0, 2, 1)
     truth = np.stack([verify.points[v_idx + lead] for lead in range(n_lead + 1)])
 
-    p0 = np.column_stack([gaussian_density_values(train.points, x, config.init_variance)
-                          for x in x_hat])
-    diffusion = forecast_ladder(project_density(p0, fit.basis), fit.operator, fit.basis,
-                                train.points, n_lead)
-    diff_mean = diffusion.mean.transpose(0, 2, 1)
-    diff_var = diffusion.variance.transpose(0, 2, 1)
-    rmse = {"diffusion": _agg_rmse(diff_mean - truth)}
-    spread = {"diffusion": np.sqrt(np.mean(diff_var, axis=(1, 2)))}
-
+    p0 = gaussian_density_values(train.points, x_hat, config.init_variance)
     init = GaussianState.isotropic(x_hat, config.init_variance)
-    baselines = {
-        "local_linear": [local_linear_forecast(train, init, lead, k=15)
-                         for lead in range(n_lead + 1)],
-        "iterated": [init.propagate(mean, linear) for mean, linear
-                     in iterated_local_linear_ladder(train, x_hat, n_lead, k=15)],
+    forecasts = {
+        "diffusion": forecast_ladder(project_density(p0, fit.basis), fit.operator, fit.basis,
+                                     train.points, n_lead),
+        "local_linear": local_linear_ladder(train, init, n_lead, k=15),
+        "iterated": iterated_local_linear_ladder(train, init, n_lead, k=15),
     }
-    for name, states in baselines.items():
-        rmse[name] = _agg_rmse(np.stack([state.mean for state in states]) - truth)
-        spread[name] = np.sqrt([np.mean(np.diagonal(state.cov, axis1=-2, axis2=-1))
-                                for state in states])
-
     if config.with_ensemble:
-        ens = ensemble_forecast(lorenz_model(), init, config.n_ens, n_lead,
-                                rng_seed=seeds[2], dt_sample=config.dt,
-                                substeps=lorenz_substeps(config.dt))
-        rmse["ensemble"] = _agg_rmse(ens.mean.transpose(0, 2, 1) - truth)
-        spread["ensemble"] = np.sqrt(np.mean(ens.variance, axis=(1, 2)))
+        forecasts["ensemble"] = ensemble_forecast(lorenz_model(), init, config.n_ens, n_lead,
+                                                  rng_seed=seeds[2], dt_sample=config.dt,
+                                                  substeps=lorenz_substeps(config.dt))
+    rmse = {name: _agg_rmse(fc.mean.transpose(0, 2, 1) - truth) for name, fc in forecasts.items()}
+    spread = {name: np.sqrt(np.mean(fc.variance, axis=(1, 2))) for name, fc in forecasts.items()}
 
     clim = float(np.sqrt(np.mean(verify.points.var(axis=0))))
-    lead_times = diffusion.lead_times
+    lead_times = forecasts["diffusion"].lead_times
+    # made only once the first run has succeeded, so a rejected run leaves nothing
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"lorenz_skill_dt{config.dt:g}.csv"
     header = ["lead_time"]
     cols = [lead_times]
@@ -268,16 +250,12 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
     init_times = np.arange(n_train_raw, t - n_lead)  # raw index of the newest coordinate
     if init_times.size < 2:
         raise ValueError("verification window is too short for the lead ladder")
-    # the data are read and checked: a rejected file leaves no directory
-    out = _prepare_out_dir(out_dir or config.out_dir, "nino34")
-
     fit = fit_forecaster(train_embedded, config.n_basis)
     states = embedded.points[init_times - (lags - 1)]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     x_hat = states + rng.normal(0.0, np.sqrt(config.perturbation_variance), size=states.shape)
 
-    p0 = np.column_stack([gaussian_density_values(train_embedded.points, x, config.init_variance)
-                          for x in x_hat])
+    p0 = gaussian_density_values(train_embedded.points, x_hat, config.init_variance)
     observable = train_embedded.points[:, 0]  # newest raw value at each training row
     diffusion = forecast_ladder(project_density(p0, fit.basis), fit.operator, fit.basis,
                                 observable, n_lead)
@@ -295,6 +273,9 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
         climatology=values[n_train_raw:],
     )
 
+    # made only once the run has succeeded, so a rejected run leaves nothing
+    out = Path(out_dir or config.out_dir) / "nino34"
+    out.mkdir(parents=True, exist_ok=True)
     skill_csv = out / "nino_skill.csv"
     write_csv(
         skill_csv,
@@ -333,12 +314,6 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
         lead14_csv_path=lead14_csv,
         manifest_path=manifest_path,
     )
-
-
-def _prepare_out_dir(base, name: str) -> Path:
-    out = Path(base) / name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_manifest(out: Path, config: ExperimentConfig, extra: dict) -> Path:

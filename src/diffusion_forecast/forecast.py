@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DiffusionBasis
+from .dataset import rows_per_block
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +55,18 @@ class DensityCoefficients:
 
 @dataclass(frozen=True)
 class MomentForecast:
-    """First two forecast moments per observable over a ladder of lead times."""
+    """First two forecast moments per observable over a ladder of lead times.
+
+    Every forecaster returns this one layout: ``forecast_ladder``,
+    ``ensemble_forecast``, ``local_linear_ladder`` and
+    ``iterated_local_linear_ladder``. Row l of ``mean`` and ``variance`` is
+    lead l, at ``lead_times[l]``, from lead 0 (the initial state) up. A
+    forecast from one initial state has (n_leads + 1, G) moments of its G
+    observables; one from a batch of B states has (n_leads + 1, G, B), with
+    state b at index b of the last axis. The local-linear ladders observe the state
+    itself (G = dim), and their variance is the diagonal of each lead's
+    covariance.
+    """
 
     mean: np.ndarray
     variance: np.ndarray
@@ -159,11 +171,10 @@ def forecast_ladder(
     observables: np.ndarray,
     n_leads: int,
 ) -> MomentForecast:
-    """Moments of the observables at leads 0..n_leads of the density forecast.
-
-    The moments have shape (n_leads + 1, G) for one density and
-    (n_leads + 1, G, B) for a (M, B) batch; lead times are multiples of
-    ``op.tau``. See :func:`forecast_moments` for the readout.
+    """Moments of the observables at leads 0..n_leads of the density forecast,
+    ``op.tau`` apart, in the layout of :class:`MomentForecast`; a (M, B)
+    batch of coefficients is a batch of B states. See
+    :func:`forecast_moments` for the readout.
     """
     if n_leads < 0:
         raise ValueError("n_leads must be nonnegative")
@@ -260,21 +271,48 @@ def gaussian_density_values(
     variance: np.ndarray | float,
     wrap: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Diagonal-covariance Gaussian pdf evaluated at the given points.
+    """Diagonal-covariance Gaussian pdf evaluated at the (N, D) points.
 
-    ``wrap`` gives per-coordinate periods for intrinsic angular coordinates;
-    differences in those coordinates are reduced to the nearest period image.
+    ``mean`` is one (D,) mean, giving (N,) values, or a (B, D) batch of
+    means with one shared ``variance``, giving (N, B) values whose column b
+    equals, bitwise, the values at ``mean[b]`` alone. ``wrap`` gives
+    per-coordinate periods for intrinsic angular coordinates; differences in
+    those coordinates are reduced to the nearest period image.
+
+    The points are taken in row blocks of ``rows_per_block(B * D)``, so the
+    working memory beside the result is a few blocks; the squared distance
+    of each pair is one sum over its D coordinates, whatever B is.
     """
     pts = np.asarray(points, dtype=float)
     mu = np.asarray(mean, dtype=float)
-    var = np.broadcast_to(np.asarray(variance, dtype=float), mu.shape)
+    if mu.ndim not in (1, 2) or pts.ndim != 2 or mu.shape[-1] != pts.shape[1]:
+        raise ValueError(f"mean of shape {mu.shape} does not match points of shape {pts.shape}")
+    var = np.broadcast_to(np.asarray(variance, dtype=float), mu.shape[-1:])
     if not (var > 0).all():
         raise ValueError("variance must be positive, not NaN")
-    delta = pts - mu
+    periods = []
     if wrap is not None:
         period = np.asarray(wrap, dtype=float)
-        for j, p in enumerate(period):
-            if np.isfinite(p) and p > 0:
-                delta[:, j] = (delta[:, j] + p / 2.0) % p - p / 2.0
+        if period.shape != var.shape:
+            raise ValueError(f"wrap of shape {period.shape} does not give one period per coordinate")
+        periods = [(j, p) for j, p in enumerate(period.tolist()) if 0 < p < np.inf]
     log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * var))
-    return np.exp(log_norm - 0.5 * np.sum(delta * delta / var, axis=1))
+    means = mu.reshape(-1, mu.shape[-1])
+    out = np.empty((pts.shape[0], means.shape[0]))
+    step = rows_per_block(means.size)
+    for s in range(0, pts.shape[0], step):
+        rows = pts[s:s + step]
+        # one coordinate at a time, so each operation runs over the B means;
+        # the sum over coordinates stays one contiguous sum per pair
+        delta = np.empty(rows.shape[:1] + means.shape)
+        for j in range(means.shape[1]):
+            np.subtract(rows[:, j, None], means[:, j], out=delta[..., j])
+        for j, p in periods:
+            d = delta[..., j]
+            d += p / 2.0
+            np.remainder(d, p, out=d)
+            d -= p / 2.0
+        delta *= delta
+        delta /= var
+        np.exp(log_norm - 0.5 * np.sum(delta, axis=-1), out=out[s:s + step])
+    return out if mu.ndim == 2 else out[:, 0]

@@ -56,9 +56,12 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
     bandwidths use k0 = 8, the kernel exponent is BETA = -1/2, and the shift
     operator averages over every consecutive pair.
     """
+    n = ts.n_points
+    # build_basis checks this too, but only after every stage before it
+    if not 1 <= n_basis <= n:
+        raise ValueError(f"basis size m={n_basis} out of range [1, {n}]")
     # one neighbor table is the only source of point pairs: the ad-hoc
     # bandwidths, both kernel sums, the density estimate and the kernel
-    n = ts.n_points
     nl = knn(ts, min(n, NEIGHBOR_CAP))
     profile = adhoc_bandwidth(nl)
 

@@ -14,6 +14,7 @@ from diffusion_forecast.baselines import (
     iterated_local_linear_forecast,
     iterated_local_linear_ladder,
     local_linear_forecast,
+    local_linear_ladder,
 )
 from diffusion_forecast.dataset import TimeSeries
 from diffusion_forecast.simulators import (
@@ -183,10 +184,17 @@ class TestArguments:
 
     def test_iterated_rejects_a_negative_lead_count(self):
         train, states = lorenz_train_and_states(1)
-        with pytest.raises(ValueError, match="n_steps must be >= 0, got -3"):
-            list(iterated_local_linear_ladder(train, states[0], -3))
+        init = GaussianState.isotropic(states[0], 0.01)
+        with pytest.raises(ValueError, match="n_leads must be >= 0, got -3"):
+            iterated_local_linear_ladder(train, init, -3)
         with pytest.raises(ValueError, match="lead_steps must be >= 0, got -3"):
-            iterated_local_linear_forecast(train, GaussianState.isotropic(states[0], 0.01), -3)
+            iterated_local_linear_forecast(train, init, -3)
+
+    @pytest.mark.parametrize("lead", [-1, -3])
+    def test_direct_ladder_rejects_a_negative_lead_count(self, lead):
+        train, states = lorenz_train_and_states(1)
+        with pytest.raises(ValueError, match=f"n_leads must be >= 0, got {lead}"):
+            local_linear_ladder(train, GaussianState.isotropic(states[0], 0.01), lead)
 
 
 class TestBatches:
@@ -210,15 +218,15 @@ class TestBatches:
                                       single.cov)
 
     def test_ladder_step_equals_restart(self):
+        # the iterated ladder walks the steps once; lead l of it equals a
+        # fresh iterated forecast to l
         train, states = lorenz_train_and_states(3)
         for init in (GaussianState.isotropic(states[0], 0.01),
                      GaussianState.isotropic(states, 0.01)):
-            ladder = iterated_local_linear_ladder(train, init.mean, 6)
-            for lead, (mean, linear) in enumerate(ladder):
+            ladder = iterated_local_linear_ladder(train, init, 6)
+            for lead in range(7):
                 restart = iterated_local_linear_forecast(train, init, lead)
-                walked = init.propagate(mean, linear)
-                assert np.array_equal(walked.mean, restart.mean)
-                assert np.array_equal(walked.cov, restart.cov)
+                assert_ladder_lead_is(ladder, lead, restart, train.tau)
 
     def test_batch_fit_is_one_neighbour_search(self, monkeypatch):
         from diffusion_forecast import baselines
@@ -244,8 +252,12 @@ class TestBatches:
         local_linear_forecast(train, init, 5)
         assert calls == [(1, 3)]
         calls.clear()
-        for step, _ in enumerate(iterated_local_linear_ladder(train, init.mean, 4)):
-            assert calls == [(1, 3)] * max(step - 1, 0)
+        iterated_local_linear_ladder(train, init, 4)
+        assert calls == [(1, 3)] * 3
+        # a batch makes one search per step for all its states
+        calls.clear()
+        iterated_local_linear_ladder(train, GaussianState.isotropic(states, 0.01), 4)
+        assert calls == [states.shape] * 4
 
     @pytest.mark.parametrize("cov, match", [
         (np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
@@ -290,6 +302,58 @@ def lattice_series(n=90, seed=3):
     cut between eligible and ineligible points."""
     rng = np.random.default_rng(seed)
     return TimeSeries(rng.integers(0, 3, (n, 2)).astype(float), tau=1.0)
+
+
+def assert_ladder_lead_is(ladder, lead, state, tau):
+    """Lead ``lead`` of a MomentForecast ladder holds ``state``'s mean and
+    covariance diagonal, bitwise, with state b of a batch in column b."""
+    mean, var = ladder.mean[lead], ladder.variance[lead]
+    want_var = np.broadcast_to(np.diagonal(state.cov, axis1=-2, axis2=-1), state.mean.shape)
+    if state.mean.ndim == 2:
+        mean, var = mean.T, var.T
+    assert np.array_equal(mean, state.mean)
+    assert np.array_equal(var, want_var)
+    assert ladder.lead_times[lead] == lead * tau
+
+
+class TestLadders:
+    @pytest.mark.parametrize("ladder, forecast", [
+        (local_linear_ladder, local_linear_forecast),
+        (iterated_local_linear_ladder, iterated_local_linear_forecast),
+    ], ids=["direct", "iterated"])
+    @pytest.mark.parametrize("per_state_cov", [False, True], ids=["shared", "per-state"])
+    def test_ladder_equals_per_lead_calls(self, ladder, forecast, per_state_cov):
+        train, states = lorenz_train_and_states(4)
+        if per_state_cov:
+            roots = np.random.default_rng(13).normal(0.0, 0.1, (len(states), 3, 3))
+            batch_init = GaussianState(mean=states, cov=roots @ np.swapaxes(roots, -1, -2))
+        else:
+            batch_init = GaussianState.isotropic(states, 0.01)
+        n_leads = 7
+        batch = ladder(train, batch_init, n_leads)
+        assert batch.mean.shape == batch.variance.shape == (n_leads + 1, 3, len(states))
+        for lead in range(n_leads + 1):
+            assert_ladder_lead_is(batch, lead, forecast(train, batch_init, lead), train.tau)
+        for b, mean in enumerate(states):
+            cov = batch_init.cov[b] if per_state_cov else batch_init.cov
+            init = GaussianState(mean=mean, cov=cov)
+            single = ladder(train, init, n_leads)
+            assert single.mean.shape == single.variance.shape == (n_leads + 1, 3)
+            for lead in range(n_leads + 1):
+                assert_ladder_lead_is(single, lead, forecast(train, init, lead), train.tau)
+            # column b of the batch ladder is the single-state ladder
+            assert np.array_equal(batch.mean[..., b], single.mean)
+            assert np.array_equal(batch.variance[..., b], single.variance)
+            assert np.array_equal(batch.lead_times, single.lead_times)
+
+    @pytest.mark.parametrize("ladder", [local_linear_ladder, iterated_local_linear_ladder])
+    def test_zero_leads_is_the_initial_state(self, ladder):
+        train, states = lorenz_train_and_states(2)
+        init = GaussianState(mean=states[0], cov=np.diag([0.01, 0.02, 0.03]))
+        out = ladder(train, init, 0)
+        assert np.array_equal(out.mean, states[0][None])
+        assert np.array_equal(out.variance, [[0.01, 0.02, 0.03]])
+        assert np.array_equal(out.lead_times, [0.0])
 
 
 class TestSharedRanking:

@@ -14,6 +14,7 @@ import diffusion_forecast.dataset as dataset_mod
 import diffusion_forecast.pipeline as pipeline_mod
 from diffusion_forecast.basis import build_vb_kernel
 from diffusion_forecast.dataset import TimeSeries, knn
+from diffusion_forecast.forecast import gaussian_density_values
 from diffusion_forecast.pipeline import fit_forecaster
 from diffusion_forecast.simulators import simulate_lorenz63
 from diffusion_forecast.tuning import (
@@ -189,6 +190,15 @@ class TestBoundedMemory:
         assert k.nnz > 0.9 * self.N * cap  # the floor drops few entries here
         (peak,) = before_symmetrization
         assert peak - live <= self.bound(self.N * cap * 12 + 8 * (self.N + 1))
+
+
+    def test_batched_gaussian_density(self, series):
+        # (N, B) values for B = 200 means: the result and a few blocks, not
+        # an (N, B, D) array of differences
+        means = series.points[:200] + 0.1
+        values, peak = traced_peak(gaussian_density_values, series.points, means, 0.5)
+        assert values.shape == (self.N, 200)
+        assert peak <= self.bound(values.nbytes)
 
 
 class TestLifetimes:

@@ -266,6 +266,23 @@ def test_evaluate_rejects_a_row_unlike_the_header(tmp_path, capsys, row):
     assert not (tmp_path / "skill.csv").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    # the rows group by lead, and a NaN lead is a group of its own
+    ("nan,1.0,1.1,0.2", "lead 2: lead time must be finite, got nan"),
+    ("1,nan,1.1,0.2", "lead 1: truth has non-finite entries"),
+    ("1,1.0,inf,0.2", "lead 1: forecast has non-finite entries"),
+    ("1,1.0,1.1,-0.2", "lead 1: forecast stdev must be nonnegative and finite"),
+    ("1,1.0,1.1,nan", "lead 1: forecast stdev must be nonnegative and finite"),
+], ids=["lead", "truth", "forecast", "negative-stdev", "nan-stdev"])
+def test_evaluate_rejects_a_non_finite_or_negative_cell(tmp_path, capsys, row, message):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("lead,truth,forecast,stdev\n0,1.0,1.1,0.2\n0,2.0,1.9,0.2\n"
+                     f"1,1.5,1.4,0.2\n{row}\n")
+    assert main(["evaluate", "--input", str(pairs), "--out", str(tmp_path / "out" / "skill.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sidecars_of_outputs_named_apart_after_a_dot_stay_apart(run, tmp_path):
     series = str(run["dir"] / "sim" / "torus_embedded.csv")
     for tag, m in (("m3", 3), ("m5", 5)):

@@ -46,10 +46,24 @@ def test_state_vectors_aggregate_over_coordinates():
      "lead 1: truth and forecast shapes disagree"),
     ([np.zeros(3)], [np.zeros(3)], [1, 2], "one truth/forecast pair required per lead"),
     ([np.zeros(1)], [np.zeros(1)], [1], "lead 0: need at least 2 verification points"),
-], ids=["shapes", "lead-count", "one-point"])
+    ([np.zeros(3), np.zeros(3)], [np.zeros(3), np.zeros(3)], [1, np.nan],
+     "lead 1: lead time must be finite, got nan"),
+    ([np.zeros(3), [0.0, np.nan, 0.0]], [np.zeros(3), np.zeros(3)], [1, 2],
+     "lead 1: truth has non-finite entries"),
+    ([np.zeros(3), np.zeros(3)], [[0.0, 0.0, np.inf], np.zeros(3)], [1, 2],
+     "lead 0: forecast has non-finite entries"),
+], ids=["shapes", "lead-count", "one-point", "nan-lead", "nan-truth", "inf-forecast"])
 def test_bad_skill_inputs_are_rejected(truth, forecast, leads, match):
     with pytest.raises(ValueError, match=match):
         rmse_and_correlation(truth, forecast, leads)
+
+
+@pytest.mark.parametrize("bad", [-0.2, np.nan, np.inf])
+def test_a_negative_or_non_finite_stdev_is_rejected(bad):
+    stdevs = [np.full(3, 0.1), [0.1, bad, 0.1]]
+    with pytest.raises(ValueError, match="lead 1: forecast stdev must be nonnegative and finite"):
+        rmse_and_correlation([np.arange(3.0)] * 2, [np.arange(3.0)] * 2, [1, 2],
+                             forecast_stdevs_per_lead=stdevs)
 
 
 def write(tmp_path, text):

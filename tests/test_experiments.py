@@ -114,6 +114,24 @@ def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
         assert np.allclose(rows[:, header.index(f"stdev_{name}")], spread, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("run, config, match", [
+    (run_lorenz_experiment,
+     replace(lorenz_config(), n_samples=100, n_verify=100, n_basis=30, lead_steps=20),
+     r"n_train=0 out of range"),
+    (run_lorenz_experiment,
+     replace(lorenz_config(), n_samples=400, n_verify=100, n_basis=350, lead_steps=20),
+     r"basis size m=350 out of range \[1, 300\]"),
+    (run_torus_experiment,
+     replace(torus_config(), n_samples=1200, n_basis=40, n_ens=300, lead_steps=10, substeps=5,
+             init_variance=1e-300),
+     "density is identically zero"),
+], ids=["lorenz-no-training-block", "lorenz-basis-too-large", "torus-zero-density"])
+def test_a_run_that_fails_leaves_no_directory(tmp_path, run, config, match):
+    with pytest.raises(ValueError, match=match):
+        run(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def _write_noaa_grid(path, rng):
     t = np.arange((2013 - 1950 + 1) * 12)
     values = (np.sin(2 * np.pi * t / 50) + 0.5 * np.sin(2 * np.pi * t / 17 + 1)
@@ -162,4 +180,14 @@ def test_nino_experiment_rejects_data_before_making_its_directory(tmp_path, text
     data.write_text(text)
     with pytest.raises(ValueError, match=match):
         run_nino_experiment(nino_config(data_path=str(data)), out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_nino_experiment_with_too_large_a_basis_leaves_no_directory(tmp_path):
+    # 600 training months embed to 596 rows with 5 lags
+    data = tmp_path / "nino34.txt"
+    _write_noaa_grid(data, np.random.default_rng(3))
+    config = replace(nino_config(data_path=str(data)), n_basis=598)
+    with pytest.raises(ValueError, match=r"basis size m=598 out of range \[1, 596\]"):
+        run_nino_experiment(config, out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()

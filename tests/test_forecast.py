@@ -1,10 +1,11 @@
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
 
-from diffusion_forecast import forecast
+from diffusion_forecast import dataset, forecast
 from diffusion_forecast.basis import DiffusionBasis
 from diffusion_forecast.dataset import TimeSeries
 from diffusion_forecast.forecast import (
@@ -385,6 +386,35 @@ class TestGaussianDensityValues:
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError, match="positive"):
             gaussian_density_values(np.zeros((3, 1)), np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 9])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrap"])
+    def test_batch_equals_per_mean_calls(self, monkeypatch, dim, wrapped):
+        rng = np.random.default_rng(dim)
+        pts = rng.uniform(-4.0, 8.0, (301, dim))
+        means = rng.uniform(-4.0, 8.0, (7, dim))
+        var = rng.uniform(0.5, 4.0, dim)
+        # every other coordinate is an angle; a non-finite period wraps nothing
+        wrap = np.where(np.arange(dim) % 2 == 0, TWO_PI, np.inf) if wrapped else None
+        singles = [gaussian_density_values(pts, mean, var, wrap=wrap) for mean in means]
+        # small blocks: the batch spans many row blocks and a partial last one
+        monkeypatch.setattr(dataset, "BLOCK_ENTRIES", 100)
+        batch = gaussian_density_values(pts, means, var, wrap=wrap)
+        assert batch.shape == (301, 7)
+        for b, single in enumerate(singles):
+            assert np.array_equal(batch[:, b], single)
+
+    @pytest.mark.parametrize("mean", [np.zeros(3), np.zeros((4, 3)), np.zeros((2, 4, 2))],
+                             ids=["one", "batch", "3-d"])
+    def test_rejects_a_mean_of_another_dimension(self, mean):
+        with pytest.raises(ValueError, match=re.escape(f"mean of shape {mean.shape} does not "
+                                                       "match points of shape (5, 2)")):
+            gaussian_density_values(np.zeros((5, 2)), mean, 1.0)
+
+    def test_rejects_a_period_count_unlike_the_dimension(self):
+        with pytest.raises(ValueError, match=re.escape("wrap of shape (1,) does not give one "
+                                                       "period per coordinate")):
+            gaussian_density_values(np.zeros((5, 2)), np.zeros(2), 1.0, wrap=np.array([TWO_PI]))
 
     @pytest.mark.parametrize("variance", [np.nan, [0.5, np.nan]], ids=["scalar", "one-coordinate"])
     def test_rejects_nan_variance(self, variance):

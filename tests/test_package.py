@@ -100,6 +100,30 @@ def test_the_fit_has_one_neighbour_search_in_pipeline():
     assert users == []
 
 
+def _calls_in_loops(path, name):
+    """Line numbers of every ``name(...)`` call inside a for or while loop
+    or a comprehension."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for loop in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(loop, loops):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    yield node.lineno
+
+
+def test_the_drivers_read_every_forecaster_as_one_moment_ladder():
+    # every forecaster returns a MomentForecast over its leads, and the
+    # Gaussian densities take a batch of means; a per-lead or per-mean call,
+    # or moments pulled out of covariances, would be a second path
+    per_lead = {"local_linear_forecast", "iterated_local_linear_forecast", "propagate", "diagonal"}
+    found = {name: sorted(per_lead & set(_names(SRC / name))) for name in ("experiments.py", "cli.py")}
+    assert found == {"experiments.py": [], "cli.py": []}
+    looped = {name: list(_calls_in_loops(SRC / name, "gaussian_density_values"))
+              for name in ("experiments.py", "cli.py")}
+    assert looped == {"experiments.py": [], "cli.py": []}
+
+
 def _fit_forecaster_calls(path):
     """(positional count, keyword names) of every fit_forecaster call."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -60,6 +60,19 @@ def lorenz_fit():
     return fit_forecaster(TimeSeries(points, tau=0.1), 60), points
 
 
+@pytest.mark.parametrize("m", [0, 301])
+def test_a_basis_size_out_of_range_is_rejected_before_the_neighbour_search(monkeypatch, m):
+    from diffusion_forecast import pipeline
+
+    def knn(*args):
+        raise AssertionError("the neighbour search ran")
+
+    monkeypatch.setattr(pipeline, "knn", knn)
+    ts = TimeSeries(np.random.default_rng(0).normal(size=(300, 3)), tau=0.1)
+    with pytest.raises(ValueError, match=rf"basis size m={m} out of range \[1, 300\]"):
+        fit_forecaster(ts, m)
+
+
 class TestFitRecord:
     @pytest.mark.parametrize("case", ["circle", "lorenz"])
     def test_strict_json(self, case, circle_fit_3000, lorenz_fit):
