@@ -19,7 +19,6 @@ from .baselines import (
 )
 from .basis import (
     DiffusionBasis,
-    NormalizationLedger,
     build_basis,
     build_vb_kernel,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "GaussianState",
     "MomentForecast",
     "NeighborList",
-    "NormalizationLedger",
     "ODEModel",
     "SDEModel",
     "ShiftOperator",

@@ -12,14 +12,19 @@ its nonzero count nnz and the basis size m, never from a clock. The dense
 path, ``eigh(subset_by_index)`` on the n x n matrix, costs about (4/3) n^3
 flops at DENSE_FLOPS_PER_S. The Lanczos path, ARPACK ``eigsh`` with k = 2m
 Ritz pairs (m guard vectors) and ARPACK's default ncv = max(2k + 1, 20)
-Lanczos vectors, is charged LANCZOS_MATVECS_PER_PAIR products per requested
-pair, each a CSR matvec, 2 nnz flops, plus ARPACK's reorthogonalisation,
+Lanczos vectors, is charged LANCZOS_MATVECS_PER_VECTOR products per Lanczos
+vector, each a CSR matvec, 2 nnz flops, plus ARPACK's reorthogonalisation,
 about 4 n ncv flops, both at SPARSE_FLOPS_PER_S. The cheaper path runs, and
 Lanczos runs whenever 16 n^2 bytes would exceed DENSE_MEMORY_BYTES. A
 Lanczos solve has no limit but ARPACK's default iteration cap and raises
-RuntimeError if it does not converge; it never falls back to dense. Both paths end in one Rayleigh-Ritz
-``eigh``: over the Lanczos subspace on the Lanczos path, over the whole
-space on the dense one.
+RuntimeError if it does not converge; it never falls back to dense. Both
+paths end in one Rayleigh-Ritz ``eigh``: over the Lanczos subspace on the
+Lanczos path, over the whole space on the dense one.
+
+:func:`build_basis` returns the basis with one :class:`EigensolveRecord`:
+the route, ARPACK's product count and residual, and the spectral edge with
+M_eff, the number of basis eigenvalues below it, each computed once where
+the eigensolve happens.
 
 Memory held per stage, for N points, a neighbour cap c and a kernel with z
 stored entries (8-byte values, 4-byte indices while they fit in int32).
@@ -55,7 +60,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .dataset import NeighborList, TimeSeries, rows_per_block
+from .dataset import NeighborList, rows_per_block
 from .tuning import KERNEL_FLOOR, DensityEstimate
 
 logger = logging.getLogger(__name__)
@@ -66,13 +71,15 @@ logger = logging.getLogger(__name__)
 # reorthogonalisation ran at 2-8 GFlop/s and is charged at the sparse rate.
 DENSE_FLOPS_PER_S = 13e9
 SPARSE_FLOPS_PER_S = 1.7e9
-# Products with L charged to a Lanczos solve per requested Ritz pair. On L
+# Products with L charged to a Lanczos solve per Lanczos vector (ncv). On L
 # from real fits, Lanczos beat dense where the break-even charge
-# P* = dense_s / (k step_s) was 29.1 or more (circle N=3000 M=10: 36.9; desk
-# torus N=8000 M=60: 29.1), and dense won where it was 18.3 or less (Lorenz
-# N=2000 M=10: 18.3 and 15.2; desk torus M=100: 14.5; circle N=610 M=5: 13.6;
-# circle N=3000 M=30: 10.7). 23 is about the geometric middle of that gap.
-LANCZOS_MATVECS_PER_PAIR = 23
+# P* = dense_s / (ncv step_s) was 14.5 or more (circle N=3000 M=10: 18.0;
+# desk torus N=8000 M=30: 33.9, M=60: 14.5), and dense won where it was 8.9
+# or less (Lorenz N=2000 M=10: 8.9 and 7.4; desk torus M=100: 7.2; circle
+# N=610 M=2-5: 6.5-6.9; circle N=3000 M=30: 5.3). 11.4 is the geometric
+# middle of that gap. A charge per requested pair has no value that
+# separates the two groups, because ncv stays at 20 as k falls below 10.
+LANCZOS_MATVECS_PER_VECTOR = 11.4
 # The dense path is charged 16 n^2 bytes, which must fit here: half of a
 # 7 GB machine, the rest left to the fit's earlier stages. It holds one
 # n x n matrix, 8 n^2 bytes, which eigh factorises in place, and L is freed
@@ -82,12 +89,6 @@ DENSE_MEMORY_BYTES = 3.5e9
 # Largest accepted Lanczos residual max_j ||L phi_j - lambda_j phi_j|| (unit
 # phi_j), in the units of lambda, like the negative-eigenvalue tolerance.
 EIG_RESIDUAL_TOL = 1e-8
-
-# Kernel moment constant in Dhat = m * eps * q^(2 beta); equals 1 for the
-# Gaussian kernel written with the 4*eps denominator, whose second moment
-# gives m = 1. This is what makes the recovered eigenvalues land on the
-# physical generator spectrum (checked against the analytic circle Laplacian).
-M_CONST = 1.0
 
 # Nearest neighbours each kernel row keeps: fit_forecaster's one kNN search
 # is min(N, NEIGHBOR_CAP) wide, and every stage of the fit reads that table.
@@ -152,7 +153,7 @@ class DiffusionBasis:
 
 @dataclass(frozen=True)
 class EigensolveRecord:
-    """Which eigensolver produced the basis, and how it went.
+    """How the basis was solved for, and how much of it is a Galerkin basis.
 
     Attributes
     ----------
@@ -161,41 +162,24 @@ class EigensolveRecord:
         picked before the solve.
     matvecs : int
         Products with the operator that ARPACK took, 0 on the dense path.
-    max_residual : float
+    max_residual : float or None
         max_j ||L phi_j - lambda_j phi_j|| over the unit eigenvectors on the
-        Lanczos path; NaN on the dense path, where it would cost m products
+        Lanczos path; None on the dense path, where it would cost m products
         with L.
+    lambda_edge : float
+        The spectral edge min_i 1/Dhat_i. A unit vector on sample i has a
+        Rayleigh quotient near -1/Dhat_i, so L cannot resolve generator
+        eigenvalues past this edge: the eigenvectors there each sit on one
+        low-density sample rather than spanning a Galerkin basis.
+    m_eff : int
+        M_eff, the number of basis eigenvalues below ``lambda_edge``.
     """
 
     path: str
     matvecs: int
-    max_residual: float
-
-
-@dataclass(frozen=True)
-class NormalizationLedger:
-    """The diagonal Dhat of the normalization chain, the source of the
-    spectral edge, and the record of the eigensolve (None when not made by
-    build_basis)."""
-
-    Dhat_scale: np.ndarray
-    solver: EigensolveRecord | None = None
-
-    def __post_init__(self):
-        if np.any(self.Dhat_scale <= 0):
-            raise ValueError("normalization factor Dhat_scale must be strictly positive")
-
-    @property
-    def lambda_edge(self) -> float:
-        """Spectral edge min_i 1/Dhat_i. A unit vector on sample i has a
-        Rayleigh quotient near -1/Dhat_i, so the matrix cannot resolve
-        generator eigenvalues past this edge: the eigenvectors there each
-        sit on one low-density sample rather than spanning a Galerkin basis."""
-        return float((1.0 / self.Dhat_scale).min())
-
-    def galerkin_size(self, lam: np.ndarray) -> int:
-        """M_eff, the number of the eigenvalues ``lam`` below the spectral edge."""
-        return int(np.count_nonzero(lam < self.lambda_edge))
+    max_residual: float | None
+    lambda_edge: float
+    m_eff: int
 
 
 def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> sp.csr_matrix:
@@ -304,23 +288,22 @@ def _symmetrize(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> sp
 
 def build_basis(
     kernel: sp.spmatrix,
-    ts: TimeSeries,
     q: DensityEstimate,
     eps: float,
     d: float,
     m: int,
-) -> tuple[DiffusionBasis, NormalizationLedger]:
+) -> tuple[DiffusionBasis, EigensolveRecord]:
     """Normalize the kernel matrix and solve for the top of its spectrum.
 
     Parameters
     ----------
     kernel : sparse matrix
-        Symmetric variable-bandwidth kernel from :func:`build_vb_kernel`;
-        left unchanged. One private copy of it is normalized into L in place.
-    ts : TimeSeries
-        Training series the kernel was built on (for size validation).
+        Symmetric N x N variable-bandwidth kernel from
+        :func:`build_vb_kernel`; left unchanged. One private copy of it is
+        normalized into L in place.
     q : DensityEstimate
-        Sampling-density estimate; also becomes the ``peq`` field.
+        Sampling-density estimate at the N points; a copy becomes the
+        ``peq`` field.
     eps, d : float
         Bandwidth and intrinsic dimension from the tuner for this kernel
         family. ``d`` is used as a real-valued exponent, unrounded.
@@ -328,13 +311,17 @@ def build_basis(
         Number of basis functions (eigenpairs with least-negative
         eigenvalues).
 
+    Returns the basis and the :class:`EigensolveRecord` of its solve, which
+    holds the spectral edge and M_eff; a warning is logged when m > M_eff.
+
     The first-normalization exponent is alpha = -d/4, which together with
     the kernel exponent BETA = -1/2 targets the gradient-flow generator of
     the sampling measure; the basis records both.
     """
-    n = ts.n_points
-    if kernel.shape != (n, n):
-        raise ValueError("kernel shape does not match the series")
+    n = kernel.shape[0]
+    if kernel.shape != (n, n) or q.q.shape != (n,):
+        raise ValueError(f"kernel of shape {kernel.shape} does not match the density "
+                         f"estimate of shape {q.q.shape}")
     if not 1 <= m <= n:
         raise ValueError(f"basis size m={m} out of range [1, {n}]")
     alpha = -d / 4.0
@@ -348,9 +335,11 @@ def build_basis(
     scale_alpha = q_s ** (-alpha)
     _scale_in_place(l_sym, scale_alpha)  # now K_alpha
     q_s_alpha = np.asarray(l_sym.sum(axis=1)).ravel()
-    # second-moment scale of the 4*eps Gaussian kernel (M_CONST = 1); the
-    # empirical generator then carries physical units
-    dhat = M_CONST * eps * qv ** (2.0 * BETA)
+    # Dhat = m eps q^(2 beta) with m = 1, the second moment of the Gaussian
+    # kernel written with the 4*eps denominator; this puts the eigenvalues on
+    # the physical generator spectrum (checked against the circle Laplacian)
+    dhat = eps * qv ** (2.0 * BETA)
+    lambda_edge = float((1.0 / dhat).min())
 
     # L = P^-1 K_alpha P^-1 - Dhat^-1 with P = (Dhat D_alpha)^(1/2); assemble
     # the symmetric matrix directly through its diagonal conjugations.
@@ -364,7 +353,7 @@ def build_basis(
     # once densified
     handoff = [l_sym]
     del l_sym
-    eigvals, eigvecs, solver = _top_eigenpairs(handoff.pop(), m, path)
+    eigvals, eigvecs, matvecs, max_residual = _top_eigenpairs(handoff.pop(), m, path)
 
     lam = -eigvals
     if np.any(lam < -1e-8):
@@ -403,13 +392,12 @@ def build_basis(
         alpha=float(alpha),
         beta=BETA,
     )
-    ledger = NormalizationLedger(Dhat_scale=dhat, solver=solver)
-    m_eff = ledger.galerkin_size(lam)
+    m_eff = int(np.count_nonzero(lam < lambda_edge))
     if m > m_eff:
         logger.warning("basis size M=%d exceeds M_eff=%d, the number of eigenvalues below the "
                        "spectral edge %.3g; the eigenvectors past it are not a Galerkin basis",
-                       m, m_eff, ledger.lambda_edge)
-    return basis, ledger
+                       m, m_eff, lambda_edge)
+    return basis, EigensolveRecord(path, matvecs, max_residual, lambda_edge, m_eff)
 
 
 def _scale_in_place(a: sp.csr_matrix, s: np.ndarray) -> None:
@@ -437,7 +425,7 @@ def _choose_eigensolver(n: int, nnz: int, m: int) -> str:
     ncv = min(n, max(2 * k + 1, 20))
     dense_s = (4.0 / 3.0) * n**3 / DENSE_FLOPS_PER_S
     step_s = (2.0 * nnz + 4.0 * n * ncv) / SPARSE_FLOPS_PER_S
-    return "lanczos" if LANCZOS_MATVECS_PER_PAIR * k * step_s < dense_s else "dense"
+    return "lanczos" if LANCZOS_MATVECS_PER_VECTOR * ncv * step_s < dense_s else "dense"
 
 
 class _CountingOperator(spla.LinearOperator):
@@ -457,10 +445,11 @@ class _CountingOperator(spla.LinearOperator):
 
 def _top_eigenpairs(
     l_sym: sp.spmatrix, m: int, path: str
-) -> tuple[np.ndarray, np.ndarray, EigensolveRecord]:
+) -> tuple[np.ndarray, np.ndarray, int, float | None]:
     """M algebraically largest eigenpairs, eigenvalues descending, by the
     solver ``path`` that :func:`_choose_eigensolver` picked by the rule of
-    the module docstring.
+    the module docstring, with ARPACK's product count and the largest
+    residual (0 and None on the dense path).
 
     Dense: ``eigh(subset_by_index)`` of the whole matrix. Lanczos: ARPACK
     ``eigsh`` for k = 2m pairs from a fixed start vector, at ARPACK's
@@ -473,7 +462,7 @@ def _top_eigenpairs(
         h = l_sym.toarray(order="F")
         del l_sym  # freed here when the caller handed over its only reference
         vals, vecs = _rayleigh_ritz(h, m)
-        return vals, vecs, EigensolveRecord("dense", 0, float("nan"))
+        return vals, vecs, 0, None
     n = l_sym.shape[0]
     op = _CountingOperator(l_sym.tocsr())
     v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start vector for reproducibility
@@ -492,7 +481,7 @@ def _top_eigenpairs(
         raise RuntimeError(
             f"Lanczos eigenpairs have residual {residual:.2e} > {EIG_RESIDUAL_TOL:.0e}"
         )
-    return vals, vecs, EigensolveRecord("lanczos", op.matvecs, residual)
+    return vals, vecs, op.matvecs, residual
 
 
 def _rayleigh_ritz(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -60,8 +60,8 @@ class TimeSeries:
             raise ValueError(f"time series needs at least 1 point, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("time series contains non-finite entries")
-        if not self.tau > 0:
-            raise ValueError(f"sampling interval must be positive, got {self.tau}")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"sampling interval must be positive and finite, got {self.tau}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

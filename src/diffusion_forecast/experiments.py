@@ -150,6 +150,9 @@ def run_lorenz_experiment(config: ExperimentConfig, out_dir=None) -> LorenzExper
         raise ValueError("config.experiment must be 'lorenz63'")
     if config.n_verify - config.lead_steps < 2:
         raise ValueError("verification block is shorter than the forecast horizon")
+    n_train = config.n_samples - config.n_verify
+    if 0 < n_train < config.n_basis:  # fit_forecaster's check, made before simulating
+        raise ValueError(f"basis size m={config.n_basis} out of range [1, {n_train}]")
     out = Path(out_dir or config.out_dir) / "lorenz63"
     dts = (0.1, 0.5) if config.paper_scale else (config.dt,)
     runs = {}

@@ -5,18 +5,16 @@ fitted model as one bundle file."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .basis import BETA, NEIGHBOR_CAP, DiffusionBasis, NormalizationLedger, build_basis, build_vb_kernel
+from .basis import BETA, NEIGHBOR_CAP, DiffusionBasis, EigensolveRecord, build_basis, build_vb_kernel
 from .dataset import TimeSeries, knn
 from .forecast import ShiftOperator, estimate_shift_operator
 from .tuning import (
     KERNEL_FLOOR,
-    DensityEstimate,
     PairwiseKernelSum,
     TuningResult,
     adhoc_bandwidth,
@@ -34,14 +32,16 @@ _ARRAYS = ("points", "peq", "lam", "phi", "a")
 
 @dataclass(frozen=True)
 class FitResult:
-    """Everything produced while fitting a forecaster to a training series."""
+    """Everything produced while fitting a forecaster to a training series.
+    The basis's ``peq`` is the density estimate, and ``solver`` records the
+    eigensolve with the spectral edge and M_eff; :func:`fit_record` renders
+    the diagnostics."""
 
     basis: DiffusionBasis
     operator: ShiftOperator
-    density: DensityEstimate
     kde_tuning: TuningResult
     vb_tuning: TuningResult
-    ledger: NormalizationLedger
+    solver: EigensolveRecord
     rows_at_cap: int
 
 
@@ -81,18 +81,17 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
     # peak: the table before the symmetrization, the kernel once copied
     handoff = [nl]
     del nl
-    basis, ledger = build_basis(
+    basis, solver = build_basis(
         build_vb_kernel(handoff.pop(), density, vb_tuning.eps_star),
-        ts, density, vb_tuning.eps_star, vb_tuning.d_est, n_basis,
+        density, vb_tuning.eps_star, vb_tuning.d_est, n_basis,
     )
     operator = estimate_shift_operator(basis, ts.tau)
     return FitResult(
         basis=basis,
         operator=operator,
-        density=density,
         kde_tuning=kde_tuning,
         vb_tuning=vb_tuning,
-        ledger=ledger,
+        solver=solver,
         rows_at_cap=rows_at_cap,
     )
 
@@ -104,23 +103,23 @@ def fit_record(fit: FitResult) -> dict:
 
     ``kde`` and ``vb`` hold ``{eps, d, boundary_warning, plateau}`` of the
     two bandwidth tunings; ``eigensolver`` holds ``{path, matvecs,
-    max_residual}``, the route picked before the solve, ARPACK's product
-    count and ``max_residual`` null on the dense path, which does not
-    compute it; ``lambda_edge`` is the spectral edge and ``m_eff``
-    the number of basis eigenvalues below it; ``rows_at_cap`` counts the
-    kernel rows cut at the neighbour cap, whose last table neighbour still
-    has kernel weight >= KERNEL_FLOOR (0 when the table holds every point).
+    max_residual}`` of ``fit.solver``, the route picked before the solve,
+    ARPACK's product count and ``max_residual`` null on the dense path,
+    which does not compute it; ``lambda_edge`` is the spectral edge and
+    ``m_eff`` the number of basis eigenvalues below it, both as
+    ``build_basis`` recorded them; ``rows_at_cap`` counts the kernel rows
+    cut at the neighbour cap, whose last table neighbour still has kernel
+    weight >= KERNEL_FLOOR (0 when the table holds every point).
     """
-    ledger, solver = fit.ledger, fit.ledger.solver
+    solver = fit.solver
     return {
         **{name: {"eps": tuning.eps_star, "d": tuning.d_est,
                   "boundary_warning": tuning.boundary_warning, "plateau": tuning.plateau}
            for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning))},
         "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
-                        "max_residual": None if math.isnan(solver.max_residual)
-                        else solver.max_residual},
-        "lambda_edge": ledger.lambda_edge,
-        "m_eff": ledger.galerkin_size(fit.basis.lam),
+                        "max_residual": solver.max_residual},
+        "lambda_edge": solver.lambda_edge,
+        "m_eff": solver.m_eff,
         "rows_at_cap": fit.rows_at_cap,
     }
 

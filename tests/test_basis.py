@@ -11,7 +11,6 @@ from diffusion_forecast.basis import (
     EIG_RESIDUAL_TOL,
     NEIGHBOR_CAP,
     DiffusionBasis,
-    NormalizationLedger,
     build_basis,
     build_vb_kernel,
     _choose_eigensolver,
@@ -27,6 +26,11 @@ from _oracles import coo_vb_kernel, sparse_product_operator
 
 def uniform_density(n, value=1.0):
     return DensityEstimate(q=np.full(n, value))
+
+
+def fit_density(fit):
+    """The fit's density estimate, which its basis keeps as ``peq``."""
+    return DensityEstimate(q=fit.basis.peq)
 
 
 def benchmark_tiny_input(workload):
@@ -169,7 +173,7 @@ class TestBuildVbKernel:
     def test_the_fit_kernel_is_symmetric_bit_for_bit(self, workload):
         ts, m = benchmark_tiny_input(workload)
         fit = fit_forecaster(ts, m)
-        k = build_vb_kernel(knn(ts, min(ts.n_points, NEIGHBOR_CAP)), fit.density,
+        k = build_vb_kernel(knn(ts, min(ts.n_points, NEIGHBOR_CAP)), fit_density(fit),
                             fit.vb_tuning.eps_star)
         kt = k.T.tocsr()
         assert np.array_equal(k.indptr, kt.indptr) and np.array_equal(k.indices, kt.indices)
@@ -218,9 +222,9 @@ class TestBuildBasis:
     def test_dirichlet_energy_consistency(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
         basis = fit.basis
-        kernel = build_vb_kernel(knn(circle_series_3000, 1024), fit.density,
+        kernel = build_vb_kernel(knn(circle_series_3000, 1024), fit_density(fit),
                                  fit.vb_tuning.eps_star)
-        l_sym = sparse_product_operator(kernel, fit.density, basis.eps, basis.d, basis.beta)
+        l_sym = sparse_product_operator(kernel, fit_density(fit), basis.eps, basis.d, basis.beta)
         n = basis.n_points
         energy = -np.sum(basis.phi * (l_sym @ basis.phi), axis=0) / n
         lam = basis.lam
@@ -249,7 +253,8 @@ class TestBuildBasis:
                                                                circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
         eps, d = fit.vb_tuning.eps_star, fit.vb_tuning.d_est
-        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit.density, eps)
+        density = fit_density(fit)
+        kernel = build_vb_kernel(knn(circle_series_3000, 64), density, eps)
         seen = []
         real = basis_mod._top_eigenpairs
 
@@ -258,9 +263,9 @@ class TestBuildBasis:
             return real(l_sym, m, route)
 
         monkeypatch.setattr(basis_mod, "_top_eigenpairs", solve)
-        build_basis(kernel, circle_series_3000, fit.density, eps, d, 4)
+        build_basis(kernel, density, eps, d, 4)
         (got,) = seen
-        want = sparse_product_operator(kernel, fit.density, eps, d, -0.5)
+        want = sparse_product_operator(kernel, density, eps, d, -0.5)
         assert got.has_sorted_indices and want.has_sorted_indices
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -268,37 +273,45 @@ class TestBuildBasis:
 
     def test_leaves_the_callers_kernel_unchanged(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
-        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit.density,
+        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit_density(fit),
                                  fit.vb_tuning.eps_star)
         before = [a.copy() for a in (kernel.indptr, kernel.indices, kernel.data)]
-        build_basis(kernel, circle_series_3000, fit.density, fit.vb_tuning.eps_star,
-                    fit.vb_tuning.d_est, 4)
+        build_basis(kernel, fit_density(fit), fit.vb_tuning.eps_star, fit.vb_tuning.d_est, 4)
         for was, now in zip(before, (kernel.indptr, kernel.indices, kernel.data)):
             assert was.dtype == now.dtype
             assert np.array_equal(was, now)
 
     def test_m_out_of_range(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
-        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit.density,
+        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit_density(fit),
                                  fit.vb_tuning.eps_star)
         with pytest.raises(ValueError, match="out of range"):
-            build_basis(kernel, circle_series_3000, fit.density,
-                        fit.vb_tuning.eps_star, 1.0, 999999)
+            build_basis(kernel, fit_density(fit), fit.vb_tuning.eps_star, 1.0, 999999)
+
+    def test_density_of_another_length_is_rejected(self, circle_series_3000, circle_fit_3000):
+        fit = circle_fit_3000
+        kernel = build_vb_kernel(knn(circle_series_3000, 64), fit_density(fit),
+                                 fit.vb_tuning.eps_star)
+        with pytest.raises(ValueError, match=r"kernel of shape \(3000, 3000\) does not match "
+                                             r"the density estimate of shape \(2999,\)"):
+            build_basis(kernel, DensityEstimate(q=fit.basis.peq[1:]), fit.vb_tuning.eps_star,
+                        fit.vb_tuning.d_est, 4)
 
 
 class TestSpectralEdge:
     def test_circle_basis_is_below_the_edge(self, circle_fit_3000):
-        ledger = circle_fit_3000.ledger
-        assert ledger.lambda_edge == (1.0 / ledger.Dhat_scale).min()
-        assert ledger.lambda_edge == pytest.approx(114, rel=0.01)
-        assert ledger.galerkin_size(circle_fit_3000.basis.lam) == 10
+        basis, record = circle_fit_3000.basis, circle_fit_3000.solver
+        # Dhat = eps q^(2 beta), from the basis's own eps, peq and beta
+        assert record.lambda_edge == (1.0 / (basis.eps * basis.peq ** (2.0 * basis.beta))).min()
+        assert record.lambda_edge == pytest.approx(114, rel=0.01)
+        assert record.m_eff == np.count_nonzero(basis.lam < record.lambda_edge) == 10
 
     @pytest.mark.parametrize("n, m, m_eff", [(3000, 10, 10), (300, 40, 24)])
     def test_basis_past_the_edge_warns_once(self, caplog, circle_points_3000, n, m, m_eff):
         with caplog.at_level(logging.WARNING, logger="diffusion_forecast.basis"):
             fit = fit_forecaster(TimeSeries(circle_points_3000[:n], tau=1.0), n_basis=m)
-        edge = fit.ledger.lambda_edge
-        assert fit.ledger.galerkin_size(fit.basis.lam) == m_eff
+        edge = fit.solver.lambda_edge
+        assert fit.solver.m_eff == np.count_nonzero(fit.basis.lam < edge) == m_eff
         expected = [] if m == m_eff else [
             f"basis size M={m} exceeds M_eff={m_eff}, the number of eigenvalues below the "
             f"spectral edge {edge:.3g}; the eigenvectors past it are not a Galerkin basis"]
@@ -327,11 +340,10 @@ class TestEigenpairs:
 
     def test_dense_and_iterative_agree(self):
         sym, m = self.operator(), 6
-        vals_dense, vecs_dense, dense = _top_eigenpairs(sym, m, "dense")
-        vals_iter, vecs_iter, lanczos = _top_eigenpairs(sym, m, "lanczos")
-        assert dense.path == "dense" and dense.matvecs == 0
-        assert lanczos.path == "lanczos" and lanczos.matvecs > 0
-        assert lanczos.max_residual <= EIG_RESIDUAL_TOL
+        vals_dense, vecs_dense, dense_matvecs, dense_residual = _top_eigenpairs(sym, m, "dense")
+        vals_iter, vecs_iter, matvecs, residual = _top_eigenpairs(sym, m, "lanczos")
+        assert dense_matvecs == 0 and dense_residual is None
+        assert matvecs > 0 and residual <= EIG_RESIDUAL_TOL
         assert np.allclose(vals_dense, vals_iter, atol=1e-9)
         # eigenvectors agree up to sign
         dots = np.abs(np.sum(vecs_dense * vecs_iter, axis=0))
@@ -352,6 +364,8 @@ class TestEigenpairs:
         (2000, 873, 10, "dense"),      # lorenz seed 0: 0.68 s dense
         (2000, 1063, 10, "dense"),     # lorenz seed 1
         (610, 197, 5, "dense"),        # small circle: 0.022 s dense
+        (610, 195, 2, "dense"),        # small circle at M < 5, where ncv stays 20
+        (610, 195, 3, "dense"),
         (8000, 1118, 30, "lanczos"),   # desk torus
         (8000, 1118, 60, "lanczos"),   # desk torus: 44 s Lanczos, 66 s dense
         (8000, 1118, 100, "dense"),    # desk torus past the edge
@@ -406,7 +420,7 @@ class TestEigenpairs:
             _top_eigenpairs(sym, 6, "lanczos")
 
     def test_fit_records_its_solver(self, circle_fit_3000):
-        record = circle_fit_3000.ledger.solver
+        record = circle_fit_3000.solver
         assert record.path == "lanczos"
         assert 0 < record.matvecs and record.max_residual <= EIG_RESIDUAL_TOL
 
@@ -423,11 +437,6 @@ class TestSerialization:
         assert np.array_equal(back.peq, basis.peq)
         assert back.eps == basis.eps and back.d == basis.d
         assert back.alpha == basis.alpha and back.beta == basis.beta
-
-
-def test_normalization_ledger_positivity():
-    with pytest.raises(ValueError, match="positive"):
-        NormalizationLedger(Dhat_scale=np.array([1.0, -1.0]))
 
 
 def test_diffusion_basis_shape_validation():

@@ -192,6 +192,18 @@ def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, method, miss
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("tau", ["inf", "nan"])
+def test_baseline_rejects_a_nonfinite_tau(run, tmp_path, capsys, tau):
+    out = tmp_path / "out" / "baseline.csv"
+    assert main(["baseline", "--method", "local-linear", "--series",
+                 str(run["dir"] / "sim" / "torus_embedded.csv"), "--tau", tau,
+                 "--mean", _vector(run["mean"]), "--var", "0.01", "--steps", "3",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: sampling interval must be positive and finite, "
+                                       f"got {tau}\n")
+    assert not out.parent.exists()
+
+
 _STEPS = ("--steps", "-1", "--steps must be >= 0, got -1")
 _K = ("--k", "3", "k=3 neighbours cannot determine an affine fit in dim 3; need k >= 4")
 
@@ -300,9 +312,8 @@ def test_build_basis_reports_the_eigensolver(run, refit, tmp_path, capsys):
     series = run["dir"] / "sim" / "torus_embedded.csv"
     assert main(["build-basis", "--series", str(series),
                  "--tau", "0.1", "--m", "40", "--out", str(tmp_path / "m.npz")]) == 0
-    fit = refit
-    m_eff = fit.ledger.galerkin_size(fit.basis.lam)
-    assert 0 < m_eff < 40
+    solver = refit.solver
+    assert 0 < solver.m_eff < 40
     assert capsys.readouterr().out == (
         f"wrote {tmp_path / 'm.npz'} (eigensolver dense, 0 ARPACK matvecs, "
-        f"max residual nan, lambda_edge {fit.ledger.lambda_edge:.3g}, M_eff {m_eff})\n")
+        f"max residual nan, lambda_edge {solver.lambda_edge:.3g}, M_eff {solver.m_eff})\n")

@@ -39,6 +39,12 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="positive"):
             TimeSeries(np.zeros((3, 1)), tau=0.0)
 
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_rejects_a_nonfinite_tau(self, tau):
+        with pytest.raises(ValueError, match=f"sampling interval must be positive and finite, "
+                                             f"got {tau}"):
+            TimeSeries(np.zeros((3, 1)), tau=tau)
+
     @pytest.mark.parametrize("shape", [(4,), (4, 2)])
     def test_points_are_a_read_only_copy(self, shape):
         given = np.arange(float(np.prod(shape))).reshape(shape)

@@ -88,6 +88,19 @@ def test_lorenz_experiment_rejects_a_short_verification_block_before_fitting(tmp
     assert fits == []
 
 
+def test_lorenz_experiment_rejects_too_large_a_basis_before_simulating(tmp_path, monkeypatch):
+    from diffusion_forecast import experiments
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("the series was simulated")
+
+    monkeypatch.setattr(experiments, "simulate_lorenz63", simulate)
+    config = replace(lorenz_config(), n_samples=400, n_verify=100, n_basis=350, lead_steps=20)
+    with pytest.raises(ValueError, match=r"basis size m=350 out of range \[1, 300\]"):
+        run_lorenz_experiment(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
     config = replace(lorenz_config(), n_samples=1000, n_basis=30, n_verify=40,
                      lead_steps=8, with_ensemble=False)

@@ -88,7 +88,7 @@ def test_fit_diagnostics_reach_output_only_through_fit_record():
     # record, the spectral edge and M_eff; a driver reading them itself
     # would start a second manifest layout
     fields = {"eps_star", "d_est", "boundary_warning", "plateau", "lambda_edge",
-              "galerkin_size", "max_residual"}
+              "m_eff", "matvecs", "max_residual"}
     found = {name: sorted(fields & set(_names(SRC / name))) for name in ("experiments.py", "cli.py")}
     assert found == {"experiments.py": [], "cli.py": []}
 

@@ -79,7 +79,7 @@ class TestFitRecord:
         fit = circle_fit_3000 if case == "circle" else lorenz_fit[0]
         record = fit_record(fit)
         assert json.loads(json.dumps(record, allow_nan=False)) == record
-        solver, ledger = fit.ledger.solver, fit.ledger
+        solver = fit.solver
         residual = record["eigensolver"]["max_residual"]
         if case == "circle":
             assert solver.path == "lanczos" and np.isfinite(residual)
@@ -95,10 +95,11 @@ class TestFitRecord:
                    "plateau": fit.vb_tuning.plateau},
             "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
                             "max_residual": residual},
-            "lambda_edge": ledger.lambda_edge,
-            "m_eff": ledger.galerkin_size(fit.basis.lam),
+            "lambda_edge": solver.lambda_edge,
+            "m_eff": solver.m_eff,
             "rows_at_cap": fit.rows_at_cap,
         }
+        assert record["m_eff"] == np.count_nonzero(fit.basis.lam < record["lambda_edge"])
         assert 1 <= record["m_eff"] <= fit.basis.n_basis
 
     @pytest.mark.parametrize("case", ["circle", "lorenz"])
@@ -142,7 +143,7 @@ class TestModelBundle:
         else:
             (fit, points), var = lorenz_fit, 0.5
         # the circle fit takes the Lanczos path and the Lorenz fit the dense one
-        assert fit.ledger.solver.path == {"circle": "lanczos", "lorenz": "dense"}[case]
+        assert fit.solver.path == {"circle": "lanczos", "lorenz": "dense"}[case]
         assert fit.basis.phi.flags.c_contiguous
         path = save_model(tmp_path / "model.npz", fit.basis, fit.operator, points)
         basis, op, _, _ = load_model(path)
