@@ -26,6 +26,12 @@ the route, ARPACK's product count and residual, and the spectral edge with
 M_eff, the number of basis eigenvalues below it, each computed once where
 the eigensolve happens.
 
+The columns fall in two regimes. Up to M_eff they are the paper's Galerkin
+basis: eigenfunctions of the generator, resolved by the kernel. Past M_eff
+each column sits on one low-density sample (a spike), so a forecast that
+uses them reads those samples as analogs rather than projecting onto
+resolved eigenfunctions.
+
 Memory held per stage, for N points, a neighbour cap c and a kernel with z
 stored entries (8-byte values, 4-byte indices while they fit in int32).
 ``fit_forecaster`` hands each stage the only reference to its input, so
@@ -172,7 +178,10 @@ class EigensolveRecord:
         eigenvalues past this edge: the eigenvectors there each sit on one
         low-density sample rather than spanning a Galerkin basis.
     m_eff : int
-        M_eff, the number of basis eigenvalues below ``lambda_edge``.
+        M_eff, the number of basis eigenvalues below ``lambda_edge``:
+        columns 0..M_eff-1 are the paper's Galerkin basis, and each column
+        past them is a spike on one sample, read by the forecast as an
+        analog.
     """
 
     path: str

@@ -4,7 +4,6 @@ and the three packaged experiments."""
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import replace
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_ladder
-from .dataset import delay_embed, load_series, read_csv, write_csv, write_series_csv
+from .dataset import delay_embed, load_series, read_csv, write_csv, write_json, write_series_csv
 from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
     lorenz_config,
@@ -146,16 +145,14 @@ def _cmd_simulate(args) -> int:
                           simulate_torus(args.n_samples, args.dt, substeps, args.seed)))
     else:
         series = {"lorenz63.csv": simulate_lorenz63(args.n_samples, args.dt, args.seed)}
-    # created only once the run has succeeded, so a rejected run writes nothing
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name, ts in series.items():
         write_series_csv(ts, out / name)
     manifest = {
         "system": args.system, "n_samples": args.n_samples, "dt": args.dt,
         "substeps": substeps, "seed": args.seed, "tau": args.dt, "files": list(series),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out / "manifest.json", manifest)
     print(f"wrote {', '.join(manifest['files'])} to {out}")
     return 0
 
@@ -165,7 +162,6 @@ def _cmd_build_basis(args) -> int:
     ts = delay_embed(ts, args.lags)  # rejects lags < 1; the same points at 1
     fit = fit_forecaster(ts, args.m)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     record = fit_record(fit)
     save_model(out, fit.basis, fit.operator, ts.points,
                {"source": str(args.series), "lags": args.lags, "fit": record})
@@ -217,12 +213,9 @@ def _cmd_forecast(args) -> int:
 
 def _write_moments(out: Path, fc: MomentForecast) -> Path:
     """Write a one-state forecast of the state's coordinates to ``out``, as
-    lead_time, mean_x0..mean_x{dim-1} and stdev_x0..stdev_x{dim-1} columns.
-    The directory is made here, once the forecast has succeeded, so a
-    rejected run writes nothing."""
+    lead_time, mean_x0..mean_x{dim-1} and stdev_x0..stdev_x{dim-1} columns."""
     dim = fc.mean.shape[1]
     header = ["lead_time"] + [f"mean_x{j}" for j in range(dim)] + [f"stdev_x{j}" for j in range(dim)]
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, header, np.column_stack([fc.lead_times, fc.mean, np.sqrt(fc.variance)]))
     return out
 
@@ -270,7 +263,6 @@ def _cmd_evaluate(args) -> int:
     stdev = [np.array(data[ld][2]) for ld in leads] if has_stdev else None
     report = rmse_and_correlation(truth, fc, np.array(leads), forecast_stdevs_per_lead=stdev)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, ["lead", "rmse", "correlation", "mean_forecast_stdev",
                     "climatological_stdev", "degenerate"],
               [[ld, report.rmse[i], report.correlation[i], report.mean_forecast_stdev[i],

@@ -1,7 +1,9 @@
-"""Time-series containers, file ingestion, delay embedding, and neighbor queries."""
+"""Time-series containers, file ingestion and output, delay embedding, and
+neighbor queries."""
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -288,12 +290,15 @@ def split(ts: TimeSeries, n_train: int) -> tuple[TimeSeries, TimeSeries]:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header row and one line per row as CSV.
+    """Write a header row and one line per row as CSV, making the file's
+    directory first if it is missing.
 
     Integer cells are written as integers; every other cell as
     ``repr(float(v))``, which reads back bit for bit.
     """
-    with Path(path).open("w") as fh:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
@@ -303,6 +308,16 @@ def _csv_cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as strict JSON, indented and with sorted keys, making
+    the file's directory first if it is missing; a NaN or infinity in it is
+    a ValueError, raised before anything is made."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def write_series_csv(ts: TimeSeries, path) -> None:

@@ -118,6 +118,8 @@ class ExperimentConfig:
     map's use of every consecutive pair are constants of ``fit_forecaster``.
     ``data_format``, the layout of the Nino-3.4 file, is one of the dated
     formats of ``load_series``: ``two-column-dated`` or ``noaa-monthly-grid``.
+    ``out_dir`` is the one setting for where a run writes: each driver
+    writes under ``out_dir/<experiment>``, and its manifest records it.
     """
 
     experiment: str = "custom"

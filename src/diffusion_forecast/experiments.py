@@ -4,14 +4,13 @@ forecast."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_ladder
-from .dataset import TimeSeries, delay_embed, load_series, split, write_csv
+from .dataset import TimeSeries, delay_embed, load_series, split, write_csv, write_json
 from .evaluation import ExperimentConfig, SkillReport, rmse_and_correlation
 from .forecast import MomentForecast, forecast_ladder, gaussian_density_values, project_density
 from .pipeline import FitResult, fit_forecaster, fit_record
@@ -87,7 +86,7 @@ class NinoExperimentResult:
     manifest_path: Path
 
 
-def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperimentResult:
+def run_torus_experiment(config: ExperimentConfig) -> TorusExperimentResult:
     """Validate the first two forecast moments of the embedded fast (x) and
     slow (z) coordinates against a true-model ensemble."""
     if config.experiment != "torus":
@@ -127,9 +126,7 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
         for j, name in enumerate("xz"):
             header += [f"{prefix}_mean_{name}", f"{prefix}_stdev_{name}"]
             cols += [fc.mean[:, j], np.sqrt(fc.variance[:, j])]
-    # made only once the run has succeeded, so a rejected run leaves nothing
-    out = Path(out_dir or config.out_dir) / "torus"
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.out_dir) / "torus"
     csv_path = out / "torus_moments.csv"
     write_csv(csv_path, header, np.column_stack(cols))
     manifest_path = _write_manifest(out, config, {
@@ -143,17 +140,20 @@ def run_torus_experiment(config: ExperimentConfig, out_dir=None) -> TorusExperim
     )
 
 
-def run_lorenz_experiment(config: ExperimentConfig, out_dir=None) -> LorenzExperimentResult:
+def run_lorenz_experiment(config: ExperimentConfig) -> LorenzExperimentResult:
     """Compare diffusion, local-linear, iterated local-linear, and (optionally)
     true-model ensemble forecasts on Lorenz-63 over a ladder of leads."""
     if config.experiment != "lorenz63":
         raise ValueError("config.experiment must be 'lorenz63'")
     if config.n_verify - config.lead_steps < 2:
         raise ValueError("verification block is shorter than the forecast horizon")
+    # split's and fit_forecaster's checks, made before simulating
     n_train = config.n_samples - config.n_verify
-    if 0 < n_train < config.n_basis:  # fit_forecaster's check, made before simulating
+    if n_train < 1:
+        raise ValueError(f"n_train={n_train} out of range [1, {config.n_samples - 1}]")
+    if n_train < config.n_basis:
         raise ValueError(f"basis size m={config.n_basis} out of range [1, {n_train}]")
-    out = Path(out_dir or config.out_dir) / "lorenz63"
+    out = Path(config.out_dir) / "lorenz63"
     dts = (0.1, 0.5) if config.paper_scale else (config.dt,)
     runs = {}
     for dt in dts:
@@ -199,8 +199,6 @@ def _lorenz_single_dt(config: ExperimentConfig, out: Path) -> LorenzRun:
 
     clim = float(np.sqrt(np.mean(verify.points.var(axis=0))))
     lead_times = forecasts["diffusion"].lead_times
-    # made only once the first run has succeeded, so a rejected run leaves nothing
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"lorenz_skill_dt{config.dt:g}.csv"
     header = ["lead_time"]
     cols = [lead_times]
@@ -216,7 +214,7 @@ def _agg_rmse(err: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(err * err, axis=(1, 2)))
 
 
-def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimentResult:
+def run_nino_experiment(config: ExperimentConfig) -> NinoExperimentResult:
     """Forecast the Nino-3.4 monthly index: train on Jan 1950 - Dec 1999,
     verify on Jan 2000 - Sep 2013, with a 5-lag delay embedding."""
     if config.experiment != "nino34":
@@ -276,9 +274,7 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
         climatology=values[n_train_raw:],
     )
 
-    # made only once the run has succeeded, so a rejected run leaves nothing
-    out = Path(out_dir or config.out_dir) / "nino34"
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.out_dir) / "nino34"
     skill_csv = out / "nino_skill.csv"
     write_csv(
         skill_csv,
@@ -320,7 +316,6 @@ def run_nino_experiment(config: ExperimentConfig, out_dir=None) -> NinoExperimen
 
 
 def _write_manifest(out: Path, config: ExperimentConfig, extra: dict) -> Path:
-    manifest = {"config": asdict(config), **extra}
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    write_json(path, {"config": asdict(config), **extra})
     return path

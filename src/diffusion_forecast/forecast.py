@@ -4,6 +4,11 @@ The time-ordered basis values give a Monte-Carlo estimate of the matrix of
 the sampling-interval evolution operator; densities are carried as coefficient
 vectors against the basis, evolved by repeated application of that matrix, and
 read out as pointwise densities or moments of observables.
+
+On the first M_eff columns (the basis's ``EigensolveRecord.m_eff``) this is
+the paper's Galerkin forecast. Each column past M_eff is a spike on one
+low-density sample, so its coefficients weight that sample, and the
+forecast reads the samples' shifted values as analogs.
 """
 
 from __future__ import annotations

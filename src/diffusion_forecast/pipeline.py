@@ -15,6 +15,7 @@ from .dataset import TimeSeries, knn
 from .forecast import ShiftOperator, estimate_shift_operator
 from .tuning import (
     KERNEL_FLOOR,
+    SATURATION_CAP,
     PairwiseKernelSum,
     TuningResult,
     adhoc_bandwidth,
@@ -28,6 +29,12 @@ MODEL_FORMAT_VERSION = 1
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 _SCALARS = ("eps", "d", "alpha", "beta", "tau", "n_pairs")
 _ARRAYS = ("points", "peq", "lam", "phi", "a")
+# fit_record sets eps_follows_cap below this table saturation
+# min(N, NEIGHBOR_CAP)/N. With the table of one series cut to narrower widths
+# and both tunings rerun (8000 torus points, 2000 Lorenz-63 points), every
+# saturation of 0.256 or less moved the tuned vb eps, by 7% or more, and at
+# 0.512 the eps equalled the all-pairs eps; between the two it is unmeasured.
+CAP_SATURATION_FLAG = 6.0 * SATURATION_CAP
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,9 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
     (eps, d) pair. Everything else is fixed: one kNN search of
     min(N, NEIGHBOR_CAP) neighbours serves every stage, the ad-hoc
     bandwidths use k0 = 8, the kernel exponent is BETA = -1/2, and the shift
-    operator averages over every consecutive pair.
+    operator averages over every consecutive pair. Both tunings read the
+    table, so while :func:`fit_record`'s ``eps_follows_cap`` is set the
+    tuned eps follows NEIGHBOR_CAP rather than the data alone.
     """
     n = ts.n_points
     # build_basis checks this too, but only after every stage before it
@@ -109,9 +118,13 @@ def fit_record(fit: FitResult) -> dict:
     ``m_eff`` the number of basis eigenvalues below it, both as
     ``build_basis`` recorded them; ``rows_at_cap`` counts the kernel rows
     cut at the neighbour cap, whose last table neighbour still has kernel
-    weight >= KERNEL_FLOOR (0 when the table holds every point).
+    weight >= KERNEL_FLOOR (0 when the table holds every point);
+    ``table_saturation`` is min(N, NEIGHBOR_CAP)/N, the level at which the
+    tunings' kernel sums saturate, and ``eps_follows_cap`` is set when it is
+    below CAP_SATURATION_FLAG, where the tuned eps follows the cap.
     """
     solver = fit.solver
+    saturation = min(fit.basis.n_points, NEIGHBOR_CAP) / fit.basis.n_points
     return {
         **{name: {"eps": tuning.eps_star, "d": tuning.d_est,
                   "boundary_warning": tuning.boundary_warning, "plateau": tuning.plateau}
@@ -121,12 +134,15 @@ def fit_record(fit: FitResult) -> dict:
         "lambda_edge": solver.lambda_edge,
         "m_eff": solver.m_eff,
         "rows_at_cap": fit.rows_at_cap,
+        "table_saturation": saturation,
+        "eps_follows_cap": saturation < CAP_SATURATION_FLAG,
     }
 
 
 def save_model(path, basis: DiffusionBasis, operator: ShiftOperator,
                points: np.ndarray, metadata: dict | None = None) -> Path:
-    """Write a fitted forecaster to exactly ``path`` as one uncompressed npz.
+    """Write a fitted forecaster to exactly ``path`` as one uncompressed npz,
+    making its directory first if it is missing.
 
     Keys: ``format_version`` (int, :data:`MODEL_FORMAT_VERSION`); ``points``
     (N, D), the training points after any delay embedding, in time order;
@@ -139,7 +155,8 @@ def save_model(path, basis: DiffusionBasis, operator: ShiftOperator,
     ``np.load(path, allow_pickle=False)`` reads the file. A change to the
     keys or their meaning takes a new version; :func:`load_model` rejects
     any other version. The zip entries carry a fixed date, so the bytes
-    depend only on the model.
+    depend only on the model. The entries are checked as :func:`load_model`
+    checks them before anything is made, so a rejected model writes nothing.
     """
     import zipfile
 
@@ -155,6 +172,7 @@ def save_model(path, basis: DiffusionBasis, operator: ShiftOperator,
     entries = {key: np.asarray(value, order="C") for key, value in entries.items()}
     _unpack(entries)
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for key, value in entries.items():
             with zf.open(zipfile.ZipInfo(f"{key}.npy", date_time=_ZIP_DATE), "w",

@@ -250,6 +250,11 @@ def tune(kernel_sum) -> TuningResult:
     intervals, where T <= SATURATION_CAP, and d = 2 * that slope. It flags
     a maximum on the grid boundary, and a maximum tied within PLATEAU_RTOL
     by another interval.
+
+    A sum over a table c wide saturates at c/N, not at 1. While that level
+    is below ``pipeline.CAP_SATURATION_FLAG`` (``fit_record`` then sets
+    ``eps_follows_cap``), the returned eps follows the cap c rather than the
+    data alone: on 8000 torus points it scaled about as c/N.
     """
     grid = default_bandwidth_grid()
     t = np.asarray(kernel_sum(grid), dtype=float)

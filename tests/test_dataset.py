@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from diffusion_forecast.dataset import (
     knn_points,
     load_series,
     split,
+    write_csv,
+    write_json,
     write_series_csv,
 )
 
@@ -361,6 +365,24 @@ class TestCsvRoundTrip:
         path = tmp_path / "s.csv"
         write_series_csv(ts, path)
         assert path.read_text().splitlines()[0] == "x0"
+
+
+class TestWriters:
+    def test_write_csv_makes_a_missing_nested_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "t.csv"
+        write_csv(path, ["lead", "value"], [[0, 1.5], [np.int64(1), 0.1]])
+        assert path.read_text() == "lead,value\n0,1.5\n1,0.1\n"
+
+    def test_write_json_makes_a_missing_nested_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "manifest.json"
+        obj = {"b": [1, 0.5], "a": {"z": None, "y": True}}
+        write_json(path, obj)
+        assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_write_json_refuses_nan_before_making_anything(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_json(tmp_path / "a" / "manifest.json", {"x": float("nan")})
+        assert not (tmp_path / "a").exists()
 
 
 def test_neighbor_list_shape_validation():

@@ -1,8 +1,10 @@
 """Smoke tests of the three experiment drivers at tiny sizes: the CSV
 headers, the row counts and the manifest keys."""
 
+import inspect
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ def _check_fit_record(record, fit):
 def test_torus_experiment(tmp_path):
     config = replace(torus_config(), n_samples=1200, n_basis=40, n_ens=300,
                      lead_steps=10, substeps=5)
-    result = run_torus_experiment(config, out_dir=tmp_path)
+    result = run_torus_experiment(replace(config, out_dir=str(tmp_path)))
     header, rows = _read_csv(result.csv_path)
     assert header == ["lead_time",
                       "diff_mean_x", "diff_stdev_x", "diff_mean_z", "diff_stdev_z",
@@ -60,7 +62,7 @@ def test_torus_experiment(tmp_path):
 def test_lorenz_experiment(tmp_path):
     config = replace(lorenz_config(), n_samples=1400, n_basis=60, n_verify=200,
                      lead_steps=20, n_ens=20)
-    result = run_lorenz_experiment(config, out_dir=tmp_path)
+    result = run_lorenz_experiment(replace(config, out_dir=str(tmp_path)))
     (run,) = result.runs.values()
     header, rows = _read_csv(run.csv_path)
     assert header == ["lead_time"] + [f"{stat}_{name}"
@@ -83,7 +85,7 @@ def test_lorenz_experiment_rejects_a_short_verification_block_before_fitting(tmp
     config = replace(lorenz_config(), n_samples=700, n_basis=30, n_verify=50, lead_steps=80)
     with pytest.raises(ValueError, match="verification block is shorter than the forecast "
                                          "horizon"):
-        run_lorenz_experiment(config, out_dir=tmp_path / "out")
+        run_lorenz_experiment(replace(config, out_dir=str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
     assert fits == []
 
@@ -97,14 +99,29 @@ def test_lorenz_experiment_rejects_too_large_a_basis_before_simulating(tmp_path,
     monkeypatch.setattr(experiments, "simulate_lorenz63", simulate)
     config = replace(lorenz_config(), n_samples=400, n_verify=100, n_basis=350, lead_steps=20)
     with pytest.raises(ValueError, match=r"basis size m=350 out of range \[1, 300\]"):
-        run_lorenz_experiment(config, out_dir=tmp_path / "out")
+        run_lorenz_experiment(replace(config, out_dir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
+
+
+def test_lorenz_experiment_rejects_a_config_with_no_training_block_before_simulating(
+        tmp_path, monkeypatch):
+    from diffusion_forecast import experiments
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("the series was simulated")
+
+    monkeypatch.setattr(experiments, "simulate_lorenz63", simulate)
+    config = replace(lorenz_config(), n_samples=100, n_verify=100, n_basis=30, lead_steps=20,
+                     out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match=r"n_train=0 out of range \[1, 99\]"):
+        run_lorenz_experiment(config)
     assert not (tmp_path / "out").exists()
 
 
 def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
     config = replace(lorenz_config(), n_samples=1000, n_basis=30, n_verify=40,
                      lead_steps=8, with_ensemble=False)
-    (run,) = run_lorenz_experiment(config, out_dir=tmp_path).runs.values()
+    (run,) = run_lorenz_experiment(replace(config, out_dir=str(tmp_path))).runs.values()
     header, rows = _read_csv(run.csv_path)
     # the driver's verification states, rebuilt as it builds them
     seeds = np.random.SeedSequence(config.seed).spawn(3)
@@ -141,7 +158,7 @@ def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
 ], ids=["lorenz-no-training-block", "lorenz-basis-too-large", "torus-zero-density"])
 def test_a_run_that_fails_leaves_no_directory(tmp_path, run, config, match):
     with pytest.raises(ValueError, match=match):
-        run(config, out_dir=tmp_path / "out")
+        run(replace(config, out_dir=str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
 
 
@@ -158,7 +175,7 @@ def test_nino_experiment(tmp_path):
     data = tmp_path / "nino34.txt"
     _write_noaa_grid(data, np.random.default_rng(3))
     config = nino_config(data_path=str(data))
-    result = run_nino_experiment(config, out_dir=tmp_path)
+    result = run_nino_experiment(replace(config, out_dir=str(tmp_path)))
     header, rows = _read_csv(result.skill_csv_path)
     assert header == ["lead_months", "rmse", "correlation", "mean_forecast_stdev",
                       "climatological_stdev"]
@@ -179,8 +196,8 @@ def test_nino_experiment_needs_a_dated_format(tmp_path, fmt):
     data = tmp_path / "nino34.txt"
     _write_noaa_grid(data, np.random.default_rng(3))
     with pytest.raises(ValueError, match="two-column-dated or noaa-monthly-grid"):
-        run_nino_experiment(replace(nino_config(data_path=str(data)), data_format=fmt),
-                            out_dir=tmp_path)
+        run_nino_experiment(replace(nino_config(data_path=str(data)), data_format=fmt,
+                                    out_dir=str(tmp_path)))
     assert not (tmp_path / "nino34").exists()
 
 
@@ -192,7 +209,8 @@ def test_nino_experiment_rejects_data_before_making_its_directory(tmp_path, text
     data = tmp_path / "nino34.txt"
     data.write_text(text)
     with pytest.raises(ValueError, match=match):
-        run_nino_experiment(nino_config(data_path=str(data)), out_dir=tmp_path / "out")
+        run_nino_experiment(replace(nino_config(data_path=str(data)),
+                                    out_dir=str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
 
 
@@ -202,5 +220,43 @@ def test_nino_experiment_with_too_large_a_basis_leaves_no_directory(tmp_path):
     _write_noaa_grid(data, np.random.default_rng(3))
     config = replace(nino_config(data_path=str(data)), n_basis=598)
     with pytest.raises(ValueError, match=r"basis size m=598 out of range \[1, 596\]"):
-        run_nino_experiment(config, out_dir=tmp_path / "out")
+        run_nino_experiment(replace(config, out_dir=str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
+
+
+def _tiny_run(name, tmp_path):
+    """Each driver at a few seconds' size, writing under a missing nested
+    directory; returns the result, the files it wrote and its name."""
+    out_dir = str(tmp_path / "runs" / "a")
+    if name == "torus":
+        config = replace(torus_config(), n_samples=400, n_basis=10, n_ens=50, lead_steps=3,
+                         substeps=2, out_dir=out_dir)
+        result = run_torus_experiment(config)
+        return result, [result.csv_path]
+    if name == "lorenz63":
+        config = replace(lorenz_config(), n_samples=500, n_verify=60, n_basis=10, lead_steps=5,
+                         with_ensemble=False, out_dir=out_dir)
+        result = run_lorenz_experiment(config)
+        return result, [run.csv_path for run in result.runs.values()]
+    data = tmp_path / "nino34.txt"
+    _write_noaa_grid(data, np.random.default_rng(3))
+    result = run_nino_experiment(replace(nino_config(data_path=str(data)), n_basis=10,
+                                         out_dir=out_dir))
+    return result, [result.skill_csv_path, result.lead14_csv_path]
+
+
+@pytest.mark.parametrize("name", ["torus", "lorenz63", "nino34"])
+def test_the_manifest_names_the_directory_that_holds_the_files(tmp_path, name):
+    result, files = _tiny_run(name, tmp_path)
+    out_dir = json.loads(result.manifest_path.read_text())["config"]["out_dir"]
+    where = Path(out_dir) / name
+    assert result.manifest_path == where / "manifest.json"
+    assert [path.parent for path in files] == [where] * len(files)
+    assert sorted(path.name for path in where.iterdir()) == sorted(
+        path.name for path in [result.manifest_path, *files])
+
+
+@pytest.mark.parametrize("run", [run_torus_experiment, run_lorenz_experiment,
+                                 run_nino_experiment])
+def test_a_driver_takes_where_it_writes_only_from_the_config(run):
+    assert list(inspect.signature(run).parameters) == ["config"]

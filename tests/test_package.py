@@ -57,6 +57,27 @@ def test_every_name_the_benchmark_wraps_exists():
     assert missing == []
 
 
+def _module_attributes(path, modules):
+    """(module, name) of every ``module.name`` the file reads, for the
+    package modules it imports under their own names."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield node.value.id, node.attr
+
+
+def test_every_package_name_the_benchmark_calls_exists():
+    # the workloads call the package through its modules; a rename or a
+    # deletion there should fail here, not only in the benchmark run
+    workloads = SRC.parents[1] / "bench" / "workloads.py"
+    modules = {"baselines", "dataset", "forecast", "pipeline", "simulators"}
+    used = sorted(set(_module_attributes(workloads, modules)))
+    assert {module for module, _ in used} == modules
+    missing = [f"{module}.{name}" for module, name in used
+               if not hasattr(importlib.import_module(f"diffusion_forecast.{module}"), name)]
+    assert missing == []
+
+
 def _names(path):
     """Every identifier the module's code uses: imported, read or an attribute."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -88,9 +109,23 @@ def test_fit_diagnostics_reach_output_only_through_fit_record():
     # record, the spectral edge and M_eff; a driver reading them itself
     # would start a second manifest layout
     fields = {"eps_star", "d_est", "boundary_warning", "plateau", "lambda_edge",
-              "m_eff", "matvecs", "max_residual"}
+              "m_eff", "matvecs", "max_residual", "table_saturation", "eps_follows_cap"}
     found = {name: sorted(fields & set(_names(SRC / name))) for name in ("experiments.py", "cli.py")}
     assert found == {"experiments.py": [], "cli.py": []}
+
+
+def _mkdir_calls(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "mkdir":
+            yield node.lineno
+
+
+def test_only_the_file_writers_make_directories():
+    # dataset's writers and pipeline.save_model make their file's directory
+    # once the output is ready; a caller making it itself could leave an
+    # empty directory behind a run that fails before its first write
+    users = sorted(path.name for path in SRC.glob("*.py") if list(_mkdir_calls(path)))
+    assert users == ["dataset.py", "pipeline.py"]
 
 
 def test_the_fit_has_one_neighbour_search_in_pipeline():

@@ -1,6 +1,8 @@
 import io
 import json
 import zipfile
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +100,8 @@ class TestFitRecord:
             "lambda_edge": solver.lambda_edge,
             "m_eff": solver.m_eff,
             "rows_at_cap": fit.rows_at_cap,
+            "table_saturation": min(fit.basis.n_points, 1024) / fit.basis.n_points,
+            "eps_follows_cap": False,
         }
         assert record["m_eff"] == np.count_nonzero(fit.basis.lam < record["lambda_edge"])
         assert 1 <= record["m_eff"] <= fit.basis.n_basis
@@ -114,6 +118,29 @@ class TestFitRecord:
         assert 0 < fit_record(circle_fit_3000)["rows_at_cap"] < 3000
         fit = fit_forecaster(TimeSeries(simulate_lorenz63(1000, seed=5).points, tau=0.1), 10)
         assert fit_record(fit)["rows_at_cap"] == 0
+
+
+    def test_a_table_that_saturates_low_flags_the_eps(self, monkeypatch):
+        # 64 of 400 points: the kernel sums saturate at 0.16, below 0.30
+        from diffusion_forecast import pipeline
+
+        monkeypatch.setattr(pipeline, "NEIGHBOR_CAP", 64)
+        fit = fit_forecaster(TimeSeries(simulate_lorenz63(400, seed=5).points, tau=0.1), 10)
+        record = fit_record(fit)
+        assert record["table_saturation"] == 64 / 400
+        assert record["eps_follows_cap"] is True
+
+    @pytest.mark.parametrize("n, flagged", [(2000, False), (3000, False), (3400, False),
+                                            (3500, True), (5500, True), (8000, True)],
+                             ids=["lorenz-skill", "circle-spectrum", "3400", "3500",
+                                  "desk-lorenz", "desk-torus"])
+    def test_the_flag_is_set_below_a_saturation_of_0_30(self, lorenz_fit, n, flagged):
+        # the record reads N from the basis; a stand-in basis of n points
+        fit = lorenz_fit[0]
+        fake = SimpleNamespace(n_points=n)
+        record = fit_record(replace(fit, basis=fake))
+        assert record["table_saturation"] == min(n, 1024) / n
+        assert record["eps_follows_cap"] is flagged
 
 
 class TestModelBundle:
@@ -227,6 +254,19 @@ class TestModelBundle:
         with pytest.raises(ValueError, match="JSON compliant"):
             save_model(tmp_path / "m.npz", *small_model(), {"residual": float("nan")})
         assert not (tmp_path / "m.npz").exists()
+
+    def test_makes_a_missing_nested_directory(self, tmp_path):
+        path = save_model(tmp_path / "a" / "b" / "m.npz", *small_model())
+        assert path == tmp_path / "a" / "b" / "m.npz"
+        assert load_model(path)[0].n_basis == 4
+
+    def test_a_rejected_model_makes_no_directory(self, tmp_path):
+        basis, op, points = small_model()
+        with pytest.raises(ValueError, match="points has shape"):
+            save_model(tmp_path / "a" / "m.npz", basis, op, points[:-1])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(tmp_path / "a" / "m.npz", basis, op, points, {"x": float("nan")})
+        assert not (tmp_path / "a").exists()
 
     def test_save_refuses_inconsistent_model(self, tmp_path):
         basis, op, points = small_model()
