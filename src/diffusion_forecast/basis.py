@@ -37,14 +37,14 @@ stored entries (8-byte values, 4-byte indices while they fit in int32).
 ``fit_forecaster`` hands each stage the only reference to its input, so
 that the stage can free it as soon as it is done with it:
 
-- ``build_vb_kernel``: the (N, c) neighbour table (16 N c bytes), the
-  one-sided kernel written once into arrays of N c slots (12 N c bytes) and
-  working arrays of a few blocks of BLOCK_ENTRIES entries
-  (:func:`~diffusion_forecast.dataset.rows_per_block`): the stage's peak.
-  The table is then freed, and the symmetrization holds the one-sided
-  arrays beside the entries whose transposes it adds and its result, about
-  12 z bytes, which scipy's ``maximum`` allocates for the one-sided entries
-  plus the added ones.
+- ``build_vb_kernel``: the (N, c) neighbour table (12 N c bytes), into
+  whose two arrays the one-sided kernel is written in place, and working
+  arrays of a few blocks of BLOCK_ENTRIES entries
+  (:func:`~diffusion_forecast.dataset.rows_per_block`). The stage's peak
+  is the symmetrization: it holds those arrays beside the entries whose
+  transposes it adds and its result, about 12 z bytes, which scipy's
+  ``maximum`` allocates for the one-sided entries plus the added ones. The
+  table's arrays are freed when it returns.
 - ``build_basis``: the kernel and its private copy while it is copied, then
   the copy alone, which the normalization turns into L in place (12 z
   bytes). On the dense path L is freed once densified, which leaves one
@@ -52,8 +52,9 @@ that the stage can free it as soon as it is done with it:
   Lanczos path L stays beside ARPACK's n x ncv vectors and the n x 2m Ritz
   block.
 
-A caller that keeps its own reference to the table or to the kernel keeps
-it alive through these peaks.
+A caller that keeps its own reference to the kernel keeps it alive through
+these peaks. The table is consumed: its arrays hold the one-sided kernel
+afterwards.
 """
 
 from __future__ import annotations
@@ -208,13 +209,21 @@ def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> 
     duplicates. It is bitwise the matrix a COO assembly and ``tocsr`` give,
     while the working arrays stay the size of one block.
 
+    The CSR ``indices`` and ``data`` are the table's own two arrays, read
+    flat, so ``neighbors`` is consumed: afterwards its arrays hold the
+    one-sided kernel, not the table. A block's rows are copied out before
+    anything is written, and the kept entries of rows below e fill at most
+    the table's first e c slots, so no write reaches a row not yet read.
+    The table's :func:`~diffusion_forecast.dataset.index_dtype` is the
+    CSR's, int32 up to 2^31 - 1 entries; a table with int64 indices below
+    that gives the same matrix, since scipy narrows its indices.
+
     Each entry's denominator is 4 eps (q_i^BETA q_j^BETA), symmetric bit for
     bit, and so are the distances of :func:`~diffusion_forecast.dataset.knn`,
     so k_ij == k_ji wherever both are computed and max(K, K^T) is the union
     of the two one-sided patterns. Row j holds i when d_ij is below row j's
     last distance; every other kept entry may lack its transpose and is added
-    at (j, i) by :func:`_symmetrize`, after the table is freed unless the
-    caller still holds it.
+    at (j, i) by :func:`_symmetrize`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -225,11 +234,7 @@ def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> 
     if cap < 2:
         raise ValueError("neighbor table must have at least 2 columns")
 
-    indptr, indices, data = _one_sided_kernel(neighbors, qv**BETA, 4.0 * eps)
-    # with no reference left in the caller, the table is freed before the
-    # symmetrization adds the missing transposes
-    del neighbors
-    k = _symmetrize(indptr, indices, data)
+    k = _symmetrize(*_one_sided_kernel(neighbors, qv**BETA, 4.0 * eps))
 
     off_diag_counts = k.getnnz(axis=1) - 1
     if np.any(off_diag_counts <= 0):
@@ -243,16 +248,17 @@ def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> 
 
 def _one_sided_kernel(nl: NeighborList, qb: np.ndarray, c: float):
     """The one-sided kernel of :func:`build_vb_kernel` as CSR arrays
-    ``(indptr, indices, data)``, ``indices`` and ``data`` with N cap slots of
-    which the first ``indptr[-1]`` are used. An entry (i, j) whose transpose
-    (j, i) may not be stored is written negated, which marks it for
-    :func:`_symmetrize` (kernel values are positive)."""
+    ``(indptr, indices, data)``, ``indices`` and ``data`` the table's own
+    arrays, read flat, of which the first ``indptr[-1]`` slots are used. An
+    entry (i, j) whose transpose (j, i) may not be stored is written
+    negated, which marks it for :func:`_symmetrize` (kernel values are
+    positive)."""
     n, cap = nl.indices.shape
-    idx_dtype = np.int32 if n * cap <= np.iinfo(np.int32).max else np.int64
-    indices = np.empty(n * cap, dtype=idx_dtype)
-    data = np.empty(n * cap)
-    indptr = np.zeros(n + 1, dtype=idx_dtype)
-    # row j's last distance: row j holds i when d_ij < last_d[j]
+    indices = nl.indices.reshape(-1)
+    data = nl.distances.reshape(-1)
+    indptr = np.zeros(n + 1, dtype=indices.dtype)
+    # row j's last distance: row j holds i when d_ij < last_d[j]; copied
+    # before the kernel overwrites it
     last_d = nl.distances[:, cap - 1].copy()
     nnz = 0
     step = rows_per_block(cap)

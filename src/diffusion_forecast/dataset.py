@@ -81,6 +81,10 @@ class NeighborList:
     """Exact k-nearest-neighbor table (self included at rank 0).
 
     ``distances`` rows are ascending; ties are broken by lower point index.
+    ``indices`` has the dtype :func:`index_dtype` gives for the table's
+    entry count, int32 up to 2^31 - 1 entries. The table is mutable:
+    :func:`~diffusion_forecast.basis.build_vb_kernel` consumes it, writing
+    the one-sided kernel into its two arrays.
     """
 
     indices: np.ndarray
@@ -199,7 +203,8 @@ def knn(ts: TimeSeries, k: int) -> NeighborList:
     """Exact Euclidean k-nearest neighbors for every point, self at rank 0.
 
     Ties are broken by lower point index. Brute force, chunked over query
-    rows; fine up to a few 10^4 points.
+    rows; fine up to a few 10^4 points. See :func:`knn_points` for the
+    index dtype and for the table's use by the kernel.
     """
     pts = np.ascontiguousarray(ts.points)
     return knn_points(pts, k)
@@ -213,6 +218,12 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     ``cdist`` in blocks of :func:`rows_per_block` rows: the package's one
     all-pairs sweep, which every later stage of the fit reads through the
     table it returns.
+
+    The indices are stored in :func:`index_dtype` of ``m * k``: int32, 12
+    bytes an entry with its distance, unless the table has more than
+    2^31 - 1 entries. That is the rule of the kernel's CSR indices, so
+    :func:`~diffusion_forecast.basis.build_vb_kernel` writes the kernel
+    into the table's own buffers and consumes the table.
     """
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[0]
@@ -221,7 +232,7 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     self_query = query is None
     q = pts if self_query else np.asarray(query, dtype=float)
     m = q.shape[0]
-    out_idx = np.empty((m, k), dtype=np.int64)
+    out_idx = np.empty((m, k), dtype=index_dtype(m * k))
     out_d2 = np.empty((m, k))
     step = rows_per_block(n)
     for s in range(0, m, step):
@@ -236,6 +247,13 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     if self_query:
         out_d2[:, 0] = 0.0
     return NeighborList(indices=out_idx, distances=np.sqrt(out_d2, out=out_d2))
+
+
+def index_dtype(entries: int) -> type:
+    """Integer dtype of the indices of a table or CSR matrix of ``entries``
+    stored entries: int32 up to 2^31 - 1 entries, int64 past them. Every
+    index and row pointer such an array holds is then representable."""
+    return np.int32 if entries <= np.iinfo(np.int32).max else np.int64
 
 
 def rows_per_block(width: int) -> int:

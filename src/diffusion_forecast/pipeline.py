@@ -85,9 +85,10 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
         np.exp(-np.square(nl.distances[:, -1])
                / (4.0 * vb_tuning.eps_star * (qb * qb[nl.indices[:, -1]]))) >= KERNEL_FLOOR))
 
-    # build_vb_kernel gets the only reference to the table and build_basis
-    # the only one to the kernel, so each frees its input before its own
-    # peak: the table before the symmetrization, the kernel once copied
+    # build_vb_kernel gets the only reference to the table, which it
+    # consumes, and build_basis the only one to the kernel, so each input is
+    # freed before the next peak: the table's arrays, holding the one-sided
+    # kernel, when build_vb_kernel returns, the kernel once copied
     handoff = [nl]
     del nl
     basis, solver = build_basis(

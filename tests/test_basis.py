@@ -16,12 +16,12 @@ from diffusion_forecast.basis import (
     _choose_eigensolver,
     _top_eigenpairs,
 )
-from diffusion_forecast.dataset import TimeSeries, knn
+from diffusion_forecast.dataset import NeighborList, TimeSeries, knn
 from diffusion_forecast.pipeline import fit_forecaster, load_model, save_model
 from diffusion_forecast.simulators import SDEModel, euler_maruyama, simulate_lorenz63
 from diffusion_forecast.tuning import KERNEL_FLOOR, DensityEstimate
 
-from _oracles import coo_vb_kernel, sparse_product_operator
+from _oracles import coo_vb_kernel, lexsort_knn, sparse_product_operator
 
 
 def uniform_density(n, value=1.0):
@@ -95,16 +95,21 @@ class TestBuildVbKernel:
     def test_direct_csr_equals_the_coo_assembly(self, monkeypatch):
         # a bandwidth at which the floor drops 160 far entries while every
         # point keeps a neighbour; at 150 block entries the table is
-        # assembled in row blocks of 7, the last of 4
+        # assembled in row blocks of 7, the last of 4. build_vb_kernel
+        # consumes its table, so each call gets a fresh one and the
+        # reference is taken from it first; a hand-built table with int64
+        # indices gives the same matrix
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(200, 2))
         ts = TimeSeries(pts, tau=1.0)
         q = DensityEstimate(q=0.5 + rng.uniform(size=200))
-        nl = knn(ts, 20)
-        ref, dropped = coo_vb_kernel(q.q, 1e-2, -0.5, nl.indices, nl.distances, KERNEL_FLOOR)
-        assert dropped > 0
-        for block_entries in (dataset_mod.BLOCK_ENTRIES, 150):
+        default = dataset_mod.BLOCK_ENTRIES
+        for table, block_entries in (("knn", default), ("knn", 150), ("int64", default)):
             monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
+            nl = knn(ts, 20) if table == "knn" else NeighborList(*lexsort_knn(pts, 20))
+            assert nl.indices.dtype == (np.int32 if table == "knn" else np.int64)
+            ref, dropped = coo_vb_kernel(q.q, 1e-2, -0.5, nl.indices, nl.distances, KERNEL_FLOOR)
+            assert dropped > 0
             k = build_vb_kernel(nl, q, eps=1e-2)
             assert k.has_canonical_format
             assert k.indptr.dtype == ref.indptr.dtype and k.indices.dtype == ref.indices.dtype

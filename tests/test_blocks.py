@@ -171,8 +171,9 @@ class TestBoundedMemory:
         assert peak <= self.bound(2 * q.q.nbytes)
 
     def test_kernel_assembly(self, monkeypatch, series):
-        # up to the symmetrization: the one-sided CSR arrays, N * cap slots
-        # of an 8-byte value and a 4-byte index, and the blocks
+        # up to the symmetrization: indptr (int32) and the blocks; the
+        # one-sided kernel is written into the table's own arrays, which
+        # were allocated before tracing started
         cap = 200
         nl = knn(series, cap)
         q = kde(nl, adhoc_bandwidth(nl), 0.05, 3.0)
@@ -193,8 +194,7 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert k.nnz > 0.9 * self.N * cap  # the floor drops few entries here
         (peak,) = before_symmetrization
-        assert peak - live <= self.bound(self.N * cap * 12 + 8 * (self.N + 1))
-
+        assert peak - live <= self.bound(4 * (self.N + 1))
 
     def test_batched_gaussian_density(self, series):
         # (N, B) values for B = 200 means: the result and a few blocks, not
@@ -238,13 +238,19 @@ class TestLifetimes:
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    def test_the_table_is_freed_before_the_symmetrization(self, monkeypatch):
+    def test_the_table_is_freed_once_the_symmetrization_returns(self, monkeypatch):
+        # the table's arrays hold the one-sided kernel, which the
+        # symmetrization reads; they are freed before build_basis copies
+        # the kernel
         table, seen = [], []
         self.watch(monkeypatch, pipeline_mod, "knn", table)
         self.check_at(monkeypatch, basis_mod, "_symmetrize", table, seen)
+        self.check_at(monkeypatch, pipeline_mod, "build_basis", table, seen)
         fit_forecaster(circle_series(400), 5)
         assert len(table) == 3  # the NeighborList and its two arrays
-        assert seen == [[True] * 3]
+        at_symmetrize, at_build_basis = seen
+        assert at_symmetrize[1:] == [False, False]
+        assert at_build_basis == [True] * 3
 
     # both route dense: lorenz at a larger M, and the small circle, where the
     # dense solve beats Lanczos

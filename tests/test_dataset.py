@@ -9,6 +9,7 @@ from diffusion_forecast.dataset import (
     NeighborList,
     TimeSeries,
     delay_embed,
+    index_dtype,
     knn,
     knn_points,
     load_series,
@@ -243,6 +244,19 @@ class TestKnn:
         nl = knn(TimeSeries(pts, tau=1.0), 3)
         # points 1 and 2 are both at distance 1 from point 0
         assert nl.indices[0].tolist() == [0, 1, 2]
+
+    def test_indices_are_int32_up_to_2_31_minus_1_entries(self):
+        # the rule alone: a table at the boundary would take 24 GiB
+        assert index_dtype(2**31 - 1) is np.int32
+        assert index_dtype(2**31) is np.int64
+
+    def test_benchmark_size_tables_have_int32_indices(self, circle_series_3000):
+        # the fit's tables on the circle (3000 x 1024) and on Lorenz
+        # (2000 x 1024), and a local-linear ranking from one query
+        assert knn(circle_series_3000, 1024).indices.dtype == np.int32
+        pts = np.random.default_rng(0).normal(size=(2000, 3))
+        assert knn_points(pts, 1024).indices.dtype == np.int32
+        assert knn_points(pts, 90, query=pts[:1]).indices.dtype == np.int32
 
     def test_k_out_of_range(self):
         ts = make_series([0.0, 1.0])

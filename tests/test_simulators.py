@@ -108,7 +108,9 @@ class TestEulerMaruyama:
             drift=lambda x: x**3,
             diffusion=lambda x: np.zeros(x.shape[:-1] + (1, 1)),
         )
-        with pytest.raises(FloatingPointError, match="sample"):
+        # x**3 itself overflows on the way to the non-finite state
+        with pytest.raises(FloatingPointError, match="sample"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             euler_maruyama(blowup, np.array([5.0]), 1.0, 4, 50, seed=0)
 
     def test_bad_parameters(self):
