@@ -45,16 +45,15 @@ that the stage can free it as soon as it is done with it:
   transposes it adds and its result, about 12 z bytes, which scipy's
   ``maximum`` allocates for the one-sided entries plus the added ones. The
   table's arrays are freed when it returns.
-- ``build_basis``: the kernel and its private copy while it is copied, then
-  the copy alone, which the normalization turns into L in place (12 z
-  bytes). On the dense path L is freed once densified, which leaves one
-  n x n Fortran-ordered matrix that ``eigh`` factorises in place; on the
-  Lanczos path L stays beside ARPACK's n x ncv vectors and the n x 2m Ritz
-  block.
+- ``build_basis``: the one kernel, which the normalization turns into L in
+  place (12 z bytes). On the dense path L is moved once, into the memory
+  the table left, and freed once densified, which leaves one n x n
+  Fortran-ordered matrix that ``eigh`` factorises in place; on the Lanczos
+  path L stays beside ARPACK's n x ncv vectors and the n x 2m Ritz block.
 
-A caller that keeps its own reference to the kernel keeps it alive through
-these peaks. The table is consumed: its arrays hold the one-sided kernel
-afterwards.
+Both inputs are consumed: the table's arrays hold the one-sided kernel
+afterwards, and the kernel's hold L. A caller that keeps its own reference
+to the kernel keeps L alive through the dense path's peak.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ LANCZOS_MATVECS_PER_VECTOR = 11.4
 # 7 GB machine, the rest left to the fit's earlier stages. It holds one
 # n x n matrix, 8 n^2 bytes, which eigh factorises in place, and L is freed
 # before eigh runs; the other half of the charge covers eigh's eigenvectors
-# and workspace, and the kernel when a caller of build_basis keeps it.
+# and workspace, and L when a caller of build_basis keeps the kernel.
 DENSE_MEMORY_BYTES = 3.5e9
 # Largest accepted Lanczos residual max_j ||L phi_j - lambda_j phi_j|| (unit
 # phi_j), in the units of lambda, like the negative-eigenvalue tolerance.
@@ -121,9 +120,9 @@ class DiffusionBasis:
         estimated generator, in physical units.
     peq : ndarray, shape (N,)
         Invariant-measure estimate at the data points.
-    eps, d, alpha, beta : float
-        Kernel bandwidth, intrinsic dimension, and normalization exponents
-        used in the construction.
+
+    These are all a forecast reads. How the basis was built, the bandwidth
+    and dimension of its tuning, is recorded by ``pipeline.fit_record``.
 
     ``phi``, ``lam`` and ``peq`` are read-only, and so becomes each array
     given for them (its writeable flag is cleared, not a copy taken): the
@@ -134,10 +133,6 @@ class DiffusionBasis:
     phi: np.ndarray
     lam: np.ndarray
     peq: np.ndarray
-    eps: float
-    d: float
-    alpha: float
-    beta: float
 
     def __post_init__(self):
         if self.phi.shape[0] != self.peq.shape[0]:
@@ -314,8 +309,8 @@ def build_basis(
     ----------
     kernel : sparse matrix
         Symmetric N x N variable-bandwidth kernel from
-        :func:`build_vb_kernel`; left unchanged. One private copy of it is
-        normalized into L in place.
+        :func:`build_vb_kernel`, consumed: a CSR kernel is normalized into
+        L in place, with no copy, so afterwards its arrays hold L.
     q : DensityEstimate
         Sampling-density estimate at the N points; a copy becomes the
         ``peq`` field.
@@ -331,7 +326,7 @@ def build_basis(
 
     The first-normalization exponent is alpha = -d/4, which together with
     the kernel exponent BETA = -1/2 targets the gradient-flow generator of
-    the sampling measure; the basis records both.
+    the sampling measure.
     """
     n = kernel.shape[0]
     if kernel.shape != (n, n) or q.q.shape != (n,):
@@ -342,10 +337,10 @@ def build_basis(
     alpha = -d / 4.0
     qv = q.q
 
-    # one private copy of the kernel becomes L in place; the scalings keep the
-    # operation order of the diagonal products diag(s) @ K @ diag(s)
-    l_sym = kernel.tocsr(copy=True)
-    del kernel  # freed here when the caller handed over its only reference
+    # the kernel becomes L in place; the scalings keep the operation order of
+    # the diagonal products diag(s) @ K @ diag(s)
+    l_sym = kernel.tocsr()
+    del kernel  # l_sym is then the one local name for L, which the dense path frees
     q_s = np.asarray(l_sym.sum(axis=1)).ravel() / qv ** (d * BETA)
     scale_alpha = q_s ** (-alpha)
     _scale_in_place(l_sym, scale_alpha)  # now K_alpha
@@ -402,10 +397,6 @@ def build_basis(
         phi=np.ascontiguousarray(phi),
         lam=lam,
         peq=qv.copy(),
-        eps=float(eps),
-        d=float(d),
-        alpha=float(alpha),
-        beta=BETA,
     )
     m_eff = int(np.count_nonzero(lam < lambda_edge))
     if m > m_eff:
@@ -474,8 +465,15 @@ def _top_eigenpairs(
     dense solve after it, and so does a residual above EIG_RESIDUAL_TOL.
     """
     if path == "dense":
+        # L is moved before it is densified, so that its copy can fill the
+        # memory the freed neighbour table left and the n x n matrix can take
+        # the place L leaves. Densified where it lay, beside that unused
+        # memory, L cost the Lorenz-63 fit (N=2000, M=500) up to 14% more
+        # peak RSS. The move holds 24 z bytes, which passes the 12 z + 8 n^2
+        # of the densified step only when z > 2/3 n^2.
+        l_sym = l_sym.copy()  # the caller's L is freed here if it was the only reference
         h = l_sym.toarray(order="F")
-        del l_sym  # freed here when the caller handed over its only reference
+        del l_sym  # the copy is freed before eigh
         vals, vecs = _rayleigh_ritz(h, m)
         return vals, vecs, 0, None
     n = l_sym.shape[0]

@@ -195,7 +195,14 @@ def _parse_gaussian(args) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.resize(var, mean.size)
 
 
+def _check_steps(args) -> None:
+    """The one check of ``--steps``, for forecast and baseline alike."""
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+
+
 def _cmd_forecast(args) -> int:
+    _check_steps(args)
     basis, op, observables, _ = load_model(args.model)
     mean, var = _parse_gaussian(args)
     if observables.shape[1] != mean.size:
@@ -221,8 +228,7 @@ def _write_moments(out: Path, fc: MomentForecast) -> Path:
 
 
 def _cmd_baseline(args) -> int:
-    if args.steps < 0:
-        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    _check_steps(args)
     if args.method == "ensemble":
         if not args.system:
             raise ValueError("--system is required for the ensemble method")

@@ -33,17 +33,20 @@ class ShiftOperator:
 
     ``a[l, j]`` approximates the inner product of basis function j with the
     time-tau evolution of basis function l; densities evolve by c -> a @ c.
+    ``tau``, the sampling interval one application advances, must be
+    positive and finite.
     """
 
     a: np.ndarray
     tau: float
-    n_pairs: int
 
     def __post_init__(self):
         if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
             raise ValueError("shift operator must be a square matrix")
         if not np.isfinite(self.a).all():
             raise ValueError("shift operator entries must be finite")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"shift operator tau must be positive and finite, got {self.tau}")
 
     @property
     def n_basis(self) -> int:
@@ -98,7 +101,7 @@ def estimate_shift_operator(basis: DiffusionBasis, tau: float) -> ShiftOperator:
     if n < 2:
         raise ValueError("need at least 2 rows to form shift pairs")
     a = phi[1:].T @ phi[:-1] / (n - 1)
-    return ShiftOperator(a=a, tau=float(tau), n_pairs=n - 1)
+    return ShiftOperator(a=a, tau=float(tau))
 
 
 def project_density(p0_values: np.ndarray, basis: DiffusionBasis) -> DensityCoefficients:

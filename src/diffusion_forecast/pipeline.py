@@ -24,10 +24,10 @@ from .tuning import (
 )
 
 # Layout version of the model bundle; load_model reads only this version.
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 # Zip entry date in place of the wall clock, so that equal models give equal bytes.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
-_SCALARS = ("eps", "d", "alpha", "beta", "tau", "n_pairs")
+_SCALARS = ("tau",)
 _ARRAYS = ("points", "peq", "lam", "phi", "a")
 # fit_record sets eps_follows_cap below this table saturation
 # min(N, NEIGHBOR_CAP)/N. With the table of one series cut to narrower widths
@@ -85,10 +85,11 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
         np.exp(-np.square(nl.distances[:, -1])
                / (4.0 * vb_tuning.eps_star * (qb * qb[nl.indices[:, -1]]))) >= KERNEL_FLOOR))
 
-    # build_vb_kernel gets the only reference to the table, which it
-    # consumes, and build_basis the only one to the kernel, so each input is
-    # freed before the next peak: the table's arrays, holding the one-sided
-    # kernel, when build_vb_kernel returns, the kernel once copied
+    # build_vb_kernel gets the only reference to the table and build_basis
+    # the only one to the kernel, and each consumes its input: the table's
+    # arrays hold the one-sided kernel and are freed when build_vb_kernel
+    # returns, and the kernel's arrays become L, freed on the dense path
+    # once densified
     handoff = [nl]
     del nl
     basis, solver = build_basis(
@@ -147,17 +148,20 @@ def save_model(path, basis: DiffusionBasis, operator: ShiftOperator,
 
     Keys: ``format_version`` (int, :data:`MODEL_FORMAT_VERSION`); ``points``
     (N, D), the training points after any delay embedding, in time order;
-    ``peq`` (N,), ``lam`` (M,), ``phi`` (N, M) and the scalars ``eps``,
-    ``d``, ``alpha``, ``beta`` of the basis; ``a`` (M, M), ``tau`` and
-    ``n_pairs`` of the shift operator; ``metadata``, a JSON object string
-    written as strict JSON, so a NaN in it raises ValueError
-    (``build-basis`` writes ``source``, ``lags`` and ``fit``, the
-    :func:`fit_record` of the fit). Every entry is a plain array, so
-    ``np.load(path, allow_pickle=False)`` reads the file. A change to the
-    keys or their meaning takes a new version; :func:`load_model` rejects
-    any other version. The zip entries carry a fixed date, so the bytes
-    depend only on the model. The entries are checked as :func:`load_model`
-    checks them before anything is made, so a rejected model writes nothing.
+    ``peq`` (N,), ``lam`` (M,) and ``phi`` (N, M) of the basis; ``a``
+    (M, M) and the scalar ``tau`` of the shift operator; ``metadata``, a
+    JSON object string written as strict JSON, so a NaN in it raises
+    ValueError (``build-basis`` writes ``source``, ``lags`` and ``fit``, the
+    :func:`fit_record` of the fit, which holds the tunings' eps and d).
+    Every entry is a plain array, so ``np.load(path, allow_pickle=False)``
+    reads the file. A change to the keys or their meaning takes a new
+    version; :func:`load_model` rejects any other version. Version 2 holds
+    the entries above; version 1 also held the basis's ``eps``, ``d``,
+    ``alpha`` and ``beta`` and the operator's ``n_pairs``, and a version-1
+    file is rebuilt with ``build-basis``. The zip entries carry a fixed
+    date, so the bytes depend only on the model. The entries are checked as
+    :func:`load_model` checks them before anything is made, so a rejected
+    model writes nothing.
     """
     import zipfile
 
@@ -165,8 +169,7 @@ def save_model(path, basis: DiffusionBasis, operator: ShiftOperator,
         "format_version": np.int64(MODEL_FORMAT_VERSION),
         "points": np.asarray(points, dtype=float),
         "peq": basis.peq, "lam": basis.lam, "phi": basis.phi,
-        "eps": basis.eps, "d": basis.d, "alpha": basis.alpha, "beta": basis.beta,
-        "tau": operator.tau, "a": operator.a, "n_pairs": np.int64(operator.n_pairs),
+        "a": operator.a, "tau": operator.tau,
         "metadata": json.dumps(metadata or {}, sort_keys=True, allow_nan=False),
     }
     # row-major, so products on a loaded model do not depend on the solver's layout
@@ -207,7 +210,8 @@ def _unpack(entries: dict) -> tuple[DiffusionBasis, ShiftOperator, np.ndarray, d
     """Validate bundle entries and build the model objects from them."""
     version = entries.get("format_version")
     if version is None or version.shape != () or version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"model bundle format_version {version} is not {MODEL_FORMAT_VERSION}")
+        raise ValueError(f"model bundle format_version {version} is not {MODEL_FORMAT_VERSION}; "
+                         "rebuild the model with build-basis")
     missing = [key for key in (*_ARRAYS, *_SCALARS, "metadata") if key not in entries]
     if missing:
         raise ValueError(f"model bundle is missing {', '.join(missing)}")
@@ -225,14 +229,8 @@ def _unpack(entries: dict) -> tuple[DiffusionBasis, ShiftOperator, np.ndarray, d
         if entries[key].shape != shape:
             raise ValueError(f"model bundle {key} has shape {entries[key].shape}, "
                              f"expected {shape} for N={n}, M={m}")
-    if entries["tau"] <= 0:
-        raise ValueError("model bundle tau must be positive")
-    basis = DiffusionBasis(
-        phi=phi, lam=entries["lam"], peq=entries["peq"],
-        **{key: float(entries[key]) for key in ("eps", "d", "alpha", "beta")},
-    )
-    operator = ShiftOperator(a=entries["a"], tau=float(entries["tau"]),
-                             n_pairs=int(entries["n_pairs"]))
+    basis = DiffusionBasis(phi=phi, lam=entries["lam"], peq=entries["peq"])
+    operator = ShiftOperator(a=entries["a"], tau=float(entries["tau"]))
     metadata = json.loads(str(entries["metadata"]))
     if not isinstance(metadata, dict):
         raise ValueError("model bundle metadata must be a JSON object")

@@ -231,6 +231,8 @@ def simulate_torus(
     ``burn_in`` leading samples are discarded so recording starts near the
     invariant measure.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 import diffusion_forecast.basis as basis_mod
 import diffusion_forecast.dataset as dataset_mod
 from diffusion_forecast.basis import (
+    BETA,
     EIG_RESIDUAL_TOL,
     NEIGHBOR_CAP,
     DiffusionBasis,
@@ -229,7 +230,8 @@ class TestBuildBasis:
         basis = fit.basis
         kernel = build_vb_kernel(knn(circle_series_3000, 1024), fit_density(fit),
                                  fit.vb_tuning.eps_star)
-        l_sym = sparse_product_operator(kernel, fit_density(fit), basis.eps, basis.d, basis.beta)
+        l_sym = sparse_product_operator(kernel, fit_density(fit), fit.vb_tuning.eps_star,
+                                        fit.vb_tuning.d_est, BETA)
         n = basis.n_points
         energy = -np.sum(basis.phi * (l_sym @ basis.phi), axis=0) / n
         lam = basis.lam
@@ -260,6 +262,8 @@ class TestBuildBasis:
         eps, d = fit.vb_tuning.eps_star, fit.vb_tuning.d_est
         density = fit_density(fit)
         kernel = build_vb_kernel(knn(circle_series_3000, 64), density, eps)
+        # build_basis normalizes the kernel in place, so the oracle reads a copy
+        want = sparse_product_operator(kernel.copy(), density, eps, d, -0.5)
         seen = []
         real = basis_mod._top_eigenpairs
 
@@ -270,21 +274,29 @@ class TestBuildBasis:
         monkeypatch.setattr(basis_mod, "_top_eigenpairs", solve)
         build_basis(kernel, density, eps, d, 4)
         (got,) = seen
-        want = sparse_product_operator(kernel, density, eps, d, -0.5)
         assert got.has_sorted_indices and want.has_sorted_indices
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)  # bitwise: the same operation order
 
-    def test_leaves_the_callers_kernel_unchanged(self, circle_series_3000, circle_fit_3000):
+    def test_the_kernel_it_is_handed_is_the_L_it_solves(self, monkeypatch, circle_series_3000,
+                                                        circle_fit_3000):
+        # the L that reaches the eigensolver is the kernel passed in,
+        # normalized in its own arrays
         fit = circle_fit_3000
         kernel = build_vb_kernel(knn(circle_series_3000, 64), fit_density(fit),
                                  fit.vb_tuning.eps_star)
-        before = [a.copy() for a in (kernel.indptr, kernel.indices, kernel.data)]
+        shared = []
+        real = basis_mod._top_eigenpairs
+
+        def solve(l_sym, m, route):
+            shared.append([np.shares_memory(getattr(l_sym, name), getattr(kernel, name))
+                           for name in ("indptr", "indices", "data")])
+            return real(l_sym, m, route)
+
+        monkeypatch.setattr(basis_mod, "_top_eigenpairs", solve)
         build_basis(kernel, fit_density(fit), fit.vb_tuning.eps_star, fit.vb_tuning.d_est, 4)
-        for was, now in zip(before, (kernel.indptr, kernel.indices, kernel.data)):
-            assert was.dtype == now.dtype
-            assert np.array_equal(was, now)
+        assert shared == [[True, True, True]]
 
     def test_m_out_of_range(self, circle_series_3000, circle_fit_3000):
         fit = circle_fit_3000
@@ -306,8 +318,9 @@ class TestBuildBasis:
 class TestSpectralEdge:
     def test_circle_basis_is_below_the_edge(self, circle_fit_3000):
         basis, record = circle_fit_3000.basis, circle_fit_3000.solver
-        # Dhat = eps q^(2 beta), from the basis's own eps, peq and beta
-        assert record.lambda_edge == (1.0 / (basis.eps * basis.peq ** (2.0 * basis.beta))).min()
+        # Dhat = eps q^(2 beta), from the tuned vb eps, the basis's peq and BETA
+        eps = circle_fit_3000.vb_tuning.eps_star
+        assert record.lambda_edge == (1.0 / (eps * basis.peq ** (2.0 * BETA))).min()
         assert record.lambda_edge == pytest.approx(114, rel=0.01)
         assert record.m_eff == np.count_nonzero(basis.lam < record.lambda_edge) == 10
 
@@ -440,11 +453,8 @@ class TestSerialization:
         assert np.array_equal(back.phi, basis.phi)
         assert np.array_equal(back.lam, basis.lam)
         assert np.array_equal(back.peq, basis.peq)
-        assert back.eps == basis.eps and back.d == basis.d
-        assert back.alpha == basis.alpha and back.beta == basis.beta
 
 
 def test_diffusion_basis_shape_validation():
     with pytest.raises(ValueError):
-        DiffusionBasis(phi=np.ones((5, 2)), lam=np.zeros(3), peq=np.ones(5),
-                       eps=0.1, d=1.0, alpha=-0.25, beta=-0.5)
+        DiffusionBasis(phi=np.ones((5, 2)), lam=np.zeros(3), peq=np.ones(5))

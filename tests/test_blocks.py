@@ -8,6 +8,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import diffusion_forecast.basis as basis_mod
 import diffusion_forecast.dataset as dataset_mod
@@ -240,8 +241,7 @@ class TestLifetimes:
 
     def test_the_table_is_freed_once_the_symmetrization_returns(self, monkeypatch):
         # the table's arrays hold the one-sided kernel, which the
-        # symmetrization reads; they are freed before build_basis copies
-        # the kernel
+        # symmetrization reads; they are freed before build_basis runs
         table, seen = [], []
         self.watch(monkeypatch, pipeline_mod, "knn", table)
         self.check_at(monkeypatch, basis_mod, "_symmetrize", table, seen)
@@ -261,26 +261,34 @@ class TestLifetimes:
         ts = series()
         refs, seen = [], []
         self.watch(monkeypatch, pipeline_mod, "build_vb_kernel", refs)
-        # _scale_in_place scales build_basis's copy of the kernel, L, twice
+        # _scale_in_place scales the kernel, which becomes L, twice, and the
+        # dense path densifies a moved copy of L
         self.watch(monkeypatch, basis_mod, "_scale_in_place", refs, first_arg=True)
+        self.watch(monkeypatch, sp.csr_matrix, "toarray", refs, first_arg=True)
         self.check_at(monkeypatch, basis_mod, "eigh", refs, seen,
                       when=lambda h, *args: h.shape[0] == ts.n_points)
         fit = fit_forecaster(ts, m)
         assert fit.solver.path == "dense"
-        assert len(refs) == 12  # three matrices and their three arrays each
-        assert seen == [[True] * 12]
+        assert len(refs) == 16  # L at four calls, and its three arrays each time
+        assert seen == [[True] * 16]
 
-    def test_a_kernel_the_caller_holds_is_left_unchanged(self, monkeypatch):
+    def test_a_kernel_the_caller_holds_is_the_L_handed_to_the_eigensolver(self, monkeypatch):
+        # the caller's kernel is normalized into L in its own arrays and
+        # handed to the eigensolver as it is; the basis is the fit's bit for bit
         ts = simulate_lorenz63(400, seed=3)
         fit = fit_forecaster(ts, 40)
         density = DensityEstimate(q=fit.basis.peq)
         kernel = build_vb_kernel(knn(ts, 400), density, fit.vb_tuning.eps_star)
-        before = [a.copy() for a in (kernel.indptr, kernel.indices, kernel.data)]
-        operator, seen = [], []
-        self.watch(monkeypatch, basis_mod, "_scale_in_place", operator, first_arg=True)
-        self.check_at(monkeypatch, basis_mod, "eigh", operator, seen,
-                      when=lambda h, *args: h.shape[0] == ts.n_points)
-        basis_mod.build_basis(kernel, density, fit.vb_tuning.eps_star, fit.vb_tuning.d_est, 40)
-        assert seen == [[True] * 8]  # L is freed all the same
-        for was, now in zip(before, (kernel.indptr, kernel.indices, kernel.data)):
-            assert was.dtype == now.dtype and np.array_equal(was, now)
+        solved = []
+        real = basis_mod._top_eigenpairs
+
+        def solve(l_sym, m, path):
+            solved.append((path, l_sym is kernel, np.shares_memory(l_sym.data, kernel.data)))
+            return real(l_sym, m, path)
+
+        monkeypatch.setattr(basis_mod, "_top_eigenpairs", solve)
+        basis, _ = basis_mod.build_basis(kernel, density, fit.vb_tuning.eps_star,
+                                         fit.vb_tuning.d_est, 40)
+        assert solved == [("dense", True, True)]
+        for name in ("phi", "lam", "peq"):
+            assert np.array_equal(getattr(basis, name), getattr(fit.basis, name))

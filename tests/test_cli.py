@@ -132,7 +132,7 @@ def test_model_is_one_file(run, refit):
     basis, op, points, metadata = load_model(run["model"])
     series = load_series(run["dir"] / "sim" / "torus_embedded.csv", "csv", tau=0.1)[0]
     assert np.array_equal(points, series.points)
-    assert op.tau == 0.1 and op.n_pairs == N_SAMPLES - 1 and basis.n_basis == 40
+    assert op.tau == 0.1 and basis.n_points == N_SAMPLES and basis.n_basis == 40
     assert metadata == {"source": str(run["dir"] / "sim" / "torus_embedded.csv"), "lags": 1,
                         "fit": fit_record(refit)}
 
@@ -221,6 +221,15 @@ def test_baseline_rejects_a_bad_count(run, tmp_path, capsys, method, flag, value
                  "--var", "0.01", "--steps", args["--steps"], "--k", args["--k"],
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.parent.exists()
+
+
+def test_forecast_rejects_negative_steps(run, tmp_path, capsys):
+    out = tmp_path / "out" / "forecast.csv"
+    assert main(["forecast", "--model", str(run["model"]), "--mean", _vector(run["mean"]),
+                 "--var", repr(VAR), "--steps", _STEPS[1], "--out", str(out),
+                 "--dump-density"]) == 1
+    assert capsys.readouterr().err == f"error: {_STEPS[2]}\n"
     assert not out.parent.exists()
 
 

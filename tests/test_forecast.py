@@ -44,8 +44,7 @@ def synthetic_basis(n=500, m=6, seed=0):
     if phi[:, 0].mean() < 0:
         phi[:, 0] *= -1
     lam = np.arange(m, dtype=float)
-    return DiffusionBasis(phi=phi, lam=lam, peq=np.full(n, 0.2), eps=0.1, d=1.0,
-                          alpha=-0.25, beta=-0.5)
+    return DiffusionBasis(phi=phi, lam=lam, peq=np.full(n, 0.2))
 
 
 class TestEstimateShiftOperator:
@@ -54,15 +53,14 @@ class TestEstimateShiftOperator:
         # the state holds still for runs of 100 samples, so x_{i+1} = x_i on
         # all but the 39 pairs that cross from one run to the next
         phi = np.repeat(basis.phi, 100, axis=0)
-        static = DiffusionBasis(phi=phi, lam=basis.lam, peq=np.full(4000, 0.2),
-                                eps=0.1, d=1.0, alpha=-0.25, beta=-0.5)
+        static = DiffusionBasis(phi=phi, lam=basis.lam, peq=np.full(4000, 0.2))
         op = estimate_shift_operator(static, tau=1.0)
         assert np.allclose(op.a, np.eye(5), atol=0.1)
 
     def test_mass_row_is_unit_vector(self, circle_fit_3000):
         op = circle_fit_3000.operator
         row0 = op.a[0]
-        tol = 2.0 / np.sqrt(op.n_pairs)
+        tol = 2.0 / np.sqrt(circle_fit_3000.basis.n_points - 1)  # one over each shift pair
         assert abs(row0[0] - 1.0) < tol
         assert np.all(np.abs(row0[1:]) < tol)
 
@@ -150,32 +148,32 @@ class TestStep:
     """Operator steps through ``evolve_coefficients``."""
 
     def test_zero_steps_is_identity(self):
-        op = ShiftOperator(a=np.eye(3) * 0.5 + 0.5, tau=0.1, n_pairs=10)
+        op = ShiftOperator(a=np.eye(3) * 0.5 + 0.5, tau=0.1)
         c = np.array([1.0, 0.2, -0.1])
         out = evolve_coefficients(c, op, 0)
         assert np.array_equal(out, c)
 
     def test_negative_steps_rejected(self):
-        op = ShiftOperator(a=np.diag([1.0, 0.8]), tau=1.0, n_pairs=10)
+        op = ShiftOperator(a=np.diag([1.0, 0.8]), tau=1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             evolve_coefficients(np.array([1.0, 0.8]), op, -3)
 
     def test_mass_repinned_each_step(self):
         a = np.array([[2.0, 0.0], [0.0, 1.0]])
-        op = ShiftOperator(a=a, tau=1.0, n_pairs=10)
+        op = ShiftOperator(a=a, tau=1.0)
         out = evolve_coefficients(np.array([1.0, 0.8]), op, 3)
         assert out[0] == 1.0
         assert out[1] == pytest.approx(0.8 / 8.0)
 
     def test_overflow_detected(self):
         a = np.diag([1.0, 3.0])
-        op = ShiftOperator(a=a, tau=1.0, n_pairs=10)
+        op = ShiftOperator(a=a, tau=1.0)
         with pytest.raises(FloatingPointError):
             evolve_coefficients(np.array([1.0, 1.0]), op, 40)
 
     def test_nonpositive_mass_detected(self):
         a = np.diag([-1.0, 1.0])
-        op = ShiftOperator(a=a, tau=1.0, n_pairs=10)
+        op = ShiftOperator(a=a, tau=1.0)
         with pytest.raises(ValueError, match="mass"):
             evolve_coefficients(np.array([1.0, 1.0]), op, 1)
 
@@ -183,14 +181,20 @@ class TestStep:
                                         [[1.0, 1.0], [0.5, np.nan]]],
                              ids=["coefficient", "mass-coefficient", "batch-column"])
     def test_nan_coefficient_fails_loudly(self, coeffs):
-        op = ShiftOperator(a=np.diag([1.0, 0.8]), tau=1.0, n_pairs=10)
+        op = ShiftOperator(a=np.diag([1.0, 0.8]), tau=1.0)
         with pytest.raises(FloatingPointError, match="non-finite or overflowing coefficient"):
             evolve_coefficients(np.array(coeffs), op, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            ShiftOperator(a=np.array([[1.0, 0.0], [bad, 0.8]]), tau=1.0, n_pairs=10)
+            ShiftOperator(a=np.array([[1.0, 0.0], [bad, 0.8]]), tau=1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_tau_that_is_not_positive_and_finite_rejected(self, tau):
+        # lead_times would be tau * lead: zero, negative, NaN or infinite
+        with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau}"):
+            ShiftOperator(a=np.eye(2), tau=tau)
 
     def test_batch_matches_loop(self, circle_fit_3000):
         basis = circle_fit_3000.basis
@@ -269,7 +273,7 @@ class TestReconstructAndMoments:
         # a zero-lead ladder makes no operator step, so only the readout
         # itself can catch them
         basis = synthetic_basis(n=100, m=3)
-        op = ShiftOperator(a=np.eye(3), tau=1.0, n_pairs=99)
+        op = ShiftOperator(a=np.eye(3), tau=1.0)
         g = basis.phi[:, 1:3]
         with pytest.raises(ValueError, match="coefficients must be finite"):
             forecast_moments(np.array(coeffs), basis, g)
@@ -335,7 +339,7 @@ class TestObservableReadout:
 
     def test_twenty_lead_ladder_reads_out_once(self):
         basis, calls = self.counting_basis()
-        op = ShiftOperator(a=np.diag([1.0, 0.9, 0.8, 0.7, 0.6]), tau=0.5, n_pairs=299)
+        op = ShiftOperator(a=np.diag([1.0, 0.9, 0.8, 0.7, 0.6]), tau=0.5)
         cols = np.tile(np.eye(5)[0][:, None], (1, 3))
         cols[1] = [0.1, -0.2, 0.3]
         fc = forecast_ladder(cols, op, basis, basis.phi[:, 1:3] + 0.5, 20)
@@ -345,8 +349,7 @@ class TestObservableReadout:
     @pytest.mark.parametrize("name", ["phi", "lam", "peq"])
     def test_basis_arrays_are_read_only(self, name):
         given = synthetic_basis(n=50, m=3).phi.copy()
-        basis = DiffusionBasis(phi=given, lam=np.arange(3.0), peq=np.full(50, 0.2),
-                               eps=0.1, d=1.0, alpha=-0.25, beta=-0.5)
+        basis = DiffusionBasis(phi=given, lam=np.arange(3.0), peq=np.full(50, 0.2))
         with pytest.raises(ValueError, match="read-only"):
             getattr(basis, name)[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -429,7 +432,7 @@ class TestOperatorSerialization:
         path = save_model(tmp_path / "model.npz", fit.basis, op, circle_series_3000.points)
         back = load_model(path)[1]
         assert np.array_equal(back.a, op.a)
-        assert back.tau == op.tau and back.n_pairs == op.n_pairs
+        assert back.tau == op.tau
 
 
 class TestUnbiasednessSurrogate:

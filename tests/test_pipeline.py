@@ -24,8 +24,10 @@ from diffusion_forecast.pipeline import (
 )
 from diffusion_forecast.simulators import simulate_lorenz63
 
-KEYS = {"format_version", "points", "peq", "lam", "phi", "eps", "d", "alpha", "beta",
-        "tau", "a", "n_pairs", "metadata"}
+KEYS = {"format_version", "points", "peq", "lam", "phi", "a", "tau", "metadata"}
+# the scalars a format-1 bundle held beside the format-2 entries
+FORMAT_1_SCALARS = {"eps": np.float64(0.01), "d": np.float64(2.0), "alpha": np.float64(-0.5),
+                    "beta": np.float64(-0.5), "n_pairs": np.int64(199)}
 
 
 def small_model(n=200, m=4, seed=0):
@@ -37,7 +39,7 @@ def small_model(n=200, m=4, seed=0):
     a[:, 0] = 1.0
     q, _ = np.linalg.qr(a)
     basis = DiffusionBasis(phi=q * np.sqrt(n), lam=np.arange(m, dtype=float),
-                           peq=rng.uniform(0.5, 1.5, n), eps=0.01, d=2.0, alpha=-0.5, beta=-0.5)
+                           peq=rng.uniform(0.5, 1.5, n))
     return basis, estimate_shift_operator(basis, tau=0.1), points
 
 
@@ -155,10 +157,8 @@ class TestModelBundle:
         basis, op, points, meta = load_model(path)
         for name in ("phi", "lam", "peq"):
             assert np.array_equal(getattr(basis, name), getattr(fit.basis, name))
-        for name in ("eps", "d", "alpha", "beta"):
-            assert getattr(basis, name) == getattr(fit.basis, name)
         assert np.array_equal(op.a, fit.operator.a)
-        assert op.tau == fit.operator.tau and op.n_pairs == fit.operator.n_pairs
+        assert op.tau == fit.operator.tau
         assert np.array_equal(points, circle_series_3000.points)
         assert meta == metadata
 
@@ -210,9 +210,13 @@ class TestModelBundle:
         pytest.param(lambda e: {"tau": np.float64(-0.1)}, "tau must be positive", id="tau-negative"),
         pytest.param(lambda e: {"format_version": np.int64(MODEL_FORMAT_VERSION + 1)},
                      "format_version", id="version"),
+        pytest.param(lambda e: {"format_version": np.int64(MODEL_FORMAT_VERSION - 1),
+                                **FORMAT_1_SCALARS},
+                     f"format_version {MODEL_FORMAT_VERSION - 1} is not {MODEL_FORMAT_VERSION}; "
+                     "rebuild the model with build-basis", id="format-1"),
         pytest.param(lambda e: {"phi": np.where(np.eye(*e["phi"].shape) > 0, np.nan, e["phi"])},
                      "finite", id="phi-nan"),
-        pytest.param(lambda e: {"eps": np.float64(np.inf)}, "finite", id="eps-inf"),
+        pytest.param(lambda e: {"tau": np.float64(np.inf)}, "finite", id="tau-inf"),
         pytest.param(lambda e: {"peq": -e["peq"]}, "must be positive", id="peq-negative"),
         pytest.param(lambda e: {"metadata": np.array(json.dumps([1]))}, "JSON object",
                      id="metadata-list"),

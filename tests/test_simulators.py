@@ -262,6 +262,15 @@ class TestTorus:
         d = (d + np.pi) % TWO_PI - np.pi  # unwrap single-step increments
         assert np.mean(np.abs(d[:, 1])) > np.mean(np.abs(d[:, 0]))
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_no_samples_rejected_before_simulating(self, monkeypatch, n_samples):
+        def euler_maruyama(*args, **kwargs):
+            raise AssertionError("the torus was simulated")
+
+        monkeypatch.setattr(simulators, "euler_maruyama", euler_maruyama)
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
+            simulate_torus(n_samples, 0.1, 2)
+
     def test_negative_burn_in_rejected(self):
         # points[-5:] would silently keep only the last 5 samples
         with pytest.raises(ValueError, match="burn_in"):
