@@ -13,7 +13,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_ladder
-from .dataset import delay_embed, load_series, read_csv, write_csv, write_json, write_series_csv
+from .dataset import (SERIES_FORMATS, delay_embed, load_series, read_csv, write_csv, write_json,
+                      write_series_csv)
 from .evaluation import load_config, rmse_and_correlation
 from .experiments import (
     lorenz_config,
@@ -73,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fit the forecaster (basis and shift operator) to a series "
                             "and save it as one model file")
     p.add_argument("--series", required=True, help="series CSV (written by simulate) or text file")
-    p.add_argument("--format", default="csv",
-                   choices=["csv", "single-column", "two-column-dated", "noaa-monthly-grid"],
+    p.add_argument("--format", default="csv", choices=SERIES_FORMATS,
                    help="layout of --series: csv (a header row, then one column per "
                         "coordinate, as simulate writes), single-column (one value a line), "
                         "two-column-dated (YYYY-MM,value lines) or noaa-monthly-grid "
@@ -115,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=["torus", "lorenz63"],
                    help="true model for the ensemble method")
     p.add_argument("--n-ens", type=int, default=10000)
-    p.add_argument("--substeps", type=int, default=10)
+    p.add_argument("--substeps", type=int, default=50,
+                   help="steps per sample for the torus; Lorenz-63 steps at most 0.01")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_baseline)
@@ -138,8 +139,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _substeps(args, dt: float) -> int:
+    """Steps per sample of ``dt``: ``--substeps`` for the torus; Lorenz-63 steps at most 0.01."""
+    return args.substeps if args.system == "torus" else lorenz_substeps(dt)
+
+
 def _cmd_simulate(args) -> int:
-    substeps = args.substeps if args.system == "torus" else lorenz_substeps(args.dt)
+    substeps = _substeps(args, args.dt)
     if args.system == "torus":
         series = dict(zip(("torus_intrinsic.csv", "torus_embedded.csv"),
                           simulate_torus(args.n_samples, args.dt, substeps, args.seed)))
@@ -241,7 +247,7 @@ def _cmd_baseline(args) -> int:
     if args.method == "ensemble":
         model = torus_model() if args.system == "torus" else lorenz_model()
         fc = ensemble_forecast(model, init, args.n_ens, args.steps, args.seed,
-                               dt_sample=args.tau, substeps=args.substeps)
+                               dt_sample=args.tau, substeps=_substeps(args, args.tau))
     elif args.method == "local-linear":
         fc = local_linear_ladder(ts, init, args.steps, k=args.k)
     else:
@@ -279,22 +285,20 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    factories = {"torus": torus_config, "lorenz63": lorenz_config, "nino34": nino_config}
+    # the published Nino-3.4 sizes are its desk sizes, so --paper-scale changes nothing there
+    factories = {"torus": torus_config, "lorenz63": lorenz_config,
+                 "nino34": lambda paper_scale: nino_config()}
     config = factories[args.name](paper_scale=args.paper_scale)
     if args.config:
         config = load_config(args.config, base=config)
     flags = {"seed": args.seed, "out_dir": args.out_dir, "data_path": args.data}
     config = replace(config, **{key: value for key, value in flags.items() if value is not None})
-    if args.name == "torus":
-        result = run_torus_experiment(config)
-        print(f"wrote {result.csv_path}")
-    elif args.name == "lorenz63":
-        result = run_lorenz_experiment(config)
-        for run in result.runs.values():
-            print(f"wrote {run.csv_path}")
-    else:
+    if args.name == "nino34":
         result = run_nino_experiment(config)
         print(f"wrote {result.skill_csv_path} and {result.lead14_csv_path}")
+    else:
+        run = run_torus_experiment if args.name == "torus" else run_lorenz_experiment
+        print(f"wrote {run(config).csv_path}")
     return 0
 
 

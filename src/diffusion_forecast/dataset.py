@@ -172,11 +172,15 @@ def _noaa_monthly_grid(line: str, line_no: int):
     return (int(tokens[0]), 1), [float(tok) for tok in tokens[1:]]
 
 
-_ROW_PARSERS = {
-    "single-column": _single_column,
+_DATED_PARSERS = {
     "two-column-dated": _two_column_dated,
     "noaa-monthly-grid": _noaa_monthly_grid,
 }
+_ROW_PARSERS = {"single-column": _single_column, **_DATED_PARSERS}
+
+# The formats load_series reads, and those of them whose rows carry a date.
+SERIES_FORMATS = ("csv", *_ROW_PARSERS)
+DATED_FORMATS = tuple(_DATED_PARSERS)
 
 
 def delay_embed(ts: TimeSeries, lags: int) -> TimeSeries:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import DATED_FORMATS
+
 
 @dataclass(frozen=True)
 class SkillReport:
@@ -109,20 +111,22 @@ def rmse_and_correlation(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for the experiment drivers.
+    """Knobs for the experiment drivers; the driver a config is passed to
+    is the experiment it runs.
 
-    Desk-scale defaults keep runtimes in minutes on one core; pass
-    ``paper_scale=True`` (or the CLI flag) for the published configuration.
+    Desk-scale defaults keep runtimes in minutes on one core; the presets
+    ``torus_config`` and ``lorenz_config`` take ``paper_scale=True`` (the
+    CLI's ``--paper-scale``) for the published sizes.
     Of the fit, only ``n_basis`` is a key: the neighbour cap NEIGHBOR_CAP,
     the kernel exponent BETA, the ad-hoc bandwidth's k0 = 8 and the shift
     map's use of every consecutive pair are constants of ``fit_forecaster``.
     ``data_format``, the layout of the Nino-3.4 file, is one of the dated
-    formats of ``load_series``: ``two-column-dated`` or ``noaa-monthly-grid``.
+    formats of ``load_series``, ``dataset.DATED_FORMATS``.
     ``out_dir`` is the one setting for where a run writes: each driver
-    writes under ``out_dir/<experiment>``, and its manifest records it.
+    writes under ``out_dir/<torus|lorenz63|nino34>``, and its manifest
+    records it.
     """
 
-    experiment: str = "custom"
     n_samples: int = 8000
     dt: float = 0.1
     n_basis: int = 400
@@ -137,7 +141,6 @@ class ExperimentConfig:
     data_path: str = ""
     data_format: str = "noaa-monthly-grid"
     out_dir: str = "runs"
-    paper_scale: bool = False
     with_ensemble: bool = True
 
     def __post_init__(self):
@@ -155,11 +158,9 @@ _POSITIVE = ("dt", "init_variance", "perturbation_variance")
 def _check_field(name: str, value) -> None:
     """ValueError if ``value`` is not allowed for the config key ``name`` on
     its own; checks that tie keys together stay in ``__post_init__``."""
-    if name == "experiment" and value not in ("torus", "lorenz63", "nino34", "custom"):
-        raise ValueError(f"unknown experiment {value!r}")
-    if name == "data_format" and value not in ("two-column-dated", "noaa-monthly-grid"):
-        raise ValueError(f"data_format must be a dated format, two-column-dated or "
-                         f"noaa-monthly-grid, got {value!r}")
+    if name == "data_format" and value not in DATED_FORMATS:
+        raise ValueError(f"data_format must be a dated format, {' or '.join(DATED_FORMATS)}, "
+                         f"got {value!r}")
     if name in _MINIMUMS and value < _MINIMUMS[name]:
         raise ValueError(f"{name} must be >= {_MINIMUMS[name]}")
     if name in _POSITIVE and not (math.isfinite(value) and value > 0):

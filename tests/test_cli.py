@@ -2,6 +2,8 @@
 baseline -> evaluate, on a small torus series."""
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from diffusion_forecast.baselines import GaussianState, ensemble_forecast
 from diffusion_forecast.cli import main
 from diffusion_forecast.dataset import load_series
+from diffusion_forecast.experiments import lorenz_config, torus_config
 from diffusion_forecast.forecast import (
     evolve_ladder,
     forecast_ladder,
@@ -16,7 +19,7 @@ from diffusion_forecast.forecast import (
     project_density,
 )
 from diffusion_forecast.pipeline import fit_forecaster, fit_record, load_model, save_model
-from diffusion_forecast.simulators import lorenz_model, simulate_lorenz63
+from diffusion_forecast.simulators import lorenz_model, lorenz_substeps, simulate_lorenz63, torus_model
 
 N_SAMPLES = 1500
 STEPS = 5
@@ -179,6 +182,48 @@ def test_ensemble_baseline_needs_no_series(tmp_path):
                                                          cov=np.diag(np.full(3, 0.01))),
                            50, 3, 0, dt_sample=0.1, substeps=10)
     assert np.array_equal(rows, np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)]))
+
+
+@pytest.mark.parametrize("system, tau, substeps", [
+    ("lorenz63", 0.5, lorenz_substeps(0.5)), ("torus", 0.1, 50),
+])
+def test_ensemble_baseline_integrates_as_simulate_does(tmp_path, system, tau, substeps):
+    # Lorenz-63 steps at most 0.01 whatever --substeps says; the torus takes --substeps, 50
+    out = tmp_path / "ensemble.csv"
+    mean = [1.0, 1.0, 25.0] if system == "lorenz63" else [1.0, 2.0]
+    assert main(["baseline", "--method", "ensemble", "--system", system, "--tau", repr(tau),
+                 "--mean", ",".join(map(repr, mean)), "--var", "0.01", "--steps", "3",
+                 "--n-ens", "20", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    model = lorenz_model() if system == "lorenz63" else torus_model()
+    mf = ensemble_forecast(model, GaussianState(mean=np.array(mean), cov=0.01 * np.eye(len(mean))),
+                           20, 3, 0, dt_sample=tau, substeps=substeps)
+    assert np.array_equal(rows, np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)]))
+
+
+_PRESET_SIZES = ("n_samples", "n_basis", "n_verify", "lead_steps", "n_ens", "dt")
+
+
+@pytest.mark.parametrize("name, driver, flags, sizes", [
+    ("torus", "run_torus_experiment", ["--paper-scale"], (20000, 1000, 500, 100, 50000, 0.1)),
+    ("torus", "run_torus_experiment", [], (8000, 400, 500, 100, 10000, 0.1)),
+    ("lorenz63", "run_lorenz_experiment", ["--paper-scale"], (10000, 4500, 5000, 100, 50000, 0.1)),
+    ("lorenz63", "run_lorenz_experiment", [], (6000, 1000, 500, 80, 200, 0.1)),
+], ids=["torus-paper-scale", "torus-desk", "lorenz-paper-scale", "lorenz-desk"])
+def test_paper_scale_reaches_the_driver_as_the_preset(tmp_path, monkeypatch, capsys,
+                                                      name, driver, flags, sizes):
+    from diffusion_forecast import cli
+
+    seen = []
+    csv_path = tmp_path / "out.csv"
+    monkeypatch.setattr(cli, driver, lambda config: seen.append(config) or SimpleNamespace(
+        csv_path=csv_path))
+    assert main(["experiment", name, *flags, "--out-dir", str(tmp_path)]) == 0
+    (config,) = seen
+    preset = {"torus": torus_config, "lorenz63": lorenz_config}[name]
+    assert config == replace(preset(paper_scale=bool(flags)), out_dir=str(tmp_path))
+    assert tuple(getattr(config, key) for key in _PRESET_SIZES) == sizes
+    assert capsys.readouterr().out == f"wrote {csv_path}\n"
 
 
 @pytest.mark.parametrize("method, missing", [

@@ -93,7 +93,11 @@ def test_values_take_the_type_of_their_key(tmp_path):
     ("dt = 0.1\nn_basis = abc\n", 2, "config key n_basis: expected int, got 'abc'"),
     ("dt = fast\n", 1, "config key dt: expected float, got 'fast'"),
     ("# flags\nwith_ensemble = maybe\n", 2, "config key with_ensemble: expected bool, got 'maybe'"),
-], ids=["unknown-key", "no-equals", "bad-int", "bad-float", "bad-bool"])
+    # the driver a config is passed to is its experiment; the presets pick the paper's sizes
+    ("# run\nexperiment = torus\n", 2, "unknown config key 'experiment'"),
+    ("paper_scale = true\n", 1, "unknown config key 'paper_scale'"),
+], ids=["unknown-key", "no-equals", "bad-int", "bad-float", "bad-bool", "experiment-key",
+        "paper-scale-key"])
 def test_a_bad_line_is_named(tmp_path, text, line, match):
     path = write(tmp_path, text)
     with pytest.raises(ValueError, match=match) as err:
@@ -103,7 +107,6 @@ def test_a_bad_line_is_named(tmp_path, text, line, match):
 
 @pytest.mark.parametrize("text, where, match", [
     ("dt = 0.1\nn_basis = 0\n", ":2: ", "n_basis must be >= 1"),
-    ("# run\nexperiment = circle\n", ":2: ", "unknown experiment 'circle'"),
     ("init_variance = -0.5\n", ":1: ", "init_variance must be positive"),
     ("n_basis = 30\ndt = nan\n", ":2: ", "dt must be positive and finite, got nan"),
     ("perturbation_variance = inf\n", ":1: ", "perturbation_variance must be positive and finite"),
@@ -111,7 +114,7 @@ def test_a_bad_line_is_named(tmp_path, text, line, match):
      "data_format must be a dated format, two-column-dated or noaa-monthly-grid, got 'fancy'"),
     # a check that ties two keys together names the file only
     ("n_samples = 100\nn_basis = 200\n", ": ", "n_basis cannot exceed n_samples"),
-], ids=["below-minimum", "unknown-experiment", "not-positive", "nan-step", "inf-variance",
+], ids=["below-minimum", "not-positive", "nan-step", "inf-variance",
         "unknown-data-format", "cross-field"])
 def test_a_rejected_value_is_located(tmp_path, text, where, match):
     path = write(tmp_path, text)

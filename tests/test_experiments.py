@@ -63,17 +63,55 @@ def test_lorenz_experiment(tmp_path):
     config = replace(lorenz_config(), n_samples=1400, n_basis=60, n_verify=200,
                      lead_steps=20, n_ens=20)
     result = run_lorenz_experiment(replace(config, out_dir=str(tmp_path)))
-    (run,) = result.runs.values()
-    header, rows = _read_csv(run.csv_path)
+    assert result.dt == config.dt
+    header, rows = _read_csv(result.csv_path)
     assert header == ["lead_time"] + [f"{stat}_{name}"
                                       for name in ("diffusion", "local_linear", "iterated", "ensemble")
                                       for stat in ("rmse", "stdev")]
     assert rows.shape == (21, 9)
     assert np.all(np.isfinite(rows))
-    assert _manifest_keys(result.manifest_path) == {"config", "dts", "clim_stdev", "fit"}
-    records = json.loads(result.manifest_path.read_text())["fit"]
-    assert list(records) == [repr(config.dt)]
-    _check_fit_record(records[repr(config.dt)], run.fit)
+    assert _manifest_keys(result.manifest_path) == {"config", "clim_stdev", "fit"}
+    manifest = json.loads(result.manifest_path.read_text())
+    assert isinstance(manifest["clim_stdev"], float) and manifest["clim_stdev"] > 0
+    _check_fit_record(manifest["fit"], result.fit)
+
+
+def test_lorenz_paper_scale_at_the_second_interval_writes_that_run_alone(tmp_path):
+    # the paper's dt = 0.5 forecasts are a second run of the preset, not a side effect
+    config = replace(lorenz_config(paper_scale=True), dt=0.5, n_samples=1000, n_basis=30,
+                     n_verify=100, lead_steps=8, n_ens=20, out_dir=str(tmp_path))
+    result = run_lorenz_experiment(config)
+    where = tmp_path / "lorenz63"
+    assert sorted(path.name for path in where.iterdir()) == ["lorenz_skill_dt0.5.csv",
+                                                             "manifest.json"]
+    _, rows = _read_csv(result.csv_path)
+    assert np.allclose(rows[:, 0], np.arange(9) * 0.5)
+    assert json.loads(result.manifest_path.read_text())["config"]["dt"] == 0.5
+
+
+@pytest.mark.parametrize("config, refused", [
+    (lorenz_config(paper_scale=True), True),
+    (replace(lorenz_config(paper_scale=True), with_ensemble=False), False),
+    (lorenz_config(), False),
+], ids=["paper-scale", "paper-scale-without-ensemble", "desk"])
+def test_lorenz_experiment_refuses_an_ensemble_larger_than_memory_before_simulating(
+        tmp_path, monkeypatch, config, refused):
+    from diffusion_forecast import experiments
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("the series was simulated")
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 20}  # a 4.29 GB machine
+    monkeypatch.setattr(experiments, "simulate_lorenz63", simulate)
+    monkeypatch.setattr(experiments.os, "sysconf", pages.__getitem__)
+    if refused:
+        with pytest.raises(ValueError, match=r"ensemble of 4900 states x 50000 members needs a "
+                                             r"594 GB moments buffer, more than the 4\.29 GB"):
+            run_lorenz_experiment(replace(config, out_dir=str(tmp_path / "out")))
+    else:
+        with pytest.raises(AssertionError, match="the series was simulated"):
+            run_lorenz_experiment(replace(config, out_dir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
 
 
 def test_lorenz_experiment_rejects_a_short_verification_block_before_fitting(tmp_path,
@@ -121,7 +159,7 @@ def test_lorenz_experiment_rejects_a_config_with_no_training_block_before_simula
 def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
     config = replace(lorenz_config(), n_samples=1000, n_basis=30, n_verify=40,
                      lead_steps=8, with_ensemble=False)
-    (run,) = run_lorenz_experiment(replace(config, out_dir=str(tmp_path))).runs.values()
+    run = run_lorenz_experiment(replace(config, out_dir=str(tmp_path)))
     header, rows = _read_csv(run.csv_path)
     # the driver's verification states, rebuilt as it builds them
     seeds = np.random.SeedSequence(config.seed).spawn(3)
@@ -237,7 +275,7 @@ def _tiny_run(name, tmp_path):
         config = replace(lorenz_config(), n_samples=500, n_verify=60, n_basis=10, lead_steps=5,
                          with_ensemble=False, out_dir=out_dir)
         result = run_lorenz_experiment(config)
-        return result, [run.csv_path for run in result.runs.values()]
+        return result, [result.csv_path]
     data = tmp_path / "nino34.txt"
     _write_noaa_grid(data, np.random.default_rng(3))
     result = run_nino_experiment(replace(nino_config(data_path=str(data)), n_basis=10,
