@@ -30,7 +30,8 @@ from .dataset import (
     load_series,
     split,
 )
-from .evaluation import ExperimentConfig, SkillReport, load_config, rmse_and_correlation
+from .evaluation import SkillReport, rmse_and_correlation
+from .experiments import LorenzConfig, NinoConfig, TorusConfig, load_config
 from .forecast import (
     DensityCoefficients,
     MomentForecast,
@@ -67,16 +68,18 @@ __all__ = [
     "DensityCoefficients",
     "DensityEstimate",
     "DiffusionBasis",
-    "ExperimentConfig",
     "FitResult",
     "GaussianState",
+    "LorenzConfig",
     "MomentForecast",
     "NeighborList",
+    "NinoConfig",
     "ODEModel",
     "SDEModel",
     "ShiftOperator",
     "SkillReport",
     "TimeSeries",
+    "TorusConfig",
     "TuningResult",
     "adhoc_bandwidth",
     "build_basis",

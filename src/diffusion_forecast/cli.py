@@ -15,14 +15,16 @@ from . import __version__
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_ladder
 from .dataset import (SERIES_FORMATS, delay_embed, load_series, read_csv, write_csv, write_json,
                       write_series_csv)
-from .evaluation import load_config, rmse_and_correlation
+from .evaluation import rmse_and_correlation
 from .experiments import (
-    lorenz_config,
-    nino_config,
+    LorenzConfig,
+    NinoConfig,
+    TorusConfig,
+    load_config,
+    paper_scale,
     run_lorenz_experiment,
     run_nino_experiment,
     run_torus_experiment,
-    torus_config,
 )
 from .forecast import (
     DensityCoefficients,
@@ -285,20 +287,17 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # the published Nino-3.4 sizes are its desk sizes, so --paper-scale changes nothing there
-    factories = {"torus": torus_config, "lorenz63": lorenz_config,
-                 "nino34": lambda paper_scale: nino_config()}
-    config = factories[args.name](paper_scale=args.paper_scale)
+    make, run = {"torus": (TorusConfig, run_torus_experiment),
+                 "lorenz63": (LorenzConfig, run_lorenz_experiment),
+                 "nino34": (NinoConfig, run_nino_experiment)}[args.name]
+    if args.data is not None and make is not NinoConfig:
+        raise ValueError(f"--data is the Nino-3.4 data file; experiment {args.name} reads none")
+    config = paper_scale(make()) if args.paper_scale else make()
     if args.config:
-        config = load_config(args.config, base=config)
+        config = load_config(args.config, config)
     flags = {"seed": args.seed, "out_dir": args.out_dir, "data_path": args.data}
     config = replace(config, **{key: value for key, value in flags.items() if value is not None})
-    if args.name == "nino34":
-        result = run_nino_experiment(config)
-        print(f"wrote {result.skill_csv_path} and {result.lead14_csv_path}")
-    else:
-        run = run_torus_experiment if args.name == "torus" else run_lorenz_experiment
-        print(f"wrote {run(config).csv_path}")
+    print(f"wrote {' and '.join(map(str, run(config).csv_paths))}")
     return 0
 
 

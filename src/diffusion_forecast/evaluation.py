@@ -1,14 +1,10 @@
-"""Forecast-skill metrics and experiment configuration."""
+"""Forecast-skill metrics."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .dataset import DATED_FORMATS
 
 
 @dataclass(frozen=True)
@@ -108,107 +104,3 @@ def rmse_and_correlation(
         degenerate=degenerate,
     )
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Knobs for the experiment drivers; the driver a config is passed to
-    is the experiment it runs.
-
-    Desk-scale defaults keep runtimes in minutes on one core; the presets
-    ``torus_config`` and ``lorenz_config`` take ``paper_scale=True`` (the
-    CLI's ``--paper-scale``) for the published sizes.
-    Of the fit, only ``n_basis`` is a key: the neighbour cap NEIGHBOR_CAP,
-    the kernel exponent BETA, the ad-hoc bandwidth's k0 = 8 and the shift
-    map's use of every consecutive pair are constants of ``fit_forecaster``.
-    ``data_format``, the layout of the Nino-3.4 file, is one of the dated
-    formats of ``load_series``, ``dataset.DATED_FORMATS``.
-    ``out_dir`` is the one setting for where a run writes: each driver
-    writes under ``out_dir/<torus|lorenz63|nino34>``, and its manifest
-    records it.
-    """
-
-    n_samples: int = 8000
-    dt: float = 0.1
-    n_basis: int = 400
-    lags: int = 5
-    n_ens: int = 10000
-    n_verify: int = 500
-    lead_steps: int = 100
-    seed: int = 0
-    substeps: int = 50
-    init_variance: float = 0.1
-    perturbation_variance: float = 0.01
-    data_path: str = ""
-    data_format: str = "noaa-monthly-grid"
-    out_dir: str = "runs"
-    with_ensemble: bool = True
-
-    def __post_init__(self):
-        for f in fields(self):
-            _check_field(f.name, getattr(self, f.name))
-        if self.n_basis > self.n_samples:
-            raise ValueError("n_basis cannot exceed n_samples")
-
-
-_MINIMUMS = dict(n_samples=16, n_basis=1, lags=1, n_ens=2, n_verify=2, lead_steps=1,
-                 substeps=1)
-_POSITIVE = ("dt", "init_variance", "perturbation_variance")
-
-
-def _check_field(name: str, value) -> None:
-    """ValueError if ``value`` is not allowed for the config key ``name`` on
-    its own; checks that tie keys together stay in ``__post_init__``."""
-    if name == "data_format" and value not in DATED_FORMATS:
-        raise ValueError(f"data_format must be a dated format, {' or '.join(DATED_FORMATS)}, "
-                         f"got {value!r}")
-    if name in _MINIMUMS and value < _MINIMUMS[name]:
-        raise ValueError(f"{name} must be >= {_MINIMUMS[name]}")
-    if name in _POSITIVE and not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file over a base configuration.
-    Errors name ``path:line``, or only ``path`` for a check across keys."""
-    base = base or ExperimentConfig()
-    text = Path(path).read_text()
-    overrides = {}
-    valid = {f.name: f.type for f in fields(ExperimentConfig)}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in valid:
-            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        current = getattr(base, key)
-        try:
-            overrides[key] = _coerce(value, current)
-        except (KeyError, ValueError):
-            raise ValueError(f"{path}:{line_no}: config key {key}: expected "
-                             f"{type(current).__name__}, got {value!r}") from None
-        try:
-            _check_field(key, overrides[key])
-        except ValueError as err:
-            raise ValueError(f"{path}:{line_no}: {err}") from None
-    try:
-        return replace(base, **overrides)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-
-
-def _coerce(value: str, current):
-    """``value`` as the type of ``current``; KeyError or ValueError if it is
-    not one."""
-    if isinstance(current, bool):
-        return _BOOL_STRINGS[value.lower()]
-    if isinstance(current, (int, float)):
-        return type(current)(value)
-    return value

@@ -1,87 +1,209 @@
 """Drivers for the three reference experiments: the torus SDE moment
 validation, the Lorenz-63 forecast-skill comparison, and the Nino-3.4 index
-forecast."""
+forecast.
+
+Each driver takes a frozen config of exactly the keys it reads, whose
+defaults are its desk sizes, kept to minutes on one core; ``paper_scale``
+puts the published sizes over them. Of the fit, only ``n_basis`` is a key:
+the neighbour cap NEIGHBOR_CAP, the kernel exponent BETA, the ad-hoc
+bandwidth's k0 = 8 and the shift map's use of every consecutive pair are
+constants of ``fit_forecaster``. ``out_dir`` is the one setting for where a
+run writes: each driver writes under ``out_dir/<torus|lorenz63|nino34>``,
+and its manifest records it. ``load_config`` reads a config file over a
+base config of one of the three types.
+"""
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import GaussianState, ensemble_forecast, iterated_local_linear_ladder, local_linear_ladder
-from .dataset import TimeSeries, delay_embed, load_series, split, write_csv, write_json
-from .evaluation import ExperimentConfig, SkillReport, rmse_and_correlation
-from .forecast import MomentForecast, forecast_ladder, gaussian_density_values, project_density
+from .dataset import DATED_FORMATS, TimeSeries, delay_embed, load_series, split, write_csv, write_json
+from .evaluation import rmse_and_correlation
+from .forecast import forecast_ladder, gaussian_density_values, project_density
 from .pipeline import FitResult, fit_forecaster, fit_record
 from .simulators import (TWO_PI, lorenz_model, lorenz_substeps, simulate_lorenz63, simulate_torus,
                          torus_embed, torus_model)
 
 
-def torus_config(paper_scale: bool = False, seed: int = 0) -> ExperimentConfig:
-    cfg = ExperimentConfig(seed=seed)
-    if paper_scale:
-        cfg = replace(cfg, n_samples=20000, n_basis=1000, n_ens=50000)
-    return cfg
+class _Config:
+    """Checks every key of a config on its own; checks that tie keys
+    together go in a subclass's ``__post_init__``."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
 
 
-def lorenz_config(paper_scale: bool = False, seed: int = 0) -> ExperimentConfig:
+@dataclass(frozen=True)
+class TorusConfig(_Config):
+    """The torus moment run, fit on all ``n_samples`` points."""
+
+    n_samples: int = 8000
+    dt: float = 0.1
+    substeps: int = 50
+    n_basis: int = 400
+    lead_steps: int = 100
+    init_variance: float = 0.1
+    n_ens: int = 10000
+    seed: int = 0
+    out_dir: str = "runs"
+
+    def __post_init__(self):
+        super().__post_init__()
+        # fit_forecaster's check, made before simulating
+        if self.n_basis > self.n_samples:
+            raise ValueError(f"basis size m={self.n_basis} out of range [1, {self.n_samples}]")
+
+
+@dataclass(frozen=True)
+class LorenzConfig(_Config):
     """The Lorenz-63 skill run at ``dt = 0.1``. The paper also forecasts at
     ``dt = 0.5``: that is a second run of this config with ``dt`` replaced,
-    in its own ``out_dir``. ``paper_scale`` asks for an ensemble of 4900
-    states x 50000 members, whose moments buffer (594 GB) the driver
-    refuses on a machine with less physical memory."""
-    cfg = ExperimentConfig(
-        seed=seed, n_samples=6000, n_basis=1000, n_verify=500, lead_steps=80,
-        init_variance=0.01, n_ens=200,
-    )
-    if paper_scale:
-        cfg = replace(cfg, n_samples=10000, n_basis=4500, n_verify=5000,
-                      lead_steps=100, n_ens=50000)
-    return cfg
+    in its own ``out_dir``. At paper scale the ensemble is 4900 states x
+    50000 members, whose moments buffer (594 GB) the driver refuses on a
+    machine with less physical memory."""
 
+    n_samples: int = 6000
+    dt: float = 0.1
+    n_basis: int = 1000
+    lead_steps: int = 80
+    init_variance: float = 0.01
+    n_ens: int = 200
+    seed: int = 0
+    out_dir: str = "runs"
+    n_verify: int = 500
+    perturbation_variance: float = 0.01
+    with_ensemble: bool = True
 
-def nino_config(data_path: str = "", seed: int = 0) -> ExperimentConfig:
-    """The Nino-3.4 run; its published configuration is already desk sized."""
-    return ExperimentConfig(
-        seed=seed, n_samples=600, n_basis=80, n_verify=2, lead_steps=24, lags=5,
-        init_variance=0.01, data_path=data_path,
-    )
-
-
-@dataclass(frozen=True)
-class TorusExperimentResult:
-    lead_times: np.ndarray
-    diffusion: MomentForecast
-    ensemble: MomentForecast
-    clim_stdev: np.ndarray
-    fit: FitResult
-    csv_path: Path
-    manifest_path: Path
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_verify - self.lead_steps < 2:
+            raise ValueError("verification block is shorter than the forecast horizon")
+        # split's and fit_forecaster's checks, made before simulating
+        n_train = self.n_samples - self.n_verify
+        if n_train < 1:
+            raise ValueError(f"n_train={n_train} out of range [1, {self.n_samples - 1}]")
+        if n_train < self.n_basis:
+            raise ValueError(f"basis size m={self.n_basis} out of range [1, {n_train}]")
 
 
 @dataclass(frozen=True)
-class LorenzExperimentResult:
-    dt: float
-    fit: FitResult
-    csv_path: Path
-    manifest_path: Path
+class NinoConfig(_Config):
+    """The Nino-3.4 run; its published sizes are its desk sizes. The 600
+    training months and the Jan 2000 start of verification are fixed by the
+    calendar windows of the paper. ``data_format``, the layout of the data
+    file, is one of the dated formats of ``load_series``,
+    ``dataset.DATED_FORMATS``."""
+
+    data_path: str = ""
+    data_format: str = "noaa-monthly-grid"
+    lags: int = 5
+    n_basis: int = 80
+    lead_steps: int = 24
+    init_variance: float = 0.01
+    perturbation_variance: float = 0.01
+    seed: int = 0
+    out_dir: str = "runs"
+
+
+_MINIMUMS = dict(n_samples=16, n_basis=1, lags=1, n_ens=2, n_verify=2, lead_steps=1,
+                 substeps=1, seed=0)
+_POSITIVE = ("dt", "init_variance", "perturbation_variance")
+
+
+def _check_field(name: str, value) -> None:
+    """ValueError if ``value`` is not allowed for the config key ``name`` on
+    its own."""
+    if name == "data_format" and value not in DATED_FORMATS:
+        raise ValueError(f"data_format must be a dated format, {' or '.join(DATED_FORMATS)}, "
+                         f"got {value!r}")
+    if name in _MINIMUMS and value < _MINIMUMS[name]:
+        raise ValueError(f"{name} must be >= {_MINIMUMS[name]}")
+    if name in _POSITIVE and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+_PAPER_SIZES = {
+    TorusConfig: dict(n_samples=20000, n_basis=1000, n_ens=50000),
+    LorenzConfig: dict(n_samples=10000, n_basis=4500, n_verify=5000, lead_steps=100, n_ens=50000),
+}
+
+
+def paper_scale(config: TorusConfig | LorenzConfig) -> TorusConfig | LorenzConfig:
+    """``config`` with the paper's sizes in place of its own; a ValueError
+    for a ``NinoConfig``, whose defaults are already the published sizes."""
+    if type(config) not in _PAPER_SIZES:
+        raise ValueError("the Nino-3.4 run has no paper scale: its published sizes are its "
+                         "defaults")
+    return replace(config, **_PAPER_SIZES[type(config)])
+
+
+_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def load_config(path, base: TorusConfig | LorenzConfig | NinoConfig
+                ) -> TorusConfig | LorenzConfig | NinoConfig:
+    """Read a flat ``key = value`` config file over ``base``, a
+    ``TorusConfig``, ``LorenzConfig`` or ``NinoConfig``; a key that is not a
+    field of ``base``'s type is unknown. Errors name ``path:line``, or only
+    ``path`` for a check across keys."""
+    text = Path(path).read_text()
+    overrides = {}
+    valid = {f.name for f in fields(base)}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in valid:
+            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+        current = getattr(base, key)
+        try:
+            overrides[key] = _coerce(value, current)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:{line_no}: config key {key}: expected "
+                             f"{type(current).__name__}, got {value!r}") from None
+        try:
+            _check_field(key, overrides[key])
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from None
+    try:
+        return replace(base, **overrides)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _coerce(value: str, current):
+    """``value`` as the type of ``current``; KeyError or ValueError if it is
+    not one."""
+    if isinstance(current, bool):
+        return _BOOL_STRINGS[value.lower()]
+    if isinstance(current, (int, float)):
+        return type(current)(value)
+    return value
 
 
 @dataclass(frozen=True)
-class NinoExperimentResult:
-    skill: SkillReport
-    lead14_truth: np.ndarray
-    lead14_mean: np.ndarray
-    lead14_stdev: np.ndarray
+class ExperimentResult:
+    """What a driver returns: the fit, the CSV files it wrote and its
+    manifest."""
+
     fit: FitResult
-    skill_csv_path: Path
-    lead14_csv_path: Path
+    csv_paths: tuple[Path, ...]
     manifest_path: Path
 
 
-def run_torus_experiment(config: ExperimentConfig) -> TorusExperimentResult:
+def run_torus_experiment(config: TorusConfig) -> ExperimentResult:
     """Validate the first two forecast moments of the embedded fast (x) and
     slow (z) coordinates against a true-model ensemble."""
     seeds = np.random.SeedSequence(config.seed).spawn(3)  # sim, p0 mean, ensemble
@@ -103,7 +225,6 @@ def run_torus_experiment(config: ExperimentConfig) -> TorusExperimentResult:
 
     observables = embedded.points[:, [0, 2]]
     diffusion = forecast_ladder(coeffs, fit.operator, fit.basis, observables, config.lead_steps)
-    lead_times = diffusion.lead_times
 
     ens = ensemble_forecast(
         torus_model(),
@@ -113,8 +234,7 @@ def run_torus_experiment(config: ExperimentConfig) -> TorusExperimentResult:
         observable=lambda s: torus_embed(s)[:, [0, 2]],
     )
 
-    clim = observables.std(axis=0)
-    header, cols = ["lead_time"], [lead_times]
+    header, cols = ["lead_time"], [diffusion.lead_times]
     for prefix, fc in (("diff", diffusion), ("ens", ens)):
         for j, name in enumerate("xz"):
             header += [f"{prefix}_mean_{name}", f"{prefix}_stdev_{name}"]
@@ -124,29 +244,18 @@ def run_torus_experiment(config: ExperimentConfig) -> TorusExperimentResult:
     write_csv(csv_path, header, np.column_stack(cols))
     manifest_path = _write_manifest(out, config, {
         "p0_mean": list(p0_mean),
-        "clim_stdev": list(clim),
+        "clim_stdev": list(observables.std(axis=0)),
         "fit": fit_record(fit),
     })
-    return TorusExperimentResult(
-        lead_times=lead_times, diffusion=diffusion, ensemble=ens,
-        clim_stdev=clim, fit=fit, csv_path=csv_path, manifest_path=manifest_path,
-    )
+    return ExperimentResult(fit, (csv_path,), manifest_path)
 
 
-def run_lorenz_experiment(config: ExperimentConfig) -> LorenzExperimentResult:
+def run_lorenz_experiment(config: LorenzConfig) -> ExperimentResult:
     """Compare diffusion, local-linear, iterated local-linear, and (optionally)
     true-model ensemble forecasts on Lorenz-63 over a ladder of leads, at
     the sampling interval ``config.dt``."""
     n_lead = config.lead_steps
     n_states = config.n_verify - n_lead
-    if n_states < 2:
-        raise ValueError("verification block is shorter than the forecast horizon")
-    # split's and fit_forecaster's checks, made before simulating
-    n_train = config.n_samples - config.n_verify
-    if n_train < 1:
-        raise ValueError(f"n_train={n_train} out of range [1, {config.n_samples - 1}]")
-    if n_train < config.n_basis:
-        raise ValueError(f"basis size m={config.n_basis} out of range [1, {n_train}]")
     # ensemble_forecast's buffer: each member's 3 coordinates at each lead, in doubles
     need = 8 * (n_lead + 1) * n_states * config.n_ens * 3
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -156,7 +265,7 @@ def run_lorenz_experiment(config: ExperimentConfig) -> LorenzExperimentResult:
                          f"of physical memory")
     seeds = np.random.SeedSequence(config.seed).spawn(3)  # sim, perturb, ensemble
     ts = simulate_lorenz63(n_samples=config.n_samples, dt_sample=config.dt, seed=seeds[0])
-    train, verify = split(ts, n_train)
+    train, verify = split(ts, config.n_samples - config.n_verify)
     fit = fit_forecaster(train, config.n_basis)
 
     v_idx = np.arange(n_states)
@@ -192,15 +301,14 @@ def run_lorenz_experiment(config: ExperimentConfig) -> LorenzExperimentResult:
         cols += [rmse[name], spread[name]]
     write_csv(csv_path, header, np.column_stack(cols))
     manifest_path = _write_manifest(out, config, {"clim_stdev": clim, "fit": fit_record(fit)})
-    return LorenzExperimentResult(dt=config.dt, fit=fit, csv_path=csv_path,
-                                  manifest_path=manifest_path)
+    return ExperimentResult(fit, (csv_path,), manifest_path)
 
 
 def _agg_rmse(err: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(err * err, axis=(1, 2)))
 
 
-def run_nino_experiment(config: ExperimentConfig) -> NinoExperimentResult:
+def run_nino_experiment(config: NinoConfig) -> ExperimentResult:
     """Forecast the Nino-3.4 monthly index: train on Jan 1950 - Dec 1999,
     verify on Jan 2000 - Sep 2013, with a 5-lag delay embedding."""
     if not config.data_path or not Path(config.data_path).exists():
@@ -287,19 +395,11 @@ def run_nino_experiment(config: ExperimentConfig) -> NinoExperimentResult:
         "verification_count": int(v_count),
         "fit": fit_record(fit),
     })
-    return NinoExperimentResult(
-        skill=skill,
-        lead14_truth=values[init_times + lead14],
-        lead14_mean=means[lead14],
-        lead14_stdev=stdevs[lead14],
-        fit=fit,
-        skill_csv_path=skill_csv,
-        lead14_csv_path=lead14_csv,
-        manifest_path=manifest_path,
-    )
+    return ExperimentResult(fit, (skill_csv, lead14_csv), manifest_path)
 
 
-def _write_manifest(out: Path, config: ExperimentConfig, extra: dict) -> Path:
+def _write_manifest(out: Path, config: TorusConfig | LorenzConfig | NinoConfig,
+                    extra: dict) -> Path:
     path = out / "manifest.json"
     write_json(path, {"config": asdict(config), **extra})
     return path

@@ -3,7 +3,6 @@ baseline -> evaluate, on a small torus series."""
 
 import json
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,8 @@ import pytest
 from diffusion_forecast.baselines import GaussianState, ensemble_forecast
 from diffusion_forecast.cli import main
 from diffusion_forecast.dataset import load_series
-from diffusion_forecast.experiments import lorenz_config, torus_config
+from diffusion_forecast.experiments import (ExperimentResult, LorenzConfig, NinoConfig, TorusConfig,
+                                            paper_scale)
 from diffusion_forecast.forecast import (
     evolve_ladder,
     forecast_ladder,
@@ -201,29 +201,45 @@ def test_ensemble_baseline_integrates_as_simulate_does(tmp_path, system, tau, su
     assert np.array_equal(rows, np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)]))
 
 
-_PRESET_SIZES = ("n_samples", "n_basis", "n_verify", "lead_steps", "n_ens", "dt")
-
-
 @pytest.mark.parametrize("name, driver, flags, sizes", [
-    ("torus", "run_torus_experiment", ["--paper-scale"], (20000, 1000, 500, 100, 50000, 0.1)),
-    ("torus", "run_torus_experiment", [], (8000, 400, 500, 100, 10000, 0.1)),
-    ("lorenz63", "run_lorenz_experiment", ["--paper-scale"], (10000, 4500, 5000, 100, 50000, 0.1)),
-    ("lorenz63", "run_lorenz_experiment", [], (6000, 1000, 500, 80, 200, 0.1)),
-], ids=["torus-paper-scale", "torus-desk", "lorenz-paper-scale", "lorenz-desk"])
+    ("torus", "run_torus_experiment", ["--paper-scale"],
+     dict(n_samples=20000, n_basis=1000, lead_steps=100, n_ens=50000, dt=0.1)),
+    ("torus", "run_torus_experiment", [],
+     dict(n_samples=8000, n_basis=400, lead_steps=100, n_ens=10000, dt=0.1)),
+    ("lorenz63", "run_lorenz_experiment", ["--paper-scale"],
+     dict(n_samples=10000, n_basis=4500, n_verify=5000, lead_steps=100, n_ens=50000, dt=0.1)),
+    ("lorenz63", "run_lorenz_experiment", [],
+     dict(n_samples=6000, n_basis=1000, n_verify=500, lead_steps=80, n_ens=200, dt=0.1)),
+    ("nino34", "run_nino_experiment", ["--data", "nino34.txt"],
+     dict(n_basis=80, lead_steps=24, lags=5, data_path="nino34.txt")),
+    # a flag the driver cannot use is refused before it runs
+    ("nino34", "run_nino_experiment", ["--paper-scale"], None),
+    ("torus", "run_torus_experiment", ["--data", "nino34.txt"], None),
+    ("lorenz63", "run_lorenz_experiment", ["--data", "nino34.txt"], None),
+], ids=["torus-paper-scale", "torus-desk", "lorenz-paper-scale", "lorenz-desk", "nino-desk",
+        "nino-paper-scale", "torus-data", "lorenz-data"])
 def test_paper_scale_reaches_the_driver_as_the_preset(tmp_path, monkeypatch, capsys,
                                                       name, driver, flags, sizes):
     from diffusion_forecast import cli
 
     seen = []
-    csv_path = tmp_path / "out.csv"
-    monkeypatch.setattr(cli, driver, lambda config: seen.append(config) or SimpleNamespace(
-        csv_path=csv_path))
-    assert main(["experiment", name, *flags, "--out-dir", str(tmp_path)]) == 0
+    csv_paths = (tmp_path / "a.csv", tmp_path / "b.csv")[:2 if name == "nino34" else 1]
+    monkeypatch.setattr(cli, driver, lambda config: seen.append(config) or ExperimentResult(
+        fit=None, csv_paths=csv_paths, manifest_path=tmp_path / "manifest.json"))
+    code = main(["experiment", name, *flags, "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    if sizes is None:
+        assert (code, seen, out) == (1, [], "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert code == 0
     (config,) = seen
-    preset = {"torus": torus_config, "lorenz63": lorenz_config}[name]
-    assert config == replace(preset(paper_scale=bool(flags)), out_dir=str(tmp_path))
-    assert tuple(getattr(config, key) for key in _PRESET_SIZES) == sizes
-    assert capsys.readouterr().out == f"wrote {csv_path}\n"
+    preset = {"torus": TorusConfig, "lorenz63": LorenzConfig, "nino34": NinoConfig}[name]()
+    preset = paper_scale(preset) if "--paper-scale" in flags else preset
+    preset = replace(preset, out_dir=str(tmp_path))
+    assert config == (replace(preset, data_path="nino34.txt") if name == "nino34" else preset)
+    assert {key: getattr(config, key) for key in sizes} == sizes
+    assert out == f"wrote {' and '.join(map(str, csv_paths))}\n"
 
 
 @pytest.mark.parametrize("method, missing", [

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from diffusion_forecast.evaluation import ExperimentConfig, load_config, rmse_and_correlation
+from diffusion_forecast.evaluation import rmse_and_correlation
+from diffusion_forecast.experiments import LorenzConfig, NinoConfig, TorusConfig, load_config
 
 
 def test_a_degenerate_lead_is_flagged_and_reads_zero():
@@ -79,51 +80,61 @@ def test_values_take_the_type_of_their_key(tmp_path):
                            "dt = 0.25\n"
                            "\n"
                            "out_dir = runs/a b\n")
-    config = load_config(path, base=ExperimentConfig(with_ensemble=True))
+    config = load_config(path, LorenzConfig(with_ensemble=True))
     assert config.with_ensemble is False
     assert config.n_basis == 30 and type(config.n_basis) is int
     assert config.dt == 0.25
     assert config.out_dir == "runs/a b"
-    assert config.n_samples == ExperimentConfig().n_samples
+    assert config.n_samples == LorenzConfig().n_samples
 
 
-@pytest.mark.parametrize("text, line, match", [
-    ("n_basis = 30\nbasis_size = 4\n", 2, "unknown config key 'basis_size'"),
-    ("n_basis = 30\n\nseed 4\n", 3, "expected 'key = value'"),
-    ("dt = 0.1\nn_basis = abc\n", 2, "config key n_basis: expected int, got 'abc'"),
-    ("dt = fast\n", 1, "config key dt: expected float, got 'fast'"),
-    ("# flags\nwith_ensemble = maybe\n", 2, "config key with_ensemble: expected bool, got 'maybe'"),
-    # the driver a config is passed to is its experiment; the presets pick the paper's sizes
-    ("# run\nexperiment = torus\n", 2, "unknown config key 'experiment'"),
-    ("paper_scale = true\n", 1, "unknown config key 'paper_scale'"),
+@pytest.mark.parametrize("base, text, line, match", [
+    (LorenzConfig(), "n_basis = 30\nbasis_size = 4\n", 2, "unknown config key 'basis_size'"),
+    (LorenzConfig(), "n_basis = 30\n\nseed 4\n", 3, "expected 'key = value'"),
+    (LorenzConfig(), "dt = 0.1\nn_basis = abc\n", 2, "config key n_basis: expected int, got 'abc'"),
+    (LorenzConfig(), "dt = fast\n", 1, "config key dt: expected float, got 'fast'"),
+    (LorenzConfig(), "# flags\nwith_ensemble = maybe\n", 2,
+     "config key with_ensemble: expected bool, got 'maybe'"),
+    # the driver a config is passed to is its experiment; paper_scale picks the paper's sizes
+    (TorusConfig(), "# run\nexperiment = torus\n", 2, "unknown config key 'experiment'"),
+    (LorenzConfig(), "paper_scale = true\n", 1, "unknown config key 'paper_scale'"),
+    # a key of another driver's config is one this driver would ignore
+    (TorusConfig(), "n_basis = 30\nwith_ensemble = false\n", 2,
+     "unknown config key 'with_ensemble'"),
+    (NinoConfig(), "n_samples = 600\n", 1, "unknown config key 'n_samples'"),
 ], ids=["unknown-key", "no-equals", "bad-int", "bad-float", "bad-bool", "experiment-key",
-        "paper-scale-key"])
-def test_a_bad_line_is_named(tmp_path, text, line, match):
+        "paper-scale-key", "torus-with-ensemble", "nino-n-samples"])
+def test_a_bad_line_is_named(tmp_path, base, text, line, match):
     path = write(tmp_path, text)
     with pytest.raises(ValueError, match=match) as err:
-        load_config(path)
+        load_config(path, base)
     assert str(err.value).startswith(f"{path}:{line}: ")
 
 
-@pytest.mark.parametrize("text, where, match", [
-    ("dt = 0.1\nn_basis = 0\n", ":2: ", "n_basis must be >= 1"),
-    ("init_variance = -0.5\n", ":1: ", "init_variance must be positive"),
-    ("n_basis = 30\ndt = nan\n", ":2: ", "dt must be positive and finite, got nan"),
-    ("perturbation_variance = inf\n", ":1: ", "perturbation_variance must be positive and finite"),
-    ("n_basis = 30\ndata_format = fancy\n", ":2: ",
+@pytest.mark.parametrize("base, text, where, match", [
+    (LorenzConfig(), "dt = 0.1\nn_basis = 0\n", ":2: ", "n_basis must be >= 1"),
+    (LorenzConfig(), "init_variance = -0.5\n", ":1: ", "init_variance must be positive"),
+    (LorenzConfig(), "n_basis = 30\ndt = nan\n", ":2: ", "dt must be positive and finite, got nan"),
+    (NinoConfig(), "perturbation_variance = inf\n", ":1: ",
+     "perturbation_variance must be positive and finite"),
+    (NinoConfig(), "n_basis = 30\ndata_format = fancy\n", ":2: ",
      "data_format must be a dated format, two-column-dated or noaa-monthly-grid, got 'fancy'"),
+    (TorusConfig(), "n_basis = 30\nseed = -1\n", ":2: ", "seed must be >= 0"),
     # a check that ties two keys together names the file only
-    ("n_samples = 100\nn_basis = 200\n", ": ", "n_basis cannot exceed n_samples"),
+    (LorenzConfig(), "n_samples = 600\nn_basis = 200\n", ": ",
+     r"basis size m=200 out of range \[1, 100\]"),
+    (TorusConfig(), "n_samples = 100\nn_basis = 200\n", ": ",
+     r"basis size m=200 out of range \[1, 100\]"),
 ], ids=["below-minimum", "not-positive", "nan-step", "inf-variance",
-        "unknown-data-format", "cross-field"])
-def test_a_rejected_value_is_located(tmp_path, text, where, match):
+        "unknown-data-format", "negative-seed", "cross-field", "torus-cross-field"])
+def test_a_rejected_value_is_located(tmp_path, base, text, where, match):
     path = write(tmp_path, text)
     with pytest.raises(ValueError, match=match) as err:
-        load_config(path)
+        load_config(path, base)
     assert str(err.value).startswith(f"{path}{where}")
 
 
 def test_keys_are_checked_together_after_the_last_line(tmp_path):
-    # n_samples = 100 alone would put the base's n_basis = 400 above it
-    config = load_config(write(tmp_path, "n_samples = 100\nn_basis = 50\n"))
-    assert (config.n_samples, config.n_basis) == (100, 50)
+    # n_samples = 600 alone would leave 100 training points under the base's n_basis = 1000
+    config = load_config(write(tmp_path, "n_samples = 600\nn_basis = 50\n"), LorenzConfig())
+    assert (config.n_samples, config.n_basis) == (600, 50)

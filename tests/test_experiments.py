@@ -3,7 +3,7 @@ headers, the row counts and the manifest keys."""
 
 import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +16,13 @@ from diffusion_forecast.baselines import (
 )
 from diffusion_forecast.dataset import split
 from diffusion_forecast.experiments import (
-    lorenz_config,
-    nino_config,
+    LorenzConfig,
+    NinoConfig,
+    TorusConfig,
+    paper_scale,
     run_lorenz_experiment,
     run_nino_experiment,
     run_torus_experiment,
-    torus_config,
 )
 from diffusion_forecast.pipeline import fit_record
 from diffusion_forecast.simulators import simulate_lorenz63
@@ -44,10 +45,10 @@ def _check_fit_record(record, fit):
 
 
 def test_torus_experiment(tmp_path):
-    config = replace(torus_config(), n_samples=1200, n_basis=40, n_ens=300,
+    config = replace(TorusConfig(), n_samples=1200, n_basis=40, n_ens=300,
                      lead_steps=10, substeps=5)
     result = run_torus_experiment(replace(config, out_dir=str(tmp_path)))
-    header, rows = _read_csv(result.csv_path)
+    header, rows = _read_csv(*result.csv_paths)
     assert header == ["lead_time",
                       "diff_mean_x", "diff_stdev_x", "diff_mean_z", "diff_stdev_z",
                       "ens_mean_x", "ens_stdev_x", "ens_mean_z", "ens_stdev_z"]
@@ -60,16 +61,16 @@ def test_torus_experiment(tmp_path):
 
 
 def test_lorenz_experiment(tmp_path):
-    config = replace(lorenz_config(), n_samples=1400, n_basis=60, n_verify=200,
+    config = replace(LorenzConfig(), n_samples=1400, n_basis=60, n_verify=200,
                      lead_steps=20, n_ens=20)
     result = run_lorenz_experiment(replace(config, out_dir=str(tmp_path)))
-    assert result.dt == config.dt
-    header, rows = _read_csv(result.csv_path)
+    header, rows = _read_csv(*result.csv_paths)
     assert header == ["lead_time"] + [f"{stat}_{name}"
                                       for name in ("diffusion", "local_linear", "iterated", "ensemble")
                                       for stat in ("rmse", "stdev")]
     assert rows.shape == (21, 9)
     assert np.all(np.isfinite(rows))
+    assert np.allclose(rows[:, 0], np.arange(21) * config.dt)
     assert _manifest_keys(result.manifest_path) == {"config", "clim_stdev", "fit"}
     manifest = json.loads(result.manifest_path.read_text())
     assert isinstance(manifest["clim_stdev"], float) and manifest["clim_stdev"] > 0
@@ -78,21 +79,21 @@ def test_lorenz_experiment(tmp_path):
 
 def test_lorenz_paper_scale_at_the_second_interval_writes_that_run_alone(tmp_path):
     # the paper's dt = 0.5 forecasts are a second run of the preset, not a side effect
-    config = replace(lorenz_config(paper_scale=True), dt=0.5, n_samples=1000, n_basis=30,
+    config = replace(paper_scale(LorenzConfig()), dt=0.5, n_samples=1000, n_basis=30,
                      n_verify=100, lead_steps=8, n_ens=20, out_dir=str(tmp_path))
     result = run_lorenz_experiment(config)
     where = tmp_path / "lorenz63"
     assert sorted(path.name for path in where.iterdir()) == ["lorenz_skill_dt0.5.csv",
                                                              "manifest.json"]
-    _, rows = _read_csv(result.csv_path)
+    _, rows = _read_csv(*result.csv_paths)
     assert np.allclose(rows[:, 0], np.arange(9) * 0.5)
     assert json.loads(result.manifest_path.read_text())["config"]["dt"] == 0.5
 
 
 @pytest.mark.parametrize("config, refused", [
-    (lorenz_config(paper_scale=True), True),
-    (replace(lorenz_config(paper_scale=True), with_ensemble=False), False),
-    (lorenz_config(), False),
+    (paper_scale(LorenzConfig()), True),
+    (replace(paper_scale(LorenzConfig()), with_ensemble=False), False),
+    (LorenzConfig(), False),
 ], ids=["paper-scale", "paper-scale-without-ensemble", "desk"])
 def test_lorenz_experiment_refuses_an_ensemble_larger_than_memory_before_simulating(
         tmp_path, monkeypatch, config, refused):
@@ -114,53 +115,28 @@ def test_lorenz_experiment_refuses_an_ensemble_larger_than_memory_before_simulat
     assert not (tmp_path / "out").exists()
 
 
-def test_lorenz_experiment_rejects_a_short_verification_block_before_fitting(tmp_path,
-                                                                             monkeypatch):
-    from diffusion_forecast import experiments
-
-    fits = []
-    monkeypatch.setattr(experiments, "fit_forecaster", lambda *args: fits.append(args))
-    config = replace(lorenz_config(), n_samples=700, n_basis=30, n_verify=50, lead_steps=80)
+def test_lorenz_experiment_rejects_a_short_verification_block_before_fitting():
+    # the config refuses sizes the run cannot use, so no driver sees them
     with pytest.raises(ValueError, match="verification block is shorter than the forecast "
                                          "horizon"):
-        run_lorenz_experiment(replace(config, out_dir=str(tmp_path / "out")))
-    assert not (tmp_path / "out").exists()
-    assert fits == []
+        replace(LorenzConfig(), n_samples=700, n_basis=30, n_verify=50, lead_steps=80)
 
 
-def test_lorenz_experiment_rejects_too_large_a_basis_before_simulating(tmp_path, monkeypatch):
-    from diffusion_forecast import experiments
-
-    def simulate(*args, **kwargs):
-        raise AssertionError("the series was simulated")
-
-    monkeypatch.setattr(experiments, "simulate_lorenz63", simulate)
-    config = replace(lorenz_config(), n_samples=400, n_verify=100, n_basis=350, lead_steps=20)
+def test_lorenz_experiment_rejects_too_large_a_basis_before_simulating():
     with pytest.raises(ValueError, match=r"basis size m=350 out of range \[1, 300\]"):
-        run_lorenz_experiment(replace(config, out_dir=str(tmp_path / "out")))
-    assert not (tmp_path / "out").exists()
+        replace(LorenzConfig(), n_samples=400, n_verify=100, n_basis=350, lead_steps=20)
 
 
-def test_lorenz_experiment_rejects_a_config_with_no_training_block_before_simulating(
-        tmp_path, monkeypatch):
-    from diffusion_forecast import experiments
-
-    def simulate(*args, **kwargs):
-        raise AssertionError("the series was simulated")
-
-    monkeypatch.setattr(experiments, "simulate_lorenz63", simulate)
-    config = replace(lorenz_config(), n_samples=100, n_verify=100, n_basis=30, lead_steps=20,
-                     out_dir=str(tmp_path / "out"))
+def test_lorenz_experiment_rejects_a_config_with_no_training_block_before_simulating():
     with pytest.raises(ValueError, match=r"n_train=0 out of range \[1, 99\]"):
-        run_lorenz_experiment(config)
-    assert not (tmp_path / "out").exists()
+        replace(LorenzConfig(), n_samples=100, n_verify=100, n_basis=30, lead_steps=20)
 
 
 def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
-    config = replace(lorenz_config(), n_samples=1000, n_basis=30, n_verify=40,
+    config = replace(LorenzConfig(), n_samples=1000, n_basis=30, n_verify=40,
                      lead_steps=8, with_ensemble=False)
     run = run_lorenz_experiment(replace(config, out_dir=str(tmp_path)))
-    header, rows = _read_csv(run.csv_path)
+    header, rows = _read_csv(*run.csv_paths)
     # the driver's verification states, rebuilt as it builds them
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     ts = simulate_lorenz63(n_samples=config.n_samples, dt_sample=config.dt, seed=seeds[0])
@@ -182,21 +158,20 @@ def test_lorenz_baseline_columns_equal_per_state_calls(tmp_path):
         assert np.allclose(rows[:, header.index(f"stdev_{name}")], spread, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("run, config, match", [
-    (run_lorenz_experiment,
-     replace(lorenz_config(), n_samples=100, n_verify=100, n_basis=30, lead_steps=20),
+@pytest.mark.parametrize("run, make, sizes, match", [
+    (run_lorenz_experiment, LorenzConfig,
+     dict(n_samples=100, n_verify=100, n_basis=30, lead_steps=20),
      r"n_train=0 out of range"),
-    (run_lorenz_experiment,
-     replace(lorenz_config(), n_samples=400, n_verify=100, n_basis=350, lead_steps=20),
+    (run_lorenz_experiment, LorenzConfig,
+     dict(n_samples=400, n_verify=100, n_basis=350, lead_steps=20),
      r"basis size m=350 out of range \[1, 300\]"),
-    (run_torus_experiment,
-     replace(torus_config(), n_samples=1200, n_basis=40, n_ens=300, lead_steps=10, substeps=5,
-             init_variance=1e-300),
+    (run_torus_experiment, TorusConfig,
+     dict(n_samples=1200, n_basis=40, n_ens=300, lead_steps=10, substeps=5, init_variance=1e-300),
      "density is identically zero"),
 ], ids=["lorenz-no-training-block", "lorenz-basis-too-large", "torus-zero-density"])
-def test_a_run_that_fails_leaves_no_directory(tmp_path, run, config, match):
+def test_a_run_that_fails_leaves_no_directory(tmp_path, run, make, sizes, match):
     with pytest.raises(ValueError, match=match):
-        run(replace(config, out_dir=str(tmp_path / "out")))
+        run(make(**sizes, out_dir=str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
 
 
@@ -212,14 +187,15 @@ def _write_noaa_grid(path, rng):
 def test_nino_experiment(tmp_path):
     data = tmp_path / "nino34.txt"
     _write_noaa_grid(data, np.random.default_rng(3))
-    config = nino_config(data_path=str(data))
+    config = NinoConfig(data_path=str(data))
     result = run_nino_experiment(replace(config, out_dir=str(tmp_path)))
-    header, rows = _read_csv(result.skill_csv_path)
+    skill_csv, lead14_csv = result.csv_paths
+    header, rows = _read_csv(skill_csv)
     assert header == ["lead_months", "rmse", "correlation", "mean_forecast_stdev",
                       "climatological_stdev"]
     assert rows.shape == (24, 5)
     # Jan 2000 - Sep 2013 verifies 165 months; the last 24 cannot start a full ladder
-    header, rows = _read_csv(result.lead14_csv_path)
+    header, rows = _read_csv(lead14_csv)
     assert header == ["target_month_index", "truth", "forecast_mean", "forecast_stdev"]
     assert rows.shape == (165 - 24, 4)
     assert _manifest_keys(result.manifest_path) == {
@@ -234,7 +210,7 @@ def test_nino_experiment_needs_a_dated_format(tmp_path, fmt):
     data = tmp_path / "nino34.txt"
     _write_noaa_grid(data, np.random.default_rng(3))
     with pytest.raises(ValueError, match="two-column-dated or noaa-monthly-grid"):
-        run_nino_experiment(replace(nino_config(data_path=str(data)), data_format=fmt,
+        run_nino_experiment(replace(NinoConfig(data_path=str(data)), data_format=fmt,
                                     out_dir=str(tmp_path)))
     assert not (tmp_path / "nino34").exists()
 
@@ -247,7 +223,7 @@ def test_nino_experiment_rejects_data_before_making_its_directory(tmp_path, text
     data = tmp_path / "nino34.txt"
     data.write_text(text)
     with pytest.raises(ValueError, match=match):
-        run_nino_experiment(replace(nino_config(data_path=str(data)),
+        run_nino_experiment(replace(NinoConfig(data_path=str(data)),
                                     out_dir=str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
 
@@ -256,7 +232,7 @@ def test_nino_experiment_with_too_large_a_basis_leaves_no_directory(tmp_path):
     # 600 training months embed to 596 rows with 5 lags
     data = tmp_path / "nino34.txt"
     _write_noaa_grid(data, np.random.default_rng(3))
-    config = replace(nino_config(data_path=str(data)), n_basis=598)
+    config = replace(NinoConfig(data_path=str(data)), n_basis=598)
     with pytest.raises(ValueError, match=r"basis size m=598 out of range \[1, 596\]"):
         run_nino_experiment(replace(config, out_dir=str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
@@ -264,30 +240,29 @@ def test_nino_experiment_with_too_large_a_basis_leaves_no_directory(tmp_path):
 
 def _tiny_run(name, tmp_path):
     """Each driver at a few seconds' size, writing under a missing nested
-    directory; returns the result, the files it wrote and its name."""
+    directory; returns its result."""
     out_dir = str(tmp_path / "runs" / "a")
     if name == "torus":
-        config = replace(torus_config(), n_samples=400, n_basis=10, n_ens=50, lead_steps=3,
-                         substeps=2, out_dir=out_dir)
-        result = run_torus_experiment(config)
-        return result, [result.csv_path]
+        return run_torus_experiment(TorusConfig(n_samples=400, n_basis=10, n_ens=50,
+                                                lead_steps=3, substeps=2, out_dir=out_dir))
     if name == "lorenz63":
-        config = replace(lorenz_config(), n_samples=500, n_verify=60, n_basis=10, lead_steps=5,
-                         with_ensemble=False, out_dir=out_dir)
-        result = run_lorenz_experiment(config)
-        return result, [result.csv_path]
+        return run_lorenz_experiment(LorenzConfig(n_samples=500, n_verify=60, n_basis=10,
+                                                  lead_steps=5, with_ensemble=False,
+                                                  out_dir=out_dir))
     data = tmp_path / "nino34.txt"
     _write_noaa_grid(data, np.random.default_rng(3))
-    result = run_nino_experiment(replace(nino_config(data_path=str(data)), n_basis=10,
-                                         out_dir=out_dir))
-    return result, [result.skill_csv_path, result.lead14_csv_path]
+    return run_nino_experiment(NinoConfig(data_path=str(data), n_basis=10, out_dir=out_dir))
 
 
 @pytest.mark.parametrize("name", ["torus", "lorenz63", "nino34"])
 def test_the_manifest_names_the_directory_that_holds_the_files(tmp_path, name):
-    result, files = _tiny_run(name, tmp_path)
-    out_dir = json.loads(result.manifest_path.read_text())["config"]["out_dir"]
-    where = Path(out_dir) / name
+    result = _tiny_run(name, tmp_path)
+    files = list(result.csv_paths)
+    config = json.loads(result.manifest_path.read_text())["config"]
+    # the manifest records exactly the keys of the driver's config
+    make = {"torus": TorusConfig, "lorenz63": LorenzConfig, "nino34": NinoConfig}[name]
+    assert sorted(config) == sorted(f.name for f in fields(make))
+    where = Path(config["out_dir"]) / name
     assert result.manifest_path == where / "manifest.json"
     assert [path.parent for path in files] == [where] * len(files)
     assert sorted(path.name for path in where.iterdir()) == sorted(

@@ -3,6 +3,7 @@ sibling's private names (a private import is how duplicate copies of a job
 start)."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -202,9 +203,35 @@ def test_the_drivers_fit_a_series_and_a_basis_size_only():
 def test_a_config_naming_a_fit_constant_is_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("n_basis = 30\nstride = 2\n")
-    with pytest.raises(ValueError, match="unknown config key 'stride'") as err:
-        diffusion_forecast.load_config(path)
-    assert str(err.value).startswith(f"{path}:2: ")
+    for base in (diffusion_forecast.TorusConfig(), diffusion_forecast.LorenzConfig(),
+                 diffusion_forecast.NinoConfig()):
+        with pytest.raises(ValueError, match="unknown config key 'stride'") as err:
+            diffusion_forecast.load_config(path, base)
+        assert str(err.value).startswith(f"{path}:2: ")
+
+
+def _config_reads(path):
+    """{driver: (config type name, sorted ``config.<key>`` names it reads)}
+    for every function whose ``config`` parameter is annotated."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef) and node.args.args \
+                and node.args.args[0].arg == "config" and node.args.args[0].annotation:
+            reads = {child.attr for child in ast.walk(node)
+                     if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                     and child.value.id == "config"}
+            yield node.name, (ast.unparse(node.args.args[0].annotation), sorted(reads))
+
+
+def test_each_driver_reads_exactly_the_keys_of_its_config():
+    # a key a driver does not read is one a config file could set to no effect
+    experiments = importlib.import_module("diffusion_forecast.experiments")
+    drivers = {name: reads for name, reads in _config_reads(SRC / "experiments.py")
+               if name.startswith("run_")}
+    assert sorted(drivers) == ["run_lorenz_experiment", "run_nino_experiment",
+                               "run_torus_experiment"]
+    for name, (config_type, reads) in drivers.items():
+        keys = sorted(f.name for f in dataclasses.fields(getattr(experiments, config_type)))
+        assert (name, reads) == (name, keys)
 
 
 def test_series_files_are_read_only_through_load_series():
