@@ -37,23 +37,24 @@ stored entries (8-byte values, 4-byte indices while they fit in int32).
 ``fit_forecaster`` hands each stage the only reference to its input, so
 that the stage can free it as soon as it is done with it:
 
-- ``build_vb_kernel``: the (N, c) neighbour table (12 N c bytes), into
-  whose two arrays the one-sided kernel is written in place, and working
-  arrays of a few blocks of BLOCK_ENTRIES entries
-  (:func:`~diffusion_forecast.dataset.rows_per_block`). The stage's peak
-  is the symmetrization: it holds those arrays beside the entries whose
-  transposes it adds and its result, about 12 z bytes, which scipy's
-  ``maximum`` allocates for the one-sided entries plus the added ones. The
-  table's arrays are freed when it returns.
+- ``build_vb_kernel``: the (N, c) neighbour table (12 N c bytes), whose
+  two arrays become the kernel's: the one-sided kernel is written into
+  them, and they are resized (a realloc) to the z entries of the
+  symmetrized one, which grows or shrinks them. There is no second kernel.
+  Beside them the stage holds working arrays of a few blocks of
+  BLOCK_ENTRIES entries (:func:`~diffusion_forecast.dataset.rows_per_block`)
+  and the t transposes it inserts: about 30 t bytes while they are
+  gathered, then 12 t bytes beside the arrays grown by 12 t bytes.
 - ``build_basis``: the one kernel, which the normalization turns into L in
-  place (12 z bytes). On the dense path L is moved once, into the memory
-  the table left, and freed once densified, which leaves one n x n
+  place (12 z bytes). On the dense path L is moved once, out of the
+  table's old buffers, and freed once densified, which leaves one n x n
   Fortran-ordered matrix that ``eigh`` factorises in place; on the Lanczos
   path L stays beside ARPACK's n x ncv vectors and the n x 2m Ritz block.
 
-Both inputs are consumed: the table's arrays hold the one-sided kernel
-afterwards, and the kernel's hold L. A caller that keeps its own reference
-to the kernel keeps L alive through the dense path's peak.
+Both inputs are consumed: the table's arrays become the kernel's, and the
+kernel's hold L. A caller that keeps its own reference to the table has it
+copied rather than resized, and one that keeps the kernel keeps L alive
+through the dense path's peak.
 """
 
 from __future__ import annotations
@@ -198,27 +199,34 @@ def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> 
 
     The one-sided CSR matrix is built straight from the (N, c) table, in row
     blocks of :func:`~diffusion_forecast.dataset.rows_per_block` rows: each
-    row's neighbour indices are put in ascending order with ``argsort``, the
-    distances gathered in the same order, and the kept entries of each row
+    row's neighbour indices are put in ascending order by one sort of
+    (index, rank) keys, the distances gathered in the same order, and the
+    kept entries of each row
     written once into the CSR arrays as its row, sorted and without
     duplicates. It is bitwise the matrix a COO assembly and ``tocsr`` give,
     while the working arrays stay the size of one block.
 
-    The CSR ``indices`` and ``data`` are the table's own two arrays, read
-    flat, so ``neighbors`` is consumed: afterwards its arrays hold the
-    one-sided kernel, not the table. A block's rows are copied out before
-    anything is written, and the kept entries of rows below e fill at most
-    the table's first e c slots, so no write reaches a row not yet read.
-    The table's :func:`~diffusion_forecast.dataset.index_dtype` is the
-    CSR's, int32 up to 2^31 - 1 entries; a table with int64 indices below
-    that gives the same matrix, since scipy narrows its indices.
+    The kernel's ``indices`` and ``data`` are the table's own two arrays, so
+    ``neighbors`` is consumed. A block's rows are copied out before anything
+    is written, and the kept entries of rows below e fill at most the
+    table's first e c slots, so no write reaches a row not yet read. The
+    arrays are then resized to the symmetrized kernel's entry count, which
+    grows or shrinks them. The resize is in place (a realloc) when the
+    caller hands over its only reference to the table, as ``fit_forecaster``
+    does; a table the caller still holds is copied instead. The table's
+    :func:`~diffusion_forecast.dataset.index_dtype` is the CSR's, int32 up
+    to 2^31 - 1 entries; a table with int64 indices below that gives the
+    same matrix, since scipy narrows its indices.
 
     Each entry's denominator is 4 eps (q_i^BETA q_j^BETA), symmetric bit for
     bit, and so are the distances of :func:`~diffusion_forecast.dataset.knn`,
     so k_ij == k_ji wherever both are computed and max(K, K^T) is the union
     of the two one-sided patterns. Row j holds i when d_ij is below row j's
-    last distance; every other kept entry may lack its transpose and is added
-    at (j, i) by :func:`_symmetrize`.
+    last distance. Every other kept entry is marked; only one whose distance
+    equals that last distance can have its transpose stored, which is looked
+    up. The transposes found missing are merged into their rows by
+    :func:`_insert_transposes`, back to front, so that the kernel takes the
+    table's slots with no second copy of it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -229,7 +237,18 @@ def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> 
     if cap < 2:
         raise ValueError("neighbor table must have at least 2 columns")
 
-    k = _symmetrize(*_one_sided_kernel(neighbors, qv**BETA, 4.0 * eps))
+    # the list holds the table's arrays; once ``neighbors`` is dropped it is
+    # their only reference when the caller handed over its own, and
+    # _resize can then resize them in place
+    arrays = [neighbors.indices, neighbors.distances]
+    del neighbors
+    indptr, extra = _one_sided_kernel(*arrays, qv**BETA, 4.0 * eps)
+    nnz = int(indptr[-1]) + extra.nnz
+    _resize(arrays, max(nnz, n * cap))
+    _insert_transposes(indptr, *arrays, extra)
+    del extra
+    _resize(arrays, nnz)
+    k = sp.csr_matrix((arrays[1], arrays[0], indptr), shape=(n, n))
 
     off_diag_counts = k.getnnz(axis=1) - 1
     if np.any(off_diag_counts <= 0):
@@ -241,59 +260,158 @@ def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> 
     return k
 
 
-def _one_sided_kernel(nl: NeighborList, qb: np.ndarray, c: float):
-    """The one-sided kernel of :func:`build_vb_kernel` as CSR arrays
-    ``(indptr, indices, data)``, ``indices`` and ``data`` the table's own
-    arrays, read flat, of which the first ``indptr[-1]`` slots are used. An
-    entry (i, j) whose transpose (j, i) may not be stored is written
-    negated, which marks it for :func:`_symmetrize` (kernel values are
-    positive)."""
-    n, cap = nl.indices.shape
-    indices = nl.indices.reshape(-1)
-    data = nl.distances.reshape(-1)
+def _one_sided_kernel(table_indices: np.ndarray, table_distances: np.ndarray,
+                      qb: np.ndarray, c: float) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The one-sided kernel of :func:`build_vb_kernel`, written into the
+    (N, c) table's two arrays, read flat, of which the first ``indptr[-1]``
+    slots are used; returns its ``indptr`` and the transposes of its entries
+    that are not stored, as a CSR matrix. An entry (i, j) whose transpose
+    (j, i) may not be stored is marked: when d_ij equals row j's last
+    distance, (j, i) is looked up in row j."""
+    n, cap = table_indices.shape
+    indices = table_indices.reshape(-1)
+    data = table_distances.reshape(-1)
     indptr = np.zeros(n + 1, dtype=indices.dtype)
     # row j's last distance: row j holds i when d_ij < last_d[j]; copied
     # before the kernel overwrites it
-    last_d = nl.distances[:, cap - 1].copy()
+    last_d = table_distances[:, cap - 1].copy()
+    marked, tied = [], []
     nnz = 0
     step = rows_per_block(cap)
     for s in range(0, n, step):
         e = min(s + step, n)
-        # each row's neighbours in column order, so the table is the CSR directly
-        order = nl.indices[s:e].argsort(axis=1)
-        cols = np.take_along_axis(nl.indices[s:e], order, axis=1)
-        dist = np.take_along_axis(nl.distances[s:e], order, axis=1)
-        del order
-        mutual = dist < last_d[cols]
-        neg_d2 = np.negative(np.square(dist, out=dist), out=dist)
-        # c (qb_i qb_j) is symmetric bit for bit, and so is the kernel
-        vals = np.exp(neg_d2 / (c * (qb[s:e, None] * qb[cols])))
-        del dist, neg_d2
+        # each row's neighbours in column order, so the table is the CSR
+        # directly: a row's keys (column << 32) | rank, columns below 2^31,
+        # sort as its columns do and carry each column's rank along
+        keys = table_indices[s:e].astype(np.int64)
+        keys <<= 32
+        keys |= np.arange(cap)
+        keys.sort(axis=1)
+        cols = np.empty(keys.shape, dtype=indices.dtype)
+        np.right_shift(keys, 32, out=cols, casting="unsafe")
+        keys &= 0xFFFFFFFF
+        vals = np.take_along_axis(table_distances[s:e], keys, axis=1)
+        del keys
+        # lone: row j may not hold i; tie: then only a lookup can tell
+        last = last_d[cols]
+        lone = vals >= last
+        tie = vals == last
+        del last
+        # c (qb_i qb_j) is symmetric bit for bit, and so is the kernel; the
+        # values take the distances' buffer
+        den = qb[cols]
+        den *= qb[s:e, None]
+        den *= c
+        np.negative(np.square(vals, out=vals), out=vals)
+        vals /= den
+        del den
+        np.exp(vals, out=vals)
         keep = vals >= KERNEL_FLOOR
-        marked = np.nonzero(keep & ~mutual)
-        vals[marked] = -vals[marked]
         np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[s + 1:e + 1])
         indptr[s + 1:e + 1] += nnz
         kept = int(indptr[e]) - nnz
+        lone = lone[keep]
+        at = np.flatnonzero(lone)
+        marked.append((at + nnz).astype(indices.dtype))
+        tied.append(tie[keep][at])
+        del lone, tie, at
         indices[nnz:nnz + kept] = cols[keep]
         data[nnz:nnz + kept] = vals[keep]
         nnz += kept
-    return indptr, indices, data
+    marked = np.concatenate(marked)
+    tied = np.concatenate(tied)
+
+    rows = (np.searchsorted(indptr, marked, side="right") - 1).astype(indices.dtype)
+    cols = indices[marked]
+    if tied.any():
+        at = np.flatnonzero(tied)
+        missing = np.ones(marked.size, dtype=bool)
+        missing[at[_is_stored(indptr, indices, cols[at], rows[at])]] = False
+        del at
+        marked, rows, cols = marked[missing], rows[missing], cols[missing]
+    vals = data[marked]
+    del marked, tied
+    # scipy's COO conversion is a stable counting sort by row, so each row of
+    # the transposes gets its columns in the ascending order they were marked in
+    return indptr, sp.csr_matrix((vals, (cols, rows)), shape=(n, n))
 
 
-def _symmetrize(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
-    """max(K, K^T) from :func:`_one_sided_kernel`'s arrays, which are left
-    with the marks removed. Since k_ij == k_ji, the maximum only adds the
-    transposes of the marked entries where they are missing."""
+def _is_stored(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Whether column cols[t] is stored in row rows[t] of the CSR pattern
+    (indptr, indices), whose rows are sorted: a binary search of each row,
+    all of them at once."""
+    lo = indptr[rows].astype(np.int64)
+    end = indptr[rows + 1].astype(np.int64)
+    hi = end.copy()
+    while np.any(lo < hi):
+        active = lo < hi
+        mid = np.where(active, (lo + hi) // 2, 0)
+        below = indices[mid] < cols
+        lo = np.where(active & below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
+    found = lo < end
+    found[found] = indices[lo[found]] == cols[found]
+    return found
+
+
+def _resize(arrays: list, size: int) -> None:
+    """Resize each array in ``arrays`` to ``size`` entries, flat, keeping its
+    leading entries. In place (a realloc; glibc moves a large block with
+    mremap, not by copying) when the list holds the array's only reference;
+    an array referred to from elsewhere is copied instead."""
+    for i in range(len(arrays)):
+        try:
+            arrays[i].resize(size)
+        except ValueError:  # another reference, a view or a weak reference
+            copy = np.empty(size, dtype=arrays[i].dtype)
+            kept = min(size, arrays[i].size)
+            copy[:kept] = arrays[i].reshape(-1)[:kept]
+            arrays[i] = copy
+
+
+def _insert_transposes(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                       extra: sp.csr_matrix) -> None:
+    """Insert ``extra``, entries missing from the one-sided kernel held by
+    ``indptr`` and the flat ``indices`` and ``data``, which have room for
+    both, into their rows; ``indptr`` is updated in place.
+
+    Row blocks are merged back to front, each into a block-sized buffer
+    that is then copied into place. A block's rows move only toward the
+    end, into slots whose rows are merged already or are its own, so no
+    write reaches a row not yet read. Within a block, the key
+    (row - s) N + column orders the entries as the CSR does, and each
+    inserted entry goes where ``searchsorted`` places its key among the
+    block's stored ones.
+    """
     n = indptr.shape[0] - 1
-    nnz = int(indptr[-1])
-    k = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
-    at = np.flatnonzero(k.data < 0)
-    k.data[at] *= -1.0
-    rows = np.searchsorted(indptr, at, side="right") - 1
-    extra = sp.csr_matrix((k.data[at], (k.indices[at], rows)), shape=(n, n))
-    del at, rows  # freed before the maximum allocates its result
-    return k.maximum(extra)
+    step = rows_per_block(int(np.diff(indptr).max(initial=0)))
+    for s in reversed(range(0, n, step)):
+        e = min(s + step, n)
+        lo, hi = int(indptr[s]), int(indptr[e])
+        x_lo, x_hi = int(extra.indptr[s]), int(extra.indptr[e])
+        if x_hi == x_lo:
+            if x_lo > 0:
+                indices[lo + x_lo:hi + x_hi] = indices[lo:hi]
+                data[lo + x_lo:hi + x_hi] = data[lo:hi]
+            continue
+        offsets = np.arange(0, (e - s) * n, n, dtype=np.int64)
+        keys = np.repeat(offsets, np.diff(indptr[s:e + 1]))
+        keys += indices[lo:hi]
+        x_keys = np.repeat(offsets, np.diff(extra.indptr[s:e + 1]))
+        x_keys += extra.indices[x_lo:x_hi]
+        at = np.searchsorted(keys, x_keys)
+        del keys, x_keys
+        at += np.arange(x_hi - x_lo)  # the entries inserted before each
+        stored = np.ones(hi - lo + x_hi - x_lo, dtype=bool)
+        stored[at] = False
+        for out, inserted in ((indices, extra.indices), (data, extra.data)):
+            merged = np.empty(stored.size, dtype=out.dtype)
+            merged[stored] = out[lo:hi]
+            merged[at] = inserted[x_lo:x_hi]
+            out[lo + x_lo:hi + x_hi] = merged
+            del merged
+    indptr += extra.indptr
 
 
 def build_basis(
@@ -465,12 +583,13 @@ def _top_eigenpairs(
     dense solve after it, and so does a residual above EIG_RESIDUAL_TOL.
     """
     if path == "dense":
-        # L is moved before it is densified, so that its copy can fill the
-        # memory the freed neighbour table left and the n x n matrix can take
-        # the place L leaves. Densified where it lay, beside that unused
-        # memory, L cost the Lorenz-63 fit (N=2000, M=500) up to 14% more
-        # peak RSS. The move holds 24 z bytes, which passes the 12 z + 8 n^2
-        # of the densified step only when z > 2/3 n^2.
+        # L is moved before it is densified, out of the neighbour table's old
+        # buffers, so that the n x n matrix can take the place L leaves.
+        # Densified where it lay, L cost the Lorenz-63 fit (N=2000, M=500) up
+        # to 4.5% more peak RSS through glibc's heap placement alone (the
+        # benchmark's lorenz-skill runs at six seeds, 2-core x86-64 VM). The
+        # move holds 24 z bytes, which passes the 12 z + 8 n^2 of the
+        # densified step only when z > 2/3 n^2.
         l_sym = l_sym.copy()  # the caller's L is freed here if it was the only reference
         h = l_sym.toarray(order="F")
         del l_sym  # the copy is freed before eigh

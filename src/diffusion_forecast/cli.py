@@ -295,8 +295,14 @@ def _cmd_experiment(args) -> int:
     config = paper_scale(make()) if args.paper_scale else make()
     if args.config:
         config = load_config(args.config, config)
-    flags = {"seed": args.seed, "out_dir": args.out_dir, "data_path": args.data}
-    config = replace(config, **{key: value for key, value in flags.items() if value is not None})
+    flags = {"--seed": ("seed", args.seed), "--out-dir": ("out_dir", args.out_dir),
+             "--data": ("data_path", args.data)}
+    overrides = {}
+    for flag, (key, value) in flags.items():
+        if value is not None:
+            make.check_key(key, value, label=flag)
+            overrides[key] = value
+    config = replace(config, **overrides)
     print(f"wrote {' and '.join(map(str, run(config).csv_paths))}")
     return 0
 

@@ -81,10 +81,11 @@ class NeighborList:
     """Exact k-nearest-neighbor table (self included at rank 0).
 
     ``distances`` rows are ascending; ties are broken by lower point index.
-    ``indices`` has the dtype :func:`index_dtype` gives for the table's
-    entry count, int32 up to 2^31 - 1 entries. The table is mutable:
-    :func:`~diffusion_forecast.basis.build_vb_kernel` consumes it, writing
-    the one-sided kernel into its two arrays.
+    ``indices`` has the dtype :func:`index_dtype` gives for twice the
+    table's entry count, the most entries its symmetrized kernel can have:
+    int32 up to 2^31 - 1 of them. The table is mutable:
+    :func:`~diffusion_forecast.basis.build_vb_kernel` consumes it, resizing
+    its two arrays into the kernel's.
     """
 
     indices: np.ndarray
@@ -223,11 +224,12 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     all-pairs sweep, which every later stage of the fit reads through the
     table it returns.
 
-    The indices are stored in :func:`index_dtype` of ``m * k``: int32, 12
-    bytes an entry with its distance, unless the table has more than
-    2^31 - 1 entries. That is the rule of the kernel's CSR indices, so
-    :func:`~diffusion_forecast.basis.build_vb_kernel` writes the kernel
-    into the table's own buffers and consumes the table.
+    The indices are stored in :func:`index_dtype` of ``2 * m * k``: int32,
+    12 bytes an entry with its distance, unless the symmetrized kernel of
+    the table, which has at most twice its entries, could have more than
+    2^31 - 1. That is the rule of the kernel's CSR indices, so
+    :func:`~diffusion_forecast.basis.build_vb_kernel` resizes the table's
+    own buffers into the kernel's and consumes the table.
     """
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[0]
@@ -236,7 +238,7 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     self_query = query is None
     q = pts if self_query else np.asarray(query, dtype=float)
     m = q.shape[0]
-    out_idx = np.empty((m, k), dtype=index_dtype(m * k))
+    out_idx = np.empty((m, k), dtype=index_dtype(2 * m * k))
     out_d2 = np.empty((m, k))
     step = rows_per_block(n)
     for s in range(0, m, step):

@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,11 +34,29 @@ from .simulators import (TWO_PI, lorenz_model, lorenz_substeps, simulate_lorenz6
 
 class _Config:
     """Checks every key of a config on its own; checks that tie keys
-    together go in a subclass's ``__post_init__``."""
+    together go in a subclass's ``__post_init__``. A subclass whose run
+    needs more of a key than _MINIMUMS gives sets it in ``minimums``."""
+
+    minimums: ClassVar[dict] = {}
 
     def __post_init__(self):
         for f in fields(self):
-            _check_field(f.name, getattr(self, f.name))
+            self.check_key(f.name, getattr(self, f.name))
+
+    @classmethod
+    def check_key(cls, name: str, value, label: str | None = None) -> None:
+        """ValueError if ``value`` is not allowed for the key ``name`` on its
+        own. The message calls the key ``label``, by default ``name``: the
+        CLI passes the flag that set it."""
+        label = label or name
+        if name == "data_format" and value not in DATED_FORMATS:
+            raise ValueError(f"{label} must be a dated format, {' or '.join(DATED_FORMATS)}, "
+                             f"got {value!r}")
+        least = cls.minimums.get(name, _MINIMUMS.get(name))
+        if least is not None and value < least:
+            raise ValueError(f"{label} must be >= {least}")
+        if name in _POSITIVE and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{label} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +118,10 @@ class NinoConfig(_Config):
     training months and the Jan 2000 start of verification are fixed by the
     calendar windows of the paper. ``data_format``, the layout of the data
     file, is one of the dated formats of ``load_series``,
-    ``dataset.DATED_FORMATS``."""
+    ``dataset.DATED_FORMATS``. ``lead_steps`` is at least 14, the lead of the
+    forecasts ``nino_lead14.csv`` holds."""
+
+    minimums: ClassVar[dict] = {"lead_steps": 14}
 
     data_path: str = ""
     data_format: str = "noaa-monthly-grid"
@@ -112,21 +134,10 @@ class NinoConfig(_Config):
     out_dir: str = "runs"
 
 
+# The least value of each integer key, unless a config's ``minimums`` says more.
 _MINIMUMS = dict(n_samples=16, n_basis=1, lags=1, n_ens=2, n_verify=2, lead_steps=1,
                  substeps=1, seed=0)
 _POSITIVE = ("dt", "init_variance", "perturbation_variance")
-
-
-def _check_field(name: str, value) -> None:
-    """ValueError if ``value`` is not allowed for the config key ``name`` on
-    its own."""
-    if name == "data_format" and value not in DATED_FORMATS:
-        raise ValueError(f"data_format must be a dated format, {' or '.join(DATED_FORMATS)}, "
-                         f"got {value!r}")
-    if name in _MINIMUMS and value < _MINIMUMS[name]:
-        raise ValueError(f"{name} must be >= {_MINIMUMS[name]}")
-    if name in _POSITIVE and not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 _PAPER_SIZES = {
@@ -174,7 +185,7 @@ def load_config(path, base: TorusConfig | LorenzConfig | NinoConfig
             raise ValueError(f"{path}:{line_no}: config key {key}: expected "
                              f"{type(current).__name__}, got {value!r}") from None
         try:
-            _check_field(key, overrides[key])
+            type(base).check_key(key, overrides[key])
         except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
     try:
@@ -376,7 +387,7 @@ def run_nino_experiment(config: NinoConfig) -> ExperimentResult:
             np.full(n_lead, skill.climatological_stdev),
         ]),
     )
-    lead14 = 14 if n_lead >= 14 else n_lead
+    lead14 = NinoConfig.minimums["lead_steps"]
     lead14_csv = out / "nino_lead14.csv"
     write_csv(
         lead14_csv,

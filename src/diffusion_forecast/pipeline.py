@@ -87,9 +87,8 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
 
     # build_vb_kernel gets the only reference to the table and build_basis
     # the only one to the kernel, and each consumes its input: the table's
-    # arrays hold the one-sided kernel and are freed when build_vb_kernel
-    # returns, and the kernel's arrays become L, freed on the dense path
-    # once densified
+    # arrays are resized in place into the kernel's, and the kernel's arrays
+    # become L, freed on the dense path once densified
     handoff = [nl]
     del nl
     basis, solver = build_basis(

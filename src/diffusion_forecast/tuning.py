@@ -192,10 +192,22 @@ class PairwiseKernelSum:
         step = rows_per_block(width)
         for s in range(0, n, step):
             rows = slice(s, s + step)
-            w = np.square(neighbors.distances[rows]) / (v[neighbors.indices[rows]] * v[rows, None])
+            # w = d^2 / (v_j v_i), the log and the bin index computed in the
+            # block's own buffers, with the ufuncs of the expressions in order
+            den = v[neighbors.indices[rows]]
+            den *= v[rows, None]
+            w = np.square(neighbors.distances[rows])
+            w /= den
+            del den
             zero = w == 0.0
             zero_count += int(np.count_nonzero(zero))
-            idx = ((np.log(w[~zero]) - log_lo) / bin_width).astype(np.int64)
+            log_w = w[~zero]
+            del w, zero
+            np.log(log_w, out=log_w)
+            log_w -= log_lo
+            log_w /= bin_width
+            idx = log_w.astype(np.int64)
+            del log_w
             np.clip(idx, 0, n_bins - 1, out=idx)
             counts += np.bincount(idx, minlength=n_bins)
         keep = counts > 0
@@ -328,8 +340,18 @@ def kde(neighbors: NeighborList, profile: BandwidthProfile, eps: float,
     step = rows_per_block(width)
     for s in range(0, n, step):
         rows = slice(s, s + step)
-        ss = 2.0 * eps * (rho[rows, None] * rho[neighbors.indices[rows]])
-        k = np.exp(-np.square(neighbors.distances[rows]) / ss) / (np.pi * ss) ** (d / 2.0)
+        # the pair terms computed in the block's two buffers, with the ufuncs
+        # of the formula in order
+        ss = rho[neighbors.indices[rows]]
+        ss *= rho[rows, None]
+        ss *= 2.0 * eps
+        k = np.square(neighbors.distances[rows])
+        np.negative(k, out=k)
+        k /= ss
+        np.exp(k, out=k)
+        ss *= np.pi
+        ss **= d / 2.0
+        k /= ss
         sums[rows] = k.sum(axis=1)
     q = sums / n
     if np.any(q <= 0) or np.any(~np.isfinite(q)):

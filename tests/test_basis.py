@@ -119,21 +119,31 @@ class TestBuildVbKernel:
             assert np.array_equal(k.indices, ref.indices)
             assert np.array_equal(k.data, ref.data)
 
+    @pytest.mark.parametrize("table", ["held", "handed-over"])
     @pytest.mark.parametrize("block_entries", [None, 90], ids=["default-blocks", "small-blocks"])
-    @pytest.mark.parametrize("case", ["non-mutual", "ties-at-the-cap"])
+    @pytest.mark.parametrize("case", ["non-mutual", "ties-at-the-cap", "shrink"])
     def test_symmetrization_equals_the_maximum_with_the_transpose(self, monkeypatch, case,
-                                                                    block_entries):
+                                                                    block_entries, table):
         # non-mutual: a cloud with a sparse outer shell, where many of a
-        # row's neighbours do not hold it; ties: a 5 x 5 integer grid with
-        # about 12 copies of each point, so rows end inside a run of equal
-        # distances and some entries are marked whose transposes are stored.
-        # The floor's case is test_direct_csr_equals_the_coo_assembly
+        # row's neighbours do not hold it; every row is at the cap, so the
+        # kernel outgrows the table. ties: a 5 x 5 integer grid with about 12
+        # copies of each point, so rows end inside a run of equal distances
+        # and some entries are marked whose transposes are stored. shrink: a
+        # jittered grid with a dense cluster, at a bandwidth at which the
+        # floor drops most entries while grid points keep cluster points
+        # whose rows, full of the cluster, do not hold them. A held table is
+        # copied into the kernel, a handed-over one resized in place
         rng = np.random.default_rng(9)
+        eps = 1.0
         if case == "ties-at-the-cap":
             pts = rng.integers(0, 5, size=(300, 2)).astype(float)
+        elif case == "shrink":
+            grid = np.stack(np.meshgrid(np.arange(25.0), np.arange(10.0)), axis=-1).reshape(-1, 2)
+            pts = np.vstack([grid + rng.uniform(-0.3, 0.3, size=(250, 2)),
+                             [12.0, 5.0] + rng.uniform(-0.2, 0.2, size=(50, 2))])
+            eps = 0.015
         else:
             pts = rng.normal(size=(300, 2)) * rng.choice([1.0, 4.0], size=(300, 1), p=[0.8, 0.2])
-        eps = 1.0
         cap = 20
         ts = TimeSeries(pts, tau=1.0)
         q = DensityEstimate(q=0.5 + rng.uniform(size=300))
@@ -143,9 +153,19 @@ class TestBuildVbKernel:
         lone = sum((j, i) not in one_sided for i, j in one_sided)
         if block_entries is not None:
             monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
-        k = build_vb_kernel(nl, q, eps=eps)
+        if table == "held":
+            k = build_vb_kernel(nl, q, eps=eps)
+        else:
+            handoff = [nl]
+            del nl
+            k = build_vb_kernel(handoff.pop(), q, eps=eps)
         assert lone > 0.1 * len(one_sided) if case == "non-mutual" else lone > 0
-        assert dropped == 0
+        if case == "shrink":
+            assert dropped > 0.5 * 300 * cap and k.nnz > 300 * cap - dropped
+        else:
+            assert dropped == 0
+        if case == "non-mutual":
+            assert k.nnz > 300 * cap
         assert k.has_canonical_format
         assert k.indptr.dtype == ref.indptr.dtype and k.indices.dtype == ref.indices.dtype
         assert k.indices.size == k.data.size == k.nnz == ref.nnz  # arrays of the final size

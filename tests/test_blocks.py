@@ -13,12 +13,13 @@ import scipy.sparse as sp
 import diffusion_forecast.basis as basis_mod
 import diffusion_forecast.dataset as dataset_mod
 import diffusion_forecast.pipeline as pipeline_mod
-from diffusion_forecast.basis import build_vb_kernel
+from diffusion_forecast.basis import BETA, build_vb_kernel
 from diffusion_forecast.dataset import TimeSeries, knn
 from diffusion_forecast.forecast import gaussian_density_values
 from diffusion_forecast.pipeline import fit_forecaster
 from diffusion_forecast.simulators import simulate_lorenz63
 from diffusion_forecast.tuning import (
+    KERNEL_FLOOR,
     LOG_BIN_WIDTH,
     DensityEstimate,
     PairwiseKernelSum,
@@ -27,6 +28,8 @@ from diffusion_forecast.tuning import (
     kde,
     tune,
 )
+
+from _oracles import coo_vb_kernel
 
 
 def circle_series(n, seed=11):
@@ -135,8 +138,9 @@ def traced_peak(fn, *args, **kwargs):
 
 class TestBoundedMemory:
     """At N = 1500 with 20000-entry (160 kB) blocks, each stage may hold its
-    outputs and WORK_BLOCKS blocks of doubles beyond them. A whole N x N
-    square of doubles is 18 MB, an (N, 200) table of them 2.4 MB."""
+    outputs and a few blocks of doubles beyond them (WORK_BLOCKS unless a
+    test says fewer). A whole N x N square of doubles is 18 MB, an (N, 200)
+    table of them 2.4 MB."""
 
     N = 1500
     BLOCK = 20_000
@@ -148,8 +152,8 @@ class TestBoundedMemory:
         rng = np.random.default_rng(2)
         return TimeSeries(rng.normal(size=(self.N, 3)), tau=1.0)
 
-    def bound(self, output_bytes):
-        return output_bytes + self.WORK_BLOCKS * self.BLOCK * 8
+    def bound(self, output_bytes, blocks=WORK_BLOCKS):
+        return output_bytes + blocks * self.BLOCK * 8
 
     def test_knn(self, series):
         nl, peak = traced_peak(knn, series, 200)
@@ -159,43 +163,41 @@ class TestBoundedMemory:
         nl = knn(series, 200)
         scales = adhoc_bandwidth(nl).rho0
         _, peak = traced_peak(PairwiseKernelSum, nl, scales, 2.0)
-        # the bin arrays: counts, centres, a block's bincount and the kept bins
+        # the bin arrays: counts, centres and a block's bincount
         w_lo, w_hi = _histogram_bounds(nl, scales)
         n_bins = int(np.ceil(np.log(w_hi / w_lo) / LOG_BIN_WIDTH)) + 1
-        assert peak <= self.bound(6 * 8 * n_bins)
+        assert peak <= self.bound(3 * 8 * n_bins, blocks=3)
 
     def test_kde(self, series):
         nl = knn(series, 200)
         profile = adhoc_bandwidth(nl)
         tuning = tune(PairwiseKernelSum(nl, profile.rho0, 2.0))
         q, peak = traced_peak(kde, nl, profile, tuning.eps_star, tuning.d_est)
-        assert peak <= self.bound(2 * q.q.nbytes)
+        assert peak <= self.bound(2 * q.q.nbytes, blocks=4)
 
-    def test_kernel_assembly(self, monkeypatch, series):
-        # up to the symmetrization: indptr (int32) and the blocks; the
-        # one-sided kernel is written into the table's own arrays, which
-        # were allocated before tracing started
+    def test_kernel_assembly(self, series):
+        # the table, traced since its allocation, is handed over and resized
+        # into the kernel in place: beyond it the stage holds indptr (int32),
+        # the blocks, and the transposes it inserts, gathered at 4 + 4 + 8
+        # bytes each into a CSR of 12 bytes each, and then added as slots
         cap = 200
-        nl = knn(series, cap)
-        q = kde(nl, adhoc_bandwidth(nl), 0.05, 3.0)
-        before_symmetrization = []
-        real_symmetrize = basis_mod._symmetrize
-
-        def symmetrize(*args):
-            before_symmetrization.append(tracemalloc.get_traced_memory()[1])
-            return real_symmetrize(*args)
-
-        monkeypatch.setattr(basis_mod, "_symmetrize", symmetrize)
+        eps = 0.05
         tracemalloc.start()
         try:
+            nl = knn(series, cap)
+            q = kde(nl, adhoc_bandwidth(nl), eps, 3.0)
+            dropped = coo_vb_kernel(q.q, eps, BETA, nl.indices, nl.distances, KERNEL_FLOOR)[1]
+            handoff = [nl]
+            del nl
             live, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            k = build_vb_kernel(nl, q, 0.05)
+            k = build_vb_kernel(handoff.pop(), q, eps)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert k.nnz > 0.9 * self.N * cap  # the floor drops few entries here
-        (peak,) = before_symmetrization
-        assert peak - live <= self.bound(4 * (self.N + 1))
+        inserted = k.nnz - (self.N * cap - dropped)
+        assert dropped < 0.1 * self.N * cap < inserted  # the kernel outgrows the table
+        assert peak - live <= self.bound(4 * (self.N + 1) + 32 * inserted)
 
     def test_batched_gaussian_density(self, series):
         # (N, B) values for B = 200 means: the result and a few blocks, not
@@ -239,18 +241,22 @@ class TestLifetimes:
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    def test_the_table_is_freed_once_the_symmetrization_returns(self, monkeypatch):
-        # the table's arrays hold the one-sided kernel, which the
-        # symmetrization reads; they are freed before build_basis runs
+    def test_the_neighbor_list_is_freed_before_build_basis(self, monkeypatch):
+        # its two arrays live on as the kernel's, so only the NeighborList
+        # itself is watched: a weak reference to an array would stop its
+        # resize in place
         table, seen = [], []
-        self.watch(monkeypatch, pipeline_mod, "knn", table)
-        self.check_at(monkeypatch, basis_mod, "_symmetrize", table, seen)
+        real = pipeline_mod.knn
+
+        def knn_spy(*args):
+            nl = real(*args)
+            table.append(weakref.ref(nl))
+            return nl
+
+        monkeypatch.setattr(pipeline_mod, "knn", knn_spy)
         self.check_at(monkeypatch, pipeline_mod, "build_basis", table, seen)
         fit_forecaster(circle_series(400), 5)
-        assert len(table) == 3  # the NeighborList and its two arrays
-        at_symmetrize, at_build_basis = seen
-        assert at_symmetrize[1:] == [False, False]
-        assert at_build_basis == [True] * 3
+        assert seen == [[True]]
 
     # both route dense: lorenz at a larger M, and the small circle, where the
     # dense solve beats Lanczos

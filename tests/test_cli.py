@@ -201,6 +201,26 @@ def test_ensemble_baseline_integrates_as_simulate_does(tmp_path, system, tau, su
     assert np.array_equal(rows, np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)]))
 
 
+@pytest.mark.parametrize("name, config_text", [("torus", None), ("nino34", None),
+                                                 ("torus", "seed = 3\n")],
+                         ids=["torus", "nino", "torus-over-a-config"])
+def test_a_rejected_flag_is_named_by_its_flag(tmp_path, monkeypatch, capsys, name, config_text):
+    from diffusion_forecast import cli
+
+    seen = []
+    run_name = {"torus": "run_torus_experiment", "nino34": "run_nino_experiment"}[name]
+    monkeypatch.setattr(cli, run_name, seen.append)
+    flags = ["--seed", "-1", "--out-dir", str(tmp_path)]
+    if name == "nino34":
+        flags += ["--data", "nino34.txt"]
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text)
+        flags += ["--config", str(tmp_path / "run.cfg")]
+    assert main(["experiment", name, *flags]) == 1
+    assert seen == []
+    assert capsys.readouterr() == ("", "error: --seed must be >= 0\n")
+
+
 @pytest.mark.parametrize("name, driver, flags, sizes", [
     ("torus", "run_torus_experiment", ["--paper-scale"],
      dict(n_samples=20000, n_basis=1000, lead_steps=100, n_ens=50000, dt=0.1)),

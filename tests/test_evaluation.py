@@ -120,13 +120,16 @@ def test_a_bad_line_is_named(tmp_path, base, text, line, match):
     (NinoConfig(), "n_basis = 30\ndata_format = fancy\n", ":2: ",
      "data_format must be a dated format, two-column-dated or noaa-monthly-grid, got 'fancy'"),
     (TorusConfig(), "n_basis = 30\nseed = -1\n", ":2: ", "seed must be >= 0"),
+    # nino_lead14.csv holds the forecasts at lead 14
+    (NinoConfig(), "n_basis = 30\nlead_steps = 13\n", ":2: ", "lead_steps must be >= 14"),
     # a check that ties two keys together names the file only
     (LorenzConfig(), "n_samples = 600\nn_basis = 200\n", ": ",
      r"basis size m=200 out of range \[1, 100\]"),
     (TorusConfig(), "n_samples = 100\nn_basis = 200\n", ": ",
      r"basis size m=200 out of range \[1, 100\]"),
 ], ids=["below-minimum", "not-positive", "nan-step", "inf-variance",
-        "unknown-data-format", "negative-seed", "cross-field", "torus-cross-field"])
+        "unknown-data-format", "negative-seed", "nino-short-ladder", "cross-field",
+        "torus-cross-field"])
 def test_a_rejected_value_is_located(tmp_path, base, text, where, match):
     path = write(tmp_path, text)
     with pytest.raises(ValueError, match=match) as err:

@@ -204,6 +204,14 @@ def test_nino_experiment(tmp_path):
     _check_fit_record(json.loads(result.manifest_path.read_text())["fit"], result.fit)
 
 
+@pytest.mark.parametrize("lead_steps", [1, 13])
+def test_nino_config_refuses_a_ladder_short_of_lead_14(lead_steps):
+    # nino_lead14.csv holds the forecasts at lead 14; 14 itself is allowed
+    assert NinoConfig(lead_steps=14).lead_steps == 14
+    with pytest.raises(ValueError, match="^lead_steps must be >= 14$"):
+        NinoConfig(lead_steps=lead_steps)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "single-column"])
 def test_nino_experiment_needs_a_dated_format(tmp_path, fmt):
     # the experiment slices calendar windows from the file's start date
