@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import TimeSeries, knn_points
+from .dataset import TimeSeries, knn_points, rows_per_block
 from .forecast import MomentForecast
 from .simulators import ODEModel, SDEModel, rk4_step_batch, sde_step_batch
 
@@ -340,9 +340,10 @@ def iterated_local_linear_forecast(
 
 
 def sample_gaussian(state: GaussianState, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n samples, (n, dim) from one state or (B, n, dim) from a batch
-    in one normal block; uses a symmetric PSD square root so singular
-    covariances are fine."""
+    """Draw n samples, (n, dim) from one state or (B, n, dim) from a batch;
+    uses a symmetric PSD square root so singular covariances are fine. The
+    normals are drawn in C order, so a batch drawn block of states by block
+    from one generator equals the batch drawn at once."""
     w, u = np.linalg.eigh(state.cov)
     root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     mean = state.mean[..., None, :]
@@ -366,17 +367,20 @@ def ensemble_forecast(
     moments of the G observables at leads 0..lead_steps, ``dt_sample``
     apart, are in the layout of :class:`MomentForecast`.
 
-    Every member of every state advances as one (B * n_ens, dim) batch, in
-    which member m of state b is row ``b * n_ens + m``. Of the two streams
-    spawned from ``rng_seed``, the first draws the initial conditions as one
-    (B, n_ens, dim) normal block and the second seeds one generator that
-    draws each lead's SDE noise as one (substeps, B * n_ens, dim) block, so
-    one state and a batch of that state alone draw the same numbers. Memory:
-    the values buffer of ``n_leads * B * n_ens * n_obs`` doubles (163 MB for
-    420 Lorenz states of 200 members at 81 leads) plus one noise block per
-    SDE lead (40 MB for the paper-scale torus: 50k members, 50 substeps).
-    ``observable`` optionally maps a (members, dim) state block to the
-    quantities whose moments are wanted.
+    The states advance in blocks of ``rows_per_block(substeps * n_ens *
+    dim)`` whole states, each block's members as one (rows * n_ens, dim)
+    batch in which member m of state b is row ``b * n_ens + m``, reduced to
+    their moments at each lead before the next step. Memory is per block:
+    its members, a copy of their observables and, per SDE lead, one
+    (substeps, rows * n_ens, dim) noise block, about one working block;
+    only the (n_leads, B, G) moments grow with B. Of the two streams
+    spawned from ``rng_seed``, the first draws the initial conditions block
+    by block, the numbers of one (B, n_ens, dim) draw, and the second the
+    SDE noise, lead by lead within each block. So one state and a batch of
+    that state alone draw the same numbers; a batched SDE ensemble split
+    over several blocks draws its noise in another order than one block
+    (no driver runs one). ``observable`` optionally maps a (members, dim)
+    state block to the quantities whose moments are wanted.
 
     Lead 0 reports the moments of the sampled initial conditions. The
     variance is the two-pass population variance (divided by ``n_ens``).
@@ -394,44 +398,40 @@ def ensemble_forecast(
         raise ValueError("substeps must be >= 1")
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
-    ic_seq, path_seq = rng_seed.spawn(2)
-    ics = sample_gaussian(init, n_ens, np.random.default_rng(ic_seq))
-    batched = ics.ndim == 3
-    states = ics.reshape(-1, ics.shape[-1])
-    paths = np.random.default_rng(path_seq)
-
-    n_leads = lead_steps + 1
-    obs = _observe(states, observable)
-    values = np.empty((n_leads,) + obs.shape)
-    values[0] = obs
-    for lead in range(1, n_leads):
-        if isinstance(model, SDEModel):
-            noise = paths.standard_normal((substeps,) + states.shape)
-            states = sde_step_batch(model, states, dt_sample, substeps, noise)
-        else:
-            states = rk4_step_batch(model, states, dt_sample, substeps)
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
-            who = f"member of state {np.flatnonzero(~finite)[0] // n_ens}" if batched else "state"
-            raise FloatingPointError(f"non-finite ensemble {who} at lead {lead}")
-        values[lead] = _observe(states, observable)
-    values = values.reshape(n_leads, -1, n_ens, values.shape[-1])
-    mean = values.sum(axis=2) / n_ens
-    values -= mean[:, :, None, :]
-    var = np.square(values, out=values).sum(axis=2) / n_ens
-    if batched:
-        mean, var = np.moveaxis(mean, 1, -1), np.moveaxis(var, 1, -1)
-    else:
-        mean, var = mean[:, 0], var[:, 0]
-    return MomentForecast(
-        mean=mean, variance=var, lead_times=np.arange(n_leads) * dt_sample
-    )
+    ics, paths = (np.random.default_rng(seq) for seq in rng_seed.spawn(2))
+    batched = init.mean.ndim == 2
+    means = init.mean.reshape(-1, model.dim)
+    rows = rows_per_block(substeps * n_ens * model.dim)
+    blocks = []
+    for start in range(0, len(means), rows):
+        block = slice(start, start + rows)
+        cov = init.cov if init.cov.ndim == 2 else init.cov[block]
+        states = sample_gaussian(GaussianState(means[block], cov), n_ens, ics).reshape(-1, model.dim)
+        moments = [_moments(states, n_ens, observable)]
+        for lead in range(1, lead_steps + 1):
+            if isinstance(model, SDEModel):
+                noise = paths.standard_normal((substeps,) + states.shape)
+                states = sde_step_batch(model, states, dt_sample, substeps, noise)
+            else:
+                states = rk4_step_batch(model, states, dt_sample, substeps)
+            finite = np.isfinite(states).all(axis=1)
+            if not finite.all():
+                who = f"member of state {start + np.argmin(finite) // n_ens}" if batched else "state"
+                raise FloatingPointError(f"non-finite ensemble {who} at lead {lead}")
+            moments.append(_moments(states, n_ens, observable))
+        blocks.append(np.array(moments))
+    stacked = np.concatenate(blocks, axis=2).swapaxes(0, 1)  # (2, n_leads, B, G)
+    mean, var = np.moveaxis(stacked, 2, -1) if batched else stacked[:, :, 0]
+    return MomentForecast(mean=mean, variance=var,
+                          lead_times=np.arange(lead_steps + 1) * dt_sample)
 
 
-def _observe(states: np.ndarray, observable) -> np.ndarray:
-    if observable is None:
-        return states
-    out = np.asarray(observable(states), dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    return out
+def _moments(states: np.ndarray, n_ens: int, observable) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's (rows, G) mean and two-pass population variance over its
+    n_ens members. The observables are copied to C order first, so the sums
+    run in one order whatever layout the observable returns."""
+    obs = states if observable is None else observable(states)
+    values = np.array(obs, dtype=float, order="C").reshape(len(states) // n_ens, n_ens, -1)
+    mean = values.sum(axis=1) / n_ens
+    values -= mean[:, None, :]
+    return mean, np.square(values, out=values).sum(axis=1) / n_ens

@@ -237,6 +237,9 @@ def _write_moments(out: Path, fc: MomentForecast) -> Path:
 
 def _cmd_baseline(args) -> int:
     _check_steps(args)
+    ignored = "series" if args.method == "ensemble" else "system"
+    if getattr(args, ignored) is not None:
+        raise ValueError(f"--{ignored} is not read by the {args.method} method")
     if args.method == "ensemble":
         if not args.system:
             raise ValueError("--system is required for the ensemble method")

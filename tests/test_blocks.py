@@ -1,6 +1,8 @@
-"""The fit's block rule: every output is bitwise independent of
-``dataset.BLOCK_ENTRIES``, and the working memory of each sweep and of the
-kernel assembly is bounded by a few blocks, not by N^2 or N * cap."""
+"""The package's block rule: every output of the fit and of the true-model
+ensemble is bitwise independent of ``dataset.BLOCK_ENTRIES``, and the
+working memory of each sweep, of the kernel assembly and of the ensemble is
+bounded by a few blocks, not by N^2, N * cap or every member at every
+lead."""
 
 import tracemalloc
 import weakref
@@ -10,14 +12,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import diffusion_forecast.baselines as baselines_mod
 import diffusion_forecast.basis as basis_mod
 import diffusion_forecast.dataset as dataset_mod
 import diffusion_forecast.pipeline as pipeline_mod
+from diffusion_forecast.baselines import GaussianState, ensemble_forecast
 from diffusion_forecast.basis import BETA, build_vb_kernel
 from diffusion_forecast.dataset import TimeSeries, knn
 from diffusion_forecast.forecast import gaussian_density_values
 from diffusion_forecast.pipeline import fit_forecaster
-from diffusion_forecast.simulators import simulate_lorenz63
+from diffusion_forecast.simulators import ODEModel, lorenz_model, simulate_lorenz63
 from diffusion_forecast.tuning import (
     KERNEL_FLOOR,
     LOG_BIN_WIDTH,
@@ -122,6 +126,34 @@ class TestBlockInvariance:
                 assert_bitwise_equal(got[key], want[key], f"{key} at {block_entries} entries")
 
 
+    def test_ensemble_is_bitwise_independent_of_the_block_size(self, monkeypatch):
+        # 10 Lorenz states of 40 members at 10 substeps: the default block
+        # holds them all, 3600 entries make blocks of 3 states (10 = 3 * 3 + 1)
+        init = GaussianState.isotropic(simulate_lorenz63(400, seed=3).points[::40], 0.01)
+        runs = {}
+        for block_entries in (dataset_mod.BLOCK_ENTRIES, 3600):
+            monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", block_entries)
+            states = []
+            with monkeypatch.context() as mp:
+                spy(mp, baselines_mod, "rk4_step_batch", lambda out: states.append(len(out) // 40))
+                fc = ensemble_forecast(lorenz_model(), init, 40, 4, rng_seed=5, dt_sample=0.1,
+                                       substeps=10)
+            runs[block_entries] = states, fc.mean, fc.variance
+        (one, *want), (split, *got) = runs.values()
+        assert one == [10] * 4
+        assert split == [3] * 12 + [1] * 4  # every lead of a block before the next block
+        assert_bitwise_equal(got, want)
+
+    def test_a_blown_up_member_of_a_later_block_names_its_state_in_the_batch(self, monkeypatch):
+        # blocks of one state: state 2 blows up in the third block
+        monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", 10)
+        model = ODEModel(dim=1, rhs=lambda x: (x * x,))
+        init = GaussianState.isotropic(np.array([[0.0], [0.0], [50.0], [0.0]]), 1e-4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="member of state 2 at lead"):
+                ensemble_forecast(model, init, 10, 6, rng_seed=0, dt_sample=1.0)
+
+
 def traced_peak(fn, *args, **kwargs):
     """``fn``'s result and the peak of traced memory above what was live when
     it was called, in bytes."""
@@ -147,8 +179,11 @@ class TestBoundedMemory:
     WORK_BLOCKS = 8
 
     @pytest.fixture
-    def series(self, monkeypatch):
+    def blocks(self, monkeypatch):
         monkeypatch.setattr(dataset_mod, "BLOCK_ENTRIES", self.BLOCK)
+
+    @pytest.fixture
+    def series(self, blocks):
         rng = np.random.default_rng(2)
         return TimeSeries(rng.normal(size=(self.N, 3)), tau=1.0)
 
@@ -206,6 +241,18 @@ class TestBoundedMemory:
         values, peak = traced_peak(gaussian_density_values, series.points, means, 0.5)
         assert values.shape == (self.N, 200)
         assert peak <= self.bound(values.nbytes)
+
+    def test_ensemble(self, blocks):
+        # each lead's members are reduced to their moments before the next
+        # step: beyond the moments, a block's stacked moments and their
+        # concatenation, the forecast holds a few copies of one block's
+        # members (6 states of 100 here), not all of them at every lead (3.9 MB)
+        n_ens, substeps = 100, 10
+        init = GaussianState.isotropic(simulate_lorenz63(400, seed=3).points[::10], 0.01)
+        fc, peak = traced_peak(ensemble_forecast, lorenz_model(), init, n_ens, 40, rng_seed=0,
+                               dt_sample=0.1, substeps=substeps)
+        members = dataset_mod.rows_per_block(substeps * n_ens * 3) * n_ens * 3 * 8
+        assert peak <= 3 * (fc.mean.nbytes + fc.variance.nbytes) + 8 * members
 
 
 class TestLifetimes:
@@ -298,3 +345,4 @@ class TestLifetimes:
         assert solved == [("dense", True, True)]
         for name in ("phi", "lam", "peq"):
             assert np.array_equal(getattr(basis, name), getattr(fit.basis, name))
+

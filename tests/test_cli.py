@@ -273,6 +273,20 @@ def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, method, miss
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("method, flags, ignored", [
+    ("ensemble", ["--system", "lorenz63", "--series", "train.csv"], "--series"),
+    ("local-linear", ["--series", "train.csv", "--system", "torus"], "--system"),
+    ("iterated", ["--series", "train.csv", "--system", "lorenz63"], "--system"),
+], ids=["ensemble-series", "local-linear-system", "iterated-system"])
+def test_baseline_rejects_a_flag_its_method_ignores(tmp_path, capsys, method, flags, ignored):
+    # train.csv does not exist: the flag is refused before any file is read
+    out = tmp_path / "out" / "baseline.csv"
+    assert main(["baseline", "--method", method, *flags, "--mean", "1,1,25", "--var", "0.01",
+                 "--steps", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {ignored} is not read by the {method} method\n"
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("tau", ["inf", "nan"])
 def test_baseline_rejects_a_nonfinite_tau(run, tmp_path, capsys, tau):
     out = tmp_path / "out" / "baseline.csv"

@@ -102,8 +102,11 @@ def test_values_take_the_type_of_their_key(tmp_path):
     (TorusConfig(), "n_basis = 30\nwith_ensemble = false\n", 2,
      "unknown config key 'with_ensemble'"),
     (NinoConfig(), "n_samples = 600\n", 1, "unknown config key 'n_samples'"),
+    # the second value of a key would override the first without a word
+    (TorusConfig(), "seed = 1\nn_basis = 30\nseed = 2\n", 3,
+     r"config key seed is set twice \(first on line 1\)"),
 ], ids=["unknown-key", "no-equals", "bad-int", "bad-float", "bad-bool", "experiment-key",
-        "paper-scale-key", "torus-with-ensemble", "nino-n-samples"])
+        "paper-scale-key", "torus-with-ensemble", "nino-n-samples", "repeated-key"])
 def test_a_bad_line_is_named(tmp_path, base, text, line, match):
     path = write(tmp_path, text)
     with pytest.raises(ValueError, match=match) as err:

@@ -97,6 +97,13 @@ def test_cdist_is_referenced_only_in_dataset():
     assert users == ["dataset.py"]
 
 
+def test_no_module_reads_the_machines_memory():
+    # work is sized by dataset.rows_per_block alone; a module that reads the
+    # physical memory would size or refuse it by the machine
+    users = sorted(path.name for path in SRC.glob("*.py") if "sysconf" in set(_names(path)))
+    assert users == []
+
+
 def test_the_fit_stages_read_pairs_only_from_the_neighbour_table():
     # the kernel sums, the density estimate and the kernel read the kNN
     # table; a distance sweep of their own would go back to all pairs
