@@ -66,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", choices=["torus", "lorenz63"])
     p.add_argument("--n-samples", type=int, default=8000)
     p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--substeps", type=int, default=50,
-                   help="steps per sample for the torus; Lorenz-63 steps at most 0.01")
+    p.add_argument("--substeps", type=int, default=None,
+                   help="steps per sample for the torus (default 50); Lorenz-63 steps at most 0.01")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="runs/simulate")
     p.set_defaults(handler=_cmd_simulate)
@@ -113,13 +113,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean", required=True)
     p.add_argument("--var", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--k", type=int, default=15)
+    p.add_argument("--k", type=int, default=None,
+                   help="neighbours of the local-linear and iterated methods (default 15)")
     p.add_argument("--system", choices=["torus", "lorenz63"],
                    help="true model for the ensemble method")
-    p.add_argument("--n-ens", type=int, default=10000)
-    p.add_argument("--substeps", type=int, default=50,
-                   help="steps per sample for the torus; Lorenz-63 steps at most 0.01")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-ens", type=int, default=None,
+                   help="members of the ensemble method (default 10000)")
+    p.add_argument("--substeps", type=int, default=None,
+                   help="steps per sample of the ensemble method for the torus (default 50); "
+                        "Lorenz-63 steps at most 0.01")
+    p.add_argument("--seed", type=int, default=None, help="seed of the ensemble method (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_baseline)
 
@@ -142,8 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _substeps(args, dt: float) -> int:
-    """Steps per sample of ``dt``: ``--substeps`` for the torus; Lorenz-63 steps at most 0.01."""
-    return args.substeps if args.system == "torus" else lorenz_substeps(dt)
+    """Steps per sample of ``dt``: ``--substeps`` (50 if not given) for the
+    torus; Lorenz-63 steps at most 0.01."""
+    if args.system == "lorenz63":
+        return lorenz_substeps(dt)
+    return 50 if args.substeps is None else args.substeps
 
 
 def _cmd_simulate(args) -> int:
@@ -237,10 +243,13 @@ def _write_moments(out: Path, fc: MomentForecast) -> Path:
 
 def _cmd_baseline(args) -> int:
     _check_steps(args)
-    ignored = "series" if args.method == "ensemble" else "system"
-    if getattr(args, ignored) is not None:
-        raise ValueError(f"--{ignored} is not read by the {args.method} method")
-    if args.method == "ensemble":
+    ensemble = args.method == "ensemble"
+    # each flag a method does not read, in the parser's order; each has no default
+    ignored = ("series", "k") if ensemble else ("system", "n_ens", "substeps", "seed")
+    for name in ignored:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by the {args.method} method")
+    if ensemble:
         if not args.system:
             raise ValueError("--system is required for the ensemble method")
     elif not args.series:
@@ -249,14 +258,14 @@ def _cmd_baseline(args) -> int:
         ts, _ = load_series(args.series, "csv", tau=args.tau)
     mean, var = _parse_gaussian(args)
     init = GaussianState(mean=mean, cov=np.diag(var))
-    if args.method == "ensemble":
+    if ensemble:
         model = torus_model() if args.system == "torus" else lorenz_model()
-        fc = ensemble_forecast(model, init, args.n_ens, args.steps, args.seed,
+        fc = ensemble_forecast(model, init, 10000 if args.n_ens is None else args.n_ens,
+                               args.steps, 0 if args.seed is None else args.seed,
                                dt_sample=args.tau, substeps=_substeps(args, args.tau))
-    elif args.method == "local-linear":
-        fc = local_linear_ladder(ts, init, args.steps, k=args.k)
     else:
-        fc = iterated_local_linear_ladder(ts, init, args.steps, k=args.k)
+        ladder = local_linear_ladder if args.method == "local-linear" else iterated_local_linear_ladder
+        fc = ladder(ts, init, args.steps, k=15 if args.k is None else args.k)
     out = _write_moments(Path(args.out), fc)
     print(f"wrote {out}")
     return 0

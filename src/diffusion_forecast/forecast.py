@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DiffusionBasis
-from .dataset import rows_per_block
+from .dataset import rows_per_block, wrap_period
 
 logger = logging.getLogger(__name__)
 
@@ -284,8 +284,10 @@ def gaussian_density_values(
     ``mean`` is one (D,) mean, giving (N,) values, or a (B, D) batch of
     means with one shared ``variance``, giving (N, B) values whose column b
     equals, bitwise, the values at ``mean[b]`` alone. ``wrap`` gives
-    per-coordinate periods for intrinsic angular coordinates; differences in
-    those coordinates are reduced to the nearest period image.
+    per-coordinate periods for intrinsic angular coordinates; a difference d
+    in such a coordinate is reduced to the nearest period image as
+    ((d + p/2) mod p) - p/2, its mod equal bit for bit to ``np.remainder``
+    (``dataset.wrap_period``).
 
     The points are taken in row blocks of ``rows_per_block(B * D)``, so the
     working memory beside the result is a few blocks; the squared distance
@@ -304,23 +306,32 @@ def gaussian_density_values(
         if period.shape != var.shape:
             raise ValueError(f"wrap of shape {period.shape} does not give one period per coordinate")
         periods = [(j, p) for j, p in enumerate(period.tolist()) if 0 < p < np.inf]
-    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * var))
+    log_norm = -0.5 * np.log(2.0 * np.pi * var).sum()
     means = mu.reshape(-1, mu.shape[-1])
+    dim = means.shape[1]
     out = np.empty((pts.shape[0], means.shape[0]))
     step = rows_per_block(means.size)
     for s in range(0, pts.shape[0], step):
         rows = pts[s:s + step]
+        block = out[s:s + step]
         # one coordinate at a time, so each operation runs over the B means;
-        # the sum over coordinates stays one contiguous sum per pair
-        delta = np.empty(rows.shape[:1] + means.shape)
-        for j in range(means.shape[1]):
+        # the sum over coordinates stays one contiguous sum per pair. A sum
+        # of one term (never -0.0 here) is that term, so in 1-D the
+        # differences are formed in the result itself and no sum is taken
+        delta = block[..., None] if dim == 1 else np.empty(block.shape + (dim,))
+        for j in range(dim):
             np.subtract(rows[:, j, None], means[:, j], out=delta[..., j])
         for j, p in periods:
             d = delta[..., j]
             d += p / 2.0
-            np.remainder(d, p, out=d)
+            wrap_period(d, p)
             d -= p / 2.0
         delta *= delta
         delta /= var
-        np.exp(log_norm - 0.5 * np.sum(delta, axis=-1), out=out[s:s + step])
+        if dim > 1:
+            np.sum(delta, axis=-1, out=block)
+        # log_norm - 0.5 * sum, formed in place
+        block *= -0.5
+        block += log_norm
+        np.exp(block, out=block)
     return out if mu.ndim == 2 else out[:, 0]

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import TimeSeries, rows_per_block
+from .dataset import TimeSeries, rows_per_block, wrap_period
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,15 +27,23 @@ class SDEModel:
     """Ito diffusion dx = a(x) dt + b(x) dW.
 
     ``drift`` maps a (B, dim) state batch to (B, dim) drift vectors;
-    ``diffusion`` maps it to (B, dim, dim) diffusion matrices. ``wrap`` holds
-    per-coordinate periods for intrinsic angular coordinates (entries <= 0 or
-    non-finite mean unwrapped).
+    ``diffusion`` maps it to (B, dim, dim) diffusion matrices. ``wrap``, if
+    given, holds one period per coordinate, shape (dim,), for intrinsic
+    angular coordinates (entries <= 0 or non-finite mean unwrapped); any
+    other shape is a ValueError. A periodic coordinate is wrapped into
+    [0, period) after every substep, equal bit for bit to
+    ``np.remainder(x, period)`` (see ``sde_step_batch``).
     """
 
     dim: int
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     wrap: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.wrap is not None and np.shape(self.wrap) != (self.dim,):
+            raise ValueError(f"wrap of shape {np.shape(self.wrap)} does not give one period "
+                             f"per coordinate of a dim-{self.dim} model")
 
 
 @dataclass(frozen=True)
@@ -65,11 +73,14 @@ def sde_step_batch(
     (substeps, B, dim); scaling by sqrt(h) happens here. Each substep calls
     ``model.diffusion`` and then ``model.drift`` on the (B, dim) state and
     takes x + a h + (sum_j b_ij n_j) sqrt(h), then wraps the periodic
-    coordinates. A single row of dim <= 2 does that update on Python floats,
-    summing j in ascending order from 0.0 as ``einsum`` does for one or two
-    terms; a batch, and a row of higher dim, for which ``einsum`` reorders the
-    sum, go through ``einsum``. So a row stepped alone equals, bit for bit,
-    the same row stepped inside a batch with its own noise column.
+    coordinates into [0, period), equal bit for bit to ``np.remainder``: a
+    batch through ``dataset.wrap_period``, a lone row with Python's float
+    ``%``, which is the same operation. A single row of dim <= 2 does that
+    update on Python floats, summing j in ascending order from 0.0 as
+    ``einsum`` does for one or two terms; a batch, and a row of higher dim,
+    for which ``einsum`` reorders the sum, go through ``einsum``. So a row
+    stepped alone equals, bit for bit, the same row stepped inside a batch
+    with its own noise column.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
@@ -81,7 +92,7 @@ def sde_step_batch(
         raise ValueError(f"noise has shape {noise.shape}, expected "
                          f"(substeps, B, dim) = {(substeps,) + x.shape}")
     h = float(dt) / substeps
-    wrap = [] if model.wrap is None else np.atleast_1d(model.wrap)
+    wrap = [] if model.wrap is None else model.wrap
     periodic = [(j, float(period)) for j, period in enumerate(wrap)
                 if np.isfinite(period) and period > 0]
     if x.shape[0] == 1 and x.shape[1] <= 2:
@@ -104,7 +115,7 @@ def sde_step_batch(
         b = model.diffusion(x)
         x = x + model.drift(x) * h + np.einsum("bij,bj->bi", b, noise[s]) * sqrt_h
         for j, period in periodic:
-            x[..., j] %= period
+            wrap_period(x[..., j], period)
     return x
 
 

@@ -198,11 +198,21 @@ def periodic_interp(grid, values, x):
     )
 
 
-def wrapped_gaussian_density(x, mean, variance):
-    """Gaussian bump on the circle (nearest-image approximation; fine for
-    variances well below (2 pi)^2)."""
-    delta = np.mod(x - mean + np.pi, TWO_PI) - np.pi
-    return np.exp(-(delta**2) / (2 * variance)) / np.sqrt(2 * np.pi * variance)
+def wrapped_gaussian_density(points, mean, variance, wrap=None):
+    """Diagonal Gaussian pdf of every (N, D) point against every one of the
+    (B, D) means, as (N, B), written from its definition in one pass over
+    all pairs: each difference in a coordinate of period p > 0 taken to its
+    nearest image as ((d + p/2) mod p) - p/2 with ``np.remainder``, then
+    exp(-0.5 sum_j log(2 pi v_j) - 0.5 sum_j d_j^2 / v_j)."""
+    means = np.atleast_2d(mean)
+    var = np.broadcast_to(np.asarray(variance, dtype=float), means.shape[-1:])
+    delta = points[:, None, :] - means[None, :, :]
+    periods = np.full(means.shape[-1], np.inf) if wrap is None else np.asarray(wrap, dtype=float)
+    for j, p in enumerate(periods):
+        if 0 < p < np.inf:
+            delta[..., j] = np.remainder(delta[..., j] + p / 2.0, p) - p / 2.0
+    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * var))
+    return np.exp(log_norm - 0.5 * np.sum(delta**2 / var, axis=-1))
 
 
 def gradient_flow_eigenfunctions(n_cells, log_density_grid, diff_like=1.0, n_modes=12):

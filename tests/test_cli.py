@@ -277,7 +277,19 @@ def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, method, miss
     ("ensemble", ["--system", "lorenz63", "--series", "train.csv"], "--series"),
     ("local-linear", ["--series", "train.csv", "--system", "torus"], "--system"),
     ("iterated", ["--series", "train.csv", "--system", "lorenz63"], "--system"),
-], ids=["ensemble-series", "local-linear-system", "iterated-system"])
+    ("ensemble", ["--system", "lorenz63", "--k", "3"], "--k"),
+    ("local-linear", ["--series", "train.csv", "--n-ens", "5"], "--n-ens"),
+    ("iterated", ["--series", "train.csv", "--substeps", "3"], "--substeps"),
+    ("iterated", ["--series", "train.csv", "--seed", "4"], "--seed"),
+    # the first in the parser's order is named
+    ("local-linear", ["--series", "train.csv", "--seed", "4", "--substeps", "3", "--n-ens", "5"],
+     "--n-ens"),
+    # a flag given at its default value is still given
+    ("local-linear", ["--series", "train.csv", "--seed", "0"], "--seed"),
+    ("ensemble", ["--system", "torus", "--k", "15"], "--k"),
+], ids=["ensemble-series", "local-linear-system", "iterated-system", "ensemble-k",
+        "local-linear-n-ens", "iterated-substeps", "iterated-seed", "local-linear-three",
+        "local-linear-default-seed", "ensemble-default-k"])
 def test_baseline_rejects_a_flag_its_method_ignores(tmp_path, capsys, method, flags, ignored):
     # train.csv does not exist: the flag is refused before any file is read
     out = tmp_path / "out" / "baseline.csv"

@@ -17,9 +17,10 @@ from diffusion_forecast.dataset import (
     write_csv,
     write_json,
     write_series_csv,
+    wrap_period,
 )
 
-from _oracles import brute_force_knn, lexsort_knn
+from _oracles import TWO_PI, brute_force_knn, lexsort_knn
 
 
 def make_series(values, tau=1.0):
@@ -397,6 +398,66 @@ class TestWriters:
         with pytest.raises(ValueError, match="JSON compliant"):
             write_json(tmp_path / "a" / "manifest.json", {"x": float("nan")})
         assert not (tmp_path / "a").exists()
+
+
+# the package's period and others, a subnormal one, and one whose double
+# overflows, so that every finite value up to the largest lies below 2p
+PERIODS = [TWO_PI, 1.0, 0.1, 3.0, np.pi / 3, 7.25, 1e-300, 5e-324, 1e300, 1e308]
+
+
+def _wrap_anchors(p):
+    """0, p/2, p and 2p of both signs, each with its two nextafter
+    neighbours, and negatives so tiny that x + p rounds to p."""
+    base = [0.0, -0.0, p / 2, -p / 2, p, -p, 2 * p, -2 * p]
+    near = [float(np.nextafter(a, to)) for a in base for to in (-np.inf, np.inf)]
+    return base + near + [-5e-324, -1e-300, -p * 2.0**-60]
+
+
+@st.composite
+def _wrap_inputs(draw):
+    p = draw(st.sampled_from(PERIODS))
+    inside = st.one_of(st.sampled_from(_wrap_anchors(p)),
+                       st.floats(-p, 2 * p, allow_nan=False, allow_infinity=False))
+    outside = st.one_of(st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 1e308, -1e308]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+    # most draws stay in [-p, 2p], where the wrap shifts instead of calling fmod
+    element = draw(st.sampled_from([inside, inside, st.one_of(inside, outside)]))
+    return p, np.array(draw(st.lists(element, min_size=1, max_size=40)), dtype=float)
+
+
+class TestWrapPeriod:
+    @given(_wrap_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_remainder_bitwise(self, case):
+        p, values = case
+        with np.errstate(invalid="ignore"):
+            want = np.remainder(values, p)
+            got = wrap_period(values.copy(), p)
+        assert got.tobytes() == want.tobytes()
+
+    @given(_wrap_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_wraps_a_strided_column_in_place(self, case):
+        # the callers wrap one coordinate of a (rows, dim) array as a view
+        p, values = case
+        table = np.column_stack([values, values])
+        column = table[:, 1]
+        with np.errstate(invalid="ignore"):
+            assert wrap_period(column, p) is column
+            want = np.remainder(values, p)
+        assert table[:, 1].tobytes() == want.tobytes()
+        assert table[:, 0].tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("period", [0.0, -TWO_PI, np.inf, np.nan])
+    def test_a_period_not_positive_and_finite_goes_to_remainder(self, period):
+        values = np.array([-7.0, -0.0, 0.5, 3.0, 20.0])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = np.remainder(values, period)
+            got = wrap_period(values.copy(), period)
+        assert got.tobytes() == want.tobytes()
+
+    def test_an_empty_array_is_left_as_it_is(self):
+        assert wrap_period(np.empty((0, 3)), TWO_PI).shape == (0, 3)
 
 
 def test_neighbor_list_shape_validation():

@@ -31,6 +31,7 @@ from _oracles import (
     observable_readout,
     periodic_interp,
     propagator,
+    wrapped_gaussian_density,
 )
 
 
@@ -370,6 +371,31 @@ class TestObservableReadout:
             f"clamping {n_negative} negative forecast variances (worst {raw.min():.3e})"]
 
 
+def _edge_points(p):
+    edges = np.array([0.0, -0.0, p, -p, 2 * p, -2 * p, np.nextafter(p, 0), np.nextafter(-p, 0),
+                      np.nextafter(2 * p, 0), p / 2, -p / 2, -5e-324, np.nan, np.inf, -np.inf])
+    return np.column_stack([edges, edges[::-1]])
+
+
+def _density_case(dim, wrap, low, high, mean_low, mean_high, var, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(low, high, (2000, dim)), rng.uniform(mean_low, mean_high, (7, dim)),
+            var, None if wrap is None else np.array(wrap))
+
+
+# (points, means, variance, wrap) of the shapes the forecasts use and past them
+DENSITY_CASES = {
+    "circle": lambda: _density_case(1, [TWO_PI], 0.0, TWO_PI, 0.0, TWO_PI, 0.5, 1),
+    "torus": lambda: _density_case(2, [TWO_PI, TWO_PI], 0.0, TWO_PI, 0.0, TWO_PI, [0.3, 0.7], 2),
+    "mixed-wrap": lambda: _density_case(2, [TWO_PI, 0.0], -3.0, 9.0, 0.0, TWO_PI, 0.4, 3),
+    "wide-1d": lambda: _density_case(1, [TWO_PI], -20.0, 20.0, -9.0, 9.0, 0.8, 4),
+    "wide-2d": lambda: _density_case(2, [TWO_PI, 1.0], -20.0, 20.0, -9.0, 9.0, [0.8, 0.2], 5),
+    "lorenz": lambda: _density_case(3, None, -20.0, 45.0, -15.0, 40.0, 0.01, 6),
+    "edges": lambda: (_edge_points(TWO_PI), np.array([[0.0, 0.0], [np.pi, TWO_PI], [-0.0, 1.0]]),
+                      0.5, np.array([TWO_PI, TWO_PI])),
+}
+
+
 class TestGaussianDensityValues:
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
@@ -423,6 +449,16 @@ class TestGaussianDensityValues:
     def test_rejects_nan_variance(self, variance):
         with pytest.raises(ValueError, match="not NaN"):
             gaussian_density_values(np.zeros((3, 2)), np.zeros(2), variance)
+
+    @pytest.mark.parametrize("case", sorted(DENSITY_CASES))
+    @pytest.mark.parametrize("batch", [False, True], ids=["one-mean", "batch"])
+    def test_equals_its_definition_bitwise(self, case, batch):
+        points, means, var, wrap = DENSITY_CASES[case]()
+        # np.remainder warns of an invalid value at NaN and infinite points
+        with np.errstate(invalid="ignore"):
+            got = gaussian_density_values(points, means if batch else means[0], var, wrap=wrap)
+            want = wrapped_gaussian_density(points, means, var, wrap)
+        assert got.tobytes() == (want if batch else want[:, 0]).tobytes()
 
 
 class TestOperatorSerialization:

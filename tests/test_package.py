@@ -97,6 +97,13 @@ def test_cdist_is_referenced_only_in_dataset():
     assert users == ["dataset.py"]
 
 
+def test_remainder_is_referenced_only_in_dataset():
+    # dataset.wrap_period is the one periodic wrap, equal bit for bit to
+    # np.remainder; a remainder call anywhere else would be a second one
+    users = sorted(path.name for path in SRC.glob("*.py") if "remainder" in set(_names(path)))
+    assert users == ["dataset.py"]
+
+
 def test_no_module_reads_the_machines_memory():
     # work is sized by dataset.rows_per_block alone; a module that reads the
     # physical memory would size or refuse it by the machine

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,35 @@ class TestSdeStep:
     def test_state_must_be_a_batch(self):
         with pytest.raises(ValueError, match="state must be a"):
             sde_step_batch(torus_model(), np.ones(2), 0.1, 3, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("make", [circle_sde, torus_model], ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("scale", [1.0, 100.0], ids=["near", "far"])
+    def test_batch_wraps_as_remainder(self, make, scale):
+        # one substep, so the wrap is the last operation: steps that stay in
+        # [-p, 2p) are shifted, larger ones go to np.remainder; both give its bits
+        model = make()
+        free = SDEModel(dim=model.dim, drift=model.drift, diffusion=model.diffusion)
+        rng = np.random.default_rng(11)
+        batch = rng.uniform(0.0, TWO_PI, size=(500, model.dim))
+        noise = scale * rng.standard_normal((1, 500, model.dim))
+        want = np.remainder(sde_step_batch(free, batch, 0.5, 1, noise), TWO_PI)
+        assert sde_step_batch(model, batch, 0.5, 1, noise).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim, wrap", [
+        (2, np.array([TWO_PI])),
+        (1, np.array([TWO_PI, TWO_PI])),
+        (1, np.array([[TWO_PI]])),
+        (2, np.array([[TWO_PI, TWO_PI]])),
+        (1, TWO_PI),
+    ], ids=["one-period-for-dim-2", "two-periods-for-dim-1", "2-d-for-dim-1", "2-d-for-dim-2",
+            "scalar"])
+    def test_a_wrap_of_another_shape_is_rejected(self, dim, wrap):
+        # a short wrap would leave a coordinate unwrapped without a word, a
+        # long or 2-d one fail mid-step
+        with pytest.raises(ValueError, match=re.escape(
+                f"wrap of shape {np.shape(wrap)} does not give one period per coordinate "
+                f"of a dim-{dim} model")):
+            SDEModel(dim=dim, drift=lambda x: x, diffusion=lambda x: x, wrap=wrap)
 
 
 @pytest.mark.parametrize("low, high", [(-20.0, 20.0), (0.0, TWO_PI)])
