@@ -1,5 +1,7 @@
-"""Command-line surface: simulate, build-basis, forecast, baseline, evaluate,
-and the three packaged experiments."""
+"""Command-line surface: simulate, build-basis, forecast, baseline, ensemble,
+evaluate and experiment. Each command, and each system under simulate,
+ensemble and experiment, declares only the flags it reads, so argparse
+refuses any other flag, or a prefix of one, before a file is read."""
 
 from __future__ import annotations
 
@@ -7,6 +9,7 @@ import argparse
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +48,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in ("--mean", "--var") and re.match(r"-\.?\d", argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, FileNotFoundError, RuntimeError) as err:
@@ -54,25 +56,40 @@ def main(argv=None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a flag only by its full name: ``--out`` is no ``--out-dir``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diffusion-forecast",
-        description="Nonparametric density forecasting on a data-adapted diffusion basis.",
-    )
+    parser = _Parser(prog="diffusion-forecast",
+                     description="Nonparametric density forecasting on a data-adapted diffusion basis.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = partial(argparse.ArgumentParser, add_help=False)
+    step = flags()
+    step.add_argument("--dt", type=float, default=0.1, help="time between samples (default 0.1)")
+    step.add_argument("--seed", type=int, default=0)
+    substeps = flags()
+    substeps.add_argument("--substeps", type=int, default=50, help="SDE steps per sample (default 50)")
+    initial = flags()
+    initial.add_argument("--mean", required=True, help="comma-separated initial mean")
+    initial.add_argument("--var", required=True, help="initial variance (one, or one per coordinate)")
+    initial.add_argument("--steps", type=int, required=True, help="leads after lead 0")
+    initial.add_argument("--out", required=True, help="moments CSV: lead_time, mean_x*, stdev_x*")
+    tau = flags()
+    tau.add_argument("--tau", type=float, required=True, help="sampling interval of the series")
 
-    p = sub.add_parser("simulate", help="generate training data from a built-in system")
-    p.add_argument("system", choices=["torus", "lorenz63"])
+    p = flags()
     p.add_argument("--n-samples", type=int, default=8000)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--substeps", type=int, default=None,
-                   help="steps per sample for the torus (default 50); Lorenz-63 steps at most 0.01")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="runs/simulate")
-    p.set_defaults(handler=_cmd_simulate)
+    _systems(sub, "simulate", "generate training data from a built-in system; Lorenz-63 "
+                              "steps at most 0.01", _cmd_simulate,
+             {"torus": [step, substeps], "lorenz63": [step]}, p)
 
-    p = sub.add_parser("build-basis",
+    p = sub.add_parser("build-basis", parents=[tau],
                        help="fit the forecaster (basis and shift operator) to a series "
                             "and save it as one model file")
     p.add_argument("--series", required=True, help="series CSV (written by simulate) or text file")
@@ -82,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "two-column-dated (YYYY-MM,value lines) or noaa-monthly-grid "
                         "(rows of year v1 ... v12); in the three text layouts a value at "
                         "or below -99 ends the series")
-    p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--lags", type=int, default=1)
     p.add_argument("--m", type=int, required=True, help="number of basis functions")
     p.add_argument("--out", required=True,
@@ -94,66 +110,61 @@ def _build_parser() -> argparse.ArgumentParser:
                         "model file, as <out>_tuning_{kde,vb}.csv without a .npz suffix")
     p.set_defaults(handler=_cmd_build_basis)
 
-    p = sub.add_parser("forecast", help="evolve a Gaussian initial density and report moments")
+    p = sub.add_parser("forecast", parents=[initial],
+                       help="evolve a Gaussian initial density and report moments")
     p.add_argument("--model", required=True, help="model file written by build-basis")
-    p.add_argument("--mean", required=True, help="comma-separated initial mean")
-    p.add_argument("--var", required=True,
-                   help="initial variance (scalar or comma-separated diagonal)")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--dump-density", action="store_true",
                    help="also write the density at every lead to <out>.density.csv, "
                         "without a .csv suffix in <out>")
     p.set_defaults(handler=_cmd_forecast)
 
-    p = sub.add_parser("baseline", help="reference forecasts from the training series")
-    p.add_argument("--series", help="training series CSV for the local-linear and iterated methods")
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--method", required=True, choices=["local-linear", "iterated", "ensemble"])
-    p.add_argument("--mean", required=True)
-    p.add_argument("--var", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--k", type=int, default=None,
-                   help="neighbours of the local-linear and iterated methods (default 15)")
-    p.add_argument("--system", choices=["torus", "lorenz63"],
-                   help="true model for the ensemble method")
-    p.add_argument("--n-ens", type=int, default=None,
-                   help="members of the ensemble method (default 10000)")
-    p.add_argument("--substeps", type=int, default=None,
-                   help="steps per sample of the ensemble method for the torus (default 50); "
-                        "Lorenz-63 steps at most 0.01")
-    p.add_argument("--seed", type=int, default=None, help="seed of the ensemble method (default 0)")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("baseline", parents=[tau, initial],
+                       help="local-linear or iterated local-linear forecasts from a training series")
+    p.add_argument("--series", required=True, help="training series CSV")
+    p.add_argument("--method", required=True, choices=["local-linear", "iterated"])
+    p.add_argument("--k", type=int, default=15, help="neighbours of each affine fit (default 15)")
     p.set_defaults(handler=_cmd_baseline)
+
+    p = flags()
+    p.add_argument("--n-ens", type=int, default=10000, help="members (default 10000)")
+    _systems(sub, "ensemble", "true-model ensemble forecasts, stepped as simulate steps", _cmd_ensemble,
+             {"torus": [step, substeps], "lorenz63": [step]}, p, initial)
 
     p = sub.add_parser("evaluate", help="skill metrics from (lead, truth, forecast) rows")
     p.add_argument("--input", required=True,
-                   help="CSV with columns lead,truth,forecast[,stdev]")
+                   help="CSV with the header lead,truth,forecast or lead,truth,forecast,stdev")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("experiment", help="run a packaged experiment end to end")
-    p.add_argument("name", choices=["torus", "lorenz63", "nino34"])
+    paper, data = flags(), flags()
+    paper.add_argument("--paper-scale", action="store_true", help="the paper's sizes")
+    data.add_argument("--data", help="Nino-3.4 data file")
+    # an override left out keeps the config's value
+    p = flags()
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--paper-scale", action="store_true")
-    p.add_argument("--data", default=None, help="Nino-3.4 data file")
-    p.set_defaults(handler=_cmd_experiment)
-
+    p.add_argument("--seed", type=int, default=None, help="the config's seed")
+    p.add_argument("--out-dir", default=None, help="the config's out_dir")
+    _systems(sub, "experiment", "run a packaged experiment end to end", _cmd_experiment,
+             {"torus": [paper], "lorenz63": [paper], "nino34": [data]}, p)
     return parser
 
 
-def _substeps(args, dt: float) -> int:
-    """Steps per sample of ``dt``: ``--substeps`` (50 if not given) for the
-    torus; Lorenz-63 steps at most 0.01."""
-    if args.system == "lorenz63":
-        return lorenz_substeps(dt)
-    return 50 if args.substeps is None else args.substeps
+def _systems(sub, command: str, about: str, handler, own: dict, *common) -> None:
+    """``command`` with one subcommand per system of ``own``, each taking the
+    flags of the parent parsers ``common`` and of its own list."""
+    systems = sub.add_parser(command, help=about).add_subparsers(dest="system", required=True)
+    for name, parents in own.items():
+        systems.add_parser(name, parents=[*common, *parents]).set_defaults(handler=handler)
+
+
+def _substeps(args) -> int:
+    """Steps per sample of ``--dt``: ``--substeps`` for the torus, the one
+    system that declares it; Lorenz-63 steps at most 0.01."""
+    return args.substeps if args.system == "torus" else lorenz_substeps(args.dt)
 
 
 def _cmd_simulate(args) -> int:
-    substeps = _substeps(args, args.dt)
+    substeps = _substeps(args)
     if args.system == "torus":
         series = dict(zip(("torus_intrinsic.csv", "torus_embedded.csv"),
                           simulate_torus(args.n_samples, args.dt, substeps, args.seed)))
@@ -210,7 +221,7 @@ def _parse_gaussian(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_steps(args) -> None:
-    """The one check of ``--steps``, for forecast and baseline alike."""
+    """The one check of ``--steps``, for forecast, baseline and ensemble alike."""
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
 
@@ -243,39 +254,29 @@ def _write_moments(out: Path, fc: MomentForecast) -> Path:
 
 def _cmd_baseline(args) -> int:
     _check_steps(args)
-    ensemble = args.method == "ensemble"
-    # each flag a method does not read, in the parser's order; each has no default
-    ignored = ("series", "k") if ensemble else ("system", "n_ens", "substeps", "seed")
-    for name in ignored:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name.replace('_', '-')} is not read by the {args.method} method")
-    if ensemble:
-        if not args.system:
-            raise ValueError("--system is required for the ensemble method")
-    elif not args.series:
-        raise ValueError(f"--series is required for the {args.method} method")
-    else:
-        ts, _ = load_series(args.series, "csv", tau=args.tau)
+    ts, _ = load_series(args.series, "csv", tau=args.tau)
     mean, var = _parse_gaussian(args)
-    init = GaussianState(mean=mean, cov=np.diag(var))
-    if ensemble:
-        model = torus_model() if args.system == "torus" else lorenz_model()
-        fc = ensemble_forecast(model, init, 10000 if args.n_ens is None else args.n_ens,
-                               args.steps, 0 if args.seed is None else args.seed,
-                               dt_sample=args.tau, substeps=_substeps(args, args.tau))
-    else:
-        ladder = local_linear_ladder if args.method == "local-linear" else iterated_local_linear_ladder
-        fc = ladder(ts, init, args.steps, k=15 if args.k is None else args.k)
-    out = _write_moments(Path(args.out), fc)
-    print(f"wrote {out}")
+    ladder = local_linear_ladder if args.method == "local-linear" else iterated_local_linear_ladder
+    fc = ladder(ts, GaussianState(mean=mean, cov=np.diag(var)), args.steps, k=args.k)
+    print(f"wrote {_write_moments(Path(args.out), fc)}")
+    return 0
+
+
+def _cmd_ensemble(args) -> int:
+    _check_steps(args)
+    mean, var = _parse_gaussian(args)
+    model = torus_model() if args.system == "torus" else lorenz_model()
+    fc = ensemble_forecast(model, GaussianState(mean=mean, cov=np.diag(var)), args.n_ens,
+                           args.steps, args.seed, dt_sample=args.dt, substeps=_substeps(args))
+    print(f"wrote {_write_moments(Path(args.out), fc)}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     header, rows = read_csv(args.input)
-    if header[:3] != ["lead", "truth", "forecast"]:
-        raise ValueError("expected header lead,truth,forecast[,stdev]")
-    has_stdev = len(header) > 3 and header[3] == "stdev"
+    if header not in (["lead", "truth", "forecast"], ["lead", "truth", "forecast", "stdev"]):
+        raise ValueError(f"expected header lead,truth,forecast[,stdev], got {','.join(header)}")
+    has_stdev = len(header) == 4
     data = {}
     for parts in rows.tolist():
         entry = data.setdefault(parts[0], ([], [], []))
@@ -301,14 +302,13 @@ def _cmd_evaluate(args) -> int:
 def _cmd_experiment(args) -> int:
     make, run = {"torus": (TorusConfig, run_torus_experiment),
                  "lorenz63": (LorenzConfig, run_lorenz_experiment),
-                 "nino34": (NinoConfig, run_nino_experiment)}[args.name]
-    if args.data is not None and make is not NinoConfig:
-        raise ValueError(f"--data is the Nino-3.4 data file; experiment {args.name} reads none")
-    config = paper_scale(make()) if args.paper_scale else make()
+                 "nino34": (NinoConfig, run_nino_experiment)}[args.system]
+    nino = make is NinoConfig  # the one system with --data and without --paper-scale
+    config = make() if nino or not args.paper_scale else paper_scale(make())
     if args.config:
         config = load_config(args.config, config)
     flags = {"--seed": ("seed", args.seed), "--out-dir": ("out_dir", args.out_dir),
-             "--data": ("data_path", args.data)}
+             "--data": ("data_path", args.data if nino else None)}
     overrides = {}
     for flag, (key, value) in flags.items():
         if value is not None:

@@ -1,12 +1,17 @@
 """Round trip through the command line: simulate -> build-basis -> forecast ->
-baseline -> evaluate, on a small torus series."""
+baseline -> evaluate, on a small torus series; the true-model ensemble; and
+the parser, which declares each flag only on the commands that read it."""
 
+import argparse
+import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diffusion_forecast import cli
 from diffusion_forecast.baselines import GaussianState, ensemble_forecast
 from diffusion_forecast.cli import main
 from diffusion_forecast.dataset import load_series
@@ -84,18 +89,45 @@ def test_simulate_writes_both_series(run):
 
 
 def test_simulate_lorenz_manifest_records_the_step_it_ran(tmp_path):
-    # Lorenz-63 steps at most 0.01 whatever --substeps asks: 25 steps at dt 0.25
+    # Lorenz-63 steps at most 0.01: 25 steps at dt 0.25
     assert main(["simulate", "lorenz63", "--n-samples", "30", "--dt", "0.25",
-                 "--substeps", "3", "--out-dir", str(tmp_path)]) == 0
+                 "--out-dir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "manifest.json").read_text())["substeps"] == 25
     _, rows = _read_csv(tmp_path / "lorenz63.csv")
     assert np.array_equal(rows, simulate_lorenz63(30, 0.25, 0).points)
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--n-samples", "30"]),
+    ("ensemble", ["--mean", "1,1,25", "--var", "0.01", "--steps", "3", "--n-ens", "10"]),
+], ids=["simulate", "ensemble"])
+def test_lorenz63_takes_no_substeps(tmp_path, capsys, command, flags):
+    # Lorenz-63 steps at most 0.01, so a --substeps would go unread
+    out = ["--out-dir", str(tmp_path / "d")] if command == "simulate" else ["--out", str(tmp_path / "d")]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "lorenz63", *flags, "--substeps", "3", *out])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --substeps 3\n")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("build-basis", ["--series", "train.csv", "--m", "5", "--out", "m.npz"]),
+    ("baseline", ["--series", "train.csv", "--method", "local-linear", "--mean", "1",
+                  "--var", "0.1", "--steps", "2", "--out", "b.csv"]),
+], ids=["build-basis", "baseline"])
+def test_a_series_has_no_default_sampling_interval(capsys, command, flags):
+    # without --tau every lead time would be read in units of an interval of 1
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *flags])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: --tau\n")
+
+
 def test_build_basis_names_a_ragged_series_row(tmp_path, capsys):
     series = tmp_path / "series.csv"
     series.write_text("x0,x1\n0.1,0.2\n0.3\n0.5,0.6\n")
-    assert main(["build-basis", "--series", str(series), "--m", "2",
+    assert main(["build-basis", "--series", str(series), "--tau", "0.1", "--m", "2",
                  "--out", str(tmp_path / "m.npz")]) == 1
     assert capsys.readouterr().err == f"error: {series}:3: 1 cells, the header has 2\n"
     assert not (tmp_path / "m.npz").exists()
@@ -104,7 +136,7 @@ def test_build_basis_names_a_ragged_series_row(tmp_path, capsys):
 @pytest.mark.parametrize("lags", ["0", "-4"])
 def test_build_basis_rejects_fewer_than_one_lag(run, tmp_path, capsys, lags):
     series = run["dir"] / "sim" / "torus_embedded.csv"
-    assert main(["build-basis", "--series", str(series), "--lags", lags, "--m", "5",
+    assert main(["build-basis", "--series", str(series), "--tau", "0.1", "--lags", lags, "--m", "5",
                  "--out", str(tmp_path / "m.npz")]) == 1
     assert capsys.readouterr().err == f"error: lags must be >= 1, got {lags}\n"
     assert not (tmp_path / "m.npz").exists()
@@ -174,9 +206,8 @@ def test_baseline_rows(run):
 
 def test_ensemble_baseline_needs_no_series(tmp_path):
     out = tmp_path / "ensemble.csv"
-    assert main(["baseline", "--method", "ensemble", "--system", "lorenz63", "--tau", "0.1",
-                 "--mean", "1,1,25", "--var", "0.01", "--steps", "3", "--n-ens", "50",
-                 "--out", str(out)]) == 0
+    assert main(["ensemble", "lorenz63", "--dt", "0.1", "--mean", "1,1,25", "--var", "0.01",
+                 "--steps", "3", "--n-ens", "50", "--out", str(out)]) == 0
     _, rows = _read_csv(out)
     mf = ensemble_forecast(lorenz_model(), GaussianState(mean=np.array([1.0, 1.0, 25.0]),
                                                          cov=np.diag(np.full(3, 0.01))),
@@ -184,20 +215,19 @@ def test_ensemble_baseline_needs_no_series(tmp_path):
     assert np.array_equal(rows, np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)]))
 
 
-@pytest.mark.parametrize("system, tau, substeps", [
+@pytest.mark.parametrize("system, dt, substeps", [
     ("lorenz63", 0.5, lorenz_substeps(0.5)), ("torus", 0.1, 50),
 ])
-def test_ensemble_baseline_integrates_as_simulate_does(tmp_path, system, tau, substeps):
-    # Lorenz-63 steps at most 0.01 whatever --substeps says; the torus takes --substeps, 50
+def test_ensemble_baseline_integrates_as_simulate_does(tmp_path, system, dt, substeps):
+    # Lorenz-63 steps at most 0.01; the torus takes --substeps, 50
     out = tmp_path / "ensemble.csv"
     mean = [1.0, 1.0, 25.0] if system == "lorenz63" else [1.0, 2.0]
-    assert main(["baseline", "--method", "ensemble", "--system", system, "--tau", repr(tau),
-                 "--mean", ",".join(map(repr, mean)), "--var", "0.01", "--steps", "3",
-                 "--n-ens", "20", "--out", str(out)]) == 0
+    assert main(["ensemble", system, "--dt", repr(dt), "--mean", ",".join(map(repr, mean)),
+                 "--var", "0.01", "--steps", "3", "--n-ens", "20", "--out", str(out)]) == 0
     _, rows = _read_csv(out)
     model = lorenz_model() if system == "lorenz63" else torus_model()
     mf = ensemble_forecast(model, GaussianState(mean=np.array(mean), cov=0.01 * np.eye(len(mean))),
-                           20, 3, 0, dt_sample=tau, substeps=substeps)
+                           20, 3, 0, dt_sample=dt, substeps=substeps)
     assert np.array_equal(rows, np.column_stack([mf.lead_times, mf.mean, np.sqrt(mf.variance)]))
 
 
@@ -205,8 +235,6 @@ def test_ensemble_baseline_integrates_as_simulate_does(tmp_path, system, tau, su
                                                  ("torus", "seed = 3\n")],
                          ids=["torus", "nino", "torus-over-a-config"])
 def test_a_rejected_flag_is_named_by_its_flag(tmp_path, monkeypatch, capsys, name, config_text):
-    from diffusion_forecast import cli
-
     seen = []
     run_name = {"torus": "run_torus_experiment", "nino34": "run_nino_experiment"}[name]
     monkeypatch.setattr(cli, run_name, seen.append)
@@ -232,7 +260,7 @@ def test_a_rejected_flag_is_named_by_its_flag(tmp_path, monkeypatch, capsys, nam
      dict(n_samples=6000, n_basis=1000, n_verify=500, lead_steps=80, n_ens=200, dt=0.1)),
     ("nino34", "run_nino_experiment", ["--data", "nino34.txt"],
      dict(n_basis=80, lead_steps=24, lags=5, data_path="nino34.txt")),
-    # a flag the driver cannot use is refused before it runs
+    # a flag the driver cannot use is not declared on its system
     ("nino34", "run_nino_experiment", ["--paper-scale"], None),
     ("torus", "run_torus_experiment", ["--data", "nino34.txt"], None),
     ("lorenz63", "run_lorenz_experiment", ["--data", "nino34.txt"], None),
@@ -240,19 +268,19 @@ def test_a_rejected_flag_is_named_by_its_flag(tmp_path, monkeypatch, capsys, nam
         "nino-paper-scale", "torus-data", "lorenz-data"])
 def test_paper_scale_reaches_the_driver_as_the_preset(tmp_path, monkeypatch, capsys,
                                                       name, driver, flags, sizes):
-    from diffusion_forecast import cli
-
     seen = []
     csv_paths = (tmp_path / "a.csv", tmp_path / "b.csv")[:2 if name == "nino34" else 1]
     monkeypatch.setattr(cli, driver, lambda config: seen.append(config) or ExperimentResult(
         fit=None, csv_paths=csv_paths, manifest_path=tmp_path / "manifest.json"))
-    code = main(["experiment", name, *flags, "--out-dir", str(tmp_path)])
-    out, err = capsys.readouterr()
     if sizes is None:
-        assert (code, seen, out) == (1, [], "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exit_:
+            main(["experiment", name, *flags, "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, seen, out) == (2, [], "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
         return
-    assert code == 0
+    assert main(["experiment", name, *flags, "--out-dir", str(tmp_path)]) == 0
+    out, _ = capsys.readouterr()
     (config,) = seen
     preset = {"torus": TorusConfig, "lorenz63": LorenzConfig, "nino34": NinoConfig}[name]()
     preset = paper_scale(preset) if "--paper-scale" in flags else preset
@@ -262,40 +290,55 @@ def test_paper_scale_reaches_the_driver_as_the_preset(tmp_path, monkeypatch, cap
     assert out == f"wrote {' and '.join(map(str, csv_paths))}\n"
 
 
-@pytest.mark.parametrize("method, missing", [
-    ("local-linear", "--series"), ("iterated", "--series"), ("ensemble", "--system"),
+_REQUIRED = "the following arguments are required: --series"
+
+
+@pytest.mark.parametrize("command, message", [
+    pytest.param(["baseline", "--method", "local-linear", "--tau", "0.1"], _REQUIRED,
+                 id="local-linear---series"),
+    pytest.param(["baseline", "--method", "iterated", "--tau", "0.1"], _REQUIRED,
+                 id="iterated---series"),
+    # the true model is the subcommand after ensemble; the first value stands in its place
+    pytest.param(["ensemble", "--dt", "0.1"],
+                 "argument system: invalid choice: '0.1' (choose from 'torus', 'lorenz63')",
+                 id="ensemble---system"),
 ])
-def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, method, missing):
+def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, command, message):
     out = tmp_path / "out" / "baseline.csv"
-    assert main(["baseline", "--method", method, "--mean", "1,1,25", "--var", "0.01",
-                 "--steps", "3", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {missing} is required for the {method} method\n"
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--mean", "1,1,25", "--var", "0.01", "--steps", "3", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("method, flags, ignored", [
-    ("ensemble", ["--system", "lorenz63", "--series", "train.csv"], "--series"),
-    ("local-linear", ["--series", "train.csv", "--system", "torus"], "--system"),
-    ("iterated", ["--series", "train.csv", "--system", "lorenz63"], "--system"),
-    ("ensemble", ["--system", "lorenz63", "--k", "3"], "--k"),
-    ("local-linear", ["--series", "train.csv", "--n-ens", "5"], "--n-ens"),
-    ("iterated", ["--series", "train.csv", "--substeps", "3"], "--substeps"),
-    ("iterated", ["--series", "train.csv", "--seed", "4"], "--seed"),
-    # the first in the parser's order is named
+@pytest.mark.parametrize("command, flags, ignored", [
+    ("ensemble", ["--series", "train.csv"], "--series train.csv"),
+    ("local-linear", ["--series", "train.csv", "--system", "torus"], "--system torus"),
+    ("iterated", ["--series", "train.csv", "--system", "lorenz63"], "--system lorenz63"),
+    ("ensemble", ["--k", "3"], "--k 3"),
+    ("local-linear", ["--series", "train.csv", "--n-ens", "5"], "--n-ens 5"),
+    ("iterated", ["--series", "train.csv", "--substeps", "3"], "--substeps 3"),
+    ("iterated", ["--series", "train.csv", "--seed", "4"], "--seed 4"),
+    # every refused flag is named, in the order given
     ("local-linear", ["--series", "train.csv", "--seed", "4", "--substeps", "3", "--n-ens", "5"],
-     "--n-ens"),
+     "--seed 4 --substeps 3 --n-ens 5"),
     # a flag given at its default value is still given
-    ("local-linear", ["--series", "train.csv", "--seed", "0"], "--seed"),
-    ("ensemble", ["--system", "torus", "--k", "15"], "--k"),
+    ("local-linear", ["--series", "train.csv", "--seed", "0"], "--seed 0"),
+    ("ensemble", ["--k", "15"], "--k 15"),
 ], ids=["ensemble-series", "local-linear-system", "iterated-system", "ensemble-k",
         "local-linear-n-ens", "iterated-substeps", "iterated-seed", "local-linear-three",
         "local-linear-default-seed", "ensemble-default-k"])
-def test_baseline_rejects_a_flag_its_method_ignores(tmp_path, capsys, method, flags, ignored):
-    # train.csv does not exist: the flag is refused before any file is read
+def test_baseline_rejects_a_flag_its_method_ignores(tmp_path, capsys, command, flags, ignored):
+    # train.csv does not exist: the flag is refused by the parser, before any file is read
     out = tmp_path / "out" / "baseline.csv"
-    assert main(["baseline", "--method", method, *flags, "--mean", "1,1,25", "--var", "0.01",
-                 "--steps", "3", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {ignored} is not read by the {method} method\n"
+    source = (["ensemble", "lorenz63", "--dt", "0.1"] if command == "ensemble"
+              else ["baseline", "--method", command, "--tau", "0.1"])
+    with pytest.raises(SystemExit) as exit_:
+        main([*source, *flags, "--mean", "1,1,25", "--var", "0.01", "--steps", "3",
+              "--out", str(out)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {ignored}\n")
     assert not out.parent.exists()
 
 
@@ -322,11 +365,11 @@ _K = ("--k", "3", "k=3 neighbours cannot determine an affine fit in dim 3; need 
 def test_baseline_rejects_a_bad_count(run, tmp_path, capsys, method, flag, value, message):
     out = tmp_path / "out" / "baseline.csv"
     args = {"--steps": "3", "--k": "15", flag: value}
-    source = (["--system", "lorenz63", "--n-ens", "10"] if method == "ensemble"
-              else ["--series", str(run["dir"] / "sim" / "torus_embedded.csv")])
-    assert main(["baseline", "--method", method, *source, "--mean", _vector(run["mean"]),
-                 "--var", "0.01", "--steps", args["--steps"], "--k", args["--k"],
-                 "--out", str(out)]) == 1
+    source = (["ensemble", "lorenz63", "--n-ens", "10"] if method == "ensemble"
+              else ["baseline", "--method", method, "--tau", "0.1", "--k", args["--k"],
+                    "--series", str(run["dir"] / "sim" / "torus_embedded.csv")])
+    assert main([*source, "--mean", _vector(run["mean"]), "--var", "0.01",
+                 "--steps", args["--steps"], "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.parent.exists()
 
@@ -342,9 +385,8 @@ def test_forecast_rejects_negative_steps(run, tmp_path, capsys):
 
 def test_ensemble_baseline_rejects_a_mean_of_another_dimension(tmp_path, capsys):
     out = tmp_path / "ensemble.csv"
-    assert main(["baseline", "--method", "ensemble", "--system", "lorenz63", "--tau", "0.1",
-                 "--mean", "1,2", "--var", "0.1", "--steps", "3", "--n-ens", "10",
-                 "--out", str(out)]) == 1
+    assert main(["ensemble", "lorenz63", "--dt", "0.1", "--mean", "1,2", "--var", "0.1",
+                 "--steps", "3", "--n-ens", "10", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: initial mean has 2 components, the model has dim 3\n"
     assert not out.exists()
 
@@ -352,8 +394,8 @@ def test_ensemble_baseline_rejects_a_mean_of_another_dimension(tmp_path, capsys)
 @pytest.mark.parametrize("args, value", [
     (["simulate", "torus", "--n-samples", "10", "--dt", "nan"], "nan"),
     (["simulate", "lorenz63", "--n-samples", "10", "--dt", "inf"], "inf"),
-    (["baseline", "--method", "ensemble", "--system", "torus", "--mean", "1,2", "--var", "0.1",
-      "--steps", "2", "--n-ens", "10", "--tau", "nan"], "nan"),
+    (["ensemble", "torus", "--mean", "1,2", "--var", "0.1", "--steps", "2", "--n-ens", "10",
+      "--dt", "nan"], "nan"),
 ], ids=["simulate-torus-nan", "simulate-lorenz-inf", "ensemble-nan"])
 def test_a_non_finite_time_step_is_an_error_line(tmp_path, capsys, args, value):
     out = tmp_path / ("d" if args[0] == "simulate" else "e.csv")
@@ -362,12 +404,14 @@ def test_a_non_finite_time_step_is_an_error_line(tmp_path, capsys, args, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["forecast", "baseline"])
+@pytest.mark.parametrize("command", ["forecast", "baseline", "ensemble"])
 def test_a_var_of_another_length_names_both_flags(run, tmp_path, capsys, command):
     out = tmp_path / "out.csv"
-    source = (["--model", str(run["model"])] if command == "forecast"
-              else ["--method", "ensemble", "--system", "lorenz63"])
-    assert main([command, *source, "--mean", "1,2,3", "--var", "0.1,0.2", "--steps", "2",
+    source = {"forecast": ["forecast", "--model", str(run["model"])],
+              "baseline": ["baseline", "--method", "local-linear", "--tau", "0.1",
+                           "--series", str(run["dir"] / "sim" / "torus_embedded.csv")],
+              "ensemble": ["ensemble", "lorenz63"]}[command]
+    assert main([*source, "--mean", "1,2,3", "--var", "0.1,0.2", "--steps", "2",
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: --var has 2 entries; give one, or one per coordinate of --mean (3)\n")
@@ -411,6 +455,20 @@ def test_evaluate_rejects_a_non_finite_or_negative_cell(tmp_path, capsys, row, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("header", ["lead,truth,forecast,spread", "lead,truth,forecast,stdev,extra",
+                                    "lead,forecast,truth"], ids=["spread", "extra", "swapped"])
+def test_evaluate_reads_only_its_two_headers(tmp_path, capsys, header):
+    # a column it would not read is refused, not dropped
+    pairs = tmp_path / "pairs.csv"
+    cells = header.count(",") + 1
+    pairs.write_text(f"{header}\n" + "".join(f"{i},{','.join(['1.0'] * (cells - 1))}\n"
+                                             for i in range(3)))
+    assert main(["evaluate", "--input", str(pairs), "--out", str(tmp_path / "out" / "skill.csv")]) == 1
+    assert capsys.readouterr().err == (f"error: expected header lead,truth,forecast[,stdev], "
+                                       f"got {header}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sidecars_of_outputs_named_apart_after_a_dot_stay_apart(run, tmp_path):
     series = str(run["dir"] / "sim" / "torus_embedded.csv")
     for tag, m in (("m3", 3), ("m5", 5)):
@@ -433,3 +491,74 @@ def test_build_basis_reports_the_eigensolver(run, refit, tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"wrote {tmp_path / 'm.npz'} (eigensolver dense, 0 ARPACK matvecs, "
         f"max residual nan, lambda_edge {solver.lambda_edge:.3g}, M_eff {solver.m_eff})\n")
+
+
+def _leaves(parser, words=()):
+    """(command words, parser) of every leaf command under ``parser``."""
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield words, parser
+    for action in subcommands:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*words, name))
+
+
+def _flag_actions(parser):
+    return [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+LEAVES = {" ".join(words): leaf for words, leaf in _leaves(cli._build_parser())}
+
+
+def test_the_leaves_are_the_commands_and_their_systems():
+    assert sorted(LEAVES) == [
+        "baseline", "build-basis", "ensemble lorenz63", "ensemble torus", "evaluate",
+        "experiment lorenz63", "experiment nino34", "experiment torus", "forecast",
+        "simulate lorenz63", "simulate torus"]
+
+
+@pytest.mark.parametrize("name", sorted(LEAVES))
+def test_a_flag_exists_only_on_the_leaves_that_read_it(capsys, name):
+    leaf = LEAVES[name]
+    argv = name.split()
+    for action in _flag_actions(leaf):
+        if action.required:
+            value = action.choices[0] if action.choices else {int: "1", float: "0.5"}.get(action.type, "x")
+            argv += [action.option_strings[0], value]
+    assert cli._build_parser().parse_args(argv).handler is leaf.get_default("handler")
+    own = {flag for action in _flag_actions(leaf) for flag in action.option_strings}
+    foreign = {flag: action.nargs for other in LEAVES.values() for action in _flag_actions(other)
+               for flag in action.option_strings if flag not in own}
+    assert foreign
+    for flag, nargs in sorted(foreign.items()):
+        given = [flag] if nargs == 0 else [flag, "3"]
+        with pytest.raises(SystemExit) as exit_:
+            cli._build_parser().parse_args([*argv, *given])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {' '.join(given)}\n")
+
+
+def _args_reads(functions, name):
+    """Every ``args.<dest>`` that the cli function ``name`` reads, or that a
+    cli function it passes ``args`` to reads."""
+    reads, todo, seen = set(), [name], set()
+    while todo:
+        function = todo.pop()
+        seen.add(function)
+        for node in ast.walk(functions[function]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions
+                  and any(getattr(arg, "id", None) == "args" for arg in node.args)
+                  and node.func.id not in seen):
+                todo.append(node.func.id)
+    return reads
+
+
+@pytest.mark.parametrize("name", sorted(LEAVES))
+def test_every_flag_of_a_leaf_is_read_by_its_handler(name):
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    leaf = LEAVES[name]
+    declared = {action.dest for action in _flag_actions(leaf)}
+    assert declared - _args_reads(functions, leaf.get_default("handler").__name__) == set()
