@@ -55,22 +55,51 @@ Both inputs are consumed: the table's arrays become the kernel's, and the
 kernel's hold L. A caller that keeps its own reference to the table has it
 copied rather than resized, and one that keeps the kernel keeps L alive
 through the dense path's peak.
+
+scipy is loaded by the fit, not by ``import diffusion_forecast``, so that
+loading a model, forecasting, simulating and scoring never load it. ``sp``
+and ``spla`` stand for scipy.sparse and scipy.sparse.linalg and import them
+on their first attribute read, and ``eigh`` imports scipy.linalg on its
+first call. They stay module names that the code calls through, so that a
+caller can wrap or replace them: the benchmark's traced run wraps ``eigh``
+and puts a counter of ARPACK's products in place of ``spla``, and the tests
+count their calls.
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
 
 from .dataset import NeighborList, rows_per_block
 from .tuning import KERNEL_FLOOR, DensityEstimate
 
 logger = logging.getLogger(__name__)
+
+
+class _Deferred:
+    """Stands for the module ``name``, imported on the first attribute read."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sp = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
+
+
+def eigh(*args, **kwargs):
+    """``scipy.linalg.eigh``, which imports scipy.linalg on the first call."""
+    from scipy.linalg import eigh
+
+    return eigh(*args, **kwargs)
+
 
 # Constants of the eigensolver rule (module docstring). The two throughputs
 # were measured with one OpenBLAS thread on a 2-core x86-64 VM: dense eigh
@@ -179,6 +208,9 @@ class EigensolveRecord:
         columns 0..M_eff-1 are the paper's Galerkin basis, and each column
         past them is a spike on one sample, read by the forecast as an
         analog.
+    gram_deviation : float
+        max |phi^T phi / N - I|, the orthonormality deviation of the basis
+        columns, which :func:`build_basis` refuses above 1e-8.
     """
 
     path: str
@@ -186,6 +218,7 @@ class EigensolveRecord:
     max_residual: float | None
     lambda_edge: float
     m_eff: int
+    gram_deviation: float
 
 
 def build_vb_kernel(neighbors: NeighborList, q: DensityEstimate, eps: float) -> sp.csr_matrix:
@@ -521,7 +554,7 @@ def build_basis(
         logger.warning("basis size M=%d exceeds M_eff=%d, the number of eigenvalues below the "
                        "spectral edge %.3g; the eigenvectors past it are not a Galerkin basis",
                        m, m_eff, lambda_edge)
-    return basis, EigensolveRecord(path, matvecs, max_residual, lambda_edge, m_eff)
+    return basis, EigensolveRecord(path, matvecs, max_residual, lambda_edge, m_eff, gram_dev)
 
 
 def _scale_in_place(a: sp.csr_matrix, s: np.ndarray) -> None:
@@ -550,21 +583,6 @@ def _choose_eigensolver(n: int, nnz: int, m: int) -> str:
     dense_s = (4.0 / 3.0) * n**3 / DENSE_FLOPS_PER_S
     step_s = (2.0 * nnz + 4.0 * n * ncv) / SPARSE_FLOPS_PER_S
     return "lanczos" if LANCZOS_MATVECS_PER_VECTOR * ncv * step_s < dense_s else "dense"
-
-
-class _CountingOperator(spla.LinearOperator):
-    """A sparse matrix as a LinearOperator that counts its products; ``nnz``
-    is the matrix's, so that a cost model can charge 2 nnz flops a product."""
-
-    def __init__(self, a: sp.spmatrix):
-        super().__init__(a.dtype, a.shape)
-        self.a = a
-        self.nnz = a.nnz
-        self.matvecs = 0
-
-    def _matvec(self, x):
-        self.matvecs += 1
-        return self.a @ x
 
 
 def _top_eigenpairs(
@@ -596,16 +614,27 @@ def _top_eigenpairs(
         vals, vecs = _rayleigh_ritz(h, m)
         return vals, vecs, 0, None
     n = l_sym.shape[0]
-    op = _CountingOperator(l_sym.tocsr())
+    a = l_sym.tocsr()
+    matvecs = 0
+
+    # the product counter refers to L and the count, never to the operator,
+    # so no reference cycle keeps L alive past the solve
+    def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
+        return a @ x
+
+    op = spla.LinearOperator(a.shape, matvec=matvec, dtype=a.dtype)
+    op.nnz = a.nnz  # L's, so that a cost model can charge 2 nnz flops a product
     v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start vector for reproducibility
     try:
         _, z = spla.eigsh(op, k=2 * m, which="LA", v0=v0)
     except spla.ArpackNoConvergence as err:
         raise RuntimeError(
             f"Lanczos eigensolver did not converge: {len(err.eigenvalues)}/{2 * m} "
-            f"eigenpairs converged after {op.matvecs} matvecs"
+            f"eigenpairs converged after {matvecs} matvecs"
         ) from err
-    lz = op.a @ z
+    lz = a @ z
     vals, w = _rayleigh_ritz(z.T @ lz, m)
     vecs = z @ w
     residual = float(np.max(np.linalg.norm(lz @ w - vecs * vals, axis=0)))
@@ -613,7 +642,7 @@ def _top_eigenpairs(
         raise RuntimeError(
             f"Lanczos eigenpairs have residual {residual:.2e} > {EIG_RESIDUAL_TOL:.0e}"
         )
-    return vals, vecs, op.matvecs, residual
+    return vals, vecs, matvecs, residual
 
 
 def _rayleigh_ritz(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

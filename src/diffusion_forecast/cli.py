@@ -57,10 +57,21 @@ def main(argv=None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes a flag only by its full name: ``--out`` is no ``--out-dir``."""
+    """Takes a flag only by its full name: ``--out`` is no ``--out-dir``. A
+    command given ``systems`` takes one of them first, and refuses a flag
+    written before it by the flag's name, where argparse would read the
+    flag's value as a bad system."""
 
-    def __init__(self, **kwargs):
+    def __init__(self, systems=(), **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.systems = systems
+
+    def parse_known_args(self, args=None, namespace=None):
+        flag = args[0].split("=")[0] if self.systems and args else ""
+        if flag.startswith("-") and flag not in ("-h", "--help"):
+            self.error(f"{flag} goes after the system: "
+                       f"{self.prog} {{{','.join(self.systems)}}} {flag} ...")
+        return super().parse_known_args(args, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _systems(sub, command: str, about: str, handler, own: dict, *common) -> None:
     """``command`` with one subcommand per system of ``own``, each taking the
     flags of the parent parsers ``common`` and of its own list."""
-    systems = sub.add_parser(command, help=about).add_subparsers(dest="system", required=True)
+    systems = sub.add_parser(command, help=about, systems=tuple(own)).add_subparsers(
+        dest="system", required=True)
     for name, parents in own.items():
         systems.add_parser(name, parents=[*common, *parents]).set_defaults(handler=handler)
 

@@ -1,15 +1,20 @@
 """Time-series containers, file ingestion and output, delay embedding,
-neighbor queries, and the periodic wrap of angular coordinates."""
+neighbor queries, and the periodic wrap of angular coordinates.
+
+The neighbour search imports scipy's ``cdist`` on its first call and keeps
+it, so that importing the package loads no scipy. An import statement in
+the search itself would cost about 0.8 us a call, and the local-linear
+baselines make thousands of searches of a few tens of us each."""
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # Values at or below this are treated as missing-data sentinels (-99.9, -999, ...).
 SENTINEL_THRESHOLD = -99.0
@@ -240,6 +245,7 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     m = q.shape[0]
     out_idx = np.empty((m, k), dtype=index_dtype(2 * m * k))
     out_d2 = np.empty((m, k))
+    cdist = _cdist()
     step = rows_per_block(n)
     for s in range(0, m, step):
         e = min(s + step, m)
@@ -253,6 +259,14 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     if self_query:
         out_d2[:, 0] = 0.0
     return NeighborList(indices=out_idx, distances=np.sqrt(out_d2, out=out_d2))
+
+
+@functools.cache
+def _cdist():
+    """scipy's ``cdist``, imported on the first call and kept."""
+    from scipy.spatial.distance import cdist
+
+    return cdist
 
 
 def index_dtype(entries: int) -> type:

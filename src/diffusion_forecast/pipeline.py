@@ -113,9 +113,10 @@ def fit_record(fit: FitResult) -> dict:
 
     ``kde`` and ``vb`` hold ``{eps, d, boundary_warning, plateau}`` of the
     two bandwidth tunings; ``eigensolver`` holds ``{path, matvecs,
-    max_residual}`` of ``fit.solver``, the route picked before the solve,
-    ARPACK's product count and ``max_residual`` null on the dense path,
-    which does not compute it; ``lambda_edge`` is the spectral edge and
+    max_residual, gram_deviation}`` of ``fit.solver``, the route picked
+    before the solve, ARPACK's product count, ``max_residual`` null on the
+    dense path, which does not compute it, and the basis columns' largest
+    deviation from orthonormality; ``lambda_edge`` is the spectral edge and
     ``m_eff`` the number of basis eigenvalues below it, both as
     ``build_basis`` recorded them; ``rows_at_cap`` counts the kernel rows
     cut at the neighbour cap, whose last table neighbour still has kernel
@@ -131,7 +132,8 @@ def fit_record(fit: FitResult) -> dict:
                   "boundary_warning": tuning.boundary_warning, "plateau": tuning.plateau}
            for name, tuning in (("kde", fit.kde_tuning), ("vb", fit.vb_tuning))},
         "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
-                        "max_residual": solver.max_residual},
+                        "max_residual": solver.max_residual,
+                        "gram_deviation": solver.gram_deviation},
         "lambda_edge": solver.lambda_edge,
         "m_eff": solver.m_eff,
         "rows_at_cap": fit.rows_at_cap,

@@ -252,6 +252,34 @@ def gradient_flow_eigenfunctions(n_cells, log_density_grid, diff_like=1.0, n_mod
     return centers, np.maximum(lam, 0.0), funcs
 
 
+def ou_spectrum(n_modes):
+    """Eigenvalues lambda_k = k, k = 0..n_modes-1, of the generator
+    f'' - x f' of the Ornstein-Uhlenbeck process dx = -x dt + sqrt(2) dW, in
+    the basis's sign convention; its eigenfunctions are the Hermite
+    polynomials He_k."""
+    return np.arange(n_modes, dtype=float)
+
+
+def ou_invariant_density(x):
+    """The OU invariant density, N(0, 1)."""
+    return np.exp(-0.5 * np.square(x)) / math.sqrt(TWO_PI)
+
+
+def ou_moments(mean, variance, t):
+    """Mean and variance at time t of the OU state started from
+    N(mean, variance): N(mean e^-t, variance e^-2t + 1 - e^-2t)."""
+    decay = np.exp(-np.asarray(t, dtype=float))
+    return mean * decay, variance * decay**2 + 1.0 - decay**2
+
+
+def ou_transition_density(x, x0, t):
+    """p(x, t | x0), the density at time t > 0 of the OU state started at
+    x0: N(x0 e^-t, 1 - e^-2t)."""
+    decay = math.exp(-t)
+    variance = 1.0 - decay**2
+    return np.exp(-0.5 * np.square(x - x0 * decay) / variance) / math.sqrt(TWO_PI * variance)
+
+
 def lorenz63_rk4_series(x0, dt_sample, n_samples, transient_steps,
                         sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     """Lorenz-63 samples from classic RK4 on a (1, 3) numpy array.

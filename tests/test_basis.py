@@ -1,4 +1,6 @@
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -425,6 +427,18 @@ class TestEigenpairs:
         _top_eigenpairs(sym, 10, "lanczos")
         # the Rayleigh-Ritz finish over the k = 2m Lanczos vectors
         assert len(eighs) == 2 and eighs[1][0].shape == (20, 20) and len(arpack) == 1
+
+    def test_lanczos_frees_l_without_the_cycle_collector(self):
+        # a reference cycle through the product counter would keep each
+        # fit's L alive until the cyclic collector ran
+        handoff = [self.operator()]
+        freed = weakref.ref(handoff[0])
+        gc.disable()
+        try:
+            _top_eigenpairs(handoff.pop(), 6, "lanczos")
+            assert freed() is None
+        finally:
+            gc.enable()
 
     @staticmethod
     def no_convergence(monkeypatch):

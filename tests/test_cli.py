@@ -111,6 +111,23 @@ def test_lorenz63_takes_no_substeps(tmp_path, capsys, command, flags):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("argv, systems", [
+    (["ensemble", "--dt", "0.1", "torus", "--mean", "1,2", "--var", "0.1", "--steps", "2",
+      "--out", "e.csv"], "torus,lorenz63"),
+    (["simulate", "--n-samples", "10", "lorenz63"], "torus,lorenz63"),
+    (["experiment", "--seed", "1", "torus"], "torus,lorenz63,nino34"),
+], ids=["ensemble", "simulate", "experiment"])
+def test_a_flag_before_the_system_is_refused_by_name(capsys, argv, systems):
+    # argparse alone takes the flag's value for the system: "invalid choice: '0.1'"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    command, flag = argv[:2]
+    assert capsys.readouterr().err.endswith(
+        f"diffusion-forecast {command}: error: {flag} goes after the system: "
+        f"diffusion-forecast {command} {{{systems}}} {flag} ...\n")
+
+
 @pytest.mark.parametrize("command, flags", [
     ("build-basis", ["--series", "train.csv", "--m", "5", "--out", "m.npz"]),
     ("baseline", ["--series", "train.csv", "--method", "local-linear", "--mean", "1",
@@ -298,9 +315,9 @@ _REQUIRED = "the following arguments are required: --series"
                  id="local-linear---series"),
     pytest.param(["baseline", "--method", "iterated", "--tau", "0.1"], _REQUIRED,
                  id="iterated---series"),
-    # the true model is the subcommand after ensemble; the first value stands in its place
+    # the true model is the subcommand after ensemble; a flag in its place is named
     pytest.param(["ensemble", "--dt", "0.1"],
-                 "argument system: invalid choice: '0.1' (choose from 'torus', 'lorenz63')",
+                 "--dt goes after the system: diffusion-forecast ensemble {torus,lorenz63} --dt ...",
                  id="ensemble---system"),
 ])
 def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, command, message):

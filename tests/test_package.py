@@ -5,13 +5,21 @@ start)."""
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diffusion_forecast
+from diffusion_forecast.dataset import TimeSeries, write_series_csv
+from diffusion_forecast.pipeline import fit_forecaster, save_model
 
 SRC = Path(diffusion_forecast.__file__).parent
+SCIPY_SUBMODULES = ("scipy.sparse", "scipy.linalg", "scipy.spatial")
+PRINT_SCIPY = f"print(*[name for name in {SCIPY_SUBMODULES!r} if name in sys.modules])"
 
 
 def test_every_public_name_resolves():
@@ -124,7 +132,8 @@ def test_fit_diagnostics_reach_output_only_through_fit_record():
     # record, the spectral edge and M_eff; a driver reading them itself
     # would start a second manifest layout
     fields = {"eps_star", "d_est", "boundary_warning", "plateau", "lambda_edge",
-              "m_eff", "matvecs", "max_residual", "table_saturation", "eps_follows_cap"}
+              "m_eff", "matvecs", "max_residual", "gram_deviation", "table_saturation",
+              "eps_follows_cap"}
     found = {name: sorted(fields & set(_names(SRC / name))) for name in ("experiments.py", "cli.py")}
     assert found == {"experiments.py": [], "cli.py": []}
 
@@ -259,3 +268,71 @@ def test_series_files_are_read_only_through_load_series():
     assert found == {"cli.py": ["load_series"], "experiments.py": ["load_series"]}
     # the constant's definition and its one use
     assert list(_names(SRC / "dataset.py")).count("SENTINEL_THRESHOLD") == 2
+
+
+def _fresh_interpreter(code, *argv):
+    """The last line that ``code`` prints in a fresh interpreter, which takes
+    the package from this checkout and ``argv`` as its arguments."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+def test_importing_the_package_loads_no_scipy():
+    assert _fresh_interpreter("import sys, diffusion_forecast; " + PRINT_SCIPY) == ""
+
+
+@pytest.fixture(scope="module")
+def light_inputs(tmp_path_factory):
+    """A small circle series, its model file and a file of forecast pairs."""
+    d = tmp_path_factory.mktemp("light")
+    theta = np.random.default_rng(0).uniform(0, 2 * np.pi, 300)
+    ts = TimeSeries(np.column_stack([np.cos(theta), np.sin(theta)]), tau=0.1)
+    write_series_csv(ts, d / "series.csv")
+    fit = fit_forecaster(ts, 5)
+    save_model(d / "model.npz", fit.basis, fit.operator, ts.points, {"tau": 0.1})
+    (d / "pairs.csv").write_text("lead,truth,forecast\n0,1.0,1.1\n0,2.0,1.9\n1,1.0,0.8\n1,2.0,2.3\n")
+    return d
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("forecast --model {d}/model.npz --mean 1,0 --var 0.1 --steps 3 --out {d}/forecast.csv", ()),
+    ("simulate lorenz63 --n-samples 20 --out-dir {d}/sim", ()),
+    ("evaluate --input {d}/pairs.csv --out {d}/skill.csv", ()),
+    ("ensemble lorenz63 --mean 1,1,20 --var 0.1 --steps 2 --n-ens 10 --out {d}/ensemble.csv", ()),
+    # the fit loads all three, so the probe sees what a command loads
+    ("build-basis --series {d}/series.csv --tau 0.1 --m 5 --out {d}/refit.npz", SCIPY_SUBMODULES),
+], ids=["forecast", "simulate-lorenz63", "evaluate", "ensemble", "build-basis"])
+def test_only_the_commands_that_fit_or_search_load_scipy(light_inputs, command, loaded):
+    argv = command.format(d=light_inputs).split()
+    code = ("import sys; from diffusion_forecast.cli import main; "
+            "print(main(sys.argv[1:]), end=' '); " + PRINT_SCIPY)
+    assert _fresh_interpreter(code, *argv).split() == ["0", *loaded]
+
+
+def _imports_at_import_time(path):
+    """The module of every import statement that runs when ``path`` is
+    imported: each one outside a function body."""
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                yield from (alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                yield child.module
+            yield from visit(child)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)))
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy.sparse, scipy.linalg and scipy.spatial took about half of the
+    # package's import; the fit and the neighbour search import them on
+    # first use, so loading a model, forecasting and scoring never do
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    found = [f"{path.name}: {name}" for path in modules for name in _imports_at_import_time(path)
+             if name.split(".")[0] == "scipy"]
+    assert found == []

@@ -98,13 +98,20 @@ class TestFitRecord:
                    "boundary_warning": fit.vb_tuning.boundary_warning,
                    "plateau": fit.vb_tuning.plateau},
             "eigensolver": {"path": solver.path, "matvecs": solver.matvecs,
-                            "max_residual": residual},
+                            "max_residual": residual, "gram_deviation": solver.gram_deviation},
             "lambda_edge": solver.lambda_edge,
             "m_eff": solver.m_eff,
             "rows_at_cap": fit.rows_at_cap,
             "table_saturation": min(fit.basis.n_points, 1024) / fit.basis.n_points,
             "eps_follows_cap": False,
         }
+        # the deviation build_basis gated, of the columns before the basis
+        # copied them row-major, so a recomputation differs by rounding only
+        phi = fit.basis.phi
+        gram = phi.T @ phi / phi.shape[0]
+        assert 0 <= solver.gram_deviation <= 1e-8
+        assert solver.gram_deviation == pytest.approx(np.max(np.abs(gram - np.eye(phi.shape[1]))),
+                                                      abs=1e-13)
         assert record["m_eff"] == np.count_nonzero(fit.basis.lam < record["lambda_edge"])
         assert 1 <= record["m_eff"] <= fit.basis.n_basis
 
