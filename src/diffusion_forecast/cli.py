@@ -30,7 +30,6 @@ from .experiments import (
     run_torus_experiment,
 )
 from .forecast import (
-    DensityCoefficients,
     MomentForecast,
     evolve_ladder,
     forecast_ladder,
@@ -247,7 +246,7 @@ def _cmd_forecast(args) -> int:
     coeffs = project_density(gaussian_density_values(observables, mean, var), basis)
     out = _write_moments(Path(args.out), forecast_ladder(coeffs, op, basis, observables, args.steps))
     if args.dump_density:
-        density = np.column_stack([reconstruct_density(DensityCoefficients(vec), basis)
+        density = np.column_stack([reconstruct_density(vec, basis)
                                    for vec in evolve_ladder(coeffs, op, args.steps)])
         write_csv(_sidecar(out, ".density.csv"),
                   [f"lead{j}" for j in range(args.steps + 1)], density)

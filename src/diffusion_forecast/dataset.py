@@ -45,7 +45,8 @@ class TimeSeries:
     tau : float
         Sampling interval, in time units.
     origin_label : str
-        Provenance tag (file name, simulator name, ...).
+        Read by nothing, and left ``""`` by the package; it stays a field
+        only because ``bench/workloads.py`` still passes it.
 
     ``points`` is a read-only copy of the array given for it: the caller's
     array stays writable, and a write into ``points`` raises. The
@@ -61,9 +62,11 @@ class TimeSeries:
         pts = np.array(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        if pts.ndim != 2:
+            raise ValueError(f"time series points must be an (N, dim) array, got shape {pts.shape}")
         # a single point is allowed so a split can leave a one-point
         # verification block; operations needing pairs check N themselves
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.shape[0] < 1:
             raise ValueError(f"time series needs at least 1 point, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("time series contains non-finite entries")
@@ -123,7 +126,7 @@ def load_series(path, format: str, tau: float = 1.0) -> tuple[TimeSeries, tuple[
     parse is a ValueError naming ``path:line``.
     """
     if format == "csv":
-        return TimeSeries(read_csv(path)[1], tau=tau, origin_label=str(path)), None
+        return TimeSeries(read_csv(path)[1], tau=tau), None
     if format not in _ROW_PARSERS:
         raise ValueError(f"unknown series format: {format!r}")
     parse_row = _ROW_PARSERS[format]
@@ -151,7 +154,7 @@ def load_series(path, format: str, tau: float = 1.0) -> tuple[TimeSeries, tuple[
             break
     if len(values) < 2:
         raise ValueError(f"{path}: empty or single-point series after parsing")
-    return TimeSeries(np.asarray(values, dtype=float)[:, None], tau=tau, origin_label=str(path)), start
+    return TimeSeries(np.asarray(values, dtype=float)[:, None], tau=tau), start
 
 
 # A row parser takes one stripped, non-blank line and its line number, and
@@ -194,7 +197,7 @@ def delay_embed(ts: TimeSeries, lags: int) -> TimeSeries:
 
     Row i of the result is (x_{i+L-1}, x_{i+L-2}, ..., x_i), so the rows
     remain chronological and the leading n coordinates of row i recover
-    x_{i+L-1} exactly.
+    x_{i+L-1} exactly; at ``lags == 1`` that is ``ts`` itself.
     """
     if lags < 1:
         raise ValueError(f"lags must be >= 1, got {lags}")
@@ -202,11 +205,9 @@ def delay_embed(ts: TimeSeries, lags: int) -> TimeSeries:
     if lags > n:
         raise ValueError(f"lags={lags} exceeds series length {n}")
     if lags == 1:
-        return TimeSeries(ts.points, ts.tau, ts.origin_label)
+        return ts
     pts = ts.points
-    blocks = [pts[lags - 1 - j : n - j] for j in range(lags)]
-    emb = np.hstack(blocks)
-    return TimeSeries(emb, ts.tau, origin_label=f"{ts.origin_label}|embed(L={lags})")
+    return TimeSeries(np.hstack([pts[lags - 1 - j : n - j] for j in range(lags)]), ts.tau)
 
 
 def knn(ts: TimeSeries, k: int) -> NeighborList:
@@ -347,9 +348,7 @@ def split(ts: TimeSeries, n_train: int) -> tuple[TimeSeries, TimeSeries]:
     n = ts.n_points
     if not 1 <= n_train < n:
         raise ValueError(f"n_train={n_train} out of range [1, {n - 1}]")
-    head = TimeSeries(ts.points[:n_train], ts.tau, f"{ts.origin_label}|train")
-    tail = TimeSeries(ts.points[n_train:], ts.tau, f"{ts.origin_label}|verify")
-    return head, tail
+    return TimeSeries(ts.points[:n_train], ts.tau), TimeSeries(ts.points[n_train:], ts.tau)
 
 
 def write_csv(path, header, rows) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class SkillReport:
     correlation: np.ndarray
     mean_forecast_stdev: np.ndarray
     climatological_stdev: float
-    degenerate: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    degenerate: np.ndarray
 
     def __post_init__(self):
         if np.any(self.rmse < 0):
@@ -43,8 +43,10 @@ def rmse_and_correlation(
     Parameters
     ----------
     truth_per_lead, forecast_means_per_lead : sequences of ndarray
-        One aligned pair of arrays per lead; entries may be scalars or
-        state vectors (RMSE then aggregates over coordinates too).
+        One aligned pair of arrays per lead, or lead-major arrays whose row
+        l is lead l; each holds one entry per verification point, at least
+        2, and an entry may be a scalar or a state vector (RMSE then
+        aggregates over coordinates too).
     forecast_stdevs_per_lead : sequence of ndarray, optional
         Forecast spread per verification point (scalar or per-coordinate),
         aggregated to one root-mean value per lead.
@@ -52,31 +54,34 @@ def rmse_and_correlation(
         Series whose population standard deviation defines the skill floor;
         defaults to the pooled truth values.
 
-    A non-finite lead time, truth or forecast entry, or a negative or
-    non-finite stdev, is a ValueError that names its lead.
+    No lead, or a non-finite lead time, is a ValueError. A non-finite truth
+    or forecast entry, or a negative or non-finite stdev, is a ValueError
+    that names its lead by its lead time.
     """
     lead_times = np.asarray(lead_times, dtype=float)
     n_leads = len(lead_times)
+    if n_leads == 0:
+        raise ValueError("need at least one lead")
     if len(truth_per_lead) != n_leads or len(forecast_means_per_lead) != n_leads:
         raise ValueError("one truth/forecast pair required per lead")
     if not np.isfinite(lead_times).all():
         i = np.flatnonzero(~np.isfinite(lead_times))[0]
-        raise ValueError(f"lead {i}: lead time must be finite, got {lead_times[i]}")
+        raise ValueError(f"lead times must be finite, got {lead_times[i]} at position {i}")
     rmse = np.empty(n_leads)
     corr = np.zeros(n_leads)
     degenerate = np.zeros(n_leads, dtype=bool)
     spread = np.full(n_leads, np.nan)
     pooled = []
-    for i in range(n_leads):
+    for i, lead in enumerate(lead_times.tolist()):
         t = np.asarray(truth_per_lead[i], dtype=float)
         f = np.asarray(forecast_means_per_lead[i], dtype=float)
         if t.shape != f.shape:
-            raise ValueError(f"lead {i}: truth and forecast shapes disagree")
-        if t.shape[0] < 2:
-            raise ValueError(f"lead {i}: need at least 2 verification points")
+            raise ValueError(f"lead {lead:g}: truth and forecast shapes disagree")
+        if t.ndim == 0 or t.shape[0] < 2:
+            raise ValueError(f"lead {lead:g}: need at least 2 verification points")
         for name, values in (("truth", t), ("forecast", f)):
             if not np.isfinite(values).all():
-                raise ValueError(f"lead {i}: {name} has non-finite entries")
+                raise ValueError(f"lead {lead:g}: {name} has non-finite entries")
         err = f - t
         rmse[i] = float(np.sqrt(np.mean(err * err)))
         tf, ff = t.ravel(), f.ravel()
@@ -89,7 +94,7 @@ def rmse_and_correlation(
         if forecast_stdevs_per_lead is not None:
             s = np.asarray(forecast_stdevs_per_lead[i], dtype=float)
             if not (np.isfinite(s) & (s >= 0)).all():
-                raise ValueError(f"lead {i}: forecast stdev must be nonnegative and finite")
+                raise ValueError(f"lead {lead:g}: forecast stdev must be nonnegative and finite")
             spread[i] = float(np.sqrt(np.mean(s * s)))
     if climatology is None:
         clim = float(np.concatenate(pooled).std())

@@ -6,11 +6,12 @@ Each driver takes a frozen config of exactly the keys it reads, whose
 defaults are its desk sizes, kept to minutes on one core; ``paper_scale``
 puts the published sizes over them. Of the fit, only ``n_basis`` is a key:
 the neighbour cap NEIGHBOR_CAP, the kernel exponent BETA, the ad-hoc
-bandwidth's k0 = 8 and the shift map's use of every consecutive pair are
-constants of ``fit_forecaster``. ``out_dir`` is the one setting for where a
-run writes: each driver writes under ``out_dir/<torus|lorenz63|nino34>``,
-and its manifest records it. ``load_config`` reads a config file over a
-base config of one of the three types.
+bandwidth's neighbourhood size ADHOC_K0 = 8 and the shift map's use of
+every consecutive pair are constants of ``fit_forecaster``. ``out_dir`` is
+the one setting for where a run writes: each driver writes under
+``out_dir/<torus|lorenz63|nino34>``, and its manifest records it.
+``load_config`` reads a config file over a base config of one of the three
+types.
 """
 
 from __future__ import annotations
@@ -337,14 +338,13 @@ def run_nino_experiment(config: NinoConfig) -> ExperimentResult:
         raise ValueError("data file does not cover Jan 1950 - Dec 1999 plus verification")
     end = min(raw.n_points, offset + 765)  # cap at Sep 2013 when available
     values = raw.points[offset:end, 0]
-    series = TimeSeries(values[:, None], tau=raw.tau, origin_label=raw.origin_label)
+    series = TimeSeries(values[:, None], tau=raw.tau)
 
     lags = config.lags
     embedded = delay_embed(series, lags)
     n_train_raw = 600
     train_rows = n_train_raw - lags + 1  # newest coordinate stays inside the training window
-    train_embedded = TimeSeries(embedded.points[:train_rows], series.tau,
-                                origin_label=f"{series.origin_label}|train-embedded")
+    train_embedded = TimeSeries(embedded.points[:train_rows], series.tau)
 
     n_lead = config.lead_steps
     t = values.shape[0]
@@ -364,13 +364,11 @@ def run_nino_experiment(config: NinoConfig) -> ExperimentResult:
     stdevs = np.sqrt(diffusion.variance[:, 0])
     v_count = init_times.size
 
+    # lead-major, leads 1..n_lead; row 0 of the forecast is lead 0
     leads = np.arange(1, n_lead + 1)
-    truth_per_lead = [values[init_times + lead] for lead in leads]
-    mean_per_lead = [means[lead] for lead in leads]
-    stdev_per_lead = [stdevs[lead] for lead in leads]
     skill = rmse_and_correlation(
-        truth_per_lead, mean_per_lead, leads.astype(float),
-        forecast_stdevs_per_lead=stdev_per_lead,
+        values[init_times + leads[:, None]], means[1:], leads.astype(float),
+        forecast_stdevs_per_lead=stdevs[1:],
         climatology=values[n_train_raw:],
     )
 

@@ -162,10 +162,10 @@ def evolve_coefficients(coeffs: np.ndarray, op: ShiftOperator, n_steps: int = 1)
     return out
 
 
-def evolve_ladder(coeffs: DensityCoefficients | np.ndarray, op: ShiftOperator, n_leads: int):
-    """Yield the coefficients at leads 0, 1, ..., n_leads, one operator
-    application apart; a (M, B) array evolves each column."""
-    vec = coeffs.c if isinstance(coeffs, DensityCoefficients) else np.asarray(coeffs, dtype=float)
+def evolve_ladder(coeffs: DensityCoefficients, op: ShiftOperator, n_leads: int):
+    """Yield the coefficient arrays at leads 0, 1, ..., n_leads, one operator
+    application apart; (M, B) coefficients evolve each column."""
+    vec = coeffs.c
     yield vec
     for _ in range(n_leads):
         vec = evolve_coefficients(vec, op, 1)
@@ -173,7 +173,7 @@ def evolve_ladder(coeffs: DensityCoefficients | np.ndarray, op: ShiftOperator, n
 
 
 def forecast_ladder(
-    coeffs: DensityCoefficients | np.ndarray,
+    coeffs: DensityCoefficients,
     op: ShiftOperator,
     basis: DiffusionBasis,
     observables: np.ndarray,
@@ -193,18 +193,19 @@ def forecast_ladder(
                           lead_times=np.arange(n_leads + 1) * op.tau)
 
 
-def reconstruct_density(c: DensityCoefficients, basis: DiffusionBasis) -> np.ndarray:
-    """Pointwise density values peq * (phi @ c) at the training points.
+def reconstruct_density(c: np.ndarray, basis: DiffusionBasis) -> np.ndarray:
+    """Pointwise density values peq * (phi @ c) at the training points, of
+    (M,) coefficients ``c``.
 
     Raw reconstruction; basis truncation can leave small negative values,
     which are kept so that the values agree with the moments of
     :func:`forecast_moments`, read from the same coefficients.
     """
-    return basis.peq * (basis.phi @ c.c)
+    return basis.peq * (basis.phi @ c)
 
 
 def forecast_moments(
-    c: DensityCoefficients | np.ndarray,
+    c: np.ndarray,
     basis: DiffusionBasis,
     observables: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,9 +221,9 @@ def forecast_moments(
 
     Parameters
     ----------
-    c : DensityCoefficients or ndarray
-        Coefficients; an (M, B) array treats each column as a separate
-        density. A NaN or infinite coefficient is a ValueError.
+    c : ndarray
+        Coefficients, (M,) or an (M, B) array that treats each column as a
+        separate density. A NaN or infinite coefficient is a ValueError.
     observables : ndarray, shape (N, G)
         Observable values g(x_i) at the training points, one column each.
 
@@ -233,7 +234,7 @@ def forecast_moments(
         clamped at zero (truncation can produce tiny negatives; clamping is
         logged with the number of entries clamped and the most negative).
     """
-    vec = c.c if isinstance(c, DensityCoefficients) else np.asarray(c, dtype=float)
+    vec = np.asarray(c, dtype=float)
     if not np.isfinite(vec).all():
         raise ValueError("density coefficients must be finite")
     g = np.asarray(observables, dtype=float)

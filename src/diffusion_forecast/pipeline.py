@@ -60,10 +60,11 @@ def fit_forecaster(ts: TimeSeries, n_basis: int) -> FitResult:
     variable-bandwidth kernel behind the basis, each yielding its own
     (eps, d) pair. Everything else is fixed: one kNN search of
     min(N, NEIGHBOR_CAP) neighbours serves every stage, the ad-hoc
-    bandwidths use k0 = 8, the kernel exponent is BETA = -1/2, and the shift
-    operator averages over every consecutive pair. Both tunings read the
-    table, so while :func:`fit_record`'s ``eps_follows_cap`` is set the
-    tuned eps follows NEIGHBOR_CAP rather than the data alone.
+    bandwidths use the neighbourhood size ADHOC_K0 = 8 of ``tuning``, the
+    kernel exponent is BETA = -1/2, and the shift operator averages over
+    every consecutive pair. Both tunings read the table, so while
+    :func:`fit_record`'s ``eps_follows_cap`` is set the tuned eps follows
+    NEIGHBOR_CAP rather than the data alone.
     """
     n = ts.n_points
     # build_basis checks this too, but only after every stage before it

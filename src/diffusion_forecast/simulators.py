@@ -20,6 +20,12 @@ import numpy as np
 from .dataset import TimeSeries, rows_per_block, wrap_period
 
 TWO_PI = 2.0 * np.pi
+# Leading samples simulate_torus discards, so that recording starts near the
+# invariant measure.
+TORUS_BURN_IN = 100
+# Internal RK4 steps simulate_lorenz63 discards, so that the trajectory
+# starts on the attractor.
+LORENZ_TRANSIENT_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -159,18 +165,7 @@ def euler_maruyama(
             if not np.isfinite(x).all():
                 raise FloatingPointError(f"non-finite state at sample {i}")
             out[i] = x[0]
-    return TimeSeries(out, tau=dt_sample, origin_label=f"sde(seed={_seed_label(seed)})")
-
-
-def _seed_label(seed) -> str:
-    """One line naming ``seed`` that depends on its value only: a
-    SeedSequence by its entropy and spawn key, a Generator by its
-    bit generator's type (its state would be long)."""
-    if isinstance(seed, np.random.SeedSequence):
-        return f"SeedSequence(entropy={seed.entropy}, spawn_key={seed.spawn_key})"
-    if isinstance(seed, np.random.Generator):
-        return type(seed.bit_generator).__name__
-    return str(seed)
+    return TimeSeries(out, tau=dt_sample)
 
 
 def rk4_step_batch(model: ODEModel, state: np.ndarray, dt: float, substeps: int) -> np.ndarray:
@@ -234,28 +229,22 @@ def simulate_torus(
     dt_sample: float = 0.1,
     substeps: int = 50,
     seed: int = 0,
-    burn_in: int = 100,
 ) -> tuple[TimeSeries, TimeSeries]:
     """Sample the torus SDE; returns paired intrinsic and embedded series.
 
     The internal integration step is dt_sample / substeps (default 0.002) and
-    ``burn_in`` leading samples are discarded so recording starts near the
+    TORUS_BURN_IN leading samples are discarded so recording starts near the
     invariant measure.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, TWO_PI, size=2)
     intrinsic = euler_maruyama(
-        torus_model(), x0, dt_sample, substeps, n_samples + burn_in, rng
+        torus_model(), x0, dt_sample, substeps, n_samples + TORUS_BURN_IN, rng
     )
-    angles = intrinsic.points[burn_in:]
-    label = f"torus(seed={seed})"
-    intrinsic = TimeSeries(angles, tau=dt_sample, origin_label=label)
-    embedded = TimeSeries(torus_embed(angles), tau=dt_sample, origin_label=label + "|embedded")
-    return intrinsic, embedded
+    angles = intrinsic.points[TORUS_BURN_IN:]
+    return TimeSeries(angles, tau=dt_sample), TimeSeries(torus_embed(angles), tau=dt_sample)
 
 
 def lorenz_model() -> ODEModel:
@@ -278,32 +267,22 @@ def simulate_lorenz63(
     n_samples: int = 10000,
     dt_sample: float = 0.1,
     seed: int = 0,
-    x0: np.ndarray | None = None,
-    transient_steps: int = 1000,
 ) -> TimeSeries:
     """Lorenz-63 trajectory at the canonical parameters (10, 28, 8/3).
 
-    RK4 with internal step <= 0.01, sampled every ``dt_sample``;
-    ``transient_steps`` internal steps are discarded up front so the
-    trajectory starts on the attractor. ``x0`` defaults to a seeded
-    perturbation of (1, 1, 1.05).
+    RK4 with internal step <= 0.01, sampled every ``dt_sample``, from a
+    seeded perturbation of (1, 1, 1.05); LORENZ_TRANSIENT_STEPS internal
+    steps are discarded up front so the trajectory starts on the attractor.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     substeps = lorenz_substeps(dt_sample)
-    if transient_steps < 0:
-        raise ValueError(f"transient_steps must be >= 0, got {transient_steps}")
-    if x0 is None:
-        rng = np.random.default_rng(seed)
-        x0 = np.array([1.0, 1.0, 1.05]) + 1e-3 * rng.standard_normal(3)
-    x = np.asarray(x0, dtype=float)
-    if x.size != 3 or not np.all(np.isfinite(x)):
-        raise ValueError(f"x0 must hold 3 finite components, got {x0!r}")
-    x = x.reshape(1, 3)
+    rng = np.random.default_rng(seed)
+    x = (np.array([1.0, 1.0, 1.05]) + 1e-3 * rng.standard_normal(3)).reshape(1, 3)
     model = lorenz_model()
-    h_internal = dt_sample / substeps
-    if transient_steps > 0:
-        x = rk4_step_batch(model, x, transient_steps * h_internal, transient_steps)
+    transient = LORENZ_TRANSIENT_STEPS
+    if transient > 0:
+        x = rk4_step_batch(model, x, transient * (dt_sample / substeps), transient)
     out = np.empty((n_samples, 3))
     for i in range(n_samples):
         x = rk4_step_batch(model, x, dt_sample, substeps)
@@ -313,4 +292,4 @@ def simulate_lorenz63(
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
         raise FloatingPointError(f"non-finite state at sample {np.argmax(bad)}")
-    return TimeSeries(out, tau=dt_sample, origin_label=f"lorenz63(seed={seed})")
+    return TimeSeries(out, tau=dt_sample)

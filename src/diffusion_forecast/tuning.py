@@ -67,12 +67,15 @@ SATURATION_CAP = 0.05
 # steepest intervals of fitted data differed by 2.4e-5 to 1.1e-3 relative
 # (circles of 1000 and 3000 points, 2000 Lorenz-63 points).
 PLATEAU_RTOL = 1e-9
+# Neighbourhood size of the ad-hoc bandwidths: the nearest ADHOC_K0 - 1
+# non-self neighbours of each point.
+ADHOC_K0 = 8
 
 
 @dataclass(frozen=True)
 class BandwidthProfile:
     """Per-point ad-hoc bandwidths (root mean square distance to the nearest
-    ``k0 - 1`` non-self neighbors)."""
+    ADHOC_K0 - 1 non-self neighbors)."""
 
     rho0: np.ndarray
 
@@ -105,8 +108,8 @@ class TuningResult:
     eps_star: float
     d_est: float
     curve: np.ndarray
-    boundary_warning: bool = False
-    plateau: bool = False
+    boundary_warning: bool
+    plateau: bool
 
 
 @dataclass(frozen=True)
@@ -127,31 +130,22 @@ def default_bandwidth_grid() -> np.ndarray:
     return np.exp2(exponents)
 
 
-def adhoc_bandwidth(neighbors: NeighborList, k0: int = 8) -> BandwidthProfile:
-    """Root-mean-square distance to each point's k0-1 nearest non-self neighbors.
-
-    Parameters
-    ----------
-    neighbors : NeighborList
-        kNN table of the points with at least k0 columns; ``fit_forecaster``
-        passes its one table.
-    k0 : int
-        Neighborhood size; the sum runs over neighbor ranks 2..k0 (self is
-        rank 1), i.e. k0 - 1 actual neighbors.
-    """
+def adhoc_bandwidth(neighbors: NeighborList) -> BandwidthProfile:
+    """Root-mean-square distance to each point's ADHOC_K0 - 1 nearest
+    non-self neighbors, neighbor ranks 2..ADHOC_K0 of ``neighbors`` (self is
+    rank 1), a kNN table of the points with at least ADHOC_K0 columns;
+    ``fit_forecaster`` passes its one table."""
     n, width = neighbors.distances.shape
-    if k0 < 2:
-        raise ValueError(f"k0 must be >= 2, got {k0}")
-    if n <= k0:
-        raise ValueError(f"need more than k0={k0} points, got {n}")
-    if width < k0:
-        raise ValueError("neighbor table has fewer than k0 columns")
-    d = neighbors.distances[:, 1:k0]
+    if n <= ADHOC_K0:
+        raise ValueError(f"need more than k0={ADHOC_K0} points, got {n}")
+    if width < ADHOC_K0:
+        raise ValueError(f"neighbor table has fewer than k0={ADHOC_K0} columns")
+    d = neighbors.distances[:, 1:ADHOC_K0]
     rho0 = np.sqrt(np.mean(d * d, axis=1))
     if np.any(rho0 == 0):
         bad = int(np.nonzero(rho0 == 0)[0][0])
         raise ValueError(
-            f"ad-hoc bandwidth is zero at point {bad}: the {k0 - 1} nearest "
+            f"ad-hoc bandwidth is zero at point {bad}: the {ADHOC_K0 - 1} nearest "
             "neighbors coincide with it; deduplicate the data first"
         )
     return BandwidthProfile(rho0=rho0)

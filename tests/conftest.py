@@ -13,7 +13,7 @@ def circle_points_3000():
 
 @pytest.fixture(scope="session")
 def circle_series_3000(circle_points_3000):
-    return TimeSeries(circle_points_3000, tau=1.0, origin_label="circle")
+    return TimeSeries(circle_points_3000, tau=1.0)
 
 
 @pytest.fixture(scope="session")

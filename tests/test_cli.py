@@ -457,7 +457,7 @@ def test_evaluate_rejects_a_row_unlike_the_header(tmp_path, capsys, row):
 
 @pytest.mark.parametrize("row, message", [
     # the rows group by lead, and a NaN lead is a group of its own
-    ("nan,1.0,1.1,0.2", "lead 2: lead time must be finite, got nan"),
+    ("nan,1.0,1.1,0.2", "lead times must be finite, got nan at position 2"),
     ("1,nan,1.1,0.2", "lead 1: truth has non-finite entries"),
     ("1,1.0,inf,0.2", "lead 1: forecast has non-finite entries"),
     ("1,1.0,1.1,-0.2", "lead 1: forecast stdev must be nonnegative and finite"),
@@ -470,6 +470,15 @@ def test_evaluate_rejects_a_non_finite_or_negative_cell(tmp_path, capsys, row, m
     assert main(["evaluate", "--input", str(pairs), "--out", str(tmp_path / "out" / "skill.csv")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_names_a_lead_by_its_lead_time(tmp_path, capsys):
+    # leads 1 and 2: the second lead is lead 2, not lead 1
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("lead,truth,forecast\n1,1.0,1.1\n1,2.0,1.9\n2,1.5,1.4\n2,nan,1.6\n")
+    assert main(["evaluate", "--input", str(pairs), "--out", str(tmp_path / "skill.csv")]) == 1
+    assert capsys.readouterr().err == "error: lead 2: truth has non-finite entries\n"
+    assert not (tmp_path / "skill.csv").exists()
 
 
 @pytest.mark.parametrize("header", ["lead,truth,forecast,spread", "lead,truth,forecast,stdev,extra",

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,12 @@ class TestTimeSeries:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             TimeSeries(np.zeros((0, 2)), tau=1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (2, 2, 2, 1), ()])
+    def test_points_of_another_rank_name_the_shape_needed(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"time series points must be an (N, dim) array, got shape {shape}")):
+            TimeSeries(np.zeros(shape), tau=1.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -186,8 +193,7 @@ class TestDelayEmbed:
 
     def test_identity_case(self):
         ts = make_series([1.0, 2.0, 3.0])
-        emb = delay_embed(ts, 1)
-        assert np.array_equal(emb.points, ts.points)
+        assert delay_embed(ts, 1) is ts
 
     def test_count_for_nino_shape(self):
         ts = make_series(np.arange(600, dtype=float))

@@ -42,18 +42,38 @@ def test_state_vectors_aggregate_over_coordinates():
     assert not report.degenerate.any()
 
 
+def test_lead_major_arrays_score_as_per_lead_lists():
+    rng = np.random.default_rng(1)
+    truth = rng.normal(size=(4, 6))
+    forecast = truth + rng.normal(0.0, 0.4, truth.shape)
+    stdev = rng.uniform(0.1, 1.0, truth.shape)
+    leads = [1.0, 2.0, 3.0, 4.0]
+    arrays = rmse_and_correlation(truth, forecast, leads, forecast_stdevs_per_lead=stdev)
+    lists = rmse_and_correlation(list(truth), list(forecast), leads,
+                                 forecast_stdevs_per_lead=list(stdev))
+    for name in ("rmse", "correlation", "mean_forecast_stdev", "degenerate"):
+        assert getattr(arrays, name).tobytes() == getattr(lists, name).tobytes()
+    assert arrays.climatological_stdev == lists.climatological_stdev
+
+
+# an error names its lead by the lead time given for it, not by its position
 @pytest.mark.parametrize("truth, forecast, leads, match", [
     ([np.zeros(3), np.zeros(3)], [np.zeros(3), np.zeros(4)], [1, 2],
-     "lead 1: truth and forecast shapes disagree"),
+     "lead 2: truth and forecast shapes disagree"),
     ([np.zeros(3)], [np.zeros(3)], [1, 2], "one truth/forecast pair required per lead"),
-    ([np.zeros(1)], [np.zeros(1)], [1], "lead 0: need at least 2 verification points"),
+    ([np.zeros(1)], [np.zeros(1)], [1], "lead 1: need at least 2 verification points"),
     ([np.zeros(3), np.zeros(3)], [np.zeros(3), np.zeros(3)], [1, np.nan],
-     "lead 1: lead time must be finite, got nan"),
+     "lead times must be finite, got nan at position 1"),
     ([np.zeros(3), [0.0, np.nan, 0.0]], [np.zeros(3), np.zeros(3)], [1, 2],
-     "lead 1: truth has non-finite entries"),
+     "lead 2: truth has non-finite entries"),
     ([np.zeros(3), np.zeros(3)], [[0.0, 0.0, np.inf], np.zeros(3)], [1, 2],
-     "lead 0: forecast has non-finite entries"),
-], ids=["shapes", "lead-count", "one-point", "nan-lead", "nan-truth", "inf-forecast"])
+     "lead 1: forecast has non-finite entries"),
+    ([], [], [], "need at least one lead"),
+    ([1.0, 2.0], [1.0, 2.0], [1, 2], "lead 1: need at least 2 verification points"),
+    ([np.zeros(3), [0.0, np.nan, 0.0]], [np.zeros(3), np.zeros(3)], [0.5, 12],
+     "lead 12: truth has non-finite entries"),
+], ids=["shapes", "lead-count", "one-point", "nan-lead", "nan-truth", "inf-forecast",
+        "no-leads", "float-per-lead", "leads-not-from-0"])
 def test_bad_skill_inputs_are_rejected(truth, forecast, leads, match):
     with pytest.raises(ValueError, match=match):
         rmse_and_correlation(truth, forecast, leads)
@@ -62,7 +82,7 @@ def test_bad_skill_inputs_are_rejected(truth, forecast, leads, match):
 @pytest.mark.parametrize("bad", [-0.2, np.nan, np.inf])
 def test_a_negative_or_non_finite_stdev_is_rejected(bad):
     stdevs = [np.full(3, 0.1), [0.1, bad, 0.1]]
-    with pytest.raises(ValueError, match="lead 1: forecast stdev must be nonnegative and finite"):
+    with pytest.raises(ValueError, match="lead 2: forecast stdev must be nonnegative and finite"):
         rmse_and_correlation([np.arange(3.0)] * 2, [np.arange(3.0)] * 2, [1, 2],
                              forecast_stdevs_per_lead=stdevs)
 

@@ -7,7 +7,6 @@ import pytest
 
 from diffusion_forecast import dataset, forecast
 from diffusion_forecast.basis import DiffusionBasis
-from diffusion_forecast.dataset import TimeSeries
 from diffusion_forecast.forecast import (
     DensityCoefficients,
     MomentForecast,
@@ -69,7 +68,7 @@ class TestEstimateShiftOperator:
 class TestProjectDensity:
     def test_roundtrip_of_invariant_density(self, circle_fit_3000):
         basis = circle_fit_3000.basis
-        p_inv = reconstruct_density(DensityCoefficients(np.eye(basis.n_basis)[0]), basis)
+        p_inv = reconstruct_density(np.eye(basis.n_basis)[0], basis)
         coeffs = project_density(p_inv, basis)
         e0 = np.zeros(basis.n_basis)
         e0[0] = 1.0
@@ -80,7 +79,7 @@ class TestProjectDensity:
         target = np.zeros(basis.n_basis)
         target[0] = 1.0
         target[1] = 0.5
-        p = reconstruct_density(DensityCoefficients(target), basis)
+        p = reconstruct_density(target, basis)
         assert np.all(p > 0)  # small enough mixture to stay positive
         coeffs = project_density(p, basis)
         assert np.max(np.abs(coeffs.c - target)) < 1e-8
@@ -95,7 +94,7 @@ class TestProjectDensity:
 
     def test_scaling_invariance(self, circle_fit_3000):
         basis = circle_fit_3000.basis
-        p = reconstruct_density(DensityCoefficients(np.eye(basis.n_basis)[0]), basis)
+        p = reconstruct_density(np.eye(basis.n_basis)[0], basis)
         c1 = project_density(p, basis)
         c2 = project_density(7.0 * p, basis)
         assert np.allclose(c1.c, c2.c)
@@ -212,7 +211,7 @@ class TestStep:
 class TestReconstructAndMoments:
     def test_reconstruct_e0_is_peq_times_leading_column(self, circle_fit_3000):
         basis = circle_fit_3000.basis
-        c = DensityCoefficients(np.eye(basis.n_basis)[0])
+        c = np.eye(basis.n_basis)[0]
         assert np.array_equal(reconstruct_density(c, basis), basis.peq * basis.phi[:, 0])
 
     def test_moment_of_basis_function_is_coefficient(self, circle_fit_3000):
@@ -220,12 +219,12 @@ class TestReconstructAndMoments:
         c = np.zeros(basis.n_basis)
         c[0] = 1.0
         c[2] = 0.3
-        mean, _ = forecast_moments(DensityCoefficients(c), basis, basis.phi[:, 2])
+        mean, _ = forecast_moments(c, basis, basis.phi[:, 2])
         assert mean[0] == pytest.approx(0.3, abs=1e-10)
 
     def test_invariant_expectation_matches_climatology(self, circle_points_3000, circle_fit_3000):
         basis = circle_fit_3000.basis
-        c = DensityCoefficients(np.eye(basis.n_basis)[0])
+        c = np.eye(basis.n_basis)[0]
         mean, var = forecast_moments(c, basis, circle_points_3000)
         # expectation under the estimated invariant measure tracks the sample
         # mean up to the leading-column warp
@@ -254,7 +253,7 @@ class TestReconstructAndMoments:
 
     def test_ladder_batch_shape(self, circle_fit_3000, circle_points_3000):
         basis, op = circle_fit_3000.basis, circle_fit_3000.operator
-        cols = np.tile(np.eye(basis.n_basis)[0][:, None], (1, 4))
+        cols = DensityCoefficients(np.tile(np.eye(basis.n_basis)[0][:, None], (1, 4)))
         fc = forecast_ladder(cols, op, basis, circle_points_3000, 3)
         assert fc.mean.shape == fc.variance.shape == (4, 2, 4)
         assert len(list(evolve_ladder(cols, op, 3))) == 4
@@ -279,7 +278,7 @@ class TestReconstructAndMoments:
         with pytest.raises(ValueError, match="coefficients must be finite"):
             forecast_moments(np.array(coeffs), basis, g)
         with pytest.raises(ValueError, match="coefficients must be finite"):
-            forecast_ladder(np.array(coeffs), op, basis, g, n_leads=0)
+            forecast_ladder(DensityCoefficients(np.array(coeffs)), op, basis, g, n_leads=0)
 
 
 class TestObservableReadout:
@@ -343,7 +342,7 @@ class TestObservableReadout:
         op = ShiftOperator(a=np.diag([1.0, 0.9, 0.8, 0.7, 0.6]), tau=0.5)
         cols = np.tile(np.eye(5)[0][:, None], (1, 3))
         cols[1] = [0.1, -0.2, 0.3]
-        fc = forecast_ladder(cols, op, basis, basis.phi[:, 1:3] + 0.5, 20)
+        fc = forecast_ladder(DensityCoefficients(cols), op, basis, basis.phi[:, 1:3] + 0.5, 20)
         assert fc.mean.shape == (21, 2, 3)
         assert calls == [(2, 300), (2, 300)]
 

@@ -1,10 +1,11 @@
-"""Package hygiene: the public names resolve, and no module reaches into a
+"""Package hygiene: the public names resolve, no module reaches into a
 sibling's private names (a private import is how duplicate copies of a job
-start)."""
+start), every import is used, and every call the benchmark makes binds."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -85,6 +86,83 @@ def test_every_package_name_the_benchmark_calls_exists():
     missing = [f"{module}.{name}" for module, name in used
                if not hasattr(importlib.import_module(f"diffusion_forecast.{module}"), name)]
     assert missing == []
+
+
+def _bench_calls(path):
+    """(line, callee, args, keywords) of every call ``path`` makes into the
+    package: a call of ``module.name`` or ``module.Class.method`` for a
+    package module it imports, and the call ``Ledger.attempt`` or
+    ``try_quietly`` makes of such a function with the arguments after it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "diffusion_forecast"
+               for alias in node.names}
+
+    def resolve(node):
+        if isinstance(node, ast.Name) and node.id in modules:
+            return importlib.import_module(f"diffusion_forecast.{node.id}")
+        if isinstance(node, ast.Attribute):
+            owner = resolve(node.value)
+            return None if owner is None else getattr(owner, node.attr)
+        return None
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Attribute) and func.attr in ("attempt", "try_quietly"):
+            func, args = args[1], args[2:]
+        callee = resolve(func) if isinstance(func, ast.Attribute) else None
+        if callee is not None:
+            yield node.lineno, callee, args, node.keywords
+
+
+def test_every_call_the_benchmark_makes_binds_to_its_callee():
+    # a parameter the workloads pass, deleted or renamed, would only raise a
+    # TypeError inside a benchmark run, which the ledger does not catch; the
+    # signatures bench/workloads.py calls change only with the benchmark
+    workloads = SRC.parents[1] / "bench" / "workloads.py"
+    calls = list(_bench_calls(workloads))
+    assert len(calls) >= 15
+    unbound = []
+    for line, callee, args, keywords in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in args) and \
+            all(kw.arg is not None for kw in keywords), f"workloads.py:{line}: unpacked arguments"
+        try:
+            inspect.signature(callee).bind(*args, **{kw.arg: kw.value for kw in keywords})
+        except TypeError as err:
+            unbound.append(f"workloads.py:{line}: {callee.__qualname__}: {err}")
+    assert unbound == []
+
+
+def _unused_imports(path):
+    """``file:line: name`` of every name an import statement binds at any
+    level that the file never reads; ``__future__`` imports are directives,
+    and the names ``__all__`` lists are read by ``import *``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    yield f"{path.name}:{node.lineno}: {bound}"
+
+
+def test_every_imported_name_is_used():
+    # the package and its tests have no linter to find an import left
+    # behind when the code that read it goes
+    files = sorted([*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+    assert len(files) > 20
+    found = [line for path in files for line in _unused_imports(path)]
+    assert found == []
 
 
 def _names(path):

@@ -162,21 +162,6 @@ class TestEulerMaruyama:
         euler_maruyama(torus_model(), np.array([1.0, 2.0]), 0.1, 3, 25, seed=0)
         assert calls == [(1, 2)] * 25
 
-    def test_seed_sequence_label_is_one_deterministic_line(self):
-        labels = [euler_maruyama(ou_sde(), np.array([0.0]), 0.1, 2, 3,
-                                 np.random.SeedSequence(42).spawn(3)[1]).origin_label
-                  for _ in range(2)]
-        assert labels[0] == labels[1]
-        assert "\n" not in labels[0]
-        assert labels[0] == "sde(seed=SeedSequence(entropy=42, spawn_key=(1,)))"
-
-    def test_generator_label_names_no_address(self):
-        label = euler_maruyama(ou_sde(), np.array([0.0]), 0.1, 2, 3,
-                               np.random.default_rng(1)).origin_label
-        assert label == "sde(seed=PCG64)"
-        assert euler_maruyama(ou_sde(), np.array([0.0]), 0.1, 2, 3, 7).origin_label == "sde(seed=7)"
-
-
 def dense_sde():
     # three coordinates: einsum does not sum three products in order, so a
     # lone row keeps the einsum path
@@ -266,28 +251,28 @@ def test_numpy_and_math_sin_cos_agree_bitwise(low, high):
 
 class TestTorus:
     def test_embedding_identity(self):
-        _, embedded = simulate_torus(n_samples=300, substeps=10, seed=1, burn_in=5)
+        _, embedded = simulate_torus(n_samples=300, substeps=10, seed=1)
         x, y, z = embedded.points.T
         residual = (np.sqrt(x * x + y * y) - 2.0) ** 2 + z * z - 1.0
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_intrinsic_embedded_paired(self):
-        intrinsic, embedded = simulate_torus(n_samples=100, substeps=5, seed=2, burn_in=0)
+        intrinsic, embedded = simulate_torus(n_samples=100, substeps=5, seed=2)
         assert np.allclose(torus_embed(intrinsic.points), embedded.points)
 
     def test_requested_plenty_of_samples(self):
-        intrinsic, embedded = simulate_torus(n_samples=250, substeps=5, seed=0, burn_in=10)
+        intrinsic, embedded = simulate_torus(n_samples=250, substeps=5, seed=0)
         assert intrinsic.n_points == 250
         assert embedded.n_points == 250
         assert intrinsic.tau == embedded.tau == 0.1
 
     def test_angles_stay_wrapped(self):
-        intrinsic, _ = simulate_torus(n_samples=500, substeps=10, seed=3, burn_in=0)
+        intrinsic, _ = simulate_torus(n_samples=500, substeps=10, seed=3)
         assert np.all(intrinsic.points >= 0.0)
         assert np.all(intrinsic.points < TWO_PI)
 
     def test_phase_runs_faster_than_inclination(self):
-        intrinsic, _ = simulate_torus(n_samples=2000, substeps=10, seed=4, burn_in=10)
+        intrinsic, _ = simulate_torus(n_samples=2000, substeps=10, seed=4)
         d = np.diff(intrinsic.points, axis=0)
         d = (d + np.pi) % TWO_PI - np.pi  # unwrap single-step increments
         assert np.mean(np.abs(d[:, 1])) > np.mean(np.abs(d[:, 0]))
@@ -301,16 +286,23 @@ class TestTorus:
         with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
             simulate_torus(n_samples, 0.1, 2)
 
-    def test_negative_burn_in_rejected(self):
-        # points[-5:] would silently keep only the last 5 samples
-        with pytest.raises(ValueError, match="burn_in"):
-            simulate_torus(n_samples=100, substeps=5, burn_in=-5)
+    def test_burn_in_samples_are_dropped(self):
+        rng = np.random.default_rng(6)
+        x0 = rng.uniform(0.0, TWO_PI, size=2)
+        full = euler_maruyama(torus_model(), x0, 0.1, 5, 40 + simulators.TORUS_BURN_IN, rng)
+        intrinsic, _ = simulate_torus(n_samples=40, substeps=5, seed=6)
+        assert intrinsic.points.tobytes() == full.points[simulators.TORUS_BURN_IN:].tobytes()
 
     def test_wrap_then_embed_equals_embed(self):
         rng = np.random.default_rng(5)
         angles = rng.uniform(-50, 50, size=(200, 2))
         wrapped = np.mod(angles, TWO_PI)
         assert np.allclose(torus_embed(angles), torus_embed(wrapped), atol=1e-12)
+
+
+def lorenz_start(seed):
+    """The seeded initial state of ``simulate_lorenz63``."""
+    return np.array([1.0, 1.0, 1.05]) + 1e-3 * np.random.default_rng(seed).standard_normal(3)
 
 
 class TestLorenz:
@@ -323,12 +315,12 @@ class TestLorenz:
         ts = simulate_lorenz63(n_samples=100000, dt_sample=0.1, seed=1)
         assert abs(ts.points[:, 2].mean() - 23.5) < 0.5
 
-    def test_step_refinement_consistency(self):
+    def test_step_refinement_consistency(self, monkeypatch):
         # same sampling times, doubled internal resolution
-        x0 = np.array([1.0, 1.0, 1.05])
-        a = simulate_lorenz63(n_samples=100, dt_sample=0.1, x0=x0, transient_steps=0)
+        monkeypatch.setattr(simulators, "LORENZ_TRANSIENT_STEPS", 0)
+        a = simulate_lorenz63(n_samples=100, dt_sample=0.1, seed=0)
         model = lorenz_model()
-        x = x0.reshape(1, 3)
+        x = lorenz_start(0).reshape(1, 3)
         for _ in range(100):
             x = rk4_step_batch(model, x, 0.1, 20)
         rel = np.linalg.norm(a.points[-1] - x[0]) / np.linalg.norm(x[0])
@@ -347,11 +339,10 @@ class TestLorenz:
     @pytest.mark.parametrize("transient_steps", [0, 1000])
     @pytest.mark.parametrize("dt_sample", [0.05, 0.1, 0.5])
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_series_equals_array_rk4_bitwise(self, seed, dt_sample, transient_steps):
-        ts = simulate_lorenz63(n_samples=50, dt_sample=dt_sample, seed=seed,
-                               transient_steps=transient_steps)
-        x0 = np.array([1.0, 1.0, 1.05]) + 1e-3 * np.random.default_rng(seed).standard_normal(3)
-        expected = lorenz63_rk4_series(x0, dt_sample, 50, transient_steps)
+    def test_series_equals_array_rk4_bitwise(self, monkeypatch, seed, dt_sample, transient_steps):
+        monkeypatch.setattr(simulators, "LORENZ_TRANSIENT_STEPS", transient_steps)
+        ts = simulate_lorenz63(n_samples=50, dt_sample=dt_sample, seed=seed)
+        expected = lorenz63_rk4_series(lorenz_start(seed), dt_sample, 50, transient_steps)
         assert ts.points.tobytes() == expected.tobytes()
 
     def test_one_row_steps_as_inside_a_batch(self):
@@ -363,24 +354,28 @@ class TestLorenz:
         assert stepped.shape == alone.shape == (500, 3)
         assert alone.tobytes() == stepped.tobytes()
 
-    @pytest.mark.parametrize("kwargs, match", [
-        (dict(dt_sample=-0.1), "dt_sample"),
-        (dict(dt_sample=-0.1, transient_steps=0), "dt_sample"),
-        (dict(dt_sample=float("nan")), "dt_sample"),
-        (dict(transient_steps=-5), "transient_steps"),
-        (dict(x0=np.array([1.0, 1.0])), "x0"),
-        (dict(x0=np.array([1.0, np.inf, 1.0])), "x0"),
-        (dict(n_samples=0), "n_samples"),
-    ], ids=["negative-dt", "negative-dt-no-transient", "nan-dt", "negative-transient",
-            "two-component-x0", "infinite-x0", "no-samples"])
-    def test_bad_parameters_rejected_before_integrating(self, monkeypatch, kwargs, match):
+    @pytest.mark.parametrize("kwargs, transient_steps, match", [
+        (dict(dt_sample=-0.1), 1000, "dt_sample"),
+        (dict(dt_sample=-0.1), 0, "dt_sample"),
+        (dict(dt_sample=float("nan")), 1000, "dt_sample"),
+        (dict(n_samples=0), 1000, "n_samples"),
+    ], ids=["negative-dt", "negative-dt-no-transient", "nan-dt", "no-samples"])
+    def test_bad_parameters_rejected_before_integrating(self, monkeypatch, kwargs,
+                                                        transient_steps, match):
         def no_integration(*args, **kw):
             raise AssertionError("integrated before validating")
 
         monkeypatch.setattr(simulators, "rk4_step_batch", no_integration)
+        monkeypatch.setattr(simulators, "LORENZ_TRANSIENT_STEPS", transient_steps)
         with pytest.raises(ValueError, match=match):
             simulate_lorenz63(**{"n_samples": 10, **kwargs})
 
-    def test_nonfinite_state_reports_sample(self):
-        with pytest.raises(FloatingPointError, match="non-finite state at sample 0"):
-            simulate_lorenz63(n_samples=5, x0=np.array([1e200, -1e200, 1e200]), transient_steps=0)
+    def test_nonfinite_state_reports_sample(self, monkeypatch):
+        # dx/dt = 100 x grows by (1 + 1 + 1/2 + 1/6 + 1/24)^10 a sample at
+        # h = 0.01, about 10^4.327: from x0 ~ 1, sample 69 is about 10^303,
+        # and within sample 70 the stage 100 x overflows
+        monkeypatch.setattr(simulators, "LORENZ_TRANSIENT_STEPS", 0)
+        monkeypatch.setattr(simulators, "lorenz_model",
+                            lambda: ODEModel(dim=3, rhs=lambda x, y, z: (100.0 * x, 0.0, 0.0)))
+        with pytest.raises(FloatingPointError, match="non-finite state at sample 70$"):
+            simulate_lorenz63(n_samples=100, dt_sample=0.1, seed=0)

@@ -6,6 +6,7 @@ from diffusion_forecast.basis import NEIGHBOR_CAP
 from diffusion_forecast.dataset import TimeSeries, knn
 from diffusion_forecast.simulators import torus_embed
 from diffusion_forecast.tuning import (
+    ADHOC_K0,
     LOG_BIN_WIDTH,
     BandwidthProfile,
     PairwiseKernelSum,
@@ -18,11 +19,11 @@ from diffusion_forecast.tuning import (
 from _oracles import brute_force_kernel_sum, table_histogram, table_kde, table_kernel_sum
 
 
-def tuned(points, k0=8, c=2.0):
+def tuned(points, c=2.0):
     """The fit's table, min(N, NEIGHBOR_CAP) wide, the ad-hoc bandwidths and
     the tuning of their kernel on that table."""
     nl = neighbors(points, min(points.shape[0], NEIGHBOR_CAP))
-    prof = adhoc_bandwidth(nl, k0)
+    prof = adhoc_bandwidth(nl)
     return nl, prof, tune(PairwiseKernelSum(nl, prof.rho0, c))
 
 
@@ -32,39 +33,42 @@ def neighbors(points, k=8):
 
 class TestAdhocBandwidth:
     def test_collinear_hand_case(self):
-        prof = adhoc_bandwidth(neighbors(np.array([[0.0], [1.0], [3.0]]), 2), k0=2)
-        assert np.allclose(prof.rho0, [1.0, 1.0, 2.0])
+        # ADHOC_K0 = 8: the mean over 7 non-self neighbours. At the end of
+        # 0, 1, ..., 9 they lie at 1..7, in the middle (5) at 1, 1, 2, 2, 3, 3, 4
+        assert ADHOC_K0 == 8
+        prof = adhoc_bandwidth(neighbors(np.arange(10.0)[:, None], 8))
+        ends = np.sqrt(np.mean(np.arange(1.0, 8.0) ** 2))
+        middle = np.sqrt(np.mean(np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0]) ** 2))
+        assert np.allclose(prof.rho0[[0, 9, 5]], [ends, ends, middle])
 
     def test_regular_simplex_symmetry(self):
-        # four points, all pairwise distances equal
-        pts = np.array([
-            [1.0, 1.0, 1.0],
-            [1.0, -1.0, -1.0],
-            [-1.0, 1.0, -1.0],
-            [-1.0, -1.0, 1.0],
-        ])
-        r = np.linalg.norm(pts[0] - pts[1])
-        for k0 in (2, 3):
-            prof = adhoc_bandwidth(neighbors(pts, k0), k0=k0)
-            assert np.allclose(prof.rho0, r)
+        # nine points, all pairwise distances sqrt(2): the unit vectors of R^9
+        prof = adhoc_bandwidth(neighbors(np.eye(9), 8))
+        assert np.allclose(prof.rho0, np.sqrt(2.0))
 
     def test_circle_roughly_constant(self):
         rng = np.random.default_rng(5)
         theta = rng.uniform(0, 2 * np.pi, 1000)
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        prof = adhoc_bandwidth(neighbors(pts, 8), k0=8)
+        prof = adhoc_bandwidth(neighbors(pts, 8))
         cv = prof.rho0.std() / prof.rho0.mean()
         assert cv < 0.5
 
     def test_duplicates_raise(self):
-        pts = np.array([[0.0], [0.0], [0.0], [5.0]])
+        # point 0's seven nearest neighbours coincide with it
+        pts = np.array([[0.0]] * 8 + [[5.0]])
         with pytest.raises(ValueError, match="deduplicate"):
-            adhoc_bandwidth(neighbors(pts, 3), k0=3)
+            adhoc_bandwidth(neighbors(pts, 8))
 
     def test_needs_more_points_than_k0(self):
-        pts = np.arange(5, dtype=float)[:, None]
-        with pytest.raises(ValueError, match="more than"):
-            adhoc_bandwidth(neighbors(pts, 5), k0=5)
+        pts = np.arange(8, dtype=float)[:, None]
+        with pytest.raises(ValueError, match="more than k0=8 points, got 8"):
+            adhoc_bandwidth(neighbors(pts, 8))
+
+    def test_needs_k0_table_columns(self):
+        pts = np.arange(20, dtype=float)[:, None]
+        with pytest.raises(ValueError, match="fewer than k0=8 columns"):
+            adhoc_bandwidth(neighbors(pts, 7))
 
 
 class TestPairwiseKernelSum:
