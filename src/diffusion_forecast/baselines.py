@@ -31,7 +31,10 @@ class AffineModel:
     offset: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.linear).all() and np.isfinite(self.offset).all()):
+        # finite sums of squares mean finite entries; only a sum that is not
+        # (a non-finite entry, or overflow) needs the full test
+        if (not math.isfinite(np.vdot(self.linear, self.linear) + np.vdot(self.offset, self.offset))
+                and not (np.isfinite(self.linear).all() and np.isfinite(self.offset).all())):
             finite = np.isfinite(self.linear).all(axis=(-2, -1)) & np.isfinite(self.offset).all(axis=-1)
             raise ValueError(f"affine model{_state_of(finite)} has non-finite entries")
 
@@ -63,15 +66,17 @@ class GaussianState:
         if not math.isfinite(np.vdot(mean, mean)) and not np.isfinite(mean).all():
             finite = np.isfinite(mean).all(axis=-1)
             raise ValueError(f"mean{_state_of(finite)} has non-finite entries")
-        # cov - cov.T is antisymmetric bit for bit, so its largest entry is
-        # its largest magnitude; a non-finite entry of cov makes it NaN
-        asym = cov - cov.swapaxes(-1, -2)
-        if not asym.max() <= 1e-12:
+        if not math.isfinite(np.vdot(cov, cov)) and not np.isfinite(cov).all():
             finite = np.isfinite(cov).all(axis=(-2, -1))
-            if not finite.all():
-                raise ValueError(f"covariance{_state_of(finite)} has non-finite entries")
-            symmetric = asym.max(axis=(-2, -1)) <= 1e-12
-            raise ValueError(f"covariance{_state_of(symmetric)} must be symmetric")
+            raise ValueError(f"covariance{_state_of(finite)} has non-finite entries")
+        # a covariance equal to its transpose byte for byte needs no
+        # tolerance; otherwise cov - cov.T is antisymmetric bit for bit, so
+        # its largest entry is its largest magnitude
+        if cov.tobytes() != cov.swapaxes(-1, -2).tobytes():
+            asym = cov - cov.swapaxes(-1, -2)
+            if not asym.max() <= 1e-12:
+                symmetric = asym.max(axis=(-2, -1)) <= 1e-12
+                raise ValueError(f"covariance{_state_of(symmetric)} must be symmetric")
         # eigvalsh sorts ascending. The floor scales with the spectrum, so
         # that rounding in a covariance with large eigenvalues is not taken
         # for indefiniteness; only a negative eigenvalue can fall below it
@@ -94,7 +99,9 @@ class GaussianState:
         made exactly symmetric. The product alone is asymmetric in its last
         bits, which the validation rejects once the covariance is large."""
         out = linear @ self.cov @ linear.swapaxes(-1, -2)
-        return GaussianState(mean=mean, cov=0.5 * (out + out.swapaxes(-1, -2)))
+        cov = out + out.swapaxes(-1, -2)
+        cov *= 0.5
+        return GaussianState(mean=mean, cov=cov)
 
 
 def _state_of(ok: np.ndarray) -> str:
@@ -128,10 +135,34 @@ def fit_local_affine(
     ``train.points`` is read-only, so the entry cannot go stale, and every
     fit equals, bitwise, a search over the eligible points alone followed by
     a fresh least-squares fit.
+
+    The entry pays off only for the direct forecasts, which ask about one
+    point at many leads. The iterated walk (:func:`_iterated_steps`) asks
+    about a new point at every step, so it neither reads nor replaces the
+    entry; a direct forecast made after a walk still finds its ranking.
     """
     pts = train.points
     n, dim = pts.shape
     query = np.asarray(point, dtype=float)
+    _check_fit(pts, query, lead_steps, k)
+    if lead_steps == 0:
+        batch = query.shape[:-1]
+        return AffineModel(linear=np.tile(np.eye(dim), batch + (1, 1)),
+                           offset=np.zeros(batch + (dim,)))
+    eligible = n - lead_steps
+    memo = getattr(train, "_ranking", None)
+    if memo is None or not _same(query, memo.query):
+        memo = _Ranking(pts, query, k + lead_steps)
+        object.__setattr__(train, "_ranking", memo)
+    idx, normal = memo.fit(pts, eligible, k)
+    return _affine_solve(*normal, pts[lead_steps:].take(idx, axis=0))
+
+
+def _check_fit(pts: np.ndarray, query: np.ndarray, lead_steps: int, k: int) -> None:
+    """Raise ValueError unless ``query`` states of the series' dim can be
+    fitted on k neighbours at a lead of ``lead_steps`` >= 0: k must be above
+    dim, and, past lead 0, as many points must have a partner that far on."""
+    n, dim = pts.shape
     if query.shape[-1:] != (dim,):
         raise ValueError(f"state of shape {query.shape} does not match the "
                          f"training series of dim {dim}")
@@ -140,19 +171,8 @@ def fit_local_affine(
                          f"need k >= {dim + 1}")
     if lead_steps < 0:
         raise ValueError("lead_steps must be nonnegative")
-    if lead_steps == 0:
-        batch = query.shape[:-1]
-        return AffineModel(linear=np.tile(np.eye(dim), batch + (1, 1)),
-                           offset=np.zeros(batch + (dim,)))
-    eligible = n - lead_steps
-    if eligible < k:
-        raise ValueError(f"need at least k={k} usable points, have {eligible}")
-    memo = getattr(train, "_ranking", None)
-    if memo is None or not _same(query, memo.query):
-        memo = _Ranking(pts, query, k + lead_steps)
-        object.__setattr__(train, "_ranking", memo)
-    idx, normal = memo.fit(pts, eligible, k)
-    return _affine_solve(*normal, pts[idx + lead_steps])
+    if lead_steps and n - lead_steps < k:
+        raise ValueError(f"need at least k={k} usable points, have {n - lead_steps}")
 
 
 class _Ranking:
@@ -178,7 +198,7 @@ class _Ranking:
                 top = int(idx.max())
             idx = idx.reshape(self.query.shape[:-1] + (k,))
             if not _same(idx, self.fit_idx):
-                self.fit_idx, self.normal = idx, _normal_equations(pts[idx])
+                self.fit_idx, self.normal = idx, _normal_equations(_design(pts[idx]))
             # the same points are the first k eligible for every count from
             # one past their largest index up to this one
             self.valid = range(top + 1, eligible + 1)
@@ -205,15 +225,21 @@ def _same(a: np.ndarray, b: np.ndarray | None) -> bool:
     return b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _normal_equations(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transposed design [x, 1] and its ridged Gram matrix for the affine
-    least-squares fit on (k, dim) inputs ``x``, or on each (B, k, dim) block
-    at once."""
+def _design(x: np.ndarray) -> np.ndarray:
+    """The rows [x, 1] of the affine fit's design, one per row of ``x``."""
     dim = x.shape[-1]
-    design = np.ones(x.shape[:-1] + (dim + 1,))
+    design = np.empty(x.shape[:-1] + (dim + 1,))
     design[..., :dim] = x
+    design[..., dim] = 1.0
+    return design
+
+
+def _normal_equations(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed design and its ridged Gram matrix for the affine
+    least-squares fit on (k, dim + 1) rows of :func:`_design`, or on each
+    (B, k, dim + 1) block at once."""
     design_t = design.swapaxes(-1, -2)
-    return design_t, design_t @ design + _ridge(dim + 1)
+    return design_t, design_t @ design + _ridge(design.shape[-1])
 
 
 @functools.cache
@@ -251,8 +277,10 @@ def local_linear_forecast(
     asks, the forecasts share one neighbour ranking of the initial mean: the
     entry :func:`fit_local_affine` keeps on ``train`` holds the mean's
     copy, its ranked training points and the last neighbour set's normal
-    equations. It cannot go stale, because ``train.points`` is read-only,
-    and each forecast equals, bitwise, one made without it.
+    equations, so a lead costs one small solve and the covariance product.
+    An iterated forecast in between leaves the entry alone. It cannot go
+    stale, because ``train.points`` is read-only, and each forecast equals,
+    bitwise, one made without it.
     """
     if lead_steps == 0:
         return replace(init)
@@ -306,15 +334,30 @@ def _iterated_steps(train: TimeSeries, mean: np.ndarray, n_steps: int, k: int):
     means and applies it, and ``linear`` is the product of the linear parts
     so far (the identity at step 0).
 
-    ``mean`` is one (dim,) state or a (B, dim) batch, which makes one
-    :func:`fit_local_affine` call per step for all states and yields
+    Each step ranks its means afresh: one :func:`knn_points` search, for
+    all states, over the n - 1 points that have a 1-step partner, then the
+    least-squares fit on those neighbours. No ranking is kept, since each
+    step asks about new means; the one :func:`fit_local_affine` keeps on
+    ``train`` for the direct forecasts is left as it was. Every step equals,
+    bitwise, :func:`fit_local_affine` at lead 1 of its means.
+
+    ``mean`` is one (dim,) state or a (B, dim) batch, which yields
     (B, dim, dim) linear parts.
     """
     dim = mean.shape[-1]
     linear = np.broadcast_to(np.eye(dim), mean.shape[:-1] + (dim, dim))
     yield mean, linear
+    if not n_steps:
+        return
+    pts = train.points
+    _check_fit(pts, mean, 1, k)
+    eligible, partners = pts[:-1], pts[1:]
+    design = _design(eligible)
+    neighbours = mean.shape[:-1] + (k,)
     for _ in range(n_steps):
-        model = fit_local_affine(train, mean, 1, k)
+        idx = knn_points(eligible, k, query=mean.reshape(-1, dim)).indices.reshape(neighbours)
+        model = _affine_solve(*_normal_equations(design.take(idx, axis=0)),
+                              partners.take(idx, axis=0))
         mean = model(mean)
         linear = model.linear @ linear
         yield mean, linear

@@ -31,6 +31,10 @@ SENTINEL_THRESHOLD = -99.0
 # Lorenz-63 points (best of 5).
 BLOCK_ENTRIES = 500_000
 
+# The largest int32; np.iinfo costs about 1 us a call, and the neighbour
+# search of the local-linear baselines asks for an index dtype each call.
+_INT32_MAX = 2**31 - 1
+
 _DATE_RE = re.compile(r"^\s*(\d{4})-(\d{1,2})\s*$")
 
 
@@ -49,9 +53,10 @@ class TimeSeries:
         only because ``bench/workloads.py`` still passes it.
 
     ``points`` is a read-only copy of the array given for it: the caller's
-    array stays writable, and a write into ``points`` raises. The
-    local-linear baselines keep a neighbour ranking on the series, which a
-    write would leave stale.
+    array stays writable, and a write into ``points`` raises. The direct
+    local-linear forecasts keep the neighbour ranking of their last query
+    on the series (see :func:`~diffusion_forecast.baselines.fit_local_affine`),
+    which a write would leave stale; the iterated walk keeps none.
     """
 
     points: np.ndarray
@@ -236,6 +241,14 @@ def knn_points(pts: np.ndarray, k: int, query: np.ndarray | None = None) -> Neig
     2^31 - 1. That is the rule of the kernel's CSR indices, so
     :func:`~diffusion_forecast.basis.build_vb_kernel` resizes the table's
     own buffers into the kernel's and consumes the table.
+
+    A small query, such as the one state of a local-linear step, is one
+    block: one ``cdist`` row and one ``argpartition`` over the n points,
+    then the ordering of k + 1 candidates (see :func:`_smallest_k`). On
+    2000 Lorenz-63 points and k = 15, one row costs about 25 us on one core
+    of a 2-core x86-64 VM, of which ``cdist`` and ``argpartition`` take
+    about 6 us each; the rest is the fixed cost of a dozen small numpy
+    calls, the same at every size.
     """
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[0]
@@ -274,7 +287,7 @@ def index_dtype(entries: int) -> type:
     """Integer dtype of the indices of a table or CSR matrix of ``entries``
     stored entries: int32 up to 2^31 - 1 entries, int64 past them. Every
     index and row pointer such an array holds is then representable."""
-    return np.int32 if entries <= np.iinfo(np.int32).max else np.int64
+    return np.int32 if entries <= _INT32_MAX else np.int64
 
 
 def rows_per_block(width: int) -> int:
@@ -318,6 +331,12 @@ def _smallest_k(d2: np.ndarray, k: int):
     index) order again by one ``lexsort`` over those rows together, and a
     row whose tie straddles the cut, where ``argpartition`` may have left
     out a lower-index equal entry, is ordered again over its whole row.
+
+    The one rule is cheap at both sizes the package asks for. A ``lexsort``
+    of every row would give the (value, index) order at once, but on the
+    fit's 166-row blocks of 1025 candidates it costs about 16 ms against
+    2.3 ms for the ``argsort``, and on the 16 candidates of a local-linear
+    step it saves no call, since the mask is one comparison and one count.
     """
     n = d2.shape[1]
     rows = np.arange(d2.shape[0])[:, None]
@@ -328,7 +347,7 @@ def _smallest_k(d2: np.ndarray, k: int):
     cand_idx = cand_idx[rows, order]
     cand_d = cand_d[rows, order]
     tie = cand_d[:, 1:] == cand_d[:, :-1]
-    if tie.any():
+    if np.count_nonzero(tie):
         tied = np.flatnonzero(tie.any(axis=1))
         tied_idx, tied_d = cand_idx[tied], cand_d[tied]
         sub = np.lexsort((tied_idx, tied_d), axis=-1)

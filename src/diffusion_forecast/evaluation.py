@@ -48,15 +48,18 @@ def rmse_and_correlation(
         2, and an entry may be a scalar or a state vector (RMSE then
         aggregates over coordinates too).
     forecast_stdevs_per_lead : sequence of ndarray, optional
-        Forecast spread per verification point (scalar or per-coordinate),
-        aggregated to one root-mean value per lead.
+        Forecast spread, one entry per lead shaped like that lead's forecast
+        (a spread per point, or per point and coordinate), aggregated to one
+        root-mean value per lead.
     climatology : ndarray, optional
         Series whose population standard deviation defines the skill floor;
         defaults to the pooled truth values.
 
     No lead, or a non-finite lead time, is a ValueError. A non-finite truth
-    or forecast entry, or a negative or non-finite stdev, is a ValueError
-    that names its lead by its lead time.
+    or forecast entry, a missing stdev entry, one not shaped like the
+    forecast, or a negative or non-finite stdev, is a ValueError that names
+    its lead by its lead time; so is a stdev past the last lead, named by
+    the last lead.
     """
     lead_times = np.asarray(lead_times, dtype=float)
     n_leads = len(lead_times)
@@ -67,6 +70,11 @@ def rmse_and_correlation(
     if not np.isfinite(lead_times).all():
         i = np.flatnonzero(~np.isfinite(lead_times))[0]
         raise ValueError(f"lead times must be finite, got {lead_times[i]} at position {i}")
+    if forecast_stdevs_per_lead is not None and len(forecast_stdevs_per_lead) != n_leads:
+        given = len(forecast_stdevs_per_lead)
+        where = (f"lead {lead_times[given]:g}: no forecast stdev" if given < n_leads
+                 else f"lead {lead_times[-1]:g}: forecast stdevs run past the last lead")
+        raise ValueError(f"{where}; {given} given for {n_leads} leads")
     rmse = np.empty(n_leads)
     corr = np.zeros(n_leads)
     degenerate = np.zeros(n_leads, dtype=bool)
@@ -93,6 +101,9 @@ def rmse_and_correlation(
         pooled.append(tf)
         if forecast_stdevs_per_lead is not None:
             s = np.asarray(forecast_stdevs_per_lead[i], dtype=float)
+            if s.shape != f.shape:
+                raise ValueError(f"lead {lead:g}: forecast stdev of shape {s.shape} is not "
+                                 f"shaped like the forecast, {f.shape}")
             if not (np.isfinite(s) & (s >= 0)).all():
                 raise ValueError(f"lead {lead:g}: forecast stdev must be nonnegative and finite")
             spread[i] = float(np.sqrt(np.mean(s * s)))

@@ -347,16 +347,14 @@ def observable_readout(g, phi):
 
 def direct_local_affine(points, query, lead, k, ridge):
     """The direct local-linear fit made afresh: the k nearest of the points
-    whose ``lead``-step partner stays in the series, from the library's
-    ``knn_points`` over those points alone, then the ridged least-squares
-    affine fit on them, written out. Returns (linear, offset), of shapes
-    (dim, dim) and (dim,) for one (dim,) query, with a leading B for a
-    (B, dim) batch."""
-    from diffusion_forecast.dataset import knn_points
-
+    whose ``lead``-step partner stays in the series, ranked by
+    :func:`lexsort_knn` over those points alone, then the ridged
+    least-squares affine fit on them, written out. Returns (linear, offset),
+    of shapes (dim, dim) and (dim,) for one (dim,) query, with a leading B
+    for a (B, dim) batch."""
     n, dim = points.shape
-    nl = knn_points(points[:n - lead], k, query=np.atleast_2d(query))
-    idx = nl.indices.reshape(np.shape(query)[:-1] + (k,))
+    indices, _ = lexsort_knn(points[:n - lead], k, query=np.atleast_2d(query))
+    idx = indices.reshape(np.shape(query)[:-1] + (k,))
     x, y = points[idx], points[idx + lead]
     design = np.ones(x.shape[:-1] + (dim + 1,))
     design[..., :dim] = x
@@ -364,3 +362,25 @@ def direct_local_affine(points, query, lead, k, ridge):
     gram = design_t @ design + ridge * np.eye(dim + 1)
     theta = np.linalg.solve(gram, design_t @ y)
     return theta[..., :dim, :].swapaxes(-1, -2), theta[..., dim, :]
+
+
+def iterated_local_affine(points, query, n_steps, k, ridge):
+    """The iterated local-linear walk made afresh: at every step a fresh
+    (distance, index) ranking of the current means and a fresh ridged fit
+    of the 1-step map, by :func:`direct_local_affine` at lead 1, whose map
+    moves the means and whose linear part is chained onto the product so
+    far. Returns the means and the chained linear parts at steps 0, 1, ...,
+    n_steps: lists of (dim,) and (dim, dim) arrays for one (dim,) query,
+    with a leading B for a (B, dim) batch; step 0 is the query and the
+    identity."""
+    mean = np.asarray(query, dtype=float)
+    dim = mean.shape[-1]
+    chain = np.broadcast_to(np.eye(dim), mean.shape[:-1] + (dim, dim))
+    means, chains = [mean], [chain]
+    for _ in range(n_steps):
+        linear, offset = direct_local_affine(points, mean, 1, k, ridge)
+        mean = (linear @ mean[..., None])[..., 0] + offset
+        chain = linear @ chain
+        means.append(mean)
+        chains.append(chain)
+    return means, chains

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from _oracles import direct_local_affine
+from _oracles import direct_local_affine, iterated_local_affine
 from diffusion_forecast import baselines
 from diffusion_forecast.baselines import (
     RIDGE,
     AffineModel,
     GaussianState,
     _affine_solve,
+    _design,
     _normal_equations,
     ensemble_forecast,
     fit_local_affine,
@@ -100,9 +101,9 @@ class TestLocalLinear:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(15, 3))
         y = rng.normal(size=(15, 3))
-        base = _affine_solve(*_normal_equations(x), y)
+        base = _affine_solve(*_normal_equations(_design(x)), y)
         perm = rng.permutation(15)
-        shuffled = _affine_solve(*_normal_equations(x[perm]), y[perm])
+        shuffled = _affine_solve(*_normal_equations(_design(x[perm])), y[perm])
         assert np.allclose(base.linear, shuffled.linear)
         assert np.allclose(base.offset, shuffled.offset)
 
@@ -110,7 +111,7 @@ class TestLocalLinear:
         x = np.ones((10, 2))
         y = np.ones((10, 2))
         # RIDGE keeps the coincident-neighbour system solvable
-        model = _affine_solve(*_normal_equations(x), y)
+        model = _affine_solve(*_normal_equations(_design(x)), y)
         assert np.all(np.isfinite(model.linear))
 
     def test_no_lookahead_leakage(self):
@@ -245,15 +246,15 @@ class TestBatches:
         assert model.linear.shape == (len(states), 3, 3)
         assert model.offset.shape == states.shape
         # a single state makes one one-row search for a direct forecast and
-        # one per step of the iterated ladder, except its first step, which
-        # reads the ranking the direct forecast left at the same state
+        # one per step of the iterated ladder, its first step included: the
+        # walk ranks every step itself and reads no kept ranking
         init = GaussianState.isotropic(states[0], 0.01)
         calls.clear()
         local_linear_forecast(train, init, 5)
         assert calls == [(1, 3)]
         calls.clear()
         iterated_local_linear_ladder(train, init, 4)
-        assert calls == [(1, 3)] * 3
+        assert calls == [(1, 3)] * 4
         # a batch makes one search per step for all its states
         calls.clear()
         iterated_local_linear_ladder(train, GaussianState.isotropic(states, 0.01), 4)
@@ -446,6 +447,80 @@ class TestSharedRanking:
             # ranked to depths 16, 32, 64 and 128 at most, against 80 searches
             assert 1 <= len(searches) <= 4
             assert len(systems) < 80
+
+
+    def test_an_iterated_forecast_leaves_the_direct_ranking_alone(self, monkeypatch):
+        train, states = lorenz_train_and_states()
+        searches = self.counting(monkeypatch, "knn_points")
+        init = GaussianState.isotropic(states[3], 0.01)
+        for lead in range(1, 11):
+            local_linear_forecast(train, init, lead)
+        assert len(searches) == 1
+        iterated_local_linear_forecast(train, init, 5)
+        # leads 11-20 read the ranking that leads 1-10 made, not the walk's
+        searches.clear()
+        for lead in range(11, 21):
+            local_linear_forecast(train, init, lead)
+        assert searches == []
+
+
+def walk_cases():
+    train, states = lorenz_train_and_states()
+    lattice = lattice_series()
+    points = np.array([[1.0, 1.0], [0.5, 2.0], [0.0, 2.0]])
+    return [
+        pytest.param(train, states[0], 15, 12, id="lorenz-one"),
+        pytest.param(train, states, 15, 12, id="lorenz-batch"),
+        pytest.param(lattice, points[0], 5, 20, id="lattice-one-k5"),
+        pytest.param(lattice, points, 5, 20, id="lattice-batch-k5"),
+        pytest.param(lattice, points[1], 15, 20, id="lattice-one-k15"),
+        pytest.param(lattice, points, 15, 20, id="lattice-batch-k15"),
+    ]
+
+
+class TestIteratedWalk:
+    """Every step of the iterated walk must equal, bitwise, a fresh
+    (distance, index) ranking and a fresh ridged fit at the current means;
+    on the lattice, ties straddle the k-th neighbour."""
+
+    @staticmethod
+    def expected(train, init, n_steps, k):
+        """Mean and covariance at steps 0..n_steps: the covariance carried
+        through the oracle's chained linear parts, made exactly symmetric."""
+        means, chains = iterated_local_affine(train.points, init.mean, n_steps, k, RIDGE)
+        covs = []
+        for chain in chains:
+            out = chain @ init.cov @ chain.swapaxes(-1, -2)
+            covs.append(0.5 * (out + out.swapaxes(-1, -2)))
+        return means, covs
+
+    @pytest.mark.parametrize("train, mean, k, n_steps", walk_cases())
+    def test_forecast_is_a_fresh_fit_at_every_step(self, train, mean, k, n_steps):
+        init = GaussianState.isotropic(mean, 0.01)
+        means, covs = self.expected(train, init, n_steps, k)
+        for lead in (0, 1, 2, n_steps):
+            out = iterated_local_linear_forecast(train, init, lead, k)
+            assert out.mean.tobytes() == means[lead].tobytes()
+            assert out.cov.tobytes() == np.broadcast_to(covs[lead], out.cov.shape).tobytes()
+
+    @pytest.mark.parametrize("train, mean, k, n_steps", walk_cases())
+    def test_ladder_is_a_fresh_fit_at_every_step(self, train, mean, k, n_steps):
+        init = GaussianState.isotropic(mean, 0.01)
+        means, covs = self.expected(train, init, n_steps, k)
+        ladder = iterated_local_linear_ladder(train, init, n_steps, k)
+        for lead in range(n_steps + 1):
+            state = GaussianState(mean=means[lead], cov=covs[lead])
+            assert_ladder_lead_is(ladder, lead, state, train.tau)
+
+    def test_ties_straddle_the_kth_neighbour_on_the_walk(self):
+        # the lattice cases are worth their name only if some step's k-th
+        # and (k+1)-th eligible neighbours are equally far
+        train = lattice_series()
+        for k, mean in ((5, [1.0, 1.0]), (15, [0.5, 2.0])):
+            means, _ = iterated_local_affine(train.points, np.array(mean), 20, k, RIDGE)
+            eligible = train.points[:-1]
+            kth = [np.sort(np.linalg.norm(eligible - m, axis=1))[k - 1:k + 1] for m in means[:-1]]
+            assert any(a == b for a, b in kth)
 
 
 class TestGaussianState:

@@ -87,6 +87,24 @@ def test_a_negative_or_non_finite_stdev_is_rejected(bad):
                              forecast_stdevs_per_lead=stdevs)
 
 
+# a stdev entry per lead, shaped like the forecast; a missing, surplus or
+# misshapen entry is named by its lead time
+@pytest.mark.parametrize("stdevs, match", [
+    ([np.full(5, 0.1)], r"lead 3: no forecast stdev; 1 given for 2 leads"),
+    ([np.full(5, 0.1)] * 3, r"lead 3: forecast stdevs run past the last lead; 3 given for 2 leads"),
+    ([np.full(5, 0.1), np.full(1, 0.1)],
+     r"lead 3: forecast stdev of shape \(1,\) is not shaped like the forecast, \(5,\)"),
+    ([np.full((5, 1), 0.1), np.full(5, 0.1)],
+     r"lead 0.5: forecast stdev of shape \(5, 1\) is not shaped like the forecast, \(5,\)"),
+    ([0.1, np.full(5, 0.1)],
+     r"lead 0.5: forecast stdev of shape \(\) is not shaped like the forecast, \(5,\)"),
+], ids=["short", "long", "one-entry", "column", "scalar"])
+def test_a_stdev_not_matching_the_forecast_is_named(stdevs, match):
+    truth = [np.arange(5.0)] * 2
+    with pytest.raises(ValueError, match=match):
+        rmse_and_correlation(truth, truth, [0.5, 3], forecast_stdevs_per_lead=stdevs)
+
+
 def write(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
