@@ -448,7 +448,6 @@ class TestSharedRanking:
             assert 1 <= len(searches) <= 4
             assert len(systems) < 80
 
-
     def test_an_iterated_forecast_leaves_the_direct_ranking_alone(self, monkeypatch):
         train, states = lorenz_train_and_states()
         searches = self.counting(monkeypatch, "knn_points")
@@ -464,18 +463,22 @@ class TestSharedRanking:
         assert searches == []
 
 
-def walk_cases():
-    train, states = lorenz_train_and_states()
-    lattice = lattice_series()
-    points = np.array([[1.0, 1.0], [0.5, 2.0], [0.0, 2.0]])
-    return [
-        pytest.param(train, states[0], 15, 12, id="lorenz-one"),
-        pytest.param(train, states, 15, 12, id="lorenz-batch"),
-        pytest.param(lattice, points[0], 5, 20, id="lattice-one-k5"),
-        pytest.param(lattice, points, 5, 20, id="lattice-batch-k5"),
-        pytest.param(lattice, points[1], 15, 20, id="lattice-one-k15"),
-        pytest.param(lattice, points, 15, 20, id="lattice-batch-k15"),
-    ]
+def walk_case(case):
+    """(series, initial mean, k, steps) of a walk case named
+    '<series>-<one|batch>': Lorenz states at k = 15, or lattice points at
+    k = 5 or 15, where ties straddle the k-th neighbour."""
+    name, size = case.rsplit("-", 1)
+    if name == "lorenz":
+        train, states = lorenz_train_and_states()
+        k, n_steps = 15, 12
+    else:
+        train, states = lattice_series(), np.array([[1.0, 1.0], [0.5, 2.0], [0.0, 2.0]])
+        k, n_steps = int(name.removeprefix("lattice-k")), 20
+    return train, states if size == "batch" else states[0], k, n_steps
+
+
+WALK_CASES = ["lorenz-one", "lorenz-batch", "lattice-k5-one", "lattice-k5-batch",
+              "lattice-k15-one", "lattice-k15-batch"]
 
 
 class TestIteratedWalk:
@@ -494,8 +497,9 @@ class TestIteratedWalk:
             covs.append(0.5 * (out + out.swapaxes(-1, -2)))
         return means, covs
 
-    @pytest.mark.parametrize("train, mean, k, n_steps", walk_cases())
-    def test_forecast_is_a_fresh_fit_at_every_step(self, train, mean, k, n_steps):
+    @pytest.mark.parametrize("case", WALK_CASES)
+    def test_forecast_is_a_fresh_fit_at_every_step(self, case):
+        train, mean, k, n_steps = walk_case(case)
         init = GaussianState.isotropic(mean, 0.01)
         means, covs = self.expected(train, init, n_steps, k)
         for lead in (0, 1, 2, n_steps):
@@ -503,8 +507,9 @@ class TestIteratedWalk:
             assert out.mean.tobytes() == means[lead].tobytes()
             assert out.cov.tobytes() == np.broadcast_to(covs[lead], out.cov.shape).tobytes()
 
-    @pytest.mark.parametrize("train, mean, k, n_steps", walk_cases())
-    def test_ladder_is_a_fresh_fit_at_every_step(self, train, mean, k, n_steps):
+    @pytest.mark.parametrize("case", WALK_CASES)
+    def test_ladder_is_a_fresh_fit_at_every_step(self, case):
+        train, mean, k, n_steps = walk_case(case)
         init = GaussianState.isotropic(mean, 0.01)
         means, covs = self.expected(train, init, n_steps, k)
         ladder = iterated_local_linear_ladder(train, init, n_steps, k)
@@ -516,8 +521,8 @@ class TestIteratedWalk:
         # the lattice cases are worth their name only if some step's k-th
         # and (k+1)-th eligible neighbours are equally far
         train = lattice_series()
-        for k, mean in ((5, [1.0, 1.0]), (15, [0.5, 2.0])):
-            means, _ = iterated_local_affine(train.points, np.array(mean), 20, k, RIDGE)
+        for k in (5, 15):
+            means, _ = iterated_local_affine(train.points, np.array([1.0, 1.0]), 20, k, RIDGE)
             eligible = train.points[:-1]
             kth = [np.sort(np.linalg.norm(eligible - m, axis=1))[k - 1:k + 1] for m in means[:-1]]
             assert any(a == b for a, b in kth)
@@ -547,12 +552,12 @@ class TestGaussianState:
         g = GaussianState.isotropic(np.array([1.0, 2.0]), 0.25)
         assert np.array_equal(g.cov, 0.25 * np.eye(2))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariance_rejected(self, entry, bad):
-        # LAPACK's eigvalsh returns [0, -0] for [[nan, 0], [0, 1]], so only the
-        # symmetry test can catch it
+        # LAPACK's eigvalsh returns [0, -0] for [[nan, 0], [0, 1]], so the
+        # finiteness test before it must catch it, also in a covariance equal
+        # to its transpose
         cov = np.eye(2)
         cov[entry] = cov[entry[::-1]] = bad
         with pytest.raises(ValueError, match="covariance has non-finite"):
@@ -579,6 +584,18 @@ class TestGaussianState:
         # its sum of squares overflows; the exact finiteness test must decide
         mean = np.array([1e200, -1e200])
         assert np.array_equal(GaussianState(mean=mean, cov=np.eye(2)).mean, mean)
+
+    def test_huge_finite_covariance_and_model_accepted(self):
+        # sums of squares that overflow, as above
+        cov = np.diag([1e200, 1.0])
+        assert np.array_equal(GaussianState(mean=np.zeros(2), cov=cov).cov, cov)
+        model = AffineModel(linear=np.diag([1e200, 1.0]), offset=np.array([-1e200, 0.0]))
+        assert np.array_equal(model(np.zeros(2)), [-1e200, 0.0])
+
+    def test_signed_zeros_off_the_diagonal_are_symmetric(self):
+        # 0.0 and -0.0 differ byte for byte but not in value
+        cov = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        assert GaussianState(mean=np.zeros(2), cov=cov).cov.tobytes() == cov.tobytes()
 
 
 class TestEnsembleForecast:
