@@ -9,12 +9,16 @@ gradient flow adapted to the invariant measure.
 
 The eigensolver is chosen once, before any solve, from the matrix size n,
 its nonzero count nnz and the basis size m, never from a clock. The dense
-path, ``eigh(subset_by_index)`` on the n x n matrix, costs about (4/3) n^3
-flops at DENSE_FLOPS_PER_S. The Lanczos path, ARPACK ``eigsh`` with k = 2m
-Ritz pairs (m guard vectors) and ARPACK's default ncv = max(2k + 1, 20)
-Lanczos vectors, is charged LANCZOS_MATVECS_PER_VECTOR products per Lanczos
-vector, each a CSR matvec, 2 nnz flops, plus ARPACK's reorthogonalisation,
-about 4 n ncv flops, both at SPARSE_FLOPS_PER_S. The cheaper path runs, and
+path is :func:`eigh` of the n x n matrix, charged the (4/3) n^3 flops of
+its tridiagonal reduction at DENSE_FLOPS_PER_S. The rest of it is cheaper:
+all n eigenvalues by root-free QR, O(n^2); inverse iteration for the top m
+alone, O(n m) plus a re-orthogonalisation within each cluster of close
+eigenvalues; and the back-transformation of those m vectors, 2 n^2 m flops.
+The Lanczos path, ARPACK ``eigsh`` with k = 2m Ritz pairs (m guard vectors)
+and ARPACK's default ncv = max(2k + 1, 20) Lanczos vectors, is charged
+LANCZOS_MATVECS_PER_VECTOR products per Lanczos vector, each a CSR matvec,
+2 nnz flops, plus ARPACK's reorthogonalisation, about 4 n ncv flops, both
+at SPARSE_FLOPS_PER_S. The cheaper path runs, and
 Lanczos runs whenever 16 n^2 bytes would exceed DENSE_MEMORY_BYTES. A
 Lanczos solve has no limit but ARPACK's default iteration cap and raises
 RuntimeError if it does not converge; it never falls back to dense. Both
@@ -48,8 +52,11 @@ that the stage can free it as soon as it is done with it:
 - ``build_basis``: the one kernel, which the normalization turns into L in
   place (12 z bytes). On the dense path L is moved once, out of the
   table's old buffers, and freed once densified, which leaves one n x n
-  Fortran-ordered matrix that ``eigh`` factorises in place; on the Lanczos
-  path L stays beside ARPACK's n x ncv vectors and the n x 2m Ritz block.
+  Fortran-ordered matrix (8 n^2 bytes) that ``eigh`` reduces in place and
+  whose buffer then holds the reflectors, beside one n x m block of
+  eigenvectors (8 n m bytes), LAPACK's workspace of at most 64 columns of
+  n, and vectors of n; on the Lanczos path L stays beside ARPACK's n x ncv
+  vectors and the n x 2m Ritz block.
 
 Both inputs are consumed: the table's arrays become the kernel's, and the
 kernel's hold L. A caller that keeps its own reference to the table has it
@@ -58,12 +65,12 @@ through the dense path's peak.
 
 scipy is loaded by the fit, not by ``import diffusion_forecast``, so that
 loading a model, forecasting, simulating and scoring never load it. ``sp``
-and ``spla`` stand for scipy.sparse and scipy.sparse.linalg and import them
-on their first attribute read, and ``eigh`` imports scipy.linalg on its
-first call. They stay module names that the code calls through, so that a
-caller can wrap or replace them: the benchmark's traced run wraps ``eigh``
-and puts a counter of ARPACK's products in place of ``spla``, and the tests
-count their calls.
+``spla`` and ``lapack`` stand for scipy.sparse, scipy.sparse.linalg and
+scipy.linalg.lapack and import them on their first attribute read. They and
+``eigh`` stay module names that the code calls through, so that a caller
+can wrap or replace them: the benchmark's traced run wraps ``eigh`` and puts
+a counter of ARPACK's products in place of ``spla``, and the tests count
+their calls and replace LAPACK routines.
 """
 
 from __future__ import annotations
@@ -92,19 +99,102 @@ class _Deferred:
 
 sp = _Deferred("scipy.sparse")
 spla = _Deferred("scipy.sparse.linalg")
+lapack = _Deferred("scipy.linalg.lapack")
 
 
-def eigh(*args, **kwargs):
-    """``scipy.linalg.eigh``, which imports scipy.linalg on the first call."""
-    from scipy.linalg import eigh
+def eigh(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top m eigenpairs of the symmetric ``h``, eigenvalues descending: the
+    one symmetric solve of both solver paths, read from h's lower triangle.
 
-    return eigh(*args, **kwargs)
+    ``dsytrd`` reduces h to the tridiagonal T = Q^T h Q, ``dsterf`` takes
+    all n eigenvalues of T by root-free QR, and ``dstein`` finds the
+    eigenvectors of T for the top m alone by inverse iteration, which
+    ``dormqr`` turns into h's by applying Q. A Fortran-ordered float64
+    ``h`` is reduced where it lies and then holds Q's reflectors; any other
+    is copied first. Beside h the solve holds the one (n, m) block of
+    eigenvectors, returned with its columns reversed, and LAPACK's
+    workspace of at most 64 columns of n.
+
+    ``dstein`` is given T as one block, also where exact zeros in its
+    off-diagonal split T: inverse iteration then keeps each vector on the
+    block of its eigenvalue to within rounding, as the tests check against
+    numpy on a split T with eigenvalues repeated across its blocks.
+    Every LAPACK call's ``info`` is checked; an eigenvector that does not
+    converge raises RuntimeError rather than being returned.
+    """
+    n = h.shape[0]
+    if h.shape != (n, n) or n < 2 or not 1 <= m <= n:
+        raise ValueError(f"top {m} eigenpairs of a matrix of shape {h.shape}")
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _check_info("dsytrd_lwork", info)
+    a, d, e, tau, info = lapack.dsytrd(h, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_info("dsytrd", info)
+    vals, info = lapack.dsterf(d, e)
+    if info > 0:
+        raise RuntimeError(f"dsterf did not converge: {info} of the {n - 1} off-diagonal "
+                           "entries of the tridiagonal matrix stayed nonzero")
+    _check_info("dsterf", info)
+    vals = vals[n - m:]  # ascending, as dstein takes them
+    block = np.ones(n, dtype=np.int32)
+    split = np.zeros(n, dtype=np.int32)
+    split[0] = n
+    z, info = lapack.dstein(d, e, vals, block, split)
+    if info > 0:
+        raise RuntimeError(f"inverse iteration did not converge: {info} of the {m} "
+                           "eigenvectors failed")
+    _check_info("dstein", info)
+
+    # Q = diag(1, Q'), Q' the product of the n - 1 reflectors that rows
+    # 1..n-1 of a's first n - 1 columns hold in dgeqrf's layout (LAPACK
+    # dormtr's lower case), and dormqr applies Q' to rows 1..n-1 of z. Those
+    # rows of a and of z are each moved to the front of their own buffer,
+    # where they are contiguous Fortran arrays: no n x n or n x m copy.
+    reflectors = _drop_first_row(a, n - 1)
+    top = z[0].copy()
+    rows = _drop_first_row(z, m)
+    _, work, info = lapack.dormqr("L", "N", reflectors, tau, rows, -1, overwrite_c=1)
+    _check_info("dormqr workspace query", info)
+    _, _, info = lapack.dormqr("L", "N", reflectors, tau, rows, int(work[0]), overwrite_c=1)
+    _check_info("dormqr", info)
+    _restore_first_row(z, m)
+    z[0] = top
+    return vals[::-1], z[:, ::-1]
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise RuntimeError(f"LAPACK {routine} returned info={info}")
+
+
+def _drop_first_row(x: np.ndarray, cols: int) -> np.ndarray:
+    """Rows 1.. of the first ``cols`` columns of the Fortran-ordered ``x``,
+    moved, column by column, to the front of x's own buffer; returns them as
+    the Fortran-ordered view there."""
+    n = x.shape[0]
+    flat = x.reshape(-1, order="F")
+    for j in range(cols):
+        flat[j * (n - 1):(j + 1) * (n - 1)] = flat[j * n + 1:(j + 1) * n]
+    return flat[:(n - 1) * cols].reshape(n - 1, cols, order="F")
+
+
+def _restore_first_row(x: np.ndarray, cols: int) -> None:
+    """Undo :func:`_drop_first_row`: the rows at the front of x's buffer go
+    back to rows 1.. of their columns; row 0 is left to the caller."""
+    n = x.shape[0]
+    flat = x.reshape(-1, order="F")
+    for j in reversed(range(cols)):
+        flat[j * n + 1:(j + 1) * n] = flat[j * (n - 1):(j + 1) * (n - 1)]
 
 
 # Constants of the eigensolver rule (module docstring). The two throughputs
-# were measured with one OpenBLAS thread on a 2-core x86-64 VM: dense eigh
-# 13.0 GFlop/s at n=2000-3000, a CSR matvec 1.8 GFlop/s; ARPACK's BLAS-2
-# reorthogonalisation ran at 2-8 GFlop/s and is charged at the sparse rate.
+# were measured with one OpenBLAS thread on a 2-core x86-64 VM: a dense
+# solve 13.0 GFlop/s at n=2000-3000, a CSR matvec 1.8 GFlop/s; ARPACK's
+# BLAS-2 reorthogonalisation ran at 2-8 GFlop/s and is charged at the sparse
+# rate. The dense rate was taken on scipy's eigh(subset_by_index), which
+# finds its m eigenvalues by bisection. On the L of a Lorenz-63 fit
+# (N=2000, medians of 5) eigh took 0.67 s against its 0.60 s at m=10 and
+# 0.93 s against 1.23 s at m=500; the rate is kept as measured, so that
+# every route stays the one measured fastest.
 DENSE_FLOPS_PER_S = 13e9
 SPARSE_FLOPS_PER_S = 1.7e9
 # Products with L charged to a Lanczos solve per Lanczos vector (ncv). On L
@@ -118,9 +208,10 @@ SPARSE_FLOPS_PER_S = 1.7e9
 LANCZOS_MATVECS_PER_VECTOR = 11.4
 # The dense path is charged 16 n^2 bytes, which must fit here: half of a
 # 7 GB machine, the rest left to the fit's earlier stages. It holds one
-# n x n matrix, 8 n^2 bytes, which eigh factorises in place, and L is freed
-# before eigh runs; the other half of the charge covers eigh's eigenvectors
-# and workspace, and L when a caller of build_basis keeps the kernel.
+# n x n matrix, 8 n^2 bytes, which eigh reduces in place, and L is freed
+# before eigh runs; the other half of the charge covers eigh's n x m
+# eigenvectors and workspace, and L when a caller of build_basis keeps the
+# kernel.
 DENSE_MEMORY_BYTES = 3.5e9
 # Largest accepted Lanczos residual max_j ||L phi_j - lambda_j phi_j|| (unit
 # phi_j), in the units of lambda, like the negative-eigenvalue tolerance.
@@ -593,12 +684,13 @@ def _top_eigenpairs(
     the module docstring, with ARPACK's product count and the largest
     residual (0 and None on the dense path).
 
-    Dense: ``eigh(subset_by_index)`` of the whole matrix. Lanczos: ARPACK
-    ``eigsh`` for k = 2m pairs from a fixed start vector, at ARPACK's
-    default iteration cap, then the Rayleigh-Ritz ``eigh`` of Z^T (L Z)
-    (k x k) keeps the top m, whose residuals come from L Z at no further
-    product with L. An ``ArpackNoConvergence`` raises RuntimeError, with no
-    dense solve after it, and so does a residual above EIG_RESIDUAL_TOL.
+    Dense: :func:`eigh` of the whole matrix, densified in Fortran order so
+    that it is reduced where it lies. Lanczos: ARPACK ``eigsh`` for k = 2m
+    pairs from a fixed start vector, at ARPACK's default iteration cap, then
+    the Rayleigh-Ritz :func:`eigh` of Z^T (L Z) (k x k) keeps the top m,
+    whose residuals come from L Z at no further product with L. An
+    ``ArpackNoConvergence`` raises RuntimeError, with no dense solve after
+    it, and so does a residual above EIG_RESIDUAL_TOL.
     """
     if path == "dense":
         # L is moved before it is densified, out of the neighbour table's old
@@ -611,7 +703,7 @@ def _top_eigenpairs(
         l_sym = l_sym.copy()  # the caller's L is freed here if it was the only reference
         h = l_sym.toarray(order="F")
         del l_sym  # the copy is freed before eigh
-        vals, vecs = _rayleigh_ritz(h, m)
+        vals, vecs = eigh(h, m)
         return vals, vecs, 0, None
     n = l_sym.shape[0]
     a = l_sym.tocsr()
@@ -635,7 +727,7 @@ def _top_eigenpairs(
             f"eigenpairs converged after {matvecs} matvecs"
         ) from err
     lz = a @ z
-    vals, w = _rayleigh_ritz(z.T @ lz, m)
+    vals, w = eigh(z.T @ lz, m)
     vecs = z @ w
     residual = float(np.max(np.linalg.norm(lz @ w - vecs * vals, axis=0)))
     if residual > EIG_RESIDUAL_TOL:
@@ -643,16 +735,6 @@ def _top_eigenpairs(
             f"Lanczos eigenpairs have residual {residual:.2e} > {EIG_RESIDUAL_TOL:.0e}"
         )
     return vals, vecs, matvecs, residual
-
-
-def _rayleigh_ritz(h: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top m eigenpairs of the symmetric ``h``, eigenvalues descending: the
-    finish both solver paths share. ``h`` is overwritten; a Fortran-ordered
-    ``h`` is factorised where it lies, with no copy."""
-    k = h.shape[0]
-    vals, vecs = eigh(h, subset_by_index=[k - m, k - 1], overwrite_a=True)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
 
 
 def _orthonormality_deviation(phi: np.ndarray) -> float:

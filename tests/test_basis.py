@@ -1,11 +1,13 @@
 import gc
 import logging
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 import diffusion_forecast.basis as basis_mod
 import diffusion_forecast.dataset as dataset_mod
@@ -415,7 +417,8 @@ class TestEigenpairs:
 
     @pytest.mark.parametrize("nnz_per_row", [3, 1024, 20000])
     def test_rule_goes_unbudgeted_where_dense_does_not_fit(self, nnz_per_row):
-        # paper scale: the 20000 x 20000 matrix and eigh's copy take 6.4 GB
+        # paper scale: the dense charge of 16 n^2 bytes, twice the 3.2 GB
+        # n x n matrix, is 6.4 GB
         assert _choose_eigensolver(20000, 20000 * nnz_per_row, 1000) == "lanczos"
 
     def test_each_route_calls_one_eigh(self, monkeypatch):
@@ -475,6 +478,101 @@ class TestEigenpairs:
         record = circle_fit_3000.solver
         assert record.path == "lanczos"
         assert 0 < record.matvecs and record.max_residual <= EIG_RESIDUAL_TOL
+
+
+def random_symmetric(n, seed=0):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return (a + a.T) / 2
+
+
+def block_diagonal():
+    # two equal blocks and a third: the tridiagonal form splits into three,
+    # with exact zeros in its off-diagonal, and each eigenvalue of the equal
+    # blocks is repeated exactly
+    a, b = random_symmetric(100, 1), random_symmetric(100, 2)
+    h = np.zeros((300, 300))
+    h[:100, :100] = h[100:200, 100:200] = a
+    h[200:, 200:] = b
+    return h
+
+
+def repeated_eigenvalues():
+    # 30 distinct eigenvalues, ten times each, in a random eigenbasis
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+    h = (q * np.repeat(rng.normal(size=30), 10)) @ q.T
+    return (h + h.T) / 2
+
+
+class TestEigh:
+    """basis.eigh, the one symmetric top-m solve, against numpy.linalg.eigh."""
+
+    CASES = {"random": lambda: random_symmetric(300), "split": block_diagonal,
+             "repeated": repeated_eigenvalues, "n=2": lambda: random_symmetric(2, 4)}
+
+    @pytest.mark.parametrize("case, m", [
+        ("random", 1), ("random", 10), ("random", 300),
+        ("split", 1), ("split", 150), ("split", 300),
+        ("repeated", 1), ("repeated", 25), ("repeated", 300),
+        ("n=2", 1), ("n=2", 2),
+    ])
+    def test_matches_numpy(self, case, m):
+        h = self.CASES[case]()
+        scale = np.linalg.norm(h, 2)
+        want = np.linalg.eigh(h)[0][::-1][:m]
+        lam, z = basis_mod.eigh(np.asfortranarray(h), m)
+        assert lam.shape == (m,) and z.shape == (h.shape[0], m)
+        assert np.all(np.diff(lam) <= 0)
+        assert np.max(np.abs(lam - want)) <= 1e-12 * scale
+        assert np.max(np.linalg.norm(h @ z - z * lam, axis=0)) <= 1e-12 * scale
+        assert np.max(np.abs(z.T @ z - np.eye(m))) <= 1e-12 * scale
+
+    def test_the_split_case_splits(self):
+        # the tridiagonal form of the block-diagonal case has exact zeros,
+        # where dstein is still handed one block
+        e = lapack.dsytrd(block_diagonal(), lower=1)[2]
+        assert np.flatnonzero(e == 0).tolist() == [99, 199]
+
+    def test_memory_is_one_eigenvector_block_beside_h(self):
+        # beside h, reduced in place: the (n, m) eigenvectors, about 16
+        # vectors of n (the tridiagonal, its eigenvalues, dstein's work) and
+        # LAPACK's workspace, at most 64 columns of n or of m plus a 65 x 64
+        # block; a second (n, m) block or any n x n copy would exceed the bound
+        n, m = 1500, 300
+        h = np.asfortranarray(random_symmetric(n))
+        basis_mod.eigh(np.asfortranarray(h[:50, :50]), 5)  # scipy imported before tracing
+        bound = 8 * (n * m + 16 * n + 64 * n + 65 * 64)
+        assert bound < 8 * 2 * n * m
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lam, z = basis_mod.eigh(h, m)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_eigenvectors_that_do_not_converge_raise(self, monkeypatch):
+        real = basis_mod.lapack.dstein
+
+        def dstein(*args):
+            z, _ = real(*args)
+            return z, 2
+
+        monkeypatch.setattr(basis_mod.lapack, "dstein", dstein)
+        with pytest.raises(RuntimeError, match="did not converge: 2 of the 5 eigenvectors"):
+            basis_mod.eigh(np.asfortranarray(random_symmetric(40)), 5)
+
+    def test_eigenvalues_that_do_not_converge_raise(self, monkeypatch):
+        real = basis_mod.lapack.dsterf
+
+        def dsterf(d, e):
+            vals, _ = real(d, e)
+            return vals, 3
+
+        monkeypatch.setattr(basis_mod.lapack, "dsterf", dsterf)
+        with pytest.raises(RuntimeError, match="dsterf did not converge: 3 of the 39"):
+            basis_mod.eigh(np.asfortranarray(random_symmetric(40)), 5)
 
 
 class TestSerialization:
