@@ -17,6 +17,10 @@ from .simulators import ODEModel, SDEModel, rk4_step_batch, sde_step_batch
 # scales of interest but keeps near-duplicate neighbor sets solvable.
 RIDGE = 1e-10
 
+# Neighbours of each local-linear affine fit. Every driver, the benchmark and
+# the CLI's baseline command fit on 15, so it is no option.
+LOCAL_LINEAR_K = 15
+
 
 @dataclass(frozen=True)
 class AffineModel:
@@ -110,13 +114,12 @@ def _state_of(ok: np.ndarray) -> str:
     return f" of state {np.flatnonzero(~ok)[0]}" if np.ndim(ok) else ""
 
 
-def fit_local_affine(
-    train: TimeSeries, point: np.ndarray, lead_steps: int, k: int = 15
-) -> AffineModel:
-    """Affine fit of the ``lead_steps``-step shift map on the k nearest
-    neighbors of ``point``, restricted to indices whose shifted partner stays
-    inside the training block. An affine map has dim + 1 coefficients per
-    coordinate, so a ``k`` below dim + 1 is a ValueError.
+def fit_local_affine(train: TimeSeries, point: np.ndarray, lead_steps: int) -> AffineModel:
+    """Affine fit of the ``lead_steps``-step shift map, ``lead_steps`` >= 1,
+    on the K = LOCAL_LINEAR_K nearest neighbors of ``point``, restricted to
+    indices whose shifted partner stays inside the training block. An
+    affine map has dim + 1 coefficients per coordinate, so a series of dim
+    K or more is a ValueError.
 
     ``point`` is one (dim,) state or a (B, dim) batch; a batch makes one
     neighbour search for all its states and gives a batch model (see
@@ -125,13 +128,13 @@ def fit_local_affine(
     One entry is kept on ``train``, outside its dataclass fields, for the
     last ``point`` asked about: a copy of it, its training points ranked in
     (distance, index) order over the whole series to some depth r, and the
-    normal equations of the last neighbour set. The k nearest of the
-    ``n - lead_steps`` eligible points are the first k eligible entries of
+    normal equations of the last neighbour set. The K nearest of the
+    ``n - lead_steps`` eligible points are the first K eligible entries of
     that ranking, so a fit at the same point and another lead reads them
-    from it; only when fewer than k of the r are eligible is the point
+    from it; only when fewer than K of the r are eligible is the point
     ranked again, to at least twice the depth. A lead whose neighbour set
     equals the last one's only solves its normal equations for the new
-    targets. A different point ranks afresh, to depth k + lead_steps.
+    targets. A different point ranks afresh, to depth K + lead_steps.
     ``train.points`` is read-only, so the entry cannot go stale, and every
     fit equals, bitwise, a search over the eligible points alone followed by
     a fresh least-squares fit.
@@ -142,43 +145,37 @@ def fit_local_affine(
     entry; a direct forecast made after a walk still finds its ranking.
     """
     pts = train.points
-    n, dim = pts.shape
     query = np.asarray(point, dtype=float)
-    _check_fit(pts, query, lead_steps, k)
-    if lead_steps == 0:
-        batch = query.shape[:-1]
-        return AffineModel(linear=np.tile(np.eye(dim), batch + (1, 1)),
-                           offset=np.zeros(batch + (dim,)))
-    eligible = n - lead_steps
+    _check_fit(pts, query, lead_steps)
     memo = getattr(train, "_ranking", None)
     if memo is None or not _same(query, memo.query):
-        memo = _Ranking(pts, query, k + lead_steps)
+        memo = _Ranking(pts, query, LOCAL_LINEAR_K + lead_steps)
         object.__setattr__(train, "_ranking", memo)
-    idx, normal = memo.fit(pts, eligible, k)
+    idx, normal = memo.fit(pts, len(pts) - lead_steps)
     return _affine_solve(*normal, pts[lead_steps:].take(idx, axis=0))
 
 
-def _check_fit(pts: np.ndarray, query: np.ndarray, lead_steps: int, k: int) -> None:
+def _check_fit(pts: np.ndarray, query: np.ndarray, lead_steps: int) -> None:
     """Raise ValueError unless ``query`` states of the series' dim can be
-    fitted on k neighbours at a lead of ``lead_steps`` >= 0: k must be above
-    dim, and, past lead 0, as many points must have a partner that far on."""
+    fitted on LOCAL_LINEAR_K neighbours at ``lead_steps`` >= 1: the dim must
+    be below that count, and as many points need a partner that far on."""
     n, dim = pts.shape
     if query.shape[-1:] != (dim,):
         raise ValueError(f"state of shape {query.shape} does not match the "
                          f"training series of dim {dim}")
-    if k < dim + 1:
-        raise ValueError(f"k={k} neighbours cannot determine an affine fit in dim {dim}; "
-                         f"need k >= {dim + 1}")
-    if lead_steps < 0:
-        raise ValueError("lead_steps must be nonnegative")
-    if lead_steps and n - lead_steps < k:
-        raise ValueError(f"need at least k={k} usable points, have {n - lead_steps}")
+    if dim >= LOCAL_LINEAR_K:
+        raise ValueError(f"{LOCAL_LINEAR_K} neighbours cannot determine an affine fit in dim "
+                         f"{dim}; need dim <= {LOCAL_LINEAR_K - 1}")
+    if lead_steps < 1:
+        raise ValueError(f"lead_steps must be >= 1, got {lead_steps}")
+    if n - lead_steps < LOCAL_LINEAR_K:
+        raise ValueError(f"need at least {LOCAL_LINEAR_K} usable points, have {n - lead_steps}")
 
 
 class _Ranking:
     """The training points in (distance, index) order from one query, to a
-    depth, and the last neighbour set read from them with its normal
-    equations."""
+    depth above K = LOCAL_LINEAR_K, and the last neighbour set read from
+    them with its normal equations."""
 
     def __init__(self, pts: np.ndarray, query: np.ndarray, depth: int):
         self.query = query.copy()
@@ -187,35 +184,35 @@ class _Ranking:
         self.normal = None
         self.valid = range(0)
 
-    def fit(self, pts: np.ndarray, eligible: int, k: int):
-        """The k nearest points with index below ``eligible``, shaped like
+    def fit(self, pts: np.ndarray, eligible: int):
+        """The K nearest points with index below ``eligible``, shaped like
         the query's states, and their normal equations."""
-        if eligible not in self.valid or self.fit_idx.shape[-1] != k:
-            idx = self.ranked[:, :k]
+        if eligible not in self.valid:
+            idx = self.ranked[:, :LOCAL_LINEAR_K]
             top = int(idx.max())
-            if top >= eligible or idx.shape[1] < k:
-                idx = self._first_eligible(pts, eligible, k)
+            if top >= eligible:
+                idx = self._first_eligible(pts, eligible)
                 top = int(idx.max())
-            idx = idx.reshape(self.query.shape[:-1] + (k,))
+            idx = idx.reshape(self.query.shape[:-1] + (LOCAL_LINEAR_K,))
             if not _same(idx, self.fit_idx):
                 self.fit_idx, self.normal = idx, _normal_equations(_design(pts[idx]))
-            # the same points are the first k eligible for every count from
+            # the same points are the first K eligible for every count from
             # one past their largest index up to this one
             self.valid = range(top + 1, eligible + 1)
         return self.fit_idx, self.normal
 
-    def _first_eligible(self, pts: np.ndarray, eligible: int, k: int) -> np.ndarray:
-        """(rows, k): the first k entries below ``eligible`` of each ranked
+    def _first_eligible(self, pts: np.ndarray, eligible: int) -> np.ndarray:
+        """(rows, K): the first K entries below ``eligible`` of each ranked
         row. At most n - eligible entries are dropped, so a depth of
-        k + n - eligible always holds them; a shallower ranking that does
+        K + n - eligible always holds them; a shallower ranking that does
         not is ranked again, to at least twice its depth."""
         keep = self.ranked < eligible
-        if not (keep.sum(axis=1) >= k).all():
+        if not (keep.sum(axis=1) >= LOCAL_LINEAR_K).all():
             n, depth = pts.shape[0], self.ranked.shape[1]
-            depth = min(n, max(2 * depth, k + n - eligible))
+            depth = min(n, max(2 * depth, LOCAL_LINEAR_K + n - eligible))
             self.ranked = knn_points(pts, depth, query=np.atleast_2d(self.query)).indices
             keep = self.ranked < eligible
-        keep &= np.cumsum(keep, axis=1) <= k
+        keep &= np.cumsum(keep, axis=1) <= LOCAL_LINEAR_K
         return self.ranked[keep]
 
 
@@ -261,17 +258,15 @@ def _affine_solve(design_t: np.ndarray, gram: np.ndarray, y: np.ndarray) -> Affi
     )
 
 
-def local_linear_forecast(
-    train: TimeSeries, init: GaussianState, lead_steps: int, k: int = 15
-) -> GaussianState:
+def local_linear_forecast(train: TimeSeries, init: GaussianState, lead_steps: int) -> GaussianState:
     """Direct local-linear forecast: one affine fit of the n-step shift map
-    on the neighbors of the initial mean, with the covariance conjugated by
-    the linear part.
+    on the LOCAL_LINEAR_K nearest neighbors of the initial mean, with the
+    covariance conjugated by the linear part.
 
     For a batch ``init`` (a (B, dim) mean) the forecast has a (B, dim) mean
     and (B, dim, dim) covariances, from one :func:`fit_local_affine` call for
     all states; state b equals, bitwise, the forecast from state b alone.
-    Lead 0 returns ``init`` unchanged.
+    Lead 0 returns ``init`` unchanged; a negative lead is a ValueError.
 
     Asked lead by lead from one ``init``, as :func:`local_linear_ladder`
     asks, the forecasts share one neighbour ranking of the initial mean: the
@@ -282,33 +277,32 @@ def local_linear_forecast(
     stale, because ``train.points`` is read-only, and each forecast equals,
     bitwise, one made without it.
     """
+    if lead_steps < 0:
+        raise ValueError(f"lead_steps must be >= 0, got {lead_steps}")
     if lead_steps == 0:
         return replace(init)
-    model = fit_local_affine(train, init.mean, lead_steps, k)
+    model = fit_local_affine(train, init.mean, lead_steps)
     return init.propagate(model(init.mean), model.linear)
 
 
-def local_linear_ladder(
-    train: TimeSeries, init: GaussianState, n_leads: int, k: int = 15
-) -> MomentForecast:
+def local_linear_ladder(train: TimeSeries, init: GaussianState, n_leads: int) -> MomentForecast:
     """Direct local-linear forecasts at leads 0, 1, ..., n_leads, as one
     :class:`MomentForecast` (see there for the layout); lead l is
     :func:`local_linear_forecast` at l, whose variance is the diagonal of
     its covariance. The leads share one neighbour ranking of the mean."""
     _check_n_leads(n_leads)
-    return _moment_ladder([local_linear_forecast(train, init, lead, k)
+    return _moment_ladder([local_linear_forecast(train, init, lead)
                            for lead in range(n_leads + 1)], train.tau)
 
 
-def iterated_local_linear_ladder(
-    train: TimeSeries, init: GaussianState, n_leads: int, k: int = 15
-) -> MomentForecast:
+def iterated_local_linear_ladder(train: TimeSeries, init: GaussianState,
+                                 n_leads: int) -> MomentForecast:
     """Iterated local-linear forecasts at leads 0, 1, ..., n_leads, from one
     walk over the steps, as one :class:`MomentForecast` (see there for the
     layout); lead l equals :func:`iterated_local_linear_forecast` at l."""
     _check_n_leads(n_leads)
     return _moment_ladder([init.propagate(mean, linear) for mean, linear
-                           in _iterated_steps(train, init.mean, n_leads, k)], train.tau)
+                           in _iterated_steps(train, init.mean, n_leads)], train.tau)
 
 
 def _check_n_leads(n_leads: int) -> None:
@@ -328,7 +322,7 @@ def _moment_ladder(states: list[GaussianState], tau: float) -> MomentForecast:
     return MomentForecast(mean=mean, variance=var, lead_times=np.arange(len(states)) * tau)
 
 
-def _iterated_steps(train: TimeSeries, mean: np.ndarray, n_steps: int, k: int):
+def _iterated_steps(train: TimeSeries, mean: np.ndarray, n_steps: int):
     """Yield ``(mean, linear)`` at steps 0, 1, ..., n_steps of the iterated
     local-linear forecast: each step refits the 1-step map at the current
     means and applies it, and ``linear`` is the product of the linear parts
@@ -350,12 +344,13 @@ def _iterated_steps(train: TimeSeries, mean: np.ndarray, n_steps: int, k: int):
     if not n_steps:
         return
     pts = train.points
-    _check_fit(pts, mean, 1, k)
+    _check_fit(pts, mean, 1)
     eligible, partners = pts[:-1], pts[1:]
     design = _design(eligible)
-    neighbours = mean.shape[:-1] + (k,)
+    neighbours = mean.shape[:-1] + (LOCAL_LINEAR_K,)
     for _ in range(n_steps):
-        idx = knn_points(eligible, k, query=mean.reshape(-1, dim)).indices.reshape(neighbours)
+        found = knn_points(eligible, LOCAL_LINEAR_K, query=mean.reshape(-1, dim))
+        idx = found.indices.reshape(neighbours)
         model = _affine_solve(*_normal_equations(design.take(idx, axis=0)),
                               partners.take(idx, axis=0))
         mean = model(mean)
@@ -363,9 +358,8 @@ def _iterated_steps(train: TimeSeries, mean: np.ndarray, n_steps: int, k: int):
         yield mean, linear
 
 
-def iterated_local_linear_forecast(
-    train: TimeSeries, init: GaussianState, lead_steps: int, k: int = 15
-) -> GaussianState:
+def iterated_local_linear_forecast(train: TimeSeries, init: GaussianState,
+                                   lead_steps: int) -> GaussianState:
     """Iterated variant: refit the 1-step map at each forecast mean and chain
     the linear parts through the covariance.
 
@@ -377,7 +371,7 @@ def iterated_local_linear_forecast(
     """
     if lead_steps < 0:
         raise ValueError(f"lead_steps must be >= 0, got {lead_steps}")
-    for mean, linear in _iterated_steps(train, init.mean, lead_steps, k):
+    for mean, linear in _iterated_steps(train, init.mean, lead_steps):
         pass
     return init.propagate(mean, linear)
 

@@ -132,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="local-linear or iterated local-linear forecasts from a training series")
     p.add_argument("--series", required=True, help="training series CSV")
     p.add_argument("--method", required=True, choices=["local-linear", "iterated"])
-    p.add_argument("--k", type=int, default=15, help="neighbours of each affine fit (default 15)")
     p.set_defaults(handler=_cmd_baseline)
 
     p = flags()
@@ -268,7 +267,7 @@ def _cmd_baseline(args) -> int:
     ts, _ = load_series(args.series, "csv", tau=args.tau)
     mean, var = _parse_gaussian(args)
     ladder = local_linear_ladder if args.method == "local-linear" else iterated_local_linear_ladder
-    fc = ladder(ts, GaussianState(mean=mean, cov=np.diag(var)), args.steps, k=args.k)
+    fc = ladder(ts, GaussianState(mean=mean, cov=np.diag(var)), args.steps)
     print(f"wrote {_write_moments(Path(args.out), fc)}")
     return 0
 

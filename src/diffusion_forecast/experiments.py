@@ -290,8 +290,8 @@ def run_lorenz_experiment(config: LorenzConfig) -> ExperimentResult:
     forecasts = {
         "diffusion": forecast_ladder(project_density(p0, fit.basis), fit.operator, fit.basis,
                                      train.points, n_lead),
-        "local_linear": local_linear_ladder(train, init, n_lead, k=15),
-        "iterated": iterated_local_linear_ladder(train, init, n_lead, k=15),
+        "local_linear": local_linear_ladder(train, init, n_lead),
+        "iterated": iterated_local_linear_ladder(train, init, n_lead),
     }
     if config.with_ensemble:
         forecasts["ensemble"] = ensemble_forecast(lorenz_model(), init, config.n_ens, n_lead,

@@ -280,6 +280,26 @@ def ou_transition_density(x, x0, t):
     return np.exp(-0.5 * np.square(x - x0 * decay) / variance) / math.sqrt(TWO_PI * variance)
 
 
+def von_mises_spectrum(kappa, n_modes):
+    """The ``n_modes`` smallest eigenvalues, ascending, of -L for the
+    gradient flow d theta = kappa sin(theta) dt + sqrt(2) dW on the circle
+    (L f = f'' + kappa sin(theta) f'), in the basis's sign convention.
+
+    Conjugated by p_eq^(1/2), p_eq ~ exp(-kappa cos theta), -L is the
+    Schrodinger operator H = -d^2/dtheta^2 + kappa^2/8 - (kappa^2/8) cos 2theta
+    + (kappa/2) cos theta. In the Fourier basis e^(ik theta), |k| <= 64, H
+    has diagonal k^2 + kappa^2/8, +-1 off-diagonals kappa/4 and +-2
+    off-diagonals -kappa^2/16; at kappa <= 2 its smallest seven eigenvalues
+    already agree with a |k| <= 16 truncation to rounding (1e-13).
+    """
+    k = np.arange(-64, 65, dtype=float)
+    h = np.diag(k**2 + kappa**2 / 8.0)
+    for offset, value in ((1, kappa / 4.0), (2, -kappa**2 / 16.0)):
+        band = np.full(k.size - offset, value)
+        h += np.diag(band, offset) + np.diag(band, -offset)
+    return np.linalg.eigvalsh(h)[:n_modes]
+
+
 def lorenz63_rk4_series(x0, dt_sample, n_samples, transient_steps,
                         sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     """Lorenz-63 samples from classic RK4 on a (1, 3) numpy array.

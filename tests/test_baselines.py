@@ -4,6 +4,7 @@ import pytest
 from _oracles import direct_local_affine, iterated_local_affine
 from diffusion_forecast import baselines
 from diffusion_forecast.baselines import (
+    LOCAL_LINEAR_K,
     RIDGE,
     AffineModel,
     GaussianState,
@@ -46,11 +47,11 @@ def spiral_series(n=200):
 class TestLocalLinear:
     def test_recovers_scalar_affine_map(self):
         train = affine_trajectory(np.array([[2.0]]), np.array([1.0]), [1e-3], 20)
-        model = fit_local_affine(train, np.array([0.5]), 1, k=15)
+        model = fit_local_affine(train, np.array([0.5]), 1)
         assert model.linear[0, 0] == pytest.approx(2.0, abs=1e-10)
         assert model.offset[0] == pytest.approx(1.0, abs=1e-10)
         init = GaussianState.isotropic(np.array([0.5]), 0.0)
-        out = local_linear_forecast(train, init, 1, k=15)
+        out = local_linear_forecast(train, init, 1)
         assert out.mean[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_exact_on_spiral_at_every_lead(self):
@@ -62,7 +63,7 @@ class TestLocalLinear:
             for _ in range(lead):
                 expected_mean = rot @ expected_mean + off
                 lin = rot @ lin
-            out = local_linear_forecast(train, init, lead, k=15)
+            out = local_linear_forecast(train, init, lead)
             assert np.allclose(out.mean, expected_mean, atol=1e-9)
             assert np.allclose(out.cov, lin @ init.cov @ lin.T, atol=1e-9)
 
@@ -115,13 +116,14 @@ class TestLocalLinear:
         assert np.all(np.isfinite(model.linear))
 
     def test_no_lookahead_leakage(self):
-        # neighbors whose shifted partner would leave the block are excluded
-        train = affine_trajectory(np.array([[1.1]]), np.array([0.0]), [1.0], 16)
+        # neighbors whose shifted partner would leave the block are excluded:
+        # 17 points leave 15 with a partner 2 steps on, and 14 with one 3 on
+        train = affine_trajectory(np.array([[1.1]]), np.array([0.0]), [1.0], LOCAL_LINEAR_K + 2)
         last = train.points[-1, 0]
-        model = fit_local_affine(train, np.array([last]), 2, k=14)
+        model = fit_local_affine(train, np.array([last]), 2)
         assert np.all(np.isfinite(model.linear))
-        with pytest.raises(ValueError, match="usable"):
-            fit_local_affine(train, np.array([last]), 2, k=15)
+        with pytest.raises(ValueError, match=f"need at least {LOCAL_LINEAR_K} usable points, have 14"):
+            fit_local_affine(train, np.array([last]), 3)
 
     @pytest.mark.parametrize("forecast", [local_linear_forecast, iterated_local_linear_forecast])
     @pytest.mark.parametrize("mean", [[1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]] * 2], ids=["one", "batch"])
@@ -140,7 +142,7 @@ class TestLocalLinear:
         init = GaussianState.isotropic(ts.points[1500], 0.01)
         traces = []
         for lead in (5, 30, 60):
-            out = iterated_local_linear_forecast(ts, init, lead, k=15)
+            out = iterated_local_linear_forecast(ts, init, lead)
             traces.append(np.trace(out.cov) / 3.0)
         assert traces[0] < traces[1] < traces[2]
         assert traces[2] > clim_var  # chained linearizations overshoot climatology
@@ -166,16 +168,29 @@ def lorenz_train_and_states(n_states=6):
 
 
 class TestArguments:
-    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("extra", [0, 1, 3])
     @pytest.mark.parametrize("n_states", [None, 4], ids=["one", "batch"])
-    def test_too_few_neighbours_for_an_affine_fit(self, k, n_states):
-        # an affine map in dim 3 has 4 coefficients per coordinate
-        train, states = lorenz_train_and_states(n_states or 1)
-        point = states if n_states else states[0]
-        with pytest.raises(ValueError, match=f"k={k} neighbours cannot determine an affine "
-                                             "fit in dim 3; need k >= 4"):
-            fit_local_affine(train, point, 2, k=k)
-        assert fit_local_affine(train, point, 2, k=4).linear.shape == point.shape + (3,)
+    def test_too_few_neighbours_for_an_affine_fit(self, extra, n_states):
+        # an affine map in dim 15 + extra has 16 + extra coefficients per
+        # coordinate, more than the 15 neighbours of a fit; dim 14 has 15
+        rng = np.random.default_rng(extra)
+        wide = LOCAL_LINEAR_K + extra
+        train = TimeSeries(rng.normal(size=(60, wide)), tau=1.0)
+        point = rng.normal(size=(n_states, wide) if n_states else wide)
+        for forecast in (local_linear_forecast, iterated_local_linear_forecast):
+            with pytest.raises(ValueError, match=f"^{LOCAL_LINEAR_K} neighbours cannot determine "
+                                                 f"an affine fit in dim {wide}; need dim <= 14$"):
+                forecast(train, GaussianState.isotropic(point, 0.01), 2)
+        narrow = TimeSeries(train.points[:, :LOCAL_LINEAR_K - 1], tau=1.0)
+        model = fit_local_affine(narrow, point[..., :LOCAL_LINEAR_K - 1], 2)
+        assert model.linear.shape == point.shape[:-1] + (LOCAL_LINEAR_K - 1,) * 2
+
+    @pytest.mark.parametrize("lead", [0, -1])
+    def test_a_fit_needs_a_lead_of_at_least_one(self, lead):
+        # the forecasts return the initial state at lead 0 before any fit
+        train, states = lorenz_train_and_states(1)
+        with pytest.raises(ValueError, match=f"^lead_steps must be >= 1, got {lead}$"):
+            fit_local_affine(train, states[0], lead)
 
     @pytest.mark.parametrize("lead", [-1, -2])
     def test_ensemble_rejects_a_negative_lead_count(self, lead):
@@ -194,8 +209,11 @@ class TestArguments:
     @pytest.mark.parametrize("lead", [-1, -3])
     def test_direct_ladder_rejects_a_negative_lead_count(self, lead):
         train, states = lorenz_train_and_states(1)
+        init = GaussianState.isotropic(states[0], 0.01)
         with pytest.raises(ValueError, match=f"n_leads must be >= 0, got {lead}"):
-            local_linear_ladder(train, GaussianState.isotropic(states[0], 0.01), lead)
+            local_linear_ladder(train, init, lead)
+        with pytest.raises(ValueError, match=f"^lead_steps must be >= 0, got {lead}$"):
+            local_linear_forecast(train, init, lead)
 
 
 class TestBatches:
@@ -363,16 +381,12 @@ class TestSharedRanking:
     eligible points and the fresh least-squares fit."""
 
     @staticmethod
-    def assert_fresh(train, mean, lead, k=15):
-        model = fit_local_affine(train, mean, lead, k)
+    def assert_fresh(train, mean, lead):
+        model = fit_local_affine(train, mean, lead)
         init = GaussianState.isotropic(mean, 0.01)
-        out = local_linear_forecast(train, init, lead, k)
-        if lead == 0:
-            want = AffineModel(linear=np.tile(np.eye(train.dim), np.shape(mean)[:-1] + (1, 1)),
-                               offset=np.zeros(np.shape(mean)))
-        else:
-            want = AffineModel(*direct_local_affine(train.points, mean, lead, k, RIDGE))
-        expect = init.propagate(want(init.mean), want.linear) if lead else init
+        out = local_linear_forecast(train, init, lead)
+        want = AffineModel(*direct_local_affine(train.points, mean, lead, LOCAL_LINEAR_K, RIDGE))
+        expect = init.propagate(want(init.mean), want.linear)
         assert model.linear.tobytes() == want.linear.tobytes()
         assert model.offset.tobytes() == want.offset.tobytes()
         assert out.mean.tobytes() == expect.mean.tobytes()
@@ -392,15 +406,15 @@ class TestSharedRanking:
 
     def test_one_state_in_shuffled_lead_order(self):
         train, states = lorenz_train_and_states()
-        largest = train.n_points - 15
-        leads = np.random.default_rng(0).permutation(largest + 1)
-        for lead in leads:
-            self.assert_fresh(train, states[2], int(lead))
+        largest = train.n_points - LOCAL_LINEAR_K
+        for lead in np.random.default_rng(0).permutation(largest + 1):
+            if lead:
+                self.assert_fresh(train, states[2], int(lead))
 
     def test_batch_in_shuffled_lead_order(self):
         train, states = lorenz_train_and_states()
-        largest = train.n_points - 15
-        leads = [40, 0, 1, largest, 3, 2, 299, 17, largest - 1, 80, 1]
+        largest = train.n_points - LOCAL_LINEAR_K
+        leads = [40, 1, largest, 3, 2, 299, 17, largest - 1, 80, 1]
         for lead in leads:
             self.assert_fresh(train, states, lead)
 
@@ -408,22 +422,21 @@ class TestSharedRanking:
         train, states = lorenz_train_and_states()
         searches = self.counting(monkeypatch, "knn_points")
         a, b = states[0], states[1]
-        asks = [(a, 1, 15), (a, 5, 15), (b, 1, 15), (a, 2, 4), (a, 2, 15), (a, 9, 15), (a, 9, 10),
-                (b, 700, 15), (b, 3, 15), (states[:2], 4, 15), (states[:2], 1, 15),
-                (a, 4, 15), (b, 4, 15)]
-        for mean, lead, k in asks:
-            self.assert_fresh(train, mean, lead, k)
+        asks = [(a, 1), (a, 5), (b, 1), (a, 2), (a, 9), (b, 700), (b, 3), (states[:2], 4),
+                (states[:2], 1), (a, 4), (b, 4)]
+        for mean, lead in asks:
+            self.assert_fresh(train, mean, lead)
         # each ask fits twice (the model and the forecast); the second of
         # the pair, and some of the next asks, read the kept ranking
         assert 0 < len(searches) < len(asks)
 
-    @pytest.mark.parametrize("k", [5, 15])
+    @pytest.mark.parametrize("order", [5, 15])
     @pytest.mark.parametrize("mean", [[1.0, 1.0], [0.5, 2.0], [[1.0, 1.0], [0.0, 2.0], [0.5, 0.5]]],
                              ids=["lattice", "midpoint", "batch"])
-    def test_ties_straddle_the_cut(self, k, mean):
+    def test_ties_straddle_the_cut(self, order, mean):
         train = lattice_series()
         mean = np.array(mean)
-        n = train.n_points
+        n, k = train.n_points, LOCAL_LINEAR_K
         # at some lead a point past the eligibility cut is exactly as far as
         # the k-th eligible neighbour, and so is the (k+1)-th
         dist = np.linalg.norm(train.points - np.atleast_2d(mean)[:, None], axis=-1)
@@ -431,8 +444,10 @@ class TestSharedRanking:
                         for lead in range(1, n - k)])
         assert (kth[..., 0] == kth[..., 1]).any()
         assert any((dist[:, n - lead:] == kth[lead - 1, :, :1]).any() for lead in range(1, n - k))
-        for lead in np.random.default_rng(k).permutation(n - k + 1):
-            self.assert_fresh(train, mean, int(lead), k)
+        # every lead from 1 to the largest, in the order seeded by ``order``
+        for lead in np.random.default_rng(order).permutation(n - k + 1):
+            if lead:
+                self.assert_fresh(train, mean, int(lead))
 
     def test_leads_in_order_share_one_ranking(self, monkeypatch):
         train, states = lorenz_train_and_states()
@@ -464,33 +479,33 @@ class TestSharedRanking:
 
 
 def walk_case(case):
-    """(series, initial mean, k, steps) of a walk case named
-    '<series>-<one|batch>': Lorenz states at k = 15, or lattice points at
-    k = 5 or 15, where ties straddle the k-th neighbour."""
+    """(series, initial mean, steps) of a walk case named
+    '<series>-<one|batch>': Lorenz states, or lattice points, where ties
+    straddle the 15th neighbour."""
     name, size = case.rsplit("-", 1)
     if name == "lorenz":
         train, states = lorenz_train_and_states()
-        k, n_steps = 15, 12
+        n_steps = 12
     else:
         train, states = lattice_series(), np.array([[1.0, 1.0], [0.5, 2.0], [0.0, 2.0]])
-        k, n_steps = int(name.removeprefix("lattice-k")), 20
-    return train, states if size == "batch" else states[0], k, n_steps
+        n_steps = 20
+    return train, states if size == "batch" else states[0], n_steps
 
 
-WALK_CASES = ["lorenz-one", "lorenz-batch", "lattice-k5-one", "lattice-k5-batch",
-              "lattice-k15-one", "lattice-k15-batch"]
+WALK_CASES = ["lorenz-one", "lorenz-batch", "lattice-k15-one", "lattice-k15-batch"]
 
 
 class TestIteratedWalk:
     """Every step of the iterated walk must equal, bitwise, a fresh
     (distance, index) ranking and a fresh ridged fit at the current means;
-    on the lattice, ties straddle the k-th neighbour."""
+    on the lattice, ties straddle the 15th neighbour."""
 
     @staticmethod
-    def expected(train, init, n_steps, k):
+    def expected(train, init, n_steps):
         """Mean and covariance at steps 0..n_steps: the covariance carried
         through the oracle's chained linear parts, made exactly symmetric."""
-        means, chains = iterated_local_affine(train.points, init.mean, n_steps, k, RIDGE)
+        means, chains = iterated_local_affine(train.points, init.mean, n_steps, LOCAL_LINEAR_K,
+                                              RIDGE)
         covs = []
         for chain in chains:
             out = chain @ init.cov @ chain.swapaxes(-1, -2)
@@ -499,33 +514,32 @@ class TestIteratedWalk:
 
     @pytest.mark.parametrize("case", WALK_CASES)
     def test_forecast_is_a_fresh_fit_at_every_step(self, case):
-        train, mean, k, n_steps = walk_case(case)
+        train, mean, n_steps = walk_case(case)
         init = GaussianState.isotropic(mean, 0.01)
-        means, covs = self.expected(train, init, n_steps, k)
+        means, covs = self.expected(train, init, n_steps)
         for lead in (0, 1, 2, n_steps):
-            out = iterated_local_linear_forecast(train, init, lead, k)
+            out = iterated_local_linear_forecast(train, init, lead)
             assert out.mean.tobytes() == means[lead].tobytes()
             assert out.cov.tobytes() == np.broadcast_to(covs[lead], out.cov.shape).tobytes()
 
     @pytest.mark.parametrize("case", WALK_CASES)
     def test_ladder_is_a_fresh_fit_at_every_step(self, case):
-        train, mean, k, n_steps = walk_case(case)
+        train, mean, n_steps = walk_case(case)
         init = GaussianState.isotropic(mean, 0.01)
-        means, covs = self.expected(train, init, n_steps, k)
-        ladder = iterated_local_linear_ladder(train, init, n_steps, k)
+        means, covs = self.expected(train, init, n_steps)
+        ladder = iterated_local_linear_ladder(train, init, n_steps)
         for lead in range(n_steps + 1):
             state = GaussianState(mean=means[lead], cov=covs[lead])
             assert_ladder_lead_is(ladder, lead, state, train.tau)
 
     def test_ties_straddle_the_kth_neighbour_on_the_walk(self):
-        # the lattice cases are worth their name only if some step's k-th
-        # and (k+1)-th eligible neighbours are equally far
-        train = lattice_series()
-        for k in (5, 15):
-            means, _ = iterated_local_affine(train.points, np.array([1.0, 1.0]), 20, k, RIDGE)
-            eligible = train.points[:-1]
-            kth = [np.sort(np.linalg.norm(eligible - m, axis=1))[k - 1:k + 1] for m in means[:-1]]
-            assert any(a == b for a, b in kth)
+        # the lattice cases are worth their name only if some step's 15th
+        # and 16th eligible neighbours are equally far
+        train, k = lattice_series(), LOCAL_LINEAR_K
+        means, _ = iterated_local_affine(train.points, np.array([1.0, 1.0]), 20, k, RIDGE)
+        eligible = train.points[:-1]
+        kth = [np.sort(np.linalg.norm(eligible - m, axis=1))[k - 1:k + 1] for m in means[:-1]]
+        assert any(a == b for a, b in kth)
 
 
 class TestGaussianState:

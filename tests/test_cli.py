@@ -343,9 +343,11 @@ def test_baseline_without_its_input_fails_cleanly(tmp_path, capsys, command, mes
     # a flag given at its default value is still given
     ("local-linear", ["--series", "train.csv", "--seed", "0"], "--seed 0"),
     ("ensemble", ["--k", "15"], "--k 15"),
+    # the fits take no neighbour count: every one is on 15
+    ("local-linear", ["--series", "train.csv", "--k", "15"], "--k 15"),
 ], ids=["ensemble-series", "local-linear-system", "iterated-system", "ensemble-k",
         "local-linear-n-ens", "iterated-substeps", "iterated-seed", "local-linear-three",
-        "local-linear-default-seed", "ensemble-default-k"])
+        "local-linear-default-seed", "ensemble-default-k", "local-linear-k"])
 def test_baseline_rejects_a_flag_its_method_ignores(tmp_path, capsys, command, flags, ignored):
     # train.csv does not exist: the flag is refused by the parser, before any file is read
     out = tmp_path / "out" / "baseline.csv"
@@ -372,22 +374,37 @@ def test_baseline_rejects_a_nonfinite_tau(run, tmp_path, capsys, tau):
 
 
 _STEPS = ("--steps", "-1", "--steps must be >= 0, got -1")
-_K = ("--k", "3", "k=3 neighbours cannot determine an affine fit in dim 3; need k >= 4")
 
 
 @pytest.mark.parametrize("method, flag, value, message", [
     ("local-linear", *_STEPS), ("iterated", *_STEPS), ("ensemble", *_STEPS),
-    ("local-linear", *_K), ("iterated", *_K),
-], ids=["local-linear-steps", "iterated-steps", "ensemble-steps", "local-linear-k", "iterated-k"])
+], ids=["local-linear-steps", "iterated-steps", "ensemble-steps"])
 def test_baseline_rejects_a_bad_count(run, tmp_path, capsys, method, flag, value, message):
     out = tmp_path / "out" / "baseline.csv"
-    args = {"--steps": "3", "--k": "15", flag: value}
+    args = {"--steps": "3", flag: value}
     source = (["ensemble", "lorenz63", "--n-ens", "10"] if method == "ensemble"
-              else ["baseline", "--method", method, "--tau", "0.1", "--k", args["--k"],
+              else ["baseline", "--method", method, "--tau", "0.1",
                     "--series", str(run["dir"] / "sim" / "torus_embedded.csv")])
     assert main([*source, "--mean", _vector(run["mean"]), "--var", "0.01",
                  "--steps", args["--steps"], "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("method", ["local-linear", "iterated"])
+def test_baseline_rejects_a_series_too_wide_to_fit(tmp_path, capsys, method):
+    # baseline reads any CSV, and 15 neighbours cannot fit an affine map in
+    # dim 15
+    series = tmp_path / "wide.csv"
+    rows = np.random.default_rng(0).normal(size=(40, 15))
+    series.write_text("\n".join([",".join(f"x{j}" for j in range(15)),
+                                 *(_vector(row) for row in rows)]) + "\n")
+    out = tmp_path / "out" / "baseline.csv"
+    assert main(["baseline", "--method", method, "--tau", "0.1", "--series", str(series),
+                 "--mean", _vector(rows[3]), "--var", "0.01", "--steps", "3",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: 15 neighbours cannot determine an affine fit "
+                                       "in dim 15; need dim <= 14\n")
     assert not out.parent.exists()
 
 

@@ -301,6 +301,23 @@ def test_the_drivers_fit_a_series_and_a_basis_size_only():
     assert calls == {"experiments.py": [(2, [])] * 3, "cli.py": [(2, [])]}
 
 
+def test_the_local_linear_forecasts_take_a_series_a_state_and_leads_only():
+    # every fit is on baselines.LOCAL_LINEAR_K neighbours; a fourth
+    # parameter would be an option no caller sets
+    baselines = importlib.import_module("diffusion_forecast.baselines")
+    found = {name: [(p.name, p.kind.name, p.default is p.empty)
+                    for p in inspect.signature(getattr(baselines, name)).parameters.values()]
+             for name in ("local_linear_forecast", "iterated_local_linear_forecast",
+                          "local_linear_ladder", "iterated_local_linear_ladder")}
+    want = [("train", "POSITIONAL_OR_KEYWORD", True), ("init", "POSITIONAL_OR_KEYWORD", True)]
+    assert found == {
+        "local_linear_forecast": want + [("lead_steps", "POSITIONAL_OR_KEYWORD", True)],
+        "iterated_local_linear_forecast": want + [("lead_steps", "POSITIONAL_OR_KEYWORD", True)],
+        "local_linear_ladder": want + [("n_leads", "POSITIONAL_OR_KEYWORD", True)],
+        "iterated_local_linear_ladder": want + [("n_leads", "POSITIONAL_OR_KEYWORD", True)],
+    }
+
+
 def test_a_config_naming_a_fit_constant_is_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("n_basis = 30\nstride = 2\n")
